@@ -399,40 +399,59 @@ fn timeout_without_early_termination_is_terminal() {
 
 #[test]
 fn exhausted_retries_quarantine_the_configuration() {
-    let profile = FaultProfile {
-        name: "crash-always".into(),
-        crash_prob: 1.0,
-        ..FaultProfile::none()
-    };
-    let objective = StubObjective::new();
-    let config = Config::new(vec![0.5; 6]).expect("config");
-    let trace = run_stub(
-        &objective,
-        Budget::VirtualHours(0.5),
-        &ExecutorOptions::default()
-            .with_fault_profile(profile)
-            .with_retry(RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            }),
-        Some(Box::new(FixedSearcher(config))),
-    )
-    .expect("run");
+    // Quarantine is decided at each candidate's virtual dispatch instant,
+    // against the samples committed by then. With G simulated GPUs the
+    // first G copies of the fixed config are all dispatched before the
+    // first failure commits, so each trains once; every later
+    // re-proposal is circuit-broken.
+    for gpus in [1usize, 2, 4] {
+        let profile = FaultProfile {
+            name: "crash-always".into(),
+            crash_prob: 1.0,
+            ..FaultProfile::none()
+        };
+        let objective = StubObjective::new();
+        let config = Config::new(vec![0.5; 6]).expect("config");
+        let trace = run_stub(
+            &objective,
+            Budget::VirtualHours(0.5),
+            &ExecutorOptions::default()
+                .with_simulated_gpus(gpus)
+                .with_fault_profile(profile)
+                .with_retry(RetryPolicy {
+                    max_retries: 1,
+                    ..RetryPolicy::default()
+                }),
+            Some(Box::new(FixedSearcher(config))),
+        )
+        .expect("run");
 
-    let first = &trace.samples[0];
-    assert_eq!(first.kind, SampleKind::Failed);
-    assert_eq!(first.failure, Some(TrialFailure::Crash));
-    assert_eq!(first.retries, 1);
-    assert_eq!(first.faults, vec![TrialFailure::Crash; 2]);
-
-    // Every re-proposal of the failed config is circuit-broken: rejected
-    // at model-eval cost, never trained again.
-    assert!(trace.samples.len() > 1, "run continued past the failure");
-    for s in &trace.samples[1..] {
-        assert_eq!(s.kind, SampleKind::Rejected);
-        assert_eq!(s.failure, Some(TrialFailure::Quarantined));
+        assert_eq!(trace.samples[0].kind, SampleKind::Failed, "gpus={gpus}");
+        let mut failed = 0;
+        for s in &trace.samples {
+            if s.kind == SampleKind::Failed {
+                failed += 1;
+                assert_eq!(s.failure, Some(TrialFailure::Crash), "gpus={gpus}");
+                assert_eq!(s.retries, 1, "gpus={gpus}");
+                assert_eq!(s.faults, vec![TrialFailure::Crash; 2], "gpus={gpus}");
+            } else {
+                // Every re-proposal of the failed config is circuit-broken:
+                // rejected at model-eval cost, never trained again.
+                assert_eq!(s.kind, SampleKind::Rejected, "gpus={gpus}");
+                assert_eq!(s.failure, Some(TrialFailure::Quarantined), "gpus={gpus}");
+            }
+        }
+        assert_eq!(failed, gpus, "one failure per GPU's first copy");
+        assert!(
+            trace.samples.len() > gpus,
+            "run continued past the failures (gpus={gpus})"
+        );
+        assert_eq!(
+            trace.evaluations(),
+            gpus,
+            "each copy dispatched before the first failure trains exactly once"
+        );
     }
-    assert_eq!(trace.evaluations(), 1, "the config trains exactly once");
 }
 
 // ---------------------------------------------------------------------------

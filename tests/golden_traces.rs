@@ -209,6 +209,15 @@ fn golden_rand_evals_flaky_sensor() {
 // reviewable fixture holds; that path is pinned by the fault-injection
 // suite's worker-invariance and kill-and-resume tests instead.)
 
+/// The self-healing knobs of the drifting-hardware fixtures.
+fn healing(options: ExecutorOptions) -> ExecutorOptions {
+    options
+        .with_fault_profile(FaultProfile::drifting_hw())
+        .with_recalibrate(true)
+        .with_drift_threshold(0.02)
+        .with_safety_margin(0.1)
+}
+
 fn run_healing_case(method: Method) -> Trace {
     let mut session = Session::new(Scenario::mnist_gtx1070(), GOLDEN_SEED).expect("session setup");
     session
@@ -217,11 +226,7 @@ fn run_healing_case(method: Method) -> Trace {
             Mode::HyperPower,
             EVALS,
             GOLDEN_SEED,
-            &ExecutorOptions::default()
-                .with_fault_profile(FaultProfile::drifting_hw())
-                .with_recalibrate(true)
-                .with_drift_threshold(0.02)
-                .with_safety_margin(0.1),
+            &healing(ExecutorOptions::default()),
         )
         .expect("golden healing run")
 }
@@ -251,5 +256,73 @@ fn golden_hwieci_evals_flaky_sensor() {
             EVALS,
             FaultProfile::flaky_sensor(),
         )),
+    );
+}
+
+// Multi-GPU fixtures: G > 1 simulated training GPUs run the batch-parallel
+// schedule — one virtual timeline per GPU, proposals made against the
+// in-flight candidates as constant-liar pending points, commits in
+// (completion time, proposal index) order. Worker threads come from
+// `HYPERPOWER_WORKERS`, so the CI worker matrix checks these bytes at one
+// and several threads.
+
+/// Eight evaluations: enough for BO to propose with pending points after
+/// its warm-up, and for completions to overtake each other.
+const EVALS8: Budget = Budget::Evaluations(8);
+
+fn gpus(count: usize) -> ExecutorOptions {
+    ExecutorOptions::from_env().with_simulated_gpus(count)
+}
+
+fn check_gpus(name: &str, method: Method, budget: Budget, options: &ExecutorOptions) {
+    let mut session = Session::new(Scenario::mnist_gtx1070(), GOLDEN_SEED).expect("session setup");
+    let trace = session
+        .run_seeded_with(method, Mode::HyperPower, budget, GOLDEN_SEED, options)
+        .expect("golden multi-GPU run");
+    check_encoded(name, encode_trace(&trace));
+}
+
+#[test]
+fn golden_rand_hours_g2() {
+    check_gpus("rand_hours_g2", Method::Rand, HOURS, &gpus(2));
+}
+
+#[test]
+fn golden_hwieci_hours_g4() {
+    check_gpus("hwieci_hours_g4", Method::HwIeci, HOURS, &gpus(4));
+}
+
+#[test]
+fn golden_hwcwei_evals8_g2() {
+    check_gpus("hwcwei_evals8_g2", Method::HwCwei, EVALS8, &gpus(2));
+}
+
+#[test]
+fn golden_hwieci_evals8_flaky_sensor_g2() {
+    check_gpus(
+        "hwieci_evals8_flaky_sensor_g2",
+        Method::HwIeci,
+        EVALS8,
+        &gpus(2).with_fault_profile(FaultProfile::flaky_sensor()),
+    );
+}
+
+#[test]
+fn golden_rand_evals8_oom_heavy_g4() {
+    check_gpus(
+        "rand_evals8_oom_heavy_g4",
+        Method::Rand,
+        EVALS8,
+        &gpus(4).with_fault_profile(FaultProfile::oom_heavy()),
+    );
+}
+
+#[test]
+fn golden_hwieci_evals8_drifting_hw_g2() {
+    check_gpus(
+        "hwieci_evals8_drifting_hw_g2",
+        Method::HwIeci,
+        EVALS8,
+        &healing(gpus(2)),
     );
 }
