@@ -288,7 +288,7 @@ pub fn plan_trial(
         }
         charged_secs += policy.backoff_secs(attempts, plan.backoff_unit(query, attempts));
     }
-    // max_attempts >= 1, so the loop always returns from within. analyze::allow(R15)
+    // max_attempts >= 1, so the loop always returns from within.
     unreachable!("retry loop exits via completion or terminal failure");
 }
 

@@ -1,21 +1,45 @@
-//! The ask–tell study state machine.
+//! The ask–tell study state machine: the repo's one optimization loop.
 //!
-//! [`Study`] factors the single-GPU optimization loop of
-//! [`crate::executor`] into an explicit state machine with no embedded
-//! objective call: [`Study::ask`] plans proposals and hands out **leased**
-//! candidate batches, the caller evaluates them however it likes (inline,
-//! on worker threads, on another machine), and [`Study::tell`] ingests the
-//! observations and commits samples to the trace. The committed trace is
-//! **byte-identical** to the embedded loop's — `crate::executor` itself now
-//! drives a `Study` — which is what lets a serving layer
-//! (`hyperpower-server`) host many concurrent studies, lose workers,
-//! receive duplicated or reordered tells, and crash-restart without ever
-//! perturbing a single trace byte.
+//! [`Study`] is the optimization run as an explicit state machine with no
+//! embedded objective call: [`Study::ask`] plans proposals and hands out
+//! **leased** candidate batches, the caller evaluates them however it
+//! likes (inline, on worker threads, on another machine), and
+//! [`Study::tell`] ingests the observations and commits samples to the
+//! trace. [`crate::executor`] drives a `Study` for every run, and a
+//! serving layer (`hyperpower-server`) hosts many side by side — losing
+//! workers, receiving duplicated or reordered tells, and crash-restarting
+//! without ever perturbing a single trace byte.
+//!
+//! # The virtual schedule
+//!
+//! A study models G simulated training GPUs, each with its own virtual
+//! timeline ([`WorkerClock`]). The earliest free GPU (lowest index on
+//! ties) takes the next proposal; the searcher proposes against the
+//! committed history with the candidates still in flight as constant-liar
+//! pending points ([`Searcher::propose_with_pending`]). When a candidate's
+//! result is told, its fault schedule and measurement pass replay on its
+//! GPU's timeline, which fixes its completion instant. Samples commit in
+//! `(completion time, proposal index)` order through a [`CommitQueue`],
+//! each once no GPU can still finish anything earlier.
+//!
+//! Screening, quarantine, the virtual-hours deadline and the rejection
+//! valve are all decided at a candidate's **virtual dispatch instant**,
+//! against the samples committed by then. A rejection occupies no GPU: it
+//! costs one model evaluation on the dispatching GPU's timeline and
+//! commits at its end.
+//!
+//! With G = 1 this is the paper's sequential loop: one timeline, commits
+//! in proposal order, and each dispatch instant is the moment the previous
+//! candidate commits. History-independent searchers without an active
+//! drift monitor may plan a block of up to `max` proposals ahead and lease
+//! them all at once; each still dispatches only when its predecessor
+//! commits, so the trace is byte-identical for every `max` (the
+//! executor's worker-count invariance).
 //!
 //! # Why leases keep the trace exact
 //!
 //! Evaluation is a pure function of `(decoded, eval_seed)`, and the eval
-//! seed is derived from the proposal's trace slot alone
+//! seed is derived from the proposal index alone
 //! (`seed × SEED_MIX + query`). So *who* evaluates a candidate, *when* the
 //! result arrives, and *how many times* the work is re-issued after a lost
 //! worker are all unobservable in the trace. A lease records one issuance
@@ -31,22 +55,25 @@
 //!   [`Error::LeaseExpired`] and leaves every byte of state untouched;
 //! * a duplicate tell (same lease, already ingested) is absorbed as
 //!   [`TellOutcome::Duplicate`];
-//! * out-of-order tells are buffered on their planned slot and commit only
-//!   when every earlier proposal has committed — commits happen in strict
-//!   proposal order, exactly like the embedded loop.
+//! * out-of-order tells are buffered on their proposal and commit at its
+//!   place in the schedule.
 //!
 //! # Commit discipline
 //!
-//! All clock advances and sensor reads happen at *commit* points, in
-//! proposal order, so the trace is a pure function of the committed prefix
-//! — the same scheme DESIGN.md §5a proves for the executor. Budgets are
-//! re-checked before every commit; a budget hit discards the planned tail
-//! unseen (its RNG consumption is unobservable) and voids its leases as
+//! Sensor reads, history updates, quarantine entries and the drift
+//! healing of measured candidates happen at commit points only, in commit
+//! order, so the trace is a pure function of the committed prefix — the
+//! argument DESIGN.md §5a makes. The run ends when nothing is left to
+//! train or commit and no GPU may take another proposal; the undispatched
+//! tail of a planned block is then discarded unseen (its RNG consumption
+//! is unobservable) and its leases are voided as
 //! [`TellOutcome::Discarded`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use hyperpower_gpu_sim::{FaultPlan, FaultProfile, Gpu, TrainingCostModel, VirtualClock};
+use hyperpower_gpu_sim::{
+    CommitQueue, FaultPlan, FaultProfile, Gpu, TrainingCostModel, WorkerClock,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,14 +83,14 @@ use crate::drift::{DriftConfig, DriftMonitor};
 use crate::driver::{Budget, Sample, SampleKind, Trace, MAX_CONSECUTIVE_REJECTIONS};
 use crate::methods::{make_searcher, Conditioning, History, Searcher};
 use crate::objective::EvaluationResult;
-use crate::recovery::{plan_trial, RetryPolicy, TrialFailure, TrialOutcome, LIAR_ERROR};
+use crate::recovery::{plan_trial, RetryPolicy, TrialFailure, TrialOutcome, TrialPlan, LIAR_ERROR};
 use crate::space::Decoded;
 use crate::{Budgets, Config, EarlyTermination, Error, Method, Mode, Result, SearchSpace, Watts};
 
 /// The multiplier in the per-candidate seed derivation
 /// `eval_seed = seed × SEED_MIX + query_index` (golden-ratio mixing
 /// constant; the same derivation the sequential driver has always used).
-pub(crate) const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Salt for the lease-deadline jitter stream (disjoint from the fault
 /// salts `0xFA17_000x` so lease lifecycle can never collide with fault
@@ -143,9 +170,9 @@ pub enum TellOutcome {
     /// The lease was already fulfilled — a duplicate delivery, absorbed
     /// without touching any state.
     Duplicate,
-    /// The run ended (budget hit) before this proposal could commit; the
-    /// observation is absorbed and discarded, exactly as the embedded
-    /// loop discards a prefetched tail.
+    /// The proposal left the schedule without this observation — the run
+    /// ended before it was dispatched, or it was quarantined at dispatch —
+    /// so the observation is absorbed and discarded.
     Discarded,
 }
 
@@ -153,8 +180,8 @@ pub enum TellOutcome {
 /// journal hook. [`CheckpointSink`] implements it (the executor's
 /// periodic checkpoints), and `hyperpower-server` implements it with an
 /// append-only journal. Calls arrive in commit order — `record_eval`
-/// immediately before the commit that consumed the evaluation — so any
-/// sink sees the exact byte stream of the embedded loop.
+/// immediately before the commit that consumed the evaluation — so a sink
+/// sees the same byte stream however the study is driven.
 pub trait ObservationSink {
     /// Records one raw objective evaluation, keyed by its eval seed.
     fn record_eval(&mut self, eval_seed: u64, result: &EvaluationResult);
@@ -199,8 +226,8 @@ enum LeaseState {
     Fulfilled,
     /// Reclaimed after its deadline passed; tells are rejected.
     Expired,
-    /// Voided because the run ended before the proposal committed; tells
-    /// are absorbed.
+    /// Voided because its proposal left the schedule uncommitted by it;
+    /// tells are absorbed.
     Discarded,
 }
 
@@ -215,17 +242,62 @@ struct LeaseRecord {
     deadline_s: f64,
 }
 
-/// A proposal planned ahead of its commit.
+/// What one simulated GPU's timeline is doing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// Takes the next proposal at its timeline's current instant.
+    Free,
+    /// Training a dispatched candidate until that candidate commits.
+    Busy,
+    /// Past the virtual-hours deadline: takes nothing more.
+    Blocked,
+}
+
+/// Where a proposal stands on the virtual schedule.
+#[derive(Debug)]
+enum Stage {
+    /// Planned ahead of its dispatch (a block of history-independent
+    /// proposals at G = 1).
+    Planned,
+    /// Training on this GPU; it finishes once its result is told.
+    Running(usize),
+    /// Finished at a known virtual instant; its `(time, query)` key waits
+    /// in the commit queue.
+    Done(Verdict),
+}
+
+/// What a finished proposal commits.
+#[derive(Debug)]
+enum Verdict {
+    /// Screened out or quarantined at dispatch.
+    Rejected {
+        power_w: f64,
+        /// `Some(Quarantined)` for circuit-breaker rejections.
+        failure: Option<TrialFailure>,
+        drift_events: Vec<crate::drift::DriftEvent>,
+    },
+    /// Trained on `lane`, through the replayed fault schedule `trial`;
+    /// the sensors are read at commit.
+    Trained {
+        lane: usize,
+        result: EvaluationResult,
+        trial: TrialPlan,
+        glitched: bool,
+    },
+}
+
+/// One proposal, from planning until it commits.
 #[derive(Debug)]
 struct Planned {
     config: Config,
     decoded: Decoded,
-    rejected: bool,
+    /// Predicted infeasible by the screening oracle: never leased.
+    screened: bool,
     query: u64,
     eval_seed: u64,
     degradations: Vec<crate::drift::DegradationEvent>,
-    /// The observation, once told (buffered until this item reaches the
-    /// front of the commit queue).
+    /// The observation, once told (buffered until the schedule reaches
+    /// it).
     result: Option<EvaluationResult>,
     /// Every currently outstanding lease on this item. More than one only
     /// while a hedged duplicate is in flight; the first fulfilment wins
@@ -238,28 +310,45 @@ struct Planned {
     /// Leases on this item reclaimed (deadline expiry or shedding) before
     /// a worker delivered.
     reclaimed: u32,
+    stage: Stage,
+}
+
+impl Planned {
+    /// Whether a worker still owes this proposal an evaluation.
+    fn awaits_result(&self) -> bool {
+        !self.screened && self.result.is_none() && !matches!(self.stage, Stage::Done(_))
+    }
+
+    /// Dispatched for training and not yet committed: a pending point for
+    /// the next proposal.
+    fn in_flight(&self) -> bool {
+        matches!(
+            self.stage,
+            Stage::Running(_) | Stage::Done(Verdict::Trained { .. })
+        )
+    }
 }
 
 /// The quarantine key of a configuration: its unit-cube coordinates by
 /// exact bit pattern (the study re-proposes bit-identical configs, so no
 /// tolerance is wanted).
-pub(crate) fn config_key(config: &Config) -> Vec<u64> {
+fn config_key(config: &Config) -> Vec<u64> {
     config.unit().iter().map(|u| u.to_bits()).collect()
 }
 
 /// Predicted memory pressure of a candidate: the noise-free memory
 /// analysis as a fraction of device capacity. Consumes no RNG — fault
 /// decisions must never perturb the sensor stream.
-pub(crate) fn memory_pressure_frac(gpu: &Gpu, decoded: &Decoded) -> f64 {
+fn memory_pressure_frac(gpu: &Gpu, decoded: &Decoded) -> f64 {
     let predicted_mib = gpu.analyze(&decoded.arch).memory.get();
     let capacity_mib = gpu.device().memory_capacity_gib * 1024.0;
     predicted_mib / capacity_mib
 }
 
-/// Selects the rejection-screening oracle exactly as the sequential loop
-/// does: model-free methods in HyperPower mode screen; BO methods carry the
-/// constraints inside their acquisition instead (paper §3.4–3.5).
-pub(crate) fn screening_oracle(
+/// Selects the rejection-screening oracle: model-free methods in
+/// HyperPower mode screen; BO methods carry the constraints inside their
+/// acquisition instead (paper §3.4–3.5).
+fn screening_oracle(
     mode: Mode,
     method: Method,
     oracle: Option<&ConstraintOracle>,
@@ -272,12 +361,12 @@ pub(crate) fn screening_oracle(
 
 /// The self-healing outcome of one measured commit, ready to attach to
 /// its [`Sample`].
-pub(crate) struct CommitHealing {
-    pub(crate) drift_events: Vec<crate::drift::DriftEvent>,
-    pub(crate) drift_rmspe: Option<f64>,
+struct CommitHealing {
+    drift_events: Vec<crate::drift::DriftEvent>,
+    drift_rmspe: Option<f64>,
     /// Penalize this observation as a liar (a measured violation of a
     /// predicted-feasible candidate while safety margins are on).
-    pub(crate) liar: bool,
+    liar: bool,
 }
 
 impl CommitHealing {
@@ -295,7 +384,7 @@ impl CommitHealing {
 /// rebuilt and the searcher notified. Runs at commit points only, so the
 /// whole self-healing state is a pure function of the committed prefix.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn heal_on_commit(
+fn heal_on_commit(
     monitor: Option<&mut DriftMonitor>,
     live_oracle: &mut Option<ConstraintOracle>,
     searcher: &mut dyn Searcher,
@@ -326,11 +415,11 @@ pub(crate) fn heal_on_commit(
     }
 }
 
-/// Feeds one committed screening rejection through the drift monitor's
-/// starvation valve (when active): a long unbroken run of rejections under
-/// an active margin relaxes it one step, and the live oracle is swapped so
-/// the very next screening decision sees the widened region.
-pub(crate) fn heal_on_rejection(
+/// Feeds one screening rejection through the drift monitor's starvation
+/// valve (when active): a long unbroken run of rejections under an active
+/// margin relaxes it one step, and the live oracle is swapped so the very
+/// next screening decision sees the widened region.
+fn heal_on_rejection(
     monitor: Option<&mut DriftMonitor>,
     live_oracle: &mut Option<ConstraintOracle>,
     searcher: &mut dyn Searcher,
@@ -347,6 +436,12 @@ pub(crate) fn heal_on_rejection(
     obs.events
 }
 
+/// `(time, query)` strict ordering: `total_cmp` on the time, proposal
+/// index as tiebreak — the commit queue's order.
+fn key_less(a: (f64, u64), b: (f64, u64)) -> bool {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+}
+
 /// One hyper-parameter study as an explicit ask–tell state machine. See
 /// the module docs for the protocol and its exactness argument.
 pub struct Study {
@@ -354,7 +449,9 @@ pub struct Study {
     plan: FaultPlan,
     searcher: Box<dyn Searcher>,
     rng: StdRng,
-    clock: VirtualClock,
+    /// One virtual timeline per simulated GPU.
+    clock: WorkerClock,
+    lanes: Vec<Lane>,
     history: History,
     samples: Vec<Sample>,
     evaluations: usize,
@@ -363,7 +460,10 @@ pub struct Study {
     screen_active: bool,
     live_oracle: Option<ConstraintOracle>,
     monitor: Option<DriftMonitor>,
+    /// Every proposal not yet committed, in proposal order.
     queue: VecDeque<Planned>,
+    /// The `(completion time, query)` keys of the finished proposals.
+    done: CommitQueue<()>,
     leases: BTreeMap<u64, LeaseRecord>,
     next_lease: u64,
     lease_policy: RetryPolicy,
@@ -378,6 +478,7 @@ impl std::fmt::Debug for Study {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Study")
             .field("spec", &self.spec)
+            .field("gpus", &self.lanes.len())
             .field("committed", &self.samples.len())
             .field("evaluations", &self.evaluations)
             .field("pending", &self.queue.len())
@@ -389,6 +490,7 @@ impl std::fmt::Debug for Study {
 impl Study {
     /// Creates a study from its spec, the profiling-time constraint oracle
     /// (cloned; `Some` in HyperPower mode) and an optional custom searcher.
+    /// It models one simulated GPU.
     pub fn new(
         spec: StudySpec,
         oracle: Option<&ConstraintOracle>,
@@ -410,7 +512,8 @@ impl Study {
             plan,
             searcher,
             rng,
-            clock: VirtualClock::new(),
+            clock: WorkerClock::new(1),
+            lanes: vec![Lane::Free],
             history: History::new(),
             samples: Vec::new(),
             evaluations: 0,
@@ -420,6 +523,7 @@ impl Study {
             live_oracle,
             monitor,
             queue: VecDeque::new(),
+            done: CommitQueue::new(),
             leases: BTreeMap::new(),
             next_lease: 0,
             // Lease deadlines reuse the retry/backoff machinery: deadline
@@ -436,6 +540,16 @@ impl Study {
             hedges_issued: 0,
             hedges_superseded: 0,
         }
+    }
+
+    /// Models `gpus` simulated training GPUs (0 is treated as 1). A
+    /// semantic knob: it changes the schedule and so the trace. Call
+    /// before the first [`Study::ask`].
+    pub(crate) fn with_simulated_gpus(mut self, gpus: usize) -> Self {
+        let gpus = gpus.max(1);
+        self.clock = WorkerClock::new(gpus);
+        self.lanes = vec![Lane::Free; gpus];
+        self
     }
 
     /// Replaces the lease-deadline policy (builder style). The policy's
@@ -457,7 +571,9 @@ impl Study {
         self.spec.early_termination
     }
 
-    /// Whether the run is over (budget hit or rejection valve tripped).
+    /// Whether the run is over: nothing is left to train or commit and no
+    /// simulated GPU may take another proposal (budget spent, deadline
+    /// passed, or rejection valve tripped).
     pub fn is_finished(&self) -> bool {
         self.finished
     }
@@ -487,7 +603,7 @@ impl Study {
             mode: self.spec.mode,
             budgets: self.spec.budgets,
             samples: self.samples.clone(),
-            total_time_s: self.clock.seconds(),
+            total_time_s: self.clock.latest_secs(),
         }
     }
 
@@ -498,44 +614,34 @@ impl Study {
             mode: self.spec.mode,
             budgets: self.spec.budgets,
             samples: self.samples,
-            total_time_s: self.clock.seconds(),
+            total_time_s: self.clock.latest_secs(),
         }
     }
 
-    /// Plans proposals as needed and returns up to `max` leased candidates
-    /// awaiting evaluation, stamping deadlines relative to the caller's
-    /// scheduler clock `now_s`. Returns an empty batch when the run is
-    /// finished, or when every pending candidate is already out on an
-    /// unexpired lease.
+    /// Runs the schedule forward, planning proposals as needed, and
+    /// returns up to `max` leased candidates awaiting evaluation, stamping
+    /// deadlines relative to the caller's scheduler clock `now_s`. Returns
+    /// an empty batch when the run is finished, or when every candidate
+    /// awaiting evaluation is already out on an unexpired lease.
     ///
-    /// Block planning follows the embedded loop exactly: only
-    /// history-independent searchers without an active drift monitor plan
-    /// more than one proposal ahead, so the trace stays byte-identical for
-    /// every `max` (the executor's worker-count invariance, restated).
+    /// Only history-independent searchers without an active drift monitor
+    /// plan more than one proposal ahead, so the trace stays
+    /// byte-identical for every `max` (the executor's worker-count
+    /// invariance, restated).
     ///
     /// # Errors
     ///
-    /// Propagates proposal/decoding errors and sink I/O failures from
-    /// commits of screening rejections.
+    /// Propagates proposal/decoding errors and sink I/O failures from the
+    /// commits the schedule reaches.
     pub fn ask<S: ObservationSink>(
         &mut self,
         space: &SearchSpace,
         gpu: &mut Gpu,
         max: usize,
         now_s: f64,
-        mut sink: Option<&mut S>,
+        sink: Option<&mut S>,
     ) -> Result<Vec<LeasedCandidate>> {
-        // Plan blocks until the run ends or a candidate awaits evaluation.
-        // (A block can be all screening rejections, which commit right
-        // here; the embedded loop spins the same way.)
-        while !self.finished && !self.has_pending_eval() {
-            if self.budget_exhausted() {
-                self.finish();
-                break;
-            }
-            self.plan_block(space, max)?;
-            self.drain(gpu, sink.as_deref_mut())?;
-        }
+        self.advance(Some(space), max, gpu, sink)?;
         if self.finished {
             return Ok(Vec::new());
         }
@@ -547,7 +653,7 @@ impl Study {
         let mut issued: Vec<LeaseRecord> = Vec::new();
         let cap = max.max(1);
         for item in self.queue.iter_mut() {
-            if item.rejected || item.result.is_some() || !item.leases.is_empty() {
+            if !item.awaits_result() || !item.leases.is_empty() {
                 continue;
             }
             if out.len() >= cap {
@@ -586,7 +692,7 @@ impl Study {
     }
 
     /// Ingests one observation for `lease_id` and commits every proposal
-    /// the arrival unblocks, in proposal order.
+    /// the arrival lets the schedule reach.
     ///
     /// # Errors
     ///
@@ -616,17 +722,17 @@ impl Study {
         }
         record.state = LeaseState::Fulfilled;
         let query = record.query;
-        let Some(item) = self.queue.iter_mut().find(|i| i.query == query) else {
-            // An outstanding lease always has its item queued: `finish`
-            // voids leases when it clears the queue.
+        let Some(at) = self.queue.iter().position(|i| i.query == query) else {
+            // An outstanding lease always has its item queued: leases are
+            // voided whenever their item leaves the queue uncommitted.
             unreachable!("outstanding lease without a queued item");
         };
+        let item = &mut self.queue[at];
         item.result = Some(*result);
         // First fulfilment wins: every sibling lease still in flight for
         // this item (hedged duplicates) is superseded — marked fulfilled
         // so its eventual tell is absorbed as `TellOutcome::Duplicate`.
-        let siblings: Vec<u64> = item.leases.drain(..).filter(|id| *id != lease_id).collect();
-        for sibling in siblings {
+        for sibling in item.leases.drain(..).filter(|id| *id != lease_id) {
             if let Some(other) = self.leases.get_mut(&sibling) {
                 if other.state == LeaseState::Outstanding {
                     other.state = LeaseState::Fulfilled;
@@ -634,8 +740,9 @@ impl Study {
                 }
             }
         }
+        self.finish_training(at, gpu);
         let before = self.samples.len();
-        self.drain(gpu, sink)?;
+        self.advance(None, 1, gpu, sink)?;
         Ok(TellOutcome::Accepted {
             committed: self.samples.len() - before,
         })
@@ -683,7 +790,7 @@ impl Study {
         let policy = self.lease_policy;
         let mut out = Vec::new();
         for item in self.queue.iter_mut() {
-            if item.rejected || item.result.is_some() || item.leases.len() != 1 {
+            if !item.awaits_result() || item.leases.len() != 1 {
                 continue;
             }
             let original = item.leases[0];
@@ -752,42 +859,186 @@ impl Study {
         self.reclaim_expired(f64::INFINITY)
     }
 
-    fn has_pending_eval(&self) -> bool {
-        self.queue.iter().any(|i| !i.rejected && i.result.is_none())
-    }
-
-    fn budget_exhausted(&self) -> bool {
-        match self.spec.budget {
-            Budget::Evaluations(n) => self.evaluations >= n,
-            Budget::VirtualHours(h) => self.clock.hours() >= h,
+    /// Marks `ids` void: their proposal left the schedule uncommitted by
+    /// them, so late tells are absorbed, not rejected.
+    fn void_leases(leases: &mut BTreeMap<u64, LeaseRecord>, ids: &[u64]) {
+        for lease_id in ids {
+            if let Some(record) = leases.get_mut(lease_id) {
+                if record.state == LeaseState::Outstanding {
+                    record.state = LeaseState::Discarded;
+                }
+            }
         }
     }
 
-    /// Ends the run: the planned tail is discarded unseen (exactly as the
-    /// embedded loop discards a prefetched tail on a budget hit) and its
-    /// leases are voided so late tells are absorbed, not rejected.
+    /// Runs the schedule forward as far as it can go: commits every
+    /// finished proposal no GPU can undercut, and dispatches proposals
+    /// onto free GPUs — planning new ones only when `space` is given
+    /// (inside [`Study::ask`]). Ends the run once nothing is left to train
+    /// or commit and no GPU may take another proposal.
+    fn advance<S: ObservationSink>(
+        &mut self,
+        space: Option<&SearchSpace>,
+        max: usize,
+        gpu: &mut Gpu,
+        mut sink: Option<&mut S>,
+    ) -> Result<()> {
+        while !self.finished {
+            if !self.commit_next(gpu, sink.as_deref_mut())?
+                && !self.dispatch_next(space, max, gpu)?
+            {
+                break;
+            }
+        }
+        let idle = self.done.is_empty() && !self.lanes.contains(&Lane::Busy);
+        if idle && !(self.may_dispatch() && self.lanes.contains(&Lane::Free)) {
+            self.finish();
+        }
+        Ok(())
+    }
+
+    /// Ends the run: the undispatched tail of a planned block is discarded
+    /// unseen and its leases are voided so late tells are absorbed, not
+    /// rejected.
     fn finish(&mut self) {
         self.finished = true;
         for item in &self.queue {
-            for lease_id in &item.leases {
-                if let Some(record) = self.leases.get_mut(lease_id) {
-                    if record.state == LeaseState::Outstanding {
-                        record.state = LeaseState::Discarded;
-                    }
-                }
-            }
+            Self::void_leases(&mut self.leases, &item.leases);
         }
         self.queue.clear();
     }
 
-    /// Plans one block of proposals, mirroring the embedded loop: the
-    /// searcher proposes, degradations are drained, the space decodes, and
-    /// the screening oracle (when active) marks predicted-infeasible
-    /// candidates rejected. Proposals never run past the evaluation budget
-    /// (rejected ones occupy no evaluation slot, so the block can only
-    /// undershoot, never overshoot).
+    /// Whether a free GPU may take another proposal: the rejection valve
+    /// has not tripped and, under an evaluation budget, dispatched
+    /// trainings leave room.
+    fn may_dispatch(&self) -> bool {
+        if self.consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS {
+            return false;
+        }
+        match self.spec.budget {
+            Budget::Evaluations(n) => self.evaluations + self.busy_lanes() < n,
+            Budget::VirtualHours(_) => true,
+        }
+    }
+
+    fn busy_lanes(&self) -> usize {
+        self.lanes.iter().filter(|l| **l == Lane::Busy).count()
+    }
+
+    /// The free GPU whose timeline is earliest, lowest index on ties.
+    fn earliest_free_lane(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (w, lane) in self.lanes.iter().enumerate() {
+            if *lane != Lane::Free {
+                continue;
+            }
+            if best.is_none_or(|b| self.clock.seconds(w) < self.clock.seconds(b)) {
+                best = Some(w);
+            }
+        }
+        best
+    }
+
+    /// Dispatches the next proposal onto the earliest free GPU, planning a
+    /// block first when none is waiting and `space` allows it. Returns
+    /// whether the schedule moved (a GPU past the deadline blocking counts).
+    fn dispatch_next(
+        &mut self,
+        space: Option<&SearchSpace>,
+        max: usize,
+        gpu: &Gpu,
+    ) -> Result<bool> {
+        if !self.may_dispatch() {
+            return Ok(false);
+        }
+        let Some(lane) = self.earliest_free_lane() else {
+            return Ok(false);
+        };
+        if let Budget::VirtualHours(h) = self.spec.budget {
+            // Paper rule: the last sample queried before the deadline
+            // completes; this GPU queries nothing further.
+            if self.clock.seconds(lane) / 3600.0 >= h {
+                self.lanes[lane] = Lane::Blocked;
+                return Ok(true);
+            }
+        }
+        let at = match self
+            .queue
+            .iter()
+            .position(|i| matches!(i.stage, Stage::Planned))
+        {
+            Some(at) => at,
+            None => match space {
+                Some(space) => {
+                    let at = self.queue.len();
+                    self.plan_block(space, max)?;
+                    at
+                }
+                None => return Ok(false),
+            },
+        };
+        let item = &mut self.queue[at];
+        let rejection = if item.screened {
+            let Some(oracle) = self.live_oracle.as_ref() else {
+                unreachable!("screened proposal without a screening oracle");
+            };
+            let power_w = oracle
+                .models()
+                .predict_power(&item.decoded.structural)
+                .get();
+            let drift_events = heal_on_rejection(
+                self.monitor.as_mut(),
+                &mut self.live_oracle,
+                self.searcher.as_mut(),
+            );
+            Some(Verdict::Rejected {
+                power_w,
+                failure: None,
+                drift_events,
+            })
+        } else if self.quarantine.contains(&config_key(&item.config)) {
+            // Circuit breaker: this config already failed terminally.
+            // Reject at model-eval cost using the noise-free analysis (no
+            // sensor RNG), dropping any told result.
+            Some(Verdict::Rejected {
+                power_w: gpu.analyze(&item.decoded.arch).power.get(),
+                failure: Some(TrialFailure::Quarantined),
+                drift_events: Vec::new(),
+            })
+        } else {
+            None
+        };
+        match rejection {
+            Some(verdict) => {
+                self.clock.advance_secs(lane, self.spec.cost.model_eval_s);
+                Self::void_leases(&mut self.leases, &item.leases);
+                item.leases.clear();
+                item.stage = Stage::Done(verdict);
+                self.done.push(self.clock.seconds(lane), item.query, ());
+                self.consecutive_rejections += 1;
+            }
+            None => {
+                if self.screen_active {
+                    // Feasibility checks on surviving candidates are
+                    // billed too.
+                    self.clock.advance_secs(lane, self.spec.cost.model_eval_s);
+                }
+                self.consecutive_rejections = 0;
+                self.lanes[lane] = Lane::Busy;
+                item.stage = Stage::Running(lane);
+                self.finish_training(at, gpu);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Plans one block of proposals: the searcher proposes with the
+    /// in-flight candidates as pending points, degradations are drained,
+    /// the space decodes, and the screening oracle (when active) marks
+    /// predicted-infeasible candidates. Proposals never run past the
+    /// evaluation budget (screened ones occupy no evaluation slot, so the
+    /// block can only undershoot, never overshoot).
     fn plan_block(&mut self, space: &SearchSpace, max: usize) -> Result<()> {
-        debug_assert!(self.queue.is_empty(), "blocks plan only on a drained queue");
         // Dependent searchers must see each result before the next
         // proposal: their lookahead is 1. An active drift monitor also
         // forces lookahead 1: a commit may swap the screening oracle, so
@@ -802,28 +1053,38 @@ impl Study {
             1
         };
         let room = match self.spec.budget {
-            Budget::Evaluations(n) => n.saturating_sub(self.evaluations),
+            Budget::Evaluations(n) => n.saturating_sub(self.evaluations + self.busy_lanes()),
             Budget::VirtualHours(_) => lookahead,
         };
         let block = lookahead.min(room).max(1);
+        let pending: Vec<Config> = self
+            .queue
+            .iter()
+            .filter(|i| i.in_flight())
+            .map(|i| i.config.clone())
+            .collect();
         let base_slot = (self.samples.len() + self.queue.len()) as u64;
         for offset in 0..block as u64 {
-            let config = self.searcher.propose(space, &self.history, &mut self.rng)?;
+            let config = self.searcher.propose_with_pending(
+                space,
+                &self.history,
+                &pending,
+                &mut self.rng,
+            )?;
             let degradations = self.searcher.drain_degradations();
             let decoded = space.decode(&config)?;
-            let rejected = match (self.screen_active, self.live_oracle.as_ref()) {
+            let screened = match (self.screen_active, self.live_oracle.as_ref()) {
                 (true, Some(oracle)) => !oracle.predicted_feasible(&decoded.structural),
                 _ => false,
             };
-            // Every committed sample — rejected or trained — occupies one
-            // trace slot, and the evaluation seed is derived from that
-            // slot exactly as in the sequential loop.
+            // Every proposal commits exactly one sample, and its
+            // evaluation seed is derived from its proposal index.
             let query = base_slot + offset;
             let eval_seed = self.spec.seed.wrapping_mul(SEED_MIX).wrapping_add(query);
             self.queue.push_back(Planned {
                 config,
                 decoded,
-                rejected,
+                screened,
                 query,
                 eval_seed,
                 degradations,
@@ -832,264 +1093,226 @@ impl Study {
                 attempt: 0,
                 hedged: 0,
                 reclaimed: 0,
+                stage: Stage::Planned,
             });
         }
         Ok(())
     }
 
-    /// Commits every front-of-queue proposal that is ready — screening
-    /// rejections unconditionally, evaluated candidates once their result
-    /// has been told — re-checking the budget before each commit.
-    fn drain<S: ObservationSink>(&mut self, gpu: &mut Gpu, mut sink: Option<&mut S>) -> Result<()> {
-        while let Some(front) = self.queue.front() {
-            if self.budget_exhausted() {
-                self.finish();
-                break;
-            }
-            let ready = front.rejected || front.result.is_some();
-            if !ready {
-                break;
-            }
-            let Some(item) = self.queue.pop_front() else {
-                // The front was just observed.
-                unreachable!("front disappeared between peek and pop");
-            };
-            if item.rejected {
-                self.commit_screen_rejection(item, sink.as_deref_mut())?;
-            } else {
-                self.commit_evaluated(item, gpu, sink.as_deref_mut())?;
-            }
-            if self.finished {
-                break;
+    /// Finishes the training of the candidate at `at` once it is both
+    /// dispatched and told: its seeded fault schedule (retries, backoff)
+    /// and measurement pass replay on its GPU's timeline, fixing the
+    /// completion instant that keys its commit.
+    fn finish_training(&mut self, at: usize, gpu: &Gpu) {
+        let Some(item) = self.queue.get_mut(at) else {
+            return;
+        };
+        let (Stage::Running(lane), Some(result)) = (&item.stage, item.result) else {
+            return;
+        };
+        let lane = *lane;
+        let pressure_frac = memory_pressure_frac(gpu, &item.decoded);
+        let trial = plan_trial(
+            &self.plan,
+            &self.spec.retry,
+            item.query,
+            &result,
+            pressure_frac,
+        );
+        self.clock.advance_secs(lane, trial.charged_secs);
+        let mut glitched = false;
+        if let TrialOutcome::Completed { .. } = trial.outcome {
+            glitched = self.plan.sensor_glitch(item.query);
+            self.clock.advance_secs(lane, self.spec.cost.measurement_s);
+            if glitched {
+                // The repeated measurement pass after a sensor glitch.
+                self.clock.advance_secs(lane, self.spec.cost.measurement_s);
             }
         }
-        Ok(())
+        item.stage = Stage::Done(Verdict::Trained {
+            lane,
+            result,
+            trial,
+            glitched,
+        });
+        self.done.push(self.clock.seconds(lane), item.query, ());
     }
 
-    /// Commits one screening rejection, advancing the virtual clock with
-    /// the exact operation sequence of the embedded loop.
-    fn commit_screen_rejection<S: ObservationSink>(
+    /// Whether the finished proposal keyed `(time_s, query)` may commit:
+    /// no GPU can still produce an earlier key. A training GPU finishes no
+    /// earlier than its timeline's instant. A free GPU dispatches at its
+    /// instant, before any trained commit at or after it (the proposal
+    /// must not see that result); rejections at or before the instant go
+    /// first, since later proposals carry larger indices.
+    fn may_commit(&self, time_s: f64, query: u64, trained: bool) -> bool {
+        let running_after = self.queue.iter().all(|i| match i.stage {
+            Stage::Running(lane) => key_less((time_s, query), (self.clock.seconds(lane), i.query)),
+            _ => true,
+        });
+        let free_after = !self.may_dispatch()
+            || self.lanes.iter().enumerate().all(|(w, lane)| {
+                *lane != Lane::Free || (!trained && time_s <= self.clock.seconds(w))
+            });
+        running_after && free_after
+    }
+
+    /// The single commit point: commits the earliest finished proposal if
+    /// no GPU can undercut it, returning whether it did. Screening and
+    /// quarantine rejections commit their dispatch verdict; a trained
+    /// candidate's sensors are read now, on the shared stream in commit
+    /// order, and its observation enters the history (a terminal failure
+    /// as a worst-case liar, quarantining its config).
+    fn commit_next<S: ObservationSink>(
         &mut self,
-        item: Planned,
-        sink: Option<&mut S>,
-    ) -> Result<()> {
-        self.clock.advance_secs(self.spec.cost.model_eval_s);
-        let Some(oracle) = self.live_oracle.as_ref() else {
-            // `rejected` is only ever set by the screening oracle. analyze::allow(R15)
-            unreachable!("rejected proposal without a screening oracle");
+        gpu: &mut Gpu,
+        mut sink: Option<&mut S>,
+    ) -> Result<bool> {
+        let Some((time_s, query)) = self.done.peek_min_key() else {
+            return Ok(false);
         };
-        let predicted_power = oracle.models().predict_power(&item.decoded.structural);
-        let drift_events = heal_on_rejection(
-            self.monitor.as_mut(),
-            &mut self.live_oracle,
-            self.searcher.as_mut(),
-        );
-        let sample = Sample {
+        let trained = self
+            .queue
+            .iter()
+            .any(|i| i.query == query && matches!(i.stage, Stage::Done(Verdict::Trained { .. })));
+        if !self.may_commit(time_s, query, trained) {
+            return Ok(false);
+        }
+        let popped = self.done.pop_min();
+        let at = self.queue.iter().position(|i| i.query == query);
+        let (
+            Some(_),
+            Some(Planned {
+                config,
+                decoded,
+                eval_seed,
+                degradations,
+                hedged,
+                reclaimed,
+                stage: Stage::Done(verdict),
+                ..
+            }),
+        ) = (popped, at.and_then(|at| self.queue.remove(at)))
+        else {
+            // Every commit-queue key belongs to a finished queued proposal. analyze::allow(R15)
+            unreachable!("finished proposal missing from the schedule");
+        };
+        let mut sample = Sample {
             index: self.samples.len(),
-            timestamp_s: self.clock.seconds(),
+            timestamp_s: time_s,
             kind: SampleKind::Rejected,
             error: None,
-            power_w: predicted_power.get(),
+            power_w: 0.0,
             memory_bytes: None,
             latency_s: None,
             feasible: false,
             retries: 0,
             faults: Vec::new(),
             failure: None,
-            drift_events,
-            degradations: item.degradations,
-            drift_rmspe: None,
-            hedged: item.hedged,
-            reclaimed: item.reclaimed,
-            config: item.config,
-        };
-        if let Some(s) = sink {
-            s.record_commit(&sample)?;
-        }
-        self.samples.push(sample);
-        self.consecutive_rejections += 1;
-        if self.consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS {
-            self.finish();
-        }
-        Ok(())
-    }
-
-    /// Commits one evaluated proposal: the quarantine circuit breaker may
-    /// still reject it (dropping the buffered result), otherwise the fault
-    /// schedule replays, sensors are read on the shared stream, and the
-    /// sample commits — all exactly as the embedded loop does.
-    fn commit_evaluated<S: ObservationSink>(
-        &mut self,
-        item: Planned,
-        gpu: &mut Gpu,
-        mut sink: Option<&mut S>,
-    ) -> Result<()> {
-        let Planned {
-            config,
-            decoded,
-            query,
-            eval_seed,
+            drift_events: Vec::new(),
             degradations,
-            result,
+            drift_rmspe: None,
             hedged,
             reclaimed,
-            ..
-        } = item;
-        let Some(result) = result else {
-            // `drain` only pops evaluated items whose result was told. analyze::allow(R15)
-            unreachable!("evaluated commit without a told result");
+            config,
         };
-        if self.quarantine.contains(&config_key(&config)) {
-            // Circuit breaker: this config already failed terminally.
-            // Reject at model-eval cost using the noise-free analysis
-            // (no sensor RNG), and drop the buffered result.
-            self.clock.advance_secs(self.spec.cost.model_eval_s);
-            let sample = Sample {
-                index: self.samples.len(),
-                timestamp_s: self.clock.seconds(),
-                kind: SampleKind::Rejected,
-                error: None,
-                power_w: gpu.analyze(&decoded.arch).power.get(),
-                memory_bytes: None,
-                latency_s: None,
-                feasible: false,
-                retries: 0,
-                faults: Vec::new(),
-                failure: Some(TrialFailure::Quarantined),
-                drift_events: Vec::new(),
-                degradations,
-                drift_rmspe: None,
-                hedged,
-                reclaimed,
-                config,
-            };
-            if let Some(s) = sink.as_deref_mut() {
-                s.record_commit(&sample)?;
+        match verdict {
+            Verdict::Rejected {
+                power_w,
+                failure,
+                drift_events,
+            } => {
+                sample.power_w = power_w;
+                sample.failure = failure;
+                sample.drift_events = drift_events;
             }
-            self.samples.push(sample);
-            self.consecutive_rejections += 1;
-            if self.consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS {
-                self.finish();
-            }
-            return Ok(());
-        }
-        if self.screen_active {
-            // Feasibility checks on surviving candidates are billed too.
-            self.clock.advance_secs(self.spec.cost.model_eval_s);
-        }
-        self.consecutive_rejections = 0;
-        if let Some(s) = sink.as_deref_mut() {
-            s.record_eval(eval_seed, &result);
-        }
-        let pressure_frac = memory_pressure_frac(gpu, &decoded);
-        let trial = plan_trial(&self.plan, &self.spec.retry, query, &result, pressure_frac);
-        self.clock.advance_secs(trial.charged_secs);
-        let sample = match trial.outcome {
-            TrialOutcome::Completed { secondary } => {
-                let mut faults = trial.faults;
-                let glitched = self.plan.sensor_glitch(query);
-                if glitched {
-                    // Transient sensor glitch: the first power reading
-                    // is garbage — discard it (consuming the draw) and
-                    // pay for a repeated measurement pass.
-                    let _ = gpu.measure_power(&decoded.arch);
-                    faults.push(TrialFailure::SensorGlitch);
+            Verdict::Trained {
+                lane,
+                result,
+                trial,
+                glitched,
+            } => {
+                if let Some(l) = self.lanes.get_mut(lane) {
+                    *l = Lane::Free;
                 }
-                let raw_power = gpu.measure_power(&decoded.arch);
-                let memory = gpu.measure_memory(&decoded.arch).ok();
-                let latency = gpu.measure_latency(&decoded.arch);
-                self.clock.advance_secs(self.spec.cost.measurement_s);
-                if glitched {
-                    self.clock.advance_secs(self.spec.cost.measurement_s);
+                if let Some(s) = sink.as_deref_mut() {
+                    s.record_eval(eval_seed, &result);
                 }
-                // Systematic sensor miscalibration (the `drifting-hw`
-                // profile): the recorded reading is biased by the
-                // profile's drift rate × the commit timestamp. A pure
-                // function of virtual time — no RNG, no thread state.
-                let power =
-                    Watts(raw_power.get() + self.plan.profile().power_bias_w(self.clock.seconds()));
-                let feasible =
-                    self.spec
-                        .budgets
-                        .satisfied_by_measurements(power, memory, Some(latency));
-                let healing = heal_on_commit(
-                    self.monitor.as_mut(),
-                    &mut self.live_oracle,
-                    self.searcher.as_mut(),
-                    self.spec.drift.safety_margin,
-                    &decoded.structural,
-                    power,
-                    memory,
-                    latency,
-                    feasible,
-                );
-                self.history.push(
-                    config.clone(),
-                    if healing.liar {
-                        LIAR_ERROR
-                    } else {
-                        result.error
-                    },
-                );
                 self.evaluations += 1;
-                Sample {
-                    index: self.samples.len(),
-                    timestamp_s: self.clock.seconds(),
-                    kind: if result.terminated_early {
-                        SampleKind::EarlyTerminated
-                    } else {
-                        SampleKind::Trained
-                    },
-                    error: Some(result.error),
-                    power_w: power.get(),
-                    memory_bytes: memory.map(|m| m.as_bytes() as u64),
-                    latency_s: Some(latency.get()),
-                    feasible,
-                    retries: trial.attempts - 1,
-                    faults,
-                    failure: secondary,
-                    drift_events: healing.drift_events,
-                    degradations,
-                    drift_rmspe: healing.drift_rmspe,
-                    hedged,
-                    reclaimed,
-                    config,
+                sample.retries = trial.attempts - 1;
+                sample.faults = trial.faults;
+                match trial.outcome {
+                    TrialOutcome::Completed { secondary } => {
+                        if glitched {
+                            // Transient sensor glitch: the first power
+                            // reading is garbage — discard it (consuming
+                            // the draw).
+                            let _ = gpu.measure_power(&decoded.arch);
+                            sample.faults.push(TrialFailure::SensorGlitch);
+                        }
+                        let raw_power = gpu.measure_power(&decoded.arch);
+                        let memory = gpu.measure_memory(&decoded.arch).ok();
+                        let latency = gpu.measure_latency(&decoded.arch);
+                        // Systematic sensor miscalibration (the
+                        // `drifting-hw` profile): the recorded reading is
+                        // biased by the profile's drift rate × the commit
+                        // timestamp. A pure function of virtual time.
+                        let power =
+                            Watts(raw_power.get() + self.plan.profile().power_bias_w(time_s));
+                        let feasible = self.spec.budgets.satisfied_by_measurements(
+                            power,
+                            memory,
+                            Some(latency),
+                        );
+                        let healing = heal_on_commit(
+                            self.monitor.as_mut(),
+                            &mut self.live_oracle,
+                            self.searcher.as_mut(),
+                            self.spec.drift.safety_margin,
+                            &decoded.structural,
+                            power,
+                            memory,
+                            latency,
+                            feasible,
+                        );
+                        let observed = if healing.liar {
+                            LIAR_ERROR
+                        } else {
+                            result.error
+                        };
+                        self.history.push(sample.config.clone(), observed);
+                        sample.kind = if result.terminated_early {
+                            SampleKind::EarlyTerminated
+                        } else {
+                            SampleKind::Trained
+                        };
+                        sample.error = Some(result.error);
+                        sample.power_w = power.get();
+                        sample.memory_bytes = memory.map(|m| m.as_bytes() as u64);
+                        sample.latency_s = Some(latency.get());
+                        sample.feasible = feasible;
+                        sample.failure = secondary;
+                        sample.drift_events = healing.drift_events;
+                        sample.drift_rmspe = healing.drift_rmspe;
+                    }
+                    TrialOutcome::Failed(cause) => {
+                        // Graceful degradation: the searcher sees a
+                        // worst-case "liar" observation instead of a
+                        // silent hole, and the config is circuit-broken.
+                        // No measurements exist — the job never completed.
+                        self.history.push(sample.config.clone(), LIAR_ERROR);
+                        self.quarantine.insert(config_key(&sample.config));
+                        sample.kind = SampleKind::Failed;
+                        sample.power_w = gpu.analyze(&decoded.arch).power.get();
+                        sample.failure = Some(cause);
+                    }
                 }
             }
-            TrialOutcome::Failed(cause) => {
-                // Graceful degradation: the searcher sees a worst-case
-                // "liar" observation instead of a silent hole, and the
-                // config is circuit-broken. No measurements exist — the
-                // job never completed.
-                self.history.push(config.clone(), LIAR_ERROR);
-                self.evaluations += 1;
-                self.quarantine.insert(config_key(&config));
-                Sample {
-                    index: self.samples.len(),
-                    timestamp_s: self.clock.seconds(),
-                    kind: SampleKind::Failed,
-                    error: None,
-                    power_w: gpu.analyze(&decoded.arch).power.get(),
-                    memory_bytes: None,
-                    latency_s: None,
-                    feasible: false,
-                    retries: trial.attempts - 1,
-                    faults: trial.faults,
-                    failure: Some(cause),
-                    drift_events: Vec::new(),
-                    degradations,
-                    drift_rmspe: None,
-                    hedged,
-                    reclaimed,
-                    config,
-                }
-            }
-        };
+        }
         if let Some(s) = sink {
             s.record_commit(&sample)?;
         }
         self.samples.push(sample);
-        Ok(())
+        Ok(true)
     }
 }
 

@@ -153,9 +153,8 @@ impl WorkerClock {
     /// The latest worker timeline in seconds — the experiment-level elapsed
     /// time once all workers have drained.
     pub fn latest_secs(&self) -> f64 {
-        // In-bounds: `now_s` has one entry per worker, workers >= 1; the
-        // grant covers both accesses.
-        let mut latest = self.now_s[0]; // analyze::allow(R15)
+        // In-bounds: `now_s` has one entry per worker, workers >= 1.
+        let mut latest = self.now_s[0];
         for &t in &self.now_s[1..] {
             if t.total_cmp(&latest) == std::cmp::Ordering::Greater {
                 latest = t;

@@ -234,7 +234,7 @@ fn check_line(
     let line = std::str::from_utf8(raw).map_err(|_| format!("line {line_no}: not UTF-8"))?;
     let (tag, rest) = match (line.strip_prefix("H "), line_no) {
         (Some(rest), 1) => ('H', rest),
-        (None, 1) => return Err(format!("line 1: missing `H ` header record")),
+        (None, 1) => return Err("line 1: missing `H ` header record".to_string()),
         _ => match (line.strip_prefix("E "), line.strip_prefix("S ")) {
             (Some(rest), _) => ('E', rest),
             (_, Some(rest)) => ('S', rest),
