@@ -25,8 +25,11 @@
 //! CRC32 over everything after that line — and the JSON body follows
 //! unchanged. A reader verifies the frame before parsing, so a flipped
 //! bit surfaces as a typed [`Error::Checkpoint`] instead of resuming a
-//! corrupted run. Legacy unframed v1 files are still read (best-effort,
-//! no checksum); v2 files with a broken or missing frame are refused.
+//! corrupted run. Files with a broken or missing frame are refused.
+//!
+//! The eval-record codec ([`encode_eval`], [`decode_eval`]), the field
+//! accessors and the prefix check ([`verify_sample_prefix`]) are public so
+//! the study server's write-ahead journal speaks the same dialect.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -85,7 +88,8 @@ pub struct CheckpointHeader {
     pub safety_margin: f64,
 }
 
-fn budget_fields(budget: Budget) -> (&'static str, f64) {
+/// The wire form of a budget: its kind label and value.
+pub fn budget_fields(budget: Budget) -> (&'static str, f64) {
     match budget {
         Budget::Evaluations(n) => ("evaluations", n as f64),
         Budget::VirtualHours(h) => ("virtual_hours", h),
@@ -120,7 +124,9 @@ fn encode_header(h: &CheckpointHeader) -> String {
     out
 }
 
-fn encode_eval(eval_seed: u64, r: &EvaluationResult) -> String {
+/// Encodes one raw evaluation record, keyed by its eval seed (a string:
+/// JSON numbers are f64 here and cannot hold every 64-bit seed exactly).
+pub fn encode_eval(eval_seed: u64, r: &EvaluationResult) -> String {
     format!(
         "{{\"seed\": \"{}\", \"error\": {:?}, \"diverged\": {}, \"terminated_early\": {}, \"train_secs\": {:?}}}",
         eval_seed, r.error, r.diverged, r.terminated_early, r.train_secs
@@ -223,12 +229,13 @@ pub(crate) fn frame_body(body: &str) -> String {
     format!("C {}\n{body}", crate::integrity::crc32_hex(body.as_bytes()))
 }
 
-/// Splits a checkpoint file into its verified body. A `C <crc>` first
-/// line must checksum-match the remainder; unframed text (legacy v1) is
-/// returned as-is for the schema check to sort out.
+/// Splits a checkpoint file into its verified body: the `C <crc>` first
+/// line must checksum-match the remainder.
 fn unframe_body(text: &str) -> Result<&str> {
     let Some(rest) = text.strip_prefix("C ") else {
-        return Ok(text);
+        return Err(Error::Checkpoint(
+            "checkpoint is missing its integrity frame (truncated head?)".into(),
+        ));
     };
     let Some((token, body)) = rest.split_once('\n') else {
         return Err(Error::Checkpoint(
@@ -283,7 +290,8 @@ pub struct RunCheckpoint {
     pub samples: Vec<Value>,
 }
 
-fn obj_get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+/// The value of `key` in a parsed object's members.
+pub fn obj_get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -294,14 +302,24 @@ fn get_str(members: &[(String, Value)], key: &str) -> Result<String> {
     }
 }
 
-fn get_num(members: &[(String, Value)], key: &str) -> Result<f64> {
+/// The numeric field `key`.
+///
+/// # Errors
+///
+/// [`Error::Checkpoint`] when the field is missing or not a number.
+pub fn get_num(members: &[(String, Value)], key: &str) -> Result<f64> {
     match obj_get(members, key) {
         Some(Value::Number(x)) => Ok(*x),
         _ => Err(Error::Checkpoint(format!("missing numeric field `{key}`"))),
     }
 }
 
-fn get_bool(members: &[(String, Value)], key: &str) -> Result<bool> {
+/// The boolean field `key`.
+///
+/// # Errors
+///
+/// [`Error::Checkpoint`] when the field is missing or not a boolean.
+pub fn get_bool(members: &[(String, Value)], key: &str) -> Result<bool> {
     match obj_get(members, key) {
         Some(Value::Bool(b)) => Ok(*b),
         _ => Err(Error::Checkpoint(format!("missing boolean field `{key}`"))),
@@ -314,6 +332,56 @@ fn get_u64_str(members: &[(String, Value)], key: &str) -> Result<u64> {
     get_str(members, key)?
         .parse::<u64>()
         .map_err(|e| Error::Checkpoint(format!("bad u64 field `{key}`: {e}")))
+}
+
+/// Decodes one raw evaluation record (the [`encode_eval`] form).
+///
+/// # Errors
+///
+/// [`Error::Checkpoint`] when the record is not an object or misses a
+/// field.
+pub fn decode_eval(value: &Value) -> Result<(u64, EvaluationResult)> {
+    let Value::Object(members) = value else {
+        return Err(Error::Checkpoint("eval entry is not an object".into()));
+    };
+    let result = EvaluationResult {
+        error: get_num(members, "error")?,
+        diverged: get_bool(members, "diverged")?,
+        terminated_early: get_bool(members, "terminated_early")?,
+        train_secs: get_num(members, "train_secs")?,
+    };
+    Ok((get_u64_str(members, "seed")?, result))
+}
+
+/// Verifies that `actual` starts with the committed samples `expected`
+/// (parsed golden-codec values), bit for bit.
+///
+/// # Errors
+///
+/// [`Error::ResumeMismatch`] with the golden differ's per-field report,
+/// or when `actual` is shorter than `expected`.
+pub fn verify_sample_prefix(expected: &[Value], actual: &[Sample]) -> Result<()> {
+    if actual.len() < expected.len() {
+        return Err(Error::ResumeMismatch(format!(
+            "resumed run committed {} samples, checkpoint already had {}",
+            actual.len(),
+            expected.len()
+        )));
+    }
+    let mut report = Vec::new();
+    for (i, (expected, sample)) in expected.iter().zip(actual).enumerate() {
+        let line = golden::encode_sample(sample);
+        let actual = golden::parse(&line)
+            .map_err(|e| Error::Checkpoint(format!("re-encoding sample {i}: {e}")))?;
+        for d in golden::diff(expected, &actual) {
+            report.push(format!("samples[{i}]{}", d.trim_start_matches('$')));
+        }
+    }
+    if report.is_empty() {
+        Ok(())
+    } else {
+        Err(Error::ResumeMismatch(report.join("; ")))
+    }
 }
 
 impl RunCheckpoint {
@@ -339,7 +407,6 @@ impl RunCheckpoint {
     ///
     /// [`Error::Checkpoint`] on malformed input.
     pub fn decode(text: &str) -> Result<Self> {
-        let framed = text.starts_with("C ");
         let body = unframe_body(text)?;
         let value =
             golden::parse(body).map_err(|e| Error::Checkpoint(format!("parse error: {e}")))?;
@@ -347,16 +414,8 @@ impl RunCheckpoint {
             return Err(Error::Checkpoint("top level is not an object".into()));
         };
         let schema = get_str(&top, "schema")?;
-        match (schema.as_str(), framed) {
-            ("hyperpower-checkpoint-v2", true) => {}
-            // Legacy pre-frame files: readable, but carry no checksum.
-            ("hyperpower-checkpoint-v1", false) => {}
-            ("hyperpower-checkpoint-v2", false) => {
-                return Err(Error::Checkpoint(
-                    "v2 checkpoint is missing its integrity frame (truncated head?)".into(),
-                ));
-            }
-            _ => return Err(Error::Checkpoint(format!("unknown schema {schema:?}"))),
+        if schema != "hyperpower-checkpoint-v2" {
+            return Err(Error::Checkpoint(format!("unknown schema {schema:?}")));
         }
         let budget = match obj_get(&top, "budget") {
             Some(Value::Object(b)) => {
@@ -389,19 +448,8 @@ impl RunCheckpoint {
             return Err(Error::Checkpoint("missing array field `evals`".into()));
         };
         for item in eval_items {
-            let Value::Object(members) = item else {
-                return Err(Error::Checkpoint("eval entry is not an object".into()));
-            };
-            let seed = get_u64_str(members, "seed")?;
-            evals.insert(
-                seed,
-                EvaluationResult {
-                    error: get_num(members, "error")?,
-                    diverged: get_bool(members, "diverged")?,
-                    terminated_early: get_bool(members, "terminated_early")?,
-                    train_secs: get_num(members, "train_secs")?,
-                },
-            );
+            let (seed, result) = decode_eval(item)?;
+            evals.insert(seed, result);
         }
         let Some(Value::Array(samples)) = obj_get(&top, "samples") else {
             return Err(Error::Checkpoint("missing array field `samples`".into()));
@@ -484,27 +532,7 @@ impl RunCheckpoint {
     ///
     /// [`Error::ResumeMismatch`] with the golden differ's per-field report.
     pub fn verify_prefix(&self, final_samples: &[Sample]) -> Result<()> {
-        if final_samples.len() < self.samples.len() {
-            return Err(Error::ResumeMismatch(format!(
-                "resumed run committed {} samples, checkpoint already had {}",
-                final_samples.len(),
-                self.samples.len()
-            )));
-        }
-        let mut report = Vec::new();
-        for (i, expected) in self.samples.iter().enumerate() {
-            let line = golden::encode_sample(&final_samples[i]);
-            let actual = golden::parse(&line)
-                .map_err(|e| Error::Checkpoint(format!("re-encoding sample {i}: {e}")))?;
-            for d in golden::diff(expected, &actual) {
-                report.push(format!("samples[{i}]{}", d.trim_start_matches('$')));
-            }
-        }
-        if report.is_empty() {
-            Ok(())
-        } else {
-            Err(Error::ResumeMismatch(report.join("; ")))
-        }
+        verify_sample_prefix(&self.samples, final_samples)
     }
 }
 
@@ -674,8 +702,22 @@ mod tests {
         let rotted = String::from_utf8(rotted).unwrap();
         let err = RunCheckpoint::decode(&rotted).unwrap_err();
         assert!(err.to_string().contains("integrity frame"), "{err}");
-        // Stripping the frame off a v2 body is refused too.
+        // Stripping the frame off a v2 body is refused too, and so is the
+        // same body relabelled as an unframed legacy v1 file.
         let body = clean.split_once('\n').unwrap().1;
         assert!(RunCheckpoint::decode(body).is_err());
+        let v1 = body.replace("hyperpower-checkpoint-v2", "hyperpower-checkpoint-v1");
+        let err = RunCheckpoint::decode(&v1).unwrap_err();
+        assert!(err.to_string().contains("integrity frame"), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error() {
+        // A correctly framed body nested far past the codec's depth bound:
+        // the decoder must answer with an error, not a stack overflow.
+        let body = "[".repeat(1_000_000);
+        let err = RunCheckpoint::decode(&frame_body(&body)).unwrap_err();
+        assert!(matches!(err, Error::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 }

@@ -199,9 +199,16 @@ pub fn encode_trace(trace: &Trace) -> String {
     out
 }
 
+/// Deepest `[`/`{` nesting [`parse`] accepts. The codec emits at most 4
+/// levels; the bound keeps the recursive descent's stack use fixed on
+/// hostile input.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays and objects around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -209,6 +216,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -251,8 +259,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> std::result::Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -394,7 +413,8 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a byte-offset-annotated message on malformed input.
+/// Returns a byte-offset-annotated message on malformed input, including
+/// arrays and objects nested more than 64 levels deep.
 pub fn parse(text: &str) -> std::result::Result<Value, String> {
     let mut p = Parser::new(text);
     let v = p.value()?;
@@ -621,6 +641,18 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        // Deep enough to overflow the stack of an unbounded recursive
+        // descent: still a plain error.
+        let hostile = "{\"a\": ".repeat(500_000) + &"[".repeat(500_000);
+        assert!(parse(&hostile).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -387,12 +387,7 @@ fn harness_config(root: &Path) -> ServerConfig {
 /// Flips one seeded bit inside the journal's body (never the header
 /// line), the way silent media corruption does. Returns whether a bit was
 /// flipped (a rotated, body-less journal has nothing to rot).
-fn rot_journal_body(
-    root: &Path,
-    name: &str,
-    byte_frac: f64,
-    bit: u32,
-) -> Result<bool, Error> {
+fn rot_journal_body(root: &Path, name: &str, byte_frac: f64, bit: u32) -> Result<bool, Error> {
     let (journal_path, _) = study_paths(root, name);
     let describe = |what: &str, e: std::io::Error| {
         Error::Checkpoint(format!("{what} {}: {e}", journal_path.display()))
@@ -698,7 +693,11 @@ fn hedge_worker(
         .filter(|w| server.workers().eligible(&worker_ids[*w]))
         .collect();
     if profile == ChaosProfile::SlowWorker {
-        if let Some(w) = eligible.iter().copied().find(|w| !plan.slow_worker(*w as u64)) {
+        if let Some(w) = eligible
+            .iter()
+            .copied()
+            .find(|w| !plan.slow_worker(*w as u64))
+        {
             return w;
         }
     }

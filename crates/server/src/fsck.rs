@@ -247,8 +247,7 @@ fn check_line(
         'S' => {
             let value = golden::parse(payload)
                 .map_err(|e| format!("line {line_no}: undecodable sample: {e}"))?;
-            let index =
-                sample_index(&value).map_err(|e| format!("line {line_no}: {e}"))?;
+            let index = sample_index(&value).map_err(|e| format!("line {line_no}: {e}"))?;
             scan.sample_indices.push(index);
         }
         _ => {}
@@ -311,10 +310,7 @@ fn check_snapshot(
                 name: study.name.clone(),
                 run: snapshot.header,
             });
-            let journal_header = scan.header_payload.as_deref().unwrap_or_default();
-            let legacy = expected
-                .replace("hyperpower-study-journal-v2", "hyperpower-study-journal-v1");
-            if journal_header == expected || journal_header == legacy {
+            if scan.header_payload.as_deref() == Some(expected.as_str()) {
                 None
             } else {
                 Some((
@@ -341,11 +337,10 @@ fn check_snapshot(
         return Ok(());
     }
     if salvage {
-        std::fs::remove_file(snapshot_path)
-            .map_err(|e| io_err("removing", snapshot_path, e))?;
-        study.repairs.push(
-            "dropped the defective snapshot (journal holds the full history)".to_string(),
-        );
+        std::fs::remove_file(snapshot_path).map_err(|e| io_err("removing", snapshot_path, e))?;
+        study
+            .repairs
+            .push("dropped the defective snapshot (journal holds the full history)".to_string());
     }
     Ok(())
 }

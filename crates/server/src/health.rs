@@ -183,13 +183,20 @@ impl Fleet {
         let policy = self.policy.clone();
         let member = self.record(key, now_s);
         member.last_seen_s = now_s;
-        if matches!(member.state, HealthState::Quarantined | HealthState::Retired) {
+        if matches!(
+            member.state,
+            HealthState::Quarantined | HealthState::Retired
+        ) {
             return member.state;
         }
         member.consecutive_failures = member.consecutive_failures.saturating_add(1);
         let key_hash = fnv1a(key.as_bytes());
-        let slack = (unit_draw(seed, SALT_PROBATION, key_hash, u64::from(member.quarantines))
-            * f64::from(policy.probation_jitter + 1))
+        let slack = (unit_draw(
+            seed,
+            SALT_PROBATION,
+            key_hash,
+            u64::from(member.quarantines),
+        ) * f64::from(policy.probation_jitter + 1))
         .floor() as u32;
         let threshold = policy
             .probation_failures
@@ -202,7 +209,8 @@ impl Fleet {
             } else {
                 let unit = unit_draw(seed, SALT_PAROLE, key_hash, u64::from(member.quarantines));
                 member.state = HealthState::Quarantined;
-                member.parole_until_s = now_s + policy.parole_s * (1.0 + policy.parole_jitter_frac * unit);
+                member.parole_until_s =
+                    now_s + policy.parole_s * (1.0 + policy.parole_jitter_frac * unit);
             }
         }
         member.state
@@ -416,14 +424,8 @@ mod tests {
         };
         assert_eq!(run(11), run(11), "same seed, same trajectory");
         assert_ne!(
-            run(11)
-                .iter()
-                .map(|(_, s)| *s)
-                .collect::<Vec<_>>(),
-            run(4242)
-                .iter()
-                .map(|(_, s)| *s)
-                .collect::<Vec<_>>(),
+            run(11).iter().map(|(_, s)| *s).collect::<Vec<_>>(),
+            run(4242).iter().map(|(_, s)| *s).collect::<Vec<_>>(),
             "different seeds stagger the thresholds"
         );
     }

@@ -11,9 +11,8 @@
 //!   sample ([`hyperpower::golden::encode_sample`] bytes, verbatim).
 //!   `<crc>` is the CRC32 of the payload as eight lowercase hex digits
 //!   ([`hyperpower::integrity`]): a flipped bit anywhere in a record is a
-//!   detected *corrupt frame*, not silently-wrong state. Legacy v1 lines
-//!   (payload immediately after the tag, no checksum) are still read.
-//!   Appends happen *before* the corresponding snapshot-sink update — the
+//!   detected *corrupt frame*, not silently-wrong state; so is a record
+//!   with no checksum at all. Appends happen *before* the corresponding snapshot-sink update — the
 //!   WAL discipline — so the journal is never behind the snapshot.
 //! * `<name>.snapshot` — a complete [`hyperpower::checkpoint`] file
 //!   (schema `hyperpower-checkpoint-v2`, CRC32-framed as a whole by the
@@ -51,27 +50,30 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use hyperpower::checkpoint::{CheckpointConfig, CheckpointHeader, CheckpointSink, RunCheckpoint};
+use hyperpower::checkpoint::{
+    budget_fields, decode_eval, encode_eval, get_num, CheckpointConfig, CheckpointHeader,
+    CheckpointSink, RunCheckpoint,
+};
 use hyperpower::golden::{self, Value};
-use hyperpower::{Budget, Error, EvaluationResult, ObservationSink, Result, Sample};
+use hyperpower::{Error, EvaluationResult, ObservationSink, Result, Sample};
 
 /// Wire schema marker of the journal header line.
 const JOURNAL_SCHEMA: &str = "hyperpower-study-journal-v2";
 
 /// Frames a record payload for the wire: `<crc32 hex8> <payload>`.
 pub(crate) fn frame_payload(payload: &str) -> String {
-    format!("{} {payload}", hyperpower::integrity::crc32_hex(payload.as_bytes()))
+    format!(
+        "{} {payload}",
+        hyperpower::integrity::crc32_hex(payload.as_bytes())
+    )
 }
 
 /// Strips and verifies a record's integrity frame, returning the payload.
-/// Legacy v1 records carry no frame — their payload starts immediately
-/// with `{` — and pass through unverified (they predate the checksum).
 pub(crate) fn unframe_payload(rest: &str) -> Result<&str> {
-    if rest.starts_with('{') {
-        return Ok(rest);
-    }
     let (token, payload) = rest.split_once(' ').ok_or_else(|| {
-        Error::Checkpoint(format!("corrupt frame: unterminated checksum token in {rest:?}"))
+        Error::Checkpoint(format!(
+            "corrupt frame: unterminated checksum token in {rest:?}"
+        ))
     })?;
     let expected = hyperpower::integrity::parse_crc32_hex(token).ok_or_else(|| {
         Error::Checkpoint(format!("corrupt frame: malformed checksum token {token:?}"))
@@ -96,13 +98,6 @@ pub struct JournalHeader {
     pub name: String,
     /// Run identity (seed, method, mode, budget, fault/retry/drift knobs).
     pub run: CheckpointHeader,
-}
-
-fn budget_fields(budget: Budget) -> (&'static str, f64) {
-    match budget {
-        Budget::Evaluations(n) => ("evaluations", n as f64),
-        Budget::VirtualHours(h) => ("virtual_hours", h),
-    }
 }
 
 /// Encodes the header as a single journal line (sans the `H ` tag). The
@@ -130,61 +125,13 @@ pub fn encode_header_line(header: &JournalHeader) -> String {
     )
 }
 
-/// Encodes one evaluation record (sans the `E ` tag) — the same line form
-/// the checkpoint codec embeds in its `evals` array, so both durability
-/// layers speak one dialect.
-fn encode_eval_line(eval_seed: u64, r: &EvaluationResult) -> String {
-    format!(
-        "{{\"seed\": \"{}\", \"error\": {:?}, \"diverged\": {}, \"terminated_early\": {}, \"train_secs\": {:?}}}",
-        eval_seed, r.error, r.diverged, r.terminated_early, r.train_secs
-    )
-}
-
-fn obj_get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_num(members: &[(String, Value)], key: &str) -> Result<f64> {
-    match obj_get(members, key) {
-        Some(Value::Number(x)) => Ok(*x),
-        _ => Err(Error::Checkpoint(format!(
-            "journal record missing numeric field `{key}`"
-        ))),
-    }
-}
-
-fn get_bool(members: &[(String, Value)], key: &str) -> Result<bool> {
-    match obj_get(members, key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(Error::Checkpoint(format!(
-            "journal record missing boolean field `{key}`"
-        ))),
-    }
-}
-
+/// Decodes one evaluation record's payload (sans the `E ` tag) — the
+/// checkpoint codec's eval form, so both durability layers speak one
+/// dialect.
 fn decode_eval_line(line: &str) -> Result<(u64, EvaluationResult)> {
     let value =
         golden::parse(line).map_err(|e| Error::Checkpoint(format!("journal eval line: {e}")))?;
-    let Value::Object(members) = value else {
-        return Err(Error::Checkpoint(
-            "journal eval line is not an object".into(),
-        ));
-    };
-    let seed = match obj_get(&members, "seed") {
-        Some(Value::String(s)) => s
-            .parse::<u64>()
-            .map_err(|e| Error::Checkpoint(format!("journal eval seed: {e}")))?,
-        _ => return Err(Error::Checkpoint("journal eval line missing `seed`".into())),
-    };
-    Ok((
-        seed,
-        EvaluationResult {
-            error: get_num(&members, "error")?,
-            diverged: get_bool(&members, "diverged")?,
-            terminated_early: get_bool(&members, "terminated_early")?,
-            train_secs: get_num(&members, "train_secs")?,
-        },
-    ))
+    decode_eval(&value)
 }
 
 /// The trace slot a journaled sample line occupies.
@@ -256,8 +203,11 @@ impl StudyJournal {
         let (journal_path, snapshot_path) = study_paths(root, &header.name);
         std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
         let header_line = encode_header_line(header);
-        std::fs::write(&journal_path, format!("H {}\n", frame_payload(&header_line)))
-            .map_err(|e| io_err("writing", &journal_path, e))?;
+        std::fs::write(
+            &journal_path,
+            format!("H {}\n", frame_payload(&header_line)),
+        )
+        .map_err(|e| io_err("writing", &journal_path, e))?;
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(&journal_path)
@@ -431,7 +381,7 @@ impl ObservationSink for StudyJournal {
         // This hook is infallible by trait contract; an append failure is
         // parked and raised at the next fallible call.
         if self.deferred.is_none() {
-            if let Err(e) = self.append('E', &encode_eval_line(eval_seed, result)) {
+            if let Err(e) = self.append('E', &encode_eval(eval_seed, result)) {
                 self.deferred = Some(e);
             }
         }

@@ -44,8 +44,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hyperpower::checkpoint::CheckpointHeader;
-use hyperpower::golden;
+use hyperpower::checkpoint::{verify_sample_prefix, CheckpointHeader};
 use hyperpower::{
     ConstraintOracle, Error, LeasedCandidate, RetryPolicy, SearchSpace, Study, StudySpec,
     TellOutcome, Trace,
@@ -314,11 +313,7 @@ impl StudyServer {
             return Ok(0);
         };
         let expected = encode_header_line(&journal_header(name, &setup.spec));
-        // A legacy unframed journal carries the v1 schema marker but the
-        // same canonical identity encoding otherwise; accept it.
-        let expected_v1 =
-            expected.replace("hyperpower-study-journal-v2", "hyperpower-study-journal-v1");
-        if recovered.header_line != expected && recovered.header_line != expected_v1 {
+        if recovered.header_line != expected {
             return Err(ServerError::Core(Error::ResumeMismatch(format!(
                 "journal for study {name:?} was written by a different run: journal header {}, expected {}",
                 recovered.header_line, expected
@@ -449,9 +444,7 @@ impl StudyServer {
         }
         match error {
             None => self.tenants.observe_success(name, self.clock_s),
-            Some(ServerError::Core(
-                Error::LeaseExpired { .. } | Error::UnknownLease { .. },
-            )) => {}
+            Some(ServerError::Core(Error::LeaseExpired { .. } | Error::UnknownLease { .. })) => {}
             Some(ServerError::Core(_)) => {
                 self.tenants.observe_failure(name, self.clock_s);
             }
@@ -765,22 +758,10 @@ fn replay(
         ))));
     }
     // Byte-exact agreement between the recomputation and the record. The
-    // replay may legitimately run past `target` (a block of screening
-    // rejections commits in one drain); the excess is fresh progress, not
+    // replay may legitimately run past `target` (a run of screening
+    // rejections commits in one ask); the excess is fresh progress, not
     // recovered state, so only the recorded prefix is compared.
-    let trace = study.trace();
-    let mut report = Vec::new();
-    for (index, expected) in recovered.samples.iter().enumerate() {
-        let line = golden::encode_sample(&trace.samples[index]);
-        let actual = golden::parse(&line)
-            .map_err(|e| Error::Checkpoint(format!("re-encoding sample {index}: {e}")))?;
-        for d in golden::diff(expected, &actual) {
-            report.push(format!("samples[{index}]{}", d.trim_start_matches('$')));
-        }
-    }
-    if !report.is_empty() {
-        return Err(ServerError::Core(Error::ResumeMismatch(report.join("; "))));
-    }
+    verify_sample_prefix(&recovered.samples, &study.trace().samples)?;
     study.reclaim_all();
     Ok(())
 }

@@ -22,9 +22,7 @@
 
 use std::path::PathBuf;
 
-use hyperpower_server::{
-    fsck_store, run_chaos_with, write_mismatch_artifacts, ChaosProfile,
-};
+use hyperpower_server::{fsck_store, run_chaos_with, write_mismatch_artifacts, ChaosProfile};
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok().map(|raw| {

@@ -23,12 +23,12 @@ use hyperpower::driver::RunSetup;
 use hyperpower::golden::encode_trace;
 use hyperpower::{
     run_optimization_with, Budget, Budgets, DriftConfig, EarlyTermination, Error, EvaluationResult,
-    ExecutorOptions, Method, Mode, Objective, RetryPolicy, SearchSpace, StudySpec, TellOutcome,
-    Trace,
+    ExecutorOptions, Method, Mode, Objective, RetryPolicy, SearchSpace, StoreDefect, StudySpec,
+    TellOutcome, Trace,
 };
 use hyperpower_gpu_sim::{DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
 use hyperpower_server::{
-    fsck_store, HealthState, ServerConfig, ServerError, StudyServer, StudySetup,
+    fsck_store, HealthState, ServerConfig, ServerError, StudyJournal, StudyServer, StudySetup,
     SyntheticObjective,
 };
 use proptest::prelude::*;
@@ -723,7 +723,10 @@ fn hedged_duplicate_commits_once_and_is_trace_neutral() {
     assert!(server.tick_hedge(300.0).hedged.is_empty());
 
     // First fulfilment commits; the loser resolves as a duplicate.
-    match server.tell("h", hedged.lease_id, &eval(hedged)).expect("tell") {
+    match server
+        .tell("h", hedged.lease_id, &eval(hedged))
+        .expect("tell")
+    {
         TellOutcome::Accepted { .. } => {}
         other => panic!("hedge winner must commit, got {other:?}"),
     }
@@ -756,7 +759,9 @@ fn drive_hedged(server: &mut StudyServer, name: &str, width: usize, schedule_see
         now += 60.0;
         let report = server.tick_hedge(now);
         for (study, c) in report.hedged {
-            server.tell(&study, c.lease_id, &eval(&c)).expect("hedged tell");
+            server
+                .tell(&study, c.lease_id, &eval(&c))
+                .expect("hedged tell");
         }
         let mut due = Vec::new();
         stalled.retain(|(c, release)| {
@@ -854,18 +859,20 @@ fn sustained_overload_returns_only_typed_refusals() {
         // high-water mark) and let overdue leases reclaim, as any real
         // serving loop would.
         server.tick(now);
-        pending.retain(|(lease_id, result)| match server.tell("soak", *lease_id, result) {
-            Ok(_) => false,
-            Err(ServerError::Backpressure { retry_after_s, .. }) => {
-                assert!(retry_after_s.is_finite() && retry_after_s > 0.0);
-                refusals += 1;
-                true
-            }
-            // A starved tell can outlive its lease; the candidate goes
-            // back to the queue and a later ask re-issues it.
-            Err(ServerError::Core(Error::LeaseExpired { .. })) => false,
-            Err(e) => panic!("tell refused untypedly: {e}"),
-        });
+        pending.retain(
+            |(lease_id, result)| match server.tell("soak", *lease_id, result) {
+                Ok(_) => false,
+                Err(ServerError::Backpressure { retry_after_s, .. }) => {
+                    assert!(retry_after_s.is_finite() && retry_after_s > 0.0);
+                    refusals += 1;
+                    true
+                }
+                // A starved tell can outlive its lease; the candidate goes
+                // back to the queue and a later ask re-issues it.
+                Err(ServerError::Core(Error::LeaseExpired { .. })) => false,
+                Err(e) => panic!("tell refused untypedly: {e}"),
+            },
+        );
         if server.is_finished("soak").expect("is_finished") {
             if pending.is_empty() {
                 break;
@@ -983,10 +990,7 @@ fn fsck_salvages_a_rotted_journal_back_to_replayable_bytes() {
     // a half-written temp file next to it.
     let (journal_path, _) = hyperpower_server::journal::study_paths(&root, "rotted");
     let mut bytes = std::fs::read(&journal_path).expect("journal bytes");
-    let header_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .expect("header line");
+    let header_end = bytes.iter().position(|&b| b == b'\n').expect("header line");
     bytes[header_end + 20] ^= 0x01;
     std::fs::write(&journal_path, &bytes).expect("rot journal");
     std::fs::write(journal_path.with_extension("journal-tmp"), "half-written").expect("tmp");
@@ -999,10 +1003,16 @@ fn fsck_salvages_a_rotted_journal_back_to_replayable_bytes() {
 
     // Salvage truncates to the last valid frame and sweeps the temp.
     let salvaged = fsck_store(&root, true).expect("salvage");
-    assert!(salvaged.salvaged, "salvage must report repairs:\n{salvaged}");
+    assert!(
+        salvaged.salvaged,
+        "salvage must report repairs:\n{salvaged}"
+    );
     assert!(salvaged.recoverable());
     let rescan = fsck_store(&root, false).expect("rescan");
-    assert!(rescan.clean(), "the salvaged store must scan clean:\n{rescan}");
+    assert!(
+        rescan.clean(),
+        "the salvaged store must scan clean:\n{rescan}"
+    );
 
     // Reopen (replaying the salvaged prefix) and finish: byte-identical.
     let mut server = StudyServer::new(config).expect("server 2");
@@ -1014,4 +1024,76 @@ fn fsck_salvages_a_rotted_journal_back_to_replayable_bytes() {
         expected,
         encode_trace(&server.trace("rotted").expect("trace"))
     );
+}
+
+/// A store holding one study that committed a few samples; its journal
+/// still holds every record (no rotation yet). Returns the root and the
+/// journal path.
+fn small_store(name: &str) -> (PathBuf, PathBuf) {
+    let root = scratch_root(name);
+    let mut server = StudyServer::new(ServerConfig {
+        root: root.clone(),
+        snapshot_every_commits: 100,
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    server
+        .create_study(name, setup(SEED, Budget::Evaluations(6), 1))
+        .expect("create");
+    for round in 1..=2 {
+        for c in server.ask(name, 1, 60.0 * f64::from(round)).expect("ask") {
+            server.tell(name, c.lease_id, &eval(&c)).expect("tell");
+        }
+    }
+    drop(server);
+    let (journal_path, _) = hyperpower_server::journal::study_paths(&root, name);
+    (root, journal_path)
+}
+
+fn append_line(path: &std::path::Path, line: &str) {
+    use std::io::Write;
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(path)
+        .expect("open journal");
+    writeln!(file, "{line}").expect("append");
+}
+
+fn assert_corrupt_frame(root: &std::path::Path, name: &str, detail: &str) {
+    let err = StudyJournal::load(root, name).expect_err("load must refuse the record");
+    assert!(
+        matches!(&err, Error::Checkpoint(m) if m.contains(detail)),
+        "expected a `{detail}` checkpoint error, got: {err}"
+    );
+    let report = fsck_store(root, false).expect("scan");
+    assert!(
+        report.studies[0]
+            .defects
+            .iter()
+            .any(|(defect, _)| *defect == StoreDefect::CorruptFrame),
+        "fsck must report a corrupt frame:\n{report}"
+    );
+}
+
+#[test]
+fn an_unframed_journal_record_is_a_corrupt_frame() {
+    // A record with no checksum must not pass as verified: the unframed
+    // form is refused by the loader and flagged by fsck alike.
+    let (root, journal_path) = small_store("unframed");
+    append_line(
+        &journal_path,
+        r#"E {"seed": "7", "error": 0.5, "diverged": false, "terminated_early": false, "train_secs": 1.0}"#,
+    );
+    assert_corrupt_frame(&root, "unframed", "corrupt frame");
+}
+
+#[test]
+fn a_hostile_deeply_nested_record_is_a_typed_error() {
+    // A correctly checksummed sample record nested a million levels deep
+    // must surface as an error, never a stack overflow.
+    let (root, journal_path) = small_store("nested");
+    let payload = "[".repeat(1_000_000);
+    let crc = hyperpower::integrity::crc32_hex(payload.as_bytes());
+    append_line(&journal_path, &format!("S {crc} {payload}"));
+    assert_corrupt_frame(&root, "nested", "nesting");
 }
