@@ -27,9 +27,10 @@
 //! bit surfaces as a typed [`Error::Checkpoint`] instead of resuming a
 //! corrupted run. Files with a broken or missing frame are refused.
 //!
-//! The eval-record codec ([`encode_eval`], [`decode_eval`]), the field
-//! accessors and the prefix check ([`verify_sample_prefix`]) are public so
-//! the study server's write-ahead journal speaks the same dialect.
+//! The eval-record codec ([`encode_eval`], [`decode_eval`]), the numeric
+//! field accessor and the prefix check ([`verify_sample_prefix`]) are
+//! public so the study server's write-ahead journal speaks the same
+//! dialect.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -290,8 +291,7 @@ pub struct RunCheckpoint {
     pub samples: Vec<Value>,
 }
 
-/// The value of `key` in a parsed object's members.
-pub fn obj_get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+fn obj_get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -314,12 +314,7 @@ pub fn get_num(members: &[(String, Value)], key: &str) -> Result<f64> {
     }
 }
 
-/// The boolean field `key`.
-///
-/// # Errors
-///
-/// [`Error::Checkpoint`] when the field is missing or not a boolean.
-pub fn get_bool(members: &[(String, Value)], key: &str) -> Result<bool> {
+fn get_bool(members: &[(String, Value)], key: &str) -> Result<bool> {
     match obj_get(members, key) {
         Some(Value::Bool(b)) => Ok(*b),
         _ => Err(Error::Checkpoint(format!("missing boolean field `{key}`"))),

@@ -30,11 +30,11 @@
 //!
 //! With G = 1 this is the paper's sequential loop: one timeline, commits
 //! in proposal order, and each dispatch instant is the moment the previous
-//! candidate commits. History-independent searchers without an active
-//! drift monitor may plan a block of up to `max` proposals ahead and lease
-//! them all at once; each still dispatches only when its predecessor
-//! commits, so the trace is byte-identical for every `max` (the
-//! executor's worker-count invariance).
+//! candidate commits. There, history-independent searchers without an
+//! active drift monitor may plan a block of up to `max` proposals ahead
+//! and lease them all at once; each still dispatches only when its
+//! predecessor commits, so the trace is byte-identical for every `max`
+//! (the executor's worker-count invariance).
 //!
 //! # Why leases keep the trace exact
 //!
@@ -257,7 +257,7 @@ enum Lane {
 #[derive(Debug)]
 enum Stage {
     /// Planned ahead of its dispatch (a block of history-independent
-    /// proposals at G = 1).
+    /// proposals at one GPU).
     Planned,
     /// Training on this GPU; it finishes once its result is told.
     Running(usize),
@@ -434,12 +434,6 @@ fn heal_on_rejection(
         *live_oracle = Some(oracle);
     }
     obs.events
-}
-
-/// `(time, query)` strict ordering: `total_cmp` on the time, proposal
-/// index as tiebreak — the commit queue's order.
-fn key_less(a: (f64, u64), b: (f64, u64)) -> bool {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
 }
 
 /// One hyper-parameter study as an explicit ask–tell state machine. See
@@ -980,6 +974,7 @@ impl Study {
         let item = &mut self.queue[at];
         let rejection = if item.screened {
             let Some(oracle) = self.live_oracle.as_ref() else {
+                // Only a live screening oracle marks proposals screened.
                 unreachable!("screened proposal without a screening oracle");
             };
             let power_w = oracle
@@ -1043,8 +1038,10 @@ impl Study {
         // proposal: their lookahead is 1. An active drift monitor also
         // forces lookahead 1: a commit may swap the screening oracle, so
         // planning a wider block would make screening decisions depend on
-        // the batch width.
+        // the batch width. With several GPUs the candidates in flight
+        // already fill the batch, so each GPU proposes when it frees.
         let lookahead = if max > 1
+            && self.lanes.len() == 1
             && self.searcher.conditioning() == Conditioning::Independent
             && self.monitor.is_none()
         {
@@ -1138,22 +1135,24 @@ impl Study {
         self.done.push(self.clock.seconds(lane), item.query, ());
     }
 
-    /// Whether the finished proposal keyed `(time_s, query)` may commit:
-    /// no GPU can still produce an earlier key. A training GPU finishes no
-    /// earlier than its timeline's instant. A free GPU dispatches at its
-    /// instant, before any trained commit at or after it (the proposal
-    /// must not see that result); rejections at or before the instant go
-    /// first, since later proposals carry larger indices.
-    fn may_commit(&self, time_s: f64, query: u64, trained: bool) -> bool {
-        let running_after = self.queue.iter().all(|i| match i.stage {
-            Stage::Running(lane) => key_less((time_s, query), (self.clock.seconds(lane), i.query)),
-            _ => true,
-        });
-        let free_after = !self.may_dispatch()
+    /// Whether the finished proposal ending at `time_s` may commit. Every
+    /// dispatched candidate trains before the next commit, so nothing
+    /// commits while one still awaits its result. A free GPU dispatches at
+    /// its timeline's instant, before any trained commit at or after it
+    /// (the proposal must not see that result); a rejection at or before
+    /// the instant goes first, since later proposals carry larger indices.
+    fn may_commit(&self, time_s: f64, trained: bool) -> bool {
+        if self
+            .queue
+            .iter()
+            .any(|i| matches!(i.stage, Stage::Running(_)))
+        {
+            return false;
+        }
+        !self.may_dispatch()
             || self.lanes.iter().enumerate().all(|(w, lane)| {
                 *lane != Lane::Free || (!trained && time_s <= self.clock.seconds(w))
-            });
-        running_after && free_after
+            })
     }
 
     /// The single commit point: commits the earliest finished proposal if
@@ -1170,15 +1169,14 @@ impl Study {
         let Some((time_s, query)) = self.done.peek_min_key() else {
             return Ok(false);
         };
-        let trained = self
-            .queue
-            .iter()
-            .any(|i| i.query == query && matches!(i.stage, Stage::Done(Verdict::Trained { .. })));
-        if !self.may_commit(time_s, query, trained) {
+        let at = self.queue.iter().position(|i| i.query == query);
+        let trained = at
+            .and_then(|at| self.queue.get(at))
+            .is_some_and(|i| matches!(i.stage, Stage::Done(Verdict::Trained { .. })));
+        if !self.may_commit(time_s, trained) {
             return Ok(false);
         }
         let popped = self.done.pop_min();
-        let at = self.queue.iter().position(|i| i.query == query);
         let (
             Some(_),
             Some(Planned {

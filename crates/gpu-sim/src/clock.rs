@@ -65,10 +65,10 @@ impl VirtualClock {
 
 /// Per-worker virtual timelines for multi-GPU experiments.
 ///
-/// The parallel executor models K simulated training GPUs, each with its own
+/// An optimization run models K simulated training GPUs, each with its own
 /// wall clock. A worker's timeline advances by the modelled duration of every
 /// action it performs (proposal overhead, training, measurement), exactly like
-/// [`VirtualClock`] does for the single-GPU loop; the experiment-level clock
+/// [`VirtualClock`] does for a single timeline; the experiment-level clock
 /// is the *latest* worker timeline, and scheduling decisions pick the
 /// *earliest* free worker with a deterministic lowest-index tiebreak.
 ///

@@ -518,7 +518,9 @@ fn killed_run_resumes_bit_identically_single_gpu() {
 
 #[test]
 fn killed_run_resumes_bit_identically_multi_gpu_and_more_workers() {
-    kill_and_resume_case("kill_multi.ckpt", 5, 4, 2);
+    for gpus in [2usize, 4] {
+        kill_and_resume_case(&format!("kill_multi_g{gpus}.ckpt"), 5, 4, gpus);
+    }
 }
 
 #[test]
