@@ -12,8 +12,9 @@
 //!   `<crc>` is the CRC32 of the payload as eight lowercase hex digits
 //!   ([`hyperpower::integrity`]): a flipped bit anywhere in a record is a
 //!   detected *corrupt frame*, not silently-wrong state; so is a record
-//!   with no checksum at all. Appends happen *before* the corresponding snapshot-sink update — the
-//!   WAL discipline — so the journal is never behind the snapshot.
+//!   with no checksum at all. Appends happen *before* the corresponding
+//!   snapshot-sink update — the WAL discipline — so the journal is never
+//!   behind the snapshot.
 //! * `<name>.snapshot` — a complete [`hyperpower::checkpoint`] file
 //!   (schema `hyperpower-checkpoint-v2`, CRC32-framed as a whole by the
 //!   checkpoint codec), written atomically (temp + rename) every
