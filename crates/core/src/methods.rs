@@ -18,7 +18,7 @@ use hyperpower_gp::acquisition::{
     expected_improvement_at, lower_confidence_bound_at, probability_of_improvement_at,
 };
 use hyperpower_gp::sampler::uniform_candidates;
-use hyperpower_gp::{fit_gp_hyperparams_laddered, FitOptions, Matern52, Prediction};
+use hyperpower_gp::{fit_gp_hyperparams_laddered, FitOptions, FittedGp, Matern52, Prediction};
 use hyperpower_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -272,6 +272,54 @@ fn rand_walk_fallback(space: &SearchSpace, history: &History, rng: &mut StdRng) 
             best.config.gaussian_step(RandomWalk::DEFAULT_SIGMA, rng)
         }
         _ => Config::random(rng, space.dim()),
+    }
+}
+
+/// What fitting a BO searcher's GP surrogate produced.
+enum Surrogate {
+    Fitted(Box<FittedGp>),
+    /// Fewer finite observations than the searcher's `min_observations`.
+    TooFew,
+    /// Every jitter rung failed: degrade to a Rand-Walk step.
+    Failed,
+}
+
+/// Fits the Matérn-5/2 surrogate to the finite observations of `history`
+/// (a NaN error from a diverged run carries no ranking information), and
+/// logs a climbed jitter ladder or a failed fit in `degradations`.
+fn fit_surrogate(
+    history: &History,
+    d: usize,
+    min_observations: usize,
+    fit_options: FitOptions,
+    degradations: &mut Vec<DegradationEvent>,
+) -> Result<Surrogate> {
+    let mut data = Vec::with_capacity(history.len() * d);
+    let mut y = Vec::with_capacity(history.len());
+    for obs in history.observations() {
+        if !obs.error.is_finite() {
+            continue;
+        }
+        data.extend_from_slice(obs.config.unit());
+        y.push(obs.error);
+    }
+    if y.len() < min_observations {
+        return Ok(Surrogate::TooFew);
+    }
+    let x = Matrix::from_vec(y.len(), d, data).map_err(Error::Numerical)?;
+    let kernel = Matern52::new(0.5).into_kernel();
+    match fit_gp_hyperparams_laddered(kernel, &x, &y, fit_options, MAX_JITTER_RUNGS) {
+        Ok(laddered) => {
+            if laddered.rungs > 0 {
+                let rung = laddered.rungs;
+                degradations.push(DegradationEvent::JitterEscalated { rung });
+            }
+            Ok(Surrogate::Fitted(Box::new(laddered.fitted)))
+        }
+        Err(_) => {
+            degradations.push(DegradationEvent::RandWalkFallback);
+            Ok(Surrogate::Failed)
+        }
     }
 }
 
@@ -553,45 +601,17 @@ impl Searcher for BoSearcher {
             return Ok(Config::random(rng, space.dim()));
         }
 
-        // Fit the surrogate to the finite observations: a NaN error from a
-        // diverged run carries no ranking information and would be rejected
-        // by the GP fit anyway.
         let d = space.dim();
-        let mut data = Vec::with_capacity(history.len() * d);
-        let mut y = Vec::with_capacity(history.len());
-        for obs in history.observations() {
-            if !obs.error.is_finite() {
-                continue;
-            }
-            data.extend_from_slice(obs.config.unit());
-            y.push(obs.error);
-        }
-        let n = y.len();
-        if n < self.min_observations {
-            return Ok(Config::random(rng, space.dim()));
-        }
-        let x = Matrix::from_vec(n, d, data).map_err(Error::Numerical)?;
-        let fitted = match fit_gp_hyperparams_laddered(
-            Matern52::new(0.5).into_kernel(),
-            &x,
-            &y,
+        let fitted = match fit_surrogate(
+            history,
+            d,
+            self.min_observations,
             self.fit_options,
-            MAX_JITTER_RUNGS,
-        ) {
-            Ok(laddered) => {
-                if laddered.rungs > 0 {
-                    self.degradations.push(DegradationEvent::JitterEscalated {
-                        rung: laddered.rungs,
-                    });
-                }
-                laddered.fitted
-            }
-            Err(_) => {
-                // Bottom of the ladder: degrade this proposal to a
-                // Rand-Walk step instead of aborting the whole search.
-                self.degradations.push(DegradationEvent::RandWalkFallback);
-                return Ok(rand_walk_fallback(space, history, rng));
-            }
+            &mut self.degradations,
+        )? {
+            Surrogate::Fitted(fitted) => *fitted,
+            Surrogate::TooFew => return Ok(Config::random(rng, space.dim())),
+            Surrogate::Failed => return Ok(rand_walk_fallback(space, history, rng)),
         };
         // min_observations guards this, but an empty history (possible
         // with min_observations == 0) must degrade to a random seed, not
@@ -844,39 +864,16 @@ impl Searcher for ThompsonSearcher {
         }
 
         let d = space.dim();
-        let mut data = Vec::with_capacity(history.len() * d);
-        let mut y = Vec::with_capacity(history.len());
-        for obs in history.observations() {
-            if !obs.error.is_finite() {
-                continue;
-            }
-            data.extend_from_slice(obs.config.unit());
-            y.push(obs.error);
-        }
-        let n = y.len();
-        if n < self.min_observations {
-            return self.feasible_random(space, rng);
-        }
-        let x = Matrix::from_vec(n, d, data).map_err(Error::Numerical)?;
-        let fitted = match fit_gp_hyperparams_laddered(
-            Matern52::new(0.5).into_kernel(),
-            &x,
-            &y,
+        let fitted = match fit_surrogate(
+            history,
+            d,
+            self.min_observations,
             self.fit_options,
-            MAX_JITTER_RUNGS,
-        ) {
-            Ok(laddered) => {
-                if laddered.rungs > 0 {
-                    self.degradations.push(DegradationEvent::JitterEscalated {
-                        rung: laddered.rungs,
-                    });
-                }
-                laddered.fitted
-            }
-            Err(_) => {
-                self.degradations.push(DegradationEvent::RandWalkFallback);
-                return Ok(rand_walk_fallback(space, history, rng));
-            }
+            &mut self.degradations,
+        )? {
+            Surrogate::Fitted(fitted) => *fitted,
+            Surrogate::TooFew => return self.feasible_random(space, rng),
+            Surrogate::Failed => return Ok(rand_walk_fallback(space, history, rng)),
         };
 
         // Candidate grid, constraint-filtered up front.

@@ -1,8 +1,9 @@
 use std::sync::Arc;
 
-use hyperpower_linalg::Matrix;
+use hyperpower_linalg::{vector, Matrix};
 
 use crate::optimize::{nelder_mead, NelderMeadOptions};
+use crate::regressor::factor_covariance;
 use crate::{Error, GpRegressor, Kernel, Result};
 
 /// Options for [`fit_gp_hyperparams`].
@@ -53,6 +54,19 @@ pub struct FittedGp {
 /// for the length scale, target variance for the signal variance) plus
 /// perturbed restarts, so it is deterministic for a given dataset.
 ///
+/// The rows' pairwise squared distances are computed once per fit. Kernels
+/// with a distance form ([`Kernel::eval_squared_distance`]: [`Matern52`]
+/// and [`SquaredExponential`]) build every trial's covariance from that
+/// table; other kernels, such as [`Matern52Ard`], evaluate the rows with
+/// [`Kernel::eval`] in each trial. Either way every covariance entry, the
+/// factorization and the likelihood take the floating-point steps of
+/// [`GpRegressor::fit`], so the result is bit-identical to refitting the
+/// regressor at every trial.
+///
+/// [`Matern52`]: crate::Matern52
+/// [`SquaredExponential`]: crate::SquaredExponential
+/// [`Matern52Ard`]: crate::Matern52Ard
+///
 /// # Errors
 ///
 /// Propagates fitting errors from [`GpRegressor::fit`] if even the fallback
@@ -61,6 +75,114 @@ pub fn fit_gp_hyperparams(
     base_kernel: Arc<dyn Kernel>,
     x: &Matrix,
     y: &[f64],
+    options: FitOptions,
+) -> Result<FittedGp> {
+    fit_with_table(&base_kernel, &FitTable::new(x, y), options)
+}
+
+/// What every trial of one fit shares, computed once per fit.
+struct FitTable<'a> {
+    x: &'a Matrix,
+    y: &'a [f64],
+    /// `‖xᵢ − xⱼ‖²` for `j ≤ i`, row by row: the lower triangle
+    /// [`Kernel::matrix`] evaluates, in its order.
+    d2: Vec<f64>,
+    /// `y − ȳ`, or `None` when no hyper-parameters can fit the data (no
+    /// rows, a target count that differs from the row count, or a
+    /// non-finite target): [`GpRegressor::fit`] rejects such data in every
+    /// trial.
+    y_centered: Option<Vec<f64>>,
+}
+
+impl<'a> FitTable<'a> {
+    fn new(x: &'a Matrix, y: &'a [f64]) -> Self {
+        let n = x.rows();
+        let mut d2 = Vec::with_capacity(n * (n + 1) / 2);
+        for i in 0..n {
+            for j in 0..=i {
+                d2.push(vector::squared_distance(x.row(i), x.row(j)));
+            }
+        }
+        let fits = n > 0 && y.len() == n && y.iter().all(|v| v.is_finite());
+        let y_centered = fits.then(|| {
+            let y_mean = y.iter().sum::<f64>() / n as f64;
+            y.iter().map(|v| v - y_mean).collect()
+        });
+        FitTable {
+            x,
+            y,
+            d2,
+            y_centered,
+        }
+    }
+
+    /// The squared distances from row `i` to rows `0..=i`.
+    fn lower_row(&self, i: usize) -> &[f64] {
+        &self.d2[i * (i + 1) / 2..][..=i]
+    }
+
+    fn median_pairwise_distance(&self) -> f64 {
+        let n = self.x.rows();
+        if n < 2 {
+            return 1.0;
+        }
+        let mut dists = Vec::with_capacity(n * (n - 1) / 2);
+        for i in 0..n {
+            dists.extend(self.lower_row(i)[..i].iter().map(|d2| d2.sqrt()));
+        }
+        dists.sort_by(f64::total_cmp);
+        dists[dists.len() / 2]
+    }
+
+    /// The search's objective at log-space hyper-parameters `p`: the
+    /// negative log marginal likelihood, or `+∞` wherever
+    /// [`GpRegressor::fit`] would fail. Covariance entry `(i, j)` is the
+    /// kernel at the tabled distance (at the rows, for a kernel without a
+    /// distance form) times the signal variance, exactly as
+    /// `kernel.matrix(x).scale(signal_variance)` computes it.
+    fn objective(
+        &self,
+        base_kernel: &dyn Kernel,
+        y_centered: &[f64],
+        min_noise_variance: f64,
+        p: &[f64],
+    ) -> f64 {
+        let length_scale = p[0].exp();
+        let signal_variance = p[1].exp();
+        let noise_variance = p[2].exp().max(min_noise_variance);
+        // `GpRegressor::fit` also rejects a signal variance that underflowed
+        // to zero; the noise floor keeps the noise variance positive.
+        if !(length_scale.is_finite()
+            && signal_variance.is_finite()
+            && signal_variance > 0.0
+            && noise_variance.is_finite())
+        {
+            return f64::INFINITY;
+        }
+        let kernel = base_kernel.with_length_scale(length_scale);
+        let n = self.x.rows();
+        let mut cov = Matrix::zeros(n, n);
+        for i in 0..n {
+            for (j, &d2) in self.lower_row(i).iter().enumerate() {
+                let k = kernel
+                    .eval_squared_distance(d2)
+                    .unwrap_or_else(|| kernel.eval(self.x.row(i), self.x.row(j)));
+                let v = k * signal_variance;
+                cov[(i, j)] = v;
+                cov[(j, i)] = v;
+            }
+        }
+        cov.add_diagonal(noise_variance);
+        match factor_covariance(&cov, y_centered) {
+            Ok((_, _, log_marginal_likelihood)) => -log_marginal_likelihood,
+            Err(_) => f64::INFINITY,
+        }
+    }
+}
+
+fn fit_with_table(
+    base_kernel: &Arc<dyn Kernel>,
+    table: &FitTable<'_>,
     options: FitOptions,
 ) -> Result<FittedGp> {
     // A non-finite noise floor would otherwise be silently ignored by
@@ -73,28 +195,39 @@ pub fn fit_gp_hyperparams(
         });
     }
     // Data-driven initial guesses.
-    let median_dist = median_pairwise_distance(x).max(1e-3);
-    let y_var = variance(y).max(1e-6);
+    let median_dist = table.median_pairwise_distance().max(1e-3);
+    let y_var = variance(table.y).max(1e-6);
     let init = [
         median_dist.ln(),
         y_var.ln(),
         (0.01 * y_var).max(options.min_noise_variance).ln(),
     ];
-
-    let objective = |p: &[f64]| -> f64 {
-        let length_scale = p[0].exp();
-        let signal_variance = p[1].exp();
-        let noise_variance = p[2].exp().max(options.min_noise_variance);
-        if !(length_scale.is_finite() && signal_variance.is_finite() && noise_variance.is_finite())
-        {
-            return f64::INFINITY;
-        }
-        let kernel = base_kernel.with_length_scale(length_scale);
-        match GpRegressor::fit(kernel, signal_variance, noise_variance, x, y) {
-            Ok(gp) => -gp.log_marginal_likelihood(),
-            Err(_) => f64::INFINITY,
-        }
+    let refit = |params: &[f64]| -> Result<FittedGp> {
+        let length_scale = params[0].exp();
+        let signal_variance = params[1].exp();
+        let noise_variance = params[2].exp().max(options.min_noise_variance);
+        let gp = GpRegressor::fit(
+            base_kernel.with_length_scale(length_scale),
+            signal_variance,
+            noise_variance,
+            table.x,
+            table.y,
+        )?;
+        Ok(FittedGp {
+            gp,
+            length_scale,
+            signal_variance,
+            noise_variance,
+        })
     };
+    // Data no trial can fit makes every objective value +∞, so the search
+    // would end at the heuristic seed: refit there for the typed error.
+    let Some(y_centered) = table.y_centered.as_deref() else {
+        return refit(&init);
+    };
+
+    let objective =
+        |p: &[f64]| table.objective(&**base_kernel, y_centered, options.min_noise_variance, p);
 
     let mut best: Option<(Vec<f64>, f64)> = None;
     for restart in 0..options.restarts.max(1) {
@@ -125,26 +258,10 @@ pub fn fit_gp_hyperparams(
 
     // `restarts.max(1)` guarantees at least one entry; if every restart
     // diverged (or none ran), fall back to the heuristic seed.
-    let params = match best {
-        Some((params, best_f)) if best_f.is_finite() => params,
-        _ => init.to_vec(),
-    };
-    let length_scale = params[0].exp();
-    let signal_variance = params[1].exp();
-    let noise_variance = params[2].exp().max(options.min_noise_variance);
-    let gp = GpRegressor::fit(
-        base_kernel.with_length_scale(length_scale),
-        signal_variance,
-        noise_variance,
-        x,
-        y,
-    )?;
-    Ok(FittedGp {
-        gp,
-        length_scale,
-        signal_variance,
-        noise_variance,
-    })
+    match best {
+        Some((params, best_f)) if best_f.is_finite() => refit(&params),
+        _ => refit(&init),
+    }
 }
 
 /// A fit that may have climbed the noise-floor ladder before succeeding.
@@ -166,7 +283,8 @@ pub struct LadderedFit {
 /// near-duplicate inputs at the cost of a less confident surrogate. The
 /// ladder is a pure function of the data and options — no randomness, no
 /// retry loops with side effects — so callers can log each escalation as a
-/// typed event and stay reproducible.
+/// typed event and stay reproducible. Every rung and every restart shares
+/// one pairwise-distance table.
 ///
 /// # Errors
 ///
@@ -179,6 +297,7 @@ pub fn fit_gp_hyperparams_laddered(
     options: FitOptions,
     max_rungs: u32,
 ) -> Result<LadderedFit> {
+    let table = FitTable::new(x, y);
     let mut last: Result<LadderedFit> = Err(Error::NoObservations);
     for rung in 0..=max_rungs {
         let floor = options.min_noise_variance * 100f64.powi(rung as i32);
@@ -186,7 +305,7 @@ pub fn fit_gp_hyperparams_laddered(
             min_noise_variance: floor,
             ..options
         };
-        match fit_gp_hyperparams(base_kernel.clone(), x, y, rung_options) {
+        match fit_with_table(&base_kernel, &table, rung_options) {
             Ok(fitted) => {
                 return Ok(LadderedFit {
                     fitted,
@@ -197,21 +316,6 @@ pub fn fit_gp_hyperparams_laddered(
         }
     }
     last
-}
-
-fn median_pairwise_distance(x: &Matrix) -> f64 {
-    let n = x.rows();
-    if n < 2 {
-        return 1.0;
-    }
-    let mut dists = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in 0..i {
-            dists.push(hyperpower_linalg::vector::squared_distance(x.row(i), x.row(j)).sqrt());
-        }
-    }
-    dists.sort_by(f64::total_cmp);
-    dists[dists.len() / 2]
 }
 
 fn variance(y: &[f64]) -> f64 {
@@ -342,5 +446,56 @@ mod tests {
         let b = fit_gp_hyperparams(k, &x, &y, FitOptions::default()).unwrap();
         assert_eq!(a.length_scale, b.length_scale);
         assert_eq!(a.noise_variance, b.noise_variance);
+    }
+
+    #[test]
+    fn every_trial_scores_like_a_regressor_refit() {
+        // Rows in 3 dimensions, the last a near-duplicate of the first, so
+        // large signal-to-noise trials fail to factor; targets of mixed
+        // magnitude, so the order of their sum shows.
+        let n = 9;
+        let mut rows: Vec<f64> = (0..(n - 1) * 3).map(|k| (k as f64 * 0.37).sin()).collect();
+        rows.extend([rows[0] + 1e-9, rows[1], rows[2]]);
+        let x = Matrix::from_vec(n, 3, rows).unwrap();
+        let y: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.8).cos() * 10f64.powi(i as i32 % 4))
+            .collect();
+        let table = FitTable::new(&x, &y);
+        let y_centered = table.y_centered.as_deref().unwrap();
+        let floor = 1e-6;
+        let kernels = [
+            Matern52::new(1.0).into_kernel(),
+            crate::SquaredExponential::new(1.0).into_kernel(),
+            crate::Matern52Ard::try_new(vec![0.5, 1.0, 2.0])
+                .unwrap()
+                .into_kernel(),
+        ];
+        let mut failed = 0;
+        for base in &kernels {
+            // ln ℓ = −800 and ln σ_f² = −800 underflow to zero.
+            for log_l in [-800.0f64, -6.9, -1.6, 0.0, 3.4] {
+                for log_sv in [-800.0f64, -6.9, 0.0, 41.4] {
+                    for log_nv in [-20.7f64, -6.9, -0.7] {
+                        let p = [log_l, log_sv, log_nv];
+                        // The per-trial objective as it was before the
+                        // distance table: refit a whole regressor.
+                        let (l, sv, nv) = (p[0].exp(), p[1].exp(), p[2].exp().max(floor));
+                        let expected = if l.is_finite() && sv.is_finite() && nv.is_finite() {
+                            let kernel = base.with_length_scale(l);
+                            match GpRegressor::fit(kernel, sv, nv, &x, &y) {
+                                Ok(gp) => -gp.log_marginal_likelihood(),
+                                Err(_) => f64::INFINITY,
+                            }
+                        } else {
+                            f64::INFINITY
+                        };
+                        failed += usize::from(expected == f64::INFINITY);
+                        let got = table.objective(&**base, y_centered, floor, &p);
+                        assert_eq!(got.to_bits(), expected.to_bits(), "{base:?} at {p:?}");
+                    }
+                }
+            }
+        }
+        assert!(failed > 0, "some trials must fail");
     }
 }

@@ -35,6 +35,20 @@ pub trait Kernel: Debug + Send + Sync {
     /// scales without knowing the concrete kernel type.
     fn with_length_scale(&self, length_scale: f64) -> Arc<dyn Kernel>;
 
+    /// Evaluates the kernel from the squared distance `d2 = ‖a − b‖²`
+    /// alone, for kernels that see the data only through it.
+    ///
+    /// Where this returns `Some`, the value is bit-for-bit
+    /// `eval(a, b)` for `d2 = vector::squared_distance(a, b)`. The
+    /// hyper-parameter fit relies on that: it computes a fit's pairwise
+    /// distances once and builds every trial's covariance from them. The
+    /// default `None` means the kernel needs the rows themselves (as
+    /// [`Matern52Ard`](crate::Matern52Ard) does), and the fit calls
+    /// [`Kernel::eval`] on them instead.
+    fn eval_squared_distance(&self, _d2: f64) -> Option<f64> {
+        None
+    }
+
     /// Builds the symmetric kernel matrix `K[i][j] = k(xᵢ, xⱼ)` for the rows
     /// of `x`.
     fn matrix(&self, x: &Matrix) -> Matrix {
@@ -115,12 +129,19 @@ impl SquaredExponential {
     pub fn into_kernel(self) -> Arc<dyn Kernel> {
         Arc::new(self)
     }
+
+    fn at_squared_distance(&self, d2: f64) -> f64 {
+        (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
+    }
 }
 
 impl Kernel for SquaredExponential {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = vector::squared_distance(a, b);
-        (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
+        self.at_squared_distance(vector::squared_distance(a, b))
+    }
+
+    fn eval_squared_distance(&self, d2: f64) -> Option<f64> {
+        Some(self.at_squared_distance(d2))
     }
 
     fn length_scale(&self) -> f64 {
@@ -183,13 +204,21 @@ impl Matern52 {
     pub fn into_kernel(self) -> Arc<dyn Kernel> {
         Arc::new(self)
     }
+
+    fn at_squared_distance(&self, d2: f64) -> f64 {
+        let r = d2.sqrt();
+        let s = 5.0_f64.sqrt() * r / self.length_scale;
+        (1.0 + s + s * s / 3.0) * (-s).exp()
+    }
 }
 
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = vector::squared_distance(a, b).sqrt();
-        let s = 5.0_f64.sqrt() * r / self.length_scale;
-        (1.0 + s + s * s / 3.0) * (-s).exp()
+        self.at_squared_distance(vector::squared_distance(a, b))
+    }
+
+    fn eval_squared_distance(&self, d2: f64) -> Option<f64> {
+        Some(self.at_squared_distance(d2))
     }
 
     fn length_scale(&self) -> f64 {

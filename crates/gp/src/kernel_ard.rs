@@ -6,7 +6,10 @@
 //! surrogate stretch each axis independently. This is what Spearmint
 //! actually uses; the isotropic [`Matern52`](crate::Matern52) is the
 //! cheaper default in this reproduction, with ARD available as an
-//! extension (exercised by the acquisition ablation bench).
+//! extension. Nothing outside its own tests and the GP fit's tests uses it
+//! yet. It has no distance form ([`Kernel::eval_squared_distance`] returns
+//! `None`), so a hyper-parameter fit with it evaluates the rows in every
+//! trial.
 
 use std::sync::Arc;
 

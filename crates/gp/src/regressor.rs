@@ -61,6 +61,28 @@ pub struct GpRegressor {
     log_marginal_likelihood: f64,
 }
 
+/// Factors the noisy covariance `cov` (with jitter escalation) and solves
+/// it against the centred targets, returning the factor, α and the log
+/// marginal likelihood.
+///
+/// [`GpRegressor::fit`] and every trial of the hyper-parameter search
+/// score their covariance through this one function, so a trial and the
+/// regressor refitted at its hyper-parameters agree to the bit.
+pub(crate) fn factor_covariance(
+    cov: &Matrix,
+    y_centered: &[f64],
+) -> Result<(Cholesky, Vec<f64>, f64)> {
+    let (chol, _jitter) = Cholesky::factor_with_jitter(cov, 1e-10, 10)?;
+    let alpha = chol.solve(y_centered)?;
+    hyperpower_linalg::debug_assert_finite!("gp fit alpha", &alpha);
+
+    // log p(y|X) = -½ yᵀα − ½ log|K| − n/2 log 2π
+    let log_marginal_likelihood = -0.5 * vector::dot(y_centered, &alpha)
+        - 0.5 * chol.log_det()
+        - 0.5 * y_centered.len() as f64 * (2.0 * std::f64::consts::PI).ln();
+    Ok((chol, alpha, log_marginal_likelihood))
+}
+
 impl GpRegressor {
     /// Fits a GP to `n` observations: `x_train` is n×d, `y_train` has
     /// length n.
@@ -115,14 +137,7 @@ impl GpRegressor {
 
         let mut cov = kernel.matrix(x_train).scale(signal_variance);
         cov.add_diagonal(noise_variance);
-        let (chol, _jitter) = Cholesky::factor_with_jitter(&cov, 1e-10, 10)?;
-        let alpha = chol.solve(&y_centered)?;
-        hyperpower_linalg::debug_assert_finite!("gp fit alpha", &alpha);
-
-        // log p(y|X) = -½ yᵀα − ½ log|K| − n/2 log 2π
-        let log_marginal_likelihood = -0.5 * vector::dot(&y_centered, &alpha)
-            - 0.5 * chol.log_det()
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        let (chol, alpha, log_marginal_likelihood) = factor_covariance(&cov, &y_centered)?;
 
         Ok(GpRegressor {
             kernel,

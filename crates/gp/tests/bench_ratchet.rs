@@ -1,4 +1,5 @@
-//! Speedup ratchet for batched GP acquisition scoring.
+//! Speedup ratchets for batched GP acquisition scoring and for the GP
+//! hyper-parameter fit.
 //!
 //! `BENCH_gp.json` at the workspace root commits the facts about the
 //! `benches/gp_batch.rs` workload — the corpus checksums (same seeded
@@ -9,16 +10,37 @@
 //! replaced, measured side by side on whatever machine runs the test. The
 //! speedup only counts because the outputs are bit-identical — that part
 //! is asserted here too, on the full grid.
+//!
+//! Its `fit` entry does the same for `fit_gp_hyperparams_laddered`, which
+//! builds every trial's covariance from a per-fit distance table, against
+//! the frozen per-trial `GpRegressor::fit` objective in `common` — at the
+//! shapes of `paper_sweep` (21 rows, 6 dimensions) and `batch_sweep` (72
+//! rows, 13 dimensions), with the searchers' fit options. Bit-identical
+//! fits are asserted before any timing.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
+mod common;
+
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use hyperpower_gp::{GpRegressor, Matern52};
+use common::{fit_bits, frozen_fit_gp_hyperparams_laddered, BO_FIT, MAX_RUNGS};
+use hyperpower_gp::{fit_gp_hyperparams_laddered, GpRegressor, LadderedFit, Matern52};
 use hyperpower_linalg::{corpus, Matrix};
 
 const BENCH_FILE: &str = "BENCH_gp.json";
+
+/// Held while a test times anything, so the ratchets in this file never
+/// measure each other.
+static TIMING: Mutex<()> = Mutex::new(());
+
+fn timing_lock() -> MutexGuard<'static, ()> {
+    // A ratchet that failed while holding the lock poisons it; the
+    // others still measure.
+    TIMING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn bench_text() -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -124,6 +146,7 @@ fn batched_scoring_keeps_committed_speedup_over_pointwise() {
     }
     assert_eq!(q, w.grid.rows(), "blocks must tile the whole grid");
 
+    let _timing = timing_lock();
     let point_secs = best_secs(3, || {
         let mut acc = 0.0f64;
         for i in 0..w.grid.rows() {
@@ -152,4 +175,66 @@ fn batched_scoring_keeps_committed_speedup_over_pointwise() {
         "batched acquisition speedup regressed: {speedup:.2}x < committed \
          floor {floor}x ({BENCH_FILE})"
     );
+}
+
+#[test]
+fn table_fit_keeps_committed_speedup_over_frozen_fit() {
+    let text = bench_text();
+    let floor = committed("fit_speedup_floor", &text);
+    for shape in ["paper", "batch"] {
+        let n = committed(&format!("fit_{shape}_n"), &text) as usize;
+        let dims = committed(&format!("fit_{shape}_dims"), &text) as usize;
+        let x = corpus::dense(0x6711, n, dims);
+        let y = corpus::vector(0x6712, n);
+        assert_eq!(
+            f64::from(corpus::checksum(&x)),
+            committed(&format!("fit_{shape}_checksum"), &text),
+            "seeded {shape} fit corpus changed bits: refresh {BENCH_FILE}"
+        );
+        let fit = || {
+            fit_gp_hyperparams_laddered(Matern52::new(0.5).into_kernel(), &x, &y, BO_FIT, MAX_RUNGS)
+                .expect("corpus fit")
+        };
+        let frozen = || {
+            frozen_fit_gp_hyperparams_laddered(
+                Matern52::new(0.5).into_kernel(),
+                &x,
+                &y,
+                BO_FIT,
+                MAX_RUNGS,
+            )
+            .expect("corpus fit")
+        };
+
+        // Bit-equality first: the speedup only counts for identical fits.
+        assert_eq!(
+            fit_bits(&fit()),
+            fit_bits(&frozen()),
+            "{shape}: fit diverged"
+        );
+
+        // Best of interleaved calls (the check above warmed both up), so
+        // drift in the host's speed hits both sides alike.
+        let _timing = timing_lock();
+        let secs = |f: &dyn Fn() -> LadderedFit| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64()
+        };
+        let (mut frozen_secs, mut table_secs) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..15 {
+            frozen_secs = frozen_secs.min(secs(&frozen));
+            table_secs = table_secs.min(secs(&fit));
+        }
+        let speedup = frozen_secs / table_secs;
+        eprintln!(
+            "gp fit {shape} ({n}x{dims}): frozen {frozen_secs:.5}s, table \
+             {table_secs:.5}s, speedup {speedup:.2}x (floor {floor}x)"
+        );
+        assert!(
+            speedup >= floor,
+            "{shape} fit speedup regressed: {speedup:.2}x < committed floor \
+             {floor}x ({BENCH_FILE})"
+        );
+    }
 }

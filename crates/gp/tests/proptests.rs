@@ -5,8 +5,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
 use hyperpower_gp::acquisition::{expected_improvement, normal_cdf, probability_below};
-use hyperpower_gp::{GpRegressor, Matern52, SquaredExponential};
-use hyperpower_linalg::Matrix;
+use hyperpower_gp::{GpRegressor, Kernel, Matern52, Matern52Ard, SquaredExponential};
+use hyperpower_linalg::{vector, Matrix};
 use proptest::prelude::*;
 
 fn training_set() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
@@ -19,7 +19,45 @@ fn training_set() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
     })
 }
 
+/// Two points of a shared dimension between 1 and 13 (the searchers'
+/// spaces have up to 13).
+fn point_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (1usize..=13).prop_flat_map(|d| {
+        (
+            proptest::collection::vec(-5.0f64..5.0, d),
+            proptest::collection::vec(-5.0f64..5.0, d),
+        )
+    })
+}
+
 proptest! {
+    #[test]
+    fn distance_form_matches_eval_bit_for_bit(
+        (a, b) in point_pair(),
+        log10_length_scale in -3.0f64..=3.0,
+    ) {
+        // The fit builds covariances from `eval_squared_distance` of a
+        // tabled `squared_distance`; it must be `eval` to the bit, at
+        // d² = 0 too.
+        let length_scale = 10f64.powf(log10_length_scale);
+        for kernel in [
+            Matern52::new(length_scale).into_kernel(),
+            SquaredExponential::new(length_scale).into_kernel(),
+        ] {
+            for (p, q) in [(&a, &b), (&a, &a)] {
+                let from_distance = kernel.eval_squared_distance(vector::squared_distance(p, q));
+                prop_assert_eq!(
+                    from_distance.map(f64::to_bits),
+                    Some(kernel.eval(p, q).to_bits()),
+                    "{:?} at length scale {}", kernel, length_scale
+                );
+            }
+        }
+        // Per-dimension length scales need the rows: no distance form.
+        let ard = Matern52Ard::isotropic(length_scale, a.len()).unwrap();
+        prop_assert_eq!(ard.eval_squared_distance(vector::squared_distance(&a, &b)), None);
+    }
+
     #[test]
     fn gp_variance_nonnegative((x, y) in training_set(), q in -10.0f64..10.0) {
         let gp = GpRegressor::fit(
