@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use hyperpower_linalg::{vector, Matrix};
+use hyperpower_linalg::{vector, CholeskyWorkspace, Matrix};
 
 use crate::optimize::{nelder_mead, NelderMeadOptions};
 use crate::regressor::factor_covariance;
@@ -61,7 +61,8 @@ pub struct FittedGp {
 /// [`Kernel::eval`] in each trial. Either way every covariance entry, the
 /// factorization and the likelihood take the floating-point steps of
 /// [`GpRegressor::fit`], so the result is bit-identical to refitting the
-/// regressor at every trial.
+/// regressor at every trial. Every trial writes its covariance, factor and
+/// solve into one workspace the fit allocates once.
 ///
 /// [`Matern52`]: crate::Matern52
 /// [`SquaredExponential`]: crate::SquaredExponential
@@ -77,7 +78,9 @@ pub fn fit_gp_hyperparams(
     y: &[f64],
     options: FitOptions,
 ) -> Result<FittedGp> {
-    fit_with_table(&base_kernel, &FitTable::new(x, y), options)
+    let table = FitTable::new(x, y);
+    let mut ws = TrialWorkspace::new(&table);
+    fit_with_table(&base_kernel, &table, &mut ws, options)
 }
 
 /// What every trial of one fit shares, computed once per fit.
@@ -92,6 +95,28 @@ struct FitTable<'a> {
     /// non-finite target): [`GpRegressor::fit`] rejects such data in every
     /// trial.
     y_centered: Option<Vec<f64>>,
+}
+
+/// The buffers every trial of one fit reuses, so a trial allocates
+/// nothing: the covariance, the factor `Lᵀ` and α. A trial writes only
+/// the covariance's lower triangle, which is all the factorization reads;
+/// the upper triangle stays zero and passes the factorization's finiteness
+/// check.
+struct TrialWorkspace {
+    cov: Matrix,
+    factor: CholeskyWorkspace,
+    alpha: Vec<f64>,
+}
+
+impl TrialWorkspace {
+    fn new(table: &FitTable<'_>) -> Self {
+        let n = table.x.rows();
+        TrialWorkspace {
+            cov: Matrix::zeros(n, n),
+            factor: CholeskyWorkspace::default(),
+            alpha: Vec::with_capacity(n),
+        }
+    }
 }
 
 impl<'a> FitTable<'a> {
@@ -136,12 +161,13 @@ impl<'a> FitTable<'a> {
 
     /// The search's objective at log-space hyper-parameters `p`: the
     /// negative log marginal likelihood, or `+∞` wherever
-    /// [`GpRegressor::fit`] would fail. Covariance entry `(i, j)` is the
-    /// kernel at the tabled distance (at the rows, for a kernel without a
-    /// distance form) times the signal variance, exactly as
-    /// `kernel.matrix(x).scale(signal_variance)` computes it.
+    /// [`GpRegressor::fit`] would fail. Covariance entry `(i, j)` of the
+    /// lower triangle is the kernel at the tabled distance (at the rows,
+    /// for a kernel without a distance form) times the signal variance,
+    /// exactly as `kernel.matrix(x).scale(signal_variance)` computes it.
     fn objective(
         &self,
+        ws: &mut TrialWorkspace,
         base_kernel: &dyn Kernel,
         y_centered: &[f64],
         min_noise_variance: f64,
@@ -160,21 +186,18 @@ impl<'a> FitTable<'a> {
             return f64::INFINITY;
         }
         let kernel = base_kernel.with_length_scale(length_scale);
-        let n = self.x.rows();
-        let mut cov = Matrix::zeros(n, n);
-        for i in 0..n {
+        let cov = &mut ws.cov;
+        for i in 0..self.x.rows() {
             for (j, &d2) in self.lower_row(i).iter().enumerate() {
                 let k = kernel
                     .eval_squared_distance(d2)
                     .unwrap_or_else(|| kernel.eval(self.x.row(i), self.x.row(j)));
-                let v = k * signal_variance;
-                cov[(i, j)] = v;
-                cov[(j, i)] = v;
+                cov[(i, j)] = k * signal_variance;
             }
         }
         cov.add_diagonal(noise_variance);
-        match factor_covariance(&cov, y_centered) {
-            Ok((_, _, log_marginal_likelihood)) => -log_marginal_likelihood,
+        match factor_covariance(cov, y_centered, &mut ws.factor, &mut ws.alpha) {
+            Ok((_, log_marginal_likelihood)) => -log_marginal_likelihood,
             Err(_) => f64::INFINITY,
         }
     }
@@ -183,6 +206,7 @@ impl<'a> FitTable<'a> {
 fn fit_with_table(
     base_kernel: &Arc<dyn Kernel>,
     table: &FitTable<'_>,
+    ws: &mut TrialWorkspace,
     options: FitOptions,
 ) -> Result<FittedGp> {
     // A non-finite noise floor would otherwise be silently ignored by
@@ -226,8 +250,8 @@ fn fit_with_table(
         return refit(&init);
     };
 
-    let objective =
-        |p: &[f64]| table.objective(&**base_kernel, y_centered, options.min_noise_variance, p);
+    let floor = options.min_noise_variance;
+    let mut objective = |p: &[f64]| table.objective(ws, &**base_kernel, y_centered, floor, p);
 
     let mut best: Option<(Vec<f64>, f64)> = None;
     for restart in 0..options.restarts.max(1) {
@@ -244,7 +268,7 @@ fn fit_with_table(
         };
         let start: Vec<f64> = init.iter().zip(&offset).map(|(a, b)| a + b).collect();
         let result = nelder_mead(
-            objective,
+            &mut objective,
             &start,
             NelderMeadOptions {
                 max_evals: options.max_evals_per_restart,
@@ -284,7 +308,7 @@ pub struct LadderedFit {
 /// ladder is a pure function of the data and options — no randomness, no
 /// retry loops with side effects — so callers can log each escalation as a
 /// typed event and stay reproducible. Every rung and every restart shares
-/// one pairwise-distance table.
+/// one pairwise-distance table and one trial workspace.
 ///
 /// # Errors
 ///
@@ -298,6 +322,7 @@ pub fn fit_gp_hyperparams_laddered(
     max_rungs: u32,
 ) -> Result<LadderedFit> {
     let table = FitTable::new(x, y);
+    let mut ws = TrialWorkspace::new(&table);
     let mut last: Result<LadderedFit> = Err(Error::NoObservations);
     for rung in 0..=max_rungs {
         let floor = options.min_noise_variance * 100f64.powi(rung as i32);
@@ -305,7 +330,7 @@ pub fn fit_gp_hyperparams_laddered(
             min_noise_variance: floor,
             ..options
         };
-        match fit_with_table(&base_kernel, &table, rung_options) {
+        match fit_with_table(&base_kernel, &table, &mut ws, rung_options) {
             Ok(fitted) => {
                 return Ok(LadderedFit {
                     fitted,
@@ -470,12 +495,18 @@ mod tests {
                 .unwrap()
                 .into_kernel(),
         ];
+        // One workspace for every trial, as in a fit: failed trials leave
+        // partial factors behind that later trials must not read.
+        let mut ws = TrialWorkspace::new(&table);
         let mut failed = 0;
         for base in &kernels {
-            // ln ℓ = −800 and ln σ_f² = −800 underflow to zero.
+            // ln ℓ = −800 and ln σ_f² = −800 underflow to zero. At
+            // ln σ_f² = ln σ_n² = 709.5 both variances are finite but the
+            // covariance diagonal overflows to +∞: the trial's finiteness
+            // check must fail it like the regressor's.
             for log_l in [-800.0f64, -6.9, -1.6, 0.0, 3.4] {
-                for log_sv in [-800.0f64, -6.9, 0.0, 41.4] {
-                    for log_nv in [-20.7f64, -6.9, -0.7] {
+                for log_sv in [-800.0f64, -6.9, 0.0, 41.4, 709.5] {
+                    for log_nv in [-20.7f64, -6.9, -0.7, 709.5] {
                         let p = [log_l, log_sv, log_nv];
                         // The per-trial objective as it was before the
                         // distance table: refit a whole regressor.
@@ -490,12 +521,19 @@ mod tests {
                             f64::INFINITY
                         };
                         failed += usize::from(expected == f64::INFINITY);
-                        let got = table.objective(&**base, y_centered, floor, &p);
+                        let got = table.objective(&mut ws, &**base, y_centered, floor, &p);
                         assert_eq!(got.to_bits(), expected.to_bits(), "{base:?} at {p:?}");
                     }
                 }
             }
         }
         assert!(failed > 0, "some trials must fail");
+        // The regressor's error at the overflowing diagonal is the
+        // finiteness check's, not a failed pivot.
+        let huge = 709.5f64.exp();
+        assert!(matches!(
+            GpRegressor::fit(kernels[0].clone(), huge, huge, &x, &y),
+            Err(Error::Numerical(hyperpower_linalg::Error::NonFiniteInput))
+        ));
     }
 }

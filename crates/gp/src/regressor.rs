@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use hyperpower_linalg::{vector, Cholesky, Matrix};
+use hyperpower_linalg::{vector, Cholesky, CholeskyView, CholeskyWorkspace, Matrix};
 
 use crate::{Error, Kernel, Result};
 
@@ -61,26 +61,33 @@ pub struct GpRegressor {
     log_marginal_likelihood: f64,
 }
 
-/// Factors the noisy covariance `cov` (with jitter escalation) and solves
-/// it against the centred targets, returning the factor, α and the log
-/// marginal likelihood.
+/// Factors the noisy covariance `cov` (with jitter escalation) into
+/// `factor` and solves it against the centred targets into `alpha`,
+/// returning the factor and the log marginal likelihood. Only the lower
+/// triangle of `cov` is factored; every entry must be finite.
 ///
 /// [`GpRegressor::fit`] and every trial of the hyper-parameter search
 /// score their covariance through this one function, so a trial and the
-/// regressor refitted at its hyper-parameters agree to the bit.
-pub(crate) fn factor_covariance(
+/// regressor refitted at its hyper-parameters agree to the bit. A search
+/// passes the same `factor` and `alpha` to every trial, so trials allocate
+/// nothing once the first has sized them.
+pub(crate) fn factor_covariance<'w>(
     cov: &Matrix,
     y_centered: &[f64],
-) -> Result<(Cholesky, Vec<f64>, f64)> {
-    let (chol, _jitter) = Cholesky::factor_with_jitter(cov, 1e-10, 10)?;
-    let alpha = chol.solve(y_centered)?;
-    hyperpower_linalg::debug_assert_finite!("gp fit alpha", &alpha);
+    factor: &'w mut CholeskyWorkspace,
+    alpha: &mut Vec<f64>,
+) -> Result<(CholeskyView<'w>, f64)> {
+    let (chol, _jitter) = factor.factor_jittered(cov, 1e-10, 10)?;
+    alpha.clear();
+    alpha.extend_from_slice(y_centered);
+    chol.solve_in_place(alpha)?;
+    hyperpower_linalg::debug_assert_finite!("gp fit alpha", alpha);
 
     // log p(y|X) = -½ yᵀα − ½ log|K| − n/2 log 2π
-    let log_marginal_likelihood = -0.5 * vector::dot(y_centered, &alpha)
+    let log_marginal_likelihood = -0.5 * vector::dot(y_centered, alpha)
         - 0.5 * chol.log_det()
         - 0.5 * y_centered.len() as f64 * (2.0 * std::f64::consts::PI).ln();
-    Ok((chol, alpha, log_marginal_likelihood))
+    Ok((chol, log_marginal_likelihood))
 }
 
 impl GpRegressor {
@@ -137,7 +144,11 @@ impl GpRegressor {
 
         let mut cov = kernel.matrix(x_train).scale(signal_variance);
         cov.add_diagonal(noise_variance);
-        let (chol, alpha, log_marginal_likelihood) = factor_covariance(&cov, &y_centered)?;
+        let mut factor = CholeskyWorkspace::default();
+        let mut alpha = Vec::with_capacity(n);
+        let (chol, log_marginal_likelihood) =
+            factor_covariance(&cov, &y_centered, &mut factor, &mut alpha)?;
+        let chol = chol.to_cholesky();
 
         Ok(GpRegressor {
             kernel,

@@ -12,8 +12,9 @@
 //! is asserted here too, on the full grid.
 //!
 //! Its `fit` entry does the same for `fit_gp_hyperparams_laddered`, which
-//! builds every trial's covariance from a per-fit distance table, against
-//! the frozen per-trial `GpRegressor::fit` objective in `common` — at the
+//! builds every trial's covariance from a per-fit distance table and
+//! factors it into one reused workspace, against the frozen per-trial
+//! `GpRegressor::fit` objective in `common` — at the
 //! shapes of `paper_sweep` (21 rows, 6 dimensions) and `batch_sweep` (72
 //! rows, 13 dimensions), with the searchers' fit options. Bit-identical
 //! fits are asserted before any timing.

@@ -1,5 +1,6 @@
-//! Cache-blocked, register-tiled kernels behind [`Matrix`](crate::Matrix)
-//! and [`Cholesky`](crate::Cholesky).
+//! Cache-blocked, register-tiled kernels behind [`Matrix`](crate::Matrix),
+//! and the column-order factorization and triangular solves behind
+//! [`Cholesky`](crate::Cholesky).
 //!
 //! # The accumulation-order contract
 //!
@@ -10,11 +11,11 @@
 //! sequence the naive element-at-a-time loops in `matrix.rs`/`cholesky.rs`
 //! used before this module existed. Blocking only changes *which output
 //! elements are in flight at once* (register tiles over output rows and
-//! columns, panels over the factorization), which is invisible to IEEE-754
-//! arithmetic. The frozen naive kernels live on as test oracles in
-//! `tests/reference_kernels.rs`, which property-tests bit-exactness of every
-//! kernel here against them; the 12 golden traces at the workspace root pin
-//! the same contract end-to-end.
+//! columns, a whole column of the factor, panels of a solve), which is
+//! invisible to IEEE-754 arithmetic. The frozen naive kernels live on as
+//! test oracles in `tests/reference_kernels.rs`, which property-tests
+//! bit-exactness of every kernel here against them; the 18 golden traces at
+//! the workspace root pin the same contract end-to-end.
 //!
 //! Legal moves when extending this module (see DESIGN.md §2a):
 //! * tile output rows/columns; hoist loads; pack panels into contiguous
@@ -38,10 +39,9 @@ pub const MR: usize = 4;
 /// register file, so the k-loop runs without touching the output in memory.
 pub const NR: usize = 8;
 
-/// Panel width for the blocked Cholesky factorization and the blocked
-/// triangular solves. Tuned for the workspace's n ≈ 64–512 range: a panel
-/// of `PANEL` columns (≤ 32·8 bytes per row) stays L1-resident across the
-/// trailing update that reuses it O(n) times.
+/// Panel width for the blocked multi-RHS forward solve. Tuned for the
+/// workspace's n ≈ 64–512 range: a panel of `PANEL` rows of the solution
+/// stays L1-resident while every later row subtracts it.
 pub const PANEL: usize = 32;
 
 /// Rows of the `matmul` micro-tile. 4×8 keeps the accumulator tile (8 YMM
@@ -276,112 +276,80 @@ pub(crate) fn gram_into(rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Blocked right-looking Cholesky: factors the lower triangle of `a` (n×n,
-/// row-major) into `l` (pre-zeroed n×n).
+/// Column-order Cholesky into `Lᵀ`: factors the lower triangle of `a`
+/// (n×n, row-major) and writes column j of `L` as row j of `lt` (n×n,
+/// row-major), from its diagonal on. The strictly lower triangle of `lt` is
+/// never touched, so storage that starts zeroed holds exactly `Lᵀ`.
 ///
-/// Returns `Err((pivot, value))` on the first non-positive or non-finite
-/// pivot — the same index and the bit-identical pivot value the naive
-/// left-looking loop reports, because pivots are visited in the same order
-/// and every intermediate is produced by the same operation sequence:
-/// element (i, j) accumulates `a[i,j] − Σ_{k<j} l[i,k]·l[j,k]` with k
-/// strictly increasing (earlier panels are subtracted by the trailing
-/// update, the in-panel remainder by the panel factorization), then takes
-/// the same `sqrt`/divide.
-pub(crate) fn cholesky_factor(n: usize, a: &[f64], l: &mut [f64]) -> Result<(), (usize, f64)> {
+/// `shift` is the jitter of a retry: `Some(s)` reads every diagonal entry
+/// as `a[j,j] + s`, the sum `a + s·I` would hold, while `None` reads `a`
+/// as it is (adding `0.0` would turn a `-0.0` diagonal into `+0.0`).
+///
+/// Column j starts as a copy of the lower-triangle column j of `a`, then
+/// subtracts `lt[k][j..n] · lt[k][j]` for k = 0..j, one contiguous axpy per
+/// k; its first entry is the pivot, which is tested, replaced by its `sqrt`
+/// and divides the rest. So element (i, j) takes the naive left-looking
+/// sequence — `a[i,j] − l[i,k]·l[j,k]` for k strictly increasing, then the
+/// `sqrt` or the divide — and a failure reports the first bad pivot and its
+/// bit-identical value as `Err((pivot, value))`: pivot j depends only on
+/// columns before j, which are complete when it is tested.
+pub(crate) fn cholesky_factor_lt(
+    n: usize,
+    a: &[f64],
+    shift: Option<f64>,
+    lt: &mut [f64],
+) -> Result<(), (usize, f64)> {
     debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(l.len(), n * n);
-    // Workspace: the lower triangle of `a`, updated in place panel by panel.
-    for i in 0..n {
-        for j in 0..=i {
-            l[i * n + j] = a[i * n + j];
+    debug_assert_eq!(lt.len(), n * n);
+    for j in 0..n {
+        let (done, rest) = lt.split_at_mut(j * n);
+        let col = &mut rest[j..n];
+        for (w, &v) in col.iter_mut().zip(a[j * n + j..].iter().step_by(n)) {
+            *w = v;
         }
-    }
-    let mut k0 = 0;
-    while k0 < n {
-        let k1 = (k0 + PANEL).min(n);
-        // Factor the diagonal block (left-looking within the panel; the
-        // contributions of columns < k0 are already subtracted).
-        for i in k0..k1 {
-            for j in k0..=i {
-                let mut sum = l[i * n + j];
-                for k in k0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err((i, sum));
-                    }
-                    l[i * n + j] = sum.sqrt();
-                } else {
-                    l[i * n + j] = sum / l[j * n + j];
-                }
+        if let Some(s) = shift {
+            col[0] += s;
+        }
+        for row in done.chunks_exact(n) {
+            let row = &row[j..];
+            let ljk = row[0];
+            for (w, &lik) in col.iter_mut().zip(row) {
+                *w -= lik * ljk;
             }
         }
-        // Panel solve: rows below the diagonal block against the panel.
-        for i in k1..n {
-            for j in k0..k1 {
-                let mut sum = l[i * n + j];
-                for k in k0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
-                }
-                l[i * n + j] = sum / l[j * n + j];
-            }
+        let pivot = col[0];
+        if pivot <= 0.0 || !pivot.is_finite() {
+            return Err((j, pivot));
         }
-        // Trailing update: w[i,j] −= Σ_{k in panel} l[i,k]·l[j,k] for the
-        // remaining lower triangle, k strictly increasing per element.
-        if k1 < n {
-            trailing_update(n, k0, k1, l);
+        let d = pivot.sqrt();
+        col[0] = d;
+        for w in &mut col[1..] {
+            *w /= d;
         }
-        k0 = k1;
     }
     Ok(())
 }
 
-/// Rank-`k1-k0` update of the trailing lower triangle, register-tiled.
+/// Forward substitution `L·y = b` in place, reading `L` through its
+/// transpose `lt` (`lt[k * n + i] = l[i * n + k]`): the forward solve of a
+/// workspace factor, which holds no `L`.
 ///
-/// Packs the panel transposed (`pt[k][j] = l[j][k]`) so the micro-kernel
-/// reads both operands contiguously; packing copies f64 values bit-exactly.
-fn trailing_update(n: usize, k0: usize, k1: usize, l: &mut [f64]) {
-    let kw = k1 - k0;
-    let tn = n - k1;
-    let mut pt = vec![0.0f64; kw * tn];
-    for j in 0..tn {
-        for (k, ptk) in pt.chunks_exact_mut(tn).enumerate() {
-            ptk[j] = l[(k1 + j) * n + k0 + k];
+/// Column-oriented: step k divides `y[k]`, whose subtractions are complete,
+/// by `l[k,k]`, then subtracts `l[i,k]·y[k]` from every later `y[i]` in one
+/// contiguous axpy over row k of `lt`. Per element that is the naive
+/// `solve_lower` sequence: subtract for k = 0..i in increasing order, then
+/// divide.
+pub(crate) fn solve_lower_lt(n: usize, lt: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(lt.len(), n * n);
+    debug_assert_eq!(y.len(), n);
+    for k in 0..n {
+        let row = &lt[k * n + k..(k + 1) * n];
+        let (head, below) = y.split_at_mut(k + 1);
+        let yk = &mut head[k];
+        *yk /= row[0];
+        for (yi, &lik) in below.iter_mut().zip(&row[1..]) {
+            *yi -= lik * *yk;
         }
-    }
-    let mut i0 = k1;
-    while i0 < n {
-        let ih = (n - i0).min(MR);
-        let mut j0 = k1;
-        // Only tiles intersecting the lower triangle j <= i.
-        while j0 < n && j0 < i0 + ih {
-            let jw = (n - j0).min(NR);
-            let mut acc = [[0.0f64; NR]; MR];
-            for (r, accr) in acc.iter_mut().enumerate().take(ih) {
-                accr[..jw].copy_from_slice(&l[(i0 + r) * n + j0..(i0 + r) * n + j0 + jw]);
-            }
-            for (k, ptk) in pt.chunks_exact(tn).enumerate() {
-                let pj = &ptk[j0 - k1..j0 - k1 + jw];
-                for (r, accr) in acc.iter_mut().enumerate().take(ih) {
-                    let lik = l[(i0 + r) * n + k0 + k];
-                    for (c, &pv) in pj.iter().enumerate() {
-                        accr[c] -= lik * pv;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate().take(ih) {
-                let irow = i0 + r;
-                for (c, &v) in accr.iter().enumerate().take(jw) {
-                    let jcol = j0 + c;
-                    if jcol <= irow {
-                        l[irow * n + jcol] = v;
-                    }
-                }
-            }
-            j0 += NR;
-        }
-        i0 += MR;
     }
 }
 

@@ -26,24 +26,171 @@ use crate::{Error, Matrix, Result};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
+    /// `L`, derived from `lt` at factor time for [`Cholesky::factor_l`]
+    /// and for every forward solve of an owned factor, which reads it row
+    /// by row.
     l: Matrix,
-    /// Cached `Lᵀ` (row-major), so backward substitution — which cannot be
-    /// panel-reordered without changing the per-element accumulation order —
-    /// still reads its k-loop contiguously. Derived from `l` at factor time.
+    /// `Lᵀ` (row-major), the factor the column-order kernel writes: its rows
+    /// are the columns of `L`, so backward substitution — which cannot be
+    /// panel-reordered without changing the per-element accumulation
+    /// order — still reads its k-loop contiguously.
     lt: Matrix,
 }
 
+/// Storage for `Lᵀ` that a sequence of factorizations reuses.
+///
+/// [`Cholesky::factor_with_jitter`] allocates a fresh factor and derives
+/// `L` from it. A caller that factors many matrices of one size — the GP
+/// hyper-parameter search factors one covariance per trial — keeps one
+/// workspace instead and reads each factor through a [`CholeskyView`] of
+/// it: once the workspace has the size, factoring allocates and transposes
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CholeskyWorkspace {
+    lt: Matrix,
+}
+
+/// A factorization `A = L·Lᵀ` held as `Lᵀ` in a [`CholeskyWorkspace`].
+///
+/// It holds no `L`, so its forward solve runs column by column against
+/// `Lᵀ`; an owned [`Cholesky`] runs its forward solves row by row against
+/// `L`. Both take the naive per-element sequence, so the results agree bit
+/// for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct CholeskyView<'a> {
+    lt: &'a Matrix,
+}
+
+/// The jitter ladder, the one implementation behind every factorization:
+/// checks that every entry of `a` is finite, then factors its lower
+/// triangle into `lt` (resized and zeroed when its shape differs), retrying
+/// `a + jitter·I` with `jitter` growing ×10 from `initial_jitter` up to
+/// `max_tries` times while the matrix is numerically indefinite. Returns
+/// the jitter applied (0.0 when none was).
+///
+/// Each retry first checks, as a factorization of the shifted copy would,
+/// that every shifted diagonal entry is finite.
+fn factor_lt(a: &Matrix, initial_jitter: f64, max_tries: usize, lt: &mut Matrix) -> Result<f64> {
+    if !a.is_square() {
+        return Err(Error::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    if !a.is_finite() {
+        return Err(Error::NonFiniteInput);
+    }
+    let n = a.rows();
+    if lt.shape() != (n, n) {
+        *lt = Matrix::zeros(n, n);
+    }
+    let mut outcome = factor_shifted(a, None, lt).map(|()| 0.0);
+    let mut jitter = initial_jitter;
+    for _ in 0..max_tries {
+        if outcome.is_ok() {
+            break;
+        }
+        let mut diagonal = a.as_slice().iter().step_by(n + 1);
+        outcome = if diagonal.all(|d| (d + jitter).is_finite()) {
+            factor_shifted(a, Some(jitter), lt).map(|()| jitter)
+        } else {
+            Err(Error::NonFiniteInput)
+        };
+        jitter *= 10.0;
+    }
+    let jitter = outcome?;
+    // Inputs were checked above; this catches factor-internal
+    // overflow/underflow before the factor escapes into GP solves.
+    crate::debug_assert_finite!("cholesky factor", lt.as_slice());
+    Ok(jitter)
+}
+
+/// One attempt of the ladder: [`crate::block::cholesky_factor_lt`] with
+/// its failure as the typed error.
+fn factor_shifted(a: &Matrix, shift: Option<f64>, lt: &mut Matrix) -> Result<()> {
+    crate::block::cholesky_factor_lt(a.rows(), a.as_slice(), shift, lt.buf_mut())
+        .map_err(|(pivot, value)| Error::NotPositiveDefinite { pivot, value })
+}
+
+impl CholeskyWorkspace {
+    /// [`Cholesky::factor_with_jitter`] into this workspace: the factor, the
+    /// jitter and any error are the same, bit for bit, and the factor is
+    /// read through the returned view.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::factor_with_jitter`].
+    pub fn factor_jittered(
+        &mut self,
+        a: &Matrix,
+        initial_jitter: f64,
+        max_tries: usize,
+    ) -> Result<(CholeskyView<'_>, f64)> {
+        let jitter = factor_lt(a, initial_jitter, max_tries, &mut self.lt)?;
+        Ok((CholeskyView { lt: &self.lt }, jitter))
+    }
+}
+
+impl CholeskyView<'_> {
+    fn dim(&self) -> usize {
+        self.lt.rows()
+    }
+
+    /// Solves `A·x = b` in place (forward then backward substitution, both
+    /// against `Lᵀ`): on return `b` holds `x`, bit-identical to
+    /// [`Cholesky::solve`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if `b`'s length is not the
+    /// dimension of the factored matrix.
+    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
+        let n = self.dim();
+        if b.len() != n {
+            return Err(Error::ShapeMismatch {
+                expected: format!("rhs of length {n}"),
+                found: format!("rhs of length {}", b.len()),
+            });
+        }
+        crate::block::solve_lower_lt(n, self.lt.as_slice(), b);
+        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, b);
+        Ok(())
+    }
+
+    /// Natural logarithm of `det(A) = det(L)² = (∏ Lᵢᵢ)²`: the logs of the
+    /// pivots summed in index order, as [`crate::vector::sum_ordered`]
+    /// folds them, then doubled.
+    pub fn log_det(&self) -> f64 {
+        let pivots = self.lt.as_slice().iter().step_by(self.dim() + 1);
+        pivots.map(|d| d.ln()).fold(0.0, |acc, x| acc + x) * 2.0
+    }
+
+    /// An owned [`Cholesky`] of the same factorization.
+    pub fn to_cholesky(&self) -> Cholesky {
+        Cholesky::from_lt(self.lt.clone())
+    }
+}
+
 impl Cholesky {
-    /// Factors a symmetric positive-definite matrix.
+    fn from_lt(lt: Matrix) -> Self {
+        Cholesky {
+            l: lt.transpose(),
+            lt,
+        }
+    }
+
+    fn view(&self) -> CholeskyView<'_> {
+        CholeskyView { lt: &self.lt }
+    }
+
+    /// Factors a symmetric positive-definite matrix: the first attempt of
+    /// [`Cholesky::factor_with_jitter`], with no jitter.
     ///
-    /// Only the lower triangle of `a` is read, so callers may pass a matrix
-    /// whose upper triangle is stale.
-    ///
-    /// The factorization is the blocked right-looking algorithm in
-    /// `crate::block`; it produces a factor bit-identical to the naive
-    /// left-looking loop (pinned by `tests/reference_kernels.rs`), and on
-    /// failure reports the same first bad pivot with the bit-identical
-    /// pivot value.
+    /// The factorization is the column-order kernel in `crate::block`,
+    /// which writes `Lᵀ`; `L` is derived from it. The factor is
+    /// bit-identical to the naive left-looking loop's (pinned by
+    /// `tests/reference_kernels.rs`), and on failure the first bad pivot
+    /// and its pivot value are too.
     ///
     /// # Errors
     ///
@@ -51,24 +198,7 @@ impl Cholesky {
     /// * [`Error::NonFiniteInput`] if `a` contains NaN or infinity.
     /// * [`Error::NotPositiveDefinite`] if a non-positive pivot arises.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(Error::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        if !a.is_finite() {
-            return Err(Error::NonFiniteInput);
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        crate::block::cholesky_factor(n, a.as_slice(), l.buf_mut())
-            .map_err(|(pivot, value)| Error::NotPositiveDefinite { pivot, value })?;
-        // Inputs were checked above; this catches factor-internal
-        // overflow/underflow before L escapes into GP solves.
-        crate::debug_assert_finite!("cholesky factor L", l.as_slice());
-        let lt = l.transpose();
-        Ok(Cholesky { l, lt })
+        Cholesky::factor_with_jitter(a, 0.0, 0).map(|(chol, _)| chol)
     }
 
     /// Factors `a + jitter·I`, escalating `jitter` by ×10 up to `max_tries`
@@ -78,38 +208,21 @@ impl Cholesky {
     /// definite in exact arithmetic but borderline in floating point.
     ///
     /// Returns the factorization together with the jitter that was actually
-    /// applied.
+    /// applied (0.0 if the first attempt, on `a` itself, succeeded).
     ///
     /// # Errors
     ///
-    /// Propagates the last factorization error if all attempts fail.
+    /// [`Error::NotSquare`] and [`Error::NonFiniteInput`] as for
+    /// [`Cholesky::factor`]; otherwise the last attempt's error, which is
+    /// the first attempt's when `max_tries` is 0.
     pub fn factor_with_jitter(
         a: &Matrix,
         initial_jitter: f64,
         max_tries: usize,
     ) -> Result<(Self, f64)> {
-        match Self::factor(a) {
-            Ok(c) => return Ok((c, 0.0)),
-            Err(Error::NotPositiveDefinite { .. }) => {}
-            Err(e) => return Err(e),
-        }
-        let mut jitter = initial_jitter;
-        let mut last_err = Error::NotPositiveDefinite {
-            pivot: 0,
-            value: 0.0,
-        };
-        for _ in 0..max_tries {
-            let mut aj = a.clone();
-            aj.add_diagonal(jitter);
-            match Self::factor(&aj) {
-                Ok(c) => return Ok((c, jitter)),
-                Err(e) => {
-                    last_err = e;
-                    jitter *= 10.0;
-                }
-            }
-        }
-        Err(last_err)
+        let mut lt = Matrix::zeros(0, 0);
+        let jitter = factor_lt(a, initial_jitter, max_tries, &mut lt)?;
+        Ok((Cholesky::from_lt(lt), jitter))
     }
 
     /// The lower-triangular factor `L`.
@@ -147,6 +260,9 @@ impl Cholesky {
             });
         }
         let mut y = b.to_vec();
+        // Row by row against `L`, the kernel of `solve_lower_columns`:
+        // `GpRegressor::predict` runs this solve, and `BENCH_gp.json` times
+        // batched scoring against it (DESIGN.md §2a).
         crate::block::solve_lower_multi(n, self.l.as_slice(), 1, &mut y);
         Ok(y)
     }
@@ -208,8 +324,7 @@ impl Cholesky {
 
     /// Natural logarithm of `det(A) = det(L)² = (∏ Lᵢᵢ)²`.
     pub fn log_det(&self) -> f64 {
-        let log_pivots: Vec<f64> = (0..self.dim()).map(|i| self.l[(i, i)].ln()).collect();
-        crate::vector::sum_ordered(&log_pivots) * 2.0
+        self.view().log_det()
     }
 
     /// Reconstructs `A = L·Lᵀ` (mainly useful in tests).
@@ -300,6 +415,75 @@ mod tests {
         let (c, jitter) = Cholesky::factor_with_jitter(&a, 1e-10, 12).unwrap();
         assert!(jitter > 0.0);
         assert_eq!(c.dim(), 2);
+    }
+
+    #[test]
+    fn jitter_without_retries_reports_the_first_failure() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
+        let err = Cholesky::factor_with_jitter(&a, 1e-10, 0).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::NotPositiveDefinite { pivot: 1, value } if value == -3.0
+        ));
+        assert_eq!(
+            format!("{err:?}"),
+            format!("{:?}", a.cholesky().unwrap_err())
+        );
+    }
+
+    #[test]
+    fn workspace_matches_owned_factor_and_reads_only_the_lower_triangle() {
+        let a = spd3();
+        let (owned, _) = Cholesky::factor_with_jitter(&a, 1e-10, 3).unwrap();
+        // A finite upper triangle that disagrees with the lower (a search
+        // trial leaves it zero) is never read.
+        let mut lower = a.clone();
+        lower[(0, 1)] = 0.0;
+        lower[(0, 2)] = -1e300;
+        let mut ws = CholeskyWorkspace::default();
+        // A failed factorization first: the next one must not read its
+        // leftovers.
+        let indefinite =
+            Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[2.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
+        assert!(ws.factor_jittered(&indefinite, 1e-10, 0).is_err());
+        let (view, jitter) = ws.factor_jittered(&lower, 1e-10, 3).unwrap();
+        assert_eq!(jitter, 0.0);
+        assert_eq!(view.to_cholesky(), owned);
+        assert_eq!(Cholesky::factor(&lower).unwrap(), owned);
+        assert_eq!(view.log_det().to_bits(), owned.log_det().to_bits());
+        let mut x = vec![1.0, -2.0, 0.5];
+        view.solve_in_place(&mut x).unwrap();
+        assert_eq!(x, owned.solve(&[1.0, -2.0, 0.5]).unwrap());
+        assert!(view.solve_in_place(&mut [1.0]).is_err());
+        // Both check every entry for finiteness, either triangle.
+        for (i, j) in [(0, 2), (2, 0)] {
+            let mut bad = lower.clone();
+            bad[(i, j)] = f64::NAN;
+            assert!(matches!(
+                Cholesky::factor(&bad).unwrap_err(),
+                Error::NonFiniteInput
+            ));
+            assert!(matches!(
+                ws.factor_jittered(&bad, 1e-10, 3).unwrap_err(),
+                Error::NonFiniteInput
+            ));
+        }
+    }
+
+    #[test]
+    fn jitter_escalates_tenfold_up_to_max_tries() {
+        // Indefinite by about 1e-6: the retries at 1e-10 … 1e-7 fail, the
+        // fifth, at 1e-6, succeeds.
+        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 - 1e-6]]).unwrap();
+        let (_, jitter) = Cholesky::factor_with_jitter(&a, 1e-10, 5).unwrap();
+        assert_eq!(jitter, 1e-10 * 10.0 * 10.0 * 10.0 * 10.0);
+        let err = Cholesky::factor_with_jitter(&a, 1e-10, 4).unwrap_err();
+        let mut shifted = a.clone();
+        shifted.add_diagonal(1e-10 * 10.0 * 10.0 * 10.0);
+        assert_eq!(
+            format!("{err:?}"),
+            format!("{:?}", shifted.cholesky().unwrap_err())
+        );
     }
 
     #[test]

@@ -28,7 +28,9 @@ use crate::{Cholesky, Error, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default is the empty 0×0 matrix.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -1,4 +1,4 @@
-//! Speedup ratchet for the blocked linalg kernels.
+//! Speedup ratchets for the blocked linalg kernels.
 //!
 //! `BENCH_linalg.json` at the workspace root commits the facts about the
 //! `benches/linalg_hotpath.rs` workload: the corpus checksums (so the
@@ -9,18 +9,34 @@
 //! whatever machine runs the test. A ratio ratchet cannot flake on slow CI
 //! hardware the way an absolute-throughput floor can, and it pins exactly
 //! the claim the blocked kernels exist to make.
+//!
+//! Its `factor` entry does the same for the column-order Cholesky, run
+//! into a reused `CholeskyWorkspace` as the GP hyper-parameter search runs
+//! it, against the frozen `naive_cholesky`, at a GP-fit size (32) and at
+//! 256, asserting bit-identical factors before any timing.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
 mod common;
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use common::naive_matmul;
-use hyperpower_linalg::corpus;
+use common::{assert_bits_eq, naive_cholesky, naive_matmul};
+use hyperpower_linalg::{corpus, Cholesky, CholeskyWorkspace};
 
 const BENCH_FILE: &str = "BENCH_linalg.json";
+
+/// Held while a test times anything, so the ratchets in this file never
+/// measure each other.
+static TIMING: Mutex<()> = Mutex::new(());
+
+fn timing_lock() -> MutexGuard<'static, ()> {
+    // A ratchet that failed while holding the lock poisons it; the
+    // others still measure.
+    TIMING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn bench_text() -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -83,8 +99,10 @@ fn blocked_matmul_keeps_committed_speedup_over_naive() {
     let a = corpus::dense(1, n, n);
     let b = corpus::dense(2, n, n);
 
+    let timing = timing_lock();
     let naive_secs = best_secs(3, || naive_matmul(&a, &b));
     let blocked_secs = best_secs(3, || a.matmul(&b).expect("square product"));
+    drop(timing);
 
     // The speedup only counts because the result is identical: the blocked
     // product must match the oracle bit-for-bit while being faster.
@@ -136,13 +154,79 @@ fn matmul_product_checksum_matches_committed_reference() {
         "matmul result bits changed: the accumulation-order contract \
          (DESIGN.md §2a) forbids this without a golden re-bless"
     );
-    // And the SPD factor, which exercises cholesky + the panel solves.
+    // And the SPD factor, which exercises the column-order Cholesky.
     let spd = corpus::spd(5, n);
-    let chol = hyperpower_linalg::Cholesky::factor(&spd).expect("SPD by construction");
+    let chol = Cholesky::factor(&spd).expect("SPD by construction");
     assert_eq!(
         f64::from(corpus::checksum(chol.factor_l())),
         committed("checksum_factor", &text),
         "cholesky factor bits changed: the accumulation-order contract \
          (DESIGN.md §2a) forbids this without a golden re-bless"
     );
+}
+
+#[test]
+fn column_factor_keeps_committed_speedup_over_naive() {
+    let text = bench_text();
+    let floor = committed("factor_speedup_floor", &text);
+    for size in ["small", "large"] {
+        let n = committed(&format!("factor_{size}_n"), &text) as usize;
+        let a = corpus::spd(5, n);
+        assert_eq!(
+            f64::from(corpus::checksum(&a)),
+            committed(&format!("factor_{size}_checksum"), &text),
+            "seeded {size} factor corpus changed bits: refresh {BENCH_FILE}"
+        );
+
+        // Bit-equality first: the speedup only counts for identical factors.
+        let mut ws = CholeskyWorkspace::default();
+        let (view, _) = ws.factor_jittered(&a, 0.0, 0).expect("SPD by construction");
+        let chol = view.to_cholesky();
+        assert_eq!(chol, Cholesky::factor(&a).expect("SPD by construction"));
+        let reference = naive_cholesky(&a).expect("SPD by construction");
+        assert_bits_eq("column factor", &reference, chol.factor_l());
+        assert_eq!(
+            f64::from(corpus::checksum(chol.factor_l())),
+            committed(&format!("factor_{size}_checksum_l"), &text),
+            "{size} factor bits changed: the accumulation-order contract \
+             (DESIGN.md §2a) forbids this without a golden re-bless"
+        );
+
+        // The column factor as a search trial runs it: into a reused
+        // workspace. Enough factorizations per sample to dwarf the timer,
+        // and the best of interleaved samples, so drift in the host's
+        // speed hits both sides alike.
+        let batch = (1 << 21) / (n * n * n) + 1;
+        let secs = |f: &mut dyn FnMut()| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                f();
+            }
+            start.elapsed().as_secs_f64() / batch as f64
+        };
+        let mut naive = || {
+            std::hint::black_box(naive_cholesky(std::hint::black_box(&a)).is_ok());
+        };
+        let mut column = || {
+            let factored = ws.factor_jittered(std::hint::black_box(&a), 0.0, 0);
+            std::hint::black_box(factored.is_ok());
+        };
+        let timing = timing_lock();
+        let (mut naive_secs, mut column_secs) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..15 {
+            naive_secs = naive_secs.min(secs(&mut naive));
+            column_secs = column_secs.min(secs(&mut column));
+        }
+        drop(timing);
+        let speedup = naive_secs / column_secs;
+        eprintln!(
+            "cholesky {n}x{n}: naive {naive_secs:.3e}s, column {column_secs:.3e}s, \
+             speedup {speedup:.2}x (floor {floor}x)"
+        );
+        assert!(
+            speedup >= floor,
+            "{size} column factor speedup regressed: {speedup:.2}x < committed \
+             floor {floor}x ({BENCH_FILE})"
+        );
+    }
 }

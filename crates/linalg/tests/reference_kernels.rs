@@ -6,7 +6,8 @@
 //! loops they replaced, hence bit-for-bit identical results. This suite
 //! holds them to it with property tests against the frozen oracles in
 //! `tests/common/mod.rs`, across adversarial shapes — dimensions of 1,
-//! dimensions straddling the register-tile (4×8) and panel (32) boundaries,
+//! dimensions straddling the register-tile (4×8) and panel (32) boundaries
+//! and reaching the GP fit's sizes (up to 77),
 //! matrices salted with exact zeros (the `== 0.0` skip is observable:
 //! `0.0·∞` is NaN and `-0.0 + 0.0` flips sign), ill-conditioned SPD
 //! matrices, and indefinite matrices where even the *failure* must be
@@ -20,7 +21,7 @@ use common::{
     assert_bits_eq, assert_slice_bits_eq, naive_cholesky, naive_gram, naive_matmul, naive_matvec,
     naive_solve_lower, naive_solve_lower_transpose,
 };
-use hyperpower_linalg::{Cholesky, Error, Matrix};
+use hyperpower_linalg::{Cholesky, CholeskyWorkspace, Error, Matrix};
 use proptest::prelude::*;
 use proptest::sample::select;
 
@@ -37,10 +38,14 @@ fn entry_strategy() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Dimensions chosen to straddle the register tile (MR=4, NR=8) and panel
-/// (PANEL=32) boundaries: 1, tile-exact, tile±1, panel±1.
+/// Dimensions chosen to straddle the register tile (MR=4, NR=8) and the
+/// forward-solve panel (PANEL=32) boundaries — 1, tile-exact, tile±1,
+/// panel±1 — plus the sizes that carry the GP fit's factor time: 48, 64,
+/// and 77, the largest fit of the batch-parallel benchmark workload.
 fn dim_strategy() -> impl Strategy<Value = usize> {
-    select(vec![1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 40])
+    select(vec![
+        1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 40, 48, 64, 77,
+    ])
 }
 
 fn matrix_of(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
@@ -65,6 +70,55 @@ fn spd_spectrum_strategy() -> impl Strategy<Value = Matrix> {
                 a
             })
         })
+}
+
+/// Indefinite matrices whose first bad pivot lies deep in the factor:
+/// `B·Bᵀ + s·I` for an n×r `B` of rank r < n. In exact arithmetic the
+/// Schur complement after pivot r − 1 is `s·I`, so with `s < 0` pivot r
+/// fails, and with `s = 0` some pivot from r on is left to rounding noise
+/// — and may fail or pass.
+fn deep_indefinite_strategy() -> impl Strategy<Value = (Matrix, f64)> {
+    (
+        select(vec![2usize, 9, 33, 48, 64, 77]),
+        select(vec![1usize, 2, 4]),
+        select(vec![0.0f64, -1e-12, -1e-3]),
+    )
+        .prop_flat_map(|(n, quarters, shift)| {
+            let r = (n * quarters / 4).clamp(1, n - 1);
+            proptest::collection::vec(-2.0f64..2.0, n * r).prop_map(move |data| {
+                let b = Matrix::from_vec(n, r, data).expect("sized to shape");
+                let mut a = b.matmul(&b.transpose()).expect("square product");
+                a.add_diagonal(shift);
+                (a, shift)
+            })
+        })
+}
+
+/// The column-order factor must end like the naive loop: the same factor
+/// bits, or the same first bad pivot with the same pivot value bits.
+fn assert_factor_matches_naive(a: &Matrix) {
+    match (naive_cholesky(a), Cholesky::factor(a)) {
+        (Ok(l_ref), Ok(chol)) => {
+            assert_bits_eq("cholesky L", &l_ref, chol.factor_l());
+        }
+        (Err((pivot_ref, value_ref)), Err(Error::NotPositiveDefinite { pivot, value })) => {
+            prop_assert_eq!(pivot_ref, pivot, "first bad pivot index differs");
+            prop_assert_eq!(
+                value_ref.to_bits(),
+                value.to_bits(),
+                "pivot value bits differ: naive {:?} vs blocked {:?}",
+                value_ref,
+                value
+            );
+        }
+        (naive, blocked) => {
+            panic!(
+                "factorization outcomes diverged: naive ok={} vs blocked {:?}",
+                naive.is_ok(),
+                blocked.err()
+            );
+        }
+    }
 }
 
 proptest! {
@@ -97,27 +151,16 @@ proptest! {
 
     #[test]
     fn cholesky_bit_equals_naive_across_conditioning(a in spd_spectrum_strategy()) {
-        match (naive_cholesky(&a), Cholesky::factor(&a)) {
-            (Ok(l_ref), Ok(chol)) => {
-                assert_bits_eq("cholesky L", &l_ref, chol.factor_l());
-            }
-            (Err((pivot_ref, value_ref)), Err(Error::NotPositiveDefinite { pivot, value })) => {
-                prop_assert_eq!(pivot_ref, pivot, "first bad pivot index differs");
-                prop_assert_eq!(
-                    value_ref.to_bits(),
-                    value.to_bits(),
-                    "pivot value bits differ: naive {:?} vs blocked {:?}",
-                    value_ref,
-                    value
-                );
-            }
-            (naive, blocked) => {
-                panic!(
-                    "factorization outcomes diverged: naive ok={} vs blocked {:?}",
-                    naive.is_ok(),
-                    blocked.err()
-                );
-            }
+        assert_factor_matches_naive(&a);
+    }
+
+    #[test]
+    fn cholesky_failure_bit_equals_naive_deep_in_the_factor(
+        (a, shift) in deep_indefinite_strategy()
+    ) {
+        assert_factor_matches_naive(&a);
+        if shift < 0.0 {
+            prop_assert!(naive_cholesky(&a).is_err(), "a negative shift must fail");
         }
     }
 
@@ -144,6 +187,13 @@ proptest! {
 
             let full = chol.solve(&rhs).expect("length matches");
             assert_slice_bits_eq("solve", &bwd, &full);
+
+            // A workspace factor solves column by column against `Lᵀ`.
+            let mut ws = CholeskyWorkspace::default();
+            let (view, _) = ws.factor_jittered(&a, 0.0, 0).expect("factored above");
+            let mut in_place = rhs.clone();
+            view.solve_in_place(&mut in_place).expect("length matches");
+            assert_slice_bits_eq("workspace solve", &bwd, &in_place);
         }
     }
 
