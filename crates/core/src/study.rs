@@ -459,6 +459,9 @@ pub struct Study {
     /// The `(completion time, query)` keys of the finished proposals.
     done: CommitQueue<()>,
     leases: BTreeMap<u64, LeaseRecord>,
+    /// How many of `leases` are outstanding. Every change of a lease's
+    /// state updates it, so [`Study::outstanding_leases`] scans nothing.
+    outstanding: usize,
     next_lease: u64,
     lease_policy: RetryPolicy,
     finished: bool,
@@ -519,6 +522,7 @@ impl Study {
             queue: VecDeque::new(),
             done: CommitQueue::new(),
             leases: BTreeMap::new(),
+            outstanding: 0,
             next_lease: 0,
             // Lease deadlines reuse the retry/backoff machinery: deadline
             // growth per re-issue is exponential with seeded jitter. The
@@ -584,10 +588,7 @@ impl Study {
 
     /// Outstanding (issued, unfulfilled, unexpired) leases.
     pub fn outstanding_leases(&self) -> usize {
-        self.leases
-            .values()
-            .filter(|r| r.state == LeaseState::Outstanding)
-            .count()
+        self.outstanding
     }
 
     /// The trace committed so far, as a snapshot (the run may continue).
@@ -678,6 +679,7 @@ impl Study {
                 deadline_s,
             });
         }
+        self.outstanding += issued.len();
         for (offset, record) in issued.into_iter().enumerate() {
             self.leases.insert(self.next_lease + offset as u64, record);
         }
@@ -715,6 +717,7 @@ impl Study {
             LeaseState::Outstanding => {}
         }
         record.state = LeaseState::Fulfilled;
+        self.outstanding -= 1;
         let query = record.query;
         let Some(at) = self.queue.iter().position(|i| i.query == query) else {
             // An outstanding lease always has its item queued: leases are
@@ -730,6 +733,7 @@ impl Study {
             if let Some(other) = self.leases.get_mut(&sibling) {
                 if other.state == LeaseState::Outstanding {
                     other.state = LeaseState::Fulfilled;
+                    self.outstanding -= 1;
                     self.hedges_superseded += 1;
                 }
             }
@@ -760,6 +764,7 @@ impl Study {
                 reclaimed += 1;
             }
         }
+        self.outstanding -= reclaimed;
         reclaimed
     }
 
@@ -812,6 +817,7 @@ impl Study {
             item.leases.push(lease_id);
             item.hedged = item.hedged.saturating_add(1);
             self.hedges_issued += 1;
+            self.outstanding += 1;
             self.leases.insert(
                 lease_id,
                 LeaseRecord {
@@ -854,15 +860,19 @@ impl Study {
     }
 
     /// Marks `ids` void: their proposal left the schedule uncommitted by
-    /// them, so late tells are absorbed, not rejected.
-    fn void_leases(leases: &mut BTreeMap<u64, LeaseRecord>, ids: &[u64]) {
+    /// them, so late tells are absorbed, not rejected. Returns how many of
+    /// them were outstanding.
+    fn void_leases(leases: &mut BTreeMap<u64, LeaseRecord>, ids: &[u64]) -> usize {
+        let mut voided = 0;
         for lease_id in ids {
             if let Some(record) = leases.get_mut(lease_id) {
                 if record.state == LeaseState::Outstanding {
                     record.state = LeaseState::Discarded;
+                    voided += 1;
                 }
             }
         }
+        voided
     }
 
     /// Runs the schedule forward as far as it can go: commits every
@@ -897,7 +907,7 @@ impl Study {
     fn finish(&mut self) {
         self.finished = true;
         for item in &self.queue {
-            Self::void_leases(&mut self.leases, &item.leases);
+            self.outstanding -= Self::void_leases(&mut self.leases, &item.leases);
         }
         self.queue.clear();
     }
@@ -1006,7 +1016,7 @@ impl Study {
         match rejection {
             Some(verdict) => {
                 self.clock.advance_secs(lane, self.spec.cost.model_eval_s);
-                Self::void_leases(&mut self.leases, &item.leases);
+                self.outstanding -= Self::void_leases(&mut self.leases, &item.leases);
                 item.leases.clear();
                 item.stage = Stage::Done(verdict);
                 self.done.push(self.clock.seconds(lane), item.query, ());
@@ -1335,4 +1345,159 @@ fn hedge_jitter_unit(seed: u64, query: u64, attempt: u32) -> f64 {
     h = h.wrapping_mul(SEED_MIX).wrapping_add(query);
     h = h.wrapping_mul(SEED_MIX).wrapping_add(u64::from(attempt));
     StdRng::seed_from_u64(h).random_range(0.0..1.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use hyperpower_gpu_sim::DeviceProfile;
+    use rand::RngExt;
+
+    use super::*;
+
+    /// Proposes fresh configurations, except that every third proposal
+    /// repeats the one before it (and configurations recur every eleven).
+    /// History-independent, so a study plans blocks ahead: a crash then
+    /// quarantines a configuration that may already be planned and leased
+    /// again.
+    #[derive(Default)]
+    struct RepeatingSearcher {
+        proposals: u64,
+    }
+
+    impl Searcher for RepeatingSearcher {
+        fn propose(
+            &mut self,
+            _space: &SearchSpace,
+            _history: &History,
+            _rng: &mut StdRng,
+        ) -> Result<Config> {
+            let k = self.proposals;
+            self.proposals += 1;
+            let id = k - u64::from(k % 3 == 2);
+            Config::new((0..6).map(|c| ((id * 7 + c) % 11) as f64 / 10.0).collect())
+        }
+
+        fn conditioning(&self) -> Conditioning {
+            Conditioning::Independent
+        }
+    }
+
+    fn scanned_outstanding(study: &Study) -> usize {
+        study
+            .leases
+            .values()
+            .filter(|r| r.state == LeaseState::Outstanding)
+            .count()
+    }
+
+    /// Seeded sequences of every lease operation a server performs; after
+    /// each step the kept count must equal a scan of the lease map.
+    #[test]
+    fn outstanding_count_equals_a_scan_after_every_step() {
+        let space = SearchSpace::mnist();
+        let lease_policy = RetryPolicy {
+            max_retries: 0,
+            backoff_base_s: 2.0,
+            backoff_factor: 2.0,
+            backoff_jitter_frac: 0.5,
+        };
+        let hedge_policy = RetryPolicy {
+            backoff_base_s: 0.5,
+            ..lease_policy
+        };
+        let (mut accepted, mut duplicates, mut discarded, mut expired) = (0, 0, 0, 0);
+        let (mut hedges, mut reclaimed, mut shed, mut quarantined) = (0, 0, 0, 0);
+        for seed in 0..16u64 {
+            let spec = StudySpec {
+                method: Method::Rand,
+                mode: Mode::Default,
+                budget: Budget::Evaluations(24),
+                seed,
+                budgets: Budgets::default(),
+                cost: TrainingCostModel::default(),
+                early_termination: None,
+                fault_profile: FaultProfile {
+                    name: "crashy".into(),
+                    crash_prob: 0.3,
+                    ..FaultProfile::none()
+                },
+                retry: RetryPolicy {
+                    max_retries: 0,
+                    ..RetryPolicy::default()
+                },
+                drift: DriftConfig::default(),
+            };
+            let mut study = Study::new(spec, None, Some(Box::<RepeatingSearcher>::default()))
+                .with_lease_policy(lease_policy);
+            let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x1EA5);
+            let mut issued: Vec<u64> = Vec::new();
+            let mut now_s = 0.0;
+            for step in 0..400 {
+                match rng.random_range(0..10u32) {
+                    0..=2 => {
+                        let max = rng.random_range(1..=4usize);
+                        let batch = study
+                            .ask(&space, &mut gpu, max, now_s, None::<&mut NullSink>)
+                            .unwrap();
+                        issued.extend(batch.iter().map(|c| c.lease_id));
+                    }
+                    3..=6 if !issued.is_empty() => {
+                        // Any lease ever issued: first, duplicate and late
+                        // tells alike.
+                        let lease_id = issued[rng.random_range(0..issued.len())];
+                        let result = EvaluationResult {
+                            error: rng.random_range(0.0..1.0),
+                            diverged: false,
+                            terminated_early: false,
+                            train_secs: 300.0,
+                        };
+                        match study.tell(&mut gpu, lease_id, &result, None::<&mut NullSink>) {
+                            Ok(TellOutcome::Accepted { .. }) => accepted += 1,
+                            Ok(TellOutcome::Duplicate) => duplicates += 1,
+                            Ok(TellOutcome::Discarded) => discarded += 1,
+                            Err(Error::LeaseExpired { .. }) => expired += 1,
+                            Err(e) => panic!("seed {seed} step {step}: {e}"),
+                        }
+                    }
+                    7 => {
+                        let batch = study.hedge_overdue(now_s, &hedge_policy);
+                        hedges += batch.len();
+                        issued.extend(batch.iter().map(|c| c.lease_id));
+                    }
+                    8 => reclaimed += study.reclaim_expired(now_s),
+                    _ => {
+                        if rng.random_range(0..4u32) == 0 {
+                            shed += study.reclaim_all();
+                        }
+                    }
+                }
+                now_s += rng.random_range(0.0..1.5);
+                assert_eq!(
+                    study.outstanding_leases(),
+                    scanned_outstanding(&study),
+                    "seed {seed} step {step}"
+                );
+            }
+            quarantined += study
+                .trace()
+                .samples
+                .iter()
+                .filter(|s| s.failure == Some(TrialFailure::Quarantined))
+                .count();
+        }
+        // Every kind of lease state change happened.
+        for (what, count) in [
+            ("accepted tells", accepted),
+            ("duplicate tells", duplicates),
+            ("discarded tells", discarded),
+            ("expired tells", expired),
+            ("hedges", hedges),
+            ("expiries", reclaimed),
+            ("sheds", shed),
+            ("quarantined candidates", quarantined),
+        ] {
+            assert!(count > 0, "no {what}");
+        }
+    }
 }

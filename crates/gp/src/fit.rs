@@ -2,6 +2,7 @@ use std::sync::Arc;
 
 use hyperpower_linalg::{vector, CholeskyWorkspace, Matrix};
 
+use crate::kernel::fill_row;
 use crate::optimize::{nelder_mead, NelderMeadOptions};
 use crate::regressor::factor_covariance;
 use crate::{Error, GpRegressor, Kernel, Result};
@@ -54,15 +55,17 @@ pub struct FittedGp {
 /// for the length scale, target variance for the signal variance) plus
 /// perturbed restarts, so it is deterministic for a given dataset.
 ///
-/// The rows' pairwise squared distances are computed once per fit. Kernels
-/// with a distance form ([`Kernel::eval_squared_distance`]: [`Matern52`]
-/// and [`SquaredExponential`]) build every trial's covariance from that
-/// table; other kernels, such as [`Matern52Ard`], evaluate the rows with
-/// [`Kernel::eval`] in each trial. Either way every covariance entry, the
-/// factorization and the likelihood take the floating-point steps of
-/// [`GpRegressor::fit`], so the result is bit-identical to refitting the
-/// regressor at every trial. Every trial writes its covariance, factor and
-/// solve into one workspace the fit allocates once.
+/// The rows' pairwise squared distances are computed once per fit. Each
+/// trial fills its covariance's lower triangle a row at a time: kernels
+/// with a distance form ([`Matern52`] and [`SquaredExponential`]) evaluate
+/// a row of that table in one [`Kernel::eval_squared_distances`] call;
+/// other kernels, such as [`Matern52Ard`], evaluate the rows with
+/// [`Kernel::eval`]. The row is then scaled by the signal variance. Either
+/// way every covariance entry, the factorization and the likelihood take
+/// the floating-point steps of [`GpRegressor::fit`], so the result is
+/// bit-identical to refitting the regressor at every trial. Every trial
+/// writes its covariance, factor and solve into one workspace the fit
+/// allocates once.
 ///
 /// [`Matern52`]: crate::Matern52
 /// [`SquaredExponential`]: crate::SquaredExponential
@@ -161,10 +164,11 @@ impl<'a> FitTable<'a> {
 
     /// The search's objective at log-space hyper-parameters `p`: the
     /// negative log marginal likelihood, or `+∞` wherever
-    /// [`GpRegressor::fit`] would fail. Covariance entry `(i, j)` of the
-    /// lower triangle is the kernel at the tabled distance (at the rows,
-    /// for a kernel without a distance form) times the signal variance,
-    /// exactly as `kernel.matrix(x).scale(signal_variance)` computes it.
+    /// [`GpRegressor::fit`] would fail. Each row of the covariance's lower
+    /// triangle is the kernel at the row's tabled distances, through
+    /// [`Kernel::eval_squared_distances`] (at the rows, for a kernel
+    /// without a distance form), then times the signal variance, exactly
+    /// as `kernel.matrix(x).scale(signal_variance)` computes it.
     fn objective(
         &self,
         ws: &mut TrialWorkspace,
@@ -188,11 +192,12 @@ impl<'a> FitTable<'a> {
         let kernel = base_kernel.with_length_scale(length_scale);
         let cov = &mut ws.cov;
         for i in 0..self.x.rows() {
-            for (j, &d2) in self.lower_row(i).iter().enumerate() {
-                let k = kernel
-                    .eval_squared_distance(d2)
-                    .unwrap_or_else(|| kernel.eval(self.x.row(i), self.x.row(j)));
-                cov[(i, j)] = k * signal_variance;
+            let row = &mut cov.row_mut(i)[..=i];
+            fill_row(&*kernel, self.lower_row(i), row, |j| {
+                kernel.eval(self.x.row(i), self.x.row(j))
+            });
+            for k in row.iter_mut() {
+                *k *= signal_variance;
             }
         }
         cov.add_diagonal(noise_variance);

@@ -35,39 +35,75 @@ pub trait Kernel: Debug + Send + Sync {
     /// scales without knowing the concrete kernel type.
     fn with_length_scale(&self, length_scale: f64) -> Arc<dyn Kernel>;
 
-    /// Evaluates the kernel from the squared distance `d2 = ‖a − b‖²`
-    /// alone, for kernels that see the data only through it.
+    /// Evaluates the kernel at a row of squared distances, for kernels
+    /// that see the data only through them: writes `out[j] = k(d2[j])` and
+    /// returns `true`.
     ///
-    /// Where this returns `Some`, the value is bit-for-bit
-    /// `eval(a, b)` for `d2 = vector::squared_distance(a, b)`. The
-    /// hyper-parameter fit relies on that: it computes a fit's pairwise
-    /// distances once and builds every trial's covariance from them. The
-    /// default `None` means the kernel needs the rows themselves (as
-    /// [`Matern52Ard`](crate::Matern52Ard) does), and the fit calls
-    /// [`Kernel::eval`] on them instead.
-    fn eval_squared_distance(&self, _d2: f64) -> Option<f64> {
-        None
+    /// Each `out[j]` is bit-for-bit `eval(a, bⱼ)` for
+    /// `d2[j] = vector::squared_distance(a, bⱼ)`: the row batches the
+    /// values but keeps each one's floating-point steps. Every covariance
+    /// the GP builds goes through this hook a row at a time — the
+    /// provided [`Kernel::matrix`] and [`Kernel::cross`], the posterior's
+    /// cross-covariances and every trial of the hyper-parameter fit, which
+    /// computes a fit's pairwise distances once. The default returns
+    /// `false` and leaves `out` alone: the kernel needs the rows themselves
+    /// (as [`Matern52Ard`](crate::Matern52Ard) does), and those callers
+    /// evaluate them with [`Kernel::eval`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `d2.len() != out.len()`.
+    fn eval_squared_distances(&self, _d2: &[f64], _out: &mut [f64]) -> bool {
+        false
     }
 
     /// Builds the symmetric kernel matrix `K[i][j] = k(xᵢ, xⱼ)` for the rows
-    /// of `x`.
+    /// of `x`, evaluating the lower triangle a row at a time through
+    /// [`Kernel::eval_squared_distances`].
     fn matrix(&self, x: &Matrix) -> Matrix {
         let n = x.rows();
         let mut k = Matrix::zeros(n, n);
+        let mut d2 = Vec::with_capacity(n);
         for i in 0..n {
-            for j in 0..=i {
-                let v = self.eval(x.row(i), x.row(j));
-                k[(i, j)] = v;
-                k[(j, i)] = v;
+            d2.clear();
+            d2.extend((0..=i).map(|j| vector::squared_distance(x.row(i), x.row(j))));
+            fill_row(self, &d2, &mut k.row_mut(i)[..=i], |j| {
+                self.eval(x.row(i), x.row(j))
+            });
+            for j in 0..i {
+                k[(j, i)] = k[(i, j)];
             }
         }
         k
     }
 
     /// Evaluates the cross-covariance vector `k(x*, xᵢ)` between one query
-    /// point and each row of `x`.
+    /// point and each row of `x`, through
+    /// [`Kernel::eval_squared_distances`].
     fn cross(&self, query: &[f64], x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|i| self.eval(query, x.row(i))).collect()
+        let d2: Vec<f64> = (0..x.rows())
+            .map(|i| vector::squared_distance(query, x.row(i)))
+            .collect();
+        let mut k = vec![0.0; d2.len()];
+        fill_row(self, &d2, &mut k, |i| self.eval(query, x.row(i)));
+        k
+    }
+}
+
+/// Fills `out` with the kernel at the squared distances `d2` through
+/// [`Kernel::eval_squared_distances`] or, for a kernel without a distance
+/// form, with `at_rows(j)`: the kernel evaluated at the two rows whose
+/// squared distance is `d2[j]`.
+pub(crate) fn fill_row<K: Kernel + ?Sized>(
+    kernel: &K,
+    d2: &[f64],
+    out: &mut [f64],
+    at_rows: impl Fn(usize) -> f64,
+) {
+    if !kernel.eval_squared_distances(d2, out) {
+        for (j, k) in out.iter_mut().enumerate() {
+            *k = at_rows(j);
+        }
     }
 }
 
@@ -129,19 +165,25 @@ impl SquaredExponential {
     pub fn into_kernel(self) -> Arc<dyn Kernel> {
         Arc::new(self)
     }
+}
 
-    fn at_squared_distance(&self, d2: f64) -> f64 {
-        (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
-    }
+/// The squared-exponential formula, shared by `eval` and the row hook.
+fn se_at_squared_distance(d2: f64, length_scale: f64) -> f64 {
+    (-d2 / (2.0 * length_scale * length_scale)).exp()
 }
 
 impl Kernel for SquaredExponential {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.at_squared_distance(vector::squared_distance(a, b))
+        se_at_squared_distance(vector::squared_distance(a, b), self.length_scale)
     }
 
-    fn eval_squared_distance(&self, d2: f64) -> Option<f64> {
-        Some(self.at_squared_distance(d2))
+    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]) -> bool {
+        assert_eq!(d2.len(), out.len(), "kernel row: length mismatch");
+        let length_scale = self.length_scale;
+        for (k, &d2) in out.iter_mut().zip(d2) {
+            *k = se_at_squared_distance(d2, length_scale);
+        }
+        true
     }
 
     fn length_scale(&self) -> f64 {
@@ -204,21 +246,37 @@ impl Matern52 {
     pub fn into_kernel(self) -> Arc<dyn Kernel> {
         Arc::new(self)
     }
+}
 
-    fn at_squared_distance(&self, d2: f64) -> f64 {
-        let r = d2.sqrt();
-        let s = 5.0_f64.sqrt() * r / self.length_scale;
-        (1.0 + s + s * s / 3.0) * (-s).exp()
-    }
+/// The Matérn 5/2 formula's first step, `s = √5·r/ℓ` at `r = √d²`, shared
+/// by `eval` and the row hook.
+fn matern_scaled_distance(d2: f64, length_scale: f64) -> f64 {
+    5.0_f64.sqrt() * d2.sqrt() / length_scale
+}
+
+/// The Matérn 5/2 formula's second step, `(1 + s + s²/3)·exp(−s)`.
+fn matern_at_scaled_distance(s: f64) -> f64 {
+    (1.0 + s + s * s / 3.0) * (-s).exp()
 }
 
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.at_squared_distance(vector::squared_distance(a, b))
+        let s = matern_scaled_distance(vector::squared_distance(a, b), self.length_scale);
+        matern_at_scaled_distance(s)
     }
 
-    fn eval_squared_distance(&self, d2: f64) -> Option<f64> {
-        Some(self.at_squared_distance(d2))
+    /// Two passes over the row: the square roots and divisions of the
+    /// first vectorize, and the second is bound by `exp`.
+    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]) -> bool {
+        assert_eq!(d2.len(), out.len(), "kernel row: length mismatch");
+        let length_scale = self.length_scale;
+        for (s, &d2) in out.iter_mut().zip(d2) {
+            *s = matern_scaled_distance(d2, length_scale);
+        }
+        for k in out.iter_mut() {
+            *k = matern_at_scaled_distance(*k);
+        }
+        true
     }
 
     fn length_scale(&self) -> f64 {

@@ -7,9 +7,9 @@
 //! actually uses; the isotropic [`Matern52`](crate::Matern52) is the
 //! cheaper default in this reproduction, with ARD available as an
 //! extension. Nothing outside its own tests and the GP fit's tests uses it
-//! yet. It has no distance form ([`Kernel::eval_squared_distance`] returns
-//! `None`), so a hyper-parameter fit with it evaluates the rows in every
-//! trial.
+//! yet. It has no distance form ([`Kernel::eval_squared_distances`]
+//! returns `false`), so every covariance built with it, in each trial of a
+//! hyper-parameter fit too, evaluates the rows with [`Kernel::eval`].
 
 use std::sync::Arc;
 

@@ -2,6 +2,7 @@ use std::sync::Arc;
 
 use hyperpower_linalg::{vector, Cholesky, CholeskyView, CholeskyWorkspace, Matrix};
 
+use crate::kernel::fill_row;
 use crate::{Error, Kernel, Result};
 
 /// Posterior prediction of a Gaussian process at one query point.
@@ -198,11 +199,15 @@ impl GpRegressor {
     /// Semantically this is `predict` applied to every row, and the results
     /// are **bit-for-bit identical** to the per-point path (pinned by
     /// `tests/posterior_batch.rs` and the workspace goldens): each query's
-    /// `k*` vector, mean dot product, triangular solve and variance
-    /// reduction execute the exact same operation sequence. What changes is
-    /// the memory traffic — the `m` forward substitutions run as one
+    /// cross-covariances, mean dot product, triangular solve and variance
+    /// reduction take the exact same floating-point steps. What changes is
+    /// the memory traffic. The cross-covariances `K*` are built one
+    /// training row at a time against every query of the block, through
+    /// one [`Kernel::eval_squared_distances`] call per row, while each
+    /// query's mean accumulates. The `m` forward substitutions run as one
     /// multi-RHS blocked solve ([`Cholesky::solve_lower_columns`]), so each
-    /// panel row of `L` is loaded once per block instead of once per query.
+    /// row of `L` is loaded once per block instead of once per query, and
+    /// each query's `vᵀv` accumulates from the solution's rows.
     ///
     /// # Errors
     ///
@@ -211,44 +216,33 @@ impl GpRegressor {
     /// * [`Error::Numerical`] if the triangular solve against the stored
     ///   factorization fails.
     pub fn posterior_batch(&self, queries: &Matrix) -> Result<(Vec<f64>, Vec<f64>)> {
-        if queries.cols() != self.x_train.cols() {
-            return Err(Error::DimensionMismatch {
-                expected: format!("queries with {} columns", self.x_train.cols()),
-                found: format!("queries with {} columns", queries.cols()),
-            });
-        }
+        self.check_queries(queries)?;
         let m = queries.rows();
-        let n = self.x_train.rows();
-        // K* gathered column-wise (n×m): component-major is exactly the
-        // layout the multi-RHS forward solve wants.
-        let mut kstar = Matrix::zeros(n, m);
-        let mut means = Vec::with_capacity(m);
-        for q in 0..m {
-            let k_star: Vec<f64> = self
-                .kernel
-                .cross(queries.row(q), &self.x_train)
-                .into_iter()
-                .map(|v| v * self.signal_variance)
-                .collect();
-            means.push(self.y_mean + vector::dot(&k_star, &self.alpha));
-            for (i, v) in k_star.into_iter().enumerate() {
-                kstar[(i, q)] = v;
-            }
-        }
+        let (kstar, means) = self.cross_covariance(queries);
         let v = self
             .chol
             .solve_lower_columns(&kstar)
             .map_err(Error::Numerical)?;
-        // Column dots in row-major storage: transpose once so each query's
-        // `vᵀv` is the same contiguous `vector::dot` fold `predict` runs.
-        let vt = v.transpose();
-        let mut variances = Vec::with_capacity(m);
-        for q in 0..m {
-            let query = queries.row(q);
-            let prior = self.signal_variance * self.kernel.eval(query, query);
-            let vq = vt.row(q);
-            variances.push((prior - vector::dot(vq, vq)).max(0.0));
+        // Each query's `vᵀv` in training-row order from −0.0, the fold
+        // `vector::dot` runs over that query's column of V.
+        let mut vtv = vec![-0.0; m];
+        for i in 0..v.rows() {
+            for (acc, &vi) in vtv.iter_mut().zip(v.row(i)) {
+                *acc += vi * vi;
+            }
         }
+        let self_d2: Vec<f64> = (0..m)
+            .map(|q| vector::squared_distance(queries.row(q), queries.row(q)))
+            .collect();
+        let mut prior = vec![0.0; m];
+        fill_row(&*self.kernel, &self_d2, &mut prior, |q| {
+            self.kernel.eval(queries.row(q), queries.row(q))
+        });
+        let variances: Vec<f64> = prior
+            .iter()
+            .zip(&vtv)
+            .map(|(k, vtv)| (self.signal_variance * k - vtv).max(0.0))
+            .collect();
         hyperpower_linalg::debug_assert_finite!("gp batch posterior means", &means);
         hyperpower_linalg::debug_assert_finite!("gp batch posterior variances", &variances);
         Ok((means, variances))
@@ -259,7 +253,9 @@ impl GpRegressor {
     ///
     /// This is what Thompson sampling needs — correlated draws over a
     /// candidate grid — and what pointwise [`GpRegressor::predict`] cannot
-    /// provide.
+    /// provide. The means and the cross-covariances come from the builder
+    /// [`GpRegressor::posterior_batch`] uses, so each mean is `predict`'s
+    /// to the bit.
     ///
     /// # Errors
     ///
@@ -269,39 +265,68 @@ impl GpRegressor {
         &self,
         queries: &Matrix,
     ) -> std::result::Result<(Vec<f64>, Matrix), Error> {
+        self.check_queries(queries)?;
+        let (kstar, mean) = self.cross_covariance(queries);
+        // Solved for all queries in one blocked multi-RHS pass —
+        // bit-identical per column to the per-query `solve_lower`.
+        let v = self.chol.solve_lower_columns(&kstar)?;
+        let vt = v.transpose();
+        hyperpower_linalg::debug_assert_finite!("gp joint posterior mean", &mean);
+        let prior = self.kernel.matrix(queries);
+        let cov = Matrix::from_fn(queries.rows(), queries.rows(), |i, j| {
+            self.signal_variance * prior[(i, j)] - vector::dot(vt.row(i), vt.row(j))
+        });
+        Ok((mean, cov))
+    }
+
+    fn check_queries(&self, queries: &Matrix) -> Result<()> {
         if queries.cols() != self.x_train.cols() {
             return Err(Error::DimensionMismatch {
                 expected: format!("queries with {} columns", self.x_train.cols()),
                 found: format!("queries with {} columns", queries.cols()),
             });
         }
+        Ok(())
+    }
+
+    /// The cross-covariances `K*[i][q] = σ_f²·k(x_q, xᵢ)` between the
+    /// training rows and the rows of `queries` (n×m, one column per
+    /// query, the layout the multi-RHS forward solve wants), and each
+    /// query's posterior mean.
+    ///
+    /// `K*` is built one training row at a time: that row's squared
+    /// distances to every query accumulate dimension by dimension over the
+    /// transposed queries, one [`Kernel::eval_squared_distances`] call
+    /// turns them into covariances, and each query's dot product with α
+    /// takes the row's term. Every sum runs in index order from −0.0, the
+    /// fold `vector::squared_distance` and `vector::dot` run, so each value
+    /// is the one [`GpRegressor::predict`] computes for its query.
+    fn cross_covariance(&self, queries: &Matrix) -> (Matrix, Vec<f64>) {
         let m = queries.rows();
         let n = self.x_train.rows();
-        // Cross-covariance K* gathered column-wise (n×m), solved for all
-        // queries in one blocked multi-RHS pass — bit-identical per column
-        // to the per-query `solve_lower` this loop used to run.
-        let mut mean = Vec::with_capacity(m);
+        let qt = queries.transpose();
         let mut kstar = Matrix::zeros(n, m);
-        for i in 0..m {
-            let k_star: Vec<f64> = self
-                .kernel
-                .cross(queries.row(i), &self.x_train)
-                .into_iter()
-                .map(|v| v * self.signal_variance)
-                .collect();
-            mean.push(self.y_mean + vector::dot(&k_star, &self.alpha));
-            for (r, v) in k_star.into_iter().enumerate() {
-                kstar[(r, i)] = v;
+        let mut d2 = vec![0.0; m];
+        let mut dots = vec![-0.0; m];
+        for (i, &alpha) in self.alpha.iter().enumerate() {
+            let xi = self.x_train.row(i);
+            d2.fill(-0.0);
+            for (c, &xc) in xi.iter().enumerate() {
+                for (acc, &qc) in d2.iter_mut().zip(qt.row(c)) {
+                    *acc += (qc - xc) * (qc - xc);
+                }
+            }
+            let row = kstar.row_mut(i);
+            fill_row(&*self.kernel, &d2, row, |q| {
+                self.kernel.eval(queries.row(q), xi)
+            });
+            for (k, dot) in row.iter_mut().zip(&mut dots) {
+                *k *= self.signal_variance;
+                *dot += *k * alpha;
             }
         }
-        let v = self.chol.solve_lower_columns(&kstar)?;
-        let vt = v.transpose();
-        hyperpower_linalg::debug_assert_finite!("gp joint posterior mean", &mean);
-        let cov = Matrix::from_fn(m, m, |i, j| {
-            let prior = self.signal_variance * self.kernel.eval(queries.row(i), queries.row(j));
-            prior - vector::dot(vt.row(i), vt.row(j))
-        });
-        Ok((mean, cov))
+        let means = dots.into_iter().map(|dot| self.y_mean + dot).collect();
+        (kstar, means)
     }
 
     /// Draws one correlated sample from the joint posterior at `queries`

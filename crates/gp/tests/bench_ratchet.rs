@@ -18,6 +18,13 @@
 //! shapes of `paper_sweep` (21 rows, 6 dimensions) and `batch_sweep` (72
 //! rows, 13 dimensions), with the searchers' fit options. Bit-identical
 //! fits are asserted before any timing.
+//!
+//! Its `score` entry times `posterior_batch`, which builds the
+//! cross-covariances a training row at a time, against the frozen scorer
+//! in `common` (one k* vector per candidate, then a transpose), at the
+//! `paper_sweep` shape: a Matérn surrogate on 21 rows × 6 dimensions
+//! scoring 512 candidates in blocks of 64. Bit-identical scores are
+//! asserted before any timing.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
@@ -27,7 +34,7 @@ mod common;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use common::{fit_bits, frozen_fit_gp_hyperparams_laddered, BO_FIT, MAX_RUNGS};
+use common::{fit_bits, frozen_fit_gp_hyperparams_laddered, FrozenScorer, BO_FIT, MAX_RUNGS};
 use hyperpower_gp::{fit_gp_hyperparams_laddered, GpRegressor, LadderedFit, Matern52};
 use hyperpower_linalg::{corpus, Matrix};
 
@@ -65,6 +72,9 @@ fn committed(key: &str, text: &str) -> f64 {
         .unwrap_or_else(|_| panic!("{BENCH_FILE}: key {key} is not a number"))
 }
 
+/// Each block's posterior means and variances.
+type Scores = Vec<(Vec<f64>, Vec<f64>)>;
+
 struct Workload {
     gp: GpRegressor,
     grid: Matrix,
@@ -93,15 +103,20 @@ fn workload(text: &str) -> Workload {
 
     let gp = GpRegressor::fit(Matern52::new(0.5).into_kernel(), 1.0, 1e-6, &x, &y)
         .expect("corpus surrogate fit");
-    let blocks: Vec<Matrix> = (0..candidates / block)
+    let blocks = tile(&grid, block);
+    Workload { gp, grid, blocks }
+}
+
+/// The rows of `grid` in consecutive blocks of `block` rows.
+fn tile(grid: &Matrix, block: usize) -> Vec<Matrix> {
+    (0..grid.rows() / block)
         .map(|i| {
             let data: Vec<f64> = (i * block..(i + 1) * block)
                 .flat_map(|r| grid.row(r).iter().copied())
                 .collect();
-            Matrix::from_vec(block, dims, data).expect("sized to shape")
+            Matrix::from_vec(block, grid.cols(), data).expect("sized to shape")
         })
-        .collect();
-    Workload { gp, grid, blocks }
+        .collect()
 }
 
 /// Best-of-`reps` wall time of `f`, after one warm-up call.
@@ -238,4 +253,78 @@ fn table_fit_keeps_committed_speedup_over_frozen_fit() {
              {floor}x ({BENCH_FILE})"
         );
     }
+}
+
+#[test]
+fn row_wise_scoring_keeps_committed_speedup_over_frozen_scorer() {
+    let text = bench_text();
+    let floor = committed("score_speedup_floor", &text);
+    let n = committed("score_train_n", &text) as usize;
+    let dims = committed("score_dims", &text) as usize;
+    let candidates = committed("score_candidates", &text) as usize;
+    let block = committed("score_block", &text) as usize;
+    let x = corpus::dense(0x6721, n, dims);
+    let y = corpus::vector(0x6722, n);
+    let grid = corpus::dense(0x6723, candidates, dims);
+    assert_eq!(
+        f64::from(corpus::checksum(&x)),
+        committed("score_checksum_train", &text),
+        "seeded scoring corpus changed bits: refresh {BENCH_FILE}"
+    );
+    assert_eq!(
+        f64::from(corpus::checksum(&grid)),
+        committed("score_checksum_grid", &text),
+        "seeded scoring grid changed bits: refresh {BENCH_FILE}"
+    );
+    let kernel = Matern52::new(0.5).into_kernel();
+    let gp = GpRegressor::fit(kernel.clone(), 1.0, 1e-6, &x, &y).expect("corpus surrogate fit");
+    let frozen = FrozenScorer::fit(kernel, 1.0, 1e-6, &x, &y);
+    let blocks = tile(&grid, block);
+    assert_eq!(
+        blocks.len() * block,
+        candidates,
+        "blocks must tile the grid"
+    );
+    let live = || -> Scores {
+        let scores = blocks.iter().map(|b| gp.posterior_batch(b));
+        scores.collect::<Result<_, _>>().expect("in-domain blocks")
+    };
+    let old = || -> Scores {
+        let scores = blocks.iter().map(|b| frozen.posterior_batch(b));
+        scores.collect::<Result<_, _>>().expect("in-domain blocks")
+    };
+
+    // Bit-equality first: the speedup only counts for identical scores.
+    let bits = |scores: Scores| -> Vec<u64> {
+        scores
+            .into_iter()
+            .flat_map(|(means, variances)| means.into_iter().chain(variances))
+            .map(f64::to_bits)
+            .collect()
+    };
+    assert_eq!(bits(live()), bits(old()), "scores diverged");
+
+    // Best of interleaved calls (the check above warmed both up), so drift
+    // in the host's speed hits both sides alike.
+    let _timing = timing_lock();
+    let secs = |f: &dyn Fn() -> Scores| {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        start.elapsed().as_secs_f64()
+    };
+    let (mut frozen_secs, mut row_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..40 {
+        frozen_secs = frozen_secs.min(secs(&old));
+        row_secs = row_secs.min(secs(&live));
+    }
+    let speedup = frozen_secs / row_secs;
+    eprintln!(
+        "gp scoring {candidates} candidates on {n}x{dims}: frozen {frozen_secs:.6}s, \
+         row-wise {row_secs:.6}s, speedup {speedup:.2}x (floor {floor}x)"
+    );
+    assert!(
+        speedup >= floor,
+        "row-wise scoring speedup regressed: {speedup:.2}x < committed floor \
+         {floor}x ({BENCH_FILE})"
+    );
 }

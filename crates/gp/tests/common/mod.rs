@@ -1,14 +1,20 @@
 //! Frozen reference fit — `fit_gp_hyperparams` and
 //! `fit_gp_hyperparams_laddered` copied verbatim at the moment the fit
-//! began building each trial's covariance from a per-fit distance table.
+//! began building each trial's covariance from a per-fit distance table —
+//! and frozen reference scorer — `GpRegressor::posterior_batch` copied at
+//! the moment the cross-covariances began to be built a training row at a
+//! time.
 //!
-//! This is the oracle of that change: every Nelder–Mead trial here refits
-//! a whole [`GpRegressor`] from the rows, and the library's fit must choose
-//! bit-identical hyper-parameters, because the golden traces at the
-//! workspace root pin every f64 the BO loop derives from them. The
-//! bench ratchet times the library against the same copy. Do not
-//! "improve" this code — its whole value is that it never changes. The
-//! shared test inputs at the end of the file are not part of the copy.
+//! The fit is the oracle of the first change: every Nelder–Mead trial
+//! here refits a whole [`GpRegressor`] from the rows, and the library's
+//! fit must choose bit-identical hyper-parameters, because the golden
+//! traces at the workspace root pin every f64 the BO loop derives from
+//! them. The scorer is the oracle of the second: one k* vector per
+//! candidate, then a transpose of the solution, and the library's scores
+//! must be bit-identical. The bench ratchet times the library against
+//! both copies. Do not "improve" this code — its whole value is that it
+//! never changes. The shared test inputs at the end of the file are not
+//! part of either copy.
 
 // Oracle code is kept exactly as it was, including what the library's
 // lints would now reject in test support.
@@ -18,7 +24,7 @@ use std::sync::Arc;
 
 use hyperpower_gp::optimize::{nelder_mead, NelderMeadOptions};
 use hyperpower_gp::{Error, FitOptions, FittedGp, GpRegressor, Kernel, LadderedFit, Result};
-use hyperpower_linalg::Matrix;
+use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 pub fn frozen_fit_gp_hyperparams(
     base_kernel: Arc<dyn Kernel>,
@@ -160,7 +166,103 @@ fn variance(y: &[f64]) -> f64 {
     y.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (y.len() - 1) as f64
 }
 
-// Shared test inputs, not part of the frozen copy.
+/// The state `GpRegressor::posterior_batch` reads. The regressor keeps its
+/// factor private, so [`FrozenScorer::fit`] rebuilds it from the public
+/// kernel and linalg calls `GpRegressor::fit` makes, with the kernel
+/// matrix and cross-covariances evaluated as the provided
+/// `Kernel::matrix` and `Kernel::cross` evaluated them then: one
+/// `Kernel::eval` per entry.
+pub struct FrozenScorer {
+    kernel: Arc<dyn Kernel>,
+    signal_variance: f64,
+    x_train: Matrix,
+    y_mean: f64,
+    alpha: Vec<f64>,
+    chol: Cholesky,
+}
+
+impl FrozenScorer {
+    pub fn fit(
+        kernel: Arc<dyn Kernel>,
+        signal_variance: f64,
+        noise_variance: f64,
+        x_train: &Matrix,
+        y_train: &[f64],
+    ) -> Self {
+        let n = x_train.rows();
+        let y_mean = y_train.iter().sum::<f64>() / n as f64;
+        let y_centered: Vec<f64> = y_train.iter().map(|y| y - y_mean).collect();
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = kernel.eval(x_train.row(i), x_train.row(j));
+                k[(i, j)] = v;
+                k[(j, i)] = v;
+            }
+        }
+        let mut cov = k.scale(signal_variance);
+        cov.add_diagonal(noise_variance);
+        let (chol, _jitter) = Cholesky::factor_with_jitter(&cov, 1e-10, 10).unwrap();
+        let alpha = chol.solve(&y_centered).unwrap();
+        FrozenScorer {
+            kernel,
+            signal_variance,
+            x_train: x_train.clone(),
+            y_mean,
+            alpha,
+            chol,
+        }
+    }
+
+    fn cross(&self, query: &[f64]) -> Vec<f64> {
+        (0..self.x_train.rows())
+            .map(|i| self.kernel.eval(query, self.x_train.row(i)))
+            .collect()
+    }
+
+    pub fn posterior_batch(&self, queries: &Matrix) -> Result<(Vec<f64>, Vec<f64>)> {
+        if queries.cols() != self.x_train.cols() {
+            return Err(Error::DimensionMismatch {
+                expected: format!("queries with {} columns", self.x_train.cols()),
+                found: format!("queries with {} columns", queries.cols()),
+            });
+        }
+        let m = queries.rows();
+        let n = self.x_train.rows();
+        // K* gathered column-wise (n×m): component-major is exactly the
+        // layout the multi-RHS forward solve wants.
+        let mut kstar = Matrix::zeros(n, m);
+        let mut means = Vec::with_capacity(m);
+        for q in 0..m {
+            let k_star: Vec<f64> = self
+                .cross(queries.row(q))
+                .into_iter()
+                .map(|v| v * self.signal_variance)
+                .collect();
+            means.push(self.y_mean + vector::dot(&k_star, &self.alpha));
+            for (i, v) in k_star.into_iter().enumerate() {
+                kstar[(i, q)] = v;
+            }
+        }
+        let v = self
+            .chol
+            .solve_lower_columns(&kstar)
+            .map_err(Error::Numerical)?;
+        // Column dots in row-major storage: transpose once so each query's
+        // `vᵀv` is the same contiguous `vector::dot` fold `predict` runs.
+        let vt = v.transpose();
+        let mut variances = Vec::with_capacity(m);
+        for q in 0..m {
+            let query = queries.row(q);
+            let prior = self.signal_variance * self.kernel.eval(query, query);
+            let vq = vt.row(q);
+            variances.push((prior - vector::dot(vq, vq)).max(0.0));
+        }
+        Ok((means, variances))
+    }
+}
+
+// Shared test inputs, not part of the frozen copies.
 
 /// `BoSearcher`'s and `ThompsonSearcher`'s fit options.
 pub const BO_FIT: FitOptions = FitOptions {

@@ -101,19 +101,13 @@ impl Spiked {
     /// diagonal. Rung 0 reaches `1e-6` of noise plus `0.1` of jitter, rung
     /// 1 reaches `1e-4 + 0.1`.
     const SPIKE: f64 = 100_051.0;
-
-    fn at(&self, d2: f64) -> f64 {
-        if d2 > 0.0 && d2 < 1e-12 {
-            Self::SPIKE
-        } else {
-            self.0.eval_squared_distance(d2).unwrap()
-        }
-    }
 }
 
 impl Kernel for Spiked {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.at(vector::squared_distance(a, b))
+        let mut k = [0.0];
+        self.eval_squared_distances(&[vector::squared_distance(a, b)], &mut k);
+        k[0]
     }
 
     fn length_scale(&self) -> f64 {
@@ -124,8 +118,14 @@ impl Kernel for Spiked {
         Arc::new(Spiked(Matern52::new(length_scale)))
     }
 
-    fn eval_squared_distance(&self, d2: f64) -> Option<f64> {
-        Some(self.at(d2))
+    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]) -> bool {
+        assert!(self.0.eval_squared_distances(d2, out));
+        for (k, &d2) in out.iter_mut().zip(d2) {
+            if d2 > 0.0 && d2 < 1e-12 {
+                *k = Self::SPIKE;
+            }
+        }
+        true
     }
 }
 

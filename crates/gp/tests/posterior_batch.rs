@@ -1,17 +1,21 @@
 //! `GpRegressor::posterior_batch` is per-point `predict`, bit-for-bit.
 //!
-//! The batched path exists purely for memory-traffic reasons (one
-//! multi-RHS triangular solve per candidate block); any observable
-//! divergence from the per-point path would leak into acquisition scores
-//! and break the workspace's golden traces. These tests pin bit-equality
-//! across block sizes, kernels and training-set sizes that straddle the
-//! blocked solver's panel width.
+//! The batched path exists purely for memory-traffic reasons (the
+//! cross-covariances built a training row at a time, one multi-RHS
+//! triangular solve per candidate block); any observable divergence from
+//! the per-point path would leak into acquisition scores and break the
+//! workspace's golden traces. These tests pin bit-equality across block
+//! sizes, kernels and training-set sizes, the sweeps' fit shapes among
+//! them, and pin `predict_joint`, which shares the cross-covariance
+//! builder, to `predict` as well.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
 use std::sync::Arc;
 
-use hyperpower_gp::{GpRegressor, Kernel, Matern52, SquaredExponential};
+use hyperpower_gp::{
+    fit_gp_hyperparams_laddered, FitOptions, GpRegressor, Kernel, Matern52, SquaredExponential,
+};
 use hyperpower_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -68,6 +72,56 @@ fn batch_equals_pointwise_across_kernels_and_panel_straddling_sizes() {
             let mut rng = StdRng::seed_from_u64(0xBA7C_0200 + seed);
             let queries = Matrix::from_fn(13, 2, |_, _| rng.random_range(-0.2..1.2));
             assert_batch_matches_pointwise(&gp, &queries);
+        }
+    }
+}
+
+#[test]
+fn batch_and_joint_equal_pointwise_at_the_sweeps_fit_shapes() {
+    // `paper_sweep` fits about 21 rows of 6 dimensions and `batch_sweep`
+    // up to 76 rows of 13, with the searchers' fit options; candidates are
+    // scored in blocks of 64, the last block of a grid shorter.
+    let options = FitOptions {
+        restarts: 2,
+        max_evals_per_restart: 80,
+        min_noise_variance: 1e-6,
+    };
+    for n in [1usize, 3, 21, 76] {
+        for d in [6usize, 13] {
+            let mut rng = StdRng::seed_from_u64(0xBA7C_0600 + (n * 100 + d) as u64);
+            let x = Matrix::from_fn(n, d, |_, _| rng.random_range(0.0..1.0));
+            let y: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
+            let kernel = Matern52::new(0.5).into_kernel();
+            let gp = fit_gp_hyperparams_laddered(kernel, &x, &y, options, 2)
+                .expect("synthetic fit")
+                .fitted
+                .gp;
+            // Every third query repeats a training row.
+            let queries = Matrix::from_fn(64, d, |q, c| {
+                if q % 3 == 0 {
+                    x[((q / 3) % n, c)]
+                } else {
+                    rng.random_range(0.0..1.0)
+                }
+            });
+            let order: Vec<usize> = (0..queries.rows()).collect();
+            for block in [1, 7, 64] {
+                for rows in order.chunks(block) {
+                    let b = Matrix::from_fn(rows.len(), d, |r, c| queries[(rows[r], c)]);
+                    assert_batch_matches_pointwise(&gp, &b);
+                    let (means, cov) = gp.predict_joint(&b).expect("joint posterior");
+                    for (r, &q) in rows.iter().enumerate() {
+                        let p = gp.predict(queries.row(q)).expect("pointwise posterior");
+                        let what = format!("n={n} d={d} block={block} query {q}");
+                        assert_eq!(means[r].to_bits(), p.mean.to_bits(), "{what}: mean");
+                        assert_eq!(
+                            cov[(r, r)].max(0.0).to_bits(),
+                            p.variance.to_bits(),
+                            "{what}: variance"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -19,43 +19,104 @@ fn training_set() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
     })
 }
 
-/// Two points of a shared dimension between 1 and 13 (the searchers'
-/// spaces have up to 13).
-fn point_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+/// A point and rows of its dimension, between 1 and 13 (the searchers'
+/// spaces have up to 13): the point itself (d² = 0), nearby rows, and rows
+/// far away in every coordinate, where both kernels' `exp` underflows to
+/// zero at every length scale in 1e-3–1e3. Also returns the index of the
+/// first far row.
+fn point_and_rows() -> impl Strategy<Value = (Vec<f64>, Matrix, usize)> {
     (1usize..=13).prop_flat_map(|d| {
         (
             proptest::collection::vec(-5.0f64..5.0, d),
-            proptest::collection::vec(-5.0f64..5.0, d),
+            proptest::collection::vec(-5.0f64..5.0, d..=8 * d),
+            proptest::collection::vec(1e6f64..1e8, 1..=3),
         )
+            .prop_map(move |(point, near, far)| {
+                let mut rows = point.clone();
+                rows.extend(near.chunks_exact(d).flatten());
+                let first_far = rows.len() / d;
+                for offset in &far {
+                    rows.extend(point.iter().map(|v| v + offset));
+                }
+                let n = rows.len() / d;
+                let rows = Matrix::from_vec(n, d, rows).expect("n rows");
+                (point, rows, first_far)
+            })
     })
 }
 
 proptest! {
     #[test]
-    fn distance_form_matches_eval_bit_for_bit(
-        (a, b) in point_pair(),
+    fn row_hook_matches_eval_bit_for_bit(
+        (point, rows, first_far) in point_and_rows(),
         log10_length_scale in -3.0f64..=3.0,
     ) {
-        // The fit builds covariances from `eval_squared_distance` of a
-        // tabled `squared_distance`; it must be `eval` to the bit, at
-        // d² = 0 too.
+        // Every covariance the GP builds goes through the row hook. Each
+        // value must be `eval` to the bit, at d² = 0 and past underflow
+        // too, and it must be the formula as written out here.
         let length_scale = 10f64.powf(log10_length_scale);
+        let d2: Vec<f64> = (0..rows.rows())
+            .map(|j| vector::squared_distance(&point, rows.row(j)))
+            .collect();
+        let matern: Vec<f64> = d2
+            .iter()
+            .map(|d2| {
+                let s = 5.0f64.sqrt() * d2.sqrt() / length_scale;
+                (1.0 + s + s * s / 3.0) * (-s).exp()
+            })
+            .collect();
+        let se: Vec<f64> = d2
+            .iter()
+            .map(|d2| (-d2 / (2.0 * length_scale * length_scale)).exp())
+            .collect();
+        for (kernel, formula) in [
+            (Matern52::new(length_scale).into_kernel(), matern),
+            (SquaredExponential::new(length_scale).into_kernel(), se),
+        ] {
+            let mut row = vec![f64::NAN; d2.len()];
+            prop_assert!(kernel.eval_squared_distances(&d2, &mut row));
+            for (j, k) in row.iter().enumerate() {
+                let eval = kernel.eval(&point, rows.row(j));
+                prop_assert_eq!(k.to_bits(), eval.to_bits(), "{:?} at ℓ = {}, row {}", kernel, length_scale, j);
+                prop_assert_eq!(k.to_bits(), formula[j].to_bits(), "{:?} at ℓ = {}, row {}", kernel, length_scale, j);
+            }
+            prop_assert_eq!(row[0], 1.0);
+            prop_assert!(row[first_far..].iter().all(|k| *k == 0.0), "{:?}: no underflow", kernel);
+        }
+        // Per-dimension length scales need the rows: no distance form, and
+        // the row is left alone.
+        let ard = Matern52Ard::isotropic(length_scale, point.len()).unwrap();
+        let mut row = vec![f64::NAN; d2.len()];
+        prop_assert!(!ard.eval_squared_distances(&d2, &mut row));
+        prop_assert!(row.iter().all(|k| k.is_nan()));
+    }
+
+    #[test]
+    fn matrix_and_cross_match_eval_bit_for_bit(
+        (point, rows, _first_far) in point_and_rows(),
+        log10_length_scale in -3.0f64..=3.0,
+    ) {
+        // The provided `matrix` and `cross` evaluate through the row hook,
+        // or through `eval` for a kernel without a distance form.
+        let length_scale = 10f64.powf(log10_length_scale);
+        let scales: Vec<f64> = (0..point.len())
+            .map(|c| length_scale * (1.0 + c as f64))
+            .collect();
         for kernel in [
             Matern52::new(length_scale).into_kernel(),
             SquaredExponential::new(length_scale).into_kernel(),
+            Matern52Ard::try_new(scales).unwrap().into_kernel(),
         ] {
-            for (p, q) in [(&a, &b), (&a, &a)] {
-                let from_distance = kernel.eval_squared_distance(vector::squared_distance(p, q));
-                prop_assert_eq!(
-                    from_distance.map(f64::to_bits),
-                    Some(kernel.eval(p, q).to_bits()),
-                    "{:?} at length scale {}", kernel, length_scale
-                );
+            let cross = kernel.cross(&point, &rows);
+            let k = kernel.matrix(&rows);
+            for i in 0..rows.rows() {
+                prop_assert_eq!(cross[i].to_bits(), kernel.eval(&point, rows.row(i)).to_bits());
+                for j in 0..rows.rows() {
+                    let eval = kernel.eval(rows.row(i), rows.row(j));
+                    prop_assert_eq!(k[(i, j)].to_bits(), eval.to_bits(), "{:?} at ({}, {})", kernel, i, j);
+                }
             }
         }
-        // Per-dimension length scales need the rows: no distance form.
-        let ard = Matern52Ard::isotropic(length_scale, a.len()).unwrap();
-        prop_assert_eq!(ard.eval_squared_distance(vector::squared_distance(&a, &b)), None);
     }
 
     #[test]
