@@ -22,9 +22,9 @@ use std::path::PathBuf;
 use hyperpower::driver::RunSetup;
 use hyperpower::golden::encode_trace;
 use hyperpower::{
-    run_optimization_with, Budget, Budgets, DriftConfig, EarlyTermination, Error, EvaluationResult,
-    ExecutorOptions, Method, Mode, Objective, RetryPolicy, SearchSpace, StoreDefect, StudySpec,
-    TellOutcome, Trace,
+    run_optimization_with, Budget, Budgets, ConstraintOracle, DriftConfig, EarlyTermination, Error,
+    EvaluationResult, ExecutorOptions, Method, Mode, Objective, RetryPolicy, Scenario, SearchSpace,
+    Session, StoreDefect, StudySpec, TellOutcome, Trace,
 };
 use hyperpower_gpu_sim::{DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
 use hyperpower_server::{
@@ -492,6 +492,100 @@ fn kill_and_resume_is_byte_exact_even_with_torn_tail_and_stale_tmp() {
         !snapshot_path.with_extension("tmp").exists(),
         "recovery sweeps the stale snapshot temp"
     );
+}
+
+/// A HW-CWEI study as `hyperpower serve` hosts one: HyperPower mode with
+/// the session's fitted constraint oracle.
+fn bo_setup(oracle: &ConstraintOracle, budget: Budget) -> StudySetup {
+    StudySetup {
+        oracle: Some(oracle.clone()),
+        spec: StudySpec {
+            method: Method::HwCwei,
+            ..spec(SEED, budget, FaultProfile::none())
+        },
+        ..setup(SEED, budget, 1)
+    }
+}
+
+/// A BO searcher carries state from one ask to the next, and the journal
+/// persists none of it: recovery rebuilds it by re-driving every ask. The
+/// crash lands after 12 of 24 tells, once with journaled records past the
+/// last snapshot and once right after a snapshot.
+#[test]
+fn killed_bo_study_recovers_byte_exact() {
+    let session = Session::new(Scenario::mnist_gtx1070(), SEED).expect("session");
+    let oracle = session.oracle();
+    let budget = Budget::Evaluations(24);
+    let space = SearchSpace::mnist();
+    let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), SEED);
+    let reference = run_optimization_with(
+        RunSetup {
+            space: &space,
+            objective: &SyntheticObjective,
+            gpu: &mut gpu,
+            budgets: Budgets::default(),
+            oracle: Some(oracle),
+            early_termination: Some(EarlyTermination::default()),
+            cost: TrainingCostModel::default(),
+            method: Method::HwCwei,
+            mode: Mode::HyperPower,
+            budget,
+            seed: SEED,
+            searcher_override: None,
+        },
+        &ExecutorOptions::default(),
+    )
+    .expect("reference run");
+    let expected = encode_trace(&reference);
+
+    let default_cadence = ServerConfig::default().snapshot_every_commits;
+    for snapshot_every_commits in [default_cadence, 6] {
+        let root = scratch_root(&format!("bo-kill-s{snapshot_every_commits}"));
+        let config = ServerConfig {
+            root: root.clone(),
+            snapshot_every_commits,
+            ..ServerConfig::default()
+        };
+        let mut server = StudyServer::new(config.clone()).expect("server");
+        server
+            .create_study("bo", bo_setup(oracle, budget))
+            .expect("create");
+        let mut now = 0.0;
+        let mut tells = 0;
+        while tells < 12 {
+            now += 60.0;
+            for c in server.ask("bo", 1, now).expect("ask") {
+                server.tell("bo", c.lease_id, &eval(&c)).expect("tell");
+                tells += 1;
+            }
+        }
+        assert_eq!(server.committed("bo").expect("committed"), 12);
+        drop(server);
+
+        let (journal_path, _) = hyperpower_server::journal::study_paths(&root, "bo");
+        let journal = std::fs::read_to_string(&journal_path).expect("journal");
+        assert_eq!(
+            journal.lines().count() == 1,
+            12 % snapshot_every_commits == 0,
+            "cadence {snapshot_every_commits}: the journal holds records past the \
+             last snapshot exactly when the crash does not follow one"
+        );
+
+        let mut server = StudyServer::new(config).expect("server 2");
+        let recovered = server
+            .open_study("bo", bo_setup(oracle, budget))
+            .expect("open");
+        assert_eq!(recovered, 12, "cadence {snapshot_every_commits}");
+        drive(&mut server, "bo", 1);
+        assert_eq!(
+            expected,
+            encode_trace(&server.trace("bo").expect("trace")),
+            "cadence {snapshot_every_commits}: recovered trace diverged"
+        );
+        drop(server);
+        let report = fsck_store(&root, false).expect("fsck scan");
+        assert!(report.clean(), "cadence {snapshot_every_commits}: {report}");
+    }
 }
 
 #[test]

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hyperpower::driver::RunSetup;
 use hyperpower::golden::{diff_text, encode_trace, parse};
-use hyperpower::methods::History;
+use hyperpower::methods::{BoSearcher, ConstraintWeighting, History};
 use hyperpower::recovery::LIAR_ERROR;
 use hyperpower::space::Decoded;
 use hyperpower::{
@@ -463,15 +463,28 @@ fn exhausted_retries_quarantine_the_configuration() {
 /// uninterrupted run. `resume_workers`/`gpus` prove resume is free to pick
 /// a different thread count and honours the virtual schedule.
 fn kill_and_resume_case(name: &str, panic_after: usize, resume_workers: usize, gpus: usize) {
+    kill_and_resume_with(name, 10, panic_after, resume_workers, gpus, || None);
+}
+
+/// [`kill_and_resume_case`] over `evals` evaluations, with every run's
+/// searcher built by `searcher` (`None` is the spec's Rand).
+fn kill_and_resume_with(
+    name: &str,
+    evals: usize,
+    panic_after: usize,
+    resume_workers: usize,
+    gpus: usize,
+    searcher: impl Fn() -> Option<Box<dyn Searcher>>,
+) {
     let profile = FaultProfile::flaky_sensor();
-    let budget = Budget::Evaluations(10);
+    let budget = Budget::Evaluations(evals);
     let options = ExecutorOptions::default()
         .with_fault_profile(profile.clone())
         .with_simulated_gpus(gpus);
 
     // Reference: uninterrupted run.
     let reference = encode_trace(
-        &run_stub(&StubObjective::new(), budget, &options, None).expect("uninterrupted run"),
+        &run_stub(&StubObjective::new(), budget, &options, searcher()).expect("uninterrupted run"),
     );
 
     // Interrupted run: crash mid-flight, leaving a checkpoint behind.
@@ -484,7 +497,7 @@ fn kill_and_resume_case(name: &str, panic_after: usize, resume_workers: usize, g
         &options
             .clone()
             .with_checkpoint(CheckpointConfig::every_commit(ckpt.clone())),
-        None,
+        searcher(),
     )
     .expect_err("chaos objective must kill the run");
     assert!(matches!(err, Error::WorkerPanic { .. }), "got: {err}");
@@ -492,7 +505,7 @@ fn kill_and_resume_case(name: &str, panic_after: usize, resume_workers: usize, g
 
     // Resume: committed results replay from the cache; only the remainder
     // re-evaluates. The fresh-call allowance proves the cache is used.
-    let fresh_calls_needed = 10 - panic_after.min(10);
+    let fresh_calls_needed = evals - panic_after.min(evals);
     let resumed_objective = ChaosObjective::new(fresh_calls_needed + gpus);
     let resumed = run_stub(
         &resumed_objective,
@@ -501,7 +514,7 @@ fn kill_and_resume_case(name: &str, panic_after: usize, resume_workers: usize, g
             .clone()
             .with_workers(resume_workers)
             .with_resume_from(ckpt.clone()),
-        None,
+        searcher(),
     )
     .expect("resumed run");
     assert_eq!(
@@ -520,6 +533,24 @@ fn killed_run_resumes_bit_identically_single_gpu() {
 fn killed_run_resumes_bit_identically_multi_gpu_and_more_workers() {
     for gpus in [2usize, 4] {
         kill_and_resume_case(&format!("kill_multi_g{gpus}.ckpt"), 5, 4, gpus);
+    }
+}
+
+/// A BO searcher carries state from one proposal to the next. A resume
+/// rebuilds it by re-proposing over the cached evaluations, so the resumed
+/// trace must still be byte-identical, with one GPU and with four (where
+/// proposals condition on constant-liar pending points).
+#[test]
+fn killed_bo_run_resumes_bit_identically() {
+    for (gpus, resume_workers) in [(1usize, 1usize), (4, 4)] {
+        kill_and_resume_with(
+            &format!("kill_bo_g{gpus}.ckpt"),
+            14,
+            8,
+            resume_workers,
+            gpus,
+            || Some(Box::new(BoSearcher::new(ConstraintWeighting::None, None))),
+        );
     }
 }
 

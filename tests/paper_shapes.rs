@@ -129,6 +129,42 @@ fn hyperpower_rand_dominates_default_on_cifar_gtx() {
     );
 }
 
+/// Table 2 shape for the BO methods on the headline pair (CIFAR-10, GTX
+/// 1070): over the table's five paired 5 h runs, HW-CWEI and HW-IECI in
+/// HyperPower mode beat their Default runs on mean best feasible error. A
+/// run that finds no feasible design counts at chance error, as in the
+/// table.
+#[test]
+fn hyperpower_bo_beats_default_on_cifar_gtx() {
+    let scenario = Scenario::cifar10_gtx1070();
+    let chance = scenario.dataset.chance_error;
+    // The session seeds of the two cells in `tab2to5_main_results`.
+    for (method, session_seed) in [(Method::HwCwei, 13u64), (Method::HwIeci, 14)] {
+        let mut session = Session::new(scenario.clone(), session_seed).expect("session");
+        let mut default_best = Vec::new();
+        let mut hyper_best = Vec::new();
+        for run in 0..5u64 {
+            let seed = session_seed * 1000 + run;
+            for (mode, best) in [
+                (Mode::Default, &mut default_best),
+                (Mode::HyperPower, &mut hyper_best),
+            ] {
+                let trace = session
+                    .run_seeded(method, mode, Budget::VirtualHours(5.0), seed)
+                    .expect("run");
+                best.push(trace.best_feasible().map_or(chance, |b| b.error));
+            }
+        }
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        assert!(
+            mean(&hyper_best) < mean(&default_best),
+            "{method}: HyperPower {:.3} vs Default {:.3}",
+            mean(&hyper_best),
+            mean(&default_best)
+        );
+    }
+}
+
 /// Figure 6 shape: with the enhancements on, a method reaches its first
 /// feasible design much earlier in wall-clock time.
 #[test]
