@@ -14,7 +14,7 @@
 //! columns, a whole column of the factor, panels of a solve), which is
 //! invisible to IEEE-754 arithmetic. The frozen naive kernels live on as
 //! test oracles in `tests/reference_kernels.rs`, which property-tests
-//! bit-exactness of every kernel here against them; the 18 golden traces at
+//! bit-exactness of every kernel here against them; the 19 golden traces at
 //! the workspace root pin the same contract end-to-end.
 //!
 //! Legal moves when extending this module (see DESIGN.md §2a):

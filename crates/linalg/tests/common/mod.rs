@@ -4,7 +4,7 @@
 //!
 //! These are the oracles of the accumulation-order contract (DESIGN.md
 //! §2a): the blocked kernels in `hyperpower_linalg::block` must reproduce
-//! their outputs *bit-for-bit*, because the 18 golden traces at the
+//! their outputs *bit-for-bit*, because the 19 golden traces at the
 //! workspace root pin every downstream f64 the GP loop emits. Do not
 //! "improve" these loops — their whole value is that they never change.
 

@@ -186,6 +186,14 @@ fn golden_hwieci_hours() {
     check("hwieci_hours", Method::HwIeci, HOURS);
 }
 
+/// Thirty evaluations: 27 consecutive BO rounds, each refitting the GP
+/// surrogate on a history one sample longer, where the five-evaluation
+/// fixtures pin two.
+#[test]
+fn golden_hwieci_evals30() {
+    check("hwieci_evals30", Method::HwIeci, Budget::Evaluations(30));
+}
+
 // Fault-injected fixtures: the flaky-sensor profile pins the whole
 // recovery machinery — glitch re-measurements, retries with seeded
 // backoff, and terminal failures with their liar commits — bit-for-bit.
