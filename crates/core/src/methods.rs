@@ -18,7 +18,7 @@ use hyperpower_gp::acquisition::{
     expected_improvement_at, lower_confidence_bound_at, probability_of_improvement_at,
 };
 use hyperpower_gp::sampler::uniform_candidates;
-use hyperpower_gp::{fit_gp_hyperparams_laddered, FitOptions, FittedGp, Matern52, Prediction};
+use hyperpower_gp::{fit_gp_hyperparams_laddered_from, FitOptions, FittedGp, Matern52, Prediction};
 use hyperpower_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -287,11 +287,17 @@ enum Surrogate {
 /// Fits the Matérn-5/2 surrogate to the finite observations of `history`
 /// (a NaN error from a diverged run carries no ranking information), and
 /// logs a climbed jitter ladder or a failed fit in `degradations`.
+///
+/// `warm_start` holds the log-space hyper-parameters of the searcher's
+/// last successful fit. The hyper-parameter search starts there (a cold
+/// search when it is `None`), and a successful fit replaces it with its
+/// own. A failed ladder or a too-short history leaves it unchanged.
 fn fit_surrogate(
     history: &History,
     d: usize,
     min_observations: usize,
     fit_options: FitOptions,
+    warm_start: &mut Option<[f64; 3]>,
     degradations: &mut Vec<DegradationEvent>,
 ) -> Result<Surrogate> {
     let mut data = Vec::with_capacity(history.len() * d);
@@ -308,12 +314,25 @@ fn fit_surrogate(
     }
     let x = Matrix::from_vec(y.len(), d, data).map_err(Error::Numerical)?;
     let kernel = Matern52::new(0.5).into_kernel();
-    match fit_gp_hyperparams_laddered(kernel, &x, &y, fit_options, MAX_JITTER_RUNGS) {
+    match fit_gp_hyperparams_laddered_from(
+        kernel,
+        &x,
+        &y,
+        fit_options,
+        MAX_JITTER_RUNGS,
+        *warm_start,
+    ) {
         Ok(laddered) => {
             if laddered.rungs > 0 {
                 let rung = laddered.rungs;
                 degradations.push(DegradationEvent::JitterEscalated { rung });
             }
+            let fitted = &laddered.fitted;
+            *warm_start = Some([
+                fitted.length_scale.ln(),
+                fitted.signal_variance.ln(),
+                fitted.noise_variance.ln(),
+            ]);
             Ok(Surrogate::Fitted(Box::new(laddered.fitted)))
         }
         Err(_) => {
@@ -490,6 +509,13 @@ pub enum BaseAcquisition {
 /// Gaussian-process Bayesian optimization with a constraint-weighted
 /// Expected Improvement acquisition, maximised over a random candidate
 /// grid (as Spearmint does).
+///
+/// Like Spearmint, the searcher carries its GP hyper-parameters from one
+/// round to the next. A run's first surrogate fit is a cold search, and
+/// every later fit starts at the previous successful fit's optimum,
+/// constant-liar fits included. That state is a pure function of the
+/// proposals already made, so a resumed or replayed run rebuilds it by
+/// re-proposing.
 #[derive(Debug, Clone)]
 pub struct BoSearcher {
     weighting: ConstraintWeighting,
@@ -502,8 +528,11 @@ pub struct BoSearcher {
     /// proposals.
     pub min_observations: usize,
     /// Surrogate-fit options; the noise floor is the base of the jitter
-    /// ladder.
+    /// ladder, and `restarts` counts the restarts of the first, cold fit.
     pub fit_options: FitOptions,
+    /// The last successful fit's log-space hyper-parameters, where the
+    /// next fit starts.
+    warm_start: Option<[f64; 3]>,
     degradations: Vec<DegradationEvent>,
 }
 
@@ -544,6 +573,7 @@ impl BoSearcher {
                 max_evals_per_restart: 80,
                 min_noise_variance: 1e-6,
             },
+            warm_start: None,
             degradations: Vec::new(),
         }
     }
@@ -607,6 +637,7 @@ impl Searcher for BoSearcher {
             d,
             self.min_observations,
             self.fit_options,
+            &mut self.warm_start,
             &mut self.degradations,
         )? {
             Surrogate::Fitted(fitted) => *fitted,
@@ -807,6 +838,7 @@ impl Searcher for BoSearcher {
 /// emerges from posterior uncertainty; there is no explicit trade-off
 /// parameter. Constraints are handled HW-IECI-style: predicted-infeasible
 /// candidates are excluded from the argmin (and from the seed proposals).
+/// Hyper-parameter fits are warm-started as [`BoSearcher`]'s are.
 #[derive(Debug, Clone)]
 pub struct ThompsonSearcher {
     oracle: Option<ConstraintOracle>,
@@ -817,8 +849,11 @@ pub struct ThompsonSearcher {
     /// proposals.
     pub min_observations: usize,
     /// Surrogate-fit options; the noise floor is the base of the jitter
-    /// ladder.
+    /// ladder, and `restarts` counts the restarts of the first, cold fit.
     pub fit_options: FitOptions,
+    /// The last successful fit's log-space hyper-parameters, where the
+    /// next fit starts.
+    warm_start: Option<[f64; 3]>,
     degradations: Vec<DegradationEvent>,
 }
 
@@ -835,6 +870,7 @@ impl ThompsonSearcher {
                 max_evals_per_restart: 80,
                 min_noise_variance: 1e-6,
             },
+            warm_start: None,
             degradations: Vec::new(),
         }
     }
@@ -869,6 +905,7 @@ impl Searcher for ThompsonSearcher {
             d,
             self.min_observations,
             self.fit_options,
+            &mut self.warm_start,
             &mut self.degradations,
         )? {
             Surrogate::Fitted(fitted) => *fitted,
@@ -1399,6 +1436,135 @@ mod tests {
             t.drain_degradations(),
             vec![DegradationEvent::RandWalkFallback]
         );
+    }
+
+    /// Ten observations along the unit diagonal with a minimum at 0.7.
+    fn diagonal_points() -> Vec<(Vec<f64>, f64)> {
+        (0..10)
+            .map(|i| {
+                let u = i as f64 / 9.0;
+                (vec![u, 1.0 - u, u * u, 0.5, u, 0.3], (u - 0.7).abs() + 0.05)
+            })
+            .collect()
+    }
+
+    /// A fit's hyper-parameters in log space, as a searcher keeps them.
+    fn log_params(fitted: &FittedGp) -> [u64; 3] {
+        [
+            fitted.length_scale.ln(),
+            fitted.signal_variance.ln(),
+            fitted.noise_variance.ln(),
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The laddered fit a searcher with fit options `options` makes on
+    /// `points`, started at `start`.
+    fn surrogate_fit(
+        points: &[(Vec<f64>, f64)],
+        options: FitOptions,
+        start: Option<[f64; 3]>,
+    ) -> FittedGp {
+        let x = Matrix::from_vec(
+            points.len(),
+            6,
+            points.iter().flat_map(|(u, _)| u.clone()).collect(),
+        )
+        .unwrap();
+        let y: Vec<f64> = points.iter().map(|(_, e)| *e).collect();
+        hyperpower_gp::fit_gp_hyperparams_laddered_from(
+            Matern52::new(0.5).into_kernel(),
+            &x,
+            &y,
+            options,
+            MAX_JITTER_RUNGS,
+            start,
+        )
+        .unwrap()
+        .fitted
+    }
+
+    #[test]
+    fn each_fit_starts_at_the_previous_fits_optimum() {
+        let space = SearchSpace::mnist();
+        let points = diagonal_points();
+        let mut s = BoSearcher::new(ConstraintWeighting::None, None);
+        let mut t = ThompsonSearcher::new(None);
+        let mut previous: Option<[f64; 3]> = None;
+        for n in 4..=points.len() {
+            let h = history_from(&points[..n]);
+            s.propose(&space, &h, &mut rng()).unwrap();
+            t.propose(&space, &h, &mut rng()).unwrap();
+            let fitted = surrogate_fit(&points[..n], s.fit_options, previous);
+            if previous.is_none() {
+                // A run's first fit is the cold search.
+                let x = Matrix::from_vec(
+                    n,
+                    6,
+                    points[..n].iter().flat_map(|(u, _)| u.clone()).collect(),
+                )
+                .unwrap();
+                let y: Vec<f64> = points[..n].iter().map(|(_, e)| *e).collect();
+                let cold = hyperpower_gp::fit_gp_hyperparams_laddered(
+                    Matern52::new(0.5).into_kernel(),
+                    &x,
+                    &y,
+                    s.fit_options,
+                    MAX_JITTER_RUNGS,
+                )
+                .unwrap();
+                assert_eq!(log_params(&cold.fitted), log_params(&fitted));
+            }
+            let expected = log_params(&fitted);
+            assert_eq!(s.warm_start.map(|p| p.map(f64::to_bits)), Some(expected));
+            assert_eq!(t.warm_start.map(|p| p.map(f64::to_bits)), Some(expected));
+            previous = s.warm_start;
+        }
+    }
+
+    #[test]
+    fn constant_liar_fits_update_the_warm_start() {
+        let space = SearchSpace::mnist();
+        let points = diagonal_points();
+        let h = history_from(&points[..6]);
+        let pending = Config::new(vec![0.33; 6]).unwrap();
+        let mut s = BoSearcher::new(ConstraintWeighting::None, None);
+        s.propose_with_pending(&space, &h, std::slice::from_ref(&pending), &mut rng())
+            .unwrap();
+        // The fit ran on the history plus the pending point at the liar
+        // value, the incumbent's error.
+        let mut augmented = points[..6].to_vec();
+        augmented.push((pending.unit().to_vec(), h.best().unwrap().error));
+        let fitted = surrogate_fit(&augmented, s.fit_options, None);
+        assert_eq!(
+            s.warm_start.map(|p| p.map(f64::to_bits)),
+            Some(log_params(&fitted))
+        );
+    }
+
+    #[test]
+    fn failed_and_skipped_fits_keep_the_warm_start() {
+        let space = SearchSpace::mnist();
+        let points = diagonal_points();
+        let mut s = BoSearcher::new(ConstraintWeighting::None, None);
+        s.propose(&space, &history_from(&points[..5]), &mut rng())
+            .unwrap();
+        let kept = s.warm_start;
+        assert!(kept.is_some());
+        // Too few finite observations: no fit.
+        let mut sparse = history_from(&points[..2]);
+        sparse.push(Config::new(vec![0.9; 6]).unwrap(), f64::NAN);
+        s.propose(&space, &sparse, &mut rng()).unwrap();
+        assert_eq!(s.warm_start, kept);
+        // Every jitter rung fails: the Rand-Walk fallback.
+        s.fit_options.min_noise_variance = f64::NAN;
+        s.propose(&space, &history_from(&points[..7]), &mut rng())
+            .unwrap();
+        assert_eq!(
+            s.drain_degradations(),
+            vec![DegradationEvent::RandWalkFallback]
+        );
+        assert_eq!(s.warm_start, kept);
     }
 
     #[test]

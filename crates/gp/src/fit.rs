@@ -10,7 +10,10 @@ use crate::{Error, GpRegressor, Kernel, Result};
 /// Options for [`fit_gp_hyperparams`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitOptions {
-    /// Number of Nelder–Mead restarts from different initial points.
+    /// Number of Nelder–Mead restarts of a cold search, from different
+    /// initial points. A warm-started fit (see
+    /// [`fit_gp_hyperparams_laddered_from`]) runs one restart instead, and
+    /// these only if that restart finds no finite likelihood.
     pub restarts: usize,
     /// Objective-evaluation budget per restart.
     pub max_evals_per_restart: usize,
@@ -51,9 +54,11 @@ pub struct FittedGp {
 /// (it slice-samples; we optimise — the paper's behaviour only depends on
 /// the surrogate being refit to the data each round, per Figure 2 step 3).
 ///
-/// The search is seeded at data-driven heuristics (median pairwise distance
-/// for the length scale, target variance for the signal variance) plus
-/// perturbed restarts, so it is deterministic for a given dataset.
+/// This is a cold search: it is seeded at data-driven heuristics (median
+/// pairwise distance for the length scale, target variance for the signal
+/// variance) plus perturbed restarts, so it is deterministic for a given
+/// dataset. [`fit_gp_hyperparams_laddered_from`] can instead start the
+/// search at a previous fit's optimum.
 ///
 /// The rows' pairwise squared distances are computed once per fit. Each
 /// trial fills its covariance's lower triangle a row at a time: kernels
@@ -83,7 +88,7 @@ pub fn fit_gp_hyperparams(
 ) -> Result<FittedGp> {
     let table = FitTable::new(x, y);
     let mut ws = TrialWorkspace::new(&table);
-    fit_with_table(&base_kernel, &table, &mut ws, options)
+    fit_with_table(&base_kernel, &table, &mut ws, options, None)
 }
 
 /// What every trial of one fit shares, computed once per fit.
@@ -208,11 +213,15 @@ impl<'a> FitTable<'a> {
     }
 }
 
+/// One rung's fit. With a log-space `start`, the search is one restart
+/// from it, and the cold search runs only if that restart finds no finite
+/// likelihood; without one, the search is the cold search.
 fn fit_with_table(
     base_kernel: &Arc<dyn Kernel>,
     table: &FitTable<'_>,
     ws: &mut TrialWorkspace,
     options: FitOptions,
+    start: Option<[f64; 3]>,
 ) -> Result<FittedGp> {
     // A non-finite noise floor would otherwise be silently ignored by
     // `f64::max` (NaN loses); reject it up front so callers poking the
@@ -257,11 +266,22 @@ fn fit_with_table(
 
     let floor = options.min_noise_variance;
     let mut objective = |p: &[f64]| table.objective(ws, &**base_kernel, y_centered, floor, p);
+    let search = NelderMeadOptions {
+        max_evals: options.max_evals_per_restart,
+        ..Default::default()
+    };
+    let best = start
+        .and_then(|start| best_restart(&mut objective, [start], search))
+        .or_else(|| best_restart(&mut objective, cold_starts(init, options.restarts), search));
+    // If every cold restart diverged too, fall back to the heuristic seed.
+    refit(best.as_deref().unwrap_or(&init))
+}
 
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for restart in 0..options.restarts.max(1) {
-        // Deterministic perturbations: restart 0 is the heuristic seed,
-        // later restarts are offset in alternating directions.
+/// The cold search's restart points, at least one: restart 0 is the
+/// heuristic seed `init`, later restarts are deterministic offsets from it
+/// in alternating directions.
+fn cold_starts(init: [f64; 3], restarts: usize) -> impl Iterator<Item = [f64; 3]> {
+    (0..restarts.max(1)).map(move |restart| {
         let offset = match restart {
             0 => [0.0, 0.0, 0.0],
             1 => [1.0, 0.5, 1.5],
@@ -271,26 +291,30 @@ fn fit_with_table(
                 [s * 0.7, -s * 0.3, s * 0.9]
             }
         };
-        let start: Vec<f64> = init.iter().zip(&offset).map(|(a, b)| a + b).collect();
-        let result = nelder_mead(
-            &mut objective,
-            &start,
-            NelderMeadOptions {
-                max_evals: options.max_evals_per_restart,
-                ..Default::default()
-            },
-        );
+        [
+            init[0] + offset[0],
+            init[1] + offset[1],
+            init[2] + offset[2],
+        ]
+    })
+}
+
+/// Runs one Nelder–Mead restart from each of `starts` in turn and returns
+/// the point with the lowest objective (the earliest restart's on ties),
+/// or `None` if no restart found a finite one.
+fn best_restart(
+    objective: &mut impl FnMut(&[f64]) -> f64,
+    starts: impl IntoIterator<Item = [f64; 3]>,
+    search: NelderMeadOptions,
+) -> Option<Vec<f64>> {
+    let mut best: Option<(Vec<f64>, f64)> = None;
+    for start in starts {
+        let result = nelder_mead(&mut *objective, &start, search);
         if best.as_ref().is_none_or(|(_, f)| result.f < *f) {
             best = Some((result.x, result.f));
         }
     }
-
-    // `restarts.max(1)` guarantees at least one entry; if every restart
-    // diverged (or none ran), fall back to the heuristic seed.
-    match best {
-        Some((params, best_f)) if best_f.is_finite() => refit(&params),
-        _ => refit(&init),
-    }
+    best.filter(|(_, f)| f.is_finite()).map(|(x, _)| x)
 }
 
 /// A fit that may have climbed the noise-floor ladder before succeeding.
@@ -315,6 +339,9 @@ pub struct LadderedFit {
 /// typed event and stay reproducible. Every rung and every restart shares
 /// one pairwise-distance table and one trial workspace.
 ///
+/// Every rung runs the cold search; this is
+/// [`fit_gp_hyperparams_laddered_from`] without a start.
+///
 /// # Errors
 ///
 /// Returns the last rung's error if every rung fails (e.g. a non-finite
@@ -326,6 +353,30 @@ pub fn fit_gp_hyperparams_laddered(
     options: FitOptions,
     max_rungs: u32,
 ) -> Result<LadderedFit> {
+    fit_gp_hyperparams_laddered_from(base_kernel, x, y, options, max_rungs, None)
+}
+
+/// Like [`fit_gp_hyperparams_laddered`], optionally warm-started at the
+/// log-space hyper-parameters `start = [ln ℓ, ln σ_f², ln σ_n²]`, such as
+/// a previous fit's optimum on a shorter history.
+///
+/// With a start, each rung runs one Nelder–Mead restart from it, under the
+/// same `max_evals_per_restart`. If that restart finds no finite
+/// likelihood, the rung runs the cold search's `restarts` restarts, so a
+/// warm start never fails a rung the cold search would fit. Without a
+/// start, every rung runs the cold search.
+///
+/// # Errors
+///
+/// As [`fit_gp_hyperparams_laddered`].
+pub fn fit_gp_hyperparams_laddered_from(
+    base_kernel: Arc<dyn Kernel>,
+    x: &Matrix,
+    y: &[f64],
+    options: FitOptions,
+    max_rungs: u32,
+    start: Option<[f64; 3]>,
+) -> Result<LadderedFit> {
     let table = FitTable::new(x, y);
     let mut ws = TrialWorkspace::new(&table);
     let mut last: Result<LadderedFit> = Err(Error::NoObservations);
@@ -335,7 +386,7 @@ pub fn fit_gp_hyperparams_laddered(
             min_noise_variance: floor,
             ..options
         };
-        match fit_with_table(&base_kernel, &table, &mut ws, rung_options) {
+        match fit_with_table(&base_kernel, &table, &mut ws, rung_options, start) {
             Ok(fitted) => {
                 return Ok(LadderedFit {
                     fitted,
@@ -476,6 +527,42 @@ mod tests {
         let b = fit_gp_hyperparams(k, &x, &y, FitOptions::default()).unwrap();
         assert_eq!(a.length_scale, b.length_scale);
         assert_eq!(a.noise_variance, b.noise_variance);
+    }
+
+    #[test]
+    fn warm_start_runs_one_restart_from_the_start() {
+        let (x, y) = sine_data(12);
+        let kernel = Matern52::new(1.0).into_kernel();
+        let options = FitOptions {
+            restarts: 2,
+            max_evals_per_restart: 80,
+            min_noise_variance: 1e-6,
+        };
+        let start = [0.4, -0.8, -5.0];
+        let warm =
+            fit_gp_hyperparams_laddered_from(kernel.clone(), &x, &y, options, 2, Some(start))
+                .unwrap();
+        // The expected search: one restart from `start` under the same cap.
+        let table = FitTable::new(&x, &y);
+        let y_centered = table.y_centered.as_deref().unwrap();
+        let mut ws = TrialWorkspace::new(&table);
+        let floor = options.min_noise_variance;
+        let one = nelder_mead(
+            |p: &[f64]| table.objective(&mut ws, &*kernel, y_centered, floor, p),
+            &start,
+            NelderMeadOptions {
+                max_evals: options.max_evals_per_restart,
+                ..Default::default()
+            },
+        );
+        assert!(one.f.is_finite());
+        let f = &warm.fitted;
+        assert_eq!(warm.rungs, 0);
+        assert_eq!(
+            [f.length_scale, f.signal_variance, f.noise_variance].map(f64::to_bits),
+            [one.x[0].exp(), one.x[1].exp(), one.x[2].exp().max(floor)].map(f64::to_bits)
+        );
+        assert_eq!((-f.gp.log_marginal_likelihood()).to_bits(), one.f.to_bits());
     }
 
     #[test]

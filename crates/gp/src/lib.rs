@@ -11,7 +11,8 @@
 //! * [`GpRegressor`] — exact GP regression with Cholesky solves, jitter
 //!   escalation and target normalisation,
 //! * [`fit_gp_hyperparams`] — multi-start Nelder–Mead maximisation of the
-//!   log marginal likelihood,
+//!   log marginal likelihood, or one restart from a previous optimum
+//!   ([`fit_gp_hyperparams_laddered_from`]),
 //! * [`acquisition`] — Expected Improvement (for minimisation) plus the
 //!   probabilistic machinery (`normal_cdf`) the constrained variants need,
 //! * [`sampler`] — uniform and Latin-hypercube candidate generators on the
@@ -49,7 +50,10 @@ mod regressor;
 pub mod sampler;
 
 pub use error::Error;
-pub use fit::{fit_gp_hyperparams, fit_gp_hyperparams_laddered, FitOptions, FittedGp, LadderedFit};
+pub use fit::{
+    fit_gp_hyperparams, fit_gp_hyperparams_laddered, fit_gp_hyperparams_laddered_from, FitOptions,
+    FittedGp, LadderedFit,
+};
 pub use kernel::{Kernel, Matern52, SquaredExponential};
 pub use kernel_ard::Matern52Ard;
 pub use regressor::{GpRegressor, Prediction};

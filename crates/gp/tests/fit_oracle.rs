@@ -5,6 +5,8 @@
 //! whole `GpRegressor` from the rows in every trial. The two must agree to
 //! the bit — hyper-parameters, likelihood, ladder rung and typed error —
 //! because the golden traces pin every f64 the BO loop derives from them.
+//! A fit without a warm start is that same cold search, and a warm start
+//! whose restart finds no finite likelihood falls back to it bit for bit.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
@@ -17,8 +19,8 @@ use common::{
     fit_bits, frozen_fit_gp_hyperparams, frozen_fit_gp_hyperparams_laddered, BO_FIT, MAX_RUNGS,
 };
 use hyperpower_gp::{
-    fit_gp_hyperparams, fit_gp_hyperparams_laddered, FitOptions, FittedGp, Kernel, LadderedFit,
-    Matern52, Matern52Ard, Result, SquaredExponential,
+    fit_gp_hyperparams, fit_gp_hyperparams_laddered, fit_gp_hyperparams_laddered_from, FitOptions,
+    FittedGp, Kernel, LadderedFit, Matern52, Matern52Ard, Result, SquaredExponential,
 };
 use hyperpower_linalg::{corpus, vector, Matrix};
 
@@ -51,6 +53,8 @@ fn check(kernel: &Arc<dyn Kernel>, x: &Matrix, y: &[f64], options: FitOptions, w
     let new = fit_gp_hyperparams_laddered(kernel.clone(), x, y, options, MAX_RUNGS);
     let old = frozen_fit_gp_hyperparams_laddered(kernel.clone(), x, y, options, MAX_RUNGS);
     assert_same_ladder(&new, &old, what);
+    let no_start = fit_gp_hyperparams_laddered_from(kernel.clone(), x, y, options, MAX_RUNGS, None);
+    assert_same_ladder(&no_start, &old, &format!("{what}, no start"));
     let new = fit_gp_hyperparams(kernel.clone(), x, y, options);
     let old = frozen_fit_gp_hyperparams(kernel.clone(), x, y, options);
     let wrap = |r: Result<FittedGp>| r.map(|fitted| LadderedFit { fitted, rungs: 0 });
@@ -170,5 +174,28 @@ fn invalid_inputs_fail_with_the_frozen_fit_error() {
             "{what}: must fail"
         );
         check(&kernel, &x, y, options, what);
+    }
+}
+
+/// A warm start at ln σ_f² = −800 underflows the signal variance to zero in
+/// every trial of its restart, so no trial finds a finite likelihood and
+/// each rung must run the cold search: the fit is the frozen fit's, bit
+/// for bit.
+#[test]
+fn a_start_where_every_trial_fails_returns_the_cold_fit() {
+    let kernel = Matern52::new(0.5).into_kernel();
+    let start = [0.0, -800.0, -5.0];
+    for (n, d) in [(2, 6), (21, 6), (72, 13)] {
+        let (x, y) = corpus_data(n, d);
+        let warm = fit_gp_hyperparams_laddered_from(
+            kernel.clone(),
+            &x,
+            &y,
+            BO_FIT,
+            MAX_RUNGS,
+            Some(start),
+        );
+        let cold = frozen_fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS);
+        assert_same_ladder(&warm, &cold, &format!("failing start n={n} d={d}"));
     }
 }
