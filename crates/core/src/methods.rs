@@ -1449,13 +1449,12 @@ mod tests {
     }
 
     /// A fit's hyper-parameters in log space, as a searcher keeps them.
-    fn log_params(fitted: &FittedGp) -> [u64; 3] {
+    fn log_params(fitted: &FittedGp) -> [f64; 3] {
         [
             fitted.length_scale.ln(),
             fitted.signal_variance.ln(),
             fitted.noise_variance.ln(),
         ]
-        .map(f64::to_bits)
     }
 
     /// The laddered fit a searcher with fit options `options` makes on
@@ -1472,7 +1471,7 @@ mod tests {
         )
         .unwrap();
         let y: Vec<f64> = points.iter().map(|(_, e)| *e).collect();
-        hyperpower_gp::fit_gp_hyperparams_laddered_from(
+        fit_gp_hyperparams_laddered_from(
             Matern52::new(0.5).into_kernel(),
             &x,
             &y,
@@ -1490,34 +1489,16 @@ mod tests {
         let points = diagonal_points();
         let mut s = BoSearcher::new(ConstraintWeighting::None, None);
         let mut t = ThompsonSearcher::new(None);
-        let mut previous: Option<[f64; 3]> = None;
+        // The first fit has no start: the cold search, which
+        // crates/gp/tests/fit_oracle.rs pins to the frozen fit.
+        let mut previous = None;
         for n in 4..=points.len() {
             let h = history_from(&points[..n]);
             s.propose(&space, &h, &mut rng()).unwrap();
             t.propose(&space, &h, &mut rng()).unwrap();
-            let fitted = surrogate_fit(&points[..n], s.fit_options, previous);
-            if previous.is_none() {
-                // A run's first fit is the cold search.
-                let x = Matrix::from_vec(
-                    n,
-                    6,
-                    points[..n].iter().flat_map(|(u, _)| u.clone()).collect(),
-                )
-                .unwrap();
-                let y: Vec<f64> = points[..n].iter().map(|(_, e)| *e).collect();
-                let cold = hyperpower_gp::fit_gp_hyperparams_laddered(
-                    Matern52::new(0.5).into_kernel(),
-                    &x,
-                    &y,
-                    s.fit_options,
-                    MAX_JITTER_RUNGS,
-                )
-                .unwrap();
-                assert_eq!(log_params(&cold.fitted), log_params(&fitted));
-            }
-            let expected = log_params(&fitted);
-            assert_eq!(s.warm_start.map(|p| p.map(f64::to_bits)), Some(expected));
-            assert_eq!(t.warm_start.map(|p| p.map(f64::to_bits)), Some(expected));
+            let expected = log_params(&surrogate_fit(&points[..n], s.fit_options, previous));
+            assert_eq!(s.warm_start, Some(expected), "BO at n = {n}");
+            assert_eq!(t.warm_start, Some(expected), "Thompson at n = {n}");
             previous = s.warm_start;
         }
     }
@@ -1536,10 +1517,7 @@ mod tests {
         let mut augmented = points[..6].to_vec();
         augmented.push((pending.unit().to_vec(), h.best().unwrap().error));
         let fitted = surrogate_fit(&augmented, s.fit_options, None);
-        assert_eq!(
-            s.warm_start.map(|p| p.map(f64::to_bits)),
-            Some(log_params(&fitted))
-        );
+        assert_eq!(s.warm_start, Some(log_params(&fitted)));
     }
 
     #[test]
