@@ -37,7 +37,7 @@
 //! impl owners, struct fields, `use` leaves) and a conservative call
 //! graph ([`graph`]) that power the cross-file rules R10/R11/R13, and a
 //! flow-sensitive layer lowers function bodies into per-function CFGs
-//! ([`cfg`]) solved by a reaching-definitions worklist engine
+//! ([`cfg`](mod@cfg)) solved by a reaching-definitions worklist engine
 //! ([`dataflow`]) that powers R15/R17/R18. R19 compares the committed
 //! determinism certificate ([`certificate`]) against the proved facts,
 //! and R16 closes the loop by flagging allow markers nothing consumed.
@@ -438,7 +438,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// Scans `crates/<name>/src/**/*.rs` for each name in [`LIBRARY_CRATES`]
 /// (crates absent from the tree are skipped, so the pass also works on
 /// the scratch workspaces the unit tests build), then runs both analysis
-/// phases via [`analyze_files`].
+/// phases over them.
 pub fn analyze_workspace(root: &Path) -> Result<Report> {
     analyze_workspace_with(root, false)
 }

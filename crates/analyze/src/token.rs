@@ -1,12 +1,13 @@
 //! A lightweight Rust tokenizer for the analyzer.
 //!
 //! Tokenizes *stripped* source text (comments and string/char literals
-//! already blanked to spaces by [`crate::scan`]), so string contents can
-//! never produce tokens. The token model is deliberately small — idents,
-//! lifetimes, numeric literals and (joined) punctuation — which is enough
-//! for every token-aware rule (R6–R8) and for the token-based rewrites of
-//! R1–R5, without pulling in syn/rustc internals (this workspace builds
-//! hermetically, so the analyzer must stay dependency-free).
+//! already blanked to spaces by the crate's `scan` module), so string
+//! contents can never produce tokens. The token model is deliberately
+//! small — idents, lifetimes, numeric literals and (joined) punctuation —
+//! which is enough for every token-aware rule (R6–R8) and for the
+//! token-based rewrites of R1–R5, without pulling in syn/rustc internals
+//! (this workspace builds hermetically, so the analyzer must stay
+//! dependency-free).
 
 /// The kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -436,7 +436,7 @@ impl DriftMonitor {
     }
 
     /// Feeds one committed screening rejection (in commit order) through
-    /// the margin state machine. [`REJECTION_RELAX_STREAK`] unbroken
+    /// the margin state machine. `REJECTION_RELAX_STREAK` (256) unbroken
     /// rejections while a margin is active relax it one step — the
     /// starvation valve that keeps a tightened margin from choking the
     /// search on a taut budget. Rejections are committed trace entries, so

@@ -1,9 +1,9 @@
 //! Synthetic image-classification datasets for the HyperPower reproduction.
 //!
-//! The paper trains AlexNet variants on MNIST and CIFAR-10 with Caffe. Real
-//! dataset files are not available in this environment, so this crate
-//! generates *procedural* stand-ins that exercise exactly the same code
-//! path — multi-class image tensors fed through convolutional networks:
+//! The paper trains AlexNet variants on MNIST and CIFAR-10 with Caffe. No
+//! dataset files ship with this reproduction, so this crate generates
+//! *procedural* stand-ins that exercise exactly the same code path —
+//! multi-class image tensors fed through convolutional networks:
 //!
 //! * [`mnist_like`] — 28×28×1 images, 10 classes, "easy" (well-trained
 //!   networks reach ≈1% test error, matching the paper's MNIST regime),
@@ -14,9 +14,6 @@
 //! the prototype plus per-sample spatial jitter and pixel noise. Difficulty
 //! is controlled by the noise-to-signal ratio. Every generator takes an
 //! explicit seed and is fully deterministic.
-//!
-//! Users who have the *real* MNIST/CIFAR-10 files can load them instead
-//! through the parsers in [`idx`].
 //!
 //! # Examples
 //!
@@ -34,7 +31,6 @@
 
 mod dataset;
 mod generator;
-pub mod idx;
 
 pub use dataset::{Batch, BatchIter, Dataset, Split};
 pub use generator::{cifar10_like, mnist_like, synthetic_dataset, GeneratorOptions};

@@ -2,7 +2,6 @@ use std::sync::Arc;
 
 use hyperpower_linalg::{vector, CholeskyWorkspace, Matrix};
 
-use crate::kernel::fill_row;
 use crate::optimize::{nelder_mead, NelderMeadOptions};
 use crate::regressor::factor_covariance;
 use crate::{Error, GpRegressor, Kernel, Result};
@@ -61,20 +60,13 @@ pub struct FittedGp {
 /// search at a previous fit's optimum.
 ///
 /// The rows' pairwise squared distances are computed once per fit. Each
-/// trial fills its covariance's lower triangle a row at a time: kernels
-/// with a distance form ([`Matern52`] and [`SquaredExponential`]) evaluate
-/// a row of that table in one [`Kernel::eval_squared_distances`] call;
-/// other kernels, such as [`Matern52Ard`], evaluate the rows with
-/// [`Kernel::eval`]. The row is then scaled by the signal variance. Either
-/// way every covariance entry, the factorization and the likelihood take
-/// the floating-point steps of [`GpRegressor::fit`], so the result is
-/// bit-identical to refitting the regressor at every trial. Every trial
-/// writes its covariance, factor and solve into one workspace the fit
-/// allocates once.
-///
-/// [`Matern52`]: crate::Matern52
-/// [`SquaredExponential`]: crate::SquaredExponential
-/// [`Matern52Ard`]: crate::Matern52Ard
+/// trial fills its covariance's lower triangle a row at a time, one
+/// [`Kernel::eval_squared_distances`] call per row of that table, and
+/// scales the row by the signal variance. Every covariance entry, the
+/// factorization and the likelihood take the floating-point steps of
+/// [`GpRegressor::fit`], so the result is bit-identical to refitting the
+/// regressor at every trial. Every trial writes its covariance, factor and
+/// solve into one workspace the fit allocates once.
 ///
 /// # Errors
 ///
@@ -171,9 +163,8 @@ impl<'a> FitTable<'a> {
     /// negative log marginal likelihood, or `+∞` wherever
     /// [`GpRegressor::fit`] would fail. Each row of the covariance's lower
     /// triangle is the kernel at the row's tabled distances, through
-    /// [`Kernel::eval_squared_distances`] (at the rows, for a kernel
-    /// without a distance form), then times the signal variance, exactly
-    /// as `kernel.matrix(x).scale(signal_variance)` computes it.
+    /// [`Kernel::eval_squared_distances`], then times the signal variance,
+    /// exactly as `kernel.matrix(x).scale(signal_variance)` computes it.
     fn objective(
         &self,
         ws: &mut TrialWorkspace,
@@ -198,9 +189,7 @@ impl<'a> FitTable<'a> {
         let cov = &mut ws.cov;
         for i in 0..self.x.rows() {
             let row = &mut cov.row_mut(i)[..=i];
-            fill_row(&*kernel, self.lower_row(i), row, |j| {
-                kernel.eval(self.x.row(i), self.x.row(j))
-            });
+            kernel.eval_squared_distances(self.lower_row(i), row);
             for k in row.iter_mut() {
                 *k *= signal_variance;
             }
@@ -580,42 +569,34 @@ mod tests {
         let table = FitTable::new(&x, &y);
         let y_centered = table.y_centered.as_deref().unwrap();
         let floor = 1e-6;
-        let kernels = [
-            Matern52::new(1.0).into_kernel(),
-            crate::SquaredExponential::new(1.0).into_kernel(),
-            crate::Matern52Ard::try_new(vec![0.5, 1.0, 2.0])
-                .unwrap()
-                .into_kernel(),
-        ];
+        let base = Matern52::new(1.0).into_kernel();
         // One workspace for every trial, as in a fit: failed trials leave
         // partial factors behind that later trials must not read.
         let mut ws = TrialWorkspace::new(&table);
         let mut failed = 0;
-        for base in &kernels {
-            // ln ℓ = −800 and ln σ_f² = −800 underflow to zero. At
-            // ln σ_f² = ln σ_n² = 709.5 both variances are finite but the
-            // covariance diagonal overflows to +∞: the trial's finiteness
-            // check must fail it like the regressor's.
-            for log_l in [-800.0f64, -6.9, -1.6, 0.0, 3.4] {
-                for log_sv in [-800.0f64, -6.9, 0.0, 41.4, 709.5] {
-                    for log_nv in [-20.7f64, -6.9, -0.7, 709.5] {
-                        let p = [log_l, log_sv, log_nv];
-                        // The per-trial objective as it was before the
-                        // distance table: refit a whole regressor.
-                        let (l, sv, nv) = (p[0].exp(), p[1].exp(), p[2].exp().max(floor));
-                        let expected = if l.is_finite() && sv.is_finite() && nv.is_finite() {
-                            let kernel = base.with_length_scale(l);
-                            match GpRegressor::fit(kernel, sv, nv, &x, &y) {
-                                Ok(gp) => -gp.log_marginal_likelihood(),
-                                Err(_) => f64::INFINITY,
-                            }
-                        } else {
-                            f64::INFINITY
-                        };
-                        failed += usize::from(expected == f64::INFINITY);
-                        let got = table.objective(&mut ws, &**base, y_centered, floor, &p);
-                        assert_eq!(got.to_bits(), expected.to_bits(), "{base:?} at {p:?}");
-                    }
+        // ln ℓ = −800 and ln σ_f² = −800 underflow to zero. At
+        // ln σ_f² = ln σ_n² = 709.5 both variances are finite but the
+        // covariance diagonal overflows to +∞: the trial's finiteness check
+        // must fail it like the regressor's.
+        for log_l in [-800.0f64, -6.9, -1.6, 0.0, 3.4] {
+            for log_sv in [-800.0f64, -6.9, 0.0, 41.4, 709.5] {
+                for log_nv in [-20.7f64, -6.9, -0.7, 709.5] {
+                    let p = [log_l, log_sv, log_nv];
+                    // The per-trial objective as it was before the distance
+                    // table: refit a whole regressor.
+                    let (l, sv, nv) = (p[0].exp(), p[1].exp(), p[2].exp().max(floor));
+                    let expected = if l.is_finite() && sv.is_finite() && nv.is_finite() {
+                        let kernel = base.with_length_scale(l);
+                        match GpRegressor::fit(kernel, sv, nv, &x, &y) {
+                            Ok(gp) => -gp.log_marginal_likelihood(),
+                            Err(_) => f64::INFINITY,
+                        }
+                    } else {
+                        f64::INFINITY
+                    };
+                    failed += usize::from(expected == f64::INFINITY);
+                    let got = table.objective(&mut ws, &*base, y_centered, floor, &p);
+                    assert_eq!(got.to_bits(), expected.to_bits(), "at {p:?}");
                 }
             }
         }
@@ -624,7 +605,7 @@ mod tests {
         // finiteness check's, not a failed pivot.
         let huge = 709.5f64.exp();
         assert!(matches!(
-            GpRegressor::fit(kernels[0].clone(), huge, huge, &x, &y),
+            GpRegressor::fit(base, huge, huge, &x, &y),
             Err(Error::Numerical(hyperpower_linalg::Error::NonFiniteInput))
         ));
     }

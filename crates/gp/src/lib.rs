@@ -6,8 +6,8 @@
 //! exploration and exploitation, and candidate-grid maximisation of that
 //! acquisition. This crate provides all of those pieces from scratch:
 //!
-//! * [`kernel`] — covariance functions ([`SquaredExponential`],
-//!   [`Matern52`]) behind the object-safe [`Kernel`] trait,
+//! * [`kernel`] — the Matérn 5/2 covariance function ([`Matern52`])
+//!   behind the object-safe [`Kernel`] trait,
 //! * [`GpRegressor`] — exact GP regression with Cholesky solves, jitter
 //!   escalation and target normalisation,
 //! * [`fit_gp_hyperparams`] — multi-start Nelder–Mead maximisation of the
@@ -44,7 +44,6 @@ pub mod acquisition;
 mod error;
 mod fit;
 pub mod kernel;
-mod kernel_ard;
 pub mod optimize;
 mod regressor;
 pub mod sampler;
@@ -54,8 +53,7 @@ pub use fit::{
     fit_gp_hyperparams, fit_gp_hyperparams_laddered, fit_gp_hyperparams_laddered_from, FitOptions,
     FittedGp, LadderedFit,
 };
-pub use kernel::{Kernel, Matern52, SquaredExponential};
-pub use kernel_ard::Matern52Ard;
+pub use kernel::{Kernel, Matern52};
 pub use regressor::{GpRegressor, Prediction};
 
 /// Convenience alias for results produced by this crate.

@@ -2,7 +2,6 @@ use std::sync::Arc;
 
 use hyperpower_linalg::{vector, Cholesky, CholeskyView, CholeskyWorkspace, Matrix};
 
-use crate::kernel::fill_row;
 use crate::{Error, Kernel, Result};
 
 /// Posterior prediction of a Gaussian process at one query point.
@@ -37,13 +36,13 @@ impl Prediction {
 /// # Examples
 ///
 /// ```
-/// use hyperpower_gp::{GpRegressor, SquaredExponential};
+/// use hyperpower_gp::{GpRegressor, Matern52};
 /// use hyperpower_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), hyperpower_gp::Error> {
 /// let x = Matrix::from_vec(3, 1, vec![0.0, 1.0, 2.0]).unwrap();
 /// let y = [0.0, 1.0, 4.0];
-/// let gp = GpRegressor::fit(SquaredExponential::new(1.0).into_kernel(), 1.0, 1e-6, &x, &y)?;
+/// let gp = GpRegressor::fit(Matern52::new(1.0).into_kernel(), 1.0, 1e-6, &x, &y)?;
 /// // Interpolates near the data, uncertain far away.
 /// assert!(gp.predict(&[1.0])?.variance < gp.predict(&[10.0])?.variance);
 /// # Ok(())
@@ -235,9 +234,7 @@ impl GpRegressor {
             .map(|q| vector::squared_distance(queries.row(q), queries.row(q)))
             .collect();
         let mut prior = vec![0.0; m];
-        fill_row(&*self.kernel, &self_d2, &mut prior, |q| {
-            self.kernel.eval(queries.row(q), queries.row(q))
-        });
+        self.kernel.eval_squared_distances(&self_d2, &mut prior);
         let variances: Vec<f64> = prior
             .iter()
             .zip(&vtv)
@@ -317,9 +314,7 @@ impl GpRegressor {
                 }
             }
             let row = kstar.row_mut(i);
-            fill_row(&*self.kernel, &d2, row, |q| {
-                self.kernel.eval(queries.row(q), xi)
-            });
+            self.kernel.eval_squared_distances(&d2, row);
             for (k, dot) in row.iter_mut().zip(&mut dots) {
                 *k *= self.signal_variance;
                 *dot += *k * alpha;
@@ -407,19 +402,12 @@ impl GpRegressor {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::{Matern52, SquaredExponential};
+    use crate::Matern52;
 
     fn toy_gp() -> GpRegressor {
         let x = Matrix::from_vec(4, 1, vec![-1.0, 0.0, 1.0, 2.0]).unwrap();
         let y = [1.0, 0.0, 1.0, 4.0];
-        GpRegressor::fit(
-            SquaredExponential::new(1.0).into_kernel(),
-            1.0,
-            1e-6,
-            &x,
-            &y,
-        )
-        .unwrap()
+        GpRegressor::fit(Matern52::new(1.0).into_kernel(), 1.0, 1e-6, &x, &y).unwrap()
     }
 
     #[test]
@@ -428,14 +416,7 @@ mod tests {
         // m + k/(k+σ²)·(y − m) = y when σ² → 0 (m = y here so mean = y).
         let x = Matrix::from_vec(1, 1, vec![0.0]).unwrap();
         let y = [2.0];
-        let gp = GpRegressor::fit(
-            SquaredExponential::new(1.0).into_kernel(),
-            1.0,
-            1e-8,
-            &x,
-            &y,
-        )
-        .unwrap();
+        let gp = GpRegressor::fit(Matern52::new(1.0).into_kernel(), 1.0, 1e-8, &x, &y).unwrap();
         let p = gp.predict(&[0.0]).unwrap();
         assert!((p.mean - 2.0).abs() < 1e-6);
         assert!(p.variance < 1e-6);
@@ -503,7 +484,7 @@ mod tests {
         let y: Vec<f64> = (0..8)
             .map(|i| if i % 2 == 0 { 0.5 } else { -0.5 })
             .collect();
-        let k = SquaredExponential::new(3.0).into_kernel();
+        let k = Matern52::new(3.0).into_kernel();
         let good = GpRegressor::fit(k.clone(), 1.0, 0.25, &x, &y).unwrap();
         let bad = GpRegressor::fit(k, 1.0, 1e-8, &x, &y).unwrap();
         assert!(good.log_marginal_likelihood() > bad.log_marginal_likelihood());
@@ -550,14 +531,7 @@ mod tests {
         // (nearly) through the observations.
         let x = Matrix::from_vec(3, 1, vec![0.0, 1.0, 2.0]).unwrap();
         let y = [0.5, -0.5, 1.5];
-        let gp = GpRegressor::fit(
-            SquaredExponential::new(1.0).into_kernel(),
-            1.0,
-            1e-8,
-            &x,
-            &y,
-        )
-        .unwrap();
+        let gp = GpRegressor::fit(Matern52::new(1.0).into_kernel(), 1.0, 1e-8, &x, &y).unwrap();
         let normals = [1.3, -0.7, 0.2];
         let sample = gp.sample_posterior(&x, &normals).unwrap();
         for (s, t) in sample.iter().zip(&y) {

@@ -20,9 +20,9 @@ use common::{
 };
 use hyperpower_gp::{
     fit_gp_hyperparams, fit_gp_hyperparams_laddered, fit_gp_hyperparams_laddered_from, FitOptions,
-    FittedGp, Kernel, LadderedFit, Matern52, Matern52Ard, Result, SquaredExponential,
+    FittedGp, Kernel, LadderedFit, Matern52, Result,
 };
-use hyperpower_linalg::{corpus, vector, Matrix};
+use hyperpower_linalg::{corpus, Matrix};
 
 /// Seeded rows in the unit cube (where the searchers' configurations live)
 /// and targets in [0, 1).
@@ -72,21 +72,6 @@ fn matern_fit_matches_frozen_fit_on_every_shape() {
     }
 }
 
-#[test]
-fn other_kernels_match_frozen_fit() {
-    let (x, y) = corpus_data(21, 6);
-    check(
-        &SquaredExponential::new(0.5).into_kernel(),
-        &x,
-        &y,
-        BO_FIT,
-        "squared exponential",
-    );
-    // No distance form: every trial evaluates the rows.
-    let ard = Matern52Ard::try_new(vec![0.3, 0.5, 0.8, 1.3, 2.1, 3.4]).unwrap();
-    check(&ard.into_kernel(), &x, &y, BO_FIT, "ard");
-}
-
 /// A stationary kernel that is indefinite on near-duplicate rows: two rows
 /// closer than `1e-6` correlate at [`Self::SPIKE`], far above the unit
 /// diagonal.
@@ -108,12 +93,6 @@ impl Spiked {
 }
 
 impl Kernel for Spiked {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let mut k = [0.0];
-        self.eval_squared_distances(&[vector::squared_distance(a, b)], &mut k);
-        k[0]
-    }
-
     fn length_scale(&self) -> f64 {
         self.0.length_scale()
     }
@@ -122,14 +101,13 @@ impl Kernel for Spiked {
         Arc::new(Spiked(Matern52::new(length_scale)))
     }
 
-    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]) -> bool {
-        assert!(self.0.eval_squared_distances(d2, out));
+    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]) {
+        self.0.eval_squared_distances(d2, out);
         for (k, &d2) in out.iter_mut().zip(d2) {
             if d2 > 0.0 && d2 < 1e-12 {
                 *k = Self::SPIKE;
             }
         }
-        true
     }
 }
 

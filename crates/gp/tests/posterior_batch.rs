@@ -5,7 +5,7 @@
 //! triangular solve per candidate block); any observable divergence from
 //! the per-point path would leak into acquisition scores and break the
 //! workspace's golden traces. These tests pin bit-equality across block
-//! sizes, kernels and training-set sizes, the sweeps' fit shapes among
+//! sizes, length scales and training-set sizes, the sweeps' fit shapes among
 //! them, and pin `predict_joint`, which shares the cross-covariance
 //! builder, to `predict` as well.
 
@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use hyperpower_gp::{
-    fit_gp_hyperparams_laddered, FitOptions, GpRegressor, Kernel, Matern52, SquaredExponential,
-};
+use hyperpower_gp::{fit_gp_hyperparams_laddered, FitOptions, GpRegressor, Kernel, Matern52};
 use hyperpower_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -65,7 +63,7 @@ fn batch_equals_pointwise_across_kernels_and_panel_straddling_sizes() {
     // Training sizes straddle the blocked solver's panel width (32).
     for (seed, n) in [(1u64, 5usize), (2, 31), (3, 32), (4, 33), (5, 70)] {
         for kernel in [
-            SquaredExponential::new(0.7).into_kernel(),
+            Matern52::new(0.7).into_kernel(),
             Matern52::new(0.4).into_kernel(),
         ] {
             let gp = fitted_gp(kernel, n, 2, 0xBA7C_0100 + seed);
@@ -128,12 +126,7 @@ fn batch_and_joint_equal_pointwise_at_the_sweeps_fit_shapes() {
 
 #[test]
 fn batch_of_one_is_predict() {
-    let gp = fitted_gp(
-        SquaredExponential::new(1.0).into_kernel(),
-        12,
-        4,
-        0xBA7C_0300,
-    );
+    let gp = fitted_gp(Matern52::new(1.0).into_kernel(), 12, 4, 0xBA7C_0300);
     let queries = Matrix::from_fn(1, 4, |_, j| 0.1 + 0.2 * j as f64);
     assert_batch_matches_pointwise(&gp, &queries);
 }

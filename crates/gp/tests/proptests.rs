@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
 use hyperpower_gp::acquisition::{expected_improvement, normal_cdf, probability_below};
-use hyperpower_gp::{GpRegressor, Kernel, Matern52, Matern52Ard, SquaredExponential};
+use hyperpower_gp::{GpRegressor, Kernel, Matern52};
 use hyperpower_linalg::{vector, Matrix};
 use proptest::prelude::*;
 
@@ -21,7 +21,7 @@ fn training_set() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
 
 /// A point and rows of its dimension, between 1 and 13 (the searchers'
 /// spaces have up to 13): the point itself (d² = 0), nearby rows, and rows
-/// far away in every coordinate, where both kernels' `exp` underflows to
+/// far away in every coordinate, where the kernel's `exp` underflows to
 /// zero at every length scale in 1e-3–1e3. Also returns the index of the
 /// first far row.
 fn point_and_rows() -> impl Strategy<Value = (Vec<f64>, Matrix, usize)> {
@@ -58,37 +58,23 @@ proptest! {
         let d2: Vec<f64> = (0..rows.rows())
             .map(|j| vector::squared_distance(&point, rows.row(j)))
             .collect();
-        let matern: Vec<f64> = d2
+        let formula: Vec<f64> = d2
             .iter()
             .map(|d2| {
                 let s = 5.0f64.sqrt() * d2.sqrt() / length_scale;
                 (1.0 + s + s * s / 3.0) * (-s).exp()
             })
             .collect();
-        let se: Vec<f64> = d2
-            .iter()
-            .map(|d2| (-d2 / (2.0 * length_scale * length_scale)).exp())
-            .collect();
-        for (kernel, formula) in [
-            (Matern52::new(length_scale).into_kernel(), matern),
-            (SquaredExponential::new(length_scale).into_kernel(), se),
-        ] {
-            let mut row = vec![f64::NAN; d2.len()];
-            prop_assert!(kernel.eval_squared_distances(&d2, &mut row));
-            for (j, k) in row.iter().enumerate() {
-                let eval = kernel.eval(&point, rows.row(j));
-                prop_assert_eq!(k.to_bits(), eval.to_bits(), "{:?} at ℓ = {}, row {}", kernel, length_scale, j);
-                prop_assert_eq!(k.to_bits(), formula[j].to_bits(), "{:?} at ℓ = {}, row {}", kernel, length_scale, j);
-            }
-            prop_assert_eq!(row[0], 1.0);
-            prop_assert!(row[first_far..].iter().all(|k| *k == 0.0), "{:?}: no underflow", kernel);
-        }
-        // Per-dimension length scales need the rows: no distance form, and
-        // the row is left alone.
-        let ard = Matern52Ard::isotropic(length_scale, point.len()).unwrap();
+        let kernel = Matern52::new(length_scale);
         let mut row = vec![f64::NAN; d2.len()];
-        prop_assert!(!ard.eval_squared_distances(&d2, &mut row));
-        prop_assert!(row.iter().all(|k| k.is_nan()));
+        kernel.eval_squared_distances(&d2, &mut row);
+        for (j, k) in row.iter().enumerate() {
+            let eval = kernel.eval(&point, rows.row(j));
+            prop_assert_eq!(k.to_bits(), eval.to_bits(), "ℓ = {}, row {}", length_scale, j);
+            prop_assert_eq!(k.to_bits(), formula[j].to_bits(), "ℓ = {}, row {}", length_scale, j);
+        }
+        prop_assert_eq!(row[0], 1.0);
+        prop_assert!(row[first_far..].iter().all(|k| *k == 0.0), "no underflow");
     }
 
     #[test]
@@ -96,25 +82,15 @@ proptest! {
         (point, rows, _first_far) in point_and_rows(),
         log10_length_scale in -3.0f64..=3.0,
     ) {
-        // The provided `matrix` and `cross` evaluate through the row hook,
-        // or through `eval` for a kernel without a distance form.
-        let length_scale = 10f64.powf(log10_length_scale);
-        let scales: Vec<f64> = (0..point.len())
-            .map(|c| length_scale * (1.0 + c as f64))
-            .collect();
-        for kernel in [
-            Matern52::new(length_scale).into_kernel(),
-            SquaredExponential::new(length_scale).into_kernel(),
-            Matern52Ard::try_new(scales).unwrap().into_kernel(),
-        ] {
-            let cross = kernel.cross(&point, &rows);
-            let k = kernel.matrix(&rows);
-            for i in 0..rows.rows() {
-                prop_assert_eq!(cross[i].to_bits(), kernel.eval(&point, rows.row(i)).to_bits());
-                for j in 0..rows.rows() {
-                    let eval = kernel.eval(rows.row(i), rows.row(j));
-                    prop_assert_eq!(k[(i, j)].to_bits(), eval.to_bits(), "{:?} at ({}, {})", kernel, i, j);
-                }
+        // The provided `matrix` and `cross` evaluate through the row hook.
+        let kernel = Matern52::new(10f64.powf(log10_length_scale));
+        let cross = kernel.cross(&point, &rows);
+        let k = kernel.matrix(&rows);
+        for i in 0..rows.rows() {
+            prop_assert_eq!(cross[i].to_bits(), kernel.eval(&point, rows.row(i)).to_bits());
+            for j in 0..rows.rows() {
+                let eval = kernel.eval(rows.row(i), rows.row(j));
+                prop_assert_eq!(k[(i, j)].to_bits(), eval.to_bits(), "{:?} at ({}, {})", kernel, i, j);
             }
         }
     }
@@ -145,7 +121,7 @@ proptest! {
     #[test]
     fn gp_far_field_reverts_to_prior((x, y) in training_set()) {
         let gp = GpRegressor::fit(
-            SquaredExponential::new(1.0).into_kernel(), 1.0, 1e-4, &x, &y,
+            Matern52::new(1.0).into_kernel(), 1.0, 1e-4, &x, &y,
         ).unwrap();
         let p = gp.predict(&[1e4]).unwrap();
         let y_mean = y.iter().sum::<f64>() / y.len() as f64;
@@ -155,8 +131,9 @@ proptest! {
 
     #[test]
     fn kernel_matrices_factor_with_jitter((x, _y) in training_set()) {
-        // Gram matrices of both kernels are SPD (possibly after jitter).
-        for kernel in [Matern52::new(0.5).into_kernel(), SquaredExponential::new(2.0).into_kernel()] {
+        // Gram matrices at a short and a long length scale are SPD
+        // (possibly after jitter).
+        for kernel in [Matern52::new(0.5).into_kernel(), Matern52::new(2.0).into_kernel()] {
             let k = kernel.matrix(&x);
             let r = hyperpower_linalg::Cholesky::factor_with_jitter(&k, 1e-10, 12);
             prop_assert!(r.is_ok());
@@ -191,8 +168,8 @@ proptest! {
     #[test]
     fn gp_posterior_stays_finite_on_adversarial_inputs(
         // Adversarial but valid: extreme-but-finite targets, near-duplicate
-        // inputs (ill-conditioned Gram matrices), tiny noise, and kernels at
-        // both ends of the sensible length-scale range.
+        // inputs (ill-conditioned Gram matrices), tiny noise, and the kernel
+        // at both ends of the sensible length-scale range.
         n in 2usize..10,
         base in -5.0f64..5.0,
         spread in 1e-9f64..1e-3,
@@ -207,16 +184,12 @@ proptest! {
             .map(|i| y_scale * if i.is_multiple_of(2) { 1.0 } else { -1.0 })
             .collect();
         let x = Matrix::from_vec(n, 1, xs).expect("n rows");
-        for kernel in [
-            Matern52::new(length_scale).into_kernel(),
-            SquaredExponential::new(length_scale).into_kernel(),
-        ] {
-            let gp = GpRegressor::fit(kernel, 1.0, 1e-6, &x, &ys).unwrap();
-            let p = gp.predict(&[q]).unwrap();
-            prop_assert!(p.mean.is_finite(), "mean {} not finite", p.mean);
-            prop_assert!(p.variance.is_finite(), "variance {} not finite", p.variance);
-            prop_assert!(p.variance >= 0.0, "variance {} negative", p.variance);
-        }
+        let kernel = Matern52::new(length_scale).into_kernel();
+        let gp = GpRegressor::fit(kernel, 1.0, 1e-6, &x, &ys).unwrap();
+        let p = gp.predict(&[q]).unwrap();
+        prop_assert!(p.mean.is_finite(), "mean {} not finite", p.mean);
+        prop_assert!(p.variance.is_finite(), "variance {} not finite", p.variance);
+        prop_assert!(p.variance >= 0.0, "variance {} negative", p.variance);
     }
 
     #[test]

@@ -27,11 +27,6 @@ pub enum Error {
         /// Value of the offending pivot.
         value: f64,
     },
-    /// A triangular solve encountered a zero (or non-finite) diagonal entry.
-    SingularTriangular {
-        /// Index of the zero diagonal entry.
-        index: usize,
-    },
     /// An input contained NaN or infinity where finite values are required.
     NonFiniteInput,
     /// The operation requires a non-empty input.
@@ -51,9 +46,6 @@ impl fmt::Display for Error {
                 f,
                 "matrix is not positive definite (pivot {pivot} = {value:.6e})"
             ),
-            Error::SingularTriangular { index } => {
-                write!(f, "triangular matrix is singular at diagonal index {index}")
-            }
             Error::NonFiniteInput => write!(f, "input contains NaN or infinite values"),
             Error::Empty => write!(f, "operation requires non-empty input"),
         }
@@ -81,7 +73,6 @@ mod tests {
                 pivot: 1,
                 value: -0.5,
             },
-            Error::SingularTriangular { index: 0 },
             Error::NonFiniteInput,
             Error::Empty,
         ];

@@ -3,16 +3,17 @@
 //! NaN or infinity entering a Cholesky factorization, a least-squares
 //! solve or a GP posterior does not crash — it silently poisons every
 //! downstream result (acquisition values, incumbent selection, constraint
-//! predictions). The [`debug_assert_finite!`] macro makes those
-//! boundaries loud in debug/test builds while compiling to nothing in
-//! release builds, where the typed `NonFiniteInput`-style errors remain
-//! the contract. The static-analysis pass (`hyperpower-analyze`, rule R5)
+//! predictions). The [`debug_assert_finite!`](crate::debug_assert_finite)
+//! macro makes those boundaries loud in debug/test builds while compiling
+//! to nothing in release builds, where the typed `NonFiniteInput`-style
+//! errors remain the contract. The static-analysis pass (`hyperpower-analyze`, rule R5)
 //! requires the guard at each declared boundary file.
 
 /// Returns the index and value of the first non-finite element, if any.
 ///
-/// Used by [`debug_assert_finite!`] to produce an actionable panic
-/// message; exported so the macro can reference it from other crates.
+/// Used by [`debug_assert_finite!`](crate::debug_assert_finite) to produce
+/// an actionable panic message; exported so the macro can reference it
+/// from other crates.
 #[must_use]
 pub fn first_non_finite(values: &[f64]) -> Option<(usize, f64)> {
     values

@@ -11,8 +11,6 @@
 //! * [`ridge_least_squares`] — ℓ₂-regularised linear regression via the
 //!   normal equations (the workhorse of the power/memory predictive models
 //!   in `hyperpower`),
-//! * [`qr_least_squares`] — Householder-QR least squares, the numerically
-//!   robust (regularisation-free) alternative,
 //! * [`vector`] — free functions on `&[f64]` slices (dot products, norms,
 //!   axpy),
 //! * [`stats`] — descriptive statistics (mean, standard deviation, RMSPE)
@@ -62,7 +60,6 @@ mod error;
 pub mod guards;
 mod lstsq;
 mod matrix;
-mod qr;
 pub mod stats;
 pub mod units;
 pub mod vector;
@@ -71,7 +68,6 @@ pub use cholesky::{Cholesky, CholeskyView, CholeskyWorkspace};
 pub use error::Error;
 pub use lstsq::{ridge_least_squares, LeastSquaresFit};
 pub use matrix::Matrix;
-pub use qr::qr_least_squares;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, Error>;

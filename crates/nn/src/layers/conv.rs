@@ -5,21 +5,6 @@ use super::{he_std, standard_normal, Layer};
 use crate::sgd::sgd_step;
 use crate::{Tensor, TrainingHyper};
 
-/// Which computational path a [`Conv2d`] uses.
-///
-/// Both produce identical results (verified by tests); `Im2col` lowers the
-/// convolution to matrix multiplications — the same trick Caffe (the
-/// paper's framework) uses — and is several times faster on typical
-/// shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvAlgorithm {
-    /// Direct 7-nested-loop convolution. Simple, used as the reference.
-    Naive,
-    /// im2col + GEMM lowering (the default).
-    #[default]
-    Im2col,
-}
-
 /// 2-D convolution with stride 1 and "same" zero padding.
 ///
 /// Weight layout is `[out_channels][in_channels][k][k]`, flattened
@@ -27,12 +12,15 @@ pub enum ConvAlgorithm {
 /// (`(k−1)/2` before, `k/2` after), so the spatial size is always
 /// preserved — which is what the paper's AlexNet-variant space (kernel
 /// sizes 2–5) needs to keep shape inference simple.
+///
+/// The layer lowers the convolution to matrix multiplications (im2col +
+/// GEMM), the same trick Caffe (the paper's framework) uses; the tests
+/// check it against a direct nested-loop convolution.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    algorithm: ConvAlgorithm,
     weights: Vec<f32>,
     bias: Vec<f32>,
     grad_weights: Vec<f32>,
@@ -43,8 +31,7 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
-    /// Creates a convolution layer with He-normal initial weights and the
-    /// default (im2col) algorithm.
+    /// Creates a convolution layer with He-normal initial weights.
     ///
     /// # Panics
     ///
@@ -64,7 +51,6 @@ impl Conv2d {
             in_channels,
             out_channels,
             kernel,
-            algorithm: ConvAlgorithm::default(),
             weights,
             bias: vec![0.0; out_channels],
             grad_weights: vec![0.0; len],
@@ -73,17 +59,6 @@ impl Conv2d {
             vel_bias: vec![0.0; out_channels],
             cached_input: None,
         }
-    }
-
-    /// Selects the computational path (builder style).
-    pub fn with_algorithm(mut self, algorithm: ConvAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// The computational path in use.
-    pub fn algorithm(&self) -> ConvAlgorithm {
-        self.algorithm
     }
 
     /// Kernel size.
@@ -96,7 +71,7 @@ impl Conv2d {
         self.out_channels
     }
 
-    #[inline]
+    #[cfg(test)]
     fn weight(&self, oc: usize, ic: usize, ky: usize, kx: usize) -> f32 {
         self.weights[((oc * self.in_channels + ic) * self.kernel + ky) * self.kernel + kx]
     }
@@ -168,6 +143,9 @@ impl Conv2d {
         }
     }
 
+    /// Direct 7-nested-loop convolution: the reference the im2col forward
+    /// pass is tested against.
+    #[cfg(test)]
     fn forward_naive(&self, input: &Tensor) -> Tensor {
         let (n, c, h, w) = input.shape();
         let mut out = Tensor::zeros(n, self.out_channels, h, w);
@@ -220,6 +198,9 @@ impl Conv2d {
         out
     }
 
+    /// Direct nested-loop backward pass: the reference the im2col backward
+    /// pass is tested against.
+    #[cfg(test)]
     fn backward_naive(&mut self, grad_output: &Tensor, input: &Tensor) -> Tensor {
         let (n, c, h, w) = input.shape();
         let pad = self.pad_before();
@@ -304,10 +285,7 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let (_, c, _, _) = input.shape();
         assert_eq!(c, self.in_channels, "conv input channel mismatch");
-        let out = match self.algorithm {
-            ConvAlgorithm::Naive => self.forward_naive(input),
-            ConvAlgorithm::Im2col => self.forward_im2col(input),
-        };
+        let out = self.forward_im2col(input);
         self.cached_input = Some(input.clone());
         out
     }
@@ -316,10 +294,7 @@ impl Layer for Conv2d {
         let Some(input) = self.cached_input.clone() else {
             panic!("backward called before forward");
         };
-        match self.algorithm {
-            ConvAlgorithm::Naive => self.backward_naive(grad_output, &input),
-            ConvAlgorithm::Im2col => self.backward_im2col(grad_output, &input),
-        }
+        self.backward_im2col(grad_output, &input)
     }
 
     fn update(&mut self, hyper: &TrainingHyper) {
@@ -493,9 +468,8 @@ mod tests {
     #[test]
     fn im2col_matches_naive_forward_and_backward() {
         for (cin, cout, k, h, w) in [(1, 2, 3, 5, 5), (3, 4, 2, 6, 4), (2, 3, 5, 7, 7)] {
-            let mut naive =
-                Conv2d::new(cin, cout, k, &mut rng()).with_algorithm(ConvAlgorithm::Naive);
-            let mut fast = naive.clone().with_algorithm(ConvAlgorithm::Im2col);
+            let mut naive = Conv2d::new(cin, cout, k, &mut rng());
+            let mut fast = naive.clone();
             let input = Tensor::from_vec(
                 2,
                 cin,
@@ -505,7 +479,7 @@ mod tests {
                     .map(|i| ((i * 37) % 23) as f32 * 0.1 - 1.0)
                     .collect(),
             );
-            let out_naive = naive.forward(&input);
+            let out_naive = naive.forward_naive(&input);
             let out_fast = fast.forward(&input);
             for (a, b) in out_naive.as_slice().iter().zip(out_fast.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "forward mismatch: {a} vs {b}");
@@ -519,7 +493,7 @@ mod tests {
                     .map(|i| ((i * 17) % 13) as f32 * 0.2 - 1.0)
                     .collect(),
             );
-            let gi_naive = naive.backward(&grad_out);
+            let gi_naive = naive.backward_naive(&grad_out, &input);
             let gi_fast = fast.backward(&grad_out);
             for (a, b) in gi_naive.as_slice().iter().zip(gi_fast.as_slice()) {
                 assert!((a - b).abs() < 1e-3, "grad-input mismatch: {a} vs {b}");
@@ -531,13 +505,5 @@ mod tests {
                 assert!((a - b).abs() < 1e-3, "grad-bias mismatch: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn algorithm_accessors() {
-        let conv = Conv2d::new(1, 1, 3, &mut rng());
-        assert_eq!(conv.algorithm(), ConvAlgorithm::Im2col);
-        let naive = conv.with_algorithm(ConvAlgorithm::Naive);
-        assert_eq!(naive.algorithm(), ConvAlgorithm::Naive);
     }
 }

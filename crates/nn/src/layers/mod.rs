@@ -13,7 +13,7 @@ mod gemm;
 mod pool;
 
 pub use activation::{Flatten, Relu};
-pub use conv::{Conv2d, ConvAlgorithm};
+pub use conv::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use pool::{AvgPool2d, MaxPool2d};
