@@ -275,6 +275,41 @@ fn rand_walk_fallback(space: &SearchSpace, history: &History, rng: &mut StdRng) 
     }
 }
 
+/// The grid row an EI/PI searcher proposes, from each row's base
+/// acquisition and constraint weight: the first row with the highest
+/// `base · weight` if that score is positive. When every improvement mass
+/// vanished, the predicted-feasible row with the highest `(weight, base)`
+/// (the first on ties), so the proposal stays feasible; when nothing is
+/// feasible either (pathologically tight budgets), the first row with the
+/// highest unweighted base. `None` for an empty grid.
+fn best_ei_candidate(bases: &[f64], weights: &[f64]) -> Option<usize> {
+    let mut best_candidate: Option<(usize, f64)> = None;
+    let mut best_weighted: Option<(usize, f64, f64)> = None; // (row, weight, base)
+    let mut best_unweighted: Option<(usize, f64)> = None;
+    for (i, (&base, &weight)) in bases.iter().zip(weights).enumerate() {
+        let score = base * weight;
+        if best_candidate.is_none_or(|(_, s)| score > s) {
+            best_candidate = Some((i, score));
+        }
+        if weight > 0.0 && best_weighted.is_none_or(|(_, w, b)| (weight, base) > (w, b)) {
+            best_weighted = Some((i, weight, base));
+        }
+        if best_unweighted.is_none_or(|(_, b)| base > b) {
+            best_unweighted = Some((i, base));
+        }
+    }
+    let (winner, score) = best_candidate?;
+    Some(if score > 0.0 {
+        winner
+    } else if let Some((feasible, _, _)) = best_weighted {
+        feasible
+    } else if let Some((fallback, _)) = best_unweighted {
+        fallback
+    } else {
+        winner
+    })
+}
+
 /// What fitting a BO searcher's GP surrogate produced.
 enum Surrogate {
     Fitted(Box<FittedGp>),
@@ -584,16 +619,23 @@ impl BoSearcher {
         self
     }
 
-    fn acquisition_weight(&self, space: &SearchSpace, candidate: &Config) -> Result<f64> {
+    /// The constraint weight of the unit-cube point `unit`; its structural
+    /// values are decoded into `z`, a buffer the caller reuses.
+    fn acquisition_weight(
+        &self,
+        space: &SearchSpace,
+        unit: &[f64],
+        z: &mut Vec<f64>,
+    ) -> Result<f64> {
         let weight = match (self.weighting, &self.oracle) {
             (ConstraintWeighting::None, _) => 1.0,
             (ConstraintWeighting::Probability, Some(oracle)) => {
-                let z = space.structural_values(candidate)?;
-                oracle.feasibility_probability(&z)
+                space.structural_values_into(unit, z)?;
+                oracle.feasibility_probability(z)
             }
             (ConstraintWeighting::Indicator, Some(oracle)) => {
-                let z = space.structural_values(candidate)?;
-                if oracle.predicted_feasible(&z) {
+                space.structural_values_into(unit, z)?;
+                if oracle.predicted_feasible(z) {
                     1.0
                 } else {
                     0.0
@@ -618,9 +660,10 @@ impl Searcher for BoSearcher {
             // paper's "never considering invalid configurations" claim
             // covers the whole run.
             if let (ConstraintWeighting::Indicator, Some(oracle)) = (self.weighting, &self.oracle) {
+                let mut z = Vec::new();
                 for _ in 0..10_000 {
                     let candidate = Config::random(rng, space.dim());
-                    let z = space.structural_values(&candidate)?;
+                    space.structural_values_into(candidate.unit(), &mut z)?;
                     if oracle.predicted_feasible(&z) {
                         return Ok(candidate);
                     }
@@ -655,13 +698,15 @@ impl Searcher for BoSearcher {
         // Score the grid constraint-first (HW-IECI/HW-CWEI): the hardware
         // weight is a dot product per candidate, orders of magnitude
         // cheaper than a GP posterior, so it is computed for the whole
-        // grid before any objective work.
+        // grid before any objective work. Rows are weighed and scored in
+        // place, by index, through one structural buffer; only the winner
+        // becomes a `Config`. The grid is drawn in [0, 1), so every row is
+        // a valid one.
         let grid = uniform_candidates(rng, self.candidates, d);
-        let mut weighted: Vec<(Config, f64)> = Vec::with_capacity(grid.rows());
+        let mut z = Vec::new();
+        let mut weights = Vec::with_capacity(grid.rows());
         for i in 0..grid.rows() {
-            let candidate = Config::new(grid.row(i).to_vec())?;
-            let weight = self.acquisition_weight(space, &candidate)?;
-            weighted.push((candidate, weight));
+            weights.push(self.acquisition_weight(space, grid.row(i), &mut z)?);
         }
 
         // Combine base and constraint weight. EI/PI are non-negative, so
@@ -672,7 +717,7 @@ impl Searcher for BoSearcher {
             self.base_acquisition,
             BaseAcquisition::LowerConfidenceBound { .. }
         );
-        let any_feasible = weighted.iter().any(|(_, w)| *w > 0.0);
+        let any_feasible = weights.iter().any(|w| *w > 0.0);
         // The expensive objective runs only where its value can reach the
         // proposal: LCB's penalty form needs every base, EI/PI need bases
         // for predicted-feasible candidates — and for the whole grid only
@@ -686,17 +731,17 @@ impl Searcher for BoSearcher {
         // candidate. `posterior_batch` is bit-identical to per-point
         // `predict` (pinned by `crates/gp/tests/posterior_batch.rs`), so
         // the acquisition sees the same numbers either way.
-        let needs_base: Vec<usize> = weighted
+        let needs_base: Vec<usize> = weights
             .iter()
             .enumerate()
-            .filter(|(_, (_, weight))| lcb || *weight > 0.0 || !any_feasible)
+            .filter(|(_, weight)| lcb || **weight > 0.0 || !any_feasible)
             .map(|(i, _)| i)
             .collect();
-        let mut bases = vec![0.0f64; weighted.len()];
+        let mut bases = vec![0.0f64; weights.len()];
         for block in needs_base.chunks(Self::GP_SCORE_BLOCK) {
             let mut units = Vec::with_capacity(block.len() * d);
             for &i in block {
-                units.extend_from_slice(weighted[i].0.unit());
+                units.extend_from_slice(grid.row(i));
             }
             let queries = Matrix::from_vec(block.len(), d, units).map_err(Error::Numerical)?;
             let (means, variances) = fitted.gp.posterior_batch(&queries)?;
@@ -718,73 +763,24 @@ impl Searcher for BoSearcher {
                 };
             }
         }
-        let scored: Vec<(Config, f64, f64)> = weighted
-            .into_iter()
-            .zip(bases)
-            .map(|((candidate, weight), base)| (candidate, base, weight))
-            .collect();
-        if lcb {
-            let lo = scored
-                .iter()
-                .map(|(_, b, _)| *b)
-                .fold(f64::INFINITY, f64::min);
-            let hi = scored
-                .iter()
-                .map(|(_, b, _)| *b)
-                .fold(f64::NEG_INFINITY, f64::max);
+        let chosen = if lcb {
+            let lo = bases.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = bases.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let span = (hi - lo).max(1e-9);
-            let winner = scored
-                .into_iter()
-                .map(|(c, b, w)| {
-                    let s = b - 10.0 * span * (1.0 - w);
-                    (c, s)
-                })
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            return match winner {
-                Some((c, _)) => Ok(c),
-                // Zero-sized candidate grid: degrade to a random proposal.
-                None => Ok(Config::random(rng, space.dim())),
-            };
-        }
-
-        let mut best_candidate: Option<(Config, f64)> = None;
-        // Best candidate with *any* constraint weight (kept feasible even
-        // when every EI underflows to zero during exploitation) and the
-        // best unweighted candidate as a last resort.
-        let mut best_weighted: Option<(Config, f64, f64)> = None; // (cfg, weight, base)
-        let mut best_unweighted: Option<(Config, f64)> = None;
-        for (candidate, base, weight) in scored {
-            let score = base * weight;
-            if best_candidate.as_ref().is_none_or(|(_, s)| score > *s) {
-                best_candidate = Some((candidate.clone(), score));
-            }
-            if weight > 0.0
-                && best_weighted
-                    .as_ref()
-                    .is_none_or(|(_, w, b)| (weight, base) > (*w, *b))
-            {
-                best_weighted = Some((candidate.clone(), weight, base));
-            }
-            if best_unweighted.as_ref().is_none_or(|(_, b)| base > *b) {
-                best_unweighted = Some((candidate, base));
-            }
-        }
-        let Some((winner, score)) = best_candidate else {
-            // Zero-sized candidate grid: degrade to a random proposal.
-            return Ok(Config::random(rng, space.dim()));
-        };
-        if score > 0.0 {
-            Ok(winner)
-        } else if let Some((feasible, _, _)) = best_weighted {
-            // All improvement mass vanished: stay inside the
-            // predicted-feasible region rather than proposing a violator.
-            Ok(feasible)
-        } else if let Some((fallback, _)) = best_unweighted {
-            // The whole grid is predicted infeasible (pathologically tight
-            // budgets): fall back to the best unweighted point.
-            Ok(fallback)
+            bases
+                .iter()
+                .zip(&weights)
+                .map(|(b, w)| b - 10.0 * span * (1.0 - w))
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(i, _)| i)
         } else {
-            Ok(winner)
+            best_ei_candidate(&bases, &weights)
+        };
+        match chosen {
+            Some(i) => Config::new(grid.row(i).to_vec()),
+            // Zero-sized candidate grid: degrade to a random proposal.
+            None => Ok(Config::random(rng, space.dim())),
         }
     }
 

@@ -18,7 +18,7 @@
 //! [`FeatureMap::Quadratic`].
 
 use hyperpower_linalg::units::{Mebibytes, Seconds, Watts};
-use hyperpower_linalg::{ridge_least_squares, stats, vector, Matrix};
+use hyperpower_linalg::{ridge_least_squares, stats, Matrix};
 
 use crate::{Error, Result};
 
@@ -41,7 +41,13 @@ pub enum FeatureMap {
 }
 
 impl FeatureMap {
-    /// Expands a structural vector into regression features.
+    /// Expands a structural vector into regression features: `[1, z]`, or
+    /// `[1, z, z²]` for [`FeatureMap::Quadratic`].
+    ///
+    /// Fitting builds its design matrix from these rows.
+    /// [`LinearHwModel::predict`] does not call it: it takes the same dot
+    /// product with the features left implicit, so screening a candidate
+    /// grid allocates nothing.
     pub fn expand(&self, z: &[f64]) -> Vec<f64> {
         match self {
             FeatureMap::Linear => {
@@ -58,6 +64,30 @@ impl FeatureMap {
                 out
             }
         }
+    }
+
+    /// `vector::dot(weights, &self.expand(z))` without building the
+    /// features: the same products, `w·1`, `w·zⱼ` and `w·(zⱼ·zⱼ)`, summed in
+    /// the same order from the same start, so the result is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as `vector::dot` does, unless `weights` holds one weight per
+    /// feature of `z`.
+    fn dot(&self, weights: &[f64], z: &[f64]) -> f64 {
+        let squares = match self {
+            FeatureMap::Linear => 0,
+            FeatureMap::Quadratic => z.len(),
+        };
+        assert_eq!(weights.len(), 1 + z.len() + squares, "dot: length mismatch");
+        let (intercept, rest) = weights.split_at(1);
+        let (linear, quadratic) = rest.split_at(z.len());
+        intercept
+            .iter()
+            .map(|w| w * 1.0)
+            .chain(linear.iter().zip(z).map(|(w, v)| w * v))
+            .chain(quadratic.iter().zip(z).map(|(w, v)| w * (v * v)))
+            .sum()
     }
 }
 
@@ -239,16 +269,21 @@ impl LinearHwModel {
         })
     }
 
-    /// Predicts the hardware metric for a structural vector `z`.
+    /// Predicts the hardware metric for a structural vector `z`: the dot
+    /// product of the weights with the features `[1, z]` (`[1, z, z²]` for
+    /// [`FeatureMap::Quadratic`]), then the inverse target transform.
+    ///
+    /// The features stay implicit, so a prediction allocates nothing, and
+    /// the result is bit-identical to
+    /// `vector::dot(weights, &feature_map.expand(z))` transformed back.
     ///
     /// # Panics
     ///
     /// Panics if `z` has the wrong dimensionality for the feature map.
     pub fn predict(&self, z: &[f64]) -> f64 {
         hyperpower_linalg::debug_assert_finite!("hw-model input z", z);
-        let features = self.feature_map.expand(z);
         self.target_transform
-            .inverse(vector::dot(&self.weights, &features))
+            .inverse(self.feature_map.dot(&self.weights, z))
     }
 
     /// The fitted weights (`wⱼ` of Eq. 1 / `mⱼ` of Eq. 2).

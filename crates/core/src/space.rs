@@ -466,20 +466,31 @@ impl SearchSpace {
     ///
     /// Returns [`Error::InvalidConfig`] on dimension mismatch.
     pub fn structural_values(&self, config: &Config) -> Result<Vec<f64>> {
-        if config.dim() != self.dim() {
+        let mut z = Vec::new();
+        self.structural_values_into(config.unit(), &mut z)?;
+        Ok(z)
+    }
+
+    /// [`SearchSpace::structural_values`] of the unit-cube point `unit`,
+    /// decoded into `z` (cleared first): a caller that screens many points
+    /// reuses one buffer instead of allocating one per point.
+    pub(crate) fn structural_values_into(&self, unit: &[f64], z: &mut Vec<f64>) -> Result<()> {
+        if unit.len() != self.dim() {
             return Err(Error::InvalidConfig(format!(
                 "expected {} dimensions, got {}",
                 self.dim(),
-                config.dim()
+                unit.len()
             )));
         }
-        Ok(self
-            .dims
-            .iter()
-            .zip(config.unit())
-            .filter(|(d, _)| d.is_structural())
-            .map(|(d, u)| d.decode(*u))
-            .collect())
+        z.clear();
+        z.extend(
+            self.dims
+                .iter()
+                .zip(unit)
+                .filter(|(d, _)| d.is_structural())
+                .map(|(d, u)| d.decode(*u)),
+        );
+        Ok(())
     }
 }
 
@@ -585,6 +596,25 @@ mod tests {
             space.structural_values(&config).unwrap(),
             decoded.structural
         );
+    }
+
+    #[test]
+    fn reused_structural_buffer_matches_fresh_decode() {
+        // One buffer across both spaces and many points: nothing stale from
+        // an earlier, longer or shorter, decode may survive.
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut z = vec![f64::NAN; 32];
+        for _ in 0..50 {
+            for space in [SearchSpace::cifar10(), SearchSpace::mnist()] {
+                let config = Config::random(&mut rng, space.dim());
+                space.structural_values_into(config.unit(), &mut z).unwrap();
+                let decoded = space.decode(&config).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&z), bits(&decoded.structural));
+            }
+        }
+        let err = SearchSpace::mnist().structural_values_into(&[0.5; 13], &mut z);
+        assert!(matches!(err, Err(Error::InvalidConfig(_))));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use hyperpower::driver::RunSetup;
 use hyperpower::golden::encode_trace;
 use hyperpower::methods::History;
-use hyperpower::model::{FeatureMap, LinearHwModel};
+use hyperpower::model::{FeatureMap, LinearHwModel, TargetTransform};
 use hyperpower::recovery::{plan_trial, RetryPolicy, TrialOutcome};
 use hyperpower::space::Decoded;
 use hyperpower::{
@@ -146,7 +146,95 @@ fn toy_power_model(noise: f64) -> LinearHwModel {
     LinearHwModel::fit_kfold(&z, &y, 10, FeatureMap::Linear).expect("fits")
 }
 
+/// A hardware model over `d` structural values, fitted to seeded positive
+/// targets with the given feature map and target transform.
+fn seeded_hw_model(
+    seed: u64,
+    d: usize,
+    feature_map: FeatureMap,
+    transform: TargetTransform,
+) -> LinearHwModel {
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let z: Vec<Vec<f64>> = (0..4 * d + 12)
+        .map(|_| (0..d).map(|_| rng.random_range(1.0..80.0)).collect())
+        .collect();
+    let y: Vec<f64> = z
+        .iter()
+        .map(|r| 50.0 + 0.3 * r.iter().sum::<f64>() + rng.random_range(0.0..5.0))
+        .collect();
+    LinearHwModel::fit_kfold_transformed(&z, &y, 10, feature_map, transform).expect("fits")
+}
+
+/// The oracle of `LinearHwModel::predict`: the explicit feature vector,
+/// `vector::dot`, then the inverse of the target transform.
+fn predict_by_expansion(model: &LinearHwModel, z: &[f64]) -> f64 {
+    let y = hyperpower_linalg::vector::dot(model.weights(), &model.feature_map().expand(z));
+    match model.target_transform() {
+        TargetTransform::Identity => y,
+        TargetTransform::Log => y.exp(),
+    }
+}
+
+/// Structural values for the prediction oracle: mostly in the spaces'
+/// ranges, salted with signed zeros, negatives and large magnitudes.
+fn z_entry() -> impl Strategy<Value = f64> {
+    (
+        prop::sample::select(vec![0u8, 0, 0, 0, 1, 2, 3, 4]),
+        0.0f64..700.0,
+    )
+        .prop_map(|(kind, v)| match kind {
+            0 => v,
+            1 => 0.0,
+            2 => -0.0,
+            3 => -v,
+            _ => v * 1e12,
+        })
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn hw_model_predict_panics_on_a_wrong_length_z() {
+    for feature_map in [FeatureMap::Linear, FeatureMap::Quadratic] {
+        let model = seeded_hw_model(3, 4, feature_map, TargetTransform::Identity);
+        assert!(model.predict(&[1.0; 4]).is_finite());
+        for len in [0, 3, 5, 9] {
+            let z = vec![1.0; len];
+            let outcome = std::panic::catch_unwind(|| model.predict(&z));
+            assert!(
+                outcome.is_err(),
+                "{feature_map:?}: a z of length {len} against 4 structural values must panic"
+            );
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn hw_model_predict_bit_equals_expanded_dot(
+        seed in 0u64..1_000_000,
+        d in 1usize..=10,
+        feature_map in prop::sample::select(vec![FeatureMap::Linear, FeatureMap::Quadratic]),
+        transform in prop::sample::select(vec![TargetTransform::Identity, TargetTransform::Log]),
+        zs in proptest::collection::vec(proptest::collection::vec(z_entry(), 10), 8),
+    ) {
+        let model = seeded_hw_model(seed, d, feature_map, transform);
+        for z in &zs {
+            let z = &z[..d];
+            prop_assert_eq!(
+                model.predict(z).to_bits(),
+                predict_by_expansion(&model, z).to_bits(),
+                "{:?}/{:?} prediction at {:?}",
+                feature_map,
+                transform,
+                z
+            );
+        }
+    }
+
     #[test]
     fn every_unit_point_decodes_mnist(unit in unit_vec(6)) {
         let space = SearchSpace::mnist();
@@ -174,11 +262,14 @@ proptest! {
 
     #[test]
     fn structural_values_agree_with_decode(unit in unit_vec(13)) {
-        let space = SearchSpace::cifar10();
-        let config = Config::new(unit).unwrap();
-        let z = space.structural_values(&config).unwrap();
-        let decoded = space.decode(&config).unwrap();
-        prop_assert_eq!(z, decoded.structural);
+        // `structural_values` runs the buffered decode that BO screening
+        // reuses one buffer for; it must give `decode`'s `z`, bit for bit.
+        for space in [SearchSpace::cifar10(), SearchSpace::mnist()] {
+            let config = Config::new(unit[..space.dim()].to_vec()).unwrap();
+            let z = space.structural_values(&config).unwrap();
+            let decoded = space.decode(&config).unwrap();
+            prop_assert_eq!(bits(&z), bits(&decoded.structural));
+        }
     }
 
     #[test]

@@ -22,7 +22,14 @@
 //!   scratch (an f64 copied through memory is the same f64);
 //! * split a reduction loop into sequential chunks executed in increasing
 //!   order with the running value carried between chunks (in a register or
-//!   in memory — both are exact).
+//!   in memory — both are exact);
+//! * k-block a column update: subtract several earlier rows in one pass
+//!   over the output, each element taking them one after another in
+//!   increasing k (`((w − a₀·l₀) − a₁·l₁) − …`, never the block's products
+//!   summed first);
+//! * specialise a kernel per call site (`#[inline(always)]`, so a constant
+//!   argument such as `nrhs = 1` folds away a loop): that changes the loop
+//!   structure, never an element's operations.
 //!
 //! Illegal moves:
 //! * reordering or splitting a reduction into independent partial sums;
@@ -276,6 +283,27 @@ pub(crate) fn gram_into(rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Earlier rows of `Lᵀ` the factor's column update subtracts per pass over
+/// the column.
+const KB: usize = 4;
+
+/// One k-block of the factor's column update: `col[i] −= r[i]·r[0]` for
+/// each of the `KB` rows `r` (each `lt[k][j..n]`, so `r[0]` is `l[j,k]`),
+/// in row order. Every element subtracts the four products one after
+/// another in increasing k, the sequence of four single-row passes; one
+/// pass just loads and stores each column entry once instead of four times.
+fn column_update_kb(col: &mut [f64], rows: &[&[f64]; KB]) {
+    let [r0, r1, r2, r3] = *rows;
+    let (Some(&l0), Some(&l1), Some(&l2), Some(&l3)) =
+        (r0.first(), r1.first(), r2.first(), r3.first())
+    else {
+        return;
+    };
+    for ((((w, &a0), &a1), &a2), &a3) in col.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+        *w = *w - a0 * l0 - a1 * l1 - a2 * l2 - a3 * l3;
+    }
+}
+
 /// Column-order Cholesky into `Lᵀ`: factors the lower triangle of `a`
 /// (n×n, row-major) and writes column j of `L` as row j of `lt` (n×n,
 /// row-major), from its diagonal on. The strictly lower triangle of `lt` is
@@ -286,9 +314,10 @@ pub(crate) fn gram_into(rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
 /// as it is (adding `0.0` would turn a `-0.0` diagonal into `+0.0`).
 ///
 /// Column j starts as a copy of the lower-triangle column j of `a`, then
-/// subtracts `lt[k][j..n] · lt[k][j]` for k = 0..j, one contiguous axpy per
-/// k; its first entry is the pivot, which is tested, replaced by its `sqrt`
-/// and divides the rest. So element (i, j) takes the naive left-looking
+/// subtracts `lt[k][j..n] · lt[k][j]` for k = 0..j, `KB` rows of `Lᵀ` per
+/// pass ([`column_update_kb`]) and the last `j mod KB` one at a time; its
+/// first entry is the pivot, which is tested, replaced by its `sqrt` and
+/// divides the rest. So element (i, j) takes the naive left-looking
 /// sequence — `a[i,j] − l[i,k]·l[j,k]` for k strictly increasing, then the
 /// `sqrt` or the divide — and a failure reports the first bad pivot and its
 /// bit-identical value as `Err((pivot, value))`: pivot j depends only on
@@ -303,27 +332,39 @@ pub(crate) fn cholesky_factor_lt(
     debug_assert_eq!(lt.len(), n * n);
     for j in 0..n {
         let (done, rest) = lt.split_at_mut(j * n);
-        let col = &mut rest[j..n];
-        for (w, &v) in col.iter_mut().zip(a[j * n + j..].iter().step_by(n)) {
+        let (row, _) = rest.split_at_mut(n);
+        let (_, col) = row.split_at_mut(j);
+        let (_, a_col) = a.split_at(j * n + j);
+        for (w, &v) in col.iter_mut().zip(a_col.iter().step_by(n)) {
             *w = v;
         }
-        if let Some(s) = shift {
-            col[0] += s;
+        if let (Some(s), Some(w)) = (shift, col.first_mut()) {
+            *w += s;
         }
-        for row in done.chunks_exact(n) {
-            let row = &row[j..];
-            let ljk = row[0];
-            for (w, &lik) in col.iter_mut().zip(row) {
-                *w -= lik * ljk;
+        let mut blocks = done.chunks_exact(KB * n);
+        for block in &mut blocks {
+            let rows: [&[f64]; KB] = core::array::from_fn(|r| &block[r * n + j..(r + 1) * n]);
+            column_update_kb(col, &rows);
+        }
+        for row in blocks.remainder().chunks_exact(n) {
+            let (_, row) = row.split_at(j);
+            if let Some(&ljk) = row.first() {
+                for (w, &lik) in col.iter_mut().zip(row) {
+                    *w -= lik * ljk;
+                }
             }
         }
-        let pivot = col[0];
+        // `col` holds the n − j ≥ 1 entries of column j from the diagonal.
+        let Some((diagonal, below)) = col.split_first_mut() else {
+            continue;
+        };
+        let pivot = *diagonal;
         if pivot <= 0.0 || !pivot.is_finite() {
             return Err((j, pivot));
         }
         let d = pivot.sqrt();
-        col[0] = d;
-        for w in &mut col[1..] {
+        *diagonal = d;
+        for w in below {
             *w /= d;
         }
     }
@@ -409,20 +450,33 @@ pub(crate) fn solve_lower_multi(n: usize, l: &[f64], nrhs: usize, y: &mut [f64])
 /// makes the k-loop a contiguous read, and the RHS dimension vectorizes.
 /// Per (element, RHS): subtract `l[k,i]·x[k]` for k = i+1..n in increasing
 /// order, then divide — the naive `solve_lower_transpose` sequence.
+///
+/// Row i of `lt` and the solved rows below it are walked by zipped
+/// iterators, with no index arithmetic per k. `#[inline(always)]` lets each
+/// call site specialise the kernel: where `nrhs` is the constant 1 (every
+/// single right-hand-side solve) the RHS loop disappears and row i runs as
+/// one accumulator over `l[k,i]·x[k]`.
+#[inline(always)]
 pub(crate) fn solve_lower_transpose_multi(n: usize, lt: &[f64], nrhs: usize, y: &mut [f64]) {
     debug_assert_eq!(lt.len(), n * n);
     debug_assert_eq!(y.len(), n * nrhs);
-    for i in (0..n).rev() {
+    if n == 0 || nrhs == 0 {
+        // Nothing to solve, and `chunks_exact` rejects a zero width.
+        return;
+    }
+    for (i, row) in lt.chunks_exact(n).enumerate().rev() {
         let (_, tail) = y.split_at_mut(i * nrhs);
         let (yi, xs) = tail.split_at_mut(nrhs);
-        for k in i + 1..n {
-            let lki = lt[i * n + k];
-            let xk = &xs[(k - i - 1) * nrhs..(k - i) * nrhs];
+        let (_, from_diagonal) = row.split_at(i);
+        // Row i holds n − i ≥ 1 entries from its diagonal on.
+        let Some((&d, below)) = from_diagonal.split_first() else {
+            continue;
+        };
+        for (&lki, xk) in below.iter().zip(xs.chunks_exact(nrhs)) {
             for (yv, &kv) in yi.iter_mut().zip(xk) {
                 *yv -= lki * kv;
             }
         }
-        let d = lt[i * n + i];
         for yv in yi.iter_mut() {
             *yv /= d;
         }
