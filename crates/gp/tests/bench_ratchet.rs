@@ -7,9 +7,12 @@
 //! bits), the reference timings, and a *relative* floor: scoring the
 //! candidate grid through `posterior_batch` in blocks must stay at least
 //! `batch_speedup_floor`× faster than the per-point `predict` loop it
-//! replaced, measured side by side on whatever machine runs the test. The
-//! speedup only counts because the outputs are bit-identical — that part
-//! is asserted here too, on the full grid.
+//! replaced, measured side by side on whatever machine runs the test. That
+//! loop is the frozen copy in `common` (`FrozenScorer::predict`, which
+//! solves row by row against `L`), so the floor keeps describing the
+//! change batching made however fast the live `predict` becomes. The
+//! speedup only counts because the outputs are bit-identical — to the
+//! frozen loop and to the live `predict`, asserted here on the full grid.
 //!
 //! Its `fit` entry does the same for `fit_gp_hyperparams_laddered`, which
 //! builds every trial's covariance from a per-fit distance table and
@@ -35,7 +38,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use common::{fit_bits, frozen_fit_gp_hyperparams_laddered, FrozenScorer, BO_FIT, MAX_RUNGS};
-use hyperpower_gp::{fit_gp_hyperparams_laddered, GpRegressor, LadderedFit, Matern52};
+use hyperpower_gp::{fit_gp_hyperparams_laddered, GpRegressor, LadderedFit, Matern52, Prediction};
 use hyperpower_linalg::{corpus, Matrix};
 
 const BENCH_FILE: &str = "BENCH_gp.json";
@@ -77,6 +80,7 @@ type Scores = Vec<(Vec<f64>, Vec<f64>)>;
 
 struct Workload {
     gp: GpRegressor,
+    frozen: FrozenScorer,
     grid: Matrix,
     blocks: Vec<Matrix>,
 }
@@ -101,10 +105,16 @@ fn workload(text: &str) -> Workload {
         "seeded candidate grid changed bits: refresh {BENCH_FILE}"
     );
 
-    let gp = GpRegressor::fit(Matern52::new(0.5).into_kernel(), 1.0, 1e-6, &x, &y)
-        .expect("corpus surrogate fit");
+    let kernel = Matern52::new(0.5).into_kernel();
+    let gp = GpRegressor::fit(kernel.clone(), 1.0, 1e-6, &x, &y).expect("corpus surrogate fit");
+    let frozen = FrozenScorer::fit(kernel, 1.0, 1e-6, &x, &y);
     let blocks = tile(&grid, block);
-    Workload { gp, grid, blocks }
+    Workload {
+        gp,
+        frozen,
+        grid,
+        blocks,
+    }
 }
 
 /// The rows of `grid` in consecutive blocks of `block` rows.
@@ -119,16 +129,23 @@ fn tile(grid: &Matrix, block: usize) -> Vec<Matrix> {
         .collect()
 }
 
-/// Best-of-`reps` wall time of `f`, after one warm-up call.
-fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let _ = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
+/// Each candidate's posterior mean and variance, in grid order.
+type Posteriors = Vec<(f64, f64)>;
+
+fn assert_same_posteriors(label: &str, expected: &Posteriors, actual: &Posteriors) {
+    assert_eq!(expected.len(), actual.len(), "{label}: candidate count");
+    for (q, ((em, ev), (am, av))) in expected.iter().zip(actual).enumerate() {
+        assert_eq!(
+            em.to_bits(),
+            am.to_bits(),
+            "{label}: mean bits diverged at candidate {q}"
+        );
+        assert_eq!(
+            ev.to_bits(),
+            av.to_bits(),
+            "{label}: variance bits diverged at candidate {q}"
+        );
     }
-    best
 }
 
 #[test]
@@ -136,53 +153,45 @@ fn batched_scoring_keeps_committed_speedup_over_pointwise() {
     let text = bench_text();
     let floor = committed("batch_speedup_floor", &text);
     let w = workload(&text);
-
-    // Bit-equality first: the speedup only counts for identical numbers.
-    let mut pointwise: Vec<(f64, f64)> = Vec::with_capacity(w.grid.rows());
-    for i in 0..w.grid.rows() {
-        let p = w.gp.predict(w.grid.row(i)).expect("in-domain query");
-        pointwise.push((p.mean, p.variance));
-    }
-    let mut q = 0usize;
-    for b in &w.blocks {
-        let (means, variances) = w.gp.posterior_batch(b).expect("in-domain block");
-        for (m, v) in means.iter().zip(&variances) {
-            assert_eq!(
-                m.to_bits(),
-                pointwise[q].0.to_bits(),
-                "mean bits diverged at candidate {q}"
-            );
-            assert_eq!(
-                v.to_bits(),
-                pointwise[q].1.to_bits(),
-                "variance bits diverged at candidate {q}"
-            );
-            q += 1;
-        }
-    }
-    assert_eq!(q, w.grid.rows(), "blocks must tile the whole grid");
-
-    let _timing = timing_lock();
-    let point_secs = best_secs(3, || {
-        let mut acc = 0.0f64;
-        for i in 0..w.grid.rows() {
-            let p = w.gp.predict(w.grid.row(i)).expect("in-domain query");
-            acc += p.mean + p.variance;
-        }
-        acc
-    });
-    let batch_secs = best_secs(3, || {
-        let mut acc = 0.0f64;
+    let pointwise = |predict: &dyn Fn(&[f64]) -> Prediction| -> Posteriors {
+        (0..w.grid.rows())
+            .map(|i| predict(w.grid.row(i)))
+            .map(|p| (p.mean, p.variance))
+            .collect()
+    };
+    let frozen = || pointwise(&|q| w.frozen.predict(q).expect("in-domain query"));
+    let live = || pointwise(&|q| w.gp.predict(q).expect("in-domain query"));
+    let batched = || -> Posteriors {
+        let mut scores = Vec::with_capacity(w.grid.rows());
         for b in &w.blocks {
             let (means, variances) = w.gp.posterior_batch(b).expect("in-domain block");
-            acc += means.iter().sum::<f64>() + variances.iter().sum::<f64>();
+            scores.extend(means.into_iter().zip(variances));
         }
-        acc
-    });
+        scores
+    };
+
+    // Bit-equality first: the speedup only counts for identical numbers.
+    let reference = frozen();
+    assert_same_posteriors("live predict", &reference, &live());
+    assert_same_posteriors("posterior_batch", &reference, &batched());
+
+    // Best of interleaved calls (the checks above warmed both up), so
+    // drift in the host's speed hits both sides alike.
+    let _timing = timing_lock();
+    let secs = |f: &dyn Fn() -> Posteriors| {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        start.elapsed().as_secs_f64()
+    };
+    let (mut point_secs, mut batch_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        point_secs = point_secs.min(secs(&frozen));
+        batch_secs = batch_secs.min(secs(&batched));
+    }
 
     let speedup = point_secs / batch_secs;
     eprintln!(
-        "gp scoring {} candidates: pointwise {point_secs:.4}s, batched \
+        "gp scoring {} candidates: frozen pointwise {point_secs:.4}s, batched \
          {batch_secs:.4}s, speedup {speedup:.2}x (floor {floor}x)",
         w.grid.rows()
     );

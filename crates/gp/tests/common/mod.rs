@@ -3,7 +3,9 @@
 //! began building each trial's covariance from a per-fit distance table —
 //! and frozen reference scorer — `GpRegressor::posterior_batch` copied at
 //! the moment the cross-covariances began to be built a training row at a
-//! time.
+//! time — and frozen per-point loop — `GpRegressor::predict` copied, with
+//! the forward solve it ran, at the moment an owned factor stopped solving
+//! row by row against `L`.
 //!
 //! The fit is the oracle of the first change: every Nelder–Mead trial
 //! here refits a whole [`GpRegressor`] from the rows, and the library's
@@ -11,10 +13,11 @@
 //! traces at the workspace root pin every f64 the BO loop derives from
 //! them. The scorer is the oracle of the second: one k* vector per
 //! candidate, then a transpose of the solution, and the library's scores
-//! must be bit-identical. The bench ratchet times the library against
-//! both copies. Do not "improve" this code — its whole value is that it
-//! never changes. The shared test inputs at the end of the file are not
-//! part of either copy.
+//! must be bit-identical. The per-point loop is the baseline that batched
+//! scoring is timed against, and both scoring paths must match its bits.
+//! The bench ratchet times the library against these copies. Do not
+//! "improve" this code — its whole value is that it never changes. The
+//! shared test inputs at the end of the file are not part of any copy.
 
 // Oracle code is kept exactly as it was, including what the library's
 // lints would now reject in test support.
@@ -23,7 +26,9 @@
 use std::sync::Arc;
 
 use hyperpower_gp::optimize::{nelder_mead, NelderMeadOptions};
-use hyperpower_gp::{Error, FitOptions, FittedGp, GpRegressor, Kernel, LadderedFit, Result};
+use hyperpower_gp::{
+    Error, FitOptions, FittedGp, GpRegressor, Kernel, LadderedFit, Prediction, Result,
+};
 use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 pub fn frozen_fit_gp_hyperparams(
@@ -166,12 +171,13 @@ fn variance(y: &[f64]) -> f64 {
     y.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (y.len() - 1) as f64
 }
 
-/// The state `GpRegressor::posterior_batch` reads. The regressor keeps its
-/// factor private, so [`FrozenScorer::fit`] rebuilds it from the public
-/// kernel and linalg calls `GpRegressor::fit` makes, with the kernel
-/// matrix and cross-covariances evaluated as the provided
-/// `Kernel::matrix` and `Kernel::cross` evaluated them then: one
-/// `Kernel::eval` per entry.
+/// The state `GpRegressor::posterior_batch` and `GpRegressor::predict`
+/// read. The regressor keeps its factor private, so [`FrozenScorer::fit`]
+/// rebuilds it from the public kernel and linalg calls `GpRegressor::fit`
+/// makes, with the kernel matrix and cross-covariances evaluated as the
+/// provided `Kernel::matrix` and `Kernel::cross` evaluated them then: one
+/// `Kernel::eval` per entry. `l` is the factor's `L`, which
+/// [`FrozenScorer::predict`] solves against.
 pub struct FrozenScorer {
     kernel: Arc<dyn Kernel>,
     signal_variance: f64,
@@ -179,6 +185,7 @@ pub struct FrozenScorer {
     y_mean: f64,
     alpha: Vec<f64>,
     chol: Cholesky,
+    l: Matrix,
 }
 
 impl FrozenScorer {
@@ -204,6 +211,7 @@ impl FrozenScorer {
         cov.add_diagonal(noise_variance);
         let (chol, _jitter) = Cholesky::factor_with_jitter(&cov, 1e-10, 10).unwrap();
         let alpha = chol.solve(&y_centered).unwrap();
+        let l = chol.factor_l().clone();
         FrozenScorer {
             kernel,
             signal_variance,
@@ -211,6 +219,7 @@ impl FrozenScorer {
             y_mean,
             alpha,
             chol,
+            l,
         }
     }
 
@@ -259,6 +268,80 @@ impl FrozenScorer {
             variances.push((prior - vector::dot(vq, vq)).max(0.0));
         }
         Ok((means, variances))
+    }
+
+    pub fn predict(&self, query: &[f64]) -> Result<Prediction> {
+        if query.len() != self.x_train.cols() {
+            return Err(Error::DimensionMismatch {
+                expected: format!("query with {} dimensions", self.x_train.cols()),
+                found: format!("query with {} dimensions", query.len()),
+            });
+        }
+        let k_star: Vec<f64> = self
+            .kernel
+            .cross(query, &self.x_train)
+            .into_iter()
+            .map(|v| v * self.signal_variance)
+            .collect();
+        let mean = self.y_mean + vector::dot(&k_star, &self.alpha);
+        // v = L⁻¹ k*; var = k(x*,x*) − vᵀv
+        let v = solve_lower(&self.l, &k_star);
+        let prior = self.signal_variance * self.kernel.eval(query, query);
+        let variance = (prior - vector::dot(&v, &v)).max(0.0);
+        hyperpower_linalg::debug_assert_finite!("gp posterior (mean, variance)", &[mean, variance]);
+        Ok(Prediction { mean, variance })
+    }
+}
+
+/// `Cholesky::solve_lower` as `FrozenScorer::predict` ran it: a copy of
+/// `b`, solved in place row by row against `L` by the blocked kernel
+/// below, with one right-hand side.
+fn solve_lower(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut y = b.to_vec();
+    solve_lower_rows(l.rows(), l.as_slice(), 1, &mut y);
+    y
+}
+
+/// Rows of the solution per block of [`solve_lower_rows`].
+const ROW_BLOCK: usize = 32;
+
+/// Blocked forward substitution `L·Y = B` against row-major `L` for
+/// `nrhs` right-hand sides stored column-wise (`y[i * nrhs + r]`): each
+/// row of a block subtracts the block's earlier rows and divides, then
+/// every later row subtracts the whole block.
+fn solve_lower_rows(n: usize, l: &[f64], nrhs: usize, y: &mut [f64]) {
+    debug_assert_eq!(l.len(), n * n);
+    debug_assert_eq!(y.len(), n * nrhs);
+    let mut a0 = 0;
+    while a0 < n {
+        let a1 = (a0 + ROW_BLOCK).min(n);
+        for i in a0..a1 {
+            let (head, tail) = y.split_at_mut(i * nrhs);
+            let yi = &mut tail[..nrhs];
+            for k in a0..i {
+                let lik = l[i * n + k];
+                let yk = &head[k * nrhs..(k + 1) * nrhs];
+                for (yv, &kv) in yi.iter_mut().zip(yk) {
+                    *yv -= lik * kv;
+                }
+            }
+            let d = l[i * n + i];
+            for yv in yi.iter_mut() {
+                *yv /= d;
+            }
+        }
+        for i in a1..n {
+            let (head, tail) = y.split_at_mut(i * nrhs);
+            let yi = &mut tail[..nrhs];
+            for k in a0..a1 {
+                let lik = l[i * n + k];
+                let yk = &head[k * nrhs..(k + 1) * nrhs];
+                for (yv, &kv) in yi.iter_mut().zip(yk) {
+                    *yv -= lik * kv;
+                }
+            }
+        }
+        a0 = a1;
     }
 }
 
