@@ -33,6 +33,8 @@
 use std::path::PathBuf;
 
 use hyperpower::golden::{diff_text, encode_trace};
+use hyperpower::integrity::crc32;
+use hyperpower::methods::ThompsonSearcher;
 use hyperpower::{Budget, ExecutorOptions, Method, Mode, Scenario, Session, Trace};
 use hyperpower_gpu_sim::FaultProfile;
 
@@ -332,5 +334,35 @@ fn golden_hwieci_evals8_drifting_hw_g2() {
         Method::HwIeci,
         EVALS8,
         &healing(gpus(2)),
+    );
+}
+
+/// CRC32 of the encoded trace [`thompson_hwieci_trace_crc_is_pinned`]
+/// runs.
+const THOMPSON_HWIECI_CRC: u32 = 0xadb8_5d5d;
+
+/// Thompson sampling is not one of the paper's four methods, so no
+/// fixture holds its trace; a CRC32 of the encoding pins its bytes. Each
+/// of its proposals screens a candidate grid through the constraint
+/// oracle and draws from the GP's joint posterior, whose forward solve
+/// takes each admitted candidate as one of its right-hand sides, so a
+/// change to either that moves a bit moves the CRC.
+#[test]
+fn thompson_hwieci_trace_crc_is_pinned() {
+    let mut session =
+        Session::new(Scenario::cifar10_gtx1070(), GOLDEN_SEED).expect("session setup");
+    let searcher = ThompsonSearcher::new(Some(session.oracle().clone()));
+    let trace = session
+        .run_with_searcher(
+            Box::new(searcher),
+            Method::HwIeci,
+            Budget::Evaluations(12),
+            GOLDEN_SEED,
+        )
+        .expect("thompson run");
+    let crc = crc32(encode_trace(&trace).as_bytes());
+    assert_eq!(
+        crc, THOMPSON_HWIECI_CRC,
+        "Thompson trace bytes changed: crc32 {crc:#010x}, pinned {THOMPSON_HWIECI_CRC:#010x}"
     );
 }
