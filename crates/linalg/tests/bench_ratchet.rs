@@ -13,7 +13,9 @@
 //! Its `factor` entry does the same for the column-order Cholesky, run
 //! into a reused `CholeskyWorkspace` as the GP hyper-parameter search runs
 //! it, against the frozen `naive_cholesky`, at a GP-fit size (32) and at
-//! 256, asserting bit-identical factors before any timing.
+//! 256, asserting bit-identical factors before any timing. Its speedup is
+//! the median ratio of adjacent naive and column samples, each at least
+//! about 1 ms long, so one slow moment of the host cannot fail it.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
@@ -193,11 +195,12 @@ fn column_factor_keeps_committed_speedup_over_naive() {
         );
 
         // The column factor as a search trial runs it: into a reused
-        // workspace. Enough factorizations per sample to dwarf the timer,
-        // and the best of interleaved samples, so drift in the host's
-        // speed hits both sides alike.
-        let batch = (1 << 21) / (n * n * n) + 1;
-        let secs = |f: &mut dyn FnMut()| {
+        // workspace. Each sample is a batch of factorizations, doubled
+        // until a column sample lasts at least 1 ms, and the speedup is the
+        // median of the naive/column ratios of 15 adjacent pairs of
+        // samples, so a host stall or speed switch skews a pair or two,
+        // never the figure.
+        let secs = |f: &mut dyn FnMut(), batch: usize| {
             let start = Instant::now();
             for _ in 0..batch {
                 f();
@@ -212,16 +215,25 @@ fn column_factor_keeps_committed_speedup_over_naive() {
             std::hint::black_box(factored.is_ok());
         };
         let timing = timing_lock();
-        let (mut naive_secs, mut column_secs) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..15 {
-            naive_secs = naive_secs.min(secs(&mut naive));
-            column_secs = column_secs.min(secs(&mut column));
+        let mut batch = 1;
+        while secs(&mut column, batch) * (batch as f64) < 1e-3 {
+            batch *= 2;
         }
+        let mut pairs: Vec<[f64; 2]> = (0..15)
+            .map(|_| [secs(&mut naive, batch), secs(&mut column, batch)])
+            .collect();
         drop(timing);
-        let speedup = naive_secs / column_secs;
+        let median = |pairs: &mut [[f64; 2]], key: fn(&[f64; 2]) -> f64| {
+            pairs.sort_by(|p, q| key(p).total_cmp(&key(q)));
+            key(&pairs[pairs.len() / 2])
+        };
+        let naive_secs = median(&mut pairs, |p| p[0]);
+        let column_secs = median(&mut pairs, |p| p[1]);
+        let speedup = median(&mut pairs, |p| p[0] / p[1]);
         eprintln!(
-            "cholesky {n}x{n}: naive {naive_secs:.3e}s, column {column_secs:.3e}s, \
-             speedup {speedup:.2}x (floor {floor}x)"
+            "cholesky {n}x{n} ({batch} per sample): median naive {naive_secs:.3e}s, \
+             median column {column_secs:.3e}s, median pair speedup {speedup:.2}x \
+             (floor {floor}x)"
         );
         assert!(
             speedup >= floor,
