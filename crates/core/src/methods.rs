@@ -275,6 +275,28 @@ fn rand_walk_fallback(space: &SearchSpace, history: &History, rng: &mut StdRng) 
     }
 }
 
+/// A uniform random configuration that `oracle` predicts feasible: up to
+/// 10,000 draws, decoded through one structural buffer, then one
+/// unfiltered draw when none was (an effectively empty feasible region).
+/// Without an oracle, the first draw.
+fn feasible_random(
+    space: &SearchSpace,
+    oracle: Option<&ConstraintOracle>,
+    rng: &mut StdRng,
+) -> Result<Config> {
+    if let Some(oracle) = oracle {
+        let mut z = Vec::new();
+        for _ in 0..10_000 {
+            let candidate = Config::random(rng, space.dim());
+            space.structural_values_into(candidate.unit(), &mut z)?;
+            if oracle.predicted_feasible(&z) {
+                return Ok(candidate);
+            }
+        }
+    }
+    Ok(Config::random(rng, space.dim()))
+}
+
 /// The grid row an EI/PI searcher proposes, from each row's base
 /// acquisition and constraint weight: the first row with the highest
 /// `base · weight` if that score is positive. When every improvement mass
@@ -659,19 +681,11 @@ impl Searcher for BoSearcher {
             // (HW-IECI) even the seeds must be predicted feasible — the
             // paper's "never considering invalid configurations" claim
             // covers the whole run.
-            if let (ConstraintWeighting::Indicator, Some(oracle)) = (self.weighting, &self.oracle) {
-                let mut z = Vec::new();
-                for _ in 0..10_000 {
-                    let candidate = Config::random(rng, space.dim());
-                    space.structural_values_into(candidate.unit(), &mut z)?;
-                    if oracle.predicted_feasible(&z) {
-                        return Ok(candidate);
-                    }
-                }
-                // Effectively empty feasible region: fall through to an
-                // unfiltered random seed.
-            }
-            return Ok(Config::random(rng, space.dim()));
+            let seed_oracle = match self.weighting {
+                ConstraintWeighting::Indicator => self.oracle.as_ref(),
+                _ => None,
+            };
+            return feasible_random(space, seed_oracle, rng);
         }
 
         let d = space.dim();
@@ -870,18 +884,6 @@ impl ThompsonSearcher {
             degradations: Vec::new(),
         }
     }
-
-    fn feasible_random(&self, space: &SearchSpace, rng: &mut StdRng) -> Result<Config> {
-        if let Some(oracle) = &self.oracle {
-            for _ in 0..10_000 {
-                let candidate = Config::random(rng, space.dim());
-                if oracle.predicted_feasible(&space.structural_values(&candidate)?) {
-                    return Ok(candidate);
-                }
-            }
-        }
-        Ok(Config::random(rng, space.dim()))
-    }
 }
 
 impl Searcher for ThompsonSearcher {
@@ -891,8 +893,9 @@ impl Searcher for ThompsonSearcher {
         history: &History,
         rng: &mut StdRng,
     ) -> Result<Config> {
+        let oracle = self.oracle.as_ref();
         if history.len() < self.min_observations {
-            return self.feasible_random(space, rng);
+            return feasible_random(space, oracle, rng);
         }
 
         let d = space.dim();
@@ -905,35 +908,41 @@ impl Searcher for ThompsonSearcher {
             &mut self.degradations,
         )? {
             Surrogate::Fitted(fitted) => *fitted,
-            Surrogate::TooFew => return self.feasible_random(space, rng),
+            Surrogate::TooFew => return feasible_random(space, oracle, rng),
             Surrogate::Failed => return Ok(rand_walk_fallback(space, history, rng)),
         };
 
-        // Candidate grid, constraint-filtered up front.
+        // Candidate grid, constraint-filtered up front by row index
+        // through one structural buffer; only the argmin becomes a
+        // `Config`. The grid is drawn in [0, 1), so every row is a valid
+        // one.
         let grid = uniform_candidates(rng, self.candidates * 4, d);
-        let mut candidates = Vec::with_capacity(self.candidates);
+        let mut admitted = Vec::with_capacity(self.candidates);
+        let mut z = Vec::new();
         for i in 0..grid.rows() {
-            if candidates.len() >= self.candidates {
+            if admitted.len() >= self.candidates {
                 break;
             }
-            let candidate = Config::new(grid.row(i).to_vec())?;
-            let admissible = match &self.oracle {
-                Some(oracle) => oracle.predicted_feasible(&space.structural_values(&candidate)?),
+            let admissible = match oracle {
+                Some(oracle) => {
+                    space.structural_values_into(grid.row(i), &mut z)?;
+                    oracle.predicted_feasible(&z)
+                }
                 None => true,
             };
             if admissible {
-                candidates.push(candidate);
+                admitted.push(i);
             }
         }
-        if candidates.is_empty() {
-            return self.feasible_random(space, rng);
+        if admitted.is_empty() {
+            return feasible_random(space, oracle, rng);
         }
 
         // One correlated posterior draw; propose its argmin.
-        let m = candidates.len();
+        let m = admitted.len();
         let mut q = Vec::with_capacity(m * d);
-        for c in &candidates {
-            q.extend_from_slice(c.unit());
+        for &i in &admitted {
+            q.extend_from_slice(grid.row(i));
         }
         let queries = Matrix::from_vec(m, d, q).map_err(Error::Numerical)?;
         let normals: Vec<f64> = (0..m)
@@ -952,16 +961,16 @@ impl Searcher for ThompsonSearcher {
                 return Ok(rand_walk_fallback(space, history, rng));
             }
         };
-        let argmin = sample
+        let argmin = admitted
             .iter()
-            .enumerate()
+            .zip(&sample)
             .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i);
+            .map(|(&row, _)| row);
         match argmin {
-            Some(i) => Ok(candidates.swap_remove(i)),
-            // Unreachable while `candidates` is checked non-empty above,
-            // but a panic-free fallback costs nothing.
-            None => self.feasible_random(space, rng),
+            Some(row) => Config::new(grid.row(row).to_vec()),
+            // Unreachable while `admitted` is checked non-empty above, but
+            // a panic-free fallback costs nothing.
+            None => feasible_random(space, oracle, rng),
         }
     }
 
