@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use hyperpower_linalg::{vector, Cholesky, CholeskyView, CholeskyWorkspace, Matrix};
+use hyperpower_linalg::{vector, Cholesky, CholeskyWorkspace, Matrix};
 
 use crate::{Error, Kernel, Result};
 
@@ -76,7 +76,7 @@ pub(crate) fn factor_covariance<'w>(
     y_centered: &[f64],
     factor: &'w mut CholeskyWorkspace,
     alpha: &mut Vec<f64>,
-) -> Result<(CholeskyView<'w>, f64)> {
+) -> Result<(&'w Cholesky, f64)> {
     let (chol, _jitter) = factor.factor_jittered(cov, 1e-10, 10)?;
     alpha.clear();
     alpha.extend_from_slice(y_centered);
@@ -148,7 +148,7 @@ impl GpRegressor {
         let mut alpha = Vec::with_capacity(n);
         let (chol, log_marginal_likelihood) =
             factor_covariance(&cov, &y_centered, &mut factor, &mut alpha)?;
-        let chol = chol.to_cholesky();
+        let chol = chol.clone();
 
         Ok(GpRegressor {
             kernel,
@@ -204,8 +204,8 @@ impl GpRegressor {
     /// training row at a time against every query of the block, through
     /// one [`Kernel::eval_squared_distances`] call per row, while each
     /// query's mean accumulates. The `m` forward substitutions run as one
-    /// multi-RHS blocked solve ([`Cholesky::solve_lower_columns`]), so each
-    /// row of `L` is loaded once per block instead of once per query, and
+    /// multi-RHS solve ([`Cholesky::solve_lower_columns`]), so each row of
+    /// the factor is loaded once per block instead of once per query, and
     /// each query's `vᵀv` accumulates from the solution's rows.
     ///
     /// # Errors
@@ -264,8 +264,8 @@ impl GpRegressor {
     ) -> std::result::Result<(Vec<f64>, Matrix), Error> {
         self.check_queries(queries)?;
         let (kstar, mean) = self.cross_covariance(queries);
-        // Solved for all queries in one blocked multi-RHS pass —
-        // bit-identical per column to the per-query `solve_lower`.
+        // Solved for all queries in one multi-RHS pass — bit-identical per
+        // column to the per-query `solve_lower`.
         let v = self.chol.solve_lower_columns(&kstar)?;
         let vt = v.transpose();
         hyperpower_linalg::debug_assert_finite!("gp joint posterior mean", &mean);

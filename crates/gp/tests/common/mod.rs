@@ -211,7 +211,7 @@ impl FrozenScorer {
         cov.add_diagonal(noise_variance);
         let (chol, _jitter) = Cholesky::factor_with_jitter(&cov, 1e-10, 10).unwrap();
         let alpha = chol.solve(&y_centered).unwrap();
-        let l = chol.factor_l().clone();
+        let l = chol.factor_l();
         FrozenScorer {
             kernel,
             signal_variance,

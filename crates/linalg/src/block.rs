@@ -1,6 +1,8 @@
 //! Cache-blocked, register-tiled kernels behind [`Matrix`](crate::Matrix),
 //! and the column-order factorization and triangular solves behind
-//! [`Cholesky`](crate::Cholesky).
+//! [`Cholesky`](crate::Cholesky). The factor is stored once, as `Lᵀ`, and
+//! read by exactly two solve kernels: `solve_lower_lt` for every forward
+//! solve and `solve_lower_transpose_multi` for every backward one.
 //!
 //! # The accumulation-order contract
 //!
@@ -11,7 +13,8 @@
 //! sequence the naive element-at-a-time loops in `matrix.rs`/`cholesky.rs`
 //! used before this module existed. Blocking only changes *which output
 //! elements are in flight at once* (register tiles over output rows and
-//! columns, a whole column of the factor, panels of a solve), which is
+//! columns, a whole column of the factor, every right-hand side of a
+//! solve), which is
 //! invisible to IEEE-754 arithmetic. The frozen naive kernels live on as
 //! test oracles in `tests/reference_kernels.rs`, which property-tests
 //! bit-exactness of every kernel here against them; the 19 golden traces at
@@ -45,11 +48,6 @@ pub const MR: usize = 4;
 /// Columns per register tile: `MR * NR` f64 accumulators fit in the vector
 /// register file, so the k-loop runs without touching the output in memory.
 pub const NR: usize = 8;
-
-/// Panel width for the blocked multi-RHS forward solve. Tuned for the
-/// workspace's n ≈ 64–512 range: a panel of `PANEL` rows of the solution
-/// stays L1-resident while every later row subtracts it.
-pub const PANEL: usize = 32;
 
 /// Rows of the `matmul` micro-tile. 4×8 keeps the accumulator tile (8 YMM
 /// registers at the x86-64-v3 target the workspace builds for — see
@@ -371,80 +369,56 @@ pub(crate) fn cholesky_factor_lt(
     Ok(())
 }
 
-/// Forward substitution `L·y = b` in place, reading `L` through its
-/// transpose `lt` (`lt[k * n + i] = l[i * n + k]`): the forward solve of a
-/// workspace factor, which holds no `L`.
+/// Forward substitution `L·Y = B` for `nrhs` right-hand sides stored
+/// column-wise (`y[i * nrhs + r]` is component i of RHS r), reading `L`
+/// through its transpose `lt` (`lt[k * n + i] = l[i * n + k]`): the one
+/// forward-solve kernel, behind every forward solve of a
+/// [`Cholesky`](crate::Cholesky).
 ///
-/// Column-oriented: step k divides `y[k]`, whose subtractions are complete,
-/// by `l[k,k]`, then subtracts `l[i,k]·y[k]` from every later `y[i]` in one
-/// contiguous axpy over row k of `lt`. Per element that is the naive
-/// `solve_lower` sequence: subtract for k = 0..i in increasing order, then
-/// divide.
-pub(crate) fn solve_lower_lt(n: usize, lt: &[f64], y: &mut [f64]) {
+/// On entry `y` holds `B`; on exit it holds `Y`. Column-oriented: step k
+/// divides row k of `y`, whose subtractions are complete, by `l[k,k]`,
+/// then subtracts `l[i,k]·y[k]` from every later row i, in one contiguous
+/// pass over row k of `lt`. Per (element, RHS) that is the naive
+/// `solve_lower` sequence: subtract `l[i,k]·y[k]` for k = 0..i in
+/// increasing order, then divide by `l[i,i]`.
+///
+/// Row k of `lt` and the rows of `y` below row k are walked by zipped
+/// iterators, with no index arithmetic per row. `#[inline(always)]` lets
+/// each call site specialise the kernel, as the backward solve's do: where
+/// `nrhs` is the constant 1 the RHS loop disappears and step k runs as one
+/// axpy over column k of `L`.
+#[inline(always)]
+pub(crate) fn solve_lower_lt(n: usize, lt: &[f64], nrhs: usize, y: &mut [f64]) {
     debug_assert_eq!(lt.len(), n * n);
-    debug_assert_eq!(y.len(), n);
-    for k in 0..n {
-        let row = &lt[k * n + k..(k + 1) * n];
-        let (head, below) = y.split_at_mut(k + 1);
-        let yk = &mut head[k];
-        *yk /= row[0];
-        for (yi, &lik) in below.iter_mut().zip(&row[1..]) {
-            *yi -= lik * *yk;
-        }
-    }
-}
-
-/// Blocked forward substitution `L·Y = B` for `nrhs` right-hand sides
-/// stored column-wise: `y[i * nrhs + r]` is component `i` of RHS `r`.
-///
-/// On entry `y` holds `B`; on exit it holds `Y`. Per (element, RHS) the
-/// operation sequence is the naive single-RHS `solve_lower`: subtract
-/// `l[i,k]·y[k]` for k = 0..i in increasing order (earlier panels via the
-/// trailing update, the in-panel remainder in place), then divide by
-/// `l[i,i]`. Carrying the partial value through memory between panels is
-/// exact; only the L traffic changes (each panel row is loaded once and
-/// reused across all RHS).
-pub(crate) fn solve_lower_multi(n: usize, l: &[f64], nrhs: usize, y: &mut [f64]) {
-    debug_assert_eq!(l.len(), n * n);
     debug_assert_eq!(y.len(), n * nrhs);
-    let mut a0 = 0;
-    while a0 < n {
-        let a1 = (a0 + PANEL).min(n);
-        for i in a0..a1 {
-            let (head, tail) = y.split_at_mut(i * nrhs);
-            let yi = &mut tail[..nrhs];
-            for k in a0..i {
-                let lik = l[i * n + k];
-                let yk = &head[k * nrhs..(k + 1) * nrhs];
-                for (yv, &kv) in yi.iter_mut().zip(yk) {
-                    *yv -= lik * kv;
-                }
-            }
-            let d = l[i * n + i];
-            for yv in yi.iter_mut() {
-                *yv /= d;
+    if n == 0 || nrhs == 0 {
+        // Nothing to solve, and `chunks_exact` rejects a zero width.
+        return;
+    }
+    for (k, row) in lt.chunks_exact(n).enumerate() {
+        let (_, tail) = y.split_at_mut(k * nrhs);
+        let (yk, below) = tail.split_at_mut(nrhs);
+        let (_, from_diagonal) = row.split_at(k);
+        // Row k holds n − k ≥ 1 entries from its diagonal on.
+        let Some((&d, column)) = from_diagonal.split_first() else {
+            continue;
+        };
+        for yv in yk.iter_mut() {
+            *yv /= d;
+        }
+        for (&lik, yi) in column.iter().zip(below.chunks_exact_mut(nrhs)) {
+            for (yv, &kv) in yi.iter_mut().zip(yk.iter()) {
+                *yv -= lik * kv;
             }
         }
-        for i in a1..n {
-            let (head, tail) = y.split_at_mut(i * nrhs);
-            let yi = &mut tail[..nrhs];
-            for k in a0..a1 {
-                let lik = l[i * n + k];
-                let yk = &head[k * nrhs..(k + 1) * nrhs];
-                for (yv, &kv) in yi.iter_mut().zip(yk) {
-                    *yv -= lik * kv;
-                }
-            }
-        }
-        a0 = a1;
     }
 }
 
 /// Backward substitution `Lᵀ·X = Y` for `nrhs` right-hand sides stored
-/// column-wise (`y[i * nrhs + r]`), reading `L` through its cached
-/// transpose `lt` (`lt[i * n + k] = l[k * n + i]`).
+/// column-wise (`y[i * nrhs + r]`), reading `L` through its transpose
+/// `lt` (`lt[i * n + k] = l[k * n + i]`), the stored factor.
 ///
-/// Backward substitution cannot be panel-reordered without changing the
+/// Backward substitution cannot be block-reordered without changing the
 /// per-element k order (element i needs x[k] for *all* k > i before it can
 /// finish), so the blocking here is layout-only: the transposed factor
 /// makes the k-loop a contiguous read, and the RHS dimension vectorizes.

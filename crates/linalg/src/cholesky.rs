@@ -24,41 +24,26 @@ use crate::{Error, Matrix, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Cholesky {
-    /// `L`, derived from `lt` at factor time for [`Cholesky::factor_l`]
-    /// and for every forward solve of an owned factor, which reads it row
-    /// by row.
-    l: Matrix,
-    /// `Lᵀ` (row-major), the factor the column-order kernel writes: its rows
-    /// are the columns of `L`, so backward substitution — which cannot be
-    /// panel-reordered without changing the per-element accumulation
-    /// order — still reads its k-loop contiguously.
+    /// `Lᵀ` (row-major), the one stored factor: the column-order kernel
+    /// writes column j of `L` as its row j, and every solve reads it —
+    /// the forward solve one row of `Lᵀ` per step, the backward solve one
+    /// row per solved element, both contiguous. [`Cholesky::factor_l`]
+    /// builds `L` from it on request.
     lt: Matrix,
 }
 
-/// Storage for `Lᵀ` that a sequence of factorizations reuses.
+/// A factorization that a sequence of factorizations reuses.
 ///
-/// [`Cholesky::factor_with_jitter`] allocates a fresh factor and derives
-/// `L` from it. A caller that factors many matrices of one size — the GP
-/// hyper-parameter search factors one covariance per trial — keeps one
-/// workspace instead and reads each factor through a [`CholeskyView`] of
-/// it: once the workspace has the size, factoring allocates and transposes
-/// nothing.
+/// [`Cholesky::factor_with_jitter`] allocates a fresh factor. A caller
+/// that factors many matrices of one size — the GP hyper-parameter search
+/// factors one covariance per trial — keeps one workspace instead and
+/// borrows each factor from it: once the workspace has the size,
+/// factoring allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct CholeskyWorkspace {
-    lt: Matrix,
-}
-
-/// A factorization `A = L·Lᵀ` held as `Lᵀ` in a [`CholeskyWorkspace`].
-///
-/// It holds no `L`, so its forward solve runs column by column against
-/// `Lᵀ`; an owned [`Cholesky`] runs its forward solves row by row against
-/// `L`. Both take the naive per-element sequence, so the results agree bit
-/// for bit.
-#[derive(Debug, Clone, Copy)]
-pub struct CholeskyView<'a> {
-    lt: &'a Matrix,
+    chol: Cholesky,
 }
 
 /// The jitter ladder, the one implementation behind every factorization:
@@ -115,7 +100,7 @@ fn factor_shifted(a: &Matrix, shift: Option<f64>, lt: &mut Matrix) -> Result<()>
 impl CholeskyWorkspace {
     /// [`Cholesky::factor_with_jitter`] into this workspace: the factor, the
     /// jitter and any error are the same, bit for bit, and the factor is
-    /// read through the returned view.
+    /// lent out until the next factorization.
     ///
     /// # Errors
     ///
@@ -125,72 +110,20 @@ impl CholeskyWorkspace {
         a: &Matrix,
         initial_jitter: f64,
         max_tries: usize,
-    ) -> Result<(CholeskyView<'_>, f64)> {
-        let jitter = factor_lt(a, initial_jitter, max_tries, &mut self.lt)?;
-        Ok((CholeskyView { lt: &self.lt }, jitter))
-    }
-}
-
-impl CholeskyView<'_> {
-    fn dim(&self) -> usize {
-        self.lt.rows()
-    }
-
-    /// Solves `A·x = b` in place (forward then backward substitution, both
-    /// against `Lᵀ`): on return `b` holds `x`, bit-identical to
-    /// [`Cholesky::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if `b`'s length is not the
-    /// dimension of the factored matrix.
-    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("rhs of length {}", b.len()),
-            });
-        }
-        crate::block::solve_lower_lt(n, self.lt.as_slice(), b);
-        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, b);
-        Ok(())
-    }
-
-    /// Natural logarithm of `det(A) = det(L)² = (∏ Lᵢᵢ)²`: the logs of the
-    /// pivots summed in index order, as [`crate::vector::sum_ordered`]
-    /// folds them, then doubled.
-    pub fn log_det(&self) -> f64 {
-        let pivots = self.lt.as_slice().iter().step_by(self.dim() + 1);
-        pivots.map(|d| d.ln()).fold(0.0, |acc, x| acc + x) * 2.0
-    }
-
-    /// An owned [`Cholesky`] of the same factorization.
-    pub fn to_cholesky(&self) -> Cholesky {
-        Cholesky::from_lt(self.lt.clone())
+    ) -> Result<(&Cholesky, f64)> {
+        let jitter = factor_lt(a, initial_jitter, max_tries, &mut self.chol.lt)?;
+        Ok((&self.chol, jitter))
     }
 }
 
 impl Cholesky {
-    fn from_lt(lt: Matrix) -> Self {
-        Cholesky {
-            l: lt.transpose(),
-            lt,
-        }
-    }
-
-    fn view(&self) -> CholeskyView<'_> {
-        CholeskyView { lt: &self.lt }
-    }
-
     /// Factors a symmetric positive-definite matrix: the first attempt of
     /// [`Cholesky::factor_with_jitter`], with no jitter.
     ///
     /// The factorization is the column-order kernel in `crate::block`,
-    /// which writes `Lᵀ`; `L` is derived from it. The factor is
-    /// bit-identical to the naive left-looking loop's (pinned by
-    /// `tests/reference_kernels.rs`), and on failure the first bad pivot
-    /// and its pivot value are too.
+    /// which writes `Lᵀ`. The factor is bit-identical to the naive
+    /// left-looking loop's (pinned by `tests/reference_kernels.rs`), and on
+    /// failure the first bad pivot and its pivot value are too.
     ///
     /// # Errors
     ///
@@ -220,19 +153,20 @@ impl Cholesky {
         initial_jitter: f64,
         max_tries: usize,
     ) -> Result<(Self, f64)> {
-        let mut lt = Matrix::zeros(0, 0);
-        let jitter = factor_lt(a, initial_jitter, max_tries, &mut lt)?;
-        Ok((Cholesky::from_lt(lt), jitter))
+        let mut chol = Cholesky::default();
+        let jitter = factor_lt(a, initial_jitter, max_tries, &mut chol.lt)?;
+        Ok((chol, jitter))
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor_l(&self) -> &Matrix {
-        &self.l
+    /// The lower-triangular factor `L`, built from the stored `Lᵀ` on each
+    /// call.
+    pub fn factor_l(&self) -> Matrix {
+        self.lt.transpose()
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.rows()
+        self.lt.rows()
     }
 
     /// Solves `A·x = b` using the factorization (forward then backward
@@ -242,8 +176,28 @@ impl Cholesky {
     ///
     /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let y = self.solve_lower(b)?;
-        self.solve_lower_transpose(&y)
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`Cholesky::solve`] in place: on return `b` holds `x`, with no
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
+    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
+        let n = self.dim();
+        if b.len() != n {
+            return Err(Error::ShapeMismatch {
+                expected: format!("rhs of length {n}"),
+                found: format!("rhs of length {}", b.len()),
+            });
+        }
+        crate::block::solve_lower_lt(n, self.lt.as_slice(), 1, b);
+        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, b);
+        Ok(())
     }
 
     /// Solves the lower-triangular system `L·y = b` (forward substitution).
@@ -260,10 +214,7 @@ impl Cholesky {
             });
         }
         let mut y = b.to_vec();
-        // Row by row against `L`, the kernel of `solve_lower_columns`:
-        // `GpRegressor::predict` runs this solve, and `BENCH_gp.json` times
-        // batched scoring against it (DESIGN.md §2a).
-        crate::block::solve_lower_multi(n, self.l.as_slice(), 1, &mut y);
+        crate::block::solve_lower_lt(n, self.lt.as_slice(), 1, &mut y);
         Ok(y)
     }
 
@@ -285,12 +236,12 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solves `L·Y = B` for every column of `B` in one blocked pass:
-    /// column `j` of the result is `solve_lower(b.col(j))`, bit-for-bit.
+    /// Solves `L·Y = B` for every column of `B` in one pass: column `j` of
+    /// the result is `solve_lower(b.col(j))`, bit-for-bit.
     ///
     /// A row-major matrix with RHS in the columns is exactly the layout the
-    /// multi-RHS kernel wants (components contiguous across right-hand
-    /// sides), so each `L` panel row is loaded once and reused across all
+    /// forward kernel wants (components contiguous across right-hand
+    /// sides), so each row of `Lᵀ` is loaded once and reused across all
     /// columns instead of once per column.
     ///
     /// # Errors
@@ -305,7 +256,7 @@ impl Cholesky {
             });
         }
         let mut y = b.clone();
-        crate::block::solve_lower_multi(n, self.l.as_slice(), y.cols(), y.buf_mut());
+        crate::block::solve_lower_lt(n, self.lt.as_slice(), y.cols(), y.buf_mut());
         Ok(y)
     }
 
@@ -322,18 +273,20 @@ impl Cholesky {
         Ok(out)
     }
 
-    /// Natural logarithm of `det(A) = det(L)² = (∏ Lᵢᵢ)²`.
+    /// Natural logarithm of `det(A) = det(L)² = (∏ Lᵢᵢ)²`: the logs of the
+    /// pivots summed in index order, as [`crate::vector::sum_ordered`]
+    /// folds them, then doubled.
     pub fn log_det(&self) -> f64 {
-        self.view().log_det()
+        let pivots = self.lt.as_slice().iter().step_by(self.dim() + 1);
+        pivots.map(|d| d.ln()).fold(0.0, |acc, x| acc + x) * 2.0
     }
 
     /// Reconstructs `A = L·Lᵀ` (mainly useful in tests).
     pub fn reconstruct(&self) -> Matrix {
         let n = self.dim();
+        let lt = &self.lt;
         Matrix::from_fn(n, n, |i, j| {
-            (0..=i.min(j))
-                .map(|k| self.l[(i, k)] * self.l[(j, k)])
-                .sum()
+            (0..=i.min(j)).map(|k| lt[(k, i)] * lt[(k, j)]).sum()
         })
     }
 }
@@ -446,15 +399,14 @@ mod tests {
         let indefinite =
             Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[2.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
         assert!(ws.factor_jittered(&indefinite, 1e-10, 0).is_err());
-        let (view, jitter) = ws.factor_jittered(&lower, 1e-10, 3).unwrap();
+        let (chol, jitter) = ws.factor_jittered(&lower, 1e-10, 3).unwrap();
         assert_eq!(jitter, 0.0);
-        assert_eq!(view.to_cholesky(), owned);
+        assert_eq!(chol, &owned);
         assert_eq!(Cholesky::factor(&lower).unwrap(), owned);
-        assert_eq!(view.log_det().to_bits(), owned.log_det().to_bits());
         let mut x = vec![1.0, -2.0, 0.5];
-        view.solve_in_place(&mut x).unwrap();
+        chol.solve_in_place(&mut x).unwrap();
         assert_eq!(x, owned.solve(&[1.0, -2.0, 0.5]).unwrap());
-        assert!(view.solve_in_place(&mut [1.0]).is_err());
+        assert!(chol.solve_in_place(&mut [1.0]).is_err());
         // Both check every entry for finiteness, either triangle.
         for (i, j) in [(0, 2), (2, 0)] {
             let mut bad = lower.clone();

@@ -23,15 +23,16 @@
 //! Everything is implemented from scratch in safe Rust. The hot kernels
 //! live in [`block`] under a strict accumulation-order contract:
 //! `matmul`/`gram`/`matvec` are cache-blocked and register-tiled, and the
-//! Cholesky factorization runs column by column into `Lᵀ`, one contiguous
-//! axpy per earlier column, with triangular solves against either factor.
-//! They change memory layout and reuse, never the per-output-element
-//! operation sequence, so every result is bit-for-bit identical to the
-//! naive element-at-a-time loops (which live on as frozen test oracles in
-//! `tests/reference_kernels.rs`). See DESIGN.md §2a for the contract and
-//! the legal/illegal transformation catalog. A [`CholeskyWorkspace`] lets a
-//! caller that factors many same-sized matrices, like the GP
-//! hyper-parameter search, reuse one factor's storage.
+//! Cholesky factorization runs column by column into `Lᵀ`, the one factor
+//! a [`Cholesky`] stores, with one forward and one backward solve kernel
+//! that both read `Lᵀ`. They change memory layout and reuse, never the
+//! per-output-element operation sequence, so every result is bit-for-bit
+//! identical to the naive element-at-a-time loops (which live on as frozen
+//! test oracles in `tests/reference_kernels.rs`). See DESIGN.md §2a for the
+//! contract and the legal/illegal transformation catalog. A
+//! [`CholeskyWorkspace`] lets a caller that factors many same-sized
+//! matrices, like the GP hyper-parameter search, reuse one factor's
+//! storage.
 //!
 //! # Examples
 //!
@@ -64,7 +65,7 @@ pub mod stats;
 pub mod units;
 pub mod vector;
 
-pub use cholesky::{Cholesky, CholeskyView, CholeskyWorkspace};
+pub use cholesky::{Cholesky, CholeskyWorkspace};
 pub use error::Error;
 pub use lstsq::{ridge_least_squares, LeastSquaresFit};
 pub use matrix::Matrix;

@@ -160,7 +160,7 @@ fn matmul_product_checksum_matches_committed_reference() {
     let spd = corpus::spd(5, n);
     let chol = Cholesky::factor(&spd).expect("SPD by construction");
     assert_eq!(
-        f64::from(corpus::checksum(chol.factor_l())),
+        f64::from(corpus::checksum(&chol.factor_l())),
         committed("checksum_factor", &text),
         "cholesky factor bits changed: the accumulation-order contract \
          (DESIGN.md §2a) forbids this without a golden re-bless"
@@ -182,13 +182,13 @@ fn column_factor_keeps_committed_speedup_over_naive() {
 
         // Bit-equality first: the speedup only counts for identical factors.
         let mut ws = CholeskyWorkspace::default();
-        let (view, _) = ws.factor_jittered(&a, 0.0, 0).expect("SPD by construction");
-        let chol = view.to_cholesky();
-        assert_eq!(chol, Cholesky::factor(&a).expect("SPD by construction"));
+        let (chol, _) = ws.factor_jittered(&a, 0.0, 0).expect("SPD by construction");
+        assert_eq!(chol, &Cholesky::factor(&a).expect("SPD by construction"));
+        let l = chol.factor_l();
         let reference = naive_cholesky(&a).expect("SPD by construction");
-        assert_bits_eq("column factor", &reference, chol.factor_l());
+        assert_bits_eq("column factor", &reference, &l);
         assert_eq!(
-            f64::from(corpus::checksum(chol.factor_l())),
+            f64::from(corpus::checksum(&l)),
             committed(&format!("factor_{size}_checksum_l"), &text),
             "{size} factor bits changed: the accumulation-order contract \
              (DESIGN.md §2a) forbids this without a golden re-bless"

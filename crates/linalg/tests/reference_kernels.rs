@@ -6,8 +6,8 @@
 //! loops they replaced, hence bit-for-bit identical results. This suite
 //! holds them to it with property tests against the frozen oracles in
 //! `tests/common/mod.rs`, across adversarial shapes — dimensions of 1,
-//! dimensions straddling the register-tile (4×8) and panel (32) boundaries
-//! and reaching the GP fit's sizes (up to 77),
+//! dimensions straddling the register-tile (4×8) boundaries and 32, and
+//! reaching the GP fit's sizes (up to 77), zero right-hand sides,
 //! matrices salted with exact zeros (the `== 0.0` skip is observable:
 //! `0.0·∞` is NaN and `-0.0 + 0.0` flips sign), ill-conditioned SPD
 //! matrices, and indefinite matrices where even the *failure* must be
@@ -38,10 +38,11 @@ fn entry_strategy() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Dimensions chosen to straddle the register tile (MR=4, NR=8) and the
-/// forward-solve panel (PANEL=32) boundaries — 1, tile-exact, tile±1,
-/// panel±1 — plus the sizes that carry the GP fit's factor time: 48, 64,
-/// and 77, the largest fit of the batch-parallel benchmark workload.
+/// Dimensions chosen to straddle the register tile (MR=4, NR=8)
+/// boundaries — 1, tile-exact, tile±1 — and 32±1 (a power of two, where a
+/// blocked kernel would put a block edge), plus the sizes that carry the
+/// GP fit's factor time: 48, 64, and 77, the largest fit of the
+/// batch-parallel benchmark workload.
 fn dim_strategy() -> impl Strategy<Value = usize> {
     select(vec![
         1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 40, 48, 64, 77,
@@ -99,7 +100,7 @@ fn deep_indefinite_strategy() -> impl Strategy<Value = (Matrix, f64)> {
 fn assert_factor_matches_naive(a: &Matrix) {
     match (naive_cholesky(a), Cholesky::factor(a)) {
         (Ok(l_ref), Ok(chol)) => {
-            assert_bits_eq("cholesky L", &l_ref, chol.factor_l());
+            assert_bits_eq("cholesky L", &l_ref, &chol.factor_l());
         }
         (Err((pivot_ref, value_ref)), Err(Error::NotPositiveDefinite { pivot, value })) => {
             prop_assert_eq!(pivot_ref, pivot, "first bad pivot index differs");
@@ -173,7 +174,7 @@ proptest! {
     ) {
         // Indefinite draws are covered by the factorization property.
         if let Ok(chol) = Cholesky::factor(&a) {
-            let l = chol.factor_l();
+            let l = &chol.factor_l();
 
             let fwd = chol.solve_lower(&rhs).expect("length matches");
             assert_slice_bits_eq("solve_lower", &naive_solve_lower(l, &rhs), &fwd);
@@ -188,11 +189,11 @@ proptest! {
             let full = chol.solve(&rhs).expect("length matches");
             assert_slice_bits_eq("solve", &bwd, &full);
 
-            // A workspace factor solves column by column against `Lᵀ`.
+            // A factor borrowed from a workspace solves in place.
             let mut ws = CholeskyWorkspace::default();
-            let (view, _) = ws.factor_jittered(&a, 0.0, 0).expect("factored above");
+            let (lent, _) = ws.factor_jittered(&a, 0.0, 0).expect("factored above");
             let mut in_place = rhs.clone();
-            view.solve_in_place(&mut in_place).expect("length matches");
+            lent.solve_in_place(&mut in_place).expect("length matches");
             assert_slice_bits_eq("workspace solve", &bwd, &in_place);
         }
     }
@@ -205,7 +206,7 @@ proptest! {
         })
     ) {
         if let Ok(chol) = Cholesky::factor(&a) {
-            let l = chol.factor_l();
+            let l = &chol.factor_l();
             let solved = chol.solve_matrix(&b).expect("shapes agree");
             for j in 0..b.cols() {
                 let col_ref =
@@ -224,9 +225,10 @@ proptest! {
         })
     ) {
         if let Ok(chol) = Cholesky::factor(&a) {
+            let l = &chol.factor_l();
             let solved = chol.solve_lower_columns(&b).expect("shapes agree");
             for j in 0..b.cols() {
-                let col_ref = naive_solve_lower(chol.factor_l(), &b.col(j));
+                let col_ref = naive_solve_lower(l, &b.col(j));
                 let col_blocked: Vec<f64> = solved.col_iter(j).collect();
                 assert_slice_bits_eq("solve_lower_columns column", &col_ref, &col_blocked);
             }
@@ -256,6 +258,20 @@ fn empty_cholesky_factors() {
     let chol = Cholesky::factor(&Matrix::zeros(0, 0)).unwrap();
     assert_eq!(chol.dim(), 0);
     assert_eq!(chol.solve(&[]).unwrap(), Vec::<f64>::new());
+}
+
+#[test]
+fn zero_right_hand_sides_solve_to_empty() {
+    // A non-empty factor against n×0 right-hand sides: both kernels must
+    // return at once (`chunks_exact(0)` would panic) with an n×0 result.
+    for n in [1, 3, 33] {
+        let mut a = Matrix::identity(n);
+        a.add_diagonal(1.0);
+        let chol = Cholesky::factor(&a).unwrap();
+        let empty = Matrix::zeros(n, 0);
+        assert_eq!(chol.solve_lower_columns(&empty).unwrap().shape(), (n, 0));
+        assert_eq!(chol.solve_matrix(&empty).unwrap().shape(), (n, 0));
+    }
 }
 
 #[test]
