@@ -169,6 +169,19 @@ impl Cholesky {
         self.lt.rows()
     }
 
+    /// The dimension, checked against the length `len` of a right-hand
+    /// side.
+    fn rhs_dim(&self, len: usize) -> Result<usize> {
+        let n = self.dim();
+        if len != n {
+            return Err(Error::ShapeMismatch {
+                expected: format!("rhs of length {n}"),
+                found: format!("rhs of length {len}"),
+            });
+        }
+        Ok(n)
+    }
+
     /// Solves `A·x = b` using the factorization (forward then backward
     /// substitution).
     ///
@@ -188,13 +201,7 @@ impl Cholesky {
     ///
     /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("rhs of length {}", b.len()),
-            });
-        }
+        let n = self.rhs_dim(b.len())?;
         crate::block::solve_lower_lt(n, self.lt.as_slice(), 1, b);
         crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, b);
         Ok(())
@@ -206,13 +213,7 @@ impl Cholesky {
     ///
     /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("rhs of length {}", b.len()),
-            });
-        }
+        let n = self.rhs_dim(b.len())?;
         let mut y = b.to_vec();
         crate::block::solve_lower_lt(n, self.lt.as_slice(), 1, &mut y);
         Ok(y)
@@ -224,13 +225,7 @@ impl Cholesky {
     ///
     /// Returns [`Error::ShapeMismatch`] if `y.len() != self.dim()`.
     pub fn solve_lower_transpose(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if y.len() != n {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("rhs of length {}", y.len()),
-            });
-        }
+        let n = self.rhs_dim(y.len())?;
         let mut x = y.to_vec();
         crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, &mut x);
         Ok(x)
