@@ -3,10 +3,12 @@
 //! The BO searcher scores its candidate grid through
 //! `GpRegressor::posterior_batch` — one multi-RHS triangular solve per
 //! candidate block instead of one per candidate. This bench measures both
-//! paths on the same fitted surrogate and the same seeded candidate grid
-//! (from [`hyperpower_linalg::corpus`], so `BENCH_gp.json` at the
-//! workspace root always describes the same bits); `tests/bench_ratchet.rs`
-//! fails the build if the batched path loses its recorded speedup.
+//! live paths on the same fitted surrogate and the same seeded candidate
+//! grid (from [`hyperpower_linalg::corpus`], so `BENCH_gp.json` at the
+//! workspace root always describes the same bits). Both run the same
+//! forward-solve kernel. `tests/bench_ratchet.rs` times the batched path
+//! against a frozen copy of the per-point loop that solved row by row
+//! against `L`, and fails the build if it loses its recorded speedup.
 //!
 //! Workload matches the ratchet: 256 training points, 6 dimensions,
 //! 512 candidates scored in blocks of 64.
