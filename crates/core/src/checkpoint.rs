@@ -14,8 +14,10 @@
 //! The file is written atomically (temp file + rename) so a crash *during*
 //! checkpointing leaves the previous checkpoint intact. A crash between
 //! the temp write and the rename can strand a stale `*.tmp` beside the
-//! checkpoint; both [`CheckpointSink::new`] and [`RunCheckpoint::load`]
-//! sweep such orphans away so no later open mistakes one for live state.
+//! checkpoint. The paths that open a checkpoint to write or resume it
+//! sweep such orphans away ([`CheckpointSink::new`] and the executor's
+//! resume); decoding ([`RunCheckpoint::load`]) only reads, so a read-only
+//! scan of a store changes no file.
 //!
 //! # Integrity frame (v2)
 //!
@@ -27,10 +29,18 @@
 //! bit surfaces as a typed [`Error::Checkpoint`] instead of resuming a
 //! corrupted run. Files with a broken or missing frame are refused.
 //!
-//! The eval-record codec ([`encode_eval`], [`decode_eval`]), the numeric
-//! field accessor and the prefix check ([`verify_sample_prefix`]) are
-//! public so the study server's write-ahead journal speaks the same
-//! dialect.
+//! # Run identity
+//!
+//! The body opens with the run identity, [`CheckpointHeader`], on one
+//! line. [`CheckpointHeader::encode_members`] is its one encoding: the
+//! study journal's header record embeds the same members, and
+//! [`CheckpointHeader::verify`] compares two identities by it, naming
+//! every field that differs. The decoder ignores whitespace, so files
+//! that spread the members over one line each still load.
+//!
+//! The eval-record codec ([`encode_eval`], [`decode_eval`]), the field
+//! accessors and the prefix check ([`verify_sample_prefix`]) are public so
+//! the study server's write-ahead journal speaks the same dialect.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -89,40 +99,108 @@ pub struct CheckpointHeader {
     pub safety_margin: f64,
 }
 
-/// The wire form of a budget: its kind label and value.
-pub fn budget_fields(budget: Budget) -> (&'static str, f64) {
-    match budget {
-        Budget::Evaluations(n) => ("evaluations", n as f64),
-        Budget::VirtualHours(h) => ("virtual_hours", h),
-    }
-}
+/// Schema marker of a checkpoint body.
+const CHECKPOINT_SCHEMA: &str = "hyperpower-checkpoint-v2";
 
-fn encode_header(h: &CheckpointHeader) -> String {
-    let (budget_kind, budget_value) = budget_fields(h.budget);
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"hyperpower-checkpoint-v2\",\n  \"seed\": \"");
-    out.push_str(&h.seed.to_string());
-    out.push_str("\",\n  \"method\": \"");
-    out.push_str(&h.method);
-    out.push_str("\",\n  \"mode\": \"");
-    out.push_str(&h.mode);
-    out.push_str("\",\n  \"budget\": {\"kind\": \"");
-    out.push_str(budget_kind);
-    out.push_str("\", \"value\": ");
-    out.push_str(&format!("{budget_value:?}"));
-    out.push_str("},\n  \"simulated_gpus\": ");
-    out.push_str(&h.simulated_gpus.to_string());
-    out.push_str(",\n  \"fault_profile\": \"");
-    out.push_str(&h.fault_profile);
-    out.push_str("\",\n  \"max_retries\": ");
-    out.push_str(&h.max_retries.to_string());
-    out.push_str(",\n  \"recalibrate\": ");
-    out.push_str(if h.recalibrate { "true" } else { "false" });
-    out.push_str(",\n  \"drift_threshold\": ");
-    out.push_str(&format!("{:?}", h.drift_threshold));
-    out.push_str(",\n  \"safety_margin\": ");
-    out.push_str(&format!("{:?}", h.safety_margin));
-    out
+impl CheckpointHeader {
+    /// The run identity as golden-codec object members on one line, from
+    /// `"seed"` to `"safety_margin"`. The checkpoint body and the study
+    /// journal's header record both write exactly these bytes.
+    pub fn encode_members(&self) -> String {
+        let (budget_kind, budget_value) = match self.budget {
+            Budget::Evaluations(n) => ("evaluations", n as f64),
+            Budget::VirtualHours(h) => ("virtual_hours", h),
+        };
+        format!(
+            "\"seed\": \"{}\", \"method\": \"{}\", \"mode\": \"{}\", \"budget\": {{\"kind\": \
+             \"{budget_kind}\", \"value\": {budget_value:?}}}, \"simulated_gpus\": {}, \
+             \"fault_profile\": \"{}\", \"max_retries\": {}, \"recalibrate\": {}, \
+             \"drift_threshold\": {:?}, \"safety_margin\": {:?}",
+            self.seed,
+            self.method,
+            self.mode,
+            self.simulated_gpus,
+            self.fault_profile,
+            self.max_retries,
+            self.recalibrate,
+            self.drift_threshold,
+            self.safety_margin,
+        )
+    }
+
+    /// Parses `text` as one golden-codec object whose `schema` member is
+    /// `schema`, and decodes the run identity among its members. Returns
+    /// the identity and every member, for the caller's own fields.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Checkpoint`] on malformed text, another schema, or a
+    /// missing or mistyped identity member.
+    pub fn decode(text: &str, schema: &str) -> Result<(Self, Vec<(String, Value)>)> {
+        let value =
+            golden::parse(text).map_err(|e| Error::Checkpoint(format!("parse error: {e}")))?;
+        let Value::Object(members) = value else {
+            return Err(Error::Checkpoint("top level is not an object".into()));
+        };
+        let found = get_str(&members, "schema")?;
+        if found != schema {
+            return Err(Error::Checkpoint(format!("unknown schema {found:?}")));
+        }
+        let budget = match obj_get(&members, "budget") {
+            Some(Value::Object(b)) => {
+                let value = get_num(b, "value")?;
+                match get_str(b, "kind")?.as_str() {
+                    "evaluations" => Budget::Evaluations(value as usize),
+                    "virtual_hours" => Budget::VirtualHours(value),
+                    other => {
+                        return Err(Error::Checkpoint(format!("unknown budget kind {other:?}")))
+                    }
+                }
+            }
+            _ => return Err(Error::Checkpoint("missing object field `budget`".into())),
+        };
+        let header = CheckpointHeader {
+            seed: get_u64_str(&members, "seed")?,
+            method: get_str(&members, "method")?,
+            mode: get_str(&members, "mode")?,
+            budget,
+            simulated_gpus: get_num(&members, "simulated_gpus")? as usize,
+            fault_profile: get_str(&members, "fault_profile")?,
+            max_retries: get_num(&members, "max_retries")? as u32,
+            recalibrate: get_bool(&members, "recalibrate")?,
+            drift_threshold: get_num(&members, "drift_threshold")?,
+            safety_margin: get_num(&members, "safety_margin")?,
+        };
+        Ok((header, members))
+    }
+
+    /// Verifies that `recorded`, the identity a durable file holds, is
+    /// this run's identity. The two compare by their one encoding
+    /// ([`CheckpointHeader::encode_members`]), which writes every float in
+    /// its shortest round-trip form, so one flipped bit is a mismatch.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ResumeMismatch`]: `{what} was written by a different run`,
+    /// then each differing field as [`golden::diff`] names it.
+    pub fn verify(&self, what: &str, recorded: &CheckpointHeader) -> Result<()> {
+        let (expected, recorded) = (self.encode_members(), recorded.encode_members());
+        if expected == recorded {
+            return Ok(());
+        }
+        let object = |members: &str| golden::parse(&format!("{{{members}}}"));
+        let fields = match (object(&expected), object(&recorded)) {
+            (Ok(e), Ok(r)) => golden::diff(&e, &r)
+                .iter()
+                .map(|d| d.trim_start_matches("$.").to_string())
+                .collect::<Vec<_>>()
+                .join("; "),
+            _ => format!("expected {{{expected}}}, got {{{recorded}}}"),
+        };
+        Err(Error::ResumeMismatch(format!(
+            "{what} was written by a different run: {fields}"
+        )))
+    }
 }
 
 /// Encodes one raw evaluation record, keyed by its eval seed (a string:
@@ -154,7 +232,10 @@ impl CheckpointSink {
         clean_orphaned_tmp(&config.path);
         CheckpointSink {
             config,
-            header: encode_header(header),
+            header: format!(
+                "{{\"schema\": \"{CHECKPOINT_SCHEMA}\", {}",
+                header.encode_members()
+            ),
             eval_lines: Vec::new(),
             sample_lines: Vec::new(),
             commits_since_write: 0,
@@ -227,35 +308,7 @@ impl CheckpointSink {
 
 /// Prepends the v2 integrity frame: `C <crc32-of-body>` on its own line.
 pub(crate) fn frame_body(body: &str) -> String {
-    format!("C {}\n{body}", crate::integrity::crc32_hex(body.as_bytes()))
-}
-
-/// Splits a checkpoint file into its verified body: the `C <crc>` first
-/// line must checksum-match the remainder.
-fn unframe_body(text: &str) -> Result<&str> {
-    let Some(rest) = text.strip_prefix("C ") else {
-        return Err(Error::Checkpoint(
-            "checkpoint is missing its integrity frame (truncated head?)".into(),
-        ));
-    };
-    let Some((token, body)) = rest.split_once('\n') else {
-        return Err(Error::Checkpoint(
-            "integrity frame has no body after it".into(),
-        ));
-    };
-    let Some(expected) = crate::integrity::parse_crc32_hex(token) else {
-        return Err(Error::Checkpoint(format!(
-            "malformed integrity frame token {token:?}"
-        )));
-    };
-    let actual = crate::integrity::crc32(body.as_bytes());
-    if actual != expected {
-        return Err(Error::Checkpoint(format!(
-            "integrity frame mismatch: recorded crc32 {expected:08x}, computed {actual:08x} — \
-             the file has rotted or was truncated mid-body"
-        )));
-    }
-    Ok(body)
+    format!("C {}", crate::integrity::frame(body, '\n'))
 }
 
 fn write_atomic(path: &Path, contents: &str) -> Result<()> {
@@ -271,23 +324,25 @@ fn write_atomic(path: &Path, contents: &str) -> Result<()> {
 /// beside `path`. Best-effort: the orphan never holds committed state (the
 /// rename is the commit point), so failing to remove it only means the
 /// next atomic write overwrites it anyway.
-fn clean_orphaned_tmp(path: &Path) {
+pub(crate) fn clean_orphaned_tmp(path: &Path) {
     let tmp = path.with_extension("tmp");
     if tmp != path {
         std::fs::remove_file(&tmp).ok();
     }
 }
 
-/// A loaded checkpoint: the run identity it was written under, the cached
-/// raw evaluations and the committed samples (kept as parsed JSON for
-/// bit-exact prefix verification).
+/// A run's durable state: the run identity it was written under, the
+/// cached raw evaluations and the committed samples (kept as parsed JSON
+/// for bit-exact prefix verification). A checkpoint file decodes to one,
+/// and so does a study's journal merged with its snapshot.
 #[derive(Debug, Clone)]
 pub struct RunCheckpoint {
     /// The run identity recorded in the file.
     pub header: CheckpointHeader,
     /// Raw objective results keyed by eval seed.
     pub evals: BTreeMap<u64, EvaluationResult>,
-    /// Committed samples, as parsed golden-codec values.
+    /// Committed samples, as parsed golden-codec values, contiguous from
+    /// trace slot 0.
     pub samples: Vec<Value>,
 }
 
@@ -295,7 +350,12 @@ fn obj_get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn get_str(members: &[(String, Value)], key: &str) -> Result<String> {
+/// The string field `key`.
+///
+/// # Errors
+///
+/// [`Error::Checkpoint`] when the field is missing or not a string.
+pub fn get_str(members: &[(String, Value)], key: &str) -> Result<String> {
     match obj_get(members, key) {
         Some(Value::String(s)) => Ok(s.clone()),
         _ => Err(Error::Checkpoint(format!("missing string field `{key}`"))),
@@ -380,17 +440,15 @@ pub fn verify_sample_prefix(expected: &[Value], actual: &[Sample]) -> Result<()>
 }
 
 impl RunCheckpoint {
-    /// Loads and validates a checkpoint file, first sweeping away any
-    /// orphaned `*.tmp` a crashed writer left beside it (the checkpoint
-    /// proper is always complete — the rename is the commit point — so the
-    /// orphan is garbage, never a better candidate to resume from).
+    /// Loads and validates a checkpoint file. It only reads: a stale
+    /// `*.tmp` beside the file is left for the paths that write or resume
+    /// to sweep.
     ///
     /// # Errors
     ///
-    /// [`Error::Checkpoint`] on I/O failures, malformed JSON or a wrong
-    /// schema marker.
+    /// [`Error::Checkpoint`] on I/O failures, a broken integrity frame,
+    /// malformed JSON or a wrong schema marker.
     pub fn load(path: &Path) -> Result<Self> {
-        clean_orphaned_tmp(path);
         let text = std::fs::read_to_string(path)
             .map_err(|e| Error::Checkpoint(format!("reading {}: {e}", path.display())))?;
         Self::decode(&text)
@@ -402,42 +460,14 @@ impl RunCheckpoint {
     ///
     /// [`Error::Checkpoint`] on malformed input.
     pub fn decode(text: &str) -> Result<Self> {
-        let body = unframe_body(text)?;
-        let value =
-            golden::parse(body).map_err(|e| Error::Checkpoint(format!("parse error: {e}")))?;
-        let Value::Object(top) = value else {
-            return Err(Error::Checkpoint("top level is not an object".into()));
+        let Some(framed) = text.strip_prefix("C ") else {
+            return Err(Error::Checkpoint(
+                "checkpoint is missing its integrity frame (truncated head?)".into(),
+            ));
         };
-        let schema = get_str(&top, "schema")?;
-        if schema != "hyperpower-checkpoint-v2" {
-            return Err(Error::Checkpoint(format!("unknown schema {schema:?}")));
-        }
-        let budget = match obj_get(&top, "budget") {
-            Some(Value::Object(b)) => {
-                let kind = get_str(b, "kind")?;
-                let value = get_num(b, "value")?;
-                match kind.as_str() {
-                    "evaluations" => Budget::Evaluations(value as usize),
-                    "virtual_hours" => Budget::VirtualHours(value),
-                    other => {
-                        return Err(Error::Checkpoint(format!("unknown budget kind {other:?}")))
-                    }
-                }
-            }
-            _ => return Err(Error::Checkpoint("missing object field `budget`".into())),
-        };
-        let header = CheckpointHeader {
-            seed: get_u64_str(&top, "seed")?,
-            method: get_str(&top, "method")?,
-            mode: get_str(&top, "mode")?,
-            budget,
-            simulated_gpus: get_num(&top, "simulated_gpus")? as usize,
-            fault_profile: get_str(&top, "fault_profile")?,
-            max_retries: get_num(&top, "max_retries")? as u32,
-            recalibrate: get_bool(&top, "recalibrate")?,
-            drift_threshold: get_num(&top, "drift_threshold")?,
-            safety_margin: get_num(&top, "safety_margin")?,
-        };
+        let body = crate::integrity::unframe(framed, '\n')
+            .map_err(|e| Error::Checkpoint(format!("corrupt integrity frame: {e}")))?;
+        let (header, top) = CheckpointHeader::decode(body, CHECKPOINT_SCHEMA)?;
         let mut evals = BTreeMap::new();
         let Some(Value::Array(eval_items)) = obj_get(&top, "evals") else {
             return Err(Error::Checkpoint("missing array field `evals`".into()));
@@ -446,78 +476,17 @@ impl RunCheckpoint {
             let (seed, result) = decode_eval(item)?;
             evals.insert(seed, result);
         }
-        let Some(Value::Array(samples)) = obj_get(&top, "samples") else {
+        let samples = top
+            .into_iter()
+            .find_map(|(key, value)| (key == "samples").then_some(value));
+        let Some(Value::Array(samples)) = samples else {
             return Err(Error::Checkpoint("missing array field `samples`".into()));
         };
         Ok(RunCheckpoint {
             header,
             evals,
-            samples: samples.clone(),
+            samples,
         })
-    }
-
-    /// Verifies this checkpoint was written by the run described by
-    /// `expected`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ResumeMismatch`] naming every differing field.
-    pub fn verify_header(&self, expected: &CheckpointHeader) -> Result<()> {
-        let mut mismatches = Vec::new();
-        let mut check = |field: &str, got: String, want: String| {
-            if got != want {
-                mismatches.push(format!("{field}: checkpoint has {got}, run wants {want}"));
-            }
-        };
-        let h = &self.header;
-        check("seed", h.seed.to_string(), expected.seed.to_string());
-        check("method", h.method.clone(), expected.method.clone());
-        check("mode", h.mode.clone(), expected.mode.clone());
-        // Budgets compare by exact bits: a resumed run must not quietly run
-        // under a slightly different deadline.
-        let fmt_budget = |b: Budget| {
-            let (kind, value) = budget_fields(b);
-            format!("{kind}({value:?}/bits {:016x})", value.to_bits())
-        };
-        check("budget", fmt_budget(h.budget), fmt_budget(expected.budget));
-        check(
-            "simulated_gpus",
-            h.simulated_gpus.to_string(),
-            expected.simulated_gpus.to_string(),
-        );
-        check(
-            "fault_profile",
-            h.fault_profile.clone(),
-            expected.fault_profile.clone(),
-        );
-        check(
-            "max_retries",
-            h.max_retries.to_string(),
-            expected.max_retries.to_string(),
-        );
-        check(
-            "recalibrate",
-            h.recalibrate.to_string(),
-            expected.recalibrate.to_string(),
-        );
-        // Drift knobs compare by exact bits, like the budget: they change
-        // committed oracles and therefore run identity.
-        let fmt_f64 = |x: f64| format!("{x:?}/bits {:016x}", x.to_bits());
-        check(
-            "drift_threshold",
-            fmt_f64(h.drift_threshold),
-            fmt_f64(expected.drift_threshold),
-        );
-        check(
-            "safety_margin",
-            fmt_f64(h.safety_margin),
-            fmt_f64(expected.safety_margin),
-        );
-        if mismatches.is_empty() {
-            Ok(())
-        } else {
-            Err(Error::ResumeMismatch(mismatches.join("; ")))
-        }
     }
 
     /// Verifies the committed samples in this checkpoint are a bit-exact
@@ -607,7 +576,7 @@ mod tests {
         assert_eq!(ck.evals[&42].error.to_bits(), (0.1f64 + 0.2).to_bits());
         assert!(ck.evals[&u64::MAX].terminated_early);
         assert_eq!(ck.samples.len(), 2);
-        ck.verify_header(&header()).unwrap();
+        header().verify("checkpoint", &ck.header).unwrap();
         ck.verify_prefix(&[sample(0), sample(1), sample(2)])
             .unwrap();
     }
@@ -644,9 +613,10 @@ mod tests {
         other.fault_profile = "none".into();
         other.recalibrate = false;
         other.safety_margin = 0.0;
-        let err = ck.verify_header(&other).unwrap_err();
+        let err = other.verify("checkpoint", &ck.header).unwrap_err();
+        assert!(matches!(err, Error::ResumeMismatch(_)), "{err}");
         let msg = err.to_string();
-        assert!(msg.contains("seed"), "{msg}");
+        assert!(msg.contains("a different run: seed: expected"), "{msg}");
         assert!(msg.contains("fault_profile"), "{msg}");
         assert!(msg.contains("recalibrate"), "{msg}");
         assert!(msg.contains("safety_margin"), "{msg}");

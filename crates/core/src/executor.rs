@@ -74,7 +74,9 @@ use std::path::PathBuf;
 
 use hyperpower_gpu_sim::FaultProfile;
 
-use crate::checkpoint::{CheckpointConfig, CheckpointHeader, CheckpointSink, RunCheckpoint};
+use crate::checkpoint::{
+    clean_orphaned_tmp, CheckpointConfig, CheckpointHeader, CheckpointSink, RunCheckpoint,
+};
 use crate::drift::DriftConfig;
 use crate::driver::{RunSetup, Trace};
 use crate::objective::EvaluationResult;
@@ -248,8 +250,11 @@ pub fn run_optimization_with(setup: RunSetup<'_>, options: &ExecutorOptions) -> 
     let Some(path) = &options.resume_from else {
         return drive(setup, options, sink.as_mut());
     };
+    // Resuming opens the checkpoint to write again: sweep what a crashed
+    // writer stranded beside it first.
+    clean_orphaned_tmp(path);
     let checkpoint = RunCheckpoint::load(path)?;
-    checkpoint.verify_header(&header)?;
+    header.verify("checkpoint", &checkpoint.header)?;
     // Resume = deterministic re-run with an evaluation cache: the schedule
     // (proposals, sensors, faults) replays identically by construction;
     // only never-before-seen evaluations actually call the objective.

@@ -11,7 +11,8 @@
 //!
 //! Frames render the checksum as exactly eight lowercase hex digits
 //! ([`crc32_hex`]) so framed lines stay single-line, fixed-width, and
-//! greppable.
+//! greppable. [`frame`] writes a frame and [`unframe`] checks one, for the
+//! checkpoint's whole-body frame and the journal's per-record frame alike.
 
 /// The reflected IEEE polynomial used by zlib, PNG, and Ethernet.
 const POLY: u32 = 0xEDB8_8320;
@@ -68,6 +69,33 @@ pub fn parse_crc32_hex(token: &str) -> Option<u32> {
     u32::from_str_radix(token, 16).ok()
 }
 
+/// Frames `body` for the wire: its checksum token, then `sep`, then `body`.
+pub fn frame(body: &str, sep: char) -> String {
+    format!("{}{sep}{body}", crc32_hex(body.as_bytes()))
+}
+
+/// Splits a [`frame`]d record at its first `sep` and returns the body once
+/// the checksum token before it matches the body's CRC32.
+///
+/// # Errors
+///
+/// What is wrong with the frame: no `sep`, a token that is not the
+/// canonical eight hex digits, or a checksum that disagrees with the body.
+pub fn unframe(framed: &str, sep: char) -> Result<&str, String> {
+    let (token, body) = framed
+        .split_once(sep)
+        .ok_or_else(|| format!("no {sep:?} after a checksum token"))?;
+    let expected =
+        parse_crc32_hex(token).ok_or_else(|| format!("malformed checksum token {token:?}"))?;
+    let actual = crc32(body.as_bytes());
+    if actual != expected {
+        return Err(format!(
+            "checksum mismatch (recorded {expected:08x}, computed {actual:08x})"
+        ));
+    }
+    Ok(body)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +117,22 @@ mod tests {
         assert_eq!(parse_crc32_hex("cbf4392"), None);
         assert_eq!(parse_crc32_hex("cbf439261"), None);
         assert_eq!(parse_crc32_hex("cbf4392g"), None);
+    }
+
+    #[test]
+    fn unframe_returns_the_body_of_a_valid_frame_only() {
+        let framed = frame("{\"seed\": \"7\"}", ' ');
+        assert_eq!(unframe(&framed, ' '), Ok("{\"seed\": \"7\"}"));
+        let (token, _) = framed.split_once(' ').unwrap();
+        assert!(unframe(&format!("{token} {{\"seed\": \"8\"}}"), ' ')
+            .unwrap_err()
+            .starts_with("checksum mismatch"));
+        assert!(unframe("{\"seed\": \"7\"}", ' ')
+            .unwrap_err()
+            .starts_with("malformed checksum token"));
+        assert!(unframe(&framed, '\n')
+            .unwrap_err()
+            .starts_with("no '\\n' after"));
     }
 
     #[test]

@@ -63,19 +63,6 @@ impl TrialFailure {
             TrialFailure::Quarantined => "quarantined",
         }
     }
-
-    /// Inverse of [`TrialFailure::wire_name`].
-    pub fn from_wire_name(name: &str) -> Option<Self> {
-        match name {
-            "sensor_glitch" => Some(TrialFailure::SensorGlitch),
-            "oom" => Some(TrialFailure::Oom),
-            "crash" => Some(TrialFailure::Crash),
-            "stall" => Some(TrialFailure::Stall),
-            "timeout" => Some(TrialFailure::Timeout),
-            "quarantined" => Some(TrialFailure::Quarantined),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for TrialFailure {
@@ -100,8 +87,9 @@ impl From<TrainingFault> for TrialFailure {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum StoreDefect {
-    /// A record's checksum frame does not match its payload (bit-rot), or
-    /// the frame token itself is malformed.
+    /// A record's checksum frame does not match its payload (bit-rot), its
+    /// frame token is malformed, or it does not decode or fit the records
+    /// before it; also an undecodable snapshot.
     CorruptFrame,
     /// The file's final record is torn — no trailing newline — from a
     /// crash mid-append. Benign: the record was never acknowledged.
@@ -454,17 +442,19 @@ mod tests {
 
     #[test]
     fn wire_names_roundtrip() {
-        for f in [
+        let all = [
             TrialFailure::SensorGlitch,
             TrialFailure::Oom,
             TrialFailure::Crash,
             TrialFailure::Stall,
             TrialFailure::Timeout,
             TrialFailure::Quarantined,
-        ] {
-            assert_eq!(TrialFailure::from_wire_name(f.wire_name()), Some(f));
+        ];
+        for f in all {
             assert_eq!(f.to_string(), f.wire_name());
         }
-        assert_eq!(TrialFailure::from_wire_name("gremlins"), None);
+        // Distinct names keep every failure kind readable from the trace.
+        let names: std::collections::BTreeSet<&str> = all.iter().map(|f| f.wire_name()).collect();
+        assert_eq!(names.len(), all.len(), "wire names collide: {names:?}");
     }
 }

@@ -196,36 +196,6 @@ impl PairedRuns {
     }
 }
 
-/// Self-healing summary across a set of runs (any mode): how often the
-/// constraint models recalibrated and the searchers degraded. All zeros
-/// for legacy (inert) runs — the paper's tables are unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RobustnessSummary {
-    /// Number of traces aggregated.
-    pub runs: usize,
-    /// Total online recalibrations across all runs.
-    pub recalibrations: usize,
-    /// Total searcher degradation events (jitter escalations + Rand-Walk
-    /// fallbacks) across all runs.
-    pub degradations: usize,
-    /// Runs whose final live drift RMSPE was recorded (i.e. that ran with
-    /// the drift monitor active).
-    pub monitored_runs: usize,
-}
-
-/// Aggregates the self-healing telemetry of a set of traces.
-pub fn robustness_summary(runs: &[Trace]) -> RobustnessSummary {
-    RobustnessSummary {
-        runs: runs.len(),
-        recalibrations: runs.iter().map(Trace::recalibration_count).sum(),
-        degradations: runs.iter().map(Trace::degradation_count).sum(),
-        monitored_runs: runs
-            .iter()
-            .filter(|t| t.final_drift_rmspe().is_some())
-            .count(),
-    }
-}
-
 /// Formats an optional mean (std) cell the way the paper prints it:
 /// `"24.39% (3.08%)"`, or `"--"` when undefined.
 pub fn format_error_cell(cell: Option<MeanStd>) -> String {
@@ -286,37 +256,6 @@ mod tests {
             samples,
             total_time_s: total,
         }
-    }
-
-    #[test]
-    fn robustness_summary_counts_healing_telemetry() {
-        use crate::drift::{DegradationEvent, DriftEvent, DriftTarget};
-        let clean = trace(&[(100.0, 0.5, true)]);
-        let mut healed = trace(&[(100.0, 0.5, true), (200.0, 0.4, true)]);
-        healed.samples[0].drift_events = vec![
-            DriftEvent::DriftDetected(DriftTarget::Power),
-            DriftEvent::Recalibrated,
-        ];
-        healed.samples[1].degradations = vec![DegradationEvent::RandWalkFallback];
-        healed.samples[1].drift_rmspe = Some(0.1);
-        let s = robustness_summary(&[clean.clone(), healed]);
-        assert_eq!(
-            s,
-            RobustnessSummary {
-                runs: 2,
-                recalibrations: 1,
-                degradations: 1,
-                monitored_runs: 1,
-            }
-        );
-        // Legacy runs aggregate to all-zero telemetry.
-        assert_eq!(
-            robustness_summary(&[clean]),
-            RobustnessSummary {
-                runs: 1,
-                ..RobustnessSummary::default()
-            }
-        );
     }
 
     fn paired() -> PairedRuns {

@@ -2,13 +2,20 @@
 //!
 //! `hyperpower fsck` walks a server root directory and checks every
 //! study's durable pair (`<name>.journal`, `<name>.snapshot`) without
-//! opening the studies: each journal record's CRC32 frame is verified,
-//! the snapshot is decoded through the checkpoint codec's own integrity
-//! frame, and the two headers are cross-checked. Findings are typed as
+//! opening the studies. Its scanner is the journal's only reader:
+//! [`crate::StudyJournal::load`] runs the same scan, so a store loads
+//! exactly when fsck finds nothing worse than a torn tail. Each journal
+//! record's CRC32 frame is verified and every record it accepts is fully
+//! decoded: the header names this study and a run identity, evaluations
+//! decode, and each sample follows the journal's previous one and agrees
+//! with the snapshot where the two overlap. The snapshot is decoded
+//! through the checkpoint codec's own integrity frame, and its run
+//! identity is compared with the journal header's. Findings are typed as
 //! [`StoreDefect`]s:
 //!
 //! * **corrupt frame** — a record whose checksum disagrees with its
-//!   payload (bit-rot), or an undecodable snapshot;
+//!   payload (bit-rot), a record that fails any of the checks above, a
+//!   journal with no complete header, or an undecodable snapshot;
 //! * **truncated tail** — trailing bytes with no newline (a torn
 //!   mid-append write);
 //! * **stale tmp** — an orphaned `*.tmp` / `*.journal-tmp` from a crash
@@ -16,8 +23,9 @@
 //! * **header mismatch** — snapshot and journal disagree about the run
 //!   identity they claim to persist.
 //!
-//! With `salvage` on, the scanner repairs what determinism makes safe to
-//! repair: the journal is truncated to its **last checksum-valid frame**
+//! Without `salvage` the scan only reads: it changes no byte and removes
+//! no file, stale temps included. With `salvage` on, the scanner repairs
+//! what determinism makes safe to repair: the journal is truncated to its **last checksum-valid frame**
 //! (everything after the first bad frame is suspect — appends are
 //! strictly ordered), stale temp files are removed, and a defective
 //! snapshot is dropped *only when* the journal still holds the complete
@@ -29,16 +37,16 @@
 //! fsck --salvage, reopen, byte-compare against the uninterrupted
 //! reference.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use hyperpower::checkpoint::RunCheckpoint;
-use hyperpower::golden;
+use hyperpower::checkpoint::{decode_eval, get_num, RunCheckpoint};
+use hyperpower::golden::{self, Value};
+use hyperpower::integrity::unframe;
 use hyperpower::{Error, Result, StoreDefect};
 
-use crate::journal::{
-    encode_header_line, sample_index, study_paths, unframe_payload, JournalHeader,
-};
+use crate::journal::{io_err, study_paths, JournalHeader};
 
 /// One study's integrity findings.
 #[derive(Debug)]
@@ -133,10 +141,6 @@ impl fmt::Display for FsckReport {
     }
 }
 
-fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
-    Error::Checkpoint(format!("{what} {}: {e}", path.display()))
-}
-
 /// Scans every study under `root`; with `salvage`, also repairs (see the
 /// module docs for exactly what is — and is not — repaired).
 ///
@@ -174,31 +178,54 @@ pub fn fsck_store(root: &Path, salvage: bool) -> Result<FsckReport> {
     Ok(report)
 }
 
-/// A parsed pass over one journal: the byte length of the valid framed
-/// prefix, the records inside it, and the first defect (if any).
-struct JournalScan {
+/// One pass over a study's durable pair by the journal's only reader.
+pub(crate) struct StudyScan {
+    /// Byte length of the journal's valid prefix.
     valid_prefix_bytes: usize,
+    /// Records in the valid prefix, header included.
     valid_records: usize,
-    header_payload: Option<String>,
-    sample_indices: Vec<usize>,
-    defect: Option<(StoreDefect, String)>,
+    /// The journal's first defect; the scan reads nothing past it.
+    journal_defect: Option<(StoreDefect, String)>,
+    /// Why the snapshot was not merged: it does not decode, or another run
+    /// wrote it.
+    snapshot_defect: Option<Error>,
+    /// The header's run identity with the snapshot's evaluations and
+    /// samples, then the journal's evaluations, merged in; `None` until the
+    /// header record decodes.
+    state: Option<RunCheckpoint>,
+    /// The journal's samples past the snapshot's, in trace order.
+    tail: Vec<Value>,
+    /// Trace slots of the journal's first and latest sample records.
+    first_sample: Option<usize>,
+    last_sample: Option<usize>,
 }
 
-fn scan_journal(path: &Path) -> Result<JournalScan> {
-    let bytes = std::fs::read(path).map_err(|e| io_err("reading", path, e))?;
-    let mut scan = JournalScan {
+/// Scans study `name`'s journal up to its first defect, merging the
+/// snapshot under the journal header's run identity.
+///
+/// # Errors
+///
+/// [`Error::Checkpoint`] only when the journal cannot be read; defects in
+/// what it holds are findings.
+pub(crate) fn scan_study(root: &Path, name: &str) -> Result<StudyScan> {
+    let (journal_path, snapshot_path) = study_paths(root, name);
+    let bytes = std::fs::read(&journal_path).map_err(|e| io_err("reading", &journal_path, e))?;
+    let mut scan = StudyScan {
         valid_prefix_bytes: 0,
         valid_records: 0,
-        header_payload: None,
-        sample_indices: Vec::new(),
-        defect: None,
+        journal_defect: None,
+        snapshot_defect: None,
+        state: None,
+        tail: Vec::new(),
+        first_sample: None,
+        last_sample: None,
     };
     let mut offset = 0usize;
     let mut line_no = 0usize;
     while offset < bytes.len() {
         let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
             // Torn mid-append tail: unacknowledged, safe to drop.
-            scan.defect = Some((
+            scan.journal_defect = Some((
                 StoreDefect::TruncatedTail,
                 format!("{} trailing bytes with no newline", bytes.len() - offset),
             ));
@@ -206,67 +233,174 @@ fn scan_journal(path: &Path) -> Result<JournalScan> {
         };
         line_no += 1;
         let line_end = offset + nl + 1;
-        let verdict = check_line(&bytes[offset..offset + nl], line_no, &mut scan);
-        match verdict {
-            Ok(()) => {
-                scan.valid_prefix_bytes = line_end;
-                scan.valid_records += 1;
-            }
-            Err(detail) => {
-                // Appends are strictly ordered: everything past the first
-                // bad frame is suspect and excluded from the valid prefix.
-                scan.defect = Some((StoreDefect::CorruptFrame, detail));
-                break;
-            }
+        if let Err(detail) = scan.read_record(&bytes[offset..offset + nl], name, &snapshot_path) {
+            // Appends are strictly ordered: everything past the first
+            // bad record is suspect and excluded from the valid prefix.
+            scan.journal_defect = Some((
+                StoreDefect::CorruptFrame,
+                format!("line {line_no}: {detail}"),
+            ));
+            break;
         }
+        scan.valid_prefix_bytes = line_end;
+        scan.valid_records += 1;
         offset = line_end;
+    }
+    // The header binds the journal to a run; without a whole one not even
+    // a torn tail is benign.
+    if scan.state.is_none() && !matches!(scan.journal_defect, Some((StoreDefect::CorruptFrame, _)))
+    {
+        scan.journal_defect = Some((
+            StoreDefect::CorruptFrame,
+            "no complete header record".to_string(),
+        ));
     }
     Ok(scan)
 }
 
-/// Verifies one journal line's tag and integrity frame, recording what it
-/// holds. Returns a defect detail string on failure.
-fn check_line(
-    raw: &[u8],
-    line_no: usize,
-    scan: &mut JournalScan,
-) -> std::result::Result<(), String> {
-    let line = std::str::from_utf8(raw).map_err(|_| format!("line {line_no}: not UTF-8"))?;
-    let (tag, rest) = match (line.strip_prefix("H "), line_no) {
-        (Some(rest), 1) => ('H', rest),
-        (None, 1) => return Err("line 1: missing `H ` header record".to_string()),
-        _ => match (line.strip_prefix("E "), line.strip_prefix("S ")) {
-            (Some(rest), _) => ('E', rest),
-            (_, Some(rest)) => ('S', rest),
-            _ => return Err(format!("line {line_no}: unknown record kind")),
-        },
-    };
-    let payload = unframe_payload(rest).map_err(|e| format!("line {line_no}: {e}"))?;
-    match tag {
-        'H' => scan.header_payload = Some(payload.to_string()),
-        'S' => {
-            let value = golden::parse(payload)
-                .map_err(|e| format!("line {line_no}: undecodable sample: {e}"))?;
-            let index = sample_index(&value).map_err(|e| format!("line {line_no}: {e}"))?;
-            scan.sample_indices.push(index);
+impl StudyScan {
+    /// Checks and decodes one journal line; `Err` describes its defect.
+    fn read_record(
+        &mut self,
+        raw: &[u8],
+        name: &str,
+        snapshot_path: &Path,
+    ) -> std::result::Result<(), String> {
+        let line = std::str::from_utf8(raw).map_err(|_| "not UTF-8".to_string())?;
+        let (tag, framed) = match line.split_once(' ') {
+            Some((tag @ ("H" | "E" | "S"), framed)) => (tag, framed),
+            _ => return Err("unknown record kind".to_string()),
+        };
+        let payload = unframe(framed, ' ').map_err(|e| format!("corrupt frame: {e}"))?;
+        let Some(state) = self.state.as_mut() else {
+            return match tag {
+                "H" => self.open(payload, name, snapshot_path),
+                _ => Err("missing `H ` header record".to_string()),
+            };
+        };
+        match tag {
+            "E" => {
+                let (seed, result) = golden::parse(payload)
+                    .map_err(Error::Checkpoint)
+                    .and_then(|value| decode_eval(&value))
+                    .map_err(|e| format!("undecodable evaluation: {e}"))?;
+                state.evals.insert(seed, result);
+            }
+            "S" => {
+                let value =
+                    golden::parse(payload).map_err(|e| format!("undecodable sample: {e}"))?;
+                let index = sample_index(&value)?;
+                // Each sample follows the journal's previous one. The first
+                // continues the snapshot, or repeats its tail when a crash
+                // fell between a snapshot and the rotation after it. Past an
+                // unusable snapshot only the journal's own order is known.
+                let in_order = match self.last_sample {
+                    Some(last) => last.checked_add(1) == Some(index),
+                    None => self.snapshot_defect.is_some() || index <= state.samples.len(),
+                };
+                if !in_order {
+                    return Err(format!("sample {index} is out of order"));
+                }
+                match state.samples.get(index) {
+                    Some(recorded) => {
+                        let diffs = golden::diff(recorded, &value);
+                        if !diffs.is_empty() {
+                            return Err(format!(
+                                "sample {index} disagrees with the snapshot: {}",
+                                diffs.join("; ")
+                            ));
+                        }
+                    }
+                    None => self.tail.push(value),
+                }
+                self.first_sample.get_or_insert(index);
+                self.last_sample = Some(index);
+            }
+            _ => return Err("a second header record".to_string()),
         }
-        _ => {}
+        Ok(())
     }
-    Ok(())
+
+    /// Decodes the header record and merges the snapshot under its run
+    /// identity when the snapshot decodes and that run wrote it.
+    fn open(
+        &mut self,
+        payload: &str,
+        name: &str,
+        snapshot_path: &Path,
+    ) -> std::result::Result<(), String> {
+        let header =
+            JournalHeader::decode(payload).map_err(|e| format!("undecodable header: {e}"))?;
+        if header.name != name {
+            return Err(format!("the header names study {:?}", header.name));
+        }
+        let mut state = RunCheckpoint {
+            header: header.run,
+            evals: BTreeMap::new(),
+            samples: Vec::new(),
+        };
+        if snapshot_path.exists() {
+            let snapshot = RunCheckpoint::load(snapshot_path).and_then(|snapshot| {
+                state.header.verify("snapshot", &snapshot.header)?;
+                Ok(snapshot)
+            });
+            match snapshot {
+                Ok(snapshot) => {
+                    state.evals = snapshot.evals;
+                    state.samples = snapshot.samples;
+                }
+                Err(e) => self.snapshot_defect = Some(e),
+            }
+        }
+        self.state = Some(state);
+        Ok(())
+    }
+
+    /// The merged durable state, when the scan found nothing worse than a
+    /// torn final journal line (which it dropped).
+    pub(crate) fn into_state(self, journal_path: &Path) -> Result<RunCheckpoint> {
+        if let Some((defect, detail)) = self.journal_defect {
+            if defect != StoreDefect::TruncatedTail {
+                return Err(Error::Checkpoint(format!(
+                    "journal {}: {detail}",
+                    journal_path.display()
+                )));
+            }
+        }
+        if let Some(e) = self.snapshot_defect {
+            return Err(e);
+        }
+        let mut state = self.state.ok_or_else(|| {
+            Error::Checkpoint(format!(
+                "journal {} has no header record",
+                journal_path.display()
+            ))
+        })?;
+        state.samples.extend(self.tail);
+        Ok(state)
+    }
+}
+
+/// The trace slot a journaled sample occupies.
+fn sample_index(value: &Value) -> std::result::Result<usize, String> {
+    let Value::Object(members) = value else {
+        return Err("the sample is not an object".to_string());
+    };
+    let index = get_num(members, "index").map_err(|e| format!("undecodable sample: {e}"))?;
+    Ok(index as usize)
 }
 
 fn fsck_study(root: &Path, name: &str, salvage: bool) -> Result<StudyFsck> {
     let (journal_path, snapshot_path) = study_paths(root, name);
+    let scan = scan_study(root, name)?;
     let mut study = StudyFsck {
         name: name.to_string(),
         defects: Vec::new(),
-        valid_records: 0,
+        valid_records: scan.valid_records,
         recoverable: true,
         repairs: Vec::new(),
     };
-    let scan = scan_journal(&journal_path)?;
-    study.valid_records = scan.valid_records;
-    if let Some(defect) = scan.defect.clone() {
+    if let Some(defect) = scan.journal_defect {
         study.defects.push(defect);
         if salvage {
             truncate_file(&journal_path, scan.valid_prefix_bytes)?;
@@ -279,70 +413,33 @@ fn fsck_study(root: &Path, name: &str, salvage: bool) -> Result<StudyFsck> {
     // A journal whose header frame itself is gone cannot be reopened: the
     // header binds the durable state to a run identity, and fsck will not
     // guess one.
-    if scan.header_payload.is_none() {
+    if scan.state.is_none() {
         study.recoverable = false;
         return Ok(study);
     }
-    if snapshot_path.exists() {
-        check_snapshot(&snapshot_path, &scan, salvage, &mut study)?;
-    }
-    Ok(study)
-}
-
-/// Decodes the snapshot through the checkpoint codec (which verifies its
-/// own whole-file integrity frame) and cross-checks its header against
-/// the journal's. A defective snapshot is only droppable when the journal
-/// still holds every sample from slot 0 — otherwise committed history
-/// lives nowhere else and the study is unrecoverable.
-fn check_snapshot(
-    snapshot_path: &Path,
-    scan: &JournalScan,
-    salvage: bool,
-    study: &mut StudyFsck,
-) -> Result<()> {
-    let defect = match RunCheckpoint::load(snapshot_path) {
-        Err(e) => Some((
+    let Some(e) = scan.snapshot_defect else {
+        return Ok(study);
+    };
+    study.defects.push(match e {
+        Error::ResumeMismatch(_) => (StoreDefect::HeaderMismatch, e.to_string()),
+        _ => (
             StoreDefect::CorruptFrame,
             format!("snapshot undecodable: {e}"),
-        )),
-        Ok(snapshot) => {
-            let expected = encode_header_line(&JournalHeader {
-                name: study.name.clone(),
-                run: snapshot.header,
-            });
-            if scan.header_payload.as_deref() == Some(expected.as_str()) {
-                None
-            } else {
-                Some((
-                    StoreDefect::HeaderMismatch,
-                    "snapshot and journal disagree about the run identity".to_string(),
-                ))
-            }
-        }
-    };
-    let Some(defect) = defect else {
-        return Ok(());
-    };
-    study.defects.push(defect);
-    // Conservative: a rotated (samples-free) journal cannot prove the
-    // defective snapshot held nothing, so it does not count as coverage.
-    let journal_covers_zero = {
-        let mut sorted = scan.sample_indices.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        !sorted.is_empty() && sorted[0] == 0 && sorted.windows(2).all(|w| w[1] == w[0] + 1)
-    };
-    if !journal_covers_zero {
+        ),
+    });
+    // A defective snapshot is only droppable when the journal still holds
+    // every sample from slot 0 — otherwise committed history lives nowhere
+    // else and the study is unrecoverable. Conservative: a rotated
+    // (samples-free) journal cannot prove the snapshot held nothing.
+    if scan.first_sample != Some(0) {
         study.recoverable = false;
-        return Ok(());
-    }
-    if salvage {
-        std::fs::remove_file(snapshot_path).map_err(|e| io_err("removing", snapshot_path, e))?;
+    } else if salvage {
+        std::fs::remove_file(&snapshot_path).map_err(|e| io_err("removing", &snapshot_path, e))?;
         study
             .repairs
             .push("dropped the defective snapshot (journal holds the full history)".to_string());
     }
-    Ok(())
+    Ok(study)
 }
 
 fn truncate_file(path: &Path, len: usize) -> Result<()> {

@@ -24,6 +24,16 @@
 //!   snapshot. The steady-state journal is therefore short — the tail
 //!   since the last snapshot — while the snapshot bounds replay work.
 //!
+//! # One reader
+//!
+//! The journal has one reader, fsck's scanner ([`crate::fsck`]). It
+//! checks every record's frame, decodes every record it accepts, and
+//! merges the snapshot under the header's run identity.
+//! [`StudyJournal::load`] is that scan, refusing any defect but a torn
+//! final line, so it succeeds exactly when `fsck` finds nothing worse.
+//! Reading writes nothing: the stale temp files below are swept by
+//! [`StudyJournal::create`], the one path that opens a study to write.
+//!
 //! # Crash windows, enumerated
 //!
 //! A `kill -9` can land anywhere; every window leaves recoverable state:
@@ -33,60 +43,32 @@
 //!   not yet acknowledged anywhere, so dropping it is the correct
 //!   serialization.
 //! * **mid-snapshot** — the snapshot write is atomic; a crash strands a
-//!   stale `*.tmp` beside it, which the checkpoint codec sweeps on the
-//!   next open. The journal still holds everything.
+//!   stale `*.tmp` beside it, which the next create or open sweeps. The
+//!   journal still holds everything.
 //! * **between snapshot and rotation** — the journal duplicates records
 //!   the snapshot already holds. Recovery merges the two keyed by sample
 //!   index and verifies overlapping records byte-for-byte.
 //! * **mid-rotation** — the rotation rewrite is itself atomic
 //!   (temp + rename, distinct temp suffix from the snapshot's); a crash
-//!   strands `<name>.journal-tmp`, swept on the next open.
+//!   strands `<name>.journal-tmp`, swept on the next create or open.
 //!
 //! Recovery never trusts the merged state blindly: the server replays the
 //! study's deterministic schedule against the journaled evaluations and
 //! byte-verifies the recomputed prefix against the recorded samples
 //! (see `StudyServer::open_study`).
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use hyperpower::checkpoint::{
-    budget_fields, decode_eval, encode_eval, get_num, CheckpointConfig, CheckpointHeader,
-    CheckpointSink, RunCheckpoint,
+    encode_eval, get_str, CheckpointConfig, CheckpointHeader, CheckpointSink, RunCheckpoint,
 };
-use hyperpower::golden::{self, Value};
+use hyperpower::golden;
+use hyperpower::integrity::frame;
 use hyperpower::{Error, EvaluationResult, ObservationSink, Result, Sample};
 
 /// Wire schema marker of the journal header line.
 const JOURNAL_SCHEMA: &str = "hyperpower-study-journal-v2";
-
-/// Frames a record payload for the wire: `<crc32 hex8> <payload>`.
-pub(crate) fn frame_payload(payload: &str) -> String {
-    format!(
-        "{} {payload}",
-        hyperpower::integrity::crc32_hex(payload.as_bytes())
-    )
-}
-
-/// Strips and verifies a record's integrity frame, returning the payload.
-pub(crate) fn unframe_payload(rest: &str) -> Result<&str> {
-    let (token, payload) = rest.split_once(' ').ok_or_else(|| {
-        Error::Checkpoint(format!(
-            "corrupt frame: unterminated checksum token in {rest:?}"
-        ))
-    })?;
-    let expected = hyperpower::integrity::parse_crc32_hex(token).ok_or_else(|| {
-        Error::Checkpoint(format!("corrupt frame: malformed checksum token {token:?}"))
-    })?;
-    let actual = hyperpower::integrity::crc32(payload.as_bytes());
-    if actual != expected {
-        return Err(Error::Checkpoint(format!(
-            "corrupt frame: checksum mismatch (recorded {expected:08x}, computed {actual:08x})"
-        )));
-    }
-    Ok(payload)
-}
 
 /// The identity a study journal is bound to: the study's name plus the
 /// full run identity of the PR 4 checkpoint codec. Every trace-affecting
@@ -101,63 +83,26 @@ pub struct JournalHeader {
     pub run: CheckpointHeader,
 }
 
-/// Encodes the header as a single journal line (sans the `H ` tag). The
-/// encoding is canonical, so header verification on resume is a literal
-/// byte comparison.
+/// Encodes the header as a single journal line (sans the `H ` tag): the
+/// study's name, then the run identity in its one encoding
+/// ([`CheckpointHeader::encode_members`]).
 pub fn encode_header_line(header: &JournalHeader) -> String {
-    let run = &header.run;
-    let (budget_kind, budget_value) = budget_fields(run.budget);
     format!(
-        "{{\"schema\": \"{JOURNAL_SCHEMA}\", \"name\": \"{}\", \"seed\": \"{}\", \
-         \"method\": \"{}\", \"mode\": \"{}\", \"budget\": {{\"kind\": \"{budget_kind}\", \
-         \"value\": {budget_value:?}}}, \"simulated_gpus\": {}, \"fault_profile\": \"{}\", \
-         \"max_retries\": {}, \"recalibrate\": {}, \"drift_threshold\": {:?}, \
-         \"safety_margin\": {:?}}}",
+        "{{\"schema\": \"{JOURNAL_SCHEMA}\", \"name\": \"{}\", {}}}",
         header.name,
-        run.seed,
-        run.method,
-        run.mode,
-        run.simulated_gpus,
-        run.fault_profile,
-        run.max_retries,
-        run.recalibrate,
-        run.drift_threshold,
-        run.safety_margin,
+        header.run.encode_members()
     )
 }
 
-/// Decodes one evaluation record's payload (sans the `E ` tag) — the
-/// checkpoint codec's eval form, so both durability layers speak one
-/// dialect.
-fn decode_eval_line(line: &str) -> Result<(u64, EvaluationResult)> {
-    let value =
-        golden::parse(line).map_err(|e| Error::Checkpoint(format!("journal eval line: {e}")))?;
-    decode_eval(&value)
-}
-
-/// The trace slot a journaled sample line occupies.
-pub(crate) fn sample_index(value: &Value) -> Result<usize> {
-    let Value::Object(members) = value else {
-        return Err(Error::Checkpoint(
-            "journal sample line is not an object".into(),
-        ));
-    };
-    let index = get_num(members, "index")?;
-    Ok(index as usize)
-}
-
-/// Durable state merged from a study's snapshot and journal tail, ready
-/// for deterministic replay.
-#[derive(Debug, Clone)]
-pub struct RecoveredStudy {
-    /// The journal's header line, verbatim (callers compare it against
-    /// their expected canonical encoding).
-    pub header_line: String,
-    /// Every journaled raw evaluation, keyed by eval seed.
-    pub evals: BTreeMap<u64, EvaluationResult>,
-    /// The committed samples, as parsed golden-codec values, contiguous
-    /// from trace slot 0.
-    pub samples: Vec<Value>,
+impl JournalHeader {
+    /// Decodes a header record's payload, the [`encode_header_line`] form.
+    pub(crate) fn decode(payload: &str) -> Result<Self> {
+        let (run, members) = CheckpointHeader::decode(payload, JOURNAL_SCHEMA)?;
+        Ok(JournalHeader {
+            name: get_str(&members, "name")?,
+            run,
+        })
+    }
 }
 
 /// The write-ahead journal and snapshot writer of one hosted study.
@@ -186,7 +131,7 @@ pub fn study_paths(root: &Path, name: &str) -> (PathBuf, PathBuf) {
     )
 }
 
-fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
+pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Checkpoint(format!("{what} {}: {e}", path.display()))
 }
 
@@ -204,11 +149,8 @@ impl StudyJournal {
         let (journal_path, snapshot_path) = study_paths(root, &header.name);
         std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
         let header_line = encode_header_line(header);
-        std::fs::write(
-            &journal_path,
-            format!("H {}\n", frame_payload(&header_line)),
-        )
-        .map_err(|e| io_err("writing", &journal_path, e))?;
+        std::fs::write(&journal_path, format!("H {}\n", frame(&header_line, ' ')))
+            .map_err(|e| io_err("writing", &journal_path, e))?;
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(&journal_path)
@@ -235,104 +177,23 @@ impl StudyJournal {
     }
 
     /// Loads the durable state of study `name`, or `None` when no journal
-    /// exists. Merges the snapshot (if any) with the journal tail, keyed
-    /// by sample index, byte-verifying overlapping records; drops a torn
-    /// trailing journal line.
+    /// exists: fsck's scan of the journal and snapshot ([`crate::fsck`]),
+    /// which refuses any defect but a torn final line and merges the
+    /// snapshot with the journal's records by sample index.
     ///
     /// # Errors
     ///
-    /// [`Error::Checkpoint`] on I/O failures, non-tail corruption, or a
-    /// snapshot/journal disagreement.
-    pub fn load(root: &Path, name: &str) -> Result<Option<RecoveredStudy>> {
-        let (journal_path, snapshot_path) = study_paths(root, name);
-        std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
+    /// [`Error::Checkpoint`] on I/O failures, a defective journal record or
+    /// an undecodable snapshot; [`Error::ResumeMismatch`] when another run
+    /// wrote the snapshot, naming each field that differs.
+    pub fn load(root: &Path, name: &str) -> Result<Option<RunCheckpoint>> {
+        let (journal_path, _) = study_paths(root, name);
         if !journal_path.exists() {
             return Ok(None);
         }
-        let text = std::fs::read_to_string(&journal_path)
-            .map_err(|e| io_err("reading", &journal_path, e))?;
-        // A crash mid-append leaves a torn final line with no trailing
-        // newline; every acknowledged record ends with one.
-        let complete = match text.rfind('\n') {
-            Some(last) => &text[..=last],
-            None => "",
-        };
-        let mut lines = complete.lines();
-        let Some(first) = lines.next() else {
-            return Err(Error::Checkpoint(format!(
-                "journal {} has no header line",
-                journal_path.display()
-            )));
-        };
-        let Some(header_rest) = first.strip_prefix("H ") else {
-            return Err(Error::Checkpoint(format!(
-                "journal {} does not start with a header record",
-                journal_path.display()
-            )));
-        };
-        let header_line = unframe_payload(header_rest)
-            .map_err(|e| Error::Checkpoint(format!("journal {}: {e}", journal_path.display())))?;
-        let mut evals = BTreeMap::new();
-        let mut by_index: BTreeMap<usize, Value> = BTreeMap::new();
-        if snapshot_path.exists() {
-            let snapshot = RunCheckpoint::load(&snapshot_path)?;
-            evals.extend(snapshot.evals);
-            // Snapshots are complete from trace slot 0 by construction.
-            for (index, value) in snapshot.samples.into_iter().enumerate() {
-                by_index.insert(index, value);
-            }
-        }
-        for line in lines {
-            if let Some(rest) = line.strip_prefix("E ") {
-                let payload = unframe_payload(rest).map_err(|e| {
-                    Error::Checkpoint(format!("journal {}: {e}", journal_path.display()))
-                })?;
-                let (seed, result) = decode_eval_line(payload)?;
-                evals.insert(seed, result);
-            } else if let Some(rest) = line.strip_prefix("S ") {
-                let payload = unframe_payload(rest).map_err(|e| {
-                    Error::Checkpoint(format!("journal {}: {e}", journal_path.display()))
-                })?;
-                let value = golden::parse(payload)
-                    .map_err(|e| Error::Checkpoint(format!("journal sample line: {e}")))?;
-                let index = sample_index(&value)?;
-                if let Some(existing) = by_index.get(&index) {
-                    // The snapshot-to-rotation crash window duplicates
-                    // records; they must agree byte-for-byte.
-                    let disagreements = golden::diff(existing, &value);
-                    if !disagreements.is_empty() {
-                        return Err(Error::Checkpoint(format!(
-                            "journal {} disagrees with snapshot at sample {index}: {}",
-                            journal_path.display(),
-                            disagreements.join("; ")
-                        )));
-                    }
-                }
-                by_index.insert(index, value);
-            } else {
-                return Err(Error::Checkpoint(format!(
-                    "journal {} has an unknown record kind: {line:?}",
-                    journal_path.display()
-                )));
-            }
-        }
-        // Committed state is the contiguous prefix; a gap means a record
-        // vanished from the middle, which no crash window can produce.
-        let mut merged = Vec::with_capacity(by_index.len());
-        for (expect, (index, value)) in by_index.into_iter().enumerate() {
-            if index != expect {
-                return Err(Error::Checkpoint(format!(
-                    "journal {} is missing sample {expect} (found {index})",
-                    journal_path.display()
-                )));
-            }
-            merged.push(value);
-        }
-        Ok(Some(RecoveredStudy {
-            header_line: header_line.to_string(),
-            evals,
-            samples: merged,
-        }))
+        crate::fsck::scan_study(root, name)?
+            .into_state(&journal_path)
+            .map(Some)
     }
 
     /// The canonical header line this journal was created with.
@@ -356,7 +217,7 @@ impl StudyJournal {
         // after it lands is discarding the journal body safe.
         self.sink.flush()?;
         let tmp = self.journal_path.with_extension("journal-tmp");
-        std::fs::write(&tmp, format!("H {}\n", frame_payload(&self.header_line)))
+        std::fs::write(&tmp, format!("H {}\n", frame(&self.header_line, ' ')))
             .map_err(|e| io_err("writing", &tmp, e))?;
         std::fs::rename(&tmp, &self.journal_path)
             .map_err(|e| io_err("rotating", &self.journal_path, e))?;
@@ -371,7 +232,7 @@ impl StudyJournal {
 
     fn append(&mut self, tag: char, line: &str) -> Result<()> {
         self.file
-            .write_all(format!("{tag} {}\n", frame_payload(line)).as_bytes())
+            .write_all(format!("{tag} {}\n", frame(line, ' ')).as_bytes())
             .map_err(|e| io_err("appending to", &self.journal_path, e))
     }
 }
@@ -400,5 +261,42 @@ impl ObservationSink for StudyJournal {
             self.flush()?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hyperpower::Budget;
+
+    /// A header record exactly as releases before the shared identity
+    /// encoder wrote it (study `pinned` of the server contract suite).
+    const EARLIER_HEADER_RECORD: &str = "H 1e4431ad {\"schema\": \"hyperpower-study-journal-v2\", \
+        \"name\": \"pinned\", \"seed\": \"1592591846\", \"method\": \"Rand\", \"mode\": \"HyperPower\", \
+        \"budget\": {\"kind\": \"evaluations\", \"value\": 4.0}, \"simulated_gpus\": 1, \
+        \"fault_profile\": \"none\", \"max_retries\": 2, \"recalibrate\": false, \
+        \"drift_threshold\": 0.15, \"safety_margin\": 0.0}";
+
+    #[test]
+    fn the_header_record_is_byte_identical_to_earlier_releases() {
+        let header = JournalHeader {
+            name: "pinned".into(),
+            run: CheckpointHeader {
+                seed: 1_592_591_846,
+                method: "Rand".into(),
+                mode: "HyperPower".into(),
+                budget: Budget::Evaluations(4),
+                simulated_gpus: 1,
+                fault_profile: "none".into(),
+                max_retries: 2,
+                recalibrate: false,
+                drift_threshold: 0.15,
+                safety_margin: 0.0,
+            },
+        };
+        let record = format!("H {}", frame(&encode_header_line(&header), ' '));
+        assert_eq!(record, EARLIER_HEADER_RECORD);
+        let payload = record.split_once(' ').unwrap().1.split_once(' ').unwrap().1;
+        assert_eq!(JournalHeader::decode(payload).unwrap(), header);
     }
 }

@@ -23,11 +23,11 @@
 //! * [`health`] — a deterministic worker/tenant supervision state machine
 //!   (`Healthy → Suspect → Quarantined → Retired`) gating lease dispatch
 //!   and driving hedged re-dispatch of overdue candidates;
-//! * [`fsck`] — an offline integrity scanner over a store directory:
-//!   every journal record and snapshot is CRC32-framed, and
-//!   [`fsck_store`] reports (and optionally salvages, by truncating to
-//!   the last valid frame) corrupt frames, torn tails, stale temp files
-//!   and header mismatches.
+//! * [`fsck`] — an offline integrity scanner over a store directory and
+//!   the journal's only reader: every journal record and snapshot is
+//!   CRC32-framed, and [`fsck_store`] reports (and optionally salvages, by
+//!   truncating to the last valid frame) corrupt frames, torn tails, stale
+//!   temp files and header mismatches.
 //!
 //! Nothing the server does can change a committed trace byte: run
 //! identity lives entirely in each study's [`hyperpower::StudySpec`]
@@ -51,5 +51,5 @@ pub use chaos::{
 pub use error::ServerError;
 pub use fsck::{fsck_store, FsckReport, StudyFsck};
 pub use health::{Fleet, HealthPolicy, HealthState};
-pub use journal::{JournalHeader, RecoveredStudy, StudyJournal};
+pub use journal::{JournalHeader, StudyJournal};
 pub use server::{ServerConfig, StudyServer, StudySetup, TickReport};

@@ -44,7 +44,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hyperpower::checkpoint::{verify_sample_prefix, CheckpointHeader};
+use hyperpower::checkpoint::{verify_sample_prefix, CheckpointHeader, RunCheckpoint};
 use hyperpower::{
     ConstraintOracle, Error, LeasedCandidate, RetryPolicy, SearchSpace, Study, StudySpec,
     TellOutcome, Trace,
@@ -52,7 +52,7 @@ use hyperpower::{
 use hyperpower_gpu_sim::Gpu;
 
 use crate::health::{Fleet, HealthPolicy, HealthState};
-use crate::journal::{encode_header_line, JournalHeader, RecoveredStudy, StudyJournal};
+use crate::journal::{JournalHeader, StudyJournal};
 use crate::ServerError;
 
 /// Execution-level serving knobs. None of these can change a committed
@@ -196,24 +196,21 @@ fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
-/// The journal header a study setup implies (simulated_gpus is 1: a study
+/// The run identity a study spec implies (simulated_gpus is 1: a study
 /// is the single-schedule machine; batch-parallel variants are hosted as
 /// separate studies).
-fn journal_header(name: &str, spec: &StudySpec) -> JournalHeader {
-    JournalHeader {
-        name: name.to_string(),
-        run: CheckpointHeader {
-            seed: spec.seed,
-            method: spec.method.to_string(),
-            mode: spec.mode.to_string(),
-            budget: spec.budget,
-            simulated_gpus: 1,
-            fault_profile: spec.fault_profile.name.clone(),
-            max_retries: spec.retry.max_retries,
-            recalibrate: spec.drift.recalibrate,
-            drift_threshold: spec.drift.drift_threshold,
-            safety_margin: spec.drift.safety_margin,
-        },
+fn run_identity(spec: &StudySpec) -> CheckpointHeader {
+    CheckpointHeader {
+        seed: spec.seed,
+        method: spec.method.to_string(),
+        mode: spec.mode.to_string(),
+        budget: spec.budget,
+        simulated_gpus: 1,
+        fault_profile: spec.fault_profile.name.clone(),
+        max_retries: spec.retry.max_retries,
+        recalibrate: spec.drift.recalibrate,
+        drift_threshold: spec.drift.drift_threshold,
+        safety_margin: spec.drift.safety_margin,
     }
 }
 
@@ -312,13 +309,8 @@ impl StudyServer {
             self.install(name, setup, None)?;
             return Ok(0);
         };
-        let expected = encode_header_line(&journal_header(name, &setup.spec));
-        if recovered.header_line != expected {
-            return Err(ServerError::Core(Error::ResumeMismatch(format!(
-                "journal for study {name:?} was written by a different run: journal header {}, expected {}",
-                recovered.header_line, expected
-            ))));
-        }
+        run_identity(&setup.spec)
+            .verify(&format!("journal for study {name:?}"), &recovered.header)?;
         let committed = recovered.samples.len();
         self.install(name, setup, Some(recovered))?;
         Ok(committed)
@@ -347,7 +339,7 @@ impl StudyServer {
         &mut self,
         name: &str,
         setup: StudySetup,
-        recovered: Option<RecoveredStudy>,
+        recovered: Option<RunCheckpoint>,
     ) -> Result<(), ServerError> {
         let StudySetup {
             space,
@@ -356,7 +348,10 @@ impl StudyServer {
             spec,
             priority,
         } = setup;
-        let header = journal_header(name, &spec);
+        let header = JournalHeader {
+            name: name.to_string(),
+            run: run_identity(&spec),
+        };
         let mut journal = StudyJournal::create(
             &self.config.root,
             &header,
@@ -733,7 +728,7 @@ fn replay(
     space: &SearchSpace,
     gpu: &mut Gpu,
     journal: &mut StudyJournal,
-    recovered: &RecoveredStudy,
+    recovered: &RunCheckpoint,
 ) -> Result<(), ServerError> {
     let target = recovered.samples.len();
     'drive: while !study.is_finished() && study.committed() < target {

@@ -609,6 +609,7 @@ fn open_study_refuses_a_mismatched_spec() {
     match server.open_study("pinned", setup(SEED ^ 99, Budget::Evaluations(4), 1)) {
         Err(ServerError::Core(Error::ResumeMismatch(msg))) => {
             assert!(msg.contains("different run"), "{msg}");
+            assert!(msg.contains("seed: expected"), "{msg}");
         }
         other => panic!("expected ResumeMismatch, got {other:?}"),
     }
@@ -1190,4 +1191,114 @@ fn a_hostile_deeply_nested_record_is_a_typed_error() {
     let crc = hyperpower::integrity::crc32_hex(payload.as_bytes());
     append_line(&journal_path, &format!("S {crc} {payload}"));
     assert_corrupt_frame(&root, "nested", "nesting");
+}
+
+#[test]
+fn a_checksummed_but_undecodable_evaluation_is_a_corrupt_frame() {
+    // The frame is valid, the payload is not an evaluation: the loader and
+    // fsck must both refuse it, and salvage must make the study whole.
+    let (root, journal_path) = small_store("undecodable");
+    let framed = hyperpower::integrity::frame(r#"{"seed": "7"}"#, ' ');
+    append_line(&journal_path, &format!("E {framed}"));
+    assert_corrupt_frame(&root, "undecodable", "missing numeric field");
+
+    let salvaged = fsck_store(&root, true).expect("salvage");
+    assert!(salvaged.recoverable(), "{salvaged}");
+    let mut server = StudyServer::new(ServerConfig {
+        root: root.clone(),
+        snapshot_every_commits: 100,
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    let recovered = server
+        .open_study("undecodable", setup(SEED, Budget::Evaluations(6), 1))
+        .expect("open salvaged");
+    assert!(recovered > 0, "the salvaged journal keeps its samples");
+    drive(&mut server, "undecodable", 1);
+    assert_eq!(
+        encode_trace(&reference(SEED, Budget::Evaluations(6))),
+        encode_trace(&server.trace("undecodable").expect("trace"))
+    );
+}
+
+#[test]
+fn a_snapshot_from_another_run_is_refused_by_field() {
+    // Loading must compare the snapshot's run identity with the journal
+    // header's instead of merging another run's samples.
+    let (root, _) = small_store("foreign");
+    let elsewhere = scratch_root("foreign-elsewhere");
+    let mut server = StudyServer::new(ServerConfig {
+        root: elsewhere.clone(),
+        snapshot_every_commits: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    server
+        .create_study("foreign", setup(SEED ^ 1, Budget::Evaluations(6), 1))
+        .expect("create");
+    for c in server.ask("foreign", 1, 60.0).expect("ask") {
+        server.tell("foreign", c.lease_id, &eval(&c)).expect("tell");
+    }
+    drop(server);
+    let (_, theirs) = hyperpower_server::journal::study_paths(&elsewhere, "foreign");
+    let (_, ours) = hyperpower_server::journal::study_paths(&root, "foreign");
+    std::fs::copy(theirs, ours).expect("copy the snapshot");
+
+    match StudyJournal::load(&root, "foreign") {
+        Err(Error::ResumeMismatch(msg)) => assert!(msg.contains("seed: expected"), "{msg}"),
+        other => panic!("expected a ResumeMismatch naming `seed`, got {other:?}"),
+    }
+    let report = fsck_store(&root, false).expect("scan");
+    assert!(
+        report.studies[0]
+            .defects
+            .iter()
+            .any(|(defect, _)| *defect == StoreDefect::HeaderMismatch),
+        "fsck must report a header mismatch:\n{report}"
+    );
+}
+
+#[test]
+fn a_read_only_fsck_writes_nothing() {
+    // A store with a snapshot, journal records past it, and a stale temp
+    // file of each kind.
+    let root = scratch_root("read-only");
+    let mut server = StudyServer::new(ServerConfig {
+        root: root.clone(),
+        snapshot_every_commits: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    server
+        .create_study("ro", setup(SEED, Budget::Evaluations(6), 1))
+        .expect("create");
+    for round in 1..=3 {
+        for c in server.ask("ro", 1, 60.0 * f64::from(round)).expect("ask") {
+            server.tell("ro", c.lease_id, &eval(&c)).expect("tell");
+        }
+    }
+    drop(server);
+    let (journal_path, snapshot_path) = hyperpower_server::journal::study_paths(&root, "ro");
+    assert!(snapshot_path.exists(), "the store holds a snapshot");
+    std::fs::write(snapshot_path.with_extension("tmp"), "stale").expect("stale tmp");
+    std::fs::write(journal_path.with_extension("journal-tmp"), "stale").expect("stale tmp");
+    let contents = || {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&root)
+            .expect("list the store")
+            .map(|entry| {
+                let path = entry.expect("entry").path();
+                let bytes = std::fs::read(&path).expect("read");
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = contents();
+
+    let first = fsck_store(&root, false).expect("scan");
+    assert_eq!(contents(), before, "a read-only scan changed the store");
+    let second = fsck_store(&root, false).expect("rescan");
+    assert_eq!(first.stale_tmps.len(), 2, "{first}");
+    assert_eq!(second.stale_tmps, first.stale_tmps, "{second}");
 }

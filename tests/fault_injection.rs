@@ -574,6 +574,43 @@ fn resume_rejects_a_mismatched_run() {
     assert!(matches!(err, Error::ResumeMismatch(_)), "got: {err}");
 }
 
+/// A checkpoint exactly as releases before the one-line run identity wrote
+/// it: the identity members spread over one line each. It holds the whole
+/// run that `resume_rejects_a_mismatched_run` checkpoints.
+const MULTI_LINE_HEADER_CHECKPOINT: &str =
+    include_str!("fixtures/checkpoint_multiline_header.ckpt");
+
+#[test]
+fn a_checkpoint_in_the_multi_line_header_layout_still_resumes() {
+    assert!(
+        MULTI_LINE_HEADER_CHECKPOINT
+            .contains("{\n  \"schema\": \"hyperpower-checkpoint-v2\",\n  \"seed\""),
+        "the fixture keeps the multi-line layout"
+    );
+    let budget = Budget::Evaluations(4);
+    let reference = encode_trace(
+        &run_stub(
+            &StubObjective::new(),
+            budget,
+            &ExecutorOptions::default(),
+            None,
+        )
+        .expect("reference run"),
+    );
+    let ckpt = scratch_path("multi_line_header.ckpt");
+    std::fs::write(&ckpt, MULTI_LINE_HEADER_CHECKPOINT).expect("write fixture");
+    // Every evaluation must come from the checkpoint: one objective call
+    // would panic the run.
+    let resumed = run_stub(
+        &ChaosObjective::new(0),
+        budget,
+        &ExecutorOptions::default().with_resume_from(ckpt),
+        None,
+    )
+    .expect("the multi-line layout decodes and resumes");
+    assert_eq!(reference, encode_trace(&resumed));
+}
+
 #[test]
 fn orphaned_checkpoint_tmp_is_swept_on_open() {
     let budget = Budget::Evaluations(4);
@@ -604,7 +641,7 @@ fn orphaned_checkpoint_tmp_is_swept_on_open() {
         encode_trace(&resumed),
         "orphaned tmp must not perturb a resumed run"
     );
-    assert!(!tmp.exists(), "RunCheckpoint::load sweeps the orphaned tmp");
+    assert!(!tmp.exists(), "resume sweeps the orphaned tmp");
 
     // A fresh checkpointing run sweeps it on sink creation too.
     std::fs::write(&tmp, "stale").expect("stale tmp");

@@ -366,3 +366,30 @@ fn thompson_hwieci_trace_crc_is_pinned() {
         "Thompson trace bytes changed: crc32 {crc:#010x}, pinned {THOMPSON_HWIECI_CRC:#010x}"
     );
 }
+
+/// CRC32 of the encoded trace [`thompson_unscreened_trace_crc_is_pinned`]
+/// runs.
+const THOMPSON_UNSCREENED_CRC: u32 = 0x1361_496f;
+
+/// The Thompson searcher without a constraint oracle. Every grid row is
+/// then admissible, so the cap on admitted candidates ends the screen in
+/// every proposal, and a change to where it stops moves the CRC. (The
+/// executor still screens each proposal with the session's oracle.)
+#[test]
+fn thompson_unscreened_trace_crc_is_pinned() {
+    let mut session =
+        Session::new(Scenario::cifar10_gtx1070(), GOLDEN_SEED).expect("session setup");
+    let trace = session
+        .run_with_searcher(
+            Box::new(ThompsonSearcher::new(None)),
+            Method::HwIeci,
+            Budget::Evaluations(12),
+            GOLDEN_SEED,
+        )
+        .expect("thompson run");
+    let crc = crc32(encode_trace(&trace).as_bytes());
+    assert_eq!(
+        crc, THOMPSON_UNSCREENED_CRC,
+        "Thompson trace bytes changed: crc32 {crc:#010x}, pinned {THOMPSON_UNSCREENED_CRC:#010x}"
+    );
+}
