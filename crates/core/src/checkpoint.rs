@@ -182,21 +182,17 @@ impl CheckpointHeader {
     /// # Errors
     ///
     /// [`Error::ResumeMismatch`]: `{what} was written by a different run`,
-    /// then each differing field as [`golden::diff`] names it.
+    /// then each differing field as [`golden::diff_text`] names it.
     pub fn verify(&self, what: &str, recorded: &CheckpointHeader) -> Result<()> {
         let (expected, recorded) = (self.encode_members(), recorded.encode_members());
         if expected == recorded {
             return Ok(());
         }
-        let object = |members: &str| golden::parse(&format!("{{{members}}}"));
-        let fields = match (object(&expected), object(&recorded)) {
-            (Ok(e), Ok(r)) => golden::diff(&e, &r)
-                .iter()
-                .map(|d| d.trim_start_matches("$.").to_string())
-                .collect::<Vec<_>>()
-                .join("; "),
-            _ => format!("expected {{{expected}}}, got {{{recorded}}}"),
-        };
+        let fields = golden::diff_text(&format!("{{{expected}}}"), &format!("{{{recorded}}}"))
+            .iter()
+            .map(|d| d.trim_start_matches("$.").to_string())
+            .collect::<Vec<_>>()
+            .join("; ");
         Err(Error::ResumeMismatch(format!(
             "{what} was written by a different run: {fields}"
         )))

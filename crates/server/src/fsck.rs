@@ -25,13 +25,13 @@
 //!
 //! Without `salvage` the scan only reads: it changes no byte and removes
 //! no file, stale temps included. With `salvage` on, the scanner repairs
-//! what determinism makes safe to repair: the journal is truncated to its **last checksum-valid frame**
-//! (everything after the first bad frame is suspect — appends are
-//! strictly ordered), stale temp files are removed, and a defective
-//! snapshot is dropped *only when* the journal still holds the complete
-//! sample history from slot 0. Because a study's schedule is a pure
-//! function of `(spec, journaled evaluations)`, replay from any valid
-//! durable prefix reconverges to the exact committed bytes — salvage
+//! what determinism makes safe to repair: the journal is truncated to its
+//! **last valid record** (everything after the first defective record is
+//! suspect — appends are strictly ordered), stale temp files are removed,
+//! and a defective snapshot is dropped *only when* the journal still holds
+//! the complete sample history from slot 0. Because a study's schedule is
+//! a pure function of `(spec, journaled evaluations)`, replay from any
+//! valid durable prefix reconverges to the exact committed bytes — salvage
 //! never invents state, it only discards unacknowledged or unverifiable
 //! suffixes. The chaos harness proves the round trip: flip seeded bits,
 //! fsck --salvage, reopen, byte-compare against the uninterrupted
