@@ -24,9 +24,10 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use hyperpower::executor::parallel_map;
 use hyperpower::report::{format_error_cell, format_scalar_cell, PairedRuns};
 use hyperpower::{Budget, Method, Mode, Scenario, Session, Trace};
-use hyperpower_bench::parallel::{parallel_map, workers_from_args};
+use hyperpower_bench::parallel::workers_from_args;
 
 fn run_pairs(
     scenario: &Scenario,

@@ -2,8 +2,8 @@
 //!
 //! Each binary in `src/bin/` regenerates one of the paper's tables or
 //! figures (see DESIGN.md §4 for the index); this library holds the small
-//! amount of code they share — ASCII scatter plotting, run-matrix helpers
-//! and a parallel map for independent experiment cells.
+//! amount of code they share — ASCII scatter plotting and the worker count
+//! for running independent experiment cells on the executor's thread pool.
 
 pub mod parallel;
 pub mod plot;

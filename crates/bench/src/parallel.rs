@@ -1,67 +1,11 @@
-//! Order-preserving parallel map for independent experiment cells.
+//! Worker-thread count for the experiment harnesses.
 //!
 //! The table/figure harnesses run many fully independent (scenario ×
 //! method) cells; each cell is internally deterministic (the executor's
 //! byte-identity guarantee), so running cells on threads changes nothing
-//! but wall-clock. This helper is the harness-side analogue of the core
-//! executor's evaluation pool: round-robin assignment, results returned in
-//! input order, panics propagated.
-
-/// Maps `f` over `items` on up to `workers` scoped threads, returning the
-/// results in input order (`f` receives the item index and the item).
-///
-/// With `workers <= 1` or a single item this runs inline, which keeps
-/// output ordering of any progress printing intact for sequential runs.
-/// A panicking `f` propagates the panic to the caller.
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let threads = workers.min(items.len());
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            handles.push(scope.spawn(move || {
-                let mut mine = Vec::new();
-                let mut i = t;
-                while i < items.len() {
-                    mine.push((i, f(i, &items[i])));
-                    i += threads;
-                }
-                mine
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(pairs) => {
-                    for (i, r) in pairs {
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            let Some(r) = slot else {
-                unreachable!("round-robin assignment covers slot {i}");
-            };
-            r
-        })
-        .collect()
-}
+//! but wall-clock. They run them on the core executor's pool,
+//! [`hyperpower::executor::parallel_map`]; this module only picks its
+//! width.
 
 /// Worker-thread count for a harness: an explicit `--workers N` argument,
 /// else the `HYPERPOWER_WORKERS` environment variable, else 1.
@@ -83,25 +27,6 @@ pub fn workers_from_args(args: &[String]) -> usize {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_order_at_any_worker_count() {
-        let items: Vec<usize> = (0..23).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 4, 8, 32] {
-            let got = parallel_map(&items, workers, |i, &x| {
-                assert_eq!(i, x);
-                x * x
-            });
-            assert_eq!(got, expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn handles_empty_and_single() {
-        assert_eq!(parallel_map(&[] as &[u8], 4, |_, &x| x), Vec::<u8>::new());
-        assert_eq!(parallel_map(&[7u8], 4, |_, &x| x + 1), vec![8]);
-    }
 
     #[test]
     fn workers_cli_beats_env_fallback() {

@@ -222,8 +222,9 @@ HEALING:  --recalibrate refits the constraint models online when the
 RESUME:   --checkpoint PATH persists committed results during the run
           (atomically, every --checkpoint-every commits; default 1).
           --resume PATH restarts an interrupted run from a checkpoint:
-          already-evaluated candidates are replayed from the cache and
-          the final trace is bit-identical to an uninterrupted run.
+          the run replays its recorded evaluations, checks the recorded
+          samples bit for bit before it goes on, and the final trace is
+          bit-identical to an uninterrupted run.
 SERVER:   serve hosts several named MNIST studies in one crash-safe
           ask-tell server: candidates go out under leases, tells are
           idempotent, and every study is journaled (write-ahead) and

@@ -2,14 +2,16 @@
 //!
 //! The executor periodically persists its committed [`Sample`]s and every
 //! raw objective evaluation to a checkpoint file encoded with the
-//! [`crate::golden`] codec (schema `hyperpower-checkpoint-v2`). Resuming is
-//! a *deterministic re-run with an evaluation cache*: the executor replays
-//! the whole schedule from the run seed — proposals, sensor draws, fault
-//! schedules and commit order come out identical by construction — while
-//! the checkpoint's cached [`EvaluationResult`]s stand in for the expensive
-//! objective calls that already ran. After the run, the committed prefix is
-//! verified bit-for-bit against the checkpoint ([`crate::golden::diff`]),
-//! so a resume can never silently diverge from the interrupted run.
+//! [`crate::golden`] codec (schema `hyperpower-checkpoint-v2`). Resuming
+//! *replays* the run ([`crate::Study::replay`], the one resume path, which
+//! the study server's journal recovery takes too): the schedule restarts
+//! from the run seed — proposals, sensor draws, fault schedules and commit
+//! order come out identical by construction — while the checkpoint's
+//! recorded [`EvaluationResult`]s answer the expensive objective calls
+//! that already ran. Once the replay has committed the recorded samples,
+//! they are verified bit-for-bit against it ([`crate::golden::diff`])
+//! before the run goes on, so a resume can never silently diverge from
+//! the interrupted run.
 //!
 //! The file is written atomically (temp file + rename) so a crash *during*
 //! checkpointing leaves the previous checkpoint intact. A crash between
@@ -38,9 +40,9 @@
 //! every field that differs. The decoder ignores whitespace, so files
 //! that spread the members over one line each still load.
 //!
-//! The eval-record codec ([`encode_eval`], [`decode_eval`]), the field
-//! accessors and the prefix check ([`verify_sample_prefix`]) are public so
-//! the study server's write-ahead journal speaks the same dialect.
+//! The eval-record codec ([`encode_eval`], [`decode_eval`]) and the field
+//! accessors are public so the study server's write-ahead journal speaks
+//! the same dialect.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -411,10 +413,10 @@ pub fn decode_eval(value: &Value) -> Result<(u64, EvaluationResult)> {
 ///
 /// [`Error::ResumeMismatch`] with the golden differ's per-field report,
 /// or when `actual` is shorter than `expected`.
-pub fn verify_sample_prefix(expected: &[Value], actual: &[Sample]) -> Result<()> {
+pub(crate) fn verify_sample_prefix(expected: &[Value], actual: &[Sample]) -> Result<()> {
     if actual.len() < expected.len() {
         return Err(Error::ResumeMismatch(format!(
-            "resumed run committed {} samples, checkpoint already had {}",
+            "the replay committed {} samples, the record holds {}",
             actual.len(),
             expected.len()
         )));
@@ -483,16 +485,6 @@ impl RunCheckpoint {
             evals,
             samples,
         })
-    }
-
-    /// Verifies the committed samples in this checkpoint are a bit-exact
-    /// prefix of `final_samples` (the resumed run's full sample list).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ResumeMismatch`] with the golden differ's per-field report.
-    pub fn verify_prefix(&self, final_samples: &[Sample]) -> Result<()> {
-        verify_sample_prefix(&self.samples, final_samples)
     }
 }
 
@@ -573,8 +565,7 @@ mod tests {
         assert!(ck.evals[&u64::MAX].terminated_early);
         assert_eq!(ck.samples.len(), 2);
         header().verify("checkpoint", &ck.header).unwrap();
-        ck.verify_prefix(&[sample(0), sample(1), sample(2)])
-            .unwrap();
+        verify_sample_prefix(&ck.samples, &[sample(0), sample(1), sample(2)]).unwrap();
     }
 
     #[test]
@@ -629,10 +620,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let mut drifted = sample(0);
         drifted.power_w = f64::from_bits(drifted.power_w.to_bits() + 1);
-        let err = ck.verify_prefix(&[drifted]).unwrap_err();
+        let err = verify_sample_prefix(&ck.samples, &[drifted]).unwrap_err();
         assert!(err.to_string().contains("power_w"), "{err}");
         // Too-short final runs are rejected outright.
-        assert!(ck.verify_prefix(&[]).is_err());
+        assert!(verify_sample_prefix(&ck.samples, &[]).is_err());
     }
 
     #[test]

@@ -62,27 +62,33 @@
 //! worst-case "liar" observation for the searcher — and quarantines its
 //! configuration (circuit breaker: re-proposals are rejected at model-eval
 //! cost without training). [`ExecutorOptions::checkpoint`] persists the
-//! committed trace periodically; [`ExecutorOptions::resume_from`] replays a
-//! checkpoint's cached evaluations through a deterministic re-run and
-//! verifies the committed prefix bit-for-bit.
+//! committed trace periodically; [`ExecutorOptions::resume_from`] replays
+//! the checkpoint through [`Study::replay`], the resume path the study
+//! server's journal recovery shares, which answers proposals from the
+//! recorded evaluations and verifies the recorded samples bit-for-bit
+//! before the loop runs.
+//!
+//! # One thread pool
+//!
+//! [`parallel_map`] is the workspace's one scoped-thread pool: the
+//! executor evaluates each asked batch on it, and the experiment
+//! harnesses run independent table cells on it. Work is assigned
+//! round-robin and each result lands in its own slot, so thread
+//! scheduling never reaches the output.
 //!
 //! [`FaultPlan`]: hyperpower_gpu_sim::FaultPlan
 //! [`SampleKind::Failed`]: crate::SampleKind::Failed
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use hyperpower_gpu_sim::FaultProfile;
 
-use crate::checkpoint::{
-    clean_orphaned_tmp, CheckpointConfig, CheckpointHeader, CheckpointSink, RunCheckpoint,
-};
+use crate::checkpoint::{clean_orphaned_tmp, CheckpointConfig, CheckpointSink, RunCheckpoint};
 use crate::drift::DriftConfig;
 use crate::driver::{RunSetup, Trace};
 use crate::objective::EvaluationResult;
 use crate::recovery::RetryPolicy;
-use crate::space::Decoded;
-use crate::study::{Study, StudySpec};
+use crate::study::{LeasedCandidate, Study, StudySpec};
 use crate::{EarlyTermination, Error, Objective, Result};
 
 /// Environment variable read by [`ExecutorOptions::from_env`] for the
@@ -113,10 +119,10 @@ pub struct ExecutorOptions {
     /// When set, the committed trace is checkpointed here periodically
     /// (and always at run end), atomically.
     pub checkpoint: Option<CheckpointConfig>,
-    /// When set, the run resumes from this checkpoint: cached evaluations
-    /// replace objective calls during a deterministic re-run, and the
-    /// checkpoint's committed samples are verified as a bit-exact prefix
-    /// of the final trace.
+    /// When set, the run resumes from this checkpoint: the study replays
+    /// it, its recorded evaluations standing in for objective calls, and
+    /// its committed samples are verified bit-exact before the run goes
+    /// on.
     pub resume_from: Option<PathBuf>,
     /// Self-healing configuration (drift detection, online recalibration,
     /// adaptive safety margins). Inert by default; a semantic knob and
@@ -173,12 +179,6 @@ impl ExecutorOptions {
         self
     }
 
-    /// Replaces the retry policy (builder style).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Enables periodic checkpointing (builder style).
     pub fn with_checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
         self.checkpoint = Some(checkpoint);
@@ -188,12 +188,6 @@ impl ExecutorOptions {
     /// Resumes from a checkpoint file (builder style).
     pub fn with_resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
-        self
-    }
-
-    /// Replaces the whole self-healing configuration (builder style).
-    pub fn with_drift(mut self, drift: DriftConfig) -> Self {
-        self.drift = drift;
         self
     }
 
@@ -216,11 +210,17 @@ impl ExecutorOptions {
     }
 }
 
-/// Runs one optimization with explicit executor options.
+/// Runs one optimization with explicit executor options: a thin ask →
+/// evaluate → tell loop over a [`Study`]. Each asked batch holds up to
+/// `workers` candidates — those in flight on the simulated GPUs or, at one
+/// GPU, a block of history-independent proposals planned ahead — and
+/// trains them on [`parallel_map`]'s threads. The study owns the virtual
+/// schedule, so the batch width never reaches the trace.
 ///
 /// `options.simulated_gpus == 1` reproduces [`crate::driver::run_optimization`]'s
 /// sequential schedule byte-for-byte at any worker count; larger values run
-/// the deterministic batch-parallel schedule (see `crate::study`).
+/// the deterministic batch-parallel schedule (see `crate::study`). A resumed
+/// run first replays its checkpoint ([`Study::replay`]).
 ///
 /// # Errors
 ///
@@ -229,89 +229,8 @@ impl ExecutorOptions {
 /// [`Error::WorkerPanic`] for panicking objectives, [`Error::Checkpoint`]
 /// for checkpoint I/O failures and [`Error::ResumeMismatch`] when a resume
 /// checkpoint belongs to a different run or its committed samples fail the
-/// bit-exact prefix check.
+/// bit-exact check.
 pub fn run_optimization_with(setup: RunSetup<'_>, options: &ExecutorOptions) -> Result<Trace> {
-    let header = CheckpointHeader {
-        seed: setup.seed,
-        method: setup.method.to_string(),
-        mode: setup.mode.to_string(),
-        budget: setup.budget,
-        simulated_gpus: options.simulated_gpus.max(1),
-        fault_profile: options.fault_profile.name.clone(),
-        max_retries: options.retry.max_retries,
-        recalibrate: options.drift.recalibrate,
-        drift_threshold: options.drift.drift_threshold,
-        safety_margin: options.drift.safety_margin,
-    };
-    let mut sink = options
-        .checkpoint
-        .clone()
-        .map(|config| CheckpointSink::new(config, &header));
-    let Some(path) = &options.resume_from else {
-        return drive(setup, options, sink.as_mut());
-    };
-    // Resuming opens the checkpoint to write again: sweep what a crashed
-    // writer stranded beside it first.
-    clean_orphaned_tmp(path);
-    let checkpoint = RunCheckpoint::load(path)?;
-    header.verify("checkpoint", &checkpoint.header)?;
-    // Resume = deterministic re-run with an evaluation cache: the schedule
-    // (proposals, sensors, faults) replays identically by construction;
-    // only never-before-seen evaluations actually call the objective.
-    let cached = CachedObjective {
-        inner: setup.objective,
-        cache: &checkpoint.evals,
-    };
-    let trace = drive(
-        RunSetup {
-            objective: &cached,
-            ..setup
-        },
-        options,
-        sink.as_mut(),
-    )?;
-    checkpoint.verify_prefix(&trace.samples)?;
-    Ok(trace)
-}
-
-/// An objective wrapper that answers from a resume checkpoint's cached
-/// results where possible. Keyed by eval seed — the executor derives eval
-/// seeds purely from `(run seed, proposal index)`, so a hit is exactly "the
-/// interrupted run already trained this proposal".
-struct CachedObjective<'a> {
-    inner: &'a dyn Objective,
-    cache: &'a BTreeMap<u64, EvaluationResult>,
-}
-
-impl Objective for CachedObjective<'_> {
-    fn evaluate(
-        &self,
-        decoded: &Decoded,
-        early: Option<&EarlyTermination>,
-        seed: u64,
-    ) -> Result<EvaluationResult> {
-        if let Some(result) = self.cache.get(&seed) {
-            return Ok(*result);
-        }
-        self.inner.evaluate(decoded, early, seed)
-    }
-
-    fn full_epochs(&self) -> usize {
-        self.inner.full_epochs()
-    }
-}
-
-/// The one driver: a thin ask → evaluate → tell loop over a [`Study`].
-/// Each asked batch holds up to `workers` candidates — those in flight on
-/// the simulated GPUs or, at one GPU, a block of history-independent
-/// proposals planned ahead — and trains them on concurrent threads. The
-/// study owns the virtual schedule, so the batch width never reaches the
-/// trace.
-fn drive(
-    setup: RunSetup<'_>,
-    options: &ExecutorOptions,
-    mut sink: Option<&mut CheckpointSink>,
-) -> Result<Trace> {
     let RunSetup {
         space,
         objective,
@@ -340,26 +259,38 @@ fn drive(
     };
     let mut study =
         Study::new(spec, oracle, searcher_override).with_simulated_gpus(options.simulated_gpus);
-    let workers = options.workers.max(1);
+    let identity = study.identity();
+    let mut sink = options
+        .checkpoint
+        .clone()
+        .map(|config| CheckpointSink::new(config, &identity));
+    let evaluate = |c: &LeasedCandidate| evaluate_caught(objective, early_termination.as_ref(), c);
+    if let Some(path) = &options.resume_from {
+        // Resuming opens the checkpoint to write again: sweep what a crashed
+        // writer stranded beside it first.
+        clean_orphaned_tmp(path);
+        let checkpoint = RunCheckpoint::load(path)?;
+        identity.verify("checkpoint", &checkpoint.header)?;
+        study.replay(space, gpu, &checkpoint, sink.as_mut(), evaluate)?;
+    }
 
-    // The driver evaluates every asked batch to completion before asking
+    // The loop evaluates every asked batch to completion before asking
     // again, so lease deadlines never matter here: `now_s` stays 0.
+    let workers = options.workers.max(1);
     loop {
-        let batch = study.ask(space, gpu, workers, 0.0, sink.as_deref_mut())?;
+        let batch = study.ask(space, gpu, workers, 0.0, sink.as_mut())?;
         if batch.is_empty() {
             break;
         }
-        let tasks: Vec<(u64, &Decoded, u64)> = batch
-            .iter()
-            .map(|c| (c.query, &c.decoded, c.eval_seed))
-            .collect();
-        let results = evaluate_parallel(objective, early_termination.as_ref(), &tasks, workers)?;
+        let results = parallel_map(&batch, workers, |_, c| evaluate(c))
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
         for (candidate, result) in batch.iter().zip(results) {
-            study.tell(gpu, candidate.lease_id, &result, sink.as_deref_mut())?;
+            study.tell(gpu, candidate.lease_id, &result, sink.as_mut())?;
         }
     }
 
-    if let Some(s) = sink {
+    if let Some(s) = sink.as_mut() {
         s.flush()?;
     }
     Ok(study.into_trace())
@@ -384,55 +315,49 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn evaluate_caught(
     objective: &dyn Objective,
     early: Option<&EarlyTermination>,
-    decoded: &Decoded,
-    query: u64,
-    eval_seed: u64,
+    candidate: &LeasedCandidate,
 ) -> Result<EvaluationResult> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        objective.evaluate(decoded, early, eval_seed)
+        objective.evaluate(&candidate.decoded, early, candidate.eval_seed)
     })) {
         Ok(result) => result,
         Err(payload) => Err(Error::WorkerPanic {
-            query,
+            query: candidate.query,
             message: panic_message(payload.as_ref()),
         }),
     }
 }
 
-/// Evaluates `tasks` (a `(query, decoded, eval_seed)` per candidate), using
-/// up to `workers` scoped threads, and returns the results in task order.
+/// Maps `f` over `items` on up to `workers` scoped threads, returning the
+/// results in input order (`f` receives the item index and the item).
 ///
 /// Work is assigned round-robin and each result lands in its own slot, so
-/// neither thread scheduling nor completion order can influence the output;
-/// on failure the first error *in task order* is returned — including
-/// panics, which are captured at the worker boundary as
-/// [`Error::WorkerPanic`].
-fn evaluate_parallel(
-    objective: &dyn Objective,
-    early: Option<&EarlyTermination>,
-    tasks: &[(u64, &Decoded, u64)],
-    workers: usize,
-) -> Result<Vec<EvaluationResult>> {
-    if tasks.len() <= 1 || workers <= 1 {
-        let mut out = Vec::with_capacity(tasks.len());
-        for (qu, decoded, eval_seed) in tasks {
-            out.push(evaluate_caught(objective, early, decoded, *qu, *eval_seed)?);
-        }
-        return Ok(out);
+/// neither thread scheduling nor completion order can influence the
+/// output. With `workers <= 1` or a single item this runs inline, which
+/// keeps the output order of any progress printing intact. A panicking
+/// `f` propagates the panic to the caller.
+pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    if workers <= 1 || items.len() <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    let threads = workers.min(tasks.len());
-    let mut slots: Vec<Option<Result<EvaluationResult>>> = Vec::with_capacity(tasks.len());
-    slots.resize_with(tasks.len(), || None);
+    let threads = workers.min(items.len());
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
+        let f = &f;
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             handles.push(scope.spawn(move || {
                 let mut mine = Vec::new();
                 let mut i = t;
-                while i < tasks.len() {
-                    let (qu, decoded, eval_seed) = tasks[i]; // bounded by the while condition
-                    mine.push((i, evaluate_caught(objective, early, decoded, qu, eval_seed)));
+                while i < items.len() {
+                    mine.push((i, f(i, &items[i]))); // bounded by the while condition
                     i += threads;
                 }
                 mine
@@ -441,24 +366,46 @@ fn evaluate_parallel(
         for handle in handles {
             match handle.join() {
                 Ok(pairs) => {
-                    for (i, result) in pairs {
-                        slots[i] = Some(result); // in-bounds: i indexes tasks, slots is same length
+                    for (i, r) in pairs {
+                        slots[i] = Some(r); // in-bounds: i indexes items, slots is same length
                     }
                 }
-                // Objective panics are caught inside the worker; a join
-                // failure can only come from the executor's own code.
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     });
+    slots
+        .into_iter()
+        .map(|slot| {
+            let Some(r) = slot else {
+                // Round-robin assignment fills every slot.
+                unreachable!("round-robin assignment covers every slot");
+            };
+            r
+        })
+        .collect()
+}
 
-    let mut out = Vec::with_capacity(tasks.len());
-    for slot in slots {
-        let Some(result) = slot else {
-            // Round-robin assignment fills every slot.
-            unreachable!("round-robin assignment covers every task slot");
-        };
-        out.push(result?);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallel_map_preserves_order_at_any_worker_count() {
+        let items: Vec<usize> = (0..23).collect();
+        let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
+        for workers in [1, 2, 4, 8, 32] {
+            let got = parallel_map(&items, workers, |i, &x| {
+                assert_eq!(i, x);
+                x * x
+            });
+            assert_eq!(got, expected, "workers={workers}");
+        }
     }
-    Ok(out)
+
+    #[test]
+    fn parallel_map_handles_empty_and_single() {
+        assert_eq!(parallel_map(&[] as &[u8], 4, |_, &x| x), Vec::<u8>::new());
+        assert_eq!(parallel_map(&[7u8], 4, |_, &x| x + 1), vec![8]);
+    }
 }

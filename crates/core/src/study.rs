@@ -77,7 +77,7 @@ use hyperpower_gpu_sim::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::checkpoint::CheckpointSink;
+use crate::checkpoint::{verify_sample_prefix, CheckpointHeader, CheckpointSink, RunCheckpoint};
 use crate::constraints::ConstraintOracle;
 use crate::drift::{DriftConfig, DriftMonitor};
 use crate::driver::{Budget, Sample, SampleKind, Trace, MAX_CONSECUTIVE_REJECTIONS};
@@ -564,6 +564,24 @@ impl Study {
         &self.spec
     }
 
+    /// The run identity this study commits under: the header its
+    /// checkpoints and journal records carry, with the virtual schedule
+    /// width taken from its simulated GPUs.
+    pub fn identity(&self) -> CheckpointHeader {
+        CheckpointHeader {
+            seed: self.spec.seed,
+            method: self.spec.method.to_string(),
+            mode: self.spec.mode.to_string(),
+            budget: self.spec.budget,
+            simulated_gpus: self.lanes.len(),
+            fault_profile: self.spec.fault_profile.name.clone(),
+            max_retries: self.spec.retry.max_retries,
+            recalibrate: self.spec.drift.recalibrate,
+            drift_threshold: self.spec.drift.drift_threshold,
+            safety_margin: self.spec.drift.safety_margin,
+        }
+    }
+
     /// The early-termination policy evaluators should run under.
     pub fn early_termination(&self) -> Option<EarlyTermination> {
         self.spec.early_termination
@@ -744,6 +762,45 @@ impl Study {
         Ok(TellOutcome::Accepted {
             committed: self.samples.len() - before,
         })
+    }
+
+    /// Replays a recorded run back to its committed state: every resume,
+    /// a checkpointed run's and a journaled study's alike, goes through
+    /// here. Width-1 asks are answered from `recorded`'s evaluations, and
+    /// `evaluate` runs only on a miss: a candidate that was still in
+    /// flight when the record was written, which only a schedule of
+    /// several GPUs leaves behind. Every commit streams to `sink`. Once
+    /// the schedule has committed as many samples as the record holds,
+    /// the recomputed samples are compared with the recorded ones bit for
+    /// bit. A run of screening rejections commits in one ask, so the
+    /// replay may commit past the record; the excess is fresh progress.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `evaluate` returns, the study's own [`Study::ask`] and
+    /// [`Study::tell`] errors, and [`Error::ResumeMismatch`] when a
+    /// recomputed sample differs from its record (each differing field
+    /// named) or the run ends short of the record.
+    pub fn replay<S: ObservationSink>(
+        &mut self,
+        space: &SearchSpace,
+        gpu: &mut Gpu,
+        recorded: &RunCheckpoint,
+        mut sink: Option<&mut S>,
+        mut evaluate: impl FnMut(&LeasedCandidate) -> Result<EvaluationResult>,
+    ) -> Result<()> {
+        while self.samples.len() < recorded.samples.len() {
+            let batch = self.ask(space, gpu, 1, 0.0, sink.as_deref_mut())?;
+            let Some(candidate) = batch.first() else {
+                break;
+            };
+            let result = match recorded.evals.get(&candidate.eval_seed) {
+                Some(result) => *result,
+                None => evaluate(candidate)?,
+            };
+            self.tell(gpu, candidate.lease_id, &result, sink.as_deref_mut())?;
+        }
+        verify_sample_prefix(&recorded.samples, &self.samples)
     }
 
     /// Reclaims every outstanding lease whose deadline has passed on the

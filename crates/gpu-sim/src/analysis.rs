@@ -1,4 +1,4 @@
-use hyperpower_linalg::units::{Joules, Mebibytes, Seconds, Watts};
+use hyperpower_linalg::units::{Mebibytes, Seconds, Watts};
 use hyperpower_nn::{ArchSpec, LayerShapeReport};
 
 use crate::DeviceProfile;
@@ -7,8 +7,8 @@ use crate::DeviceProfile;
 ///
 /// Produced by [`analyze`]; the sensor layer ([`crate::Gpu`]) adds
 /// measurement noise on top of these values. The hardware quantities carry
-/// their units in the type — `power * latency` *is* [`Joules`], and mixing
-/// e.g. watts into a memory comparison is a compile error.
+/// their units in the type — `power * latency` *is* [`crate::Joules`], and
+/// mixing e.g. watts into a memory comparison is a compile error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceReport {
     /// Mean inference latency per example.
@@ -19,16 +19,6 @@ pub struct InferenceReport {
     pub memory: Mebibytes,
     /// Time-weighted mean compute utilisation in `[0, 1]`.
     pub utilization: f64,
-}
-
-impl InferenceReport {
-    /// Energy per inference example (`power × latency`) — the efficiency
-    /// metric the paper's follow-up work (NeuralPower \[10\]) optimizes
-    /// directly. The unit algebra makes this definitionally correct:
-    /// `Watts × Seconds = Joules`.
-    pub fn energy_per_example(&self) -> Joules {
-        self.power * self.latency
-    }
 }
 
 /// Per-layer roofline costs at the device's inference batch size.
@@ -328,15 +318,15 @@ mod tests {
     }
 
     #[test]
-    fn energy_is_power_times_latency() {
+    fn bigger_nets_cost_more_energy_per_example() {
         let gtx = DeviceProfile::gtx_1070();
-        let r = analyze(&gtx, &cifar_arch(40, 3, 300));
-        let direct: Joules = r.power * r.latency;
-        assert!((r.energy_per_example() - direct).get().abs() < 1e-15);
-        assert!(r.energy_per_example() > Joules::ZERO);
-        // Bigger nets cost more energy per example.
-        let big = analyze(&gtx, &cifar_arch(80, 5, 700));
-        assert!(big.energy_per_example() > r.energy_per_example());
+        let energy = |spec: &ArchSpec| {
+            let r = analyze(&gtx, spec);
+            r.power * r.latency
+        };
+        let small = energy(&cifar_arch(40, 3, 300));
+        assert!(small > crate::Joules::ZERO);
+        assert!(energy(&cifar_arch(80, 5, 700)) > small);
     }
 
     #[test]

@@ -120,19 +120,6 @@ impl WorkerClock {
         self.now_s[w] += dt_s;
     }
 
-    /// Moves worker `w`'s timeline forward to `at_s` if it is behind it
-    /// (synchronisation point, e.g. waiting on another worker's commit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range or `at_s` is non-finite.
-    pub fn advance_to(&mut self, w: usize, at_s: f64) {
-        assert!(at_s.is_finite(), "cannot move clock to {at_s}");
-        if at_s > self.now_s[w] {
-            self.now_s[w] = at_s;
-        }
-    }
-
     /// Worker `w`'s current time in seconds.
     pub fn seconds(&self, w: usize) -> f64 {
         self.now_s[w]
@@ -406,16 +393,6 @@ mod tests {
         // 0 and 2 are tied at 10.0 → lowest index wins.
         assert_eq!(c.earliest(), 0);
         assert_eq!(c.latest_secs(), 30.0);
-    }
-
-    #[test]
-    fn worker_clock_advance_to_never_rewinds() {
-        let mut c = WorkerClock::new(2);
-        c.advance_secs(0, 100.0);
-        c.advance_to(0, 50.0);
-        assert_eq!(c.seconds(0), 100.0);
-        c.advance_to(0, 150.0);
-        assert_eq!(c.seconds(0), 150.0);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl LayerSpec {
         LayerSpec::Pool { kernel }
     }
 
-    /// Convenience constructor for [`LayerSpec::AvgPool`].
-    pub fn avg_pool(kernel: usize) -> Self {
-        LayerSpec::AvgPool { kernel }
-    }
-
     /// Convenience constructor for [`LayerSpec::Dense`].
     pub fn dense(units: usize) -> Self {
         LayerSpec::Dense { units }
@@ -307,30 +302,6 @@ impl ArchSpec {
     pub fn flops_per_example(&self) -> u64 {
         self.shape_walk().iter().map(|r| r.flops).sum()
     }
-
-    /// Total activation elements per example (sum over layer outputs),
-    /// including the input image.
-    pub fn activation_count(&self) -> usize {
-        let (c, h, w) = self.input;
-        c * h * w
-            + self
-                .shape_walk()
-                .iter()
-                .map(|r| r.activations)
-                .sum::<usize>()
-    }
-
-    /// The largest single-layer activation output (drives peak working-set
-    /// size during inference).
-    pub fn peak_activation(&self) -> usize {
-        let (c, h, w) = self.input;
-        self.shape_walk()
-            .iter()
-            .map(|r| r.activations)
-            .max()
-            .unwrap_or(0)
-            .max(c * h * w)
-    }
 }
 
 #[cfg(test)]
@@ -394,7 +365,6 @@ mod tests {
         let large = ArchSpec::new((3, 32, 32), 10, vec![LayerSpec::conv(80, 5)]).unwrap();
         assert!(large.param_count() > small.param_count());
         assert!(large.flops_per_example() > small.flops_per_example());
-        assert!(large.activation_count() > small.activation_count());
     }
 
     #[test]
@@ -434,7 +404,7 @@ mod tests {
             10,
             vec![
                 LayerSpec::conv(16, 3),
-                LayerSpec::avg_pool(2),
+                LayerSpec::AvgPool { kernel: 2 },
                 LayerSpec::dense(64),
                 LayerSpec::dropout(50),
             ],
@@ -459,7 +429,7 @@ mod tests {
         let err = ArchSpec::new(
             (1, 8, 8),
             2,
-            vec![LayerSpec::dense(16), LayerSpec::avg_pool(2)],
+            vec![LayerSpec::dense(16), LayerSpec::AvgPool { kernel: 2 }],
         )
         .unwrap_err();
         assert!(matches!(err, Error::InvalidArchitecture(_)));
@@ -471,13 +441,5 @@ mod tests {
         let walk = spec.shape_walk();
         assert_eq!(walk.len(), 1);
         assert_eq!(walk[0].params, 10 * 784 + 10);
-    }
-
-    #[test]
-    fn peak_activation_at_least_input() {
-        let spec = ArchSpec::new((3, 32, 32), 10, vec![LayerSpec::dense(10)]).unwrap();
-        assert!(spec.peak_activation() >= 3 * 32 * 32);
-        let wide = cifar_spec();
-        assert_eq!(wide.peak_activation(), 32 * 32 * 32);
     }
 }

@@ -136,17 +136,6 @@ impl Layer for Dense {
         out
     }
 
-    fn set_param_values(&mut self, values: &[f32]) {
-        assert_eq!(
-            values.len(),
-            self.param_count(),
-            "parameter buffer size mismatch"
-        );
-        let (w, b) = values.split_at(self.weights.len());
-        self.weights.copy_from_slice(w);
-        self.bias.copy_from_slice(b);
-    }
-
     fn name(&self) -> &'static str {
         "dense"
     }

@@ -55,20 +55,6 @@ pub trait Layer: std::fmt::Debug + Send {
         Vec::new()
     }
 
-    /// Replaces the layer's trainable parameters from a flattened buffer
-    /// (the inverse of [`Layer::param_values`]).
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `values.len() != self.param_count()`.
-    fn set_param_values(&mut self, values: &[f32]) {
-        assert!(
-            values.is_empty(),
-            "layer {} has no parameters to set",
-            self.name()
-        );
-    }
-
     /// Short human-readable layer name for diagnostics.
     fn name(&self) -> &'static str;
 }

@@ -60,7 +60,6 @@ pub mod sim;
 mod tensor;
 
 pub use arch::{ArchSpec, LayerShapeReport, LayerSpec};
-pub use checkpoint::CheckpointError;
 pub use error::Error;
 pub use layers::Layer;
 pub use loss::SoftmaxCrossEntropy;

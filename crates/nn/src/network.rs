@@ -110,11 +110,6 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layer stack (used by checkpointing).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Total trainable parameters across all layers.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
@@ -331,7 +326,7 @@ mod tests {
             2,
             vec![
                 LayerSpec::conv(4, 3),
-                LayerSpec::avg_pool(2),
+                LayerSpec::AvgPool { kernel: 2 },
                 LayerSpec::dense(16),
                 LayerSpec::dropout(25),
             ],

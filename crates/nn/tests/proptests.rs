@@ -45,7 +45,6 @@ proptest! {
         prop_assert_eq!(spec.param_count(), walk.iter().map(|l| l.params).sum::<usize>());
         prop_assert_eq!(spec.flops_per_example(), walk.iter().map(|l| l.flops).sum::<u64>());
         prop_assert!(spec.param_count() > 0);
-        prop_assert!(spec.peak_activation() >= 784);
     }
 
     #[test]

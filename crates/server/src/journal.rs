@@ -32,7 +32,8 @@
 //! [`StudyJournal::load`] is that scan, refusing any defect but a torn
 //! final line, so it succeeds exactly when `fsck` finds nothing worse.
 //! Reading writes nothing: the stale temp files below are swept by
-//! [`StudyJournal::create`], the one path that opens a study to write.
+//! [`StudyJournal::create`] and `StudyJournal::reopen`, the two paths
+//! that open a study to write.
 //!
 //! # Crash windows, enumerated
 //!
@@ -51,11 +52,19 @@
 //! * **mid-rotation** — the rotation rewrite is itself atomic
 //!   (temp + rename, distinct temp suffix from the snapshot's); a crash
 //!   strands `<name>.journal-tmp`, swept on the next create or open.
+//! * **mid-reopen** — a reopen writes through the two atomic steps above,
+//!   snapshot first, so a crash inside it lands in one of their windows:
+//!   the old journal and snapshot, or the new snapshot beside the old
+//!   journal. Neither is ever truncated in place.
 //!
-//! Recovery never trusts the merged state blindly: the server replays the
-//! study's deterministic schedule against the journaled evaluations and
-//! byte-verifies the recomputed prefix against the recorded samples
-//! (see `StudyServer::open_study`).
+//! Recovery never trusts the merged state blindly, and writes nothing
+//! until it has checked it: the study replays the loaded records
+//! ([`hyperpower::Study::replay`]) into its snapshot sink, which holds
+//! them in memory, and byte-verifies every recorded sample. Only then are
+//! the snapshot written and the journal rotated to its header line, so a
+//! store that fails verification is left as it was, and a reopened
+//! journal never grows. A fresh study's journal is written once, as its
+//! header line, by [`StudyJournal::create`].
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -136,39 +145,79 @@ pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
 }
 
 impl StudyJournal {
-    /// Creates fresh durable state for one study: the journal is truncated
-    /// to its header line and the snapshot sink is reset. Orphaned temp
-    /// files from crashed predecessors (both the snapshot's `*.tmp` and
-    /// the rotation's `*.journal-tmp`) are swept first.
+    /// Creates durable state for a fresh study, one with no journal yet:
+    /// the journal starts as its header line, and the snapshot sink starts
+    /// empty. Orphaned temp files from crashed predecessors (both the
+    /// snapshot's `*.tmp` and the rotation's `*.journal-tmp`) are swept.
     ///
     /// # Errors
     ///
     /// [`Error::Checkpoint`] on I/O failures.
     pub fn create(root: &Path, header: &JournalHeader, snapshot_every: usize) -> Result<Self> {
         std::fs::create_dir_all(root).map_err(|e| io_err("creating", root, e))?;
-        let (journal_path, snapshot_path) = study_paths(root, &header.name);
-        std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
-        let header_line = encode_header_line(header);
-        std::fs::write(&journal_path, format!("H {}\n", frame(&header_line, ' ')))
-            .map_err(|e| io_err("writing", &journal_path, e))?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&journal_path)
-            .map_err(|e| io_err("opening", &journal_path, e))?;
-        // The inner sink never writes on its own cadence — `StudyJournal`
-        // owns the snapshot schedule so it can rotate the journal at the
-        // exact moment a snapshot lands.
-        let sink = CheckpointSink::new(
+        let sink = Self::snapshot_sink(root, header);
+        let mut journal = Self::open(root, header, snapshot_every, sink)?;
+        journal
+            .file
+            .write_all(journal.header_record().as_bytes())
+            .map_err(|e| io_err("writing", &journal.journal_path, e))?;
+        Ok(journal)
+    }
+
+    /// The sink that writes study `header.name`'s snapshot, and only when
+    /// flushed: a reopen replays the study into it before anything on
+    /// disk changes. Sweeps an orphaned snapshot `*.tmp`.
+    pub(crate) fn snapshot_sink(root: &Path, header: &JournalHeader) -> CheckpointSink {
+        // The sink never writes on its own cadence — `StudyJournal` owns
+        // the snapshot schedule so it can rotate the journal at the exact
+        // moment a snapshot lands.
+        CheckpointSink::new(
             CheckpointConfig {
-                path: snapshot_path,
+                path: study_paths(root, &header.name).1,
                 every_commits: usize::MAX,
             },
             &header.run,
-        );
+        )
+    }
+
+    /// Reopens a recovered study once its replay has verified: `snapshot`
+    /// (from [`StudyJournal::snapshot_sink`]) holds the replayed state,
+    /// which is written as the snapshot before the journal rotates down to
+    /// its header line, each step atomic.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Checkpoint`] on I/O failures.
+    pub(crate) fn reopen(
+        root: &Path,
+        header: &JournalHeader,
+        snapshot_every: usize,
+        snapshot: CheckpointSink,
+    ) -> Result<Self> {
+        let mut journal = Self::open(root, header, snapshot_every, snapshot)?;
+        journal.flush()?;
+        Ok(journal)
+    }
+
+    /// Opens the journal for appending, creating it if absent, and sweeps
+    /// a stranded rotation temp.
+    fn open(
+        root: &Path,
+        header: &JournalHeader,
+        snapshot_every: usize,
+        sink: CheckpointSink,
+    ) -> Result<Self> {
+        let (journal_path, _) = study_paths(root, &header.name);
+        std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(&journal_path)
+            .map_err(|e| io_err("opening", &journal_path, e))?;
         Ok(StudyJournal {
             journal_path,
             file,
-            header_line,
+            header_line: encode_header_line(header),
             sink,
             snapshot_every,
             commits_since_snapshot: 0,
@@ -201,6 +250,11 @@ impl StudyJournal {
         &self.header_line
     }
 
+    /// Line 1 of the journal: the framed header record.
+    fn header_record(&self) -> String {
+        format!("H {}\n", frame(&self.header_line, ' '))
+    }
+
     /// Writes the snapshot now and rotates the journal down to its header
     /// line (everything journaled so far is inside the snapshot). Called
     /// on the snapshot cadence and when a study finishes.
@@ -217,8 +271,7 @@ impl StudyJournal {
         // after it lands is discarding the journal body safe.
         self.sink.flush()?;
         let tmp = self.journal_path.with_extension("journal-tmp");
-        std::fs::write(&tmp, format!("H {}\n", frame(&self.header_line, ' ')))
-            .map_err(|e| io_err("writing", &tmp, e))?;
+        std::fs::write(&tmp, self.header_record()).map_err(|e| io_err("writing", &tmp, e))?;
         std::fs::rename(&tmp, &self.journal_path)
             .map_err(|e| io_err("rotating", &self.journal_path, e))?;
         // The old handle points at the replaced inode; reopen.

@@ -22,8 +22,10 @@
 //!   with the typed [`ServerError::Overloaded`];
 //! * **crash safety** — every commit is journaled before it is
 //!   acknowledged; [`StudyServer::open_study`] rebuilds a killed study by
-//!   deterministic replay against its journaled evaluations and
-//!   byte-verifies the recomputed prefix against the recorded samples;
+//!   deterministic replay against its journaled evaluations
+//!   ([`Study::replay`], the executor's resume path too) and
+//!   byte-verifies the recomputed prefix against the recorded samples
+//!   before it writes anything;
 //! * **fleet supervision** — a deterministic [`Fleet`] health machine per
 //!   worker and per study-as-tenant (`Healthy → Suspect → Quarantined →
 //!   Retired`); quarantined workers never receive a fresh lease
@@ -44,7 +46,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hyperpower::checkpoint::{verify_sample_prefix, CheckpointHeader, RunCheckpoint};
+use hyperpower::checkpoint::RunCheckpoint;
 use hyperpower::{
     ConstraintOracle, Error, LeasedCandidate, RetryPolicy, SearchSpace, Study, StudySpec,
     TellOutcome, Trace,
@@ -196,24 +198,6 @@ fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
-/// The run identity a study spec implies (simulated_gpus is 1: a study
-/// is the single-schedule machine; batch-parallel variants are hosted as
-/// separate studies).
-fn run_identity(spec: &StudySpec) -> CheckpointHeader {
-    CheckpointHeader {
-        seed: spec.seed,
-        method: spec.method.to_string(),
-        mode: spec.mode.to_string(),
-        budget: spec.budget,
-        simulated_gpus: 1,
-        fault_profile: spec.fault_profile.name.clone(),
-        max_retries: spec.retry.max_retries,
-        recalibrate: spec.drift.recalibrate,
-        drift_threshold: spec.drift.drift_threshold,
-        safety_margin: spec.drift.safety_margin,
-    }
-}
-
 impl StudyServer {
     /// Creates a server over `config.root` (created if absent). Hosts no
     /// studies yet; durable state on disk is untouched until a study of
@@ -291,28 +275,24 @@ impl StudyServer {
 
     /// Creates the study if no durable state exists, otherwise resumes it
     /// from its journal and snapshot: the study's deterministic schedule
-    /// is replayed against the journaled evaluations, the recomputed
-    /// prefix is byte-verified against every recorded sample, and the
-    /// durable files are rewritten fresh. Returns the number of committed
+    /// is replayed against the journaled evaluations ([`Study::replay`])
+    /// and the recomputed prefix is byte-verified against every recorded
+    /// sample. Nothing on disk changes until that verification passes;
+    /// then the snapshot is rewritten and the journal rotated down to its
+    /// header line, each atomically. Returns the number of committed
     /// samples recovered.
     ///
     /// # Errors
     ///
     /// Everything [`StudyServer::create_study`] raises, plus
     /// [`hyperpower::Error::ResumeMismatch`] (via [`ServerError::Core`])
-    /// when the journal belongs to a different run identity or replay
-    /// disagrees with the recorded bytes.
+    /// when the journal belongs to a different run identity, lacks an
+    /// evaluation the replay needs, or disagrees with the replay's bytes.
     pub fn open_study(&mut self, name: &str, setup: StudySetup) -> Result<usize, ServerError> {
         self.admit(name)?;
         let recovered = StudyJournal::load(&self.config.root, name)?;
-        let Some(recovered) = recovered else {
-            self.install(name, setup, None)?;
-            return Ok(0);
-        };
-        run_identity(&setup.spec)
-            .verify(&format!("journal for study {name:?}"), &recovered.header)?;
-        let committed = recovered.samples.len();
-        self.install(name, setup, Some(recovered))?;
+        let committed = recovered.as_ref().map_or(0, |r| r.samples.len());
+        self.install(name, setup, recovered)?;
         Ok(committed)
     }
 
@@ -334,7 +314,9 @@ impl StudyServer {
         Ok(())
     }
 
-    /// Builds the entry, replaying recovered state when given.
+    /// Builds the entry. Recovered state is checked against the study's
+    /// run identity and replayed into the snapshot sink, which holds it in
+    /// memory; only a replay that verified is written back.
     fn install(
         &mut self,
         name: &str,
@@ -348,20 +330,33 @@ impl StudyServer {
             spec,
             priority,
         } = setup;
-        let header = JournalHeader {
-            name: name.to_string(),
-            run: run_identity(&spec),
-        };
-        let mut journal = StudyJournal::create(
-            &self.config.root,
-            &header,
-            self.config.snapshot_every_commits,
-        )?;
         let mut study =
             Study::new(spec, oracle.as_ref(), None).with_lease_policy(self.config.lease_policy);
-        if let Some(recovered) = recovered {
-            replay(&mut study, &space, &mut gpu, &mut journal, &recovered)?;
-        }
+        let header = JournalHeader {
+            name: name.to_string(),
+            run: study.identity(),
+        };
+        let (root, every) = (&self.config.root, self.config.snapshot_every_commits);
+        let journal = match recovered {
+            None => StudyJournal::create(root, &header, every)?,
+            Some(recovered) => {
+                header
+                    .run
+                    .verify(&format!("journal for study {name:?}"), &recovered.header)?;
+                let mut snapshot = StudyJournal::snapshot_sink(root, &header);
+                // The journal records every evaluation before the commit
+                // that consumes it, so a miss means it lost non-tail
+                // records.
+                study.replay(&space, &mut gpu, &recovered, Some(&mut snapshot), |c| {
+                    Err(Error::ResumeMismatch(format!(
+                        "replaying study {name:?} reached proposal {} without its evaluation \
+                         — evaluations are missing from the journal",
+                        c.query
+                    )))
+                })?;
+                StudyJournal::reopen(root, &header, every, snapshot)?
+            }
+        };
         self.tenants.register(name, self.clock_s);
         self.studies.insert(
             name.to_string(),
@@ -716,47 +711,4 @@ impl StudyServer {
     pub fn trace(&self, name: &str) -> Result<Trace, ServerError> {
         Ok(self.entry(name)?.study.trace())
     }
-}
-
-/// Replays a recovered study back to its recorded committed state: width-1
-/// asks feed journaled evaluations back in, the journal files are rebuilt
-/// live, and every recomputed sample is byte-verified against its recorded
-/// bytes. Replay leases are reclaimed at the end so real workers get the
-/// in-flight candidates re-issued.
-fn replay(
-    study: &mut Study,
-    space: &SearchSpace,
-    gpu: &mut Gpu,
-    journal: &mut StudyJournal,
-    recovered: &RunCheckpoint,
-) -> Result<(), ServerError> {
-    let target = recovered.samples.len();
-    'drive: while !study.is_finished() && study.committed() < target {
-        let batch = study.ask(space, gpu, 1, 0.0, Some(&mut *journal))?;
-        if batch.is_empty() {
-            break;
-        }
-        for candidate in batch {
-            let Some(result) = recovered.evals.get(&candidate.eval_seed) else {
-                // The journal records every evaluation before the commit
-                // that consumes it, so running dry before `target` means
-                // the journal lost non-tail records.
-                break 'drive;
-            };
-            study.tell(gpu, candidate.lease_id, result, Some(&mut *journal))?;
-        }
-    }
-    if study.committed() < target {
-        return Err(ServerError::Core(Error::ResumeMismatch(format!(
-            "replay reconstructed {} of {target} journaled samples — evaluations are missing from the journal",
-            study.committed()
-        ))));
-    }
-    // Byte-exact agreement between the recomputation and the record. The
-    // replay may legitimately run past `target` (a run of screening
-    // rejections commits in one ask); the excess is fresh progress, not
-    // recovered state, so only the recorded prefix is compared.
-    verify_sample_prefix(&recovered.samples, &study.trace().samples)?;
-    study.reclaim_all();
-    Ok(())
 }

@@ -588,6 +588,129 @@ fn killed_bo_study_recovers_byte_exact() {
     }
 }
 
+/// `payload` with its first `"power_w"` reading moved up by one ulp.
+fn bump_first_power_w(payload: &str) -> String {
+    let key = "\"power_w\": ";
+    let start = payload.find(key).expect("a power reading") + key.len();
+    let len = payload[start..].find([',', '}']).expect("the reading ends");
+    let watts: f64 = payload[start..start + len].parse().expect("a number");
+    let bumped = f64::from_bits(watts.to_bits() + 1);
+    format!("{}{bumped:?}{}", &payload[..start], &payload[start + len..])
+}
+
+#[test]
+fn a_reopen_that_fails_verification_writes_nothing() {
+    let root = scratch_root("doctored");
+    let config = ServerConfig {
+        root: root.clone(),
+        snapshot_every_commits: 100,
+        ..ServerConfig::default()
+    };
+    let mut server = StudyServer::new(config.clone()).expect("server");
+    server
+        .create_study("doctored", setup(SEED, Budget::Evaluations(6), 1))
+        .expect("create");
+    for round in 1..=3 {
+        for c in server
+            .ask("doctored", 1, 60.0 * f64::from(round))
+            .expect("ask")
+        {
+            server
+                .tell("doctored", c.lease_id, &eval(&c))
+                .expect("tell");
+        }
+    }
+    assert_eq!(server.committed("doctored").expect("committed"), 3);
+    drop(server);
+
+    // Move the third sample's power reading by one ulp behind a valid
+    // checksum: the store loads, and only the replay can tell.
+    let (journal_path, snapshot_path) = hyperpower_server::journal::study_paths(&root, "doctored");
+    let journal = std::fs::read_to_string(&journal_path).expect("journal");
+    let mut samples = 0;
+    let doctored: String = journal
+        .lines()
+        .map(|line| {
+            let mut fields = line.splitn(3, ' ');
+            let (tag, _, payload) = (fields.next(), fields.next(), fields.next());
+            if tag == Some("S") {
+                samples += 1;
+                if samples == 3 {
+                    let payload = bump_first_power_w(payload.expect("sample payload"));
+                    return format!("S {}\n", hyperpower::integrity::frame(&payload, ' '));
+                }
+            }
+            format!("{line}\n")
+        })
+        .collect();
+    assert_eq!(samples, 3, "the journal holds every committed sample");
+    std::fs::write(&journal_path, &doctored).expect("doctor the journal");
+
+    for open in 1..=2 {
+        let mut server = StudyServer::new(config.clone()).expect("server");
+        match server.open_study("doctored", setup(SEED, Budget::Evaluations(6), 1)) {
+            Err(ServerError::Core(Error::ResumeMismatch(msg))) => {
+                assert!(msg.contains("samples[2].power_w"), "open {open}: {msg}");
+            }
+            other => panic!("open {open}: expected a ResumeMismatch, got {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read_to_string(&journal_path).expect("journal"),
+            doctored,
+            "open {open} rewrote the journal"
+        );
+        assert!(!snapshot_path.exists(), "open {open} wrote a snapshot");
+    }
+}
+
+#[test]
+fn reopening_a_finished_study_leaves_its_journal_at_the_header() {
+    let root = scratch_root("finished");
+    let config = ServerConfig {
+        root: root.clone(),
+        ..ServerConfig::default()
+    };
+    let mut server = StudyServer::new(config.clone()).expect("server");
+    server
+        .create_study("finished", setup(SEED, Budget::Evaluations(6), 1))
+        .expect("create");
+    drive(&mut server, "finished", 1);
+    let expected = encode_trace(&server.trace("finished").expect("trace"));
+    drop(server);
+
+    let (journal_path, snapshot_path) = hyperpower_server::journal::study_paths(&root, "finished");
+    let journal = std::fs::read_to_string(&journal_path).expect("journal");
+    let snapshot = std::fs::read_to_string(&snapshot_path).expect("snapshot");
+    assert_eq!(
+        journal.lines().count(),
+        1,
+        "a finished study's journal is its header line"
+    );
+    for reopen in 1..=2 {
+        let mut server = StudyServer::new(config.clone()).expect("server");
+        let recovered = server
+            .open_study("finished", setup(SEED, Budget::Evaluations(6), 1))
+            .expect("reopen");
+        assert_eq!(recovered, 6, "reopen {reopen}");
+        assert!(server.is_finished("finished").expect("is_finished"));
+        assert_eq!(
+            encode_trace(&server.trace("finished").expect("trace")),
+            expected
+        );
+        drop(server);
+        assert_eq!(
+            std::fs::read_to_string(&journal_path).expect("journal"),
+            journal,
+            "reopen {reopen} changed the journal"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&snapshot_path).expect("snapshot"),
+            snapshot,
+            "reopen {reopen} changed the snapshot"
+        );
+    }
+}
+
 #[test]
 fn open_study_refuses_a_mismatched_spec() {
     let root = scratch_root("mismatch");

@@ -415,13 +415,15 @@ fn exhausted_retries_quarantine_the_configuration() {
         let trace = run_stub(
             &objective,
             Budget::VirtualHours(0.5),
-            &ExecutorOptions::default()
-                .with_simulated_gpus(gpus)
-                .with_fault_profile(profile)
-                .with_retry(RetryPolicy {
+            &ExecutorOptions {
+                retry: RetryPolicy {
                     max_retries: 1,
                     ..RetryPolicy::default()
-                }),
+                },
+                ..ExecutorOptions::default()
+                    .with_simulated_gpus(gpus)
+                    .with_fault_profile(profile)
+            },
             Some(Box::new(FixedSearcher(config))),
         )
         .expect("run");
@@ -503,8 +505,9 @@ fn kill_and_resume_with(
     assert!(matches!(err, Error::WorkerPanic { .. }), "got: {err}");
     assert!(ckpt.exists(), "interrupted run left a checkpoint");
 
-    // Resume: committed results replay from the cache; only the remainder
-    // re-evaluates. The fresh-call allowance proves the cache is used.
+    // Resume: committed results replay from the checkpoint; only the
+    // remainder re-evaluates. The fresh-call allowance proves the recorded
+    // evaluations are used.
     let fresh_calls_needed = evals - panic_after.min(evals);
     let resumed_objective = ChaosObjective::new(fresh_calls_needed + gpus);
     let resumed = run_stub(
@@ -572,6 +575,112 @@ fn resume_rejects_a_mismatched_run() {
     )
     .expect_err("mismatched resume must fail");
     assert!(matches!(err, Error::ResumeMismatch(_)), "got: {err}");
+}
+
+/// `text` with its first `"power_w"` reading moved up by one ulp.
+fn bump_first_power_w(text: &str) -> String {
+    let key = "\"power_w\": ";
+    let start = text.find(key).expect("a power reading") + key.len();
+    let len = text[start..].find([',', '}']).expect("the reading ends");
+    let watts: f64 = text[start..start + len].parse().expect("a number");
+    let bumped = f64::from_bits(watts.to_bits() + 1);
+    format!("{}{bumped:?}{}", &text[..start], &text[start + len..])
+}
+
+#[test]
+fn a_doctored_checkpoint_fails_before_any_objective_call() {
+    let budget = Budget::Evaluations(10);
+    let options = ExecutorOptions::default().with_fault_profile(FaultProfile::flaky_sensor());
+    let ckpt = scratch_path("doctored.ckpt");
+    let _ = std::fs::remove_file(&ckpt);
+    let err = run_stub(
+        &ChaosObjective::new(5),
+        budget,
+        &options
+            .clone()
+            .with_checkpoint(CheckpointConfig::every_commit(ckpt.clone())),
+        None,
+    )
+    .expect_err("chaos objective must kill the run");
+    assert!(matches!(err, Error::WorkerPanic { .. }), "got: {err}");
+
+    // Move the first recorded power reading by one ulp and re-frame the
+    // file, so its checksum holds and only the replay's bit-exact check
+    // can tell.
+    let text = std::fs::read_to_string(&ckpt).expect("checkpoint");
+    let (_, body) = text.split_once('\n').expect("framed checkpoint");
+    let doctored = bump_first_power_w(body);
+    std::fs::write(
+        &ckpt,
+        format!("C {}", hyperpower::integrity::frame(&doctored, '\n')),
+    )
+    .expect("rewrite checkpoint");
+
+    // One objective call would panic the run: the check must come first.
+    let err = run_stub(
+        &ChaosObjective::new(0),
+        budget,
+        &options.with_resume_from(ckpt),
+        None,
+    )
+    .expect_err("a doctored checkpoint must not resume");
+    match err {
+        Error::ResumeMismatch(msg) => assert!(msg.contains("samples[0].power_w"), "{msg}"),
+        other => panic!("expected a ResumeMismatch, got {other}"),
+    }
+}
+
+/// A resumed run replays into its own checkpoint sink, so the file it
+/// leaves must be the uninterrupted run's, byte for byte, whether it
+/// checkpoints beside the file it resumed from or over it.
+#[test]
+fn a_resumed_run_writes_the_uninterrupted_checkpoint() {
+    let budget = Budget::Evaluations(10);
+    for gpus in [1usize, 4] {
+        let options = ExecutorOptions::default()
+            .with_fault_profile(FaultProfile::flaky_sensor())
+            .with_simulated_gpus(gpus);
+        let checkpointing = |path: &PathBuf| {
+            options
+                .clone()
+                .with_checkpoint(CheckpointConfig::every_commit(path))
+        };
+        let reference = scratch_path(&format!("uninterrupted_g{gpus}.ckpt"));
+        run_stub(
+            &StubObjective::new(),
+            budget,
+            &checkpointing(&reference),
+            None,
+        )
+        .expect("uninterrupted run");
+        let expected = std::fs::read_to_string(&reference).expect("reference checkpoint");
+
+        let killed = scratch_path(&format!("killed_g{gpus}.ckpt"));
+        let elsewhere = scratch_path(&format!("resumed_elsewhere_g{gpus}.ckpt"));
+        for into in [&elsewhere, &killed] {
+            let _ = std::fs::remove_file(&killed);
+            run_stub(
+                &ChaosObjective::new(5),
+                budget,
+                &checkpointing(&killed),
+                None,
+            )
+            .expect_err("chaos objective must kill the run");
+            run_stub(
+                &StubObjective::new(),
+                budget,
+                &checkpointing(into).with_resume_from(&killed),
+                None,
+            )
+            .expect("resumed run");
+            assert_eq!(
+                std::fs::read_to_string(into).expect("resumed checkpoint"),
+                expected,
+                "gpus={gpus}: the resumed run's checkpoint at {} differs",
+                into.display()
+            );
+        }
+    }
 }
 
 /// A checkpoint exactly as releases before the one-line run identity wrote
