@@ -1447,8 +1447,30 @@ mod tests {
             .count()
     }
 
+    /// Folds one word into a running FNV-1a-style 64-bit digest.
+    fn fold(digest: &mut u64, word: u64) {
+        *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Folds every field of an issued lease that a worker can observe.
+    fn fold_leases(digest: &mut u64, batch: &[LeasedCandidate]) {
+        for c in batch {
+            for word in [
+                c.lease_id,
+                c.query,
+                u64::from(c.attempt),
+                c.deadline_s.to_bits(),
+            ] {
+                fold(digest, word);
+            }
+        }
+    }
+
     /// Seeded sequences of every lease operation a server performs; after
-    /// each step the kept count must equal a scan of the lease map.
+    /// each step the kept count must equal a scan of the lease map. Every
+    /// lease issued, every tell outcome, every reclaim and shed count and
+    /// the count after each step fold into one digest, pinned so the lease
+    /// path cannot change what a worker sees.
     #[test]
     fn outstanding_count_equals_a_scan_after_every_step() {
         let space = SearchSpace::mnist();
@@ -1464,6 +1486,7 @@ mod tests {
         };
         let (mut accepted, mut duplicates, mut discarded, mut expired) = (0, 0, 0, 0);
         let (mut hedges, mut reclaimed, mut shed, mut quarantined) = (0, 0, 0, 0);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for seed in 0..16u64 {
             let spec = StudySpec {
                 method: Method::Rand,
@@ -1497,6 +1520,7 @@ mod tests {
                         let batch = study
                             .ask(&space, &mut gpu, max, now_s, None::<&mut NullSink>)
                             .unwrap();
+                        fold_leases(&mut digest, &batch);
                         issued.extend(batch.iter().map(|c| c.lease_id));
                     }
                     3..=6 if !issued.is_empty() => {
@@ -1509,23 +1533,45 @@ mod tests {
                             terminated_early: false,
                             train_secs: 300.0,
                         };
-                        match study.tell(&mut gpu, lease_id, &result, None::<&mut NullSink>) {
-                            Ok(TellOutcome::Accepted { .. }) => accepted += 1,
-                            Ok(TellOutcome::Duplicate) => duplicates += 1,
-                            Ok(TellOutcome::Discarded) => discarded += 1,
-                            Err(Error::LeaseExpired { .. }) => expired += 1,
-                            Err(e) => panic!("seed {seed} step {step}: {e}"),
-                        }
+                        let (kind, committed) =
+                            match study.tell(&mut gpu, lease_id, &result, None::<&mut NullSink>) {
+                                Ok(TellOutcome::Accepted { committed }) => {
+                                    accepted += 1;
+                                    (1, committed as u64)
+                                }
+                                Ok(TellOutcome::Duplicate) => {
+                                    duplicates += 1;
+                                    (2, 0)
+                                }
+                                Ok(TellOutcome::Discarded) => {
+                                    discarded += 1;
+                                    (3, 0)
+                                }
+                                Err(Error::LeaseExpired { query, .. }) => {
+                                    expired += 1;
+                                    (4, query)
+                                }
+                                Err(e) => panic!("seed {seed} step {step}: {e}"),
+                            };
+                        fold(&mut digest, kind);
+                        fold(&mut digest, committed);
                     }
                     7 => {
                         let batch = study.hedge_overdue(now_s, &hedge_policy);
+                        fold_leases(&mut digest, &batch);
                         hedges += batch.len();
                         issued.extend(batch.iter().map(|c| c.lease_id));
                     }
-                    8 => reclaimed += study.reclaim_expired(now_s),
+                    8 => {
+                        let n = study.reclaim_expired(now_s);
+                        fold(&mut digest, n as u64);
+                        reclaimed += n;
+                    }
                     _ => {
                         if rng.random_range(0..4u32) == 0 {
-                            shed += study.reclaim_all();
+                            let n = study.reclaim_all();
+                            fold(&mut digest, n as u64);
+                            shed += n;
                         }
                     }
                 }
@@ -1535,6 +1581,7 @@ mod tests {
                     scanned_outstanding(&study),
                     "seed {seed} step {step}"
                 );
+                fold(&mut digest, study.outstanding_leases() as u64);
             }
             quarantined += study
                 .trace()
@@ -1556,5 +1603,6 @@ mod tests {
         ] {
             assert!(count > 0, "no {what}");
         }
+        assert_eq!(digest, 0x9ee3_b029_0c1d_f6df, "the lease digest moved");
     }
 }
