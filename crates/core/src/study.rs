@@ -44,13 +44,15 @@
 //! result arrives, and *how many times* the work is re-issued after a lost
 //! worker are all unobservable in the trace. A lease records one issuance
 //! of a candidate to a worker, with a deadline on the **caller's scheduler
-//! clock** (never the study's virtual trace clock):
+//! clock** (never the study's virtual trace clock). One private ledger
+//! issues every lease, from [`Study::ask`] and [`Study::hedge_overdue`]
+//! alike, and makes every change of a lease's state:
 //!
 //! * expiry ([`Study::reclaim_expired`]) returns the candidate to the pool;
 //!   the next [`Study::ask`] re-issues it under a fresh lease with the
 //!   attempt count bumped and the deadline grown by the PR 4 retry/backoff
-//!   machinery ([`RetryPolicy::backoff_secs`] with a seeded jitter draw in
-//!   the `FaultPlan` style);
+//!   machinery ([`RetryPolicy::backoff_secs`] with a [`seeded_unit`]
+//!   jitter draw);
 //! * a tell against an expired lease is rejected with the typed
 //!   [`Error::LeaseExpired`] and leaves every byte of state untouched;
 //! * a duplicate tell (same lease, already ingested) is absorbed as
@@ -72,7 +74,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hyperpower_gpu_sim::{
-    CommitQueue, FaultPlan, FaultProfile, Gpu, TrainingCostModel, WorkerClock,
+    seeded_unit, CommitQueue, FaultPlan, FaultProfile, Gpu, TrainingCostModel, WorkerClock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -242,6 +244,24 @@ struct LeaseRecord {
     deadline_s: f64,
 }
 
+/// Every lease a study has issued, and the one place a lease is issued or
+/// changes state: first and hedged issuance, fulfilment, expiry and
+/// voiding all go through it, so the outstanding count it keeps always
+/// equals a scan of its records.
+#[derive(Debug)]
+struct LeaseLedger {
+    records: BTreeMap<u64, LeaseRecord>,
+    /// How many records are outstanding, so [`Study::outstanding_leases`]
+    /// scans nothing.
+    outstanding: usize,
+    next_id: u64,
+    /// The deadline policy: `backoff_secs(attempt, jitter)` is the TTL of
+    /// issuance `attempt`.
+    policy: RetryPolicy,
+    /// The run seed, which keys the lease and hedge jitter streams.
+    seed: u64,
+}
+
 /// What one simulated GPU's timeline is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lane {
@@ -326,6 +346,123 @@ impl Planned {
             self.stage,
             Stage::Running(_) | Stage::Done(Verdict::Trained { .. })
         )
+    }
+}
+
+impl LeaseLedger {
+    /// Issues a fresh lease on `item` at scheduler instant `now_s`: the
+    /// attempt count is bumped and the deadline drawn from the policy's
+    /// backoff curve on the lease jitter stream.
+    fn issue(&mut self, item: &mut Planned, now_s: f64) -> LeasedCandidate {
+        item.attempt += 1;
+        let lease_id = self.next_id;
+        self.next_id += 1;
+        let jitter = seeded_unit(self.seed, SALT_LEASE, item.query, u64::from(item.attempt));
+        let deadline_s = now_s + self.policy.backoff_secs(item.attempt, jitter);
+        self.records.insert(
+            lease_id,
+            LeaseRecord {
+                query: item.query,
+                state: LeaseState::Outstanding,
+                issued_s: now_s,
+                deadline_s,
+            },
+        );
+        self.outstanding += 1;
+        item.leases.push(lease_id);
+        LeasedCandidate {
+            lease_id,
+            query: item.query,
+            attempt: item.attempt,
+            config: item.config.clone(),
+            decoded: item.decoded.clone(),
+            eval_seed: item.eval_seed,
+            deadline_s,
+        }
+    }
+
+    /// Whether `item`'s sole outstanding lease has outlived its hedge
+    /// deadline: `hedge`'s backoff curve on the hedge jitter stream,
+    /// measured from issuance.
+    fn hedge_due(&self, item: &Planned, now_s: f64, hedge: &RetryPolicy) -> bool {
+        let [lease_id] = item.leases[..] else {
+            return false;
+        };
+        let Some(record) = self
+            .records
+            .get(&lease_id)
+            .filter(|r| r.state == LeaseState::Outstanding)
+        else {
+            return false;
+        };
+        let jitter = seeded_unit(self.seed, SALT_HEDGE, item.query, u64::from(item.attempt));
+        now_s - record.issued_s > hedge.backoff_secs(item.attempt, jitter)
+    }
+
+    /// The record of `lease_id`.
+    fn record(&self, lease_id: u64) -> Result<LeaseRecord> {
+        self.records
+            .get(&lease_id)
+            .copied()
+            .ok_or(Error::UnknownLease { lease_id })
+    }
+
+    /// Settles the winning tell on `leases`, its proposal's outstanding
+    /// leases: `lease_id` and every sibling still in flight (hedged
+    /// duplicates) are marked fulfilled, so the siblings' tells are
+    /// absorbed as duplicates. Returns how many siblings it superseded.
+    fn fulfil(&mut self, lease_id: u64, leases: &mut Vec<u64>) -> u64 {
+        self.settle(lease_id, LeaseState::Fulfilled);
+        let mut superseded = 0;
+        for sibling in leases.drain(..) {
+            if sibling != lease_id && self.settle(sibling, LeaseState::Fulfilled) {
+                superseded += 1;
+            }
+        }
+        superseded
+    }
+
+    /// Expires every lease of the queued proposals whose deadline `now_s`
+    /// has passed, returning its candidate to the pool. Returns how many
+    /// it expired.
+    fn expire(&mut self, queue: &mut VecDeque<Planned>, now_s: f64) -> usize {
+        let mut expired = 0;
+        for item in queue {
+            item.leases.retain(|&lease_id| {
+                let due = self
+                    .records
+                    .get(&lease_id)
+                    .is_some_and(|r| now_s > r.deadline_s);
+                let expires = due && self.settle(lease_id, LeaseState::Expired);
+                if expires {
+                    item.reclaimed = item.reclaimed.saturating_add(1);
+                    expired += 1;
+                }
+                !expires
+            });
+        }
+        expired
+    }
+
+    /// Voids `leases`: their proposal left the schedule uncommitted by
+    /// them, so late tells are absorbed, not rejected.
+    fn void(&mut self, leases: &mut Vec<u64>) {
+        for lease_id in leases.drain(..) {
+            self.settle(lease_id, LeaseState::Discarded);
+        }
+    }
+
+    /// Moves lease `lease_id` from outstanding to `state`, returning
+    /// whether it was outstanding; a settled lease never changes again.
+    fn settle(&mut self, lease_id: u64, state: LeaseState) -> bool {
+        match self.records.get_mut(&lease_id) {
+            Some(record) if record.state == LeaseState::Outstanding => {
+                record.state = state;
+                self.outstanding -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -458,12 +595,7 @@ pub struct Study {
     queue: VecDeque<Planned>,
     /// The `(completion time, query)` keys of the finished proposals.
     done: CommitQueue<()>,
-    leases: BTreeMap<u64, LeaseRecord>,
-    /// How many of `leases` are outstanding. Every change of a lease's
-    /// state updates it, so [`Study::outstanding_leases`] scans nothing.
-    outstanding: usize,
-    next_lease: u64,
-    lease_policy: RetryPolicy,
+    ledger: LeaseLedger,
     finished: bool,
     hedges_issued: u64,
     hedges_superseded: u64,
@@ -504,6 +636,22 @@ impl Study {
         };
         let plan = FaultPlan::new(spec.fault_profile.clone(), spec.seed);
         let rng = StdRng::seed_from_u64(spec.seed);
+        let ledger = LeaseLedger {
+            records: BTreeMap::new(),
+            outstanding: 0,
+            next_id: 0,
+            // Lease deadlines reuse the retry/backoff machinery: deadline
+            // growth per re-issue is exponential with seeded jitter. The
+            // defaults give generous first deadlines; servers override via
+            // `with_lease_policy`. Execution-only: never part of the trace.
+            policy: RetryPolicy {
+                max_retries: 0,
+                backoff_base_s: 600.0,
+                backoff_factor: 2.0,
+                backoff_jitter_frac: 0.5,
+            },
+            seed: spec.seed,
+        };
         Study {
             spec,
             plan,
@@ -521,19 +669,7 @@ impl Study {
             monitor,
             queue: VecDeque::new(),
             done: CommitQueue::new(),
-            leases: BTreeMap::new(),
-            outstanding: 0,
-            next_lease: 0,
-            // Lease deadlines reuse the retry/backoff machinery: deadline
-            // growth per re-issue is exponential with seeded jitter. The
-            // defaults give generous first deadlines; servers override via
-            // `with_lease_policy`. Execution-only: never part of the trace.
-            lease_policy: RetryPolicy {
-                max_retries: 0,
-                backoff_base_s: 600.0,
-                backoff_factor: 2.0,
-                backoff_jitter_frac: 0.5,
-            },
+            ledger,
             finished: false,
             hedges_issued: 0,
             hedges_superseded: 0,
@@ -555,7 +691,7 @@ impl Study {
     /// `attempt`; `max_retries` is unused (re-issue is unbounded — the
     /// evaluation is pure, so it eventually lands). Trace-neutral.
     pub fn with_lease_policy(mut self, policy: RetryPolicy) -> Self {
-        self.lease_policy = policy;
+        self.ledger.policy = policy;
         self
     }
 
@@ -606,7 +742,7 @@ impl Study {
 
     /// Outstanding (issued, unfulfilled, unexpired) leases.
     pub fn outstanding_leases(&self) -> usize {
-        self.outstanding
+        self.ledger.outstanding
     }
 
     /// The trace committed so far, as a snapshot (the run may continue).
@@ -654,54 +790,18 @@ impl Study {
         now_s: f64,
         sink: Option<&mut S>,
     ) -> Result<Vec<LeasedCandidate>> {
+        // A finished run has an empty queue, so it leases nothing.
         self.advance(Some(space), max, gpu, sink)?;
-        if self.finished {
-            return Ok(Vec::new());
-        }
-
-        let mut out = Vec::new();
-        let policy = self.lease_policy;
-        let seed = self.spec.seed;
-        let mut next = self.next_lease;
-        let mut issued: Vec<LeaseRecord> = Vec::new();
         let cap = max.max(1);
-        for item in self.queue.iter_mut() {
-            if !item.awaits_result() || !item.leases.is_empty() {
-                continue;
-            }
-            if out.len() >= cap {
+        let mut out = Vec::new();
+        for item in &mut self.queue {
+            if out.len() == cap {
                 break;
             }
-            item.attempt += 1;
-            let lease_id = next;
-            next += 1;
-            let ttl = policy.backoff_secs(
-                item.attempt,
-                lease_jitter_unit(seed, item.query, item.attempt),
-            );
-            let deadline_s = now_s + ttl;
-            item.leases.push(lease_id);
-            issued.push(LeaseRecord {
-                query: item.query,
-                state: LeaseState::Outstanding,
-                issued_s: now_s,
-                deadline_s,
-            });
-            out.push(LeasedCandidate {
-                lease_id,
-                query: item.query,
-                attempt: item.attempt,
-                config: item.config.clone(),
-                decoded: item.decoded.clone(),
-                eval_seed: item.eval_seed,
-                deadline_s,
-            });
+            if item.awaits_result() && item.leases.is_empty() {
+                out.push(self.ledger.issue(item, now_s));
+            }
         }
-        self.outstanding += issued.len();
-        for (offset, record) in issued.into_iter().enumerate() {
-            self.leases.insert(self.next_lease + offset as u64, record);
-        }
-        self.next_lease = next;
         Ok(out)
     }
 
@@ -720,9 +820,7 @@ impl Study {
         result: &EvaluationResult,
         sink: Option<&mut S>,
     ) -> Result<TellOutcome> {
-        let Some(record) = self.leases.get_mut(&lease_id) else {
-            return Err(Error::UnknownLease { lease_id });
-        };
+        let record = self.ledger.record(lease_id)?;
         match record.state {
             LeaseState::Expired => {
                 return Err(Error::LeaseExpired {
@@ -734,28 +832,16 @@ impl Study {
             LeaseState::Discarded => return Ok(TellOutcome::Discarded),
             LeaseState::Outstanding => {}
         }
-        record.state = LeaseState::Fulfilled;
-        self.outstanding -= 1;
-        let query = record.query;
-        let Some(at) = self.queue.iter().position(|i| i.query == query) else {
+        let Some(at) = self.queue.iter().position(|i| i.query == record.query) else {
             // An outstanding lease always has its item queued: leases are
             // voided whenever their item leaves the queue uncommitted.
             unreachable!("outstanding lease without a queued item");
         };
         let item = &mut self.queue[at];
         item.result = Some(*result);
-        // First fulfilment wins: every sibling lease still in flight for
-        // this item (hedged duplicates) is superseded — marked fulfilled
-        // so its eventual tell is absorbed as `TellOutcome::Duplicate`.
-        for sibling in item.leases.drain(..).filter(|id| *id != lease_id) {
-            if let Some(other) = self.leases.get_mut(&sibling) {
-                if other.state == LeaseState::Outstanding {
-                    other.state = LeaseState::Fulfilled;
-                    self.outstanding -= 1;
-                    self.hedges_superseded += 1;
-                }
-            }
-        }
+        // First fulfilment wins: hedged siblings still in flight are
+        // superseded.
+        self.hedges_superseded += self.ledger.fulfil(lease_id, &mut item.leases);
         self.finish_training(at, gpu);
         let before = self.samples.len();
         self.advance(None, 1, gpu, sink)?;
@@ -809,20 +895,7 @@ impl Study {
     /// them (attempt bumped, deadline grown). Trace-neutral by
     /// construction: reclamation touches lease bookkeeping only.
     pub fn reclaim_expired(&mut self, now_s: f64) -> usize {
-        let mut reclaimed = 0;
-        for (lease_id, record) in self.leases.iter_mut() {
-            if record.state == LeaseState::Outstanding && now_s > record.deadline_s {
-                record.state = LeaseState::Expired;
-                let query = record.query;
-                if let Some(item) = self.queue.iter_mut().find(|i| i.query == query) {
-                    item.leases.retain(|id| id != lease_id);
-                    item.reclaimed = item.reclaimed.saturating_add(1);
-                }
-                reclaimed += 1;
-            }
-        }
-        self.outstanding -= reclaimed;
-        reclaimed
+        self.ledger.expire(&mut self.queue, now_s)
     }
 
     /// Issues a speculative duplicate lease for every proposal whose single
@@ -839,61 +912,14 @@ impl Study {
     /// `eval_seed` (fixed at planning time), so whichever lease wins
     /// delivers bit-identical bytes.
     pub fn hedge_overdue(&mut self, now_s: f64, hedge: &RetryPolicy) -> Vec<LeasedCandidate> {
-        if self.finished {
-            return Vec::new();
-        }
-        let seed = self.spec.seed;
-        let policy = self.lease_policy;
         let mut out = Vec::new();
-        for item in self.queue.iter_mut() {
-            if !item.awaits_result() || item.leases.len() != 1 {
-                continue;
+        for item in &mut self.queue {
+            if item.awaits_result() && self.ledger.hedge_due(item, now_s, hedge) {
+                out.push(self.ledger.issue(item, now_s));
+                item.hedged = item.hedged.saturating_add(1);
             }
-            let original = item.leases[0];
-            let Some(record) = self.leases.get(&original) else {
-                continue;
-            };
-            if record.state != LeaseState::Outstanding {
-                continue;
-            }
-            let hedge_after = hedge.backoff_secs(
-                item.attempt,
-                hedge_jitter_unit(seed, item.query, item.attempt),
-            );
-            if now_s - record.issued_s <= hedge_after {
-                continue;
-            }
-            item.attempt += 1;
-            let lease_id = self.next_lease;
-            self.next_lease += 1;
-            let ttl = policy.backoff_secs(
-                item.attempt,
-                lease_jitter_unit(seed, item.query, item.attempt),
-            );
-            let deadline_s = now_s + ttl;
-            item.leases.push(lease_id);
-            item.hedged = item.hedged.saturating_add(1);
-            self.hedges_issued += 1;
-            self.outstanding += 1;
-            self.leases.insert(
-                lease_id,
-                LeaseRecord {
-                    query: item.query,
-                    state: LeaseState::Outstanding,
-                    issued_s: now_s,
-                    deadline_s,
-                },
-            );
-            out.push(LeasedCandidate {
-                lease_id,
-                query: item.query,
-                attempt: item.attempt,
-                config: item.config.clone(),
-                decoded: item.decoded.clone(),
-                eval_seed: item.eval_seed,
-                deadline_s,
-            });
         }
+        self.hedges_issued += out.len() as u64;
         out
     }
 
@@ -914,22 +940,6 @@ impl Study {
     /// like deadline expiry.
     pub fn reclaim_all(&mut self) -> usize {
         self.reclaim_expired(f64::INFINITY)
-    }
-
-    /// Marks `ids` void: their proposal left the schedule uncommitted by
-    /// them, so late tells are absorbed, not rejected. Returns how many of
-    /// them were outstanding.
-    fn void_leases(leases: &mut BTreeMap<u64, LeaseRecord>, ids: &[u64]) -> usize {
-        let mut voided = 0;
-        for lease_id in ids {
-            if let Some(record) = leases.get_mut(lease_id) {
-                if record.state == LeaseState::Outstanding {
-                    record.state = LeaseState::Discarded;
-                    voided += 1;
-                }
-            }
-        }
-        voided
     }
 
     /// Runs the schedule forward as far as it can go: commits every
@@ -963,8 +973,8 @@ impl Study {
     /// rejected.
     fn finish(&mut self) {
         self.finished = true;
-        for item in &self.queue {
-            self.outstanding -= Self::void_leases(&mut self.leases, &item.leases);
+        for item in &mut self.queue {
+            self.ledger.void(&mut item.leases);
         }
         self.queue.clear();
     }
@@ -1073,8 +1083,7 @@ impl Study {
         match rejection {
             Some(verdict) => {
                 self.clock.advance_secs(lane, self.spec.cost.model_eval_s);
-                self.outstanding -= Self::void_leases(&mut self.leases, &item.leases);
-                item.leases.clear();
+                self.ledger.void(&mut item.leases);
                 item.stage = Stage::Done(verdict);
                 self.done.push(self.clock.seconds(lane), item.query, ());
                 self.consecutive_rejections += 1;
@@ -1381,29 +1390,6 @@ impl Study {
     }
 }
 
-/// The `[0, 1)` jitter draw for lease deadline `attempt` of `query` —
-/// golden-ratio mixing on a salted stream, a pure function of its inputs
-/// in the `FaultPlan` style.
-fn lease_jitter_unit(seed: u64, query: u64, attempt: u32) -> f64 {
-    use rand::RngExt;
-    let mut h = seed ^ SALT_LEASE;
-    h = h.wrapping_mul(SEED_MIX).wrapping_add(query);
-    h = h.wrapping_mul(SEED_MIX).wrapping_add(u64::from(attempt));
-    StdRng::seed_from_u64(h).random_range(0.0..1.0)
-}
-
-/// The `[0, 1)` jitter draw for the hedge deadline of issuance `attempt`
-/// of `query` — same construction as [`lease_jitter_unit`] on the
-/// disjoint [`SALT_HEDGE`] stream, so hedge timing and lease TTLs are
-/// independent pure functions of `(seed, query, attempt)`.
-fn hedge_jitter_unit(seed: u64, query: u64, attempt: u32) -> f64 {
-    use rand::RngExt;
-    let mut h = seed ^ SALT_HEDGE;
-    h = h.wrapping_mul(SEED_MIX).wrapping_add(query);
-    h = h.wrapping_mul(SEED_MIX).wrapping_add(u64::from(attempt));
-    StdRng::seed_from_u64(h).random_range(0.0..1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use hyperpower_gpu_sim::DeviceProfile;
@@ -1441,7 +1427,8 @@ mod tests {
 
     fn scanned_outstanding(study: &Study) -> usize {
         study
-            .leases
+            .ledger
+            .records
             .values()
             .filter(|r| r.state == LeaseState::Outstanding)
             .count()

@@ -16,6 +16,11 @@
 //! The executor (in `hyperpower-core`) decides what a fault *means* —
 //! retry, backoff, quarantine; this module only decides *which* faults
 //! occur and where inside an attempt they strike.
+//!
+//! Each decision is one [`seeded_unit`] draw: a fresh RNG seeded from the
+//! run seed, a per-stream salt and two keys. The workspace's other seeded
+//! jitter streams (lease and hedge deadlines, chaos faults, supervision
+//! thresholds) draw through the same function under their own salts.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -216,11 +221,10 @@ impl Default for FaultProfile {
 
 /// The seeded fault schedule of one optimization run.
 ///
-/// Every decision is drawn from a fresh [`StdRng`] seeded by mixing the
-/// run seed with the query index, the attempt number and a per-stream
-/// salt, so faults are a pure function of *which proposal* and *which
-/// attempt* — never of thread timing, commit order or how many other
-/// faults fired before.
+/// Every decision is one [`seeded_unit`] draw keyed by the run seed, a
+/// per-stream salt, the query index and the attempt number, so faults are
+/// a pure function of *which proposal* and *which attempt* — never of
+/// thread timing, commit order or how many other faults fired before.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     profile: FaultProfile,
@@ -269,7 +273,7 @@ impl FaultPlan {
         } else {
             0.0
         };
-        let u = self.unit_draw(SALT_TRAINING, query, attempt);
+        let u = seeded_unit(self.seed, SALT_TRAINING, query, u64::from(attempt));
         if u < oom_prob {
             Some(TrainingFault::Oom)
         } else if u < oom_prob + p.crash_prob {
@@ -287,34 +291,36 @@ impl FaultPlan {
         if self.is_inert() || self.profile.sensor_glitch_prob <= 0.0 {
             return false;
         }
-        self.unit_draw(SALT_GLITCH, query, 1) < self.profile.sensor_glitch_prob
+        seeded_unit(self.seed, SALT_GLITCH, query, 1) < self.profile.sensor_glitch_prob
     }
 
     /// How far into attempt `attempt` of query `query` an OOM/crash fault
     /// strikes, as a fraction of the attempt's training time in
     /// `[0.05, 0.95]` (a job never dies at exactly 0 or 100%).
     pub fn fault_point_frac(&self, query: u64, attempt: u32) -> f64 {
-        0.05 + 0.9 * self.unit_draw(SALT_POINT, query, attempt)
+        0.05 + 0.9 * seeded_unit(self.seed, SALT_POINT, query, u64::from(attempt))
     }
 
     /// The uniform `[0, 1)` jitter draw for the backoff after a failed
     /// attempt `attempt` of query `query`.
     pub fn backoff_unit(&self, query: u64, attempt: u32) -> f64 {
-        self.unit_draw(SALT_BACKOFF, query, attempt)
+        seeded_unit(self.seed, SALT_BACKOFF, query, u64::from(attempt))
     }
+}
 
-    /// One uniform `[0, 1)` draw from the `(salt, query, attempt)` stream.
-    fn unit_draw(&self, salt: u64, query: u64, attempt: u32) -> f64 {
-        // Golden-ratio mixing (the workspace's standard seed derivation)
-        // keeps neighbouring (query, attempt) pairs statistically
-        // independent while staying a pure function of the inputs.
-        let mut h = self.seed ^ salt;
-        h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(query);
-        h = h
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(attempt));
-        StdRng::seed_from_u64(h).random_range(0.0..1.0)
-    }
+/// One uniform `[0, 1)` draw from stream `salt` of `seed`, keyed by
+/// `(a, b)`: a pure function of its inputs. Every seeded jitter stream in
+/// the workspace draws through here under its own salt — the fault plan's
+/// decisions, a study's lease and hedge deadlines, the chaos harness's
+/// faults and the server's supervision thresholds.
+pub fn seeded_unit(seed: u64, salt: u64, a: u64, b: u64) -> f64 {
+    // Golden-ratio mixing (the workspace's standard seed derivation) keeps
+    // neighbouring `(a, b)` pairs statistically independent.
+    const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = seed ^ salt;
+    h = h.wrapping_mul(MIX).wrapping_add(a);
+    h = h.wrapping_mul(MIX).wrapping_add(b);
+    StdRng::seed_from_u64(h).random_range(0.0..1.0)
 }
 
 #[cfg(test)]

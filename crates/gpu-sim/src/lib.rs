@@ -56,7 +56,7 @@ mod sensor;
 pub use analysis::{analyze, InferenceReport};
 pub use clock::{CommitQueue, TrainingCostModel, VirtualClock, WorkerClock};
 pub use device::DeviceProfile;
-pub use fault::{FaultPlan, FaultProfile, TrainingFault};
+pub use fault::{seeded_unit, FaultPlan, FaultProfile, TrainingFault};
 // Measurement results carry their units in the type; re-exported so
 // downstream crates can name them without depending on the linalg crate.
 pub use hyperpower_linalg::units::{Joules, Mebibytes, Seconds, Watts};

@@ -11,8 +11,8 @@
 //! run of the identical spec.
 //!
 //! Everything is a pure function of `(chaos seed, worker count)`: fault
-//! decisions come from [`ChaosPlan`] — seeded golden-ratio streams in the
-//! `FaultPlan` style, one salt per decision kind — the simulated objective
+//! decisions come from [`ChaosPlan`] — [`seeded_unit`] draws, one salt per
+//! decision kind — the simulated objective
 //! is a pure function of the evaluation seed, and deliveries are processed
 //! in a deterministic order. A failing seed therefore replays exactly,
 //! locally and in CI (`HYPERPOWER_CHAOS_SEED`).
@@ -26,16 +26,10 @@ use hyperpower::{
     run_optimization_with, Budget, Budgets, EarlyTermination, Error, EvaluationResult,
     ExecutorOptions, Method, Mode, Objective, RetryPolicy, SearchSpace, StudySpec, Trace,
 };
-use hyperpower_gpu_sim::{DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use hyperpower_gpu_sim::{seeded_unit, DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
 
 use crate::journal::study_paths;
 use crate::{ServerConfig, ServerError, StudyServer, StudySetup};
-
-/// Golden-ratio mixing constant (the same stream construction the core
-/// fault plan and lease jitter use; disjoint salts keep streams disjoint).
-const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 const SALT_DROP: u64 = 0xC4A0_0001;
 const SALT_DUP: u64 = 0xC4A0_0002;
@@ -99,11 +93,7 @@ impl ChaosPlan {
     }
 
     fn unit(&self, salt: u64, a: u64, b: u64) -> f64 {
-        use rand::RngExt;
-        let mut h = self.seed ^ salt;
-        h = h.wrapping_mul(MIX).wrapping_add(a);
-        h = h.wrapping_mul(MIX).wrapping_add(b);
-        StdRng::seed_from_u64(h).random_range(0.0..1.0)
+        seeded_unit(self.seed, salt, a, b)
     }
 
     /// The worker evaluating this lease dies: its result is never told and

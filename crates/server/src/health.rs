@@ -14,21 +14,18 @@
 //!
 //! Every transition is a pure function of `(fleet seed, member name,
 //! observation sequence, scheduler clock)`: the failure streak that trips
-//! a quarantine and the parole duration are drawn from seeded golden-ratio
-//! streams in the `FaultPlan` style (one salt per decision kind, keyed by
-//! an FNV-1a hash of the member name and its quarantine count), so two
-//! runs with the same seed quarantine the same member at the same instant.
+//! a quarantine and the parole duration are [`seeded_unit`] draws (one
+//! salt per decision kind, keyed by an FNV-1a hash of the member name and
+//! its quarantine count), so two runs with the same seed quarantine the
+//! same member at the same instant.
 //! Health is **execution-only** state — it gates which worker receives a
 //! lease, never which candidate is proposed — so it can never change a
 //! committed trace byte.
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use hyperpower_gpu_sim::seeded_unit;
 
-/// Golden-ratio multiplier shared by every seeded stream in the workspace.
-const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Salt for the quarantine (probation) threshold draw.
 const SALT_PROBATION: u64 = 0x4EA7_0001;
 /// Salt for the parole-duration draw.
@@ -191,7 +188,7 @@ impl Fleet {
         }
         member.consecutive_failures = member.consecutive_failures.saturating_add(1);
         let key_hash = fnv1a(key.as_bytes());
-        let slack = (unit_draw(
+        let slack = (seeded_unit(
             seed,
             SALT_PROBATION,
             key_hash,
@@ -207,7 +204,7 @@ impl Fleet {
             if member.quarantines > policy.retire_after {
                 member.state = HealthState::Retired;
             } else {
-                let unit = unit_draw(seed, SALT_PAROLE, key_hash, u64::from(member.quarantines));
+                let unit = seeded_unit(seed, SALT_PAROLE, key_hash, u64::from(member.quarantines));
                 member.state = HealthState::Quarantined;
                 member.parole_until_s =
                     now_s + policy.parole_s * (1.0 + policy.parole_jitter_frac * unit);
@@ -303,14 +300,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// One seeded uniform draw in `[0, 1)`, keyed by `(salt, key, epoch)`.
-fn unit_draw(seed: u64, salt: u64, key_hash: u64, epoch: u64) -> f64 {
-    let mut h = seed ^ salt;
-    h = h.wrapping_mul(MIX).wrapping_add(key_hash);
-    h = h.wrapping_mul(MIX).wrapping_add(epoch);
-    StdRng::seed_from_u64(h).random_range(0.0..1.0)
 }
 
 #[cfg(test)]

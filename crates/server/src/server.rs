@@ -9,8 +9,8 @@
 //!   (journal file stems); creating over live durable state is refused,
 //!   [`StudyServer::open_study`] resumes it instead;
 //! * **leases** — every ask hands out candidates under deadlines on the
-//!   caller's scheduler clock; [`StudyServer::tick`] reclaims expired
-//!   leases so lost workers never wedge a study;
+//!   caller's scheduler clock; [`StudyServer::tick_hedge`] reclaims
+//!   expired leases so lost workers never wedge a study;
 //! * **idempotent tells** — duplicated and reordered deliveries are
 //!   absorbed by the study's lease ledger; a tell on a reclaimed lease is
 //!   rejected with the typed [`hyperpower::Error::LeaseExpired`] and
@@ -586,21 +586,6 @@ impl StudyServer {
         })();
         self.note_tenant_outcome(name, outcome.as_ref().err());
         outcome
-    }
-
-    /// Reclaims every lease whose deadline passed, across all studies,
-    /// and sweeps both supervision fleets. Returns how many leases were
-    /// reclaimed; their candidates will be re-issued by later asks.
-    /// Issues no hedges — use [`StudyServer::tick_hedge`] when the caller
-    /// can dispatch the speculative duplicates it returns.
-    pub fn tick(&mut self, now_s: f64) -> usize {
-        self.clock_s = self.clock_s.max(now_s);
-        self.workers.sweep(now_s);
-        self.tenants.sweep(now_s);
-        self.studies
-            .values_mut()
-            .map(|e| e.study.reclaim_expired(now_s))
-            .sum()
     }
 
     /// The full maintenance pass: reclaims expired leases, sweeps the

@@ -236,7 +236,7 @@ fn tell_on_expired_lease_is_rejected_and_state_untouched() {
     );
 
     // The worker dies; the deadline passes; the lease is reclaimed.
-    assert_eq!(server.tick(100.0), 1);
+    assert_eq!(server.tick_hedge(100.0).reclaimed, 1);
     let before_bytes = encode_trace(&server.trace("exp").expect("trace"));
     let before_committed = server.committed("exp").expect("committed");
 
@@ -872,7 +872,7 @@ fn a_quarantined_worker_never_receives_a_fresh_lease() {
 
     // Past its seeded parole instant a sweep releases the worker.
     let parole = server.workers().parole_until("w1").expect("parole set");
-    server.tick(parole + 1.0);
+    server.tick_hedge(parole + 1.0);
     assert_eq!(server.worker_state("w1"), Some(HealthState::Healthy));
     let back = server
         .ask_worker("q", "w1", 1, parole + 2.0)
@@ -1076,7 +1076,7 @@ fn sustained_overload_returns_only_typed_refusals() {
         // Advance the scheduler clock (tells are charged at its
         // high-water mark) and let overdue leases reclaim, as any real
         // serving loop would.
-        server.tick(now);
+        server.tick_hedge(now);
         pending.retain(
             |(lease_id, result)| match server.tell("soak", *lease_id, result) {
                 Ok(_) => false,
