@@ -13,6 +13,11 @@
 //! before the run goes on, so a resume can never silently diverge from
 //! the interrupted run.
 //!
+//! A resume replays into a held sink ([`CheckpointSink::held`]), which
+//! writes nothing until it is flushed once the replay has verified, so a
+//! run that resumes from the file it checkpoints to never rewrites it
+//! with samples that fail the check.
+//!
 //! The file is written atomically (temp file + rename) so a crash *during*
 //! checkpointing leaves the previous checkpoint intact. A crash between
 //! the temp write and the rename can strand a stale `*.tmp` beside the
@@ -57,8 +62,9 @@ use crate::{Error, Result};
 pub struct CheckpointConfig {
     /// Checkpoint file path (created/overwritten; written atomically).
     pub path: PathBuf,
-    /// Write the file every this many committed samples (≥ 1; the final
-    /// state is always written when the run ends).
+    /// Write the file every this many committed samples; `0` writes only
+    /// when the sink is flushed (the final state is always written when
+    /// the run ends).
     pub every_commits: usize,
 }
 
@@ -211,7 +217,8 @@ pub fn encode_eval(eval_seed: u64, r: &EvaluationResult) -> String {
 }
 
 /// Accumulates committed samples and raw evaluations during a run and
-/// writes the checkpoint file every `every_commits` commits.
+/// writes the checkpoint file every `every_commits` commits, unless it is
+/// held: a held sink writes nothing until its first flush.
 #[derive(Debug)]
 pub struct CheckpointSink {
     config: CheckpointConfig,
@@ -219,6 +226,7 @@ pub struct CheckpointSink {
     eval_lines: Vec<String>,
     sample_lines: Vec<String>,
     commits_since_write: usize,
+    held: bool,
 }
 
 impl CheckpointSink {
@@ -237,6 +245,18 @@ impl CheckpointSink {
             eval_lines: Vec::new(),
             sample_lines: Vec::new(),
             commits_since_write: 0,
+            held: false,
+        }
+    }
+
+    /// A sink held until its first [`CheckpointSink::flush`]: it records
+    /// everything but writes nothing on its cadence, so a resume that
+    /// replays into it leaves every file as it was until the replay has
+    /// verified and the caller flushes.
+    pub fn held(config: CheckpointConfig, header: &CheckpointHeader) -> Self {
+        CheckpointSink {
+            held: true,
+            ..Self::new(config, header)
         }
     }
 
@@ -248,23 +268,24 @@ impl CheckpointSink {
     }
 
     /// Records one committed sample and writes the file if a checkpoint
-    /// interval elapsed.
+    /// interval elapsed and the sink is not held. Returns whether it wrote.
     ///
     /// # Errors
     ///
     /// Propagates checkpoint-file I/O failures as [`Error::Checkpoint`].
-    pub fn record_commit(&mut self, sample: &Sample) -> Result<()> {
+    pub fn record_commit(&mut self, sample: &Sample) -> Result<bool> {
         self.sample_lines.push(golden::encode_sample(sample));
         self.commits_since_write += 1;
-        if self.commits_since_write >= self.config.every_commits.max(1) {
-            self.write()?;
-            self.commits_since_write = 0;
+        let every = self.config.every_commits;
+        let due = !self.held && every > 0 && self.commits_since_write >= every;
+        if due {
+            self.flush()?;
         }
-        Ok(())
+        Ok(due)
     }
 
-    /// Writes the final state (always called when the run ends, whatever
-    /// the interval).
+    /// Writes the current state now (always called when the run ends,
+    /// whatever the interval) and releases a held sink to its cadence.
     ///
     /// # Errors
     ///
@@ -272,6 +293,7 @@ impl CheckpointSink {
     pub fn flush(&mut self) -> Result<()> {
         self.write()?;
         self.commits_since_write = 0;
+        self.held = false;
         Ok(())
     }
 
@@ -586,6 +608,25 @@ mod tests {
         let ck = RunCheckpoint::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(ck.samples.len(), 1);
+    }
+
+    #[test]
+    fn a_held_sink_writes_nothing_until_its_first_flush() {
+        let path = tmp_path("held.json");
+        std::fs::remove_file(&path).ok();
+        let mut sink =
+            CheckpointSink::held(CheckpointConfig::every_commit(path.clone()), &header());
+        assert!(!sink.record_commit(&sample(0)).unwrap());
+        assert!(!path.exists(), "a held sink must not write on its cadence");
+        sink.flush().unwrap();
+        assert_eq!(RunCheckpoint::load(&path).unwrap().samples.len(), 1);
+        assert!(
+            sink.record_commit(&sample(1)).unwrap(),
+            "a flush releases it"
+        );
+        let ck = RunCheckpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(ck.samples.len(), 2);
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl ObservationSink for CheckpointSink {
     }
 
     fn record_commit(&mut self, sample: &Sample) -> Result<()> {
-        CheckpointSink::record_commit(self, sample)
+        CheckpointSink::record_commit(self, sample).map(|_| ())
     }
 }
 

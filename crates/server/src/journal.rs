@@ -123,10 +123,11 @@ impl JournalHeader {
 pub struct StudyJournal {
     journal_path: PathBuf,
     file: std::fs::File,
-    header_line: String,
+    /// Line 1 of the journal, the framed `H` record: written by create and
+    /// by every rotation.
+    header_record: String,
+    /// The snapshot writer, on the snapshot cadence.
     sink: CheckpointSink,
-    snapshot_every: usize,
-    commits_since_snapshot: usize,
     /// An append failure surfaced by the infallible `record_eval` hook is
     /// parked here and raised at the next fallible call.
     deferred: Option<Error>,
@@ -144,6 +145,15 @@ pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Checkpoint(format!("{what} {}: {e}", path.display()))
 }
 
+/// Where and how often study `header.name`'s snapshot is written: every
+/// `snapshot_every` commits, or only when flushed for `0`.
+fn snapshot_config(root: &Path, header: &JournalHeader, snapshot_every: usize) -> CheckpointConfig {
+    CheckpointConfig {
+        path: study_paths(root, &header.name).1,
+        every_commits: snapshot_every,
+    }
+}
+
 impl StudyJournal {
     /// Creates durable state for a fresh study, one with no journal yet:
     /// the journal starts as its header line, and the snapshot sink starts
@@ -155,29 +165,25 @@ impl StudyJournal {
     /// [`Error::Checkpoint`] on I/O failures.
     pub fn create(root: &Path, header: &JournalHeader, snapshot_every: usize) -> Result<Self> {
         std::fs::create_dir_all(root).map_err(|e| io_err("creating", root, e))?;
-        let sink = Self::snapshot_sink(root, header);
-        let mut journal = Self::open(root, header, snapshot_every, sink)?;
+        let sink = CheckpointSink::new(snapshot_config(root, header, snapshot_every), &header.run);
+        let mut journal = Self::open(root, header, sink)?;
         journal
             .file
-            .write_all(journal.header_record().as_bytes())
+            .write_all(journal.header_record.as_bytes())
             .map_err(|e| io_err("writing", &journal.journal_path, e))?;
         Ok(journal)
     }
 
-    /// The sink that writes study `header.name`'s snapshot, and only when
-    /// flushed: a reopen replays the study into it before anything on
-    /// disk changes. Sweeps an orphaned snapshot `*.tmp`.
-    pub(crate) fn snapshot_sink(root: &Path, header: &JournalHeader) -> CheckpointSink {
-        // The sink never writes on its own cadence — `StudyJournal` owns
-        // the snapshot schedule so it can rotate the journal at the exact
-        // moment a snapshot lands.
-        CheckpointSink::new(
-            CheckpointConfig {
-                path: study_paths(root, &header.name).1,
-                every_commits: usize::MAX,
-            },
-            &header.run,
-        )
+    /// The held sink a reopen replays study `header.name` into: it writes
+    /// nothing until [`StudyJournal::reopen`] flushes it once the replay
+    /// has verified, then snapshots every `snapshot_every` commits. Sweeps
+    /// an orphaned snapshot `*.tmp`.
+    pub(crate) fn snapshot_sink(
+        root: &Path,
+        header: &JournalHeader,
+        snapshot_every: usize,
+    ) -> CheckpointSink {
+        CheckpointSink::held(snapshot_config(root, header, snapshot_every), &header.run)
     }
 
     /// Reopens a recovered study once its replay has verified: `snapshot`
@@ -191,22 +197,16 @@ impl StudyJournal {
     pub(crate) fn reopen(
         root: &Path,
         header: &JournalHeader,
-        snapshot_every: usize,
         snapshot: CheckpointSink,
     ) -> Result<Self> {
-        let mut journal = Self::open(root, header, snapshot_every, snapshot)?;
+        let mut journal = Self::open(root, header, snapshot)?;
         journal.flush()?;
         Ok(journal)
     }
 
     /// Opens the journal for appending, creating it if absent, and sweeps
     /// a stranded rotation temp.
-    fn open(
-        root: &Path,
-        header: &JournalHeader,
-        snapshot_every: usize,
-        sink: CheckpointSink,
-    ) -> Result<Self> {
+    fn open(root: &Path, header: &JournalHeader, sink: CheckpointSink) -> Result<Self> {
         let (journal_path, _) = study_paths(root, &header.name);
         std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
         let file = std::fs::OpenOptions::new()
@@ -217,10 +217,8 @@ impl StudyJournal {
         Ok(StudyJournal {
             journal_path,
             file,
-            header_line: encode_header_line(header),
+            header_record: format!("H {}\n", frame(&encode_header_line(header), ' ')),
             sink,
-            snapshot_every,
-            commits_since_snapshot: 0,
             deferred: None,
         })
     }
@@ -245,16 +243,6 @@ impl StudyJournal {
             .map(Some)
     }
 
-    /// The canonical header line this journal was created with.
-    pub fn header_line(&self) -> &str {
-        &self.header_line
-    }
-
-    /// Line 1 of the journal: the framed header record.
-    fn header_record(&self) -> String {
-        format!("H {}\n", frame(&self.header_line, ' '))
-    }
-
     /// Writes the snapshot now and rotates the journal down to its header
     /// line (everything journaled so far is inside the snapshot). Called
     /// on the snapshot cadence and when a study finishes.
@@ -267,11 +255,17 @@ impl StudyJournal {
         if let Some(e) = self.deferred.take() {
             return Err(e);
         }
-        // Snapshot first: its atomic rename is the commit point. Only
-        // after it lands is discarding the journal body safe.
         self.sink.flush()?;
+        self.rotate()
+    }
+
+    /// Rotates the journal down to its header record, once the snapshot
+    /// holds everything journaled so far: the snapshot's atomic rename is
+    /// the commit point, so only after it lands is discarding the journal
+    /// body safe.
+    fn rotate(&mut self) -> Result<()> {
         let tmp = self.journal_path.with_extension("journal-tmp");
-        std::fs::write(&tmp, self.header_record()).map_err(|e| io_err("writing", &tmp, e))?;
+        std::fs::write(&tmp, &self.header_record).map_err(|e| io_err("writing", &tmp, e))?;
         std::fs::rename(&tmp, &self.journal_path)
             .map_err(|e| io_err("rotating", &self.journal_path, e))?;
         // The old handle points at the replaced inode; reopen.
@@ -279,7 +273,6 @@ impl StudyJournal {
             .append(true)
             .open(&self.journal_path)
             .map_err(|e| io_err("reopening", &self.journal_path, e))?;
-        self.commits_since_snapshot = 0;
         Ok(())
     }
 
@@ -308,10 +301,8 @@ impl ObservationSink for StudyJournal {
             return Err(e);
         }
         self.append('S', &golden::encode_sample(sample))?;
-        self.sink.record_commit(sample)?;
-        self.commits_since_snapshot += 1;
-        if self.snapshot_every > 0 && self.commits_since_snapshot >= self.snapshot_every {
-            self.flush()?;
+        if self.sink.record_commit(sample)? {
+            self.rotate()?;
         }
         Ok(())
     }

@@ -343,7 +343,7 @@ impl StudyServer {
                 header
                     .run
                     .verify(&format!("journal for study {name:?}"), &recovered.header)?;
-                let mut snapshot = StudyJournal::snapshot_sink(root, &header);
+                let mut snapshot = StudyJournal::snapshot_sink(root, &header, every);
                 // The journal records every evaluation before the commit
                 // that consumes it, so a miss means it lost non-tail
                 // records.
@@ -354,7 +354,7 @@ impl StudyServer {
                         c.query
                     )))
                 })?;
-                StudyJournal::reopen(root, &header, every, snapshot)?
+                StudyJournal::reopen(root, &header, snapshot)?
             }
         };
         self.tenants.register(name, self.clock_s);

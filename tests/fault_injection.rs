@@ -587,46 +587,79 @@ fn bump_first_power_w(text: &str) -> String {
     format!("{}{bumped:?}{}", &text[..start], &text[start + len..])
 }
 
-#[test]
-fn a_doctored_checkpoint_fails_before_any_objective_call() {
-    let budget = Budget::Evaluations(10);
-    let options = ExecutorOptions::default().with_fault_profile(FaultProfile::flaky_sensor());
-    let ckpt = scratch_path("doctored.ckpt");
-    let _ = std::fs::remove_file(&ckpt);
+/// Kills a 10-evaluation run checkpointing to `ckpt` after 5 objective
+/// calls, then moves the first recorded power reading by one ulp and
+/// re-frames the file, so its checksum holds and only the replay's
+/// bit-exact check can tell. Returns the doctored file's bytes.
+fn kill_and_doctor(ckpt: &PathBuf, options: &ExecutorOptions) -> String {
+    let _ = std::fs::remove_file(ckpt);
     let err = run_stub(
         &ChaosObjective::new(5),
-        budget,
+        Budget::Evaluations(10),
         &options
             .clone()
-            .with_checkpoint(CheckpointConfig::every_commit(ckpt.clone())),
+            .with_checkpoint(CheckpointConfig::every_commit(ckpt)),
         None,
     )
     .expect_err("chaos objective must kill the run");
     assert!(matches!(err, Error::WorkerPanic { .. }), "got: {err}");
-
-    // Move the first recorded power reading by one ulp and re-frame the
-    // file, so its checksum holds and only the replay's bit-exact check
-    // can tell.
-    let text = std::fs::read_to_string(&ckpt).expect("checkpoint");
+    let text = std::fs::read_to_string(ckpt).expect("checkpoint");
     let (_, body) = text.split_once('\n').expect("framed checkpoint");
-    let doctored = bump_first_power_w(body);
-    std::fs::write(
-        &ckpt,
-        format!("C {}", hyperpower::integrity::frame(&doctored, '\n')),
-    )
-    .expect("rewrite checkpoint");
+    let doctored = format!(
+        "C {}",
+        hyperpower::integrity::frame(&bump_first_power_w(body), '\n')
+    );
+    std::fs::write(ckpt, &doctored).expect("rewrite checkpoint");
+    doctored
+}
 
+/// Expects the resume's typed refusal of the doctored first sample.
+fn assert_doctored_sample_refused(result: hyperpower::Result<Trace>) {
+    match result {
+        Err(Error::ResumeMismatch(msg)) => assert!(msg.contains("samples[0].power_w"), "{msg}"),
+        Err(other) => panic!("expected a ResumeMismatch, got {other}"),
+        Ok(_) => panic!("a doctored checkpoint must not resume"),
+    }
+}
+
+#[test]
+fn a_doctored_checkpoint_fails_before_any_objective_call() {
+    let options = ExecutorOptions::default().with_fault_profile(FaultProfile::flaky_sensor());
+    let ckpt = scratch_path("doctored.ckpt");
+    kill_and_doctor(&ckpt, &options);
     // One objective call would panic the run: the check must come first.
-    let err = run_stub(
+    assert_doctored_sample_refused(run_stub(
         &ChaosObjective::new(0),
-        budget,
+        Budget::Evaluations(10),
         &options.with_resume_from(ckpt),
         None,
-    )
-    .expect_err("a doctored checkpoint must not resume");
-    match err {
-        Error::ResumeMismatch(msg) => assert!(msg.contains("samples[0].power_w"), "{msg}"),
-        other => panic!("expected a ResumeMismatch, got {other}"),
+    ));
+}
+
+/// A run that resumes from the checkpoint it writes must not touch the
+/// file before its replay verifies: a failed resume leaves the doctored
+/// bytes in place, so a second resume is refused the same way instead of
+/// trusting samples the first one recomputed.
+#[test]
+fn a_failed_self_resume_leaves_its_checkpoint_untouched() {
+    let options = ExecutorOptions::default().with_fault_profile(FaultProfile::flaky_sensor());
+    let ckpt = scratch_path("doctored_self_resume.ckpt");
+    let doctored = kill_and_doctor(&ckpt, &options);
+    let self_resume = options
+        .with_checkpoint(CheckpointConfig::every_commit(&ckpt))
+        .with_resume_from(&ckpt);
+    for attempt in 1..=2 {
+        assert_doctored_sample_refused(run_stub(
+            &ChaosObjective::new(0),
+            Budget::Evaluations(10),
+            &self_resume,
+            None,
+        ));
+        assert_eq!(
+            std::fs::read_to_string(&ckpt).expect("checkpoint"),
+            doctored,
+            "resume {attempt} rewrote the checkpoint it failed to verify"
+        );
     }
 }
 
