@@ -28,8 +28,10 @@
 //! what determinism makes safe to repair: the journal is truncated to its
 //! **last valid record** (everything after the first defective record is
 //! suspect — appends are strictly ordered), stale temp files are removed,
-//! and a defective snapshot is dropped *only when* the journal still holds
-//! the complete sample history from slot 0. Because a study's schedule is
+//! a defective snapshot is dropped *only when* the journal still holds
+//! the complete sample history from slot 0, and a journal that holds no
+//! complete line — a kill between its creation and its header write —
+//! is removed when no snapshot exists, since nothing was committed. Because a study's schedule is
 //! a pure function of `(spec, journaled evaluations)`, replay from any
 //! valid durable prefix reconverges to the exact committed bytes — salvage
 //! never invents state, it only discards unacknowledged or unverifiable
@@ -186,6 +188,9 @@ pub(crate) struct StudyScan {
     valid_records: usize,
     /// The journal's first defect; the scan reads nothing past it.
     journal_defect: Option<(StoreDefect, String)>,
+    /// The journal holds no complete line: a kill landed between its
+    /// creation and its header write, before anything was committed.
+    headerless: bool,
     /// Why the snapshot was not merged: it does not decode, or another run
     /// wrote it.
     snapshot_defect: Option<Error>,
@@ -214,6 +219,7 @@ pub(crate) fn scan_study(root: &Path, name: &str) -> Result<StudyScan> {
         valid_prefix_bytes: 0,
         valid_records: 0,
         journal_defect: None,
+        headerless: false,
         snapshot_defect: None,
         state: None,
         tail: Vec::new(),
@@ -250,6 +256,7 @@ pub(crate) fn scan_study(root: &Path, name: &str) -> Result<StudyScan> {
     // a torn tail is benign.
     if scan.state.is_none() && !matches!(scan.journal_defect, Some((StoreDefect::CorruptFrame, _)))
     {
+        scan.headerless = true;
         scan.journal_defect = Some((
             StoreDefect::CorruptFrame,
             "no complete header record".to_string(),
@@ -400,9 +407,18 @@ fn fsck_study(root: &Path, name: &str, salvage: bool) -> Result<StudyFsck> {
         recoverable: true,
         repairs: Vec::new(),
     };
+    // A journal whose header never landed holds nothing committed, so
+    // with no snapshot beside it salvage removes it and frees the name.
+    let removable = scan.headerless && !snapshot_path.exists();
     if let Some(defect) = scan.journal_defect {
         study.defects.push(defect);
-        if salvage {
+        if salvage && removable {
+            std::fs::remove_file(&journal_path)
+                .map_err(|e| io_err("removing", &journal_path, e))?;
+            study
+                .repairs
+                .push("removed the journal, whose header never landed".to_string());
+        } else if salvage {
             truncate_file(&journal_path, scan.valid_prefix_bytes)?;
             study.repairs.push(format!(
                 "truncated journal to its last valid frame ({} bytes, {} records)",
@@ -410,11 +426,11 @@ fn fsck_study(root: &Path, name: &str, salvage: bool) -> Result<StudyFsck> {
             ));
         }
     }
-    // A journal whose header frame itself is gone cannot be reopened: the
+    // Any other journal whose header frame is gone cannot be reopened: the
     // header binds the durable state to a run identity, and fsck will not
     // guess one.
     if scan.state.is_none() {
-        study.recoverable = false;
+        study.recoverable = removable;
         return Ok(study);
     }
     let Some(e) = scan.snapshot_defect else {

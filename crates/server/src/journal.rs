@@ -39,6 +39,9 @@
 //!
 //! A `kill -9` can land anywhere; every window leaves recoverable state:
 //!
+//! * **mid-create** — between [`StudyJournal::create`] opening the journal
+//!   and its header write: an empty (or torn) journal and no snapshot.
+//!   Nothing was committed, so `fsck --salvage` removes it.
 //! * **mid-append** — the journal's last line is torn (no trailing
 //!   newline). [`StudyJournal::load`] drops the torn tail; the record was
 //!   not yet acknowledged anywhere, so dropping it is the correct
@@ -59,8 +62,9 @@
 //!
 //! Recovery never trusts the merged state blindly, and writes nothing
 //! until it has checked it: the study replays the loaded records
-//! ([`hyperpower::Study::replay`]) into its snapshot sink, which holds
-//! them in memory, and byte-verifies every recorded sample. Only then are
+//! ([`hyperpower::Study::replay`]) into its held snapshot sink
+//! ([`CheckpointSink::held`]), which keeps them in memory, and
+//! byte-verifies every recorded sample. Only then are
 //! the snapshot written and the journal rotated to its header line, so a
 //! store that fails verification is left as it was, and a reopened
 //! journal never grows. A fresh study's journal is written once, as its

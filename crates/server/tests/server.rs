@@ -1425,3 +1425,38 @@ fn a_read_only_fsck_writes_nothing() {
     assert_eq!(first.stale_tmps.len(), 2, "{first}");
     assert_eq!(second.stale_tmps, first.stale_tmps, "{second}");
 }
+
+/// A kill between `create` opening `<name>.journal` and writing its header
+/// leaves an empty journal and no snapshot. Nothing was committed, so
+/// salvage removes the journal and the name is free again.
+#[test]
+fn salvage_removes_a_journal_whose_header_never_landed() {
+    let root = scratch_root("headerless");
+    std::fs::create_dir_all(&root).expect("root");
+    let (journal_path, _) = hyperpower_server::journal::study_paths(&root, "alpha");
+    std::fs::write(&journal_path, "").expect("empty journal");
+
+    let scan = fsck_store(&root, false).expect("scan");
+    assert!(
+        !scan.clean(),
+        "the missing header must be reported:\n{scan}"
+    );
+    assert!(scan.recoverable(), "nothing was committed:\n{scan}");
+    assert!(
+        journal_path.exists(),
+        "a read-only scan removed the journal"
+    );
+
+    let salvaged = fsck_store(&root, true).expect("salvage");
+    assert!(salvaged.recoverable(), "{salvaged}");
+    assert!(!journal_path.exists(), "salvage kept the empty journal");
+
+    let mut server = StudyServer::new(ServerConfig {
+        root: root.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    server
+        .create_study("alpha", setup(SEED, Budget::Evaluations(2), 1))
+        .expect("the name is free after salvage");
+}
