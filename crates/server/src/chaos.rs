@@ -8,7 +8,9 @@
 //! crashes that tear the last journal record mid-write and strand a stale
 //! snapshot temp file. After the dust settles it byte-compares every
 //! study's final trace against an *uninterrupted* single-process reference
-//! run of the identical spec.
+//! run of the identical spec. The [`ChaosProfile`] picks the failure
+//! family: the baseline storm serves without hedging, so lost workers are
+//! recovered through lease expiry alone; the other two profiles hedge.
 //!
 //! Everything is a pure function of `(chaos seed, worker count)`: fault
 //! decisions come from [`ChaosPlan`] — [`seeded_unit`] draws, one salt per
@@ -47,14 +49,17 @@ const SALT_SLOW_DELAY: u64 = 0xC4A0_000A;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ChaosProfile {
-    /// The original kill/duplicate/reorder/crash storm.
+    /// The kill/duplicate/reorder/crash storm, served without hedging: a
+    /// dropped result waits out its lease, so leases expire and are
+    /// reclaimed, late tells are rejected, and workers whose results go
+    /// missing are quarantined.
     Baseline,
     /// Crashes additionally flip seeded bits inside journal bodies; the
     /// harness recovers through `fsck --salvage` and proves byte-exact
     /// reconvergence.
     BitRot,
     /// A seeded subset of workers delivers results rounds late, forcing
-    /// hedged re-dispatch and worker quarantines.
+    /// hedged re-dispatch: a healthy worker's duplicate wins the race.
     SlowWorker,
 }
 
@@ -353,7 +358,7 @@ const ROUND_SECS: f64 = 120.0;
 /// the harness must surface, not spin on.
 const MAX_ROUNDS: u64 = 5_000;
 
-fn harness_config(root: &Path) -> ServerConfig {
+fn harness_config(root: &Path, profile: ChaosProfile) -> ServerConfig {
     ServerConfig {
         root: root.to_path_buf(),
         max_studies: 8,
@@ -366,10 +371,16 @@ fn harness_config(root: &Path) -> ServerConfig {
             backoff_jitter_frac: 0.5,
         },
         snapshot_every_commits: 3,
-        // One round of silence (plus jitter) and a candidate is hedged —
-        // shorter than the lease TTL so the duplicate race actually runs
-        // before reclamation would have re-pooled the candidate.
-        hedge_after_s: 120.0,
+        // The baseline storm serves without hedging, so a dropped result
+        // waits out its lease: the lease expires, the candidate is
+        // reclaimed and re-issued, and a late delivery is rejected. The
+        // other profiles hedge after one round of silence (plus jitter) —
+        // shorter than the lease TTL, so the duplicate race runs before
+        // reclamation would have re-pooled the candidate.
+        hedge_after_s: match profile {
+            ChaosProfile::Baseline => 0.0,
+            ChaosProfile::BitRot | ChaosProfile::SlowWorker => 120.0,
+        },
         ..ServerConfig::default()
     }
 }
@@ -458,7 +469,7 @@ pub fn run_chaos_with(
     let plan = ChaosPlan::new(seed);
     let studies = deployment();
     let objective = SyntheticObjective;
-    let config = harness_config(root);
+    let config = harness_config(root, profile);
     let workers = workers.max(1);
     let worker_ids: Vec<String> = (0..workers).map(|w| format!("w{w}")).collect();
     let mut server = StudyServer::new(config.clone())?;

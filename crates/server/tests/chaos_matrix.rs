@@ -17,6 +17,11 @@
 //! profiles so `cargo test` alone still exercises kills, torn journals,
 //! duplicated and delayed tells, crash/recovery cycles, bit-rot salvage
 //! and hedged re-dispatch.
+//!
+//! The counters must show the chaos happened: every `baseline` cell,
+//! served without hedging, reclaims an expired lease and rejects a late
+//! tell, and the full default grid hedges and quarantines a worker at
+//! least once.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
@@ -55,6 +60,13 @@ fn chaos_matrix_traces_are_byte_identical() {
         Some(w) => vec![w.max(1) as usize],
         None => vec![1, 4],
     };
+    let full_grid = [
+        "HYPERPOWER_CHAOS_SEED",
+        "HYPERPOWER_WORKERS",
+        "HYPERPOWER_CHAOS_PROFILE",
+    ]
+    .iter()
+    .all(|name| std::env::var_os(name).is_none());
     let profiles: Vec<ChaosProfile> = match env_profile() {
         Some(profile) => vec![profile],
         None => vec![
@@ -67,6 +79,7 @@ fn chaos_matrix_traces_are_byte_identical() {
     let artifact_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-diff");
     let fsck_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-fsck");
     let mut failures = Vec::new();
+    let (mut hedged, mut unhealthy) = (0, 0);
     for &profile in &profiles {
         for &seed in &seeds {
             for &workers in &workers_grid {
@@ -95,6 +108,16 @@ fn chaos_matrix_traces_are_byte_identical() {
                     r.salvaged_studies,
                     r.unhealthy_workers,
                 );
+                hedged += r.hedged_leases;
+                unhealthy += r.unhealthy_workers;
+                if profile == ChaosProfile::Baseline
+                    && (r.reclaimed_leases == 0 || r.expired_tells == 0)
+                {
+                    failures.push(format!(
+                        "{label}: no lease expired ({} reclaimed, {} late tells rejected)",
+                        r.reclaimed_leases, r.expired_tells
+                    ));
+                }
                 // The surviving store must scan clean: every frame
                 // checksum-valid, no stale temps left behind.
                 let fsck = fsck_store(&root, false).expect("fsck scan");
@@ -120,10 +143,16 @@ fn chaos_matrix_traces_are_byte_identical() {
             }
         }
     }
+    if full_grid && hedged == 0 {
+        failures.push("the default grid never hedged".to_string());
+    }
+    if full_grid && unhealthy == 0 {
+        failures.push("the default grid never quarantined a worker".to_string());
+    }
     assert!(
         failures.is_empty(),
-        "chaos traces diverged from uninterrupted references \
-         (diff artifacts under target/chaos-diff/, fsck reports under target/chaos-fsck/):\n{}",
+        "chaos cells failed (diff artifacts under target/chaos-diff/, \
+         fsck reports under target/chaos-fsck/):\n{}",
         failures.join("\n")
     );
 }
