@@ -13,10 +13,8 @@
 //! before the run goes on, so a resume can never silently diverge from
 //! the interrupted run.
 //!
-//! A resume replays into a held sink ([`CheckpointSink::held`]), which
-//! writes nothing until it is flushed once the replay has verified, so a
-//! run that resumes from the file it checkpoints to never rewrites it
-//! with samples that fail the check.
+//! A resume replays into a held sink ([`CheckpointSink::held`]), flushed
+//! only once the replay verifies, so it never rewrites a file first.
 //!
 //! The file is written atomically (temp file + rename) so a crash *during*
 //! checkpointing leaves the previous checkpoint intact. A crash between
@@ -250,9 +248,8 @@ impl CheckpointSink {
     }
 
     /// A sink held until its first [`CheckpointSink::flush`]: it records
-    /// everything but writes nothing on its cadence, so a resume that
-    /// replays into it leaves every file as it was until the replay has
-    /// verified and the caller flushes.
+    /// everything but writes nothing on its cadence, so a replay into it
+    /// leaves every file as it was until the caller has verified it.
     pub fn held(config: CheckpointConfig, header: &CheckpointHeader) -> Self {
         CheckpointSink {
             held: true,
@@ -608,25 +605,6 @@ mod tests {
         let ck = RunCheckpoint::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(ck.samples.len(), 1);
-    }
-
-    #[test]
-    fn a_held_sink_writes_nothing_until_its_first_flush() {
-        let path = tmp_path("held.json");
-        std::fs::remove_file(&path).ok();
-        let mut sink =
-            CheckpointSink::held(CheckpointConfig::every_commit(path.clone()), &header());
-        assert!(!sink.record_commit(&sample(0)).unwrap());
-        assert!(!path.exists(), "a held sink must not write on its cadence");
-        sink.flush().unwrap();
-        assert_eq!(RunCheckpoint::load(&path).unwrap().samples.len(), 1);
-        assert!(
-            sink.record_commit(&sample(1)).unwrap(),
-            "a flush releases it"
-        );
-        let ck = RunCheckpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(ck.samples.len(), 2);
     }
 
     #[test]

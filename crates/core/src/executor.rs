@@ -260,15 +260,15 @@ pub fn run_optimization_with(setup: RunSetup<'_>, options: &ExecutorOptions) -> 
     let mut study =
         Study::new(spec, oracle, searcher_override).with_simulated_gpus(options.simulated_gpus);
     let identity = study.identity();
-    // A resume writes nothing until its replay verifies: it replays into a
-    // held sink and flushes it once the recorded samples check out.
-    let mut sink = options.checkpoint.clone().map(|config| {
-        if options.resume_from.is_some() {
-            CheckpointSink::held(config, &identity)
-        } else {
-            CheckpointSink::new(config, &identity)
-        }
-    });
+    // A resume writes nothing until its replay verifies.
+    let open = match options.resume_from {
+        Some(_) => CheckpointSink::held,
+        None => CheckpointSink::new,
+    };
+    let mut sink = options
+        .checkpoint
+        .clone()
+        .map(|config| open(config, &identity));
     let evaluate = |c: &LeasedCandidate| evaluate_caught(objective, early_termination.as_ref(), c);
     if let Some(path) = &options.resume_from {
         // Resuming opens the checkpoint to write again: sweep what a crashed

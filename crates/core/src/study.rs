@@ -251,8 +251,7 @@ struct LeaseRecord {
 #[derive(Debug)]
 struct LeaseLedger {
     records: BTreeMap<u64, LeaseRecord>,
-    /// How many records are outstanding, so [`Study::outstanding_leases`]
-    /// scans nothing.
+    /// Outstanding records, so [`Study::outstanding_leases`] scans nothing.
     outstanding: usize,
     next_id: u64,
     /// The deadline policy: `backoff_secs(attempt, jitter)` is the TTL of
@@ -359,15 +358,13 @@ impl LeaseLedger {
         self.next_id += 1;
         let jitter = seeded_unit(self.seed, SALT_LEASE, item.query, u64::from(item.attempt));
         let deadline_s = now_s + self.policy.backoff_secs(item.attempt, jitter);
-        self.records.insert(
-            lease_id,
-            LeaseRecord {
-                query: item.query,
-                state: LeaseState::Outstanding,
-                issued_s: now_s,
-                deadline_s,
-            },
-        );
+        let record = LeaseRecord {
+            query: item.query,
+            state: LeaseState::Outstanding,
+            issued_s: now_s,
+            deadline_s,
+        };
+        self.records.insert(lease_id, record);
         self.outstanding += 1;
         item.leases.push(lease_id);
         LeasedCandidate {
@@ -382,66 +379,49 @@ impl LeaseLedger {
     }
 
     /// Whether `item`'s sole outstanding lease has outlived its hedge
-    /// deadline: `hedge`'s backoff curve on the hedge jitter stream,
-    /// measured from issuance.
-    fn hedge_due(&self, item: &Planned, now_s: f64, hedge: &RetryPolicy) -> bool {
-        let [lease_id] = item.leases[..] else {
+    /// deadline: the policy's backoff curve on the `hedge_after_s` base and
+    /// the hedge jitter stream, measured from issuance.
+    fn hedge_due(&self, item: &Planned, now_s: f64, hedge_after_s: f64) -> bool {
+        let sole = match item.leases[..] {
+            [lease_id] => self.records.get(&lease_id),
+            _ => None,
+        };
+        let Some(record) = sole.filter(|r| r.state == LeaseState::Outstanding) else {
             return false;
         };
-        let Some(record) = self
-            .records
-            .get(&lease_id)
-            .filter(|r| r.state == LeaseState::Outstanding)
-        else {
-            return false;
+        let hedge = RetryPolicy {
+            backoff_base_s: hedge_after_s,
+            ..self.policy
         };
         let jitter = seeded_unit(self.seed, SALT_HEDGE, item.query, u64::from(item.attempt));
         now_s - record.issued_s > hedge.backoff_secs(item.attempt, jitter)
     }
 
-    /// The record of `lease_id`.
-    fn record(&self, lease_id: u64) -> Result<LeaseRecord> {
-        self.records
-            .get(&lease_id)
-            .copied()
-            .ok_or(Error::UnknownLease { lease_id })
-    }
-
-    /// Settles the winning tell on `leases`, its proposal's outstanding
-    /// leases: `lease_id` and every sibling still in flight (hedged
-    /// duplicates) are marked fulfilled, so the siblings' tells are
-    /// absorbed as duplicates. Returns how many siblings it superseded.
+    /// Fulfils `lease_id` and every sibling on its proposal's `leases`
+    /// still in flight (hedged duplicates, whose tells are then absorbed as
+    /// duplicates). Returns how many siblings it superseded.
     fn fulfil(&mut self, lease_id: u64, leases: &mut Vec<u64>) -> u64 {
         self.settle(lease_id, LeaseState::Fulfilled);
         let mut superseded = 0;
         for sibling in leases.drain(..) {
-            if sibling != lease_id && self.settle(sibling, LeaseState::Fulfilled) {
-                superseded += 1;
-            }
+            superseded += u64::from(self.settle(sibling, LeaseState::Fulfilled));
         }
         superseded
     }
 
     /// Expires every lease of the queued proposals whose deadline `now_s`
-    /// has passed, returning its candidate to the pool. Returns how many
-    /// it expired.
+    /// has passed, returning its candidate to the pool; counts them.
     fn expire(&mut self, queue: &mut VecDeque<Planned>, now_s: f64) -> usize {
-        let mut expired = 0;
+        let outstanding = self.outstanding;
         for item in queue {
             item.leases.retain(|&lease_id| {
-                let due = self
-                    .records
-                    .get(&lease_id)
-                    .is_some_and(|r| now_s > r.deadline_s);
-                let expires = due && self.settle(lease_id, LeaseState::Expired);
-                if expires {
-                    item.reclaimed = item.reclaimed.saturating_add(1);
-                    expired += 1;
-                }
-                !expires
+                let due = matches!(self.records.get(&lease_id), Some(r) if r.deadline_s < now_s);
+                let expired = due && self.settle(lease_id, LeaseState::Expired);
+                item.reclaimed = item.reclaimed.saturating_add(u32::from(expired));
+                !expired
             });
         }
-        expired
+        outstanding - self.outstanding
     }
 
     /// Voids `leases`: their proposal left the schedule uncommitted by
@@ -820,7 +800,9 @@ impl Study {
         result: &EvaluationResult,
         sink: Option<&mut S>,
     ) -> Result<TellOutcome> {
-        let record = self.ledger.record(lease_id)?;
+        let Some(&record) = self.ledger.records.get(&lease_id) else {
+            return Err(Error::UnknownLease { lease_id });
+        };
         match record.state {
             LeaseState::Expired => {
                 return Err(Error::LeaseExpired {
@@ -900,10 +882,10 @@ impl Study {
 
     /// Issues a speculative duplicate lease for every proposal whose single
     /// outstanding lease has outlived its seeded *hedge deadline* — the
-    /// lease-policy backoff curve evaluated on a hedge-salted jitter
-    /// stream, measured from issuance — and returns the duplicates for
-    /// dispatch to another worker. The first fulfilment commits at the
-    /// single commit point; the loser resolves as
+    /// lease-policy backoff curve on the `hedge_after_s` base and a
+    /// hedge-salted jitter stream, measured from issuance — and returns the
+    /// duplicates for dispatch to another worker. The first fulfilment
+    /// commits at the single commit point; the loser resolves as
     /// [`TellOutcome::Duplicate`]. Hedging never stacks: an item with a
     /// hedge already in flight is left alone until a tell or an expiry
     /// thins its leases.
@@ -911,10 +893,10 @@ impl Study {
     /// Trace-neutral by construction: the duplicate carries the same
     /// `eval_seed` (fixed at planning time), so whichever lease wins
     /// delivers bit-identical bytes.
-    pub fn hedge_overdue(&mut self, now_s: f64, hedge: &RetryPolicy) -> Vec<LeasedCandidate> {
+    pub fn hedge_overdue(&mut self, now_s: f64, hedge_after_s: f64) -> Vec<LeasedCandidate> {
         let mut out = Vec::new();
         for item in &mut self.queue {
-            if item.awaits_result() && self.ledger.hedge_due(item, now_s, hedge) {
+            if item.awaits_result() && self.ledger.hedge_due(item, now_s, hedge_after_s) {
                 out.push(self.ledger.issue(item, now_s));
                 item.hedged = item.hedged.saturating_add(1);
             }
@@ -1434,22 +1416,18 @@ mod tests {
             .count()
     }
 
-    /// Folds one word into a running FNV-1a-style 64-bit digest.
-    fn fold(digest: &mut u64, word: u64) {
-        *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    /// Folds words into a running FNV-1a-style 64-bit digest.
+    fn fold(digest: &mut u64, words: impl IntoIterator<Item = u64>) {
+        for word in words {
+            *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
 
-    /// Folds every field of an issued lease that a worker can observe.
+    /// Folds every field of the issued leases that a worker can observe.
     fn fold_leases(digest: &mut u64, batch: &[LeasedCandidate]) {
         for c in batch {
-            for word in [
-                c.lease_id,
-                c.query,
-                u64::from(c.attempt),
-                c.deadline_s.to_bits(),
-            ] {
-                fold(digest, word);
-            }
+            fold(digest, [c.lease_id, c.query]);
+            fold(digest, [c.attempt.into(), c.deadline_s.to_bits()]);
         }
     }
 
@@ -1467,12 +1445,17 @@ mod tests {
             backoff_factor: 2.0,
             backoff_jitter_frac: 0.5,
         };
-        let hedge_policy = RetryPolicy {
-            backoff_base_s: 0.5,
-            ..lease_policy
-        };
-        let (mut accepted, mut duplicates, mut discarded, mut expired) = (0, 0, 0, 0);
-        let (mut hedges, mut reclaimed, mut shed, mut quarantined) = (0, 0, 0, 0);
+        let events = [
+            "accepted tells",
+            "duplicate tells",
+            "discarded tells",
+            "expired tells",
+            "hedges",
+            "expiries",
+            "sheds",
+            "quarantined candidates",
+        ];
+        let mut seen = [0usize; 8];
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for seed in 0..16u64 {
             let spec = StudySpec {
@@ -1520,47 +1503,35 @@ mod tests {
                             terminated_early: false,
                             train_secs: 300.0,
                         };
-                        let (kind, committed) =
-                            match study.tell(&mut gpu, lease_id, &result, None::<&mut NullSink>) {
-                                Ok(TellOutcome::Accepted { committed }) => {
-                                    accepted += 1;
-                                    (1, committed as u64)
-                                }
-                                Ok(TellOutcome::Duplicate) => {
-                                    duplicates += 1;
-                                    (2, 0)
-                                }
-                                Ok(TellOutcome::Discarded) => {
-                                    discarded += 1;
-                                    (3, 0)
-                                }
-                                Err(Error::LeaseExpired { query, .. }) => {
-                                    expired += 1;
-                                    (4, query)
-                                }
-                                Err(e) => panic!("seed {seed} step {step}: {e}"),
-                            };
-                        fold(&mut digest, kind);
-                        fold(&mut digest, committed);
+                        let outcome =
+                            study.tell(&mut gpu, lease_id, &result, None::<&mut NullSink>);
+                        let (kind, word) = match outcome {
+                            Ok(TellOutcome::Accepted { committed }) => (1, committed as u64),
+                            Ok(TellOutcome::Duplicate) => (2, 0),
+                            Ok(TellOutcome::Discarded) => (3, 0),
+                            Err(Error::LeaseExpired { query, .. }) => (4, query),
+                            Err(e) => panic!("seed {seed} step {step}: {e}"),
+                        };
+                        seen[kind as usize - 1] += 1;
+                        fold(&mut digest, [kind, word]);
                     }
                     7 => {
-                        let batch = study.hedge_overdue(now_s, &hedge_policy);
+                        let batch = study.hedge_overdue(now_s, 0.5);
                         fold_leases(&mut digest, &batch);
-                        hedges += batch.len();
+                        seen[4] += batch.len();
                         issued.extend(batch.iter().map(|c| c.lease_id));
                     }
                     8 => {
-                        let n = study.reclaim_expired(now_s);
-                        fold(&mut digest, n as u64);
-                        reclaimed += n;
+                        let reclaimed = study.reclaim_expired(now_s);
+                        fold(&mut digest, [reclaimed as u64]);
+                        seen[5] += reclaimed;
                     }
-                    _ => {
-                        if rng.random_range(0..4u32) == 0 {
-                            let n = study.reclaim_all();
-                            fold(&mut digest, n as u64);
-                            shed += n;
-                        }
+                    _ if rng.random_range(0..4u32) == 0 => {
+                        let shed = study.reclaim_all();
+                        fold(&mut digest, [shed as u64]);
+                        seen[6] += shed;
                     }
+                    _ => {}
                 }
                 now_s += rng.random_range(0.0..1.5);
                 assert_eq!(
@@ -1568,9 +1539,9 @@ mod tests {
                     scanned_outstanding(&study),
                     "seed {seed} step {step}"
                 );
-                fold(&mut digest, study.outstanding_leases() as u64);
+                fold(&mut digest, [study.outstanding_leases() as u64]);
             }
-            quarantined += study
+            seen[7] += study
                 .trace()
                 .samples
                 .iter()
@@ -1578,16 +1549,7 @@ mod tests {
                 .count();
         }
         // Every kind of lease state change happened.
-        for (what, count) in [
-            ("accepted tells", accepted),
-            ("duplicate tells", duplicates),
-            ("discarded tells", discarded),
-            ("expired tells", expired),
-            ("hedges", hedges),
-            ("expiries", reclaimed),
-            ("sheds", shed),
-            ("quarantined candidates", quarantined),
-        ] {
+        for (what, count) in events.iter().zip(seen) {
             assert!(count > 0, "no {what}");
         }
         assert_eq!(digest, 0x9ee3_b029_0c1d_f6df, "the lease digest moved");

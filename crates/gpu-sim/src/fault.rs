@@ -15,12 +15,8 @@
 //!
 //! The executor (in `hyperpower-core`) decides what a fault *means* —
 //! retry, backoff, quarantine; this module only decides *which* faults
-//! occur and where inside an attempt they strike.
-//!
-//! Each decision is one [`seeded_unit`] draw: a fresh RNG seeded from the
-//! run seed, a per-stream salt and two keys. The workspace's other seeded
-//! jitter streams (lease and hedge deadlines, chaos faults, supervision
-//! thresholds) draw through the same function under their own salts.
+//! occur and where inside an attempt they strike, each by one
+//! [`seeded_unit`] draw (the workspace's one seeded jitter construction).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

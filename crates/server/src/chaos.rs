@@ -49,10 +49,9 @@ const SALT_SLOW_DELAY: u64 = 0xC4A0_000A;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ChaosProfile {
-    /// The kill/duplicate/reorder/crash storm, served without hedging: a
-    /// dropped result waits out its lease, so leases expire and are
-    /// reclaimed, late tells are rejected, and workers whose results go
-    /// missing are quarantined.
+    /// The kill/duplicate/reorder/crash storm, served without hedging: leases
+    /// expire and are reclaimed, late tells are rejected, and workers whose
+    /// results go missing are quarantined.
     Baseline,
     /// Crashes additionally flip seeded bits inside journal bodies; the
     /// harness recovers through `fsck --salvage` and proves byte-exact
@@ -372,11 +371,8 @@ fn harness_config(root: &Path, profile: ChaosProfile) -> ServerConfig {
         },
         snapshot_every_commits: 3,
         // The baseline storm serves without hedging, so a dropped result
-        // waits out its lease: the lease expires, the candidate is
-        // reclaimed and re-issued, and a late delivery is rejected. The
-        // other profiles hedge after one round of silence (plus jitter) —
-        // shorter than the lease TTL, so the duplicate race runs before
-        // reclamation would have re-pooled the candidate.
+        // waits out its lease. The other profiles hedge after one round of
+        // silence (plus jitter), before reclamation would re-pool it.
         hedge_after_s: match profile {
             ChaosProfile::Baseline => 0.0,
             ChaosProfile::BitRot | ChaosProfile::SlowWorker => 120.0,

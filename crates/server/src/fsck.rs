@@ -29,9 +29,9 @@
 //! **last valid record** (everything after the first defective record is
 //! suspect — appends are strictly ordered), stale temp files are removed,
 //! a defective snapshot is dropped *only when* the journal still holds
-//! the complete sample history from slot 0, and a journal that holds no
-//! complete line — a kill between its creation and its header write —
-//! is removed when no snapshot exists, since nothing was committed. Because a study's schedule is
+//! the complete sample history from slot 0, and a journal with no complete
+//! line (killed before its header landed) is removed when no snapshot
+//! exists, since nothing was committed. Because a study's schedule is
 //! a pure function of `(spec, journaled evaluations)`, replay from any
 //! valid durable prefix reconverges to the exact committed bytes — salvage
 //! never invents state, it only discards unacknowledged or unverifiable
@@ -188,8 +188,7 @@ pub(crate) struct StudyScan {
     valid_records: usize,
     /// The journal's first defect; the scan reads nothing past it.
     journal_defect: Option<(StoreDefect, String)>,
-    /// The journal holds no complete line: a kill landed between its
-    /// creation and its header write, before anything was committed.
+    /// The journal holds no complete line: killed before its header landed.
     headerless: bool,
     /// Why the snapshot was not merged: it does not decode, or another run
     /// wrote it.
@@ -426,9 +425,9 @@ fn fsck_study(root: &Path, name: &str, salvage: bool) -> Result<StudyFsck> {
             ));
         }
     }
-    // Any other journal whose header frame is gone cannot be reopened: the
-    // header binds the durable state to a run identity, and fsck will not
-    // guess one.
+    // Otherwise a journal whose header frame is gone cannot be reopened:
+    // the header binds the durable state to a run identity, and fsck will
+    // not guess one.
     if scan.state.is_none() {
         study.recoverable = removable;
         return Ok(study);

@@ -178,31 +178,23 @@ impl StudyJournal {
         Ok(journal)
     }
 
-    /// The held sink a reopen replays study `header.name` into: it writes
-    /// nothing until [`StudyJournal::reopen`] flushes it once the replay
-    /// has verified, then snapshots every `snapshot_every` commits. Sweeps
-    /// an orphaned snapshot `*.tmp`.
-    pub(crate) fn snapshot_sink(
-        root: &Path,
-        header: &JournalHeader,
-        snapshot_every: usize,
-    ) -> CheckpointSink {
-        CheckpointSink::held(snapshot_config(root, header, snapshot_every), &header.run)
-    }
-
-    /// Reopens a recovered study once its replay has verified: `snapshot`
-    /// (from [`StudyJournal::snapshot_sink`]) holds the replayed state,
-    /// which is written as the snapshot before the journal rotates down to
-    /// its header line, each step atomic.
+    /// Reopens a recovered study: `replay` fills a held snapshot sink,
+    /// which writes nothing, and only once it has verified is that state
+    /// written as the snapshot and the journal rotated down to its header
+    /// line, each step atomic. Sweeps an orphaned snapshot `*.tmp`.
     ///
     /// # Errors
     ///
-    /// [`Error::Checkpoint`] on I/O failures.
+    /// Whatever `replay` returns, and [`Error::Checkpoint`] on I/O failures.
     pub(crate) fn reopen(
         root: &Path,
         header: &JournalHeader,
-        snapshot: CheckpointSink,
+        snapshot_every: usize,
+        replay: impl FnOnce(&mut CheckpointSink) -> Result<()>,
     ) -> Result<Self> {
+        let config = snapshot_config(root, header, snapshot_every);
+        let mut snapshot = CheckpointSink::held(config, &header.run);
+        replay(&mut snapshot)?;
         let mut journal = Self::open(root, header, snapshot)?;
         journal.flush()?;
         Ok(journal)

@@ -343,18 +343,18 @@ impl StudyServer {
                 header
                     .run
                     .verify(&format!("journal for study {name:?}"), &recovered.header)?;
-                let mut snapshot = StudyJournal::snapshot_sink(root, &header, every);
-                // The journal records every evaluation before the commit
-                // that consumes it, so a miss means it lost non-tail
-                // records.
-                study.replay(&space, &mut gpu, &recovered, Some(&mut snapshot), |c| {
-                    Err(Error::ResumeMismatch(format!(
-                        "replaying study {name:?} reached proposal {} without its evaluation \
-                         — evaluations are missing from the journal",
-                        c.query
-                    )))
-                })?;
-                StudyJournal::reopen(root, &header, snapshot)?
+                StudyJournal::reopen(root, &header, every, |snapshot| {
+                    // The journal records every evaluation before the
+                    // commit that consumes it, so a miss means it lost
+                    // non-tail records.
+                    study.replay(&space, &mut gpu, &recovered, Some(snapshot), |c| {
+                        Err(Error::ResumeMismatch(format!(
+                            "replaying study {name:?} reached proposal {} without its \
+                             evaluation — evaluations are missing from the journal",
+                            c.query
+                        )))
+                    })
+                })?
             }
         };
         self.tenants.register(name, self.clock_s);
@@ -604,17 +604,12 @@ impl StudyServer {
             fleet_transitions: self.workers.sweep(now_s) + self.tenants.sweep(now_s),
             ..TickReport::default()
         };
-        let hedge_policy = RetryPolicy {
-            max_retries: 0,
-            backoff_base_s: self.config.hedge_after_s,
-            backoff_factor: self.config.lease_policy.backoff_factor,
-            backoff_jitter_frac: self.config.lease_policy.backoff_jitter_frac,
-        };
-        let hedging = self.config.hedge_after_s > 0.0 && self.workers.any_eligible();
+        let hedge_after_s = self.config.hedge_after_s;
+        let hedging = hedge_after_s > 0.0 && self.workers.any_eligible();
         for (name, entry) in &mut self.studies {
             report.reclaimed += entry.study.reclaim_expired(now_s);
             if hedging {
-                for candidate in entry.study.hedge_overdue(now_s, &hedge_policy) {
+                for candidate in entry.study.hedge_overdue(now_s, hedge_after_s) {
                     report.hedged.push((name.clone(), candidate));
                 }
             }

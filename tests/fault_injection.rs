@@ -639,15 +639,15 @@ fn a_doctored_checkpoint_fails_before_any_objective_call() {
 /// A run that resumes from the checkpoint it writes must not touch the
 /// file before its replay verifies: a failed resume leaves the doctored
 /// bytes in place, so a second resume is refused the same way instead of
-/// trusting samples the first one recomputed.
+/// trusting samples the first one recomputed. Once a replay verifies, the
+/// run checkpoints on its cadence again.
 #[test]
 fn a_failed_self_resume_leaves_its_checkpoint_untouched() {
     let options = ExecutorOptions::default().with_fault_profile(FaultProfile::flaky_sensor());
     let ckpt = scratch_path("doctored_self_resume.ckpt");
     let doctored = kill_and_doctor(&ckpt, &options);
-    let self_resume = options
-        .with_checkpoint(CheckpointConfig::every_commit(&ckpt))
-        .with_resume_from(&ckpt);
+    let checkpointing = options.with_checkpoint(CheckpointConfig::every_commit(&ckpt));
+    let self_resume = checkpointing.clone().with_resume_from(&ckpt);
     for attempt in 1..=2 {
         assert_doctored_sample_refused(run_stub(
             &ChaosObjective::new(0),
@@ -661,6 +661,24 @@ fn a_failed_self_resume_leaves_its_checkpoint_untouched() {
             "resume {attempt} rewrote the checkpoint it failed to verify"
         );
     }
+
+    // An undoctored checkpoint of the first 5 commits verifies; the
+    // resumed run then commits 2 more, each written, before its next kill.
+    for (checkpoint, killed_after) in [(&checkpointing, 5), (&self_resume, 2)] {
+        run_stub(
+            &ChaosObjective::new(killed_after),
+            Budget::Evaluations(10),
+            checkpoint,
+            None,
+        )
+        .expect_err("chaos objective must kill the run");
+    }
+    let resumed = hyperpower::checkpoint::RunCheckpoint::load(&ckpt).expect("checkpoint");
+    assert_eq!(
+        resumed.samples.len(),
+        7,
+        "the resumed run stopped checkpointing"
+    );
 }
 
 /// A resumed run replays into its own checkpoint sink, so the file it
