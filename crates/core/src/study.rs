@@ -896,7 +896,8 @@ impl Study {
     pub fn hedge_overdue(&mut self, now_s: f64, hedge_after_s: f64) -> Vec<LeasedCandidate> {
         let mut out = Vec::new();
         for item in &mut self.queue {
-            if item.awaits_result() && self.ledger.hedge_due(item, now_s, hedge_after_s) {
+            // An outstanding lease means its proposal awaits a result.
+            if self.ledger.hedge_due(item, now_s, hedge_after_s) {
                 out.push(self.ledger.issue(item, now_s));
                 item.hedged = item.hedged.saturating_add(1);
             }
