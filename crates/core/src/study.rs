@@ -397,16 +397,15 @@ impl LeaseLedger {
         now_s - record.issued_s > hedge.backoff_secs(item.attempt, jitter)
     }
 
-    /// Fulfils `lease_id` and every sibling on its proposal's `leases`
-    /// still in flight (hedged duplicates, whose tells are then absorbed as
-    /// duplicates). Returns how many siblings it superseded.
-    fn fulfil(&mut self, lease_id: u64, leases: &mut Vec<u64>) -> u64 {
-        self.settle(lease_id, LeaseState::Fulfilled);
-        let mut superseded = 0;
-        for sibling in leases.drain(..) {
-            superseded += u64::from(self.settle(sibling, LeaseState::Fulfilled));
+    /// Fulfils the siblings of fulfilled lease `lease_id` on its proposal's
+    /// `leases` (hedged duplicates, whose tells are then absorbed as
+    /// duplicates). Returns how many were still in flight.
+    fn supersede(&mut self, lease_id: u64, leases: &mut Vec<u64>) -> u64 {
+        let outstanding = self.outstanding;
+        for sibling in leases.drain(..).filter(|&id| id != lease_id) {
+            self.settle(sibling, LeaseState::Fulfilled);
         }
-        superseded
+        (outstanding - self.outstanding) as u64
     }
 
     /// Expires every lease of the queued proposals whose deadline `now_s`
@@ -415,10 +414,13 @@ impl LeaseLedger {
         let outstanding = self.outstanding;
         for item in queue {
             item.leases.retain(|&lease_id| {
-                let due = matches!(self.records.get(&lease_id), Some(r) if r.deadline_s < now_s);
-                let expired = due && self.settle(lease_id, LeaseState::Expired);
-                item.reclaimed = item.reclaimed.saturating_add(u32::from(expired));
-                !expired
+                let due = matches!(self.records.get(&lease_id),
+                    Some(r) if r.state == LeaseState::Outstanding && r.deadline_s < now_s);
+                if due {
+                    self.settle(lease_id, LeaseState::Expired);
+                    item.reclaimed = item.reclaimed.saturating_add(1);
+                }
+                !due
             });
         }
         outstanding - self.outstanding
@@ -432,17 +434,16 @@ impl LeaseLedger {
         }
     }
 
-    /// Moves lease `lease_id` from outstanding to `state`, returning
-    /// whether it was outstanding; a settled lease never changes again.
-    fn settle(&mut self, lease_id: u64, state: LeaseState) -> bool {
-        match self.records.get_mut(&lease_id) {
-            Some(record) if record.state == LeaseState::Outstanding => {
-                record.state = state;
-                self.outstanding -= 1;
-                true
-            }
-            _ => false,
+    /// Moves lease `lease_id` to `state` if it is outstanding (a settled
+    /// lease never changes again), returning its record as it was.
+    fn settle(&mut self, lease_id: u64, state: LeaseState) -> Option<LeaseRecord> {
+        let record = self.records.get_mut(&lease_id)?;
+        let was = *record;
+        if was.state == LeaseState::Outstanding {
+            record.state = state;
+            self.outstanding -= 1;
         }
+        Some(was)
     }
 }
 
@@ -800,7 +801,9 @@ impl Study {
         result: &EvaluationResult,
         sink: Option<&mut S>,
     ) -> Result<TellOutcome> {
-        let Some(&record) = self.ledger.records.get(&lease_id) else {
+        // The tell fulfils an outstanding lease; any other settles by its
+        // state.
+        let Some(record) = self.ledger.settle(lease_id, LeaseState::Fulfilled) else {
             return Err(Error::UnknownLease { lease_id });
         };
         match record.state {
@@ -823,7 +826,7 @@ impl Study {
         item.result = Some(*result);
         // First fulfilment wins: hedged siblings still in flight are
         // superseded.
-        self.hedges_superseded += self.ledger.fulfil(lease_id, &mut item.leases);
+        self.hedges_superseded += self.ledger.supersede(lease_id, &mut item.leases);
         self.finish_training(at, gpu);
         let before = self.samples.len();
         self.advance(None, 1, gpu, sink)?;
