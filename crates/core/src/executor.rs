@@ -261,14 +261,14 @@ pub fn run_optimization_with(setup: RunSetup<'_>, options: &ExecutorOptions) -> 
         Study::new(spec, oracle, searcher_override).with_simulated_gpus(options.simulated_gpus);
     let identity = study.identity();
     // A resume writes nothing until its replay verifies.
-    let open = match options.resume_from {
+    let new_sink = match options.resume_from {
         Some(_) => CheckpointSink::held,
         None => CheckpointSink::new,
     };
     let mut sink = options
         .checkpoint
         .clone()
-        .map(|config| open(config, &identity));
+        .map(|config| new_sink(config, &identity));
     let evaluate = |c: &LeasedCandidate| evaluate_caught(objective, early_termination.as_ref(), c);
     if let Some(path) = &options.resume_from {
         // Resuming opens the checkpoint to write again: sweep what a crashed
