@@ -337,6 +337,45 @@ fn golden_hwieci_evals8_drifting_hw_g2() {
     );
 }
 
+/// CRC32 over the little-endian trace CRCs that
+/// [`schedule_grid_trace_crcs_are_pinned`] folds, in grid order.
+const SCHEDULE_GRID_CRC: u32 = 0x8f9f_3b34;
+
+/// The multi-GPU schedule over the grid the fixtures leave open: odd and
+/// even G, Rand-Walk past one GPU, screened rejections and out-of-memory
+/// retries racing trainings to commit, under both budget kinds. Each
+/// run's trace CRC32 folds, in grid order, into one pinned CRC, so a
+/// change to which GPU takes a proposal or which finished proposal
+/// commits next moves it.
+#[test]
+fn schedule_grid_trace_crcs_are_pinned() {
+    let mut session = Session::new(Scenario::mnist_gtx1070(), GOLDEN_SEED).expect("session setup");
+    let runs = [
+        (Method::Rand, Mode::HyperPower),
+        (Method::RandWalk, Mode::Default),
+        (Method::HwCwei, Mode::HyperPower),
+    ];
+    let mut crcs = Vec::new();
+    for count in [1, 2, 3, 5] {
+        for (method, mode) in runs {
+            for budget in [EVALS8, HOURS] {
+                for profile in [FaultProfile::none(), FaultProfile::oom_heavy()] {
+                    let options = gpus(count).with_fault_profile(profile);
+                    let trace = session
+                        .run_seeded_with(method, mode, budget, GOLDEN_SEED, &options)
+                        .expect("schedule grid run");
+                    crcs.extend(crc32(encode_trace(&trace).as_bytes()).to_le_bytes());
+                }
+            }
+        }
+    }
+    let crc = crc32(&crcs);
+    assert_eq!(
+        crc, SCHEDULE_GRID_CRC,
+        "schedule grid trace bytes changed: crc32 {crc:#010x}, pinned {SCHEDULE_GRID_CRC:#010x}"
+    );
+}
+
 /// CRC32 of the encoded trace [`thompson_hwieci_trace_crc_is_pinned`]
 /// runs.
 const THOMPSON_HWIECI_CRC: u32 = 0xadb8_5d5d;
