@@ -13,14 +13,14 @@
 //! # The virtual schedule
 //!
 //! A study models G simulated training GPUs, each with its own virtual
-//! timeline ([`WorkerClock`]). The earliest free GPU (lowest index on
-//! ties) takes the next proposal; the searcher proposes against the
-//! committed history with the candidates still in flight as constant-liar
-//! pending points ([`Searcher::propose_with_pending`]). When a candidate's
-//! result is told, its fault schedule and measurement pass replay on its
-//! GPU's timeline, which fixes its completion instant. Samples commit in
-//! `(completion time, proposal index)` order through a [`CommitQueue`],
-//! each once no GPU can still finish anything earlier.
+//! timeline. The earliest free GPU (lowest index on ties) takes the next
+//! proposal; the searcher proposes against the committed history with the
+//! candidates still in flight as constant-liar pending points
+//! ([`Searcher::propose_with_pending`]). When a candidate's result is
+//! told, its fault schedule and measurement pass replay on its GPU's
+//! timeline, which fixes its completion instant. Samples commit in
+//! `(completion time, proposal index)` order, each once no GPU can still
+//! finish anything earlier. This module alone holds both ordering rules.
 //!
 //! Screening, quarantine, the virtual-hours deadline and the rejection
 //! valve are all decided at a candidate's **virtual dispatch instant**,
@@ -73,9 +73,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use hyperpower_gpu_sim::{
-    seeded_unit, CommitQueue, FaultPlan, FaultProfile, Gpu, TrainingCostModel, WorkerClock,
-};
+use hyperpower_gpu_sim::{seeded_unit, FaultPlan, FaultProfile, Gpu, TrainingCostModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -261,15 +259,45 @@ struct LeaseLedger {
     seed: u64,
 }
 
-/// What one simulated GPU's timeline is doing.
+/// What one simulated GPU is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lane {
+enum LaneState {
     /// Takes the next proposal at its timeline's current instant.
     Free,
     /// Training a dispatched candidate until that candidate commits.
     Busy,
     /// Past the virtual-hours deadline: takes nothing more.
     Blocked,
+}
+
+/// One simulated GPU: its virtual timeline and what it is doing.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// The timeline's current instant, in virtual seconds.
+    now_s: f64,
+    state: LaneState,
+}
+
+impl Lane {
+    /// A free GPU at time zero.
+    const IDLE: Lane = Lane {
+        now_s: 0.0,
+        state: LaneState::Free,
+    };
+
+    /// Advances the timeline by `dt_s` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt_s` is negative or non-finite, so every completion
+    /// instant stays finite and the commit order total.
+    fn advance_secs(&mut self, dt_s: f64) {
+        assert!(
+            dt_s.is_finite() && dt_s >= 0.0,
+            "cannot advance clock by {dt_s}"
+        );
+        self.now_s += dt_s;
+    }
 }
 
 /// Where a proposal stands on the virtual schedule.
@@ -280,9 +308,9 @@ enum Stage {
     Planned,
     /// Training on this GPU; it finishes once its result is told.
     Running(usize),
-    /// Finished at a known virtual instant; its `(time, query)` key waits
-    /// in the commit queue.
-    Done(Verdict),
+    /// Finished at virtual instant `time_s`; it commits in `(time_s,
+    /// query)` order.
+    Done { time_s: f64, verdict: Verdict },
 }
 
 /// What a finished proposal commits.
@@ -335,15 +363,23 @@ struct Planned {
 impl Planned {
     /// Whether a worker still owes this proposal an evaluation.
     fn awaits_result(&self) -> bool {
-        !self.screened && self.result.is_none() && !matches!(self.stage, Stage::Done(_))
+        !self.screened && self.result.is_none() && !matches!(self.stage, Stage::Done { .. })
     }
 
     /// Dispatched for training and not yet committed: a pending point for
     /// the next proposal.
     fn in_flight(&self) -> bool {
+        matches!(self.stage, Stage::Running(_)) || self.trained()
+    }
+
+    /// Trained and finished, awaiting its commit.
+    fn trained(&self) -> bool {
         matches!(
             self.stage,
-            Stage::Running(_) | Stage::Done(Verdict::Trained { .. })
+            Stage::Done {
+                verdict: Verdict::Trained { .. },
+                ..
+            }
         )
     }
 }
@@ -561,8 +597,7 @@ pub struct Study {
     plan: FaultPlan,
     searcher: Box<dyn Searcher>,
     rng: StdRng,
-    /// One virtual timeline per simulated GPU.
-    clock: WorkerClock,
+    /// One record per simulated GPU.
     lanes: Vec<Lane>,
     history: History,
     samples: Vec<Sample>,
@@ -574,8 +609,6 @@ pub struct Study {
     monitor: Option<DriftMonitor>,
     /// Every proposal not yet committed, in proposal order.
     queue: VecDeque<Planned>,
-    /// The `(completion time, query)` keys of the finished proposals.
-    done: CommitQueue<()>,
     ledger: LeaseLedger,
     finished: bool,
     hedges_issued: u64,
@@ -638,8 +671,7 @@ impl Study {
             plan,
             searcher,
             rng,
-            clock: WorkerClock::new(1),
-            lanes: vec![Lane::Free],
+            lanes: vec![Lane::IDLE],
             history: History::new(),
             samples: Vec::new(),
             evaluations: 0,
@@ -649,7 +681,6 @@ impl Study {
             live_oracle,
             monitor,
             queue: VecDeque::new(),
-            done: CommitQueue::new(),
             ledger,
             finished: false,
             hedges_issued: 0,
@@ -661,9 +692,7 @@ impl Study {
     /// semantic knob: it changes the schedule and so the trace. Call
     /// before the first [`Study::ask`].
     pub(crate) fn with_simulated_gpus(mut self, gpus: usize) -> Self {
-        let gpus = gpus.max(1);
-        self.clock = WorkerClock::new(gpus);
-        self.lanes = vec![Lane::Free; gpus];
+        self.lanes = vec![Lane::IDLE; gpus.max(1)];
         self
     }
 
@@ -733,19 +762,26 @@ impl Study {
             mode: self.spec.mode,
             budgets: self.spec.budgets,
             samples: self.samples.clone(),
-            total_time_s: self.clock.latest_secs(),
+            total_time_s: self.latest_secs(),
         }
     }
 
     /// Consumes the study and returns its final trace.
     pub fn into_trace(self) -> Trace {
+        let total_time_s = self.latest_secs();
         Trace {
             method: self.spec.method,
             mode: self.spec.mode,
             budgets: self.spec.budgets,
             samples: self.samples,
-            total_time_s: self.clock.latest_secs(),
+            total_time_s,
         }
+    }
+
+    /// The latest GPU timeline: the run's elapsed virtual time once every
+    /// GPU has drained.
+    fn latest_secs(&self) -> f64 {
+        self.lanes.iter().map(|l| l.now_s).fold(0.0, f64::max)
     }
 
     /// Runs the schedule forward, planning proposals as needed, and
@@ -947,8 +983,8 @@ impl Study {
                 break;
             }
         }
-        let idle = self.done.is_empty() && !self.lanes.contains(&Lane::Busy);
-        if idle && !(self.may_dispatch() && self.lanes.contains(&Lane::Free)) {
+        let idle = self.next_done().is_none() && self.busy_lanes() == 0;
+        if idle && !(self.may_dispatch() && self.earliest_free_lane().is_some()) {
             self.finish();
         }
         Ok(())
@@ -979,21 +1015,36 @@ impl Study {
     }
 
     fn busy_lanes(&self) -> usize {
-        self.lanes.iter().filter(|l| **l == Lane::Busy).count()
+        self.lanes
+            .iter()
+            .filter(|l| l.state == LaneState::Busy)
+            .count()
     }
 
-    /// The free GPU whose timeline is earliest, lowest index on ties.
+    /// The free GPU whose timeline is earliest, lowest index on ties. Free
+    /// GPUs at one instant are interchangeable, so the tie-break only
+    /// names the lane and never reaches the trace.
     fn earliest_free_lane(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (w, lane) in self.lanes.iter().enumerate() {
-            if *lane != Lane::Free {
-                continue;
-            }
-            if best.is_none_or(|b| self.clock.seconds(w) < self.clock.seconds(b)) {
-                best = Some(w);
-            }
-        }
-        best
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.state == LaneState::Free)
+            .min_by(|(_, a), (_, b)| a.now_s.total_cmp(&b.now_s))
+            .map(|(w, _)| w)
+    }
+
+    /// The finished proposal that commits next, as its queue position and
+    /// completion instant: the earliest instant, and on ties the lowest
+    /// proposal index, which is the queue's order.
+    fn next_done(&self) -> Option<(usize, f64)> {
+        self.queue
+            .iter()
+            .enumerate()
+            .filter_map(|(at, i)| match i.stage {
+                Stage::Done { time_s, .. } => Some((at, time_s)),
+                _ => None,
+            })
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
     }
 
     /// Dispatches the next proposal onto the earliest free GPU, planning a
@@ -1008,14 +1059,14 @@ impl Study {
         if !self.may_dispatch() {
             return Ok(false);
         }
-        let Some(lane) = self.earliest_free_lane() else {
+        let Some(w) = self.earliest_free_lane() else {
             return Ok(false);
         };
         if let Budget::VirtualHours(h) = self.spec.budget {
             // Paper rule: the last sample queried before the deadline
             // completes; this GPU queries nothing further.
-            if self.clock.seconds(lane) / 3600.0 >= h {
-                self.lanes[lane] = Lane::Blocked;
+            if self.lanes[w].now_s / 3600.0 >= h {
+                self.lanes[w].state = LaneState::Blocked;
                 return Ok(true);
             }
         }
@@ -1066,23 +1117,26 @@ impl Study {
         } else {
             None
         };
+        let lane = &mut self.lanes[w];
         match rejection {
             Some(verdict) => {
-                self.clock.advance_secs(lane, self.spec.cost.model_eval_s);
+                lane.advance_secs(self.spec.cost.model_eval_s);
                 self.ledger.void(&mut item.leases);
-                item.stage = Stage::Done(verdict);
-                self.done.push(self.clock.seconds(lane), item.query, ());
+                item.stage = Stage::Done {
+                    time_s: lane.now_s,
+                    verdict,
+                };
                 self.consecutive_rejections += 1;
             }
             None => {
                 if self.screen_active {
                     // Feasibility checks on surviving candidates are
                     // billed too.
-                    self.clock.advance_secs(lane, self.spec.cost.model_eval_s);
+                    lane.advance_secs(self.spec.cost.model_eval_s);
                 }
                 self.consecutive_rejections = 0;
-                self.lanes[lane] = Lane::Busy;
-                item.stage = Stage::Running(lane);
+                lane.state = LaneState::Busy;
+                item.stage = Stage::Running(w);
                 self.finish_training(at, gpu);
             }
         }
@@ -1166,10 +1220,11 @@ impl Study {
         let Some(item) = self.queue.get_mut(at) else {
             return;
         };
-        let (Stage::Running(lane), Some(result)) = (&item.stage, item.result) else {
+        let (Stage::Running(w), Some(result)) = (&item.stage, item.result) else {
             return;
         };
-        let lane = *lane;
+        let w = *w;
+        let lane = &mut self.lanes[w];
         let pressure_frac = memory_pressure_frac(gpu, &item.decoded);
         let trial = plan_trial(
             &self.plan,
@@ -1178,23 +1233,25 @@ impl Study {
             &result,
             pressure_frac,
         );
-        self.clock.advance_secs(lane, trial.charged_secs);
+        lane.advance_secs(trial.charged_secs);
         let mut glitched = false;
         if let TrialOutcome::Completed { .. } = trial.outcome {
             glitched = self.plan.sensor_glitch(item.query);
-            self.clock.advance_secs(lane, self.spec.cost.measurement_s);
+            lane.advance_secs(self.spec.cost.measurement_s);
             if glitched {
                 // The repeated measurement pass after a sensor glitch.
-                self.clock.advance_secs(lane, self.spec.cost.measurement_s);
+                lane.advance_secs(self.spec.cost.measurement_s);
             }
         }
-        item.stage = Stage::Done(Verdict::Trained {
-            lane,
-            result,
-            trial,
-            glitched,
-        });
-        self.done.push(self.clock.seconds(lane), item.query, ());
+        item.stage = Stage::Done {
+            time_s: lane.now_s,
+            verdict: Verdict::Trained {
+                lane: w,
+                result,
+                trial,
+                glitched,
+            },
+        };
     }
 
     /// Whether the finished proposal ending at `time_s` may commit. Every
@@ -1212,9 +1269,10 @@ impl Study {
             return false;
         }
         !self.may_dispatch()
-            || self.lanes.iter().enumerate().all(|(w, lane)| {
-                *lane != Lane::Free || (!trained && time_s <= self.clock.seconds(w))
-            })
+            || self
+                .lanes
+                .iter()
+                .all(|lane| lane.state != LaneState::Free || (!trained && time_s <= lane.now_s))
     }
 
     /// The single commit point: commits the earliest finished proposal if
@@ -1228,32 +1286,25 @@ impl Study {
         gpu: &mut Gpu,
         mut sink: Option<&mut S>,
     ) -> Result<bool> {
-        let Some((time_s, query)) = self.done.peek_min_key() else {
+        let Some((at, time_s)) = self.next_done() else {
             return Ok(false);
         };
-        let at = self.queue.iter().position(|i| i.query == query);
-        let trained = at
-            .and_then(|at| self.queue.get(at))
-            .is_some_and(|i| matches!(i.stage, Stage::Done(Verdict::Trained { .. })));
+        let trained = self.queue.get(at).is_some_and(Planned::trained);
         if !self.may_commit(time_s, trained) {
             return Ok(false);
         }
-        let popped = self.done.pop_min();
-        let (
-            Some(_),
-            Some(Planned {
-                config,
-                decoded,
-                eval_seed,
-                degradations,
-                hedged,
-                reclaimed,
-                stage: Stage::Done(verdict),
-                ..
-            }),
-        ) = (popped, at.and_then(|at| self.queue.remove(at)))
+        let Some(Planned {
+            config,
+            decoded,
+            eval_seed,
+            degradations,
+            hedged,
+            reclaimed,
+            stage: Stage::Done { verdict, .. },
+            ..
+        }) = self.queue.remove(at)
         else {
-            // Every commit-queue key belongs to a finished queued proposal. analyze::allow(R15)
+            // `next_done` names a finished queued proposal. analyze::allow(R15)
             unreachable!("finished proposal missing from the schedule");
         };
         let mut sample = Sample {
@@ -1292,7 +1343,7 @@ impl Study {
                 glitched,
             } => {
                 if let Some(l) = self.lanes.get_mut(lane) {
-                    *l = Lane::Free;
+                    l.state = LaneState::Free;
                 }
                 if let Some(s) = sink.as_deref_mut() {
                     s.record_eval(eval_seed, &result);

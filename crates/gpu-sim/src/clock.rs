@@ -63,187 +63,6 @@ impl VirtualClock {
     }
 }
 
-/// Per-worker virtual timelines for multi-GPU experiments.
-///
-/// An optimization run models K simulated training GPUs, each with its own
-/// wall clock. A worker's timeline advances by the modelled duration of every
-/// action it performs (proposal overhead, training, measurement), exactly like
-/// [`VirtualClock`] does for a single timeline; the experiment-level clock
-/// is the *latest* worker timeline, and scheduling decisions pick the
-/// *earliest* free worker with a deterministic lowest-index tiebreak.
-///
-/// # Examples
-///
-/// ```
-/// use hyperpower_gpu_sim::WorkerClock;
-///
-/// let mut clock = WorkerClock::new(3);
-/// clock.advance_secs(1, 50.0);
-/// clock.advance_secs(2, 80.0);
-/// assert_eq!(clock.earliest(), 0); // index tiebreak is irrelevant here
-/// assert!((clock.latest_secs() - 80.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerClock {
-    now_s: Vec<f64>,
-}
-
-impl WorkerClock {
-    /// `workers` timelines, all at time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker timeline");
-        WorkerClock {
-            now_s: vec![0.0; workers],
-        }
-    }
-
-    /// Number of worker timelines.
-    pub fn workers(&self) -> usize {
-        self.now_s.len()
-    }
-
-    /// Advances worker `w`'s timeline by `dt_s` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range or `dt_s` is negative or non-finite
-    /// (mirroring [`VirtualClock::advance_secs`]).
-    pub fn advance_secs(&mut self, w: usize, dt_s: f64) {
-        assert!(
-            dt_s.is_finite() && dt_s >= 0.0,
-            "cannot advance clock by {dt_s}"
-        );
-        self.now_s[w] += dt_s;
-    }
-
-    /// Worker `w`'s current time in seconds.
-    pub fn seconds(&self, w: usize) -> f64 {
-        self.now_s[w]
-    }
-
-    /// Index of the worker whose timeline is earliest; ties break to the
-    /// lowest index, so scheduling is deterministic.
-    pub fn earliest(&self) -> usize {
-        let mut best = 0;
-        for (w, &t) in self.now_s.iter().enumerate().skip(1) {
-            if t.total_cmp(&self.now_s[best]) == std::cmp::Ordering::Less {
-                best = w;
-            }
-        }
-        best
-    }
-
-    /// The latest worker timeline in seconds — the experiment-level elapsed
-    /// time once all workers have drained.
-    pub fn latest_secs(&self) -> f64 {
-        // In-bounds: `now_s` has one entry per worker, workers >= 1.
-        let mut latest = self.now_s[0];
-        for &t in &self.now_s[1..] {
-            if t.total_cmp(&latest) == std::cmp::Ordering::Greater {
-                latest = t;
-            }
-        }
-        latest
-    }
-}
-
-/// A deterministic completion-ordered queue for committing parallel results.
-///
-/// Items are pushed with their virtual completion time and a unique sequence
-/// number (proposal order). [`CommitQueue::pop_min`] always returns the item
-/// with the smallest `(completion time, sequence)` pair — `total_cmp` on the
-/// time, then the sequence as tiebreak — so the commit order of concurrently
-/// finishing work never depends on thread scheduling.
-#[derive(Debug, Clone)]
-pub struct CommitQueue<T> {
-    items: Vec<(f64, u64, T)>,
-}
-
-impl<T> Default for CommitQueue<T> {
-    fn default() -> Self {
-        CommitQueue { items: Vec::new() }
-    }
-}
-
-impl<T> CommitQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        CommitQueue::default()
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Queues `item` completing at `time_s` with proposal-order `seq`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time_s` is non-finite: a NaN completion time would make
-    /// the commit order meaningless.
-    pub fn push(&mut self, time_s: f64, seq: u64, item: T) {
-        assert!(time_s.is_finite(), "completion time {time_s} not finite");
-        self.items.push((time_s, seq, item));
-    }
-
-    /// Removes and returns the `(time_s, seq, item)` triple with the
-    /// smallest `(time, seq)` key, or `None` if empty.
-    pub fn pop_min(&mut self) -> Option<(f64, u64, T)> {
-        let mut best: Option<usize> = None;
-        for (i, (t, s, _)) in self.items.iter().enumerate() {
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    let (bt, bs, _) = &self.items[b]; // in-bounds: b comes from enumerate. analyze::allow(R15)
-                    if key_less((*t, *s), (*bt, *bs)) {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        best.map(|i| self.items.swap_remove(i))
-    }
-
-    /// The smallest `(time, seq)` key currently queued, without removing it.
-    pub fn peek_min_key(&self) -> Option<(f64, u64)> {
-        let mut best: Option<(f64, u64)> = None;
-        for (t, s, _) in &self.items {
-            best = match best {
-                None => Some((*t, *s)),
-                Some(b) => {
-                    if key_less((*t, *s), b) {
-                        Some((*t, *s))
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        best
-    }
-}
-
-/// `(time, seq)` strict ordering: `total_cmp` on the time, sequence tiebreak.
-fn key_less(a: (f64, u64), b: (f64, u64)) -> bool {
-    match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-        std::cmp::Ordering::Greater => false,
-    }
-}
-
 /// Models how long training-related actions take on the training server.
 ///
 /// In the paper's setup candidate networks are *trained* on the server and
@@ -378,61 +197,6 @@ mod tests {
     fn model_eval_is_orders_cheaper_than_training() {
         let cost = TrainingCostModel::default();
         assert!(cost.model_eval_s * 15.0 < cost.per_run_overhead_s);
-    }
-
-    #[test]
-    fn worker_clock_earliest_prefers_lowest_index_on_ties() {
-        let mut c = WorkerClock::new(4);
-        assert_eq!(c.earliest(), 0);
-        c.advance_secs(0, 10.0);
-        c.advance_secs(2, 10.0);
-        // 1 and 3 are tied at 0.0 → lowest index wins.
-        assert_eq!(c.earliest(), 1);
-        c.advance_secs(1, 30.0);
-        c.advance_secs(3, 30.0);
-        // 0 and 2 are tied at 10.0 → lowest index wins.
-        assert_eq!(c.earliest(), 0);
-        assert_eq!(c.latest_secs(), 30.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot advance")]
-    fn worker_clock_negative_advance_panics() {
-        WorkerClock::new(1).advance_secs(0, -1.0);
-    }
-
-    #[test]
-    fn commit_queue_pops_by_time_then_seq() {
-        let mut q = CommitQueue::new();
-        q.push(20.0, 0, "slow-but-first");
-        q.push(10.0, 1, "fast");
-        q.push(20.0, 2, "slow-and-later");
-        q.push(15.0, 3, "middle");
-        assert_eq!(q.peek_min_key(), Some((10.0, 1)));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop_min().map(|(_, _, i)| i)).collect();
-        assert_eq!(
-            order,
-            ["fast", "middle", "slow-but-first", "slow-and-later"]
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn commit_queue_equal_times_break_by_seq() {
-        let mut q = CommitQueue::new();
-        q.push(5.0, 9, "b");
-        q.push(5.0, 3, "a");
-        q.push(5.0, 12, "c");
-        assert_eq!(q.pop_min().map(|(_, s, i)| (s, i)), Some((3, "a")));
-        assert_eq!(q.pop_min().map(|(_, s, i)| (s, i)), Some((9, "b")));
-        assert_eq!(q.pop_min().map(|(_, s, i)| (s, i)), Some((12, "c")));
-        assert_eq!(q.pop_min().map(|(_, _, i)| i), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "not finite")]
-    fn commit_queue_rejects_nan_completion_times() {
-        CommitQueue::new().push(f64::NAN, 0, ());
     }
 
     #[test]

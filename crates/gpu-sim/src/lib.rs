@@ -19,8 +19,9 @@
 //!
 //! The crate also hosts the [`VirtualClock`] and [`TrainingCostModel`] used
 //! to run the paper's wall-clock-budgeted experiments (2 h / 5 h) in
-//! simulated time, plus the multi-GPU [`WorkerClock`] and deterministic
-//! [`CommitQueue`] that the parallel executor schedules against.
+//! simulated time. How several simulated GPUs share a schedule is not
+//! simulation: `hyperpower::Study` owns each GPU's timeline and the commit
+//! order.
 //!
 //! # Examples
 //!
@@ -54,7 +55,7 @@ mod fault;
 mod sensor;
 
 pub use analysis::{analyze, InferenceReport};
-pub use clock::{CommitQueue, TrainingCostModel, VirtualClock, WorkerClock};
+pub use clock::{TrainingCostModel, VirtualClock};
 pub use device::DeviceProfile;
 pub use fault::{seeded_unit, FaultPlan, FaultProfile, TrainingFault};
 // Measurement results carry their units in the type; re-exported so

@@ -5,8 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
 use hyperpower_gpu_sim::{
-    analyze, CommitQueue, DeviceProfile, Gpu, Joules, Mebibytes, Seconds, TrainingCostModel, Watts,
-    WorkerClock,
+    analyze, DeviceProfile, Gpu, Joules, Mebibytes, Seconds, TrainingCostModel, Watts,
 };
 use hyperpower_nn::{ArchSpec, LayerSpec};
 use proptest::prelude::*;
@@ -147,61 +146,5 @@ proptest! {
     fn analysis_is_deterministic(spec in cifar_arch_strategy()) {
         let device = DeviceProfile::tegra_tx1();
         prop_assert_eq!(analyze(&device, &spec), analyze(&device, &spec));
-    }
-
-    #[test]
-    fn commit_queue_drains_sorted_without_loss(
-        entries in proptest::collection::vec((0.0f64..1e6, 0u32..1_000_000), 0..64)
-    ) {
-        // Sequence numbers are the push index: unique by construction, like
-        // the executor's proposal-order counter.
-        let mut q = CommitQueue::new();
-        for (seq, (t, payload)) in entries.iter().enumerate() {
-            q.push(*t, seq as u64, *payload);
-        }
-        prop_assert_eq!(q.len(), entries.len());
-
-        let mut popped = Vec::new();
-        while let Some(triple) = q.pop_min() {
-            popped.push(triple);
-        }
-        prop_assert!(q.is_empty());
-        // Conservation: every pushed item comes back exactly once.
-        prop_assert_eq!(popped.len(), entries.len());
-        let mut seqs: Vec<u64> = popped.iter().map(|(_, s, _)| *s).collect();
-        seqs.sort_unstable();
-        prop_assert_eq!(seqs, (0..entries.len() as u64).collect::<Vec<_>>());
-        for (t, s, payload) in &popped {
-            prop_assert_eq!((*t, *payload), entries[*s as usize]);
-        }
-        // Ordering: non-decreasing (time, seq) keys.
-        for pair in popped.windows(2) {
-            let (t0, s0, _) = pair[0];
-            let (t1, s1, _) = pair[1];
-            prop_assert!(
-                t0 < t1 || (t0 == t1 && s0 < s1),
-                "out of order: ({t0}, {s0}) before ({t1}, {s1})"
-            );
-        }
-    }
-
-    #[test]
-    fn worker_clock_earliest_is_argmin_with_index_tiebreak(
-        advances in proptest::collection::vec((0usize..4, 0.0f64..1e5), 1..40)
-    ) {
-        let mut clock = WorkerClock::new(4);
-        for (w, dt) in advances {
-            clock.advance_secs(w, dt);
-        }
-        let e = clock.earliest();
-        for w in 0..4 {
-            let (te, tw) = (clock.seconds(e), clock.seconds(w));
-            // No strictly earlier worker; ties resolve to the lowest index.
-            prop_assert!(te <= tw, "worker {w} at {tw} earlier than chosen {e} at {te}");
-            if tw == te {
-                prop_assert!(e <= w);
-            }
-        }
-        prop_assert!(clock.latest_secs() >= clock.seconds(e));
     }
 }
