@@ -26,7 +26,8 @@ use hyperpower::golden::{diff_text, encode_trace};
 use hyperpower::space::Decoded;
 use hyperpower::{
     run_optimization_with, Budget, Budgets, EarlyTermination, Error, EvaluationResult,
-    ExecutorOptions, Method, Mode, Objective, RetryPolicy, SearchSpace, StudySpec, Trace,
+    ExecutorOptions, Method, Mode, Objective, RetryPolicy, SearchSpace, StudySpec, TellOutcome,
+    Trace,
 };
 use hyperpower_gpu_sim::{seeded_unit, DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
 
@@ -58,7 +59,17 @@ pub enum ChaosProfile {
     /// reconvergence.
     BitRot,
     /// A seeded subset of workers delivers results rounds late, forcing
-    /// hedged re-dispatch: a healthy worker's duplicate wins the race.
+    /// hedged re-dispatch: a healthy worker's duplicate wins the race, and
+    /// the slow worker's superseded delivery, past its lease deadline,
+    /// counts against its health as an expired one does.
+    ///
+    /// Of the default grid's seeds only seed 2 leases to a slow worker.
+    /// Worker 0 asks first each round and takes every lease, because each
+    /// study has at most one candidate awaiting per round, and worker 0 is
+    /// slow only under seed 2. Rotating the first asker would spread the
+    /// leases, but it reshapes every profile's schedule and removes the
+    /// grid's only baseline quarantine (seed 3, four workers), so the
+    /// order stays.
     SlowWorker,
 }
 
@@ -338,13 +349,19 @@ pub struct ChaosOutcome {
 }
 
 /// One in-flight result delivery.
+#[derive(Clone, Copy)]
 struct Delivery {
     study: usize,
     lease_id: u64,
+    /// The lease's scheduler-clock deadline: a delivery past it is late.
+    deadline_s: f64,
     result: EvaluationResult,
     due_round: u64,
     /// Index of the worker carrying the result (fleet attribution).
     worker: usize,
+    /// A transport duplicate of another delivery: it says nothing about
+    /// its worker's health.
+    copy: bool,
 }
 
 /// Scheduler-clock seconds per round. Together with the harness lease
@@ -509,9 +526,11 @@ pub fn run_chaos_with(
             pending.push(Delivery {
                 study: si,
                 lease_id: candidate.lease_id,
+                deadline_s: candidate.deadline_s,
                 result,
                 due_round: round,
                 worker: w,
+                copy: false,
             });
         }
 
@@ -551,21 +570,22 @@ pub fn run_chaos_with(
                     if delay > 0 {
                         report.delayed_tells += 1;
                     }
-                    pending.push(Delivery {
+                    let delivery = Delivery {
                         study: si,
                         lease_id: candidate.lease_id,
+                        deadline_s: candidate.deadline_s,
                         result,
                         due_round: round + delay,
                         worker: w,
-                    });
+                        copy: false,
+                    };
+                    pending.push(delivery);
                     if plan.duplicate_tell(si as u64, candidate.lease_id) {
                         report.duplicated_tells += 1;
                         pending.push(Delivery {
-                            study: si,
-                            lease_id: candidate.lease_id,
-                            result,
-                            due_round: round + delay + 1,
-                            worker: w,
+                            due_round: delivery.due_round + 1,
+                            copy: true,
+                            ..delivery
                         });
                     }
                 }
@@ -583,6 +603,13 @@ pub fn run_chaos_with(
             let name = studies[delivery.study].name;
             let worker_id = &worker_ids[delivery.worker];
             match server.tell(name, delivery.lease_id, &delivery.result) {
+                Ok(_) if delivery.copy => {}
+                Ok(TellOutcome::Duplicate) if delivery.deadline_s < now_s => {
+                    // A hedge committed the candidate while this delivery
+                    // was overdue: the lateness that draws `LeaseExpired`
+                    // when no hedge covers it, so its streak grows.
+                    server.note_worker_failure(worker_id, now_s);
+                }
                 Ok(_) => server.note_worker_success(worker_id, now_s),
                 Err(ServerError::Core(Error::LeaseExpired { .. })) => {
                     // Delivered after its deadline passed and the lease

@@ -21,7 +21,7 @@
 //! The counters must show the chaos happened: every `baseline` cell,
 //! served without hedging, reclaims an expired lease and rejects a late
 //! tell, and the full default grid hedges and quarantines a worker at
-//! least once.
+//! least once, its `slow-worker` cells included.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
@@ -79,7 +79,7 @@ fn chaos_matrix_traces_are_byte_identical() {
     let artifact_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-diff");
     let fsck_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-fsck");
     let mut failures = Vec::new();
-    let (mut hedged, mut unhealthy) = (0, 0);
+    let (mut hedged, mut unhealthy, mut slow_unhealthy) = (0, 0, 0);
     for &profile in &profiles {
         for &seed in &seeds {
             for &workers in &workers_grid {
@@ -110,6 +110,9 @@ fn chaos_matrix_traces_are_byte_identical() {
                 );
                 hedged += r.hedged_leases;
                 unhealthy += r.unhealthy_workers;
+                if profile == ChaosProfile::SlowWorker {
+                    slow_unhealthy += r.unhealthy_workers;
+                }
                 if profile == ChaosProfile::Baseline
                     && (r.reclaimed_leases == 0 || r.expired_tells == 0)
                 {
@@ -148,6 +151,10 @@ fn chaos_matrix_traces_are_byte_identical() {
     }
     if full_grid && unhealthy == 0 {
         failures.push("the default grid never quarantined a worker".to_string());
+    }
+    if full_grid && slow_unhealthy == 0 {
+        failures
+            .push("the default grid's slow-worker cells never quarantined a worker".to_string());
     }
     assert!(
         failures.is_empty(),
