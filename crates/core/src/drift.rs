@@ -9,7 +9,7 @@
 //!
 //! * a [`DriftMonitor`] compares `HwModels::predict_*` against the values
 //!   actually *measured* at every committed evaluation, maintaining online
-//!   RMSPE/bias estimators per target and emitting typed [`DriftEvent`]s;
+//!   RMSPE estimators per target and emitting typed [`DriftEvent`]s;
 //! * when drift crosses [`DriftConfig::drift_threshold`] (with hysteresis:
 //!   estimators reset after a refit and re-detection is suppressed for a
 //!   cooldown), the linear models are **recalibrated** on the accumulated
@@ -167,13 +167,12 @@ impl DegradationEvent {
     }
 }
 
-/// Online error estimator for one target: running RMSPE and mean bias of
+/// Online error estimator for one target: running RMSPE of
 /// `(predicted − measured) / measured`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct OnlineError {
     n: u64,
     sum_sq_frac: f64,
-    sum_frac: f64,
 }
 
 impl OnlineError {
@@ -184,17 +183,11 @@ impl OnlineError {
         let frac = (predicted - measured) / measured;
         self.n += 1;
         self.sum_sq_frac += frac * frac;
-        self.sum_frac += frac;
     }
 
     fn rmspe(&self) -> Option<f64> {
         #[allow(clippy::cast_precision_loss)]
         (self.n > 0).then(|| (self.sum_sq_frac / self.n as f64).sqrt())
-    }
-
-    fn bias(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        (self.n > 0).then(|| self.sum_frac / self.n as f64)
     }
 
     fn reset(&mut self) {
@@ -284,12 +277,6 @@ impl DriftMonitor {
     /// [`MAX_MARGIN_FRAC`].
     pub fn margin_frac(&self) -> f64 {
         (f64::from(self.margin_steps) * self.config.safety_margin).min(MAX_MARGIN_FRAC)
-    }
-
-    /// Mean signed prediction bias of the power model, as a fraction
-    /// (positive ⇒ over-prediction), if any measurements were observed.
-    pub fn power_bias_frac(&self) -> Option<f64> {
-        self.power_err.bias()
     }
 
     /// Worst live RMSPE across targets, if any target has measurements.

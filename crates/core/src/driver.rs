@@ -263,16 +263,6 @@ impl Trace {
         self.samples.iter().map(|s| s.degradations.len()).sum()
     }
 
-    /// Total speculative (hedged) duplicate leases issued across the run.
-    pub fn hedged_count(&self) -> usize {
-        self.samples.iter().map(|s| s.hedged as usize).sum()
-    }
-
-    /// Total expired/shed lease reclamations across the run.
-    pub fn reclaimed_count(&self) -> usize {
-        self.samples.iter().map(|s| s.reclaimed as usize).sum()
-    }
-
     /// Writes the trace as CSV (one row per queried sample) for external
     /// analysis/plotting. Columns: `index,timestamp_s,kind,error,power_w,
     /// memory_bytes,latency_s,feasible,retries,failure,config...` (the

@@ -193,11 +193,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Mutably borrows the underlying row-major buffer (crate-internal:
     /// the blocked kernels in `crate::block` write through this).
     pub(crate) fn buf_mut(&mut self) -> &mut [f64] {

@@ -1,6 +1,6 @@
 //! The deterministic chaos harness.
 //!
-//! [`run_chaos`] simulates a full serving deployment — several named
+//! [`run_chaos_with`] simulates a full serving deployment — several named
 //! studies, a pool of workers, a scheduler clock — and attacks it with
 //! every failure mode the server claims to survive: killed workers
 //! (results dropped, leases left to expire), duplicated tells, reordered
@@ -449,17 +449,6 @@ fn tear_journal_tail(root: &Path, name: &str, keep_frac: f64) -> Result<bool, Er
     file.set_len(new_len)
         .map_err(|e| describe("truncating", e))?;
     Ok(true)
-}
-
-/// Runs the full chaos scenario for `(seed, workers)` with durable state
-/// under `root` (wiped first) and the baseline profile. See
-/// [`run_chaos_with`].
-///
-/// # Errors
-///
-/// As [`run_chaos_with`].
-pub fn run_chaos(seed: u64, workers: usize, root: &Path) -> Result<ChaosOutcome, ServerError> {
-    run_chaos_with(seed, workers, root, ChaosProfile::Baseline)
 }
 
 /// Runs the full chaos scenario for `(seed, workers, profile)` with

@@ -268,15 +268,6 @@ impl Fleet {
         self.members.is_empty() || self.members.keys().any(|k| self.eligible(k))
     }
 
-    /// Eligible members in deterministic (name) order.
-    pub fn eligible_members(&self) -> Vec<&str> {
-        self.members
-            .keys()
-            .filter(|k| self.eligible(k))
-            .map(String::as_str)
-            .collect()
-    }
-
     /// `(healthy, suspect, quarantined, retired)` counts for summaries.
     pub fn census(&self) -> (usize, usize, usize, usize) {
         let mut counts = (0, 0, 0, 0);

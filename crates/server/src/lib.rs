@@ -45,8 +45,8 @@ pub mod journal;
 mod server;
 
 pub use chaos::{
-    run_chaos, run_chaos_with, write_mismatch_artifacts, ChaosOutcome, ChaosPlan, ChaosProfile,
-    ChaosReport, SyntheticObjective,
+    run_chaos_with, write_mismatch_artifacts, ChaosOutcome, ChaosPlan, ChaosProfile, ChaosReport,
+    SyntheticObjective,
 };
 pub use error::ServerError;
 pub use fsck::{fsck_store, FsckReport, StudyFsck};
