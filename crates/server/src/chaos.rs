@@ -67,9 +67,9 @@ pub enum ChaosProfile {
     /// Worker 0 asks first each round and takes every lease, because each
     /// study has at most one candidate awaiting per round, and worker 0 is
     /// slow only under seed 2. Rotating the first asker would spread the
-    /// leases, but it reshapes every profile's schedule and removes the
-    /// grid's only baseline quarantine (seed 3, four workers), so the
-    /// order stays.
+    /// leases, but it reshapes every profile's schedule and then no cell
+    /// of the grid quarantines a worker, the baseline one (seed 3, four
+    /// workers) included, so the order stays.
     SlowWorker,
 }
 
