@@ -781,6 +781,129 @@ fn snapshot_rotation_keeps_the_journal_to_its_header() {
     assert_eq!(snapshot.samples.len(), committed);
 }
 
+/// Folds words into a running FNV-1a-style 64-bit digest, as the lease
+/// digest of the core's study tests does.
+fn fold(digest: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for word in words {
+        *digest = (*digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Folds each named study's journal and then its snapshot: the file's
+/// length and every byte, or `u64::MAX` for a file that does not exist.
+fn fold_store(digest: &mut u64, root: &std::path::Path, names: &[&str]) {
+    for name in names {
+        let (journal, snapshot) = hyperpower_server::journal::study_paths(root, name);
+        for path in [journal, snapshot] {
+            match std::fs::read(&path) {
+                Ok(bytes) => {
+                    fold(digest, [bytes.len() as u64]);
+                    fold(digest, bytes.iter().map(|&b| u64::from(b)));
+                }
+                Err(_) => fold(digest, [u64::MAX]),
+            }
+        }
+    }
+}
+
+/// One width-1 round: each unfinished study is asked once and told every
+/// candidate, and the store is folded after every ask and every tell.
+fn serve_round_folding(
+    server: &mut StudyServer,
+    root: &std::path::Path,
+    names: &[&str],
+    now: f64,
+    digest: &mut u64,
+) {
+    for name in names {
+        if server.is_finished(name).expect("is_finished") {
+            continue;
+        }
+        let batch = server.ask(name, 1, now).expect("ask");
+        fold_store(digest, root, names);
+        for c in batch {
+            server.tell(name, c.lease_id, &eval(&c)).expect("tell");
+            fold_store(digest, root, names);
+        }
+    }
+}
+
+/// Every byte of every study's journal and snapshot, read after every
+/// ask, tell and reopen of a served Rand, Rand-Walk and BO study at the
+/// default snapshot cadence, with budgets on and off that cadence and a
+/// kill halfway, folds into one pinned digest. How the durable path does
+/// its work may change how often a file is rewritten, never what a file
+/// holds at any point a caller can observe.
+#[test]
+fn served_store_bytes_are_pinned() {
+    let session = Session::new(Scenario::mnist_gtx1070(), SEED).expect("session");
+    let oracle = session.oracle();
+    let setups = || {
+        let walk_budget = Budget::Evaluations(20);
+        [
+            ("rand", setup(SEED, Budget::Evaluations(16), 1)),
+            (
+                "walk",
+                StudySetup {
+                    spec: StudySpec {
+                        method: Method::RandWalk,
+                        ..spec(SEED, walk_budget, FaultProfile::none())
+                    },
+                    ..setup(SEED, walk_budget, 1)
+                },
+            ),
+            ("bo", bo_setup(oracle, Budget::Evaluations(20))),
+        ]
+    };
+    let names = ["rand", "walk", "bo"];
+    let root = scratch_root("store-pin");
+    let config = ServerConfig {
+        root: root.clone(),
+        ..ServerConfig::default()
+    };
+    assert_eq!(config.snapshot_every_commits, 8, "the pin's cadence");
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut now = 0.0;
+
+    let mut server = StudyServer::new(config.clone()).expect("server");
+    for (name, setup) in setups() {
+        server.create_study(name, setup).expect("create");
+        fold_store(&mut digest, &root, &names);
+    }
+    for _ in 0..9 {
+        now += 60.0;
+        serve_round_folding(&mut server, &root, &names, now, &mut digest);
+    }
+    for name in names {
+        assert!(!server.is_finished(name).expect("is_finished"), "{name}");
+    }
+    drop(server);
+
+    let mut server = StudyServer::new(config).expect("server 2");
+    for (name, setup) in setups() {
+        server.open_study(name, setup).expect("open");
+        fold_store(&mut digest, &root, &names);
+    }
+    for _ in 0..1_000 {
+        if names
+            .iter()
+            .all(|name| server.is_finished(name).expect("is_finished"))
+        {
+            break;
+        }
+        now += 60.0;
+        serve_round_folding(&mut server, &root, &names, now, &mut digest);
+    }
+    assert_eq!(server.committed("walk").expect("committed"), 20);
+    now += 60.0;
+    assert!(server.ask("rand", 1, now).expect("ask").is_empty());
+    fold_store(&mut digest, &root, &names);
+    assert_eq!(
+        digest, 0xb91f_7e69_509a_81df,
+        "the store digest moved: {digest:#018x}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Supervision: quarantine gating and the shed tie-break
 // ---------------------------------------------------------------------------
