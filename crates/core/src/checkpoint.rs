@@ -225,6 +225,9 @@ pub struct CheckpointSink {
     sample_lines: Vec<String>,
     commits_since_write: usize,
     held: bool,
+    /// Whether the file lacks a commit recorded since the last write. A
+    /// fresh or held sink has written nothing yet, so it starts `true`.
+    unwritten: bool,
 }
 
 impl CheckpointSink {
@@ -244,6 +247,7 @@ impl CheckpointSink {
             sample_lines: Vec::new(),
             commits_since_write: 0,
             held: false,
+            unwritten: true,
         }
     }
 
@@ -261,7 +265,14 @@ impl CheckpointSink {
     /// executor calls this for every evaluation it *uses*, including cache
     /// hits on a resumed run, so a rewritten checkpoint is always complete.
     pub fn record_eval(&mut self, eval_seed: u64, result: &EvaluationResult) {
-        self.eval_lines.push(encode_eval(eval_seed, result));
+        self.record_eval_line(encode_eval(eval_seed, result));
+    }
+
+    /// Records one raw evaluation already encoded by [`encode_eval`]. It
+    /// reaches the file with the commit that consumes it, which the
+    /// [`crate::ObservationSink`] order records next.
+    pub fn record_eval_line(&mut self, line: String) {
+        self.eval_lines.push(line);
     }
 
     /// Records one committed sample and writes the file if a checkpoint
@@ -271,61 +282,79 @@ impl CheckpointSink {
     ///
     /// Propagates checkpoint-file I/O failures as [`Error::Checkpoint`].
     pub fn record_commit(&mut self, sample: &Sample) -> Result<bool> {
-        self.sample_lines.push(golden::encode_sample(sample));
-        self.commits_since_write += 1;
-        let every = self.config.every_commits;
-        let due = !self.held && every > 0 && self.commits_since_write >= every;
-        if due {
-            self.flush()?;
-        }
-        Ok(due)
+        self.record_commit_line(golden::encode_sample(sample))
     }
 
-    /// Writes the current state now (always called when the run ends,
-    /// whatever the interval) and releases a held sink to its cadence.
+    /// [`CheckpointSink::record_commit`] for a sample already encoded by
+    /// [`golden::encode_sample`].
     ///
     /// # Errors
     ///
     /// Propagates checkpoint-file I/O failures as [`Error::Checkpoint`].
-    pub fn flush(&mut self) -> Result<()> {
+    pub fn record_commit_line(&mut self, line: String) -> Result<bool> {
+        self.sample_lines.push(line);
+        self.unwritten = true;
+        self.commits_since_write += 1;
+        let every = self.config.every_commits;
+        if self.held || every == 0 || self.commits_since_write < every {
+            return Ok(false);
+        }
+        self.flush()
+    }
+
+    /// Writes the current state now, whatever the interval, unless the
+    /// file already holds it: a fresh or held sink has not written yet,
+    /// and otherwise only a commit since the last write is news. Releases
+    /// a held sink to its cadence. A run calls this when it ends. Returns
+    /// whether it wrote.
+    ///
+    /// # Errors
+    ///
+    /// Propagates checkpoint-file I/O failures as [`Error::Checkpoint`].
+    pub fn flush(&mut self) -> Result<bool> {
+        if !self.unwritten {
+            return Ok(false);
+        }
         self.write()?;
         self.commits_since_write = 0;
+        self.unwritten = false;
         self.held = false;
-        Ok(())
+        Ok(true)
     }
 
+    /// Writes the framed file, `C <crc32>` on line 1 and then the body,
+    /// which is encoded once, straight into the buffer that is written.
     fn write(&self) -> Result<()> {
+        let lines = self.eval_lines.iter().chain(&self.sample_lines);
         let mut out = String::with_capacity(
-            self.header.len() + 64 * (self.eval_lines.len() + self.sample_lines.len()),
+            self.header.len() + 64 + lines.map(|line| line.len() + 6).sum::<usize>(),
         );
-        out.push_str(&self.header);
-        out.push_str(",\n  \"evals\": [");
-        for (i, line) in self.eval_lines.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            out.push_str(line);
-        }
-        out.push_str(if self.eval_lines.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        out.push_str("C ");
+        crate::integrity::frame(&mut out, '\n', |out| {
+            out.push_str(&self.header);
+            out.push_str(",\n  \"evals\": [");
+            for (i, line) in self.eval_lines.iter().enumerate() {
+                out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+                out.push_str(line);
+            }
+            out.push_str(if self.eval_lines.is_empty() {
+                "],\n"
+            } else {
+                "\n  ],\n"
+            });
+            out.push_str("  \"samples\": [");
+            for (i, line) in self.sample_lines.iter().enumerate() {
+                out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+                out.push_str(line);
+            }
+            out.push_str(if self.sample_lines.is_empty() {
+                "]\n}\n"
+            } else {
+                "\n  ]\n}\n"
+            });
         });
-        out.push_str("  \"samples\": [");
-        for (i, line) in self.sample_lines.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            out.push_str(line);
-        }
-        out.push_str(if self.sample_lines.is_empty() {
-            "]\n}\n"
-        } else {
-            "\n  ]\n}\n"
-        });
-        write_atomic(&self.config.path, &frame_body(&out))
+        write_atomic(&self.config.path, &out)
     }
-}
-
-/// Prepends the v2 integrity frame: `C <crc32-of-body>` on its own line.
-pub(crate) fn frame_body(body: &str) -> String {
-    format!("C {}", crate::integrity::frame(body, '\n'))
 }
 
 fn write_atomic(path: &Path, contents: &str) -> Result<()> {
@@ -550,6 +579,13 @@ mod tests {
             reclaimed: 0,
             config: Config::new(vec![0.25, 0.75]).unwrap(),
         }
+    }
+
+    /// `body` behind the v2 integrity frame, `C <crc32>` on its own line.
+    fn frame_body(body: &str) -> String {
+        let mut out = String::from("C ");
+        crate::integrity::frame(&mut out, '\n', |out| out.push_str(body));
+        out
     }
 
     fn tmp_path(name: &str) -> PathBuf {

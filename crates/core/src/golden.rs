@@ -16,6 +16,8 @@
 //!   (`samples[3].error`), both values and both bit patterns — not a
 //!   2000-character string inequality.
 
+use std::fmt::Write;
+
 use crate::driver::{Sample, SampleKind, Trace};
 
 /// A parsed JSON value. Object member order is preserved (traces are
@@ -57,7 +59,7 @@ fn push_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -67,7 +69,9 @@ fn push_escaped(out: &mut String, s: &str) {
 
 fn push_f64(out: &mut String, x: f64) {
     // `{:?}` is the shortest string that round-trips to the same bits.
-    out.push_str(&format!("{x:?}"));
+    // Writing into a `String` cannot fail, so here and below the encoders
+    // drop the `fmt::Result` of `write!`.
+    let _ = write!(out, "{x:?}");
 }
 
 fn push_opt_f64(out: &mut String, x: Option<f64>) {
@@ -79,8 +83,7 @@ fn push_opt_f64(out: &mut String, x: Option<f64>) {
 
 fn push_sample(out: &mut String, s: &Sample, indent: &str) {
     out.push_str(indent);
-    out.push_str("{\"index\": ");
-    out.push_str(&s.index.to_string());
+    let _ = write!(out, "{{\"index\": {}", s.index);
     out.push_str(", \"timestamp_s\": ");
     push_f64(out, s.timestamp_s);
     out.push_str(", \"kind\": ");
@@ -91,7 +94,9 @@ fn push_sample(out: &mut String, s: &Sample, indent: &str) {
     push_f64(out, s.power_w);
     out.push_str(", \"memory_bytes\": ");
     match s.memory_bytes {
-        Some(m) => out.push_str(&m.to_string()),
+        Some(m) => {
+            let _ = write!(out, "{m}");
+        }
         None => out.push_str("null"),
     }
     out.push_str(", \"latency_s\": ");
@@ -106,8 +111,7 @@ fn push_sample(out: &mut String, s: &Sample, indent: &str) {
     // traces (and the pre-fault golden fixtures) are byte-identical to the
     // v1 encoding.
     if s.retries > 0 {
-        out.push_str(", \"retries\": ");
-        out.push_str(&s.retries.to_string());
+        let _ = write!(out, ", \"retries\": {}", s.retries);
     }
     if !s.faults.is_empty() {
         out.push_str(", \"faults\": [");
@@ -164,7 +168,8 @@ fn push_sample(out: &mut String, s: &Sample, indent: &str) {
 /// [`encode_trace`] uses inside `samples`). Used by the run-checkpoint
 /// format so resumed traces are byte-compatible with golden fixtures.
 pub fn encode_sample(s: &Sample) -> String {
-    let mut out = String::new();
+    // Room for a typical fault-free sample, so the line grows at most once.
+    let mut out = String::with_capacity(384);
     push_sample(&mut out, s, "");
     out
 }

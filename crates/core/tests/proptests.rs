@@ -6,6 +6,7 @@
 
 use hyperpower::driver::RunSetup;
 use hyperpower::golden::encode_trace;
+use hyperpower::integrity::crc32;
 use hyperpower::methods::History;
 use hyperpower::model::{FeatureMap, LinearHwModel, TargetTransform};
 use hyperpower::recovery::{plan_trial, RetryPolicy, TrialOutcome};
@@ -209,6 +210,50 @@ fn hw_model_predict_panics_on_a_wrong_length_z() {
                 "{feature_map:?}: a z of length {len} against 4 structural values must panic"
             );
         }
+    }
+}
+
+/// The CRC32 (IEEE) of `bytes` one bit at a time: eight shifts per byte
+/// against the reflected polynomial, with no table.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// Lengths 0–64 run the eight-byte words alone, the byte-wise tail alone,
+/// and both; each start offset 0–7 slides every byte through every lane
+/// of a word.
+#[test]
+fn crc32_matches_the_bitwise_reference_at_every_length_and_offset() {
+    let buffer: Vec<u8> = (0u32..72).map(|i| (i * 151 + 17) as u8).collect();
+    for offset in 0..8 {
+        for len in 0..=64 {
+            let bytes = &buffer[offset..offset + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "offset {offset}, length {len}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn crc32_matches_the_bitwise_reference_on_random_buffers(
+        bytes in proptest::collection::vec(0u8..=255, 4096),
+    ) {
+        prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
     }
 }
 

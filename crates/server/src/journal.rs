@@ -132,9 +132,10 @@ pub struct StudyJournal {
     header_record: String,
     /// The snapshot writer, on the snapshot cadence.
     sink: CheckpointSink,
-    /// An append failure surfaced by the infallible `record_eval` hook is
-    /// parked here and raised at the next fallible call.
-    deferred: Option<Error>,
+    /// The records of the commit in progress, framed: its `E` record once
+    /// `record_eval` has seen it, then its `S` record. `record_commit`
+    /// writes them in one append and empties it.
+    pending: String,
 }
 
 /// The two durable files of study `name` under `root`.
@@ -210,12 +211,14 @@ impl StudyJournal {
             .create(true)
             .open(&journal_path)
             .map_err(|e| io_err("opening", &journal_path, e))?;
+        let mut header_record = String::new();
+        push_record(&mut header_record, 'H', &encode_header_line(header));
         Ok(StudyJournal {
             journal_path,
             file,
-            header_record: format!("H {}\n", frame(&encode_header_line(header), ' ')),
+            header_record,
             sink,
-            deferred: None,
+            pending: String::new(),
         })
     }
 
@@ -239,20 +242,21 @@ impl StudyJournal {
             .map(Some)
     }
 
-    /// Writes the snapshot now and rotates the journal down to its header
-    /// line (everything journaled so far is inside the snapshot). Called
-    /// on the snapshot cadence and when a study finishes.
+    /// Writes the snapshot now, unless it already holds every commit, and
+    /// then rotates the journal down to its header line (everything
+    /// journaled so far is inside the snapshot). Called when a study
+    /// finishes and on every later request to it, which find nothing to
+    /// write.
     ///
     /// # Errors
     ///
-    /// [`Error::Checkpoint`] on I/O failures (including one deferred from
-    /// an earlier infallible append).
+    /// [`Error::Checkpoint`] on I/O failures.
     pub fn flush(&mut self) -> Result<()> {
-        if let Some(e) = self.deferred.take() {
-            return Err(e);
+        if self.sink.flush()? {
+            self.rotate()
+        } else {
+            Ok(())
         }
-        self.sink.flush()?;
-        self.rotate()
     }
 
     /// Rotates the journal down to its header record, once the snapshot
@@ -271,33 +275,36 @@ impl StudyJournal {
             .map_err(|e| io_err("reopening", &self.journal_path, e))?;
         Ok(())
     }
+}
 
-    fn append(&mut self, tag: char, line: &str) -> Result<()> {
-        self.file
-            .write_all(format!("{tag} {}\n", frame(line, ' ')).as_bytes())
-            .map_err(|e| io_err("appending to", &self.journal_path, e))
-    }
+/// Appends one journal record to `out`: `tag`, a space, the framed
+/// `payload` and a newline.
+fn push_record(out: &mut String, tag: char, payload: &str) {
+    out.push(tag);
+    out.push(' ');
+    frame(out, ' ', |out| out.push_str(payload));
+    out.push('\n');
 }
 
 impl ObservationSink for StudyJournal {
+    /// Frames the evaluation's `E` record for the commit that consumes it,
+    /// which the trait's order makes the next call; no I/O happens here.
     fn record_eval(&mut self, eval_seed: u64, result: &EvaluationResult) {
-        // WAL discipline: journal first, then the in-memory snapshot sink.
-        // This hook is infallible by trait contract; an append failure is
-        // parked and raised at the next fallible call.
-        if self.deferred.is_none() {
-            if let Err(e) = self.append('E', &encode_eval(eval_seed, result)) {
-                self.deferred = Some(e);
-            }
-        }
-        self.sink.record_eval(eval_seed, result);
+        let line = encode_eval(eval_seed, result);
+        push_record(&mut self.pending, 'E', &line);
+        self.sink.record_eval_line(line);
     }
 
+    /// Appends the commit's records, its `E` (if it trained) and `S`, in
+    /// one write, and only then hands the sample to the snapshot sink,
+    /// whose cadence write rotates the journal: the WAL discipline.
     fn record_commit(&mut self, sample: &Sample) -> Result<()> {
-        if let Some(e) = self.deferred.take() {
-            return Err(e);
-        }
-        self.append('S', &golden::encode_sample(sample))?;
-        if self.sink.record_commit(sample)? {
+        let line = golden::encode_sample(sample);
+        push_record(&mut self.pending, 'S', &line);
+        let appended = self.file.write_all(self.pending.as_bytes());
+        self.pending.clear();
+        appended.map_err(|e| io_err("appending to", &self.journal_path, e))?;
+        if self.sink.record_commit_line(line)? {
             self.rotate()?;
         }
         Ok(())
@@ -334,8 +341,9 @@ mod tests {
                 safety_margin: 0.0,
             },
         };
-        let record = format!("H {}", frame(&encode_header_line(&header), ' '));
-        assert_eq!(record, EARLIER_HEADER_RECORD);
+        let mut record = String::new();
+        push_record(&mut record, 'H', &encode_header_line(&header));
+        assert_eq!(record.strip_suffix('\n'), Some(EARLIER_HEADER_RECORD));
         let payload = record.split_once(' ').unwrap().1.split_once(' ').unwrap().1;
         assert_eq!(JournalHeader::decode(payload).unwrap(), header);
     }

@@ -142,7 +142,9 @@ fn damage(journal: &mut Vec<u8>, snapshot: &mut Vec<u8>, (kind, at, aux): (usize
                 templates[(aux / 4) % templates.len()].replace("{n}", &(aux % 5).to_string());
             let tag = TAGS[aux % 4];
             let line = if kind == 4 {
-                format!("{tag} {}\n", hyperpower::integrity::frame(&payload, ' '))
+                let mut record = format!("{tag} ");
+                hyperpower::integrity::frame(&mut record, ' ', |out| out.push_str(&payload));
+                record + "\n"
             } else if aux % 2 == 0 {
                 format!("{tag} {payload}\n")
             } else {

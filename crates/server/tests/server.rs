@@ -494,6 +494,79 @@ fn kill_and_resume_is_byte_exact_even_with_torn_tail_and_stale_tmp() {
     );
 }
 
+/// A commit's `E` and `S` records land in one append, so a kill can tear
+/// the pair at any byte. The study's cadence is above its budget, so its
+/// journal keeps every record; the served store is cut at every byte from
+/// the start of the last tell's `E` record to the end of its `S` record.
+/// Each cut must load, scan no worse than a torn tail, and reopen and
+/// serve to the uninterrupted bytes.
+#[test]
+fn every_cut_through_a_commits_records_recovers_byte_exact() {
+    let budget = Budget::Evaluations(6);
+    let expected = encode_trace(&reference(SEED, budget));
+    let config = |root: PathBuf| ServerConfig {
+        root,
+        snapshot_every_commits: 100,
+        ..ServerConfig::default()
+    };
+    let root = scratch_root("torn-commit");
+    let (journal_path, snapshot_path) = hyperpower_server::journal::study_paths(&root, "torn");
+    let mut server = StudyServer::new(config(root.clone())).expect("server");
+    server
+        .create_study("torn", setup(SEED, budget, 1))
+        .expect("create");
+    let mut start = 0;
+    for round in 1..=5 {
+        let batch = server.ask("torn", 1, 60.0 * f64::from(round)).expect("ask");
+        assert_eq!(batch.len(), 1, "round {round}");
+        start = std::fs::read(&journal_path).expect("journal").len();
+        for c in batch {
+            server.tell("torn", c.lease_id, &eval(&c)).expect("tell");
+        }
+    }
+    assert_eq!(server.committed("torn").expect("committed"), 5);
+    drop(server);
+    assert!(!snapshot_path.exists(), "the cadence is above the budget");
+    let journal = std::fs::read(&journal_path).expect("journal");
+    let records = std::str::from_utf8(&journal[start..]).expect("UTF-8 records");
+    let (eval_record, sample_record) = records
+        .strip_suffix('\n')
+        .and_then(|r| r.split_once('\n'))
+        .expect("the last tell appended two records");
+    assert!(eval_record.starts_with("E "), "{eval_record}");
+    assert!(sample_record.starts_with("S "), "{sample_record}");
+
+    let cut_root = root.join("cut");
+    for cut in start..=journal.len() {
+        std::fs::remove_dir_all(&cut_root).ok();
+        std::fs::create_dir_all(&cut_root).expect("cut root");
+        std::fs::write(cut_root.join("torn.journal"), &journal[..cut]).expect("cut journal");
+        let committed = if cut == journal.len() { 5 } else { 4 };
+        let state = StudyJournal::load(&cut_root, "torn")
+            .unwrap_or_else(|e| panic!("cut {cut}: {e}"))
+            .expect("a journal");
+        assert_eq!(state.samples.len(), committed, "cut {cut}");
+        let report = fsck_store(&cut_root, false).expect("fsck scan");
+        assert!(report.stale_tmps.is_empty(), "cut {cut}: {report}");
+        for study in &report.studies {
+            for (defect, _) in &study.defects {
+                assert_eq!(*defect, StoreDefect::TruncatedTail, "cut {cut}: {report}");
+            }
+        }
+        let mut server = StudyServer::new(config(cut_root.clone())).expect("server");
+        let recovered = server
+            .open_study("torn", setup(SEED, budget, 1))
+            .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        assert_eq!(recovered, committed, "cut {cut}");
+        drive(&mut server, "torn", 1);
+        assert_eq!(
+            expected,
+            encode_trace(&server.trace("torn").expect("trace")),
+            "cut {cut}: the recovered trace diverged"
+        );
+    }
+}
+
 /// A HW-CWEI study as `hyperpower serve` hosts one: HyperPower mode with
 /// the session's fitted constraint oracle.
 fn bo_setup(oracle: &ConstraintOracle, budget: Budget) -> StudySetup {
@@ -637,7 +710,10 @@ fn a_reopen_that_fails_verification_writes_nothing() {
                 samples += 1;
                 if samples == 3 {
                     let payload = bump_first_power_w(payload.expect("sample payload"));
-                    return format!("S {}\n", hyperpower::integrity::frame(&payload, ' '));
+                    let mut record = String::from("S ");
+                    hyperpower::integrity::frame(&mut record, ' ', |out| out.push_str(&payload));
+                    record.push('\n');
+                    return record;
                 }
             }
             format!("{line}\n")
@@ -1433,9 +1509,9 @@ fn a_hostile_deeply_nested_record_is_a_typed_error() {
     // A correctly checksummed sample record nested a million levels deep
     // must surface as an error, never a stack overflow.
     let (root, journal_path) = small_store("nested");
-    let payload = "[".repeat(1_000_000);
-    let crc = hyperpower::integrity::crc32_hex(payload.as_bytes());
-    append_line(&journal_path, &format!("S {crc} {payload}"));
+    let mut record = String::from("S ");
+    hyperpower::integrity::frame(&mut record, ' ', |out| out.push_str(&"[".repeat(1_000_000)));
+    append_line(&journal_path, &record);
     assert_corrupt_frame(&root, "nested", "nesting");
 }
 
@@ -1444,8 +1520,9 @@ fn a_checksummed_but_undecodable_evaluation_is_a_corrupt_frame() {
     // The frame is valid, the payload is not an evaluation: the loader and
     // fsck must both refuse it, and salvage must make the study whole.
     let (root, journal_path) = small_store("undecodable");
-    let framed = hyperpower::integrity::frame(r#"{"seed": "7"}"#, ' ');
-    append_line(&journal_path, &format!("E {framed}"));
+    let mut record = String::from("E ");
+    hyperpower::integrity::frame(&mut record, ' ', |out| out.push_str(r#"{"seed": "7"}"#));
+    append_line(&journal_path, &record);
     assert_corrupt_frame(&root, "undecodable", "missing numeric field");
 
     let salvaged = fsck_store(&root, true).expect("salvage");

@@ -605,10 +605,10 @@ fn kill_and_doctor(ckpt: &PathBuf, options: &ExecutorOptions) -> String {
     assert!(matches!(err, Error::WorkerPanic { .. }), "got: {err}");
     let text = std::fs::read_to_string(ckpt).expect("checkpoint");
     let (_, body) = text.split_once('\n').expect("framed checkpoint");
-    let doctored = format!(
-        "C {}",
-        hyperpower::integrity::frame(&bump_first_power_w(body), '\n')
-    );
+    let mut doctored = String::from("C ");
+    hyperpower::integrity::frame(&mut doctored, '\n', |out| {
+        out.push_str(&bump_first_power_w(body));
+    });
     std::fs::write(ckpt, &doctored).expect("rewrite checkpoint");
     doctored
 }
