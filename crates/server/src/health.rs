@@ -136,16 +136,25 @@ impl Fleet {
         &self.policy
     }
 
+    /// The member's record, registered on first contact; only then is the
+    /// key copied, since every ask and tell reaches here.
     fn record(&mut self, key: &str, now_s: f64) -> &mut MemberRecord {
-        self.members
-            .entry(key.to_string())
-            .or_insert_with(|| MemberRecord {
-                state: HealthState::Healthy,
-                last_seen_s: now_s,
-                consecutive_failures: 0,
-                quarantines: 0,
-                parole_until_s: 0.0,
-            })
+        if !self.members.contains_key(key) {
+            self.members.insert(
+                key.to_string(),
+                MemberRecord {
+                    state: HealthState::Healthy,
+                    last_seen_s: now_s,
+                    consecutive_failures: 0,
+                    quarantines: 0,
+                    parole_until_s: 0.0,
+                },
+            );
+        }
+        let Some(member) = self.members.get_mut(key) else {
+            unreachable!("member {key:?} was registered above");
+        };
+        member
     }
 
     /// Register a member (idempotent); new members start `Healthy`.
