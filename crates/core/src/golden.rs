@@ -16,6 +16,8 @@
 //!   (`samples[3].error`), both values and both bit patterns — not a
 //!   2000-character string inequality.
 
+// Writing into a `String` cannot fail, so the encoders below drop the
+// `fmt::Result` of each `write!`.
 use std::fmt::Write;
 
 use crate::driver::{Sample, SampleKind, Trace};
@@ -69,8 +71,6 @@ fn push_escaped(out: &mut String, s: &str) {
 
 fn push_f64(out: &mut String, x: f64) {
     // `{:?}` is the shortest string that round-trips to the same bits.
-    // Writing into a `String` cannot fail, so here and below the encoders
-    // drop the `fmt::Result` of `write!`.
     let _ = write!(out, "{x:?}");
 }
 

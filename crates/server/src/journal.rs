@@ -12,17 +12,21 @@
 //!   `<crc>` is the CRC32 of the payload as eight lowercase hex digits
 //!   ([`hyperpower::integrity`]): a flipped bit anywhere in a record is a
 //!   detected *corrupt frame*, not silently-wrong state; so is a record
-//!   with no checksum at all. Appends happen *before* the corresponding
-//!   snapshot-sink update — the WAL discipline — so the journal is never
-//!   behind the snapshot.
+//!   with no checksum at all. Each commit appends its records in one
+//!   write, its `E` record (if it trained) and then its `S` record,
+//!   before the tell returns and before the snapshot sink may write them
+//!   — the WAL discipline — so the journal is never behind the snapshot.
+//!   Each record is encoded once, and the sink keeps the same line.
 //! * `<name>.snapshot` — a complete [`hyperpower::checkpoint`] file
 //!   (schema `hyperpower-checkpoint-v2`, CRC32-framed as a whole by the
 //!   checkpoint codec), written atomically (temp + rename) every
-//!   `snapshot_every` commits by the PR 4 [`CheckpointSink`]. After each
-//!   snapshot the journal **rotates**: it is atomically rewritten to just
-//!   its header line, because everything it held is now inside the
-//!   snapshot. The steady-state journal is therefore short — the tail
-//!   since the last snapshot — while the snapshot bounds replay work.
+//!   `snapshot_every` commits by the PR 4 [`CheckpointSink`], and once
+//!   more when the study finishes unless that write already holds every
+//!   commit. After each snapshot the journal **rotates**: it is
+//!   atomically rewritten to just its header line, because everything it
+//!   held is now inside the snapshot. The steady-state journal is
+//!   therefore short — the tail since the last snapshot — while the
+//!   snapshot bounds replay work.
 //!
 //! # One reader
 //!
@@ -42,10 +46,12 @@
 //! * **mid-create** — between [`StudyJournal::create`] opening the journal
 //!   and its header write: an empty (or torn) journal and no snapshot.
 //!   Nothing was committed, so `fsck --salvage` removes it.
-//! * **mid-append** — the journal's last line is torn (no trailing
-//!   newline). [`StudyJournal::load`] drops the torn tail; the record was
-//!   not yet acknowledged anywhere, so dropping it is the correct
-//!   serialization.
+//! * **mid-append** — the last commit's records are torn at any byte:
+//!   the journal ends in a line with no trailing newline, or in that
+//!   commit's whole `E` record alone. [`StudyJournal::load`] drops the
+//!   torn line, and an evaluation no sample consumed only answers the
+//!   replay's proposal again; the commit was not yet acknowledged
+//!   anywhere, so losing it is the correct serialization.
 //! * **mid-snapshot** — the snapshot write is atomic; a crash strands a
 //!   stale `*.tmp` beside it, which the next create or open sweeps. The
 //!   journal still holds everything.
@@ -343,7 +349,8 @@ mod tests {
         };
         let mut record = String::new();
         push_record(&mut record, 'H', &encode_header_line(&header));
-        assert_eq!(record.strip_suffix('\n'), Some(EARLIER_HEADER_RECORD));
+        let record = record.strip_suffix('\n').unwrap();
+        assert_eq!(record, EARLIER_HEADER_RECORD);
         let payload = record.split_once(' ').unwrap().1.split_once(' ').unwrap().1;
         assert_eq!(JournalHeader::decode(payload).unwrap(), header);
     }
