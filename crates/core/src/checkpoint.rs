@@ -644,6 +644,37 @@ mod tests {
     }
 
     #[test]
+    fn flush_writes_only_what_the_file_lacks() {
+        let path = tmp_path("flush-once.json");
+        std::fs::remove_file(&path).ok();
+        let config = CheckpointConfig {
+            path: path.clone(),
+            every_commits: 2,
+        };
+        let mut sink = CheckpointSink::new(config.clone(), &header());
+        assert!(sink.flush().unwrap(), "a fresh sink has never written");
+        assert!(!sink.flush().unwrap(), "nothing was recorded since");
+        sink.record_commit(&sample(0)).unwrap();
+        assert!(
+            sink.record_commit(&sample(1)).unwrap(),
+            "the cadence writes"
+        );
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            !sink.flush().unwrap(),
+            "the cadence write holds every commit"
+        );
+        assert!(!path.exists());
+        sink.record_commit(&sample(2)).unwrap();
+        assert!(sink.flush().unwrap());
+        assert_eq!(RunCheckpoint::load(&path).unwrap().samples.len(), 3);
+        std::fs::remove_file(&path).ok();
+        let mut held = CheckpointSink::held(config, &header());
+        assert!(held.flush().unwrap(), "a held sink has never written");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn header_mismatch_names_the_fields() {
         let path = tmp_path("mismatch.json");
         let mut sink = CheckpointSink::new(CheckpointConfig::every_commit(path.clone()), &header());

@@ -787,6 +787,50 @@ fn reopening_a_finished_study_leaves_its_journal_at_the_header() {
     }
 }
 
+/// A finished study's snapshot already holds every commit, so a later ask
+/// and a late duplicate tell write nothing: stand-in files put where its
+/// journal and snapshot were survive both.
+#[test]
+fn requests_to_a_finished_study_write_nothing() {
+    let root = scratch_root("finished-quiet");
+    let mut server = StudyServer::new(ServerConfig {
+        root: root.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    // Sixteen evaluations end on the default cadence of eight.
+    server
+        .create_study("quiet", setup(SEED, Budget::Evaluations(16), 1))
+        .expect("create");
+    let mut now = 0.0;
+    let mut last = None;
+    while !server.is_finished("quiet").expect("is_finished") {
+        now += 60.0;
+        for c in server.ask("quiet", 1, now).expect("ask") {
+            let result = eval(&c);
+            server.tell("quiet", c.lease_id, &result).expect("tell");
+            last = Some((c.lease_id, result));
+        }
+    }
+    let (lease_id, result) = last.expect("a told lease");
+    let (journal_path, snapshot_path) = hyperpower_server::journal::study_paths(&root, "quiet");
+    std::fs::write(&journal_path, "journal stand-in").expect("journal stand-in");
+    std::fs::write(&snapshot_path, "snapshot stand-in").expect("snapshot stand-in");
+    assert!(server.ask("quiet", 1, now + 60.0).expect("ask").is_empty());
+    assert_eq!(
+        server.tell("quiet", lease_id, &result).expect("tell"),
+        TellOutcome::Duplicate
+    );
+    assert_eq!(
+        std::fs::read_to_string(&journal_path).expect("journal"),
+        "journal stand-in"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&snapshot_path).expect("snapshot"),
+        "snapshot stand-in"
+    );
+}
+
 #[test]
 fn open_study_refuses_a_mismatched_spec() {
     let root = scratch_root("mismatch");
