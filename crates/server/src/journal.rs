@@ -20,7 +20,7 @@
 //! * `<name>.snapshot` — a complete [`hyperpower::checkpoint`] file
 //!   (schema `hyperpower-checkpoint-v2`, CRC32-framed as a whole by the
 //!   checkpoint codec), written atomically (temp + rename) every
-//!   `snapshot_every` commits by the PR 4 [`CheckpointSink`], and once
+//!   `snapshot_every` commits by the [`CheckpointSink`], and once
 //!   more when the study finishes unless that write already holds every
 //!   commit. After each snapshot the journal **rotates**: it is
 //!   atomically rewritten to just its header line, because everything it
