@@ -7,6 +7,10 @@
 //! because the golden traces pin every f64 the BO loop derives from them.
 //! A fit without a warm start is that same cold search, and a warm start
 //! whose restart finds no finite likelihood falls back to it bit for bit.
+//! The fitted regressor itself must be the one `GpRegressor::fit` builds
+//! at the fitted hyper-parameters: the bits above cover only the
+//! hyper-parameters and the likelihood, so a stale factor or α would pass
+//! them, but not the scores compared here.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
@@ -20,24 +24,29 @@ use common::{
 };
 use hyperpower_gp::{
     fit_gp_hyperparams, fit_gp_hyperparams_laddered, fit_gp_hyperparams_laddered_from, FitOptions,
-    FittedGp, Kernel, LadderedFit, Matern52, Result,
+    FittedGp, GpRegressor, Kernel, LadderedFit, Matern52, Result,
 };
 use hyperpower_linalg::{corpus, Matrix};
 
-/// Seeded rows in the unit cube (where the searchers' configurations live)
-/// and targets in [0, 1).
-fn corpus_data(n: usize, d: usize) -> (Matrix, Vec<f64>) {
-    let tag = (n * 100 + d) as u64;
-    let unit: Vec<f64> = corpus::dense(0xF17 ^ tag, n, d)
+/// `n` seeded points in the unit cube `[0, 1)ᵈ`, where the searchers'
+/// configurations live.
+fn unit_rows(seed: u64, n: usize, d: usize) -> Matrix {
+    let unit: Vec<f64> = corpus::dense(seed, n, d)
         .as_slice()
         .iter()
         .map(|v| 0.5 * (v + 1.0))
         .collect();
+    Matrix::from_vec(n, d, unit).unwrap()
+}
+
+/// Seeded rows in the unit cube and targets in [0, 1).
+fn corpus_data(n: usize, d: usize) -> (Matrix, Vec<f64>) {
+    let tag = (n * 100 + d) as u64;
     let y = corpus::vector(0xF18 ^ tag, n)
         .iter()
         .map(|v| 0.5 * (v + 1.0))
         .collect();
-    (Matrix::from_vec(n, d, unit).unwrap(), y)
+    (unit_rows(0xF17 ^ tag, n, d), y)
 }
 
 fn assert_same_ladder(new: &Result<LadderedFit>, old: &Result<LadderedFit>, what: &str) {
@@ -111,14 +120,19 @@ impl Kernel for Spiked {
     }
 }
 
-#[test]
-fn near_duplicate_rows_climb_a_rung_like_the_frozen_fit() {
+/// Two rows `1e-9` apart in one coordinate and constant targets: the
+/// `Spiked` kernel's ladder case.
+fn near_duplicate_rows() -> (Matrix, [f64; 2]) {
     let (base, _) = corpus_data(1, 6);
     let mut rows = base.as_slice().to_vec();
     rows.extend_from_slice(base.as_slice());
     rows[6] += 1e-9;
-    let x = Matrix::from_vec(2, 6, rows).unwrap();
-    let y = [0.25, 0.25];
+    (Matrix::from_vec(2, 6, rows).unwrap(), [0.25, 0.25])
+}
+
+#[test]
+fn near_duplicate_rows_climb_a_rung_like_the_frozen_fit() {
+    let (x, y) = near_duplicate_rows();
     let kernel: Arc<dyn Kernel> = Arc::new(Spiked(Matern52::new(0.5)));
     let new = fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS);
     let old = frozen_fit_gp_hyperparams_laddered(kernel, &x, &y, BO_FIT, MAX_RUNGS);
@@ -176,4 +190,78 @@ fn a_start_where_every_trial_fails_returns_the_cold_fit() {
         let cold = frozen_fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS);
         assert_same_ladder(&warm, &cold, &format!("failing start n={n} d={d}"));
     }
+}
+
+/// Asserts that `fitted.gp` is the regressor `GpRegressor::fit` builds at
+/// `fitted`'s hyper-parameters: the same likelihood, and the same
+/// `posterior_batch` means and variances, bit for bit, on a seeded grid of
+/// 64 points in the unit cube. Means read the regressor's α and variances
+/// its factor, so neither can be stale.
+fn assert_regressor_is_a_refit(
+    kernel: &Arc<dyn Kernel>,
+    x: &Matrix,
+    y: &[f64],
+    fitted: &FittedGp,
+    what: &str,
+) {
+    let refit = GpRegressor::fit(
+        kernel.with_length_scale(fitted.length_scale),
+        fitted.signal_variance,
+        fitted.noise_variance,
+        x,
+        y,
+    )
+    .unwrap_or_else(|e| panic!("{what}: refit at the fitted hyper-parameters failed: {e:?}"));
+    let grid = unit_rows(0xF19 ^ x.cols() as u64, 64, x.cols());
+    let bits = |gp: &GpRegressor| -> Vec<u64> {
+        let (means, variances) = gp.posterior_batch(&grid).expect("in-domain grid");
+        let lml = gp.log_marginal_likelihood();
+        means
+            .into_iter()
+            .chain(variances)
+            .chain([lml])
+            .map(f64::to_bits)
+            .collect()
+    };
+    assert_eq!(bits(&fitted.gp), bits(&refit), "{what}: fitted regressor");
+}
+
+#[test]
+fn fitted_regressor_scores_like_a_refit_at_its_hyper_parameters() {
+    let kernel = Matern52::new(0.5).into_kernel();
+    for n in [1, 2, 21, 72] {
+        for d in [1, 6, 13] {
+            let (x, y) = corpus_data(n, d);
+            let what = format!("matern n={n} d={d}");
+            let cold = fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS)
+                .unwrap()
+                .fitted;
+            assert_regressor_is_a_refit(&kernel, &x, &y, &cold, &format!("{what}, laddered"));
+            let direct = fit_gp_hyperparams(kernel.clone(), &x, &y, BO_FIT).unwrap();
+            assert_regressor_is_a_refit(&kernel, &x, &y, &direct, &format!("{what}, direct"));
+            // A warm start near the cold optimum, as the searchers' next fit
+            // starts at their last.
+            let start = [
+                cold.length_scale.ln() + 0.25,
+                cold.signal_variance.ln() - 0.25,
+                cold.noise_variance.ln() + 0.5,
+            ];
+            let warm = fit_gp_hyperparams_laddered_from(
+                kernel.clone(),
+                &x,
+                &y,
+                BO_FIT,
+                MAX_RUNGS,
+                Some(start),
+            )
+            .unwrap()
+            .fitted;
+            assert_regressor_is_a_refit(&kernel, &x, &y, &warm, &format!("{what}, warm"));
+        }
+    }
+    let (x, y) = near_duplicate_rows();
+    let kernel: Arc<dyn Kernel> = Arc::new(Spiked(Matern52::new(0.5)));
+    let laddered = fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS).unwrap();
+    assert_eq!(laddered.rungs, 1, "the ladder must climb exactly one rung");
+    assert_regressor_is_a_refit(&kernel, &x, &y, &laddered.fitted, "near-duplicate rows");
 }
