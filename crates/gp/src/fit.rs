@@ -59,14 +59,16 @@ pub struct FittedGp {
 /// dataset. [`fit_gp_hyperparams_laddered_from`] can instead start the
 /// search at a previous fit's optimum.
 ///
-/// The rows' pairwise squared distances are computed once per fit. Each
-/// trial fills its covariance's lower triangle a row at a time, one
-/// [`Kernel::eval_squared_distances`] call per row of that table, and
+/// The rows' pairwise distances are computed once per fit, square roots
+/// included. Each trial fills its covariance's upper triangle a row at a
+/// time, one [`Kernel::eval_distances`] call per row of that table, and
 /// scales the row by the signal variance. Every covariance entry, the
 /// factorization and the likelihood take the floating-point steps of
 /// [`GpRegressor::fit`], so the result is bit-identical to refitting the
 /// regressor at every trial. Every trial writes its covariance, factor and
-/// solve into one workspace the fit allocates once.
+/// solve into one workspace the fit allocates once. The returned regressor
+/// is the one of a last trial at the optimum, so it too is
+/// [`GpRegressor::fit`]'s at the chosen hyper-parameters, bit for bit.
 ///
 /// # Errors
 ///
@@ -87,9 +89,14 @@ pub fn fit_gp_hyperparams(
 struct FitTable<'a> {
     x: &'a Matrix,
     y: &'a [f64],
-    /// `‖xᵢ − xⱼ‖²` for `j ≤ i`, row by row: the lower triangle
-    /// [`Kernel::matrix`] evaluates, in its order.
-    d2: Vec<f64>,
+    /// The distances `√‖xᵢ − xⱼ‖²` in the factor's row order: row j holds
+    /// the distances from row j to rows j..n, and rows follow one another.
+    /// Each is the distance [`Kernel::matrix`] evaluates at (i, j), as
+    /// `vector::squared_distance(xᵢ, xⱼ).sqrt()`.
+    r: Vec<f64>,
+    /// `ȳ`, the mean [`GpRegressor::fit`] centres the targets on, when
+    /// `y_centered` is `Some`.
+    y_mean: f64,
     /// `y − ȳ`, or `None` when no hyper-parameters can fit the data (no
     /// rows, a target count that differs from the row count, or a
     /// non-finite target): [`GpRegressor::fit`] rejects such data in every
@@ -97,11 +104,39 @@ struct FitTable<'a> {
     y_centered: Option<Vec<f64>>,
 }
 
+/// The hyper-parameters of one trial, from a log-space point.
+#[derive(Debug, Clone, Copy)]
+struct Hyper {
+    length_scale: f64,
+    signal_variance: f64,
+    noise_variance: f64,
+}
+
+impl Hyper {
+    /// The hyper-parameters at `p = [ln ℓ, ln σ_f², ln σ_n²]`, the noise
+    /// variance floored at `min_noise_variance`, or `None` where a trial
+    /// fails at once: a non-finite value, or a signal variance that
+    /// underflowed to zero, which [`GpRegressor::fit`] also rejects (the
+    /// noise floor keeps the noise variance positive).
+    fn at(p: &[f64], min_noise_variance: f64) -> Option<Self> {
+        let hyper = Hyper {
+            length_scale: p[0].exp(),
+            signal_variance: p[1].exp(),
+            noise_variance: p[2].exp().max(min_noise_variance),
+        };
+        (hyper.length_scale.is_finite()
+            && hyper.signal_variance.is_finite()
+            && hyper.signal_variance > 0.0
+            && hyper.noise_variance.is_finite())
+        .then_some(hyper)
+    }
+}
+
 /// The buffers every trial of one fit reuses, so a trial allocates
 /// nothing: the covariance, the factor `Lᵀ` and α. A trial writes only
-/// the covariance's lower triangle, which is all the factorization reads;
-/// the upper triangle stays zero and passes the factorization's finiteness
-/// check.
+/// the covariance's upper triangle, a row at a time, which is all the
+/// factorization reads; the lower triangle stays zero and passes the
+/// factorization's finiteness check.
 struct TrialWorkspace {
     cov: Matrix,
     factor: CholeskyWorkspace,
@@ -122,28 +157,38 @@ impl TrialWorkspace {
 impl<'a> FitTable<'a> {
     fn new(x: &'a Matrix, y: &'a [f64]) -> Self {
         let n = x.rows();
-        let mut d2 = Vec::with_capacity(n * (n + 1) / 2);
-        for i in 0..n {
-            for j in 0..=i {
-                d2.push(vector::squared_distance(x.row(i), x.row(j)));
+        let mut r = Vec::with_capacity(n * (n + 1) / 2);
+        for j in 0..n {
+            for i in j..n {
+                r.push(vector::squared_distance(x.row(i), x.row(j)).sqrt());
             }
         }
         let fits = n > 0 && y.len() == n && y.iter().all(|v| v.is_finite());
-        let y_centered = fits.then(|| {
-            let y_mean = y.iter().sum::<f64>() / n as f64;
-            y.iter().map(|v| v - y_mean).collect()
-        });
+        let y_mean = if fits {
+            y.iter().sum::<f64>() / n as f64
+        } else {
+            0.0
+        };
+        let y_centered = fits.then(|| y.iter().map(|v| v - y_mean).collect());
         FitTable {
             x,
             y,
-            d2,
+            r,
+            y_mean,
             y_centered,
         }
     }
 
-    /// The squared distances from row `i` to rows `0..=i`.
-    fn lower_row(&self, i: usize) -> &[f64] {
-        &self.d2[i * (i + 1) / 2..][..=i]
+    /// Row j of the distance table, for j = 0..n: the distances from row j
+    /// to rows j..n, the first of them its distance to itself.
+    fn upper_rows(&self) -> impl Iterator<Item = &[f64]> {
+        let n = self.x.rows();
+        let mut rest = self.r.as_slice();
+        (0..n).map(move |j| {
+            let (row, tail) = rest.split_at(n - j);
+            rest = tail;
+            row
+        })
     }
 
     fn median_pairwise_distance(&self) -> f64 {
@@ -152,19 +197,58 @@ impl<'a> FitTable<'a> {
             return 1.0;
         }
         let mut dists = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            dists.extend(self.lower_row(i)[..i].iter().map(|d2| d2.sqrt()));
+        for row in self.upper_rows() {
+            dists.extend_from_slice(&row[1..]);
         }
         dists.sort_by(f64::total_cmp);
         dists[dists.len() / 2]
     }
 
+    /// The cold search's heuristic seed: the logs of the median pairwise
+    /// distance (at least `1e-3`), of the target variance (at least
+    /// `1e-6`) and of a hundredth of it (at least the noise floor). It
+    /// sorts every pairwise distance, so a fit computes it only when it
+    /// runs the cold search, reports a typed error or falls back.
+    fn heuristic_start(&self, min_noise_variance: f64) -> [f64; 3] {
+        let median_dist = self.median_pairwise_distance().max(1e-3);
+        let y_var = variance(self.y).max(1e-6);
+        [
+            median_dist.ln(),
+            y_var.ln(),
+            (0.01 * y_var).max(min_noise_variance).ln(),
+        ]
+    }
+
+    /// Writes a trial's covariance `σ_f²·K + σ_n²·I` at `p` into the upper
+    /// triangle of `cov`, and returns its hyper-parameters, or `None`
+    /// (writing nothing) where [`Hyper::at`] rejects `p`. Row j is the
+    /// kernel at row j of the distance table, through
+    /// [`Kernel::eval_distances`], times the signal variance: each entry is
+    /// the one `kernel.matrix(x).scale(signal_variance)` holds at (j, i)
+    /// and, mirrored, at (i, j). Then the diagonal gets the noise.
+    fn fill(
+        &self,
+        cov: &mut Matrix,
+        base_kernel: &dyn Kernel,
+        min_noise_variance: f64,
+        p: &[f64],
+    ) -> Option<Hyper> {
+        let hyper = Hyper::at(p, min_noise_variance)?;
+        let kernel = base_kernel.with_length_scale(hyper.length_scale);
+        for (j, r) in self.upper_rows().enumerate() {
+            let row = &mut cov.row_mut(j)[j..];
+            kernel.eval_distances(r, row);
+            for k in row.iter_mut() {
+                *k *= hyper.signal_variance;
+            }
+        }
+        cov.add_diagonal(hyper.noise_variance);
+        Some(hyper)
+    }
+
     /// The search's objective at log-space hyper-parameters `p`: the
-    /// negative log marginal likelihood, or `+∞` wherever
-    /// [`GpRegressor::fit`] would fail. Each row of the covariance's lower
-    /// triangle is the kernel at the row's tabled distances, through
-    /// [`Kernel::eval_squared_distances`], then times the signal variance,
-    /// exactly as `kernel.matrix(x).scale(signal_variance)` computes it.
+    /// negative log marginal likelihood of one trial, or `+∞` wherever
+    /// [`GpRegressor::fit`] would fail.
     fn objective(
         &self,
         ws: &mut TrialWorkspace,
@@ -173,32 +257,51 @@ impl<'a> FitTable<'a> {
         min_noise_variance: f64,
         p: &[f64],
     ) -> f64 {
-        let length_scale = p[0].exp();
-        let signal_variance = p[1].exp();
-        let noise_variance = p[2].exp().max(min_noise_variance);
-        // `GpRegressor::fit` also rejects a signal variance that underflowed
-        // to zero; the noise floor keeps the noise variance positive.
-        if !(length_scale.is_finite()
-            && signal_variance.is_finite()
-            && signal_variance > 0.0
-            && noise_variance.is_finite())
+        if self
+            .fill(&mut ws.cov, base_kernel, min_noise_variance, p)
+            .is_none()
         {
             return f64::INFINITY;
         }
-        let kernel = base_kernel.with_length_scale(length_scale);
-        let cov = &mut ws.cov;
-        for i in 0..self.x.rows() {
-            let row = &mut cov.row_mut(i)[..=i];
-            kernel.eval_squared_distances(self.lower_row(i), row);
-            for k in row.iter_mut() {
-                *k *= signal_variance;
-            }
-        }
-        cov.add_diagonal(noise_variance);
-        match factor_covariance(cov, y_centered, &mut ws.factor, &mut ws.alpha) {
+        match factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha) {
             Ok((_, log_marginal_likelihood)) => -log_marginal_likelihood,
             Err(_) => f64::INFINITY,
         }
+    }
+
+    /// The fitted GP at the search's optimum `p`: one more trial there,
+    /// whose factor, α and likelihood the regressor keeps (the search's
+    /// last trial is rarely at its optimum). That is
+    /// [`GpRegressor::fit`]'s regressor at the same hyper-parameters, bit
+    /// for bit. `None` if the trial fails, which the finite objective the
+    /// search found at `p` rules out.
+    fn fitted(
+        &self,
+        ws: &mut TrialWorkspace,
+        base_kernel: &dyn Kernel,
+        y_centered: &[f64],
+        min_noise_variance: f64,
+        p: &[f64],
+    ) -> Option<FittedGp> {
+        let hyper = self.fill(&mut ws.cov, base_kernel, min_noise_variance, p)?;
+        let (chol, log_marginal_likelihood) =
+            factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha).ok()?;
+        let gp = GpRegressor::from_factor(
+            base_kernel.with_length_scale(hyper.length_scale),
+            hyper.signal_variance,
+            hyper.noise_variance,
+            self.x.clone(),
+            self.y_mean,
+            ws.alpha.clone(),
+            chol.clone(),
+            log_marginal_likelihood,
+        );
+        Some(FittedGp {
+            gp,
+            length_scale: hyper.length_scale,
+            signal_variance: hyper.signal_variance,
+            noise_variance: hyper.noise_variance,
+        })
     }
 }
 
@@ -221,18 +324,13 @@ fn fit_with_table(
             value: options.min_noise_variance,
         });
     }
-    // Data-driven initial guesses.
-    let median_dist = table.median_pairwise_distance().max(1e-3);
-    let y_var = variance(table.y).max(1e-6);
-    let init = [
-        median_dist.ln(),
-        y_var.ln(),
-        (0.01 * y_var).max(options.min_noise_variance).ln(),
-    ];
+    let floor = options.min_noise_variance;
+    // The typed-error and fallback paths: the regressor refitted from the
+    // rows reports why the data or these hyper-parameters fail.
     let refit = |params: &[f64]| -> Result<FittedGp> {
         let length_scale = params[0].exp();
         let signal_variance = params[1].exp();
-        let noise_variance = params[2].exp().max(options.min_noise_variance);
+        let noise_variance = params[2].exp().max(floor);
         let gp = GpRegressor::fit(
             base_kernel.with_length_scale(length_scale),
             signal_variance,
@@ -250,20 +348,31 @@ fn fit_with_table(
     // Data no trial can fit makes every objective value +∞, so the search
     // would end at the heuristic seed: refit there for the typed error.
     let Some(y_centered) = table.y_centered.as_deref() else {
-        return refit(&init);
+        return refit(&table.heuristic_start(floor));
     };
 
-    let floor = options.min_noise_variance;
     let mut objective = |p: &[f64]| table.objective(ws, &**base_kernel, y_centered, floor, p);
     let search = NelderMeadOptions {
         max_evals: options.max_evals_per_restart,
         ..Default::default()
     };
-    let best = start
-        .and_then(|start| best_restart(&mut objective, [start], search))
-        .or_else(|| best_restart(&mut objective, cold_starts(init, options.restarts), search));
-    // If every cold restart diverged too, fall back to the heuristic seed.
-    refit(best.as_deref().unwrap_or(&init))
+    let warm = start.and_then(|start| best_restart(&mut objective, [start], search));
+    let best = match warm {
+        Some(best) => best,
+        None => {
+            let init = table.heuristic_start(floor);
+            match best_restart(&mut objective, cold_starts(init, options.restarts), search) {
+                Some(best) => best,
+                // Every cold restart diverged too: fall back to the
+                // heuristic seed.
+                None => return refit(&init),
+            }
+        }
+    };
+    match table.fitted(ws, &**base_kernel, y_centered, floor, &best) {
+        Some(fitted) => Ok(fitted),
+        None => refit(&best),
+    }
 }
 
 /// The cold search's restart points, at least one: restart 0 is the

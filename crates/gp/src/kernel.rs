@@ -13,25 +13,27 @@ use hyperpower_linalg::{vector, Matrix};
 use crate::{Error, Result};
 
 /// A stationary covariance function over `ℝᵈ` that sees the data only
-/// through squared distances.
+/// through distances.
 ///
 /// The trait is object-safe so that the GP can hold an `Arc<dyn Kernel>`
 /// and a test can substitute its own kernel.
 pub trait Kernel: Debug + Send + Sync {
-    /// Evaluates the kernel at a row of squared distances: writes
-    /// `out[j] = k(d2[j])`.
+    /// Evaluates the kernel at a row of distances: writes
+    /// `out[j] = k(r[j])`.
     ///
     /// Every covariance the GP builds goes through this hook a row at a
     /// time — [`Kernel::eval`], the provided [`Kernel::matrix`] and
     /// [`Kernel::cross`], the posterior's cross-covariances and every trial
-    /// of the hyper-parameter fit, which computes a fit's pairwise
-    /// distances once — so each value takes the same floating-point steps
-    /// wherever it is built.
+    /// of the hyper-parameter fit — so each value takes the same
+    /// floating-point steps wherever it is built. Each caller passes
+    /// `r = √d²` of the squared distances `vector::squared_distance`
+    /// accumulates; the fit takes those roots once per fit, not once per
+    /// trial.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `d2.len() != out.len()`.
-    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]);
+    /// Implementations may panic if `r.len() != out.len()`.
+    fn eval_distances(&self, r: &[f64], out: &mut [f64]);
 
     /// The kernel's characteristic length scale.
     fn length_scale(&self) -> f64;
@@ -42,29 +44,30 @@ pub trait Kernel: Debug + Send + Sync {
     /// scales without knowing the concrete kernel type.
     fn with_length_scale(&self, length_scale: f64) -> Arc<dyn Kernel>;
 
-    /// Evaluates `k(a, b)`: the row hook at the one squared distance
-    /// `vector::squared_distance(a, b)`.
+    /// Evaluates `k(a, b)`: the row hook at the one distance
+    /// `√vector::squared_distance(a, b)`.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != b.len()`.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         let mut k = [0.0];
-        self.eval_squared_distances(&[vector::squared_distance(a, b)], &mut k);
+        self.eval_distances(&[vector::squared_distance(a, b).sqrt()], &mut k);
         k[0]
     }
 
     /// Builds the symmetric kernel matrix `K[i][j] = k(xᵢ, xⱼ)` for the rows
     /// of `x`, evaluating the lower triangle a row at a time through
-    /// [`Kernel::eval_squared_distances`].
+    /// [`Kernel::eval_distances`] and mirroring it, so the matrix is
+    /// symmetric bit for bit.
     fn matrix(&self, x: &Matrix) -> Matrix {
         let n = x.rows();
         let mut k = Matrix::zeros(n, n);
-        let mut d2 = Vec::with_capacity(n);
+        let mut r = Vec::with_capacity(n);
         for i in 0..n {
-            d2.clear();
-            d2.extend((0..=i).map(|j| vector::squared_distance(x.row(i), x.row(j))));
-            self.eval_squared_distances(&d2, &mut k.row_mut(i)[..=i]);
+            r.clear();
+            r.extend((0..=i).map(|j| vector::squared_distance(x.row(i), x.row(j)).sqrt()));
+            self.eval_distances(&r, &mut k.row_mut(i)[..=i]);
             for j in 0..i {
                 k[(j, i)] = k[(i, j)];
             }
@@ -73,14 +76,13 @@ pub trait Kernel: Debug + Send + Sync {
     }
 
     /// Evaluates the cross-covariance vector `k(x*, xᵢ)` between one query
-    /// point and each row of `x`, through
-    /// [`Kernel::eval_squared_distances`].
+    /// point and each row of `x`, through [`Kernel::eval_distances`].
     fn cross(&self, query: &[f64], x: &Matrix) -> Vec<f64> {
-        let d2: Vec<f64> = (0..x.rows())
-            .map(|i| vector::squared_distance(query, x.row(i)))
+        let r: Vec<f64> = (0..x.rows())
+            .map(|i| vector::squared_distance(query, x.row(i)).sqrt())
             .collect();
-        let mut k = vec![0.0; d2.len()];
-        self.eval_squared_distances(&d2, &mut k);
+        let mut k = vec![0.0; r.len()];
+        self.eval_distances(&r, &mut k);
         k
     }
 }
@@ -144,14 +146,14 @@ impl Matern52 {
 }
 
 impl Kernel for Matern52 {
-    /// Two passes over the row: the first computes `s = √5·r/ℓ` at
-    /// `r = √d²`, whose square roots and divisions vectorize, and the
-    /// second `(1 + s + s²/3)·exp(−s)`, which is bound by `exp`.
-    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]) {
-        assert_eq!(d2.len(), out.len(), "kernel row: length mismatch");
+    /// Two passes over the row: the first computes `s = √5·r/ℓ`, left to
+    /// right, whose divisions vectorize, and the second
+    /// `(1 + s + s²/3)·exp(−s)`, which is bound by `exp`.
+    fn eval_distances(&self, r: &[f64], out: &mut [f64]) {
+        assert_eq!(r.len(), out.len(), "kernel row: length mismatch");
         let length_scale = self.length_scale;
-        for (s, &d2) in out.iter_mut().zip(d2) {
-            *s = 5.0_f64.sqrt() * d2.sqrt() / length_scale;
+        for (s, &r) in out.iter_mut().zip(r) {
+            *s = 5.0_f64.sqrt() * r / length_scale;
         }
         for k in out.iter_mut() {
             let s = *k;

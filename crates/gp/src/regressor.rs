@@ -63,14 +63,16 @@ pub struct GpRegressor {
 
 /// Factors the noisy covariance `cov` (with jitter escalation) into
 /// `factor` and solves it against the centred targets into `alpha`,
-/// returning the factor and the log marginal likelihood. Only the lower
+/// returning the factor and the log marginal likelihood. Only the upper
 /// triangle of `cov` is factored; every entry must be finite.
 ///
 /// [`GpRegressor::fit`] and every trial of the hyper-parameter search
 /// score their covariance through this one function, so a trial and the
-/// regressor refitted at its hyper-parameters agree to the bit. A search
-/// passes the same `factor` and `alpha` to every trial, so trials allocate
-/// nothing once the first has sized them.
+/// regressor refitted at its hyper-parameters agree to the bit, and the
+/// fit hands out the regressor of its trial at the optimum
+/// ([`GpRegressor::from_factor`]). A search passes the same `factor` and
+/// `alpha` to every trial, so trials allocate nothing once the first has
+/// sized them.
 pub(crate) fn factor_covariance<'w>(
     cov: &Matrix,
     y_centered: &[f64],
@@ -148,18 +150,44 @@ impl GpRegressor {
         let mut alpha = Vec::with_capacity(n);
         let (chol, log_marginal_likelihood) =
             factor_covariance(&cov, &y_centered, &mut factor, &mut alpha)?;
-        let chol = chol.clone();
-
-        Ok(GpRegressor {
+        Ok(GpRegressor::from_factor(
             kernel,
             signal_variance,
             noise_variance,
-            x_train: x_train.clone(),
+            x_train.clone(),
+            y_mean,
+            alpha,
+            chol.clone(),
+            log_marginal_likelihood,
+        ))
+    }
+
+    /// The regressor whose covariance was factored by
+    /// [`factor_covariance`]: `chol`, `alpha` and `log_marginal_likelihood`
+    /// are what it returned for the centred targets `y_train − y_mean` at
+    /// these hyper-parameters. The fit builds its result here from its
+    /// trial at the optimum, which is [`GpRegressor::fit`] bit for bit.
+    #[allow(clippy::too_many_arguments)] // one per field
+    pub(crate) fn from_factor(
+        kernel: Arc<dyn Kernel>,
+        signal_variance: f64,
+        noise_variance: f64,
+        x_train: Matrix,
+        y_mean: f64,
+        alpha: Vec<f64>,
+        chol: Cholesky,
+        log_marginal_likelihood: f64,
+    ) -> Self {
+        GpRegressor {
+            kernel,
+            signal_variance,
+            noise_variance,
+            x_train,
             y_mean,
             alpha,
             chol,
             log_marginal_likelihood,
-        })
+        }
     }
 
     /// Posterior mean and (noise-free) variance at `query`.
@@ -202,11 +230,11 @@ impl GpRegressor {
     /// reduction take the exact same floating-point steps. What changes is
     /// the memory traffic. The cross-covariances `K*` are built one
     /// training row at a time against every query of the block, through
-    /// one [`Kernel::eval_squared_distances`] call per row, while each
-    /// query's mean accumulates. The `m` forward substitutions run as one
-    /// multi-RHS solve ([`Cholesky::solve_lower_columns`]), so each row of
-    /// the factor is loaded once per block instead of once per query, and
-    /// each query's `vᵀv` accumulates from the solution's rows.
+    /// one [`Kernel::eval_distances`] call per row, while each query's
+    /// mean accumulates. The `m` forward substitutions run as one multi-RHS
+    /// solve in `K*`'s own storage ([`Cholesky::solve_lower_columns`]), so
+    /// each row of the factor is loaded once per block instead of once per
+    /// query, and each query's `vᵀv` accumulates from the solution's rows.
     ///
     /// # Errors
     ///
@@ -220,7 +248,7 @@ impl GpRegressor {
         let (kstar, means) = self.cross_covariance(queries);
         let v = self
             .chol
-            .solve_lower_columns(&kstar)
+            .solve_lower_columns(kstar)
             .map_err(Error::Numerical)?;
         // Each query's `vᵀv` in training-row order from −0.0, the fold
         // `vector::dot` runs over that query's column of V.
@@ -230,11 +258,11 @@ impl GpRegressor {
                 *acc += vi * vi;
             }
         }
-        let self_d2: Vec<f64> = (0..m)
-            .map(|q| vector::squared_distance(queries.row(q), queries.row(q)))
+        let self_r: Vec<f64> = (0..m)
+            .map(|q| vector::squared_distance(queries.row(q), queries.row(q)).sqrt())
             .collect();
         let mut prior = vec![0.0; m];
-        self.kernel.eval_squared_distances(&self_d2, &mut prior);
+        self.kernel.eval_distances(&self_r, &mut prior);
         let variances: Vec<f64> = prior
             .iter()
             .zip(&vtv)
@@ -266,7 +294,7 @@ impl GpRegressor {
         let (kstar, mean) = self.cross_covariance(queries);
         // Solved for all queries in one multi-RHS pass — bit-identical per
         // column to the per-query `solve_lower`.
-        let v = self.chol.solve_lower_columns(&kstar)?;
+        let v = self.chol.solve_lower_columns(kstar)?;
         let vt = v.transpose();
         hyperpower_linalg::debug_assert_finite!("gp joint posterior mean", &mean);
         let prior = self.kernel.matrix(queries);
@@ -293,28 +321,32 @@ impl GpRegressor {
     ///
     /// `K*` is built one training row at a time: that row's squared
     /// distances to every query accumulate dimension by dimension over the
-    /// transposed queries, one [`Kernel::eval_squared_distances`] call
-    /// turns them into covariances, and each query's dot product with α
-    /// takes the row's term. Every sum runs in index order from −0.0, the
-    /// fold `vector::squared_distance` and `vector::dot` run, so each value
-    /// is the one [`GpRegressor::predict`] computes for its query.
+    /// transposed queries, their square roots go through one
+    /// [`Kernel::eval_distances`] call, which turns them into covariances,
+    /// and each query's dot product with α takes the row's term. Every sum
+    /// runs in index order from −0.0, the fold `vector::squared_distance`
+    /// and `vector::dot` run, so each value is the one
+    /// [`GpRegressor::predict`] computes for its query.
     fn cross_covariance(&self, queries: &Matrix) -> (Matrix, Vec<f64>) {
         let m = queries.rows();
         let n = self.x_train.rows();
         let qt = queries.transpose();
         let mut kstar = Matrix::zeros(n, m);
-        let mut d2 = vec![0.0; m];
+        let mut r = vec![0.0; m];
         let mut dots = vec![-0.0; m];
         for (i, &alpha) in self.alpha.iter().enumerate() {
             let xi = self.x_train.row(i);
-            d2.fill(-0.0);
+            r.fill(-0.0);
             for (c, &xc) in xi.iter().enumerate() {
-                for (acc, &qc) in d2.iter_mut().zip(qt.row(c)) {
+                for (acc, &qc) in r.iter_mut().zip(qt.row(c)) {
                     *acc += (qc - xc) * (qc - xc);
                 }
             }
+            for v in r.iter_mut() {
+                *v = v.sqrt();
+            }
             let row = kstar.row_mut(i);
-            self.kernel.eval_squared_distances(&d2, row);
+            self.kernel.eval_distances(&r, row);
             for (k, dot) in row.iter_mut().zip(&mut dots) {
                 *k *= self.signal_variance;
                 *dot += *k * alpha;

@@ -255,7 +255,7 @@ impl FrozenScorer {
         }
         let v = self
             .chol
-            .solve_lower_columns(&kstar)
+            .solve_lower_columns(kstar)
             .map_err(Error::Numerical)?;
         // Column dots in row-major storage: transpose once so each query's
         // `vᵀv` is the same contiguous `vector::dot` fold `predict` runs.

@@ -110,10 +110,10 @@ impl Kernel for Spiked {
         Arc::new(Spiked(Matern52::new(length_scale)))
     }
 
-    fn eval_squared_distances(&self, d2: &[f64], out: &mut [f64]) {
-        self.0.eval_squared_distances(d2, out);
-        for (k, &d2) in out.iter_mut().zip(d2) {
-            if d2 > 0.0 && d2 < 1e-12 {
+    fn eval_distances(&self, r: &[f64], out: &mut [f64]) {
+        self.0.eval_distances(r, out);
+        for (k, &r) in out.iter_mut().zip(r) {
+            if r > 0.0 && r < 1e-6 {
                 *k = Self::SPIKE;
             }
         }

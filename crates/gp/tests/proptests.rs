@@ -51,9 +51,10 @@ proptest! {
         (point, rows, first_far) in point_and_rows(),
         log10_length_scale in -3.0f64..=3.0,
     ) {
-        // Every covariance the GP builds goes through the row hook. Each
-        // value must be `eval` to the bit, at d² = 0 and past underflow
-        // too, and it must be the formula as written out here.
+        // Every covariance the GP builds goes through the row hook, at the
+        // square roots of its squared distances. Each value must be `eval`
+        // to the bit, at d² = 0 and past underflow too, and it must be the
+        // formula as written out here.
         let length_scale = 10f64.powf(log10_length_scale);
         let d2: Vec<f64> = (0..rows.rows())
             .map(|j| vector::squared_distance(&point, rows.row(j)))
@@ -66,8 +67,9 @@ proptest! {
             })
             .collect();
         let kernel = Matern52::new(length_scale);
-        let mut row = vec![f64::NAN; d2.len()];
-        kernel.eval_squared_distances(&d2, &mut row);
+        let r: Vec<f64> = d2.iter().map(|d2| d2.sqrt()).collect();
+        let mut row = vec![f64::NAN; r.len()];
+        kernel.eval_distances(&r, &mut row);
         for (j, k) in row.iter().enumerate() {
             let eval = kernel.eval(&point, rows.row(j));
             prop_assert_eq!(k.to_bits(), eval.to_bits(), "ℓ = {}, row {}", length_scale, j);

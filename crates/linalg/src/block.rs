@@ -302,18 +302,21 @@ fn column_update_kb(col: &mut [f64], rows: &[&[f64]; KB]) {
     }
 }
 
-/// Column-order Cholesky into `Lᵀ`: factors the lower triangle of `a`
+/// Column-order Cholesky into `Lᵀ`: factors the upper triangle of `a`
 /// (n×n, row-major) and writes column j of `L` as row j of `lt` (n×n,
-/// row-major), from its diagonal on. The strictly lower triangle of `lt` is
-/// never touched, so storage that starts zeroed holds exactly `Lᵀ`.
+/// row-major), from its diagonal on. The strictly lower triangles of `a`
+/// and `lt` are never read or written, so storage that starts zeroed holds
+/// exactly `Lᵀ`.
 ///
 /// `shift` is the jitter of a retry: `Some(s)` reads every diagonal entry
 /// as `a[j,j] + s`, the sum `a + s·I` would hold, while `None` reads `a`
 /// as it is (adding `0.0` would turn a `-0.0` diagonal into `+0.0`).
 ///
-/// Column j starts as a copy of the lower-triangle column j of `a`, then
-/// subtracts `lt[k][j..n] · lt[k][j]` for k = 0..j, `KB` rows of `Lᵀ` per
-/// pass ([`column_update_kb`]) and the last `j mod KB` one at a time; its
+/// Column j starts as a copy of row j of `a` from its diagonal on, one
+/// contiguous slice: for the symmetric matrices the library factors, that
+/// is column j of the lower triangle, bit for bit. It then subtracts
+/// `lt[k][j..n] · lt[k][j]` for k = 0..j, `KB` rows of `Lᵀ` per pass
+/// ([`column_update_kb`]) and the last `j mod KB` one at a time; its
 /// first entry is the pivot, which is tested, replaced by its `sqrt` and
 /// divides the rest. So element (i, j) takes the naive left-looking
 /// sequence — `a[i,j] − l[i,k]·l[j,k]` for k strictly increasing, then the
@@ -332,8 +335,8 @@ pub(crate) fn cholesky_factor_lt(
         let (done, rest) = lt.split_at_mut(j * n);
         let (row, _) = rest.split_at_mut(n);
         let (_, col) = row.split_at_mut(j);
-        let (_, a_col) = a.split_at(j * n + j);
-        for (w, &v) in col.iter_mut().zip(a_col.iter().step_by(n)) {
+        let (_, a_row) = a.split_at(j * n + j);
+        for (w, &v) in col.iter_mut().zip(a_row) {
             *w = v;
         }
         if let (Some(s), Some(w)) = (shift, col.first_mut()) {
@@ -369,24 +372,55 @@ pub(crate) fn cholesky_factor_lt(
     Ok(())
 }
 
+/// One k-block of the forward solve's update: `y[i] −= l[i,k]·y[k]` for
+/// each of the `KB` solved rows `ys` (rows k₀..k₀+`KB` of the solution,
+/// `nrhs` wide), against every later row i of `below`, whose `l[i,k]` are
+/// the columns `cols` (each `lt[k][k₀+KB..n]`). Every element subtracts
+/// the four products one after another in increasing k, the sequence of
+/// four single-step passes; one pass just loads and stores each element
+/// once instead of four times.
+#[inline(always)]
+fn forward_update_kb(below: &mut [f64], nrhs: usize, cols: &[&[f64]; KB], ys: &[&[f64]; KB]) {
+    let [c0, c1, c2, c3] = *cols;
+    let [y0, y1, y2, y3] = *ys;
+    for ((((yi, &a0), &a1), &a2), &a3) in
+        below.chunks_exact_mut(nrhs).zip(c0).zip(c1).zip(c2).zip(c3)
+    {
+        for ((((w, &v0), &v1), &v2), &v3) in yi.iter_mut().zip(y0).zip(y1).zip(y2).zip(y3) {
+            *w = *w - a0 * v0 - a1 * v1 - a2 * v2 - a3 * v3;
+        }
+    }
+}
+
+/// A row of `lt` from column `k0` on, split after its first `KB`
+/// entries; `None` if fewer remain.
+#[inline(always)]
+fn block_row(row: &[f64], k0: usize) -> Option<(&[f64; KB], &[f64])> {
+    row.get(k0..)?.split_first_chunk::<KB>()
+}
+
 /// Forward substitution `L·Y = B` for `nrhs` right-hand sides stored
 /// column-wise (`y[i * nrhs + r]` is component i of RHS r), reading `L`
 /// through its transpose `lt` (`lt[k * n + i] = l[i * n + k]`): the one
 /// forward-solve kernel, behind every forward solve of a
 /// [`Cholesky`](crate::Cholesky).
 ///
-/// On entry `y` holds `B`; on exit it holds `Y`. Column-oriented: step k
-/// divides row k of `y`, whose subtractions are complete, by `l[k,k]`,
-/// then subtracts `l[i,k]·y[k]` from every later row i, in one contiguous
-/// pass over row k of `lt`. Per (element, RHS) that is the naive
+/// On entry `y` holds `B`; on exit it holds `Y`. Column-oriented and
+/// k-blocked like the factor's column update: for each block of `KB` rows
+/// k₀..k₀+`KB` of `lt`, it first finishes rows k₀..k₀+`KB` of `y` in
+/// order (row k₀+r subtracts `l[k₀+r,k]·y[k]` for the block's earlier
+/// rows k, then divides by `l[k₀+r,k₀+r]`), then subtracts all `KB` rows
+/// from every later row in one pass ([`forward_update_kb`]). The last
+/// `n mod KB` rows run one step k at a time: divide row k, subtract it
+/// from every later row. Per (element, RHS) that is the naive
 /// `solve_lower` sequence: subtract `l[i,k]·y[k]` for k = 0..i in
 /// increasing order, then divide by `l[i,i]`.
 ///
-/// Row k of `lt` and the rows of `y` below row k are walked by zipped
+/// Rows of `lt` and the rows of `y` below a block are walked by zipped
 /// iterators, with no index arithmetic per row. `#[inline(always)]` lets
 /// each call site specialise the kernel, as the backward solve's do: where
-/// `nrhs` is the constant 1 the RHS loop disappears and step k runs as one
-/// axpy over column k of `L`.
+/// `nrhs` is the constant 1 the RHS loops disappear and a block's update
+/// runs as one pass over four columns of `L`.
 #[inline(always)]
 pub(crate) fn solve_lower_lt(n: usize, lt: &[f64], nrhs: usize, y: &mut [f64]) {
     debug_assert_eq!(lt.len(), n * n);
@@ -395,7 +429,49 @@ pub(crate) fn solve_lower_lt(n: usize, lt: &[f64], nrhs: usize, y: &mut [f64]) {
         // Nothing to solve, and `chunks_exact` rejects a zero width.
         return;
     }
-    for (k, row) in lt.chunks_exact(n).enumerate() {
+    let mut blocks = lt.chunks_exact(KB * n);
+    let mut k0 = 0;
+    for block in &mut blocks {
+        // Rows k₀..k₀+KB of `lt` from column k₀ on, each split after its
+        // first KB entries: row k₀+k heads with `l[k₀+r, k₀+k]` for
+        // r = 0..KB, then holds column k₀+k of `L` below the block.
+        let (r0, rest) = block.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let (Some((h0, c0)), Some((h1, c1)), Some((h2, c2)), Some((h3, c3))) = (
+            block_row(r0, k0),
+            block_row(r1, k0),
+            block_row(r2, k0),
+            block_row(r3, k0),
+        ) else {
+            break;
+        };
+        let [l00, l10, l20, l30] = *h0;
+        let [_, l11, l21, l31] = *h1;
+        let [_, _, l22, l32] = *h2;
+        let [_, _, _, l33] = *h3;
+        let (_, tail) = y.split_at_mut(k0 * nrhs);
+        let (solved, below) = tail.split_at_mut(KB * nrhs);
+        let (y0, rest) = solved.split_at_mut(nrhs);
+        let (y1, rest) = rest.split_at_mut(nrhs);
+        let (y2, y3) = rest.split_at_mut(nrhs);
+        // Finish the block's rows in order: each subtracts the block's
+        // earlier rows in increasing k, then divides by its pivot.
+        for (((w0, w1), w2), w3) in y0
+            .iter_mut()
+            .zip(y1.iter_mut())
+            .zip(y2.iter_mut())
+            .zip(y3.iter_mut())
+        {
+            *w0 /= l00;
+            *w1 = (*w1 - l10 * *w0) / l11;
+            *w2 = (*w2 - l20 * *w0 - l21 * *w1) / l22;
+            *w3 = (*w3 - l30 * *w0 - l31 * *w1 - l32 * *w2) / l33;
+        }
+        forward_update_kb(below, nrhs, &[c0, c1, c2, c3], &[y0, y1, y2, y3]);
+        k0 += KB;
+    }
+    for (k, row) in (k0..).zip(blocks.remainder().chunks_exact(n)) {
         let (_, tail) = y.split_at_mut(k * nrhs);
         let (yk, below) = tail.split_at_mut(nrhs);
         let (_, from_diagonal) = row.split_at(k);

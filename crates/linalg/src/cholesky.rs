@@ -47,7 +47,7 @@ pub struct CholeskyWorkspace {
 }
 
 /// The jitter ladder, the one implementation behind every factorization:
-/// checks that every entry of `a` is finite, then factors its lower
+/// checks that every entry of `a` is finite, then factors its upper
 /// triangle into `lt` (resized and zeroed when its shape differs), retrying
 /// `a + jitter·I` with `jitter` growing ×10 from `initial_jitter` up to
 /// `max_tries` times while the matrix is numerically indefinite. Returns
@@ -121,9 +121,12 @@ impl Cholesky {
     /// [`Cholesky::factor_with_jitter`], with no jitter.
     ///
     /// The factorization is the column-order kernel in `crate::block`,
-    /// which writes `Lᵀ`. The factor is bit-identical to the naive
-    /// left-looking loop's (pinned by `tests/reference_kernels.rs`), and on
-    /// failure the first bad pivot and its pivot value are too.
+    /// which reads the upper triangle of `a` a row at a time and writes
+    /// `Lᵀ`; the strictly lower triangle is checked for finiteness but
+    /// never factored. The factor is bit-identical to the naive
+    /// left-looking loop's over the lower triangle of a symmetric matrix
+    /// (pinned by `tests/reference_kernels.rs`), and on failure the first
+    /// bad pivot and its pivot value are too.
     ///
     /// # Errors
     ///
@@ -231,8 +234,9 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solves `L·Y = B` for every column of `B` in one pass: column `j` of
-    /// the result is `solve_lower(b.col(j))`, bit-for-bit.
+    /// Solves `L·Y = B` for every column of `B` in one pass, in place:
+    /// takes `B` and returns `Y` in its storage. Column `j` of the result
+    /// is `solve_lower(b.col(j))`, bit-for-bit.
     ///
     /// A row-major matrix with RHS in the columns is exactly the layout the
     /// forward kernel wants (components contiguous across right-hand
@@ -242,7 +246,7 @@ impl Cholesky {
     /// # Errors
     ///
     /// Returns [`Error::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_lower_columns(&self, b: &Matrix) -> Result<Matrix> {
+    pub fn solve_lower_columns(&self, mut b: Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.rows() != n {
             return Err(Error::ShapeMismatch {
@@ -250,9 +254,8 @@ impl Cholesky {
                 found: format!("rhs with {} rows", b.rows()),
             });
         }
-        let mut y = b.clone();
-        crate::block::solve_lower_lt(n, self.lt.as_slice(), y.cols(), y.buf_mut());
-        Ok(y)
+        crate::block::solve_lower_lt(n, self.lt.as_slice(), b.cols(), b.buf_mut());
+        Ok(b)
     }
 
     /// Solves `A·X = B` for every column of `B` (forward then backward
@@ -263,7 +266,7 @@ impl Cholesky {
     /// Returns [`Error::ShapeMismatch`] if `b.rows() != self.dim()`.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
-        let mut out = self.solve_lower_columns(b)?;
+        let mut out = self.solve_lower_columns(b.clone())?;
         crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), out.cols(), out.buf_mut());
         Ok(out)
     }
@@ -380,31 +383,31 @@ mod tests {
     }
 
     #[test]
-    fn workspace_matches_owned_factor_and_reads_only_the_lower_triangle() {
+    fn workspace_matches_owned_factor_and_reads_only_the_upper_triangle() {
         let a = spd3();
         let (owned, _) = Cholesky::factor_with_jitter(&a, 1e-10, 3).unwrap();
-        // A finite upper triangle that disagrees with the lower (a search
+        // A finite lower triangle that disagrees with the upper (a search
         // trial leaves it zero) is never read.
-        let mut lower = a.clone();
-        lower[(0, 1)] = 0.0;
-        lower[(0, 2)] = -1e300;
+        let mut upper = a.clone();
+        upper[(1, 0)] = 0.0;
+        upper[(2, 0)] = -1e300;
         let mut ws = CholeskyWorkspace::default();
         // A failed factorization first: the next one must not read its
         // leftovers.
         let indefinite =
-            Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[2.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
+            Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[2.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
         assert!(ws.factor_jittered(&indefinite, 1e-10, 0).is_err());
-        let (chol, jitter) = ws.factor_jittered(&lower, 1e-10, 3).unwrap();
+        let (chol, jitter) = ws.factor_jittered(&upper, 1e-10, 3).unwrap();
         assert_eq!(jitter, 0.0);
         assert_eq!(chol, &owned);
-        assert_eq!(Cholesky::factor(&lower).unwrap(), owned);
+        assert_eq!(Cholesky::factor(&upper).unwrap(), owned);
         let mut x = vec![1.0, -2.0, 0.5];
         chol.solve_in_place(&mut x).unwrap();
         assert_eq!(x, owned.solve(&[1.0, -2.0, 0.5]).unwrap());
         assert!(chol.solve_in_place(&mut [1.0]).is_err());
         // Both check every entry for finiteness, either triangle.
         for (i, j) in [(0, 2), (2, 0)] {
-            let mut bad = lower.clone();
+            let mut bad = upper.clone();
             bad[(i, j)] = f64::NAN;
             assert!(matches!(
                 Cholesky::factor(&bad).unwrap_err(),

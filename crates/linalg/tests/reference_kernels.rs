@@ -232,7 +232,7 @@ proptest! {
     ) {
         if let Ok(chol) = Cholesky::factor(&a) {
             let l = &chol.factor_l();
-            let solved = chol.solve_lower_columns(&b).expect("shapes agree");
+            let solved = chol.solve_lower_columns(b.clone()).expect("shapes agree");
             for j in 0..b.cols() {
                 let col_ref = naive_solve_lower(l, &b.col(j));
                 let col_blocked: Vec<f64> = solved.col_iter(j).collect();
@@ -275,7 +275,10 @@ fn zero_right_hand_sides_solve_to_empty() {
         a.add_diagonal(1.0);
         let chol = Cholesky::factor(&a).unwrap();
         let empty = Matrix::zeros(n, 0);
-        assert_eq!(chol.solve_lower_columns(&empty).unwrap().shape(), (n, 0));
+        assert_eq!(
+            chol.solve_lower_columns(empty.clone()).unwrap().shape(),
+            (n, 0)
+        );
         assert_eq!(chol.solve_matrix(&empty).unwrap().shape(), (n, 0));
     }
 }
