@@ -33,7 +33,7 @@ fn main() {
         let config = Config::random(&mut rng, scenario.space.dim());
         let decoded = scenario.space.decode(&config).expect("valid space");
         let outcome = sim.simulate(&decoded.arch, &decoded.hyper, i);
-        let power = gpu.measure_power(&decoded.arch);
+        let power = gpu.measure_power(&gpu.analyze(&decoded.arch));
         points.push((power.get(), outcome.final_error * 100.0));
     }
 

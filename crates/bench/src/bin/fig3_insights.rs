@@ -34,11 +34,12 @@ fn main() {
     for (idx, marker) in [(0u64, 'a'), (1, 'b'), (2, 'c')] {
         let config = Config::random(&mut rng, scenario.space.dim());
         let decoded = scenario.space.decode(&config).expect("valid");
+        let report = gpu.analyze(&decoded.arch);
         let mut pts = Vec::new();
         for epoch in [1usize, 5, 10, 20, 30] {
             // A measurement at this checkpoint: the architecture (hence
             // true power) is unchanged; only sensor noise differs.
-            pts.push((epoch as f64, gpu.measure_power(&decoded.arch).get()));
+            pts.push((epoch as f64, gpu.measure_power(&report).get()));
         }
         let spread = pts
             .iter()

@@ -41,7 +41,7 @@ fn main() {
         for _ in 0..100 {
             let config = Config::random(&mut rng, space.dim());
             let decoded = space.decode(&config).expect("valid");
-            let actual = gpu.measure_power(&decoded.arch).get();
+            let actual = gpu.measure_power(&gpu.analyze(&decoded.arch)).get();
             let predicted = session.models().predict_power(&decoded.structural).get();
             pts.push((actual, predicted));
             actuals.push(actual);

@@ -96,13 +96,16 @@ impl Profiler {
             // The regression targets stay raw (suffixed) magnitudes: the
             // linear models fit watts/bytes/seconds directly, and the typed
             // wrappers come back at the prediction boundary (`HwModels`).
-            power.push(gpu.measure_power(&decoded.arch).get());
-            latency.push(gpu.measure_latency(&decoded.arch).get());
+            // One noise-free analysis per design; the sensors read it in
+            // the order power, latency, memory.
+            let truth = gpu.analyze(&decoded.arch);
+            power.push(gpu.measure_power(&truth).get());
+            latency.push(gpu.measure_latency(&truth).get());
             if let Some(mem) = memory.as_mut() {
                 // `supports_memory` was checked when `memory` was created,
                 // so a measurement refusal here cannot occur; skipping the
                 // sample keeps the profiler panic-free regardless.
-                if let Ok(m) = gpu.measure_memory(&decoded.arch) {
+                if let Ok(m) = gpu.measure_memory(&truth) {
                     mem.push(m.as_bytes());
                 }
             }

@@ -73,7 +73,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use hyperpower_gpu_sim::{seeded_unit, FaultPlan, FaultProfile, Gpu, TrainingCostModel};
+use hyperpower_gpu_sim::{
+    seeded_unit, FaultPlan, FaultProfile, Gpu, InferenceReport, TrainingCostModel,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -324,12 +326,14 @@ enum Verdict {
         drift_events: Vec<crate::drift::DriftEvent>,
     },
     /// Trained on `lane`, through the replayed fault schedule `trial`;
-    /// the sensors are read at commit.
+    /// the sensors read `report`, the candidate's noise-free analysis, at
+    /// commit.
     Trained {
         lane: usize,
         result: EvaluationResult,
         trial: TrialPlan,
         glitched: bool,
+        report: InferenceReport,
     },
 }
 
@@ -490,11 +494,11 @@ fn config_key(config: &Config) -> Vec<u64> {
     config.unit().iter().map(|u| u.to_bits()).collect()
 }
 
-/// Predicted memory pressure of a candidate: the noise-free memory
-/// analysis as a fraction of device capacity. Consumes no RNG — fault
-/// decisions must never perturb the sensor stream.
-fn memory_pressure_frac(gpu: &Gpu, decoded: &Decoded) -> f64 {
-    let predicted_mib = gpu.analyze(&decoded.arch).memory.get();
+/// Predicted memory pressure of a candidate whose noise-free analysis is
+/// `report`: its memory as a fraction of device capacity. Consumes no
+/// RNG — fault decisions must never perturb the sensor stream.
+fn memory_pressure_frac(gpu: &Gpu, report: &InferenceReport) -> f64 {
+    let predicted_mib = report.memory.get();
     let capacity_mib = gpu.device().memory_capacity_gib * 1024.0;
     predicted_mib / capacity_mib
 }
@@ -1225,7 +1229,10 @@ impl Study {
         };
         let w = *w;
         let lane = &mut self.lanes[w];
-        let pressure_frac = memory_pressure_frac(gpu, &item.decoded);
+        // The candidate's one noise-free analysis: the fault schedule
+        // reads its memory pressure, the commit's sensors read it all.
+        let report = gpu.analyze(&item.decoded.arch);
+        let pressure_frac = memory_pressure_frac(gpu, &report);
         let trial = plan_trial(
             &self.plan,
             &self.spec.retry,
@@ -1250,6 +1257,7 @@ impl Study {
                 result,
                 trial,
                 glitched,
+                report,
             },
         };
     }
@@ -1341,6 +1349,7 @@ impl Study {
                 result,
                 trial,
                 glitched,
+                report,
             } => {
                 if let Some(l) = self.lanes.get_mut(lane) {
                     l.state = LaneState::Free;
@@ -1357,12 +1366,12 @@ impl Study {
                             // Transient sensor glitch: the first power
                             // reading is garbage — discard it (consuming
                             // the draw).
-                            let _ = gpu.measure_power(&decoded.arch);
+                            let _ = gpu.measure_power(&report);
                             sample.faults.push(TrialFailure::SensorGlitch);
                         }
-                        let raw_power = gpu.measure_power(&decoded.arch);
-                        let memory = gpu.measure_memory(&decoded.arch).ok();
-                        let latency = gpu.measure_latency(&decoded.arch);
+                        let raw_power = gpu.measure_power(&report);
+                        let memory = gpu.measure_memory(&report).ok();
+                        let latency = gpu.measure_latency(&report);
                         // Systematic sensor miscalibration (the
                         // `drifting-hw` profile): the recorded reading is
                         // biased by the profile's drift rate × the commit
@@ -1413,7 +1422,7 @@ impl Study {
                         self.history.push(sample.config.clone(), LIAR_ERROR);
                         self.quarantine.insert(config_key(&sample.config));
                         sample.kind = SampleKind::Failed;
-                        sample.power_w = gpu.analyze(&decoded.arch).power.get();
+                        sample.power_w = report.power.get();
                         sample.failure = Some(cause);
                     }
                 }

@@ -37,9 +37,10 @@
 //! ])?;
 //! use hyperpower_gpu_sim::{Mebibytes, Watts};
 //! let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), 7);
-//! let power = gpu.measure_power(&spec);
+//! let report = gpu.analyze(&spec);
+//! let power = gpu.measure_power(&report);
 //! assert!(power > Watts(45.0) && power < Watts(151.0));
-//! let memory = gpu.measure_memory(&spec)?;
+//! let memory = gpu.measure_memory(&report)?;
 //! assert!(memory > Mebibytes::ZERO);
 //! # Ok(())
 //! # }

@@ -43,6 +43,10 @@ impl std::error::Error for MeasurementError {}
 /// consecutive measurements of the same network differ slightly — and the
 /// whole sequence is reproducible from the constructor seed.
 ///
+/// Each measurement reads the network's noise-free report, which
+/// [`Gpu::analyze`] computes once per network: a caller that measures one
+/// network's power, memory and latency analyzes it once.
+///
 /// # Examples
 ///
 /// See the crate-level example.
@@ -72,39 +76,43 @@ impl Gpu {
         analyze(&self.device, spec)
     }
 
-    /// One noisy power measurement, clamped to the physical envelope
-    /// `[idle, max]`.
-    pub fn measure_power(&mut self, spec: &ArchSpec) -> Watts {
-        let truth = analyze(&self.device, spec).power;
-        let noisy = truth + Watts(self.device.power_noise_w * self.standard_normal());
+    /// One noisy power measurement of a network whose noise-free report on
+    /// this device is `truth` ([`Gpu::analyze`]), clamped to the physical
+    /// envelope `[idle, max]`.
+    pub fn measure_power(&mut self, truth: &InferenceReport) -> Watts {
+        let noisy = truth.power + Watts(self.device.power_noise_w * self.standard_normal());
         noisy.clamp(
             Watts(self.device.idle_power_w),
             Watts(self.device.max_power_w),
         )
     }
 
-    /// One noisy memory measurement.
+    /// One noisy memory measurement of a network whose noise-free report on
+    /// this device is `truth` ([`Gpu::analyze`]).
     ///
     /// # Errors
     ///
     /// Returns [`MeasurementError::Unsupported`] on platforms without a
     /// memory API (Tegra TX1).
-    pub fn measure_memory(&mut self, spec: &ArchSpec) -> Result<Mebibytes, MeasurementError> {
+    pub fn measure_memory(
+        &mut self,
+        truth: &InferenceReport,
+    ) -> Result<Mebibytes, MeasurementError> {
         if !self.device.supports_memory_measurement {
             return Err(MeasurementError::Unsupported {
                 device: self.device.name.clone(),
                 quantity: "memory",
             });
         }
-        let truth = analyze(&self.device, spec).memory;
         let noise = Mebibytes(self.device.memory_noise_mib * self.standard_normal());
-        Ok((truth + noise).max(Mebibytes::ZERO))
+        Ok((truth.memory + noise).max(Mebibytes::ZERO))
     }
 
-    /// One noisy latency measurement per example (timing a few inference
-    /// batches scatters by ~2% on real systems).
-    pub fn measure_latency(&mut self, spec: &ArchSpec) -> Seconds {
-        let truth = analyze(&self.device, spec).latency;
+    /// One noisy latency measurement per example of a network whose
+    /// noise-free report on this device is `truth` ([`Gpu::analyze`]):
+    /// timing a few inference batches scatters by ~2% on real systems.
+    pub fn measure_latency(&mut self, truth: &InferenceReport) -> Seconds {
+        let truth = truth.latency;
         (truth * (1.0 + 0.02 * self.standard_normal())).max(truth * 0.5)
     }
 
@@ -138,9 +146,10 @@ mod tests {
     #[test]
     fn power_measurements_scatter_around_truth() {
         let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), 1);
-        let truth = gpu.analyze(&spec()).power;
+        let report = gpu.analyze(&spec());
+        let truth = report.power;
         let n = 200;
-        let measurements: Vec<Watts> = (0..n).map(|_| gpu.measure_power(&spec())).collect();
+        let measurements: Vec<Watts> = (0..n).map(|_| gpu.measure_power(&report)).collect();
         let mean = measurements.iter().copied().sum::<Watts>() / n as f64;
         assert!(
             (mean - truth).get().abs() < 0.5,
@@ -153,8 +162,9 @@ mod tests {
     #[test]
     fn power_stays_in_envelope() {
         let mut gpu = Gpu::new(DeviceProfile::tegra_tx1(), 2);
+        let report = gpu.analyze(&spec());
         for _ in 0..100 {
-            let p = gpu.measure_power(&spec());
+            let p = gpu.measure_power(&report);
             assert!(p >= Watts(1.8) && p <= Watts(14.5), "power {p}");
         }
     }
@@ -162,7 +172,7 @@ mod tests {
     #[test]
     fn tegra_memory_unsupported() {
         let mut gpu = Gpu::new(DeviceProfile::tegra_tx1(), 3);
-        let err = gpu.measure_memory(&spec()).unwrap_err();
+        let err = gpu.measure_memory(&gpu.analyze(&spec())).unwrap_err();
         assert!(matches!(
             err,
             MeasurementError::Unsupported {
@@ -176,9 +186,10 @@ mod tests {
     #[test]
     fn gtx_memory_supported_and_noisy() {
         let mut gpu = Gpu::new(DeviceProfile::gtx_1070(), 4);
-        let truth = gpu.analyze(&spec()).memory;
-        let a = gpu.measure_memory(&spec()).unwrap();
-        let b = gpu.measure_memory(&spec()).unwrap();
+        let report = gpu.analyze(&spec());
+        let truth = report.memory;
+        let a = gpu.measure_memory(&report).unwrap();
+        let b = gpu.measure_memory(&report).unwrap();
         assert_ne!(a, b, "sensor noise expected");
         assert!(
             (a - truth).get().abs() < 100.0,
@@ -190,8 +201,9 @@ mod tests {
     fn seeded_reproducibility() {
         let mut a = Gpu::new(DeviceProfile::gtx_1070(), 9);
         let mut b = Gpu::new(DeviceProfile::gtx_1070(), 9);
+        let report = a.analyze(&spec());
         for _ in 0..10 {
-            assert_eq!(a.measure_power(&spec()), b.measure_power(&spec()));
+            assert_eq!(a.measure_power(&report), b.measure_power(&report));
         }
     }
 }

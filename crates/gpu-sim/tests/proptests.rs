@@ -114,9 +114,9 @@ proptest! {
         let truth = analyze(&device, &spec);
         let mut gpu = Gpu::new(device.clone(), seed);
         for _ in 0..5 {
-            let p = gpu.measure_power(&spec);
+            let p = gpu.measure_power(&truth);
             prop_assert!((p - truth.power).get().abs() < 8.0 * device.power_noise_w);
-            let m = gpu.measure_memory(&spec).unwrap();
+            let m = gpu.measure_memory(&truth).unwrap();
             let noise_mib = (m - truth.memory).get().abs();
             prop_assert!(noise_mib < 8.0 * device.memory_noise_mib);
         }
@@ -125,7 +125,7 @@ proptest! {
     #[test]
     fn tegra_memory_always_unsupported(spec in cifar_arch_strategy(), seed in 0u64..50) {
         let mut gpu = Gpu::new(DeviceProfile::tegra_tx1(), seed);
-        prop_assert!(gpu.measure_memory(&spec).is_err());
+        prop_assert!(gpu.measure_memory(&gpu.analyze(&spec)).is_err());
     }
 
     #[test]

@@ -73,10 +73,11 @@ fn power_is_training_invariant() {
     let mut gpu = Gpu::new(scenario.device.clone(), 3);
     let config = Config::new(vec![0.6; 6]).expect("in range");
     let decoded = scenario.space.decode(&config).expect("valid");
-    let truth = gpu.analyze(&decoded.arch).power;
+    let report = gpu.analyze(&decoded.arch);
+    let truth = report.power;
     // 20 "checkpoints": all measurements within sensor noise of the truth.
     for _ in 0..20 {
-        let m = gpu.measure_power(&decoded.arch);
+        let m = gpu.measure_power(&report);
         assert!((m - truth).get().abs() < 5.0 * scenario.device.power_noise_w);
     }
 }
