@@ -1,3 +1,17 @@
+//! The GP hyper-parameter fit: Nelder–Mead over the log marginal
+//! likelihood, one covariance factorization per trial.
+//!
+//! A fit computes what every trial shares once ([`FitTable`]): its rows'
+//! pairwise distances in the factor's row order and the centred targets.
+//! Each trial fills the upper triangle of one reused covariance a row at a
+//! time through the kernel's row hook, factors it and solves for α in one
+//! reused workspace ([`TrialWorkspace`]), through the function
+//! [`GpRegressor::fit`] scores with, so a trial is that regressor's refit
+//! bit for bit. The fit's result is one more trial at the optimum: its
+//! regressor keeps that trial's factor, α and likelihood.
+//! [`GpRegressor::fit`] itself runs only to report a typed error or on the
+//! fallback to the heuristic start.
+
 use std::sync::Arc;
 
 use hyperpower_linalg::{vector, CholeskyWorkspace, Matrix};

@@ -4,6 +4,12 @@
 //! for hyper-parameter optimization because objective surfaces of trained
 //! networks are typically less smooth than the squared-exponential kernel
 //! assumes. This reproduction follows it: [`Matern52`] is the one kernel.
+//!
+//! A kernel sees the data only through distances. One row hook,
+//! [`Kernel::eval_distances`], evaluates every covariance the GP builds a
+//! row of distances at a time; each caller takes the square roots of the
+//! squared distances it accumulates, and a hyper-parameter fit takes them
+//! once per fit.
 
 use std::fmt::Debug;
 use std::sync::Arc;

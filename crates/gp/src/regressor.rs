@@ -1,3 +1,13 @@
+//! Exact GP regression: the fitted model and its posterior.
+//!
+//! [`GpRegressor::fit`] factors `σ_f²·K + σ_n²·I` through
+//! [`factor_covariance`], the one function every hyper-parameter trial
+//! scores with too, and a fit hands out its last trial's factor through
+//! [`GpRegressor::from_factor`]. Posteriors build their
+//! cross-covariances a training row at a time through the kernel's row
+//! hook, and batched scoring solves a whole candidate block in the
+//! storage of its cross-covariances.
+
 use std::sync::Arc;
 
 use hyperpower_linalg::{vector, Cholesky, CholeskyWorkspace, Matrix};

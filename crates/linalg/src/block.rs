@@ -1,8 +1,11 @@
 //! Cache-blocked, register-tiled kernels behind [`Matrix`](crate::Matrix),
 //! and the column-order factorization and triangular solves behind
-//! [`Cholesky`](crate::Cholesky). The factor is stored once, as `Lᵀ`, and
-//! read by exactly two solve kernels: `solve_lower_lt` for every forward
-//! solve and `solve_lower_transpose_multi` for every backward one.
+//! [`Cholesky`](crate::Cholesky). The factorization reads the upper
+//! triangle of its input a row at a time. The factor is stored once, as
+//! `Lᵀ`, and read by exactly two solve kernels: `solve_lower_lt` for every
+//! forward solve and `solve_lower_transpose_multi` for every backward one.
+//! The factorization's column update and the forward solve's update are
+//! both k-blocked by four.
 //!
 //! # The accumulation-order contract
 //!

@@ -1,3 +1,9 @@
+//! The Cholesky factorization and its solves. Every factorization runs
+//! one jitter ladder over the column-order kernel of `crate::block`,
+//! which reads the upper triangle of its input a row at a time and writes
+//! `Lᵀ`, the one factor a [`Cholesky`] stores; every solve reads `Lᵀ`
+//! through one forward and one backward kernel.
+
 use crate::{Error, Matrix, Result};
 
 /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite matrix.

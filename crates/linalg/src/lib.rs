@@ -23,9 +23,9 @@
 //! Everything is implemented from scratch in safe Rust. The hot kernels
 //! live in [`block`] under a strict accumulation-order contract:
 //! `matmul`/`gram`/`matvec` are cache-blocked and register-tiled, and the
-//! Cholesky factorization runs column by column into `Lᵀ`, the one factor
-//! a [`Cholesky`] stores, with one forward and one backward solve kernel
-//! that both read `Lᵀ`. They change memory layout and reuse, never the
+//! Cholesky factorization reads its input's upper triangle row by row and
+//! runs column by column into `Lᵀ`, the one factor a [`Cholesky`] stores,
+//! with one forward and one backward solve kernel that both read `Lᵀ`. They change memory layout and reuse, never the
 //! per-output-element operation sequence, so every result is bit-for-bit
 //! identical to the naive element-at-a-time loops (which live on as frozen
 //! test oracles in `tests/reference_kernels.rs`). See DESIGN.md §2a for the
