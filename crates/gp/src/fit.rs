@@ -108,8 +108,8 @@ struct FitTable<'a> {
     /// Each is the distance [`Kernel::matrix`] evaluates at (i, j), as
     /// `vector::squared_distance(xᵢ, xⱼ).sqrt()`.
     r: Vec<f64>,
-    /// `ȳ`, the mean [`GpRegressor::fit`] centres the targets on, when
-    /// `y_centered` is `Some`.
+    /// `ȳ`, the mean [`GpRegressor::fit`] centres the targets on; read
+    /// only when `y_centered` is `Some`.
     y_mean: f64,
     /// `y − ȳ`, or `None` when no hyper-parameters can fit the data (no
     /// rows, a target count that differs from the row count, or a
@@ -119,7 +119,6 @@ struct FitTable<'a> {
 }
 
 /// The hyper-parameters of one trial, from a log-space point.
-#[derive(Debug, Clone, Copy)]
 struct Hyper {
     length_scale: f64,
     signal_variance: f64,
@@ -178,11 +177,7 @@ impl<'a> FitTable<'a> {
             }
         }
         let fits = n > 0 && y.len() == n && y.iter().all(|v| v.is_finite());
-        let y_mean = if fits {
-            y.iter().sum::<f64>() / n as f64
-        } else {
-            0.0
-        };
+        let y_mean = y.iter().sum::<f64>() / n as f64;
         let y_centered = fits.then(|| y.iter().map(|v| v - y_mean).collect());
         FitTable {
             x,

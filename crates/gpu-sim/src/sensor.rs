@@ -112,8 +112,7 @@ impl Gpu {
     /// noise-free report on this device is `truth` ([`Gpu::analyze`]):
     /// timing a few inference batches scatters by ~2% on real systems.
     pub fn measure_latency(&mut self, truth: &InferenceReport) -> Seconds {
-        let truth = truth.latency;
-        (truth * (1.0 + 0.02 * self.standard_normal())).max(truth * 0.5)
+        (truth.latency * (1.0 + 0.02 * self.standard_normal())).max(truth.latency * 0.5)
     }
 
     fn standard_normal(&mut self) -> f64 {
