@@ -1,7 +1,7 @@
 # Developer entry points. Everything here is also runnable directly with
 # cargo; the Makefile just names the standard bundles.
 
-.PHONY: all build test check fmt clippy analyze sarif fix bench clean
+.PHONY: all build test check fmt clippy analyze sarif fix clean
 
 all: build test check
 
@@ -35,9 +35,6 @@ fix:
 	cargo fmt --all
 	cargo clippy --workspace --all-targets --fix --allow-dirty --allow-staged -- -D warnings
 	cargo run -p hyperpower-analyze -- --fix
-
-bench:
-	cargo bench --workspace
 
 clean:
 	cargo clean

@@ -1,7 +1,7 @@
-//! Deterministic synthetic corpus for the analyzer throughput bench.
+//! Deterministic synthetic corpus for the analyzer throughput ratchet.
 //!
-//! The bench and its ratchet test (`tests/bench_ratchet.rs`,
-//! `BENCH_analyze.json` at the workspace root) must measure the *same*
+//! The ratchet test (`tests/bench_ratchet.rs`, `BENCH_analyze.json` at
+//! the workspace root) must measure the *same*
 //! workload forever, independent of how the real workspace grows —
 //! otherwise the committed throughput number silently changes meaning.
 //! This module generates that workload: a fixed, seedless, purely

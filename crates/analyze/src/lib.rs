@@ -484,7 +484,7 @@ fn load_workspace_files(root: &Path, include_self: bool) -> Result<Vec<SourceFil
 
 /// Analyzes in-memory sources: `(workspace-relative path, text)` pairs.
 /// This is the disk-free twin of [`analyze_workspace`], used by the
-/// fixture corpus and the throughput bench; paths still determine rule
+/// fixture corpus and the throughput ratchet; paths still determine rule
 /// scope (trace crates, roots, boundaries), so fixtures choose them
 /// deliberately. A source whose path is `determinism-certificate.json`
 /// is not scanned as code — it plays the committed certificate, enabling

@@ -1,7 +1,7 @@
 //! Throughput ratchet for the analyzer's whole-workspace scan.
 //!
 //! `BENCH_analyze.json` at the workspace root commits the facts about
-//! the `benches/scan_throughput.rs` workloads: the corpus shape
+//! the scan and dataflow workloads timed here: the corpus shape
 //! (`corpus_files`, `corpus_bytes` — so the measured workload can never
 //! silently change meaning), the reference throughputs on the machine
 //! that recorded them, and two deliberately loose lower bounds
@@ -47,7 +47,7 @@ fn corpus_shape_matches_committed_reference() {
     assert_eq!(
         corpus_bytes(&files),
         committed("corpus_bytes", &text) as usize,
-        "synthetic corpus changed shape: re-run `cargo bench -p hyperpower-analyze` and refresh {BENCH_FILE}"
+        "synthetic corpus changed shape: re-run this ratchet with --nocapture and refresh {BENCH_FILE}"
     );
 }
 

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use hyperpower_linalg::{vector, CholeskyWorkspace, Matrix};
+use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 use crate::optimize::{nelder_mead, NelderMeadOptions};
 use crate::regressor::factor_covariance;
@@ -152,7 +152,7 @@ impl Hyper {
 /// factorization's finiteness check.
 struct TrialWorkspace {
     cov: Matrix,
-    factor: CholeskyWorkspace,
+    factor: Cholesky,
     alpha: Vec<f64>,
 }
 
@@ -161,7 +161,7 @@ impl TrialWorkspace {
         let n = table.x.rows();
         TrialWorkspace {
             cov: Matrix::zeros(n, n),
-            factor: CholeskyWorkspace::default(),
+            factor: Cholesky::default(),
             alpha: Vec::with_capacity(n),
         }
     }
@@ -273,7 +273,7 @@ impl<'a> FitTable<'a> {
             return f64::INFINITY;
         }
         match factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha) {
-            Ok((_, log_marginal_likelihood)) => -log_marginal_likelihood,
+            Ok(log_marginal_likelihood) => -log_marginal_likelihood,
             Err(_) => f64::INFINITY,
         }
     }
@@ -293,7 +293,7 @@ impl<'a> FitTable<'a> {
         p: &[f64],
     ) -> Option<FittedGp> {
         let hyper = self.fill(&mut ws.cov, base_kernel, min_noise_variance, p)?;
-        let (chol, log_marginal_likelihood) =
+        let log_marginal_likelihood =
             factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha).ok()?;
         let gp = GpRegressor::from_factor(
             base_kernel.with_length_scale(hyper.length_scale),
@@ -302,7 +302,7 @@ impl<'a> FitTable<'a> {
             self.x.clone(),
             self.y_mean,
             ws.alpha.clone(),
-            chol.clone(),
+            ws.factor.clone(),
             log_marginal_likelihood,
         );
         Some(FittedGp {

@@ -5,12 +5,13 @@
 //! scores with too, and a fit hands out its last trial's factor through
 //! [`GpRegressor::from_factor`]. Posteriors build their
 //! cross-covariances a training row at a time through the kernel's row
-//! hook, and batched scoring solves a whole candidate block in the
-//! storage of its cross-covariances.
+//! hook, and scoring solves a whole candidate block in the storage of its
+//! cross-covariances ([`GpRegressor::posterior_batch`], the one scoring
+//! path: [`GpRegressor::predict`] is it at one query).
 
 use std::sync::Arc;
 
-use hyperpower_linalg::{vector, Cholesky, CholeskyWorkspace, Matrix};
+use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 use crate::{Error, Kernel, Result};
 
@@ -37,7 +38,8 @@ impl Prediction {
 /// `m` is the empirical mean of the training targets (centering makes the
 /// zero-mean assumption harmless). Fitting factors the kernel matrix once
 /// with Cholesky (with jitter escalation for borderline matrices);
-/// predictions are then O(n) mean / O(n²) variance per query.
+/// predictions are then O(n) mean / O(n²) variance per query, scored a
+/// block of queries at a time by [`GpRegressor::posterior_batch`].
 ///
 /// This is the surrogate model `M` of the paper's Figure 2: at every
 /// Bayesian-optimization iteration it supplies the predictive marginal
@@ -73,33 +75,32 @@ pub struct GpRegressor {
 
 /// Factors the noisy covariance `cov` (with jitter escalation) into
 /// `factor` and solves it against the centred targets into `alpha`,
-/// returning the factor and the log marginal likelihood. Only the upper
-/// triangle of `cov` is factored; every entry must be finite.
+/// returning the log marginal likelihood. Only the upper triangle of `cov`
+/// is factored; every entry must be finite.
 ///
 /// [`GpRegressor::fit`] and every trial of the hyper-parameter search
 /// score their covariance through this one function, so a trial and the
 /// regressor refitted at its hyper-parameters agree to the bit, and the
 /// fit hands out the regressor of its trial at the optimum
 /// ([`GpRegressor::from_factor`]). A search passes the same `factor` and
-/// `alpha` to every trial, so trials allocate nothing once the first has
-/// sized them.
-pub(crate) fn factor_covariance<'w>(
+/// `alpha` to every trial ([`Cholesky::refactor`]), so trials allocate
+/// nothing once the first has sized them.
+pub(crate) fn factor_covariance(
     cov: &Matrix,
     y_centered: &[f64],
-    factor: &'w mut CholeskyWorkspace,
+    factor: &mut Cholesky,
     alpha: &mut Vec<f64>,
-) -> Result<(&'w Cholesky, f64)> {
-    let (chol, _jitter) = factor.factor_jittered(cov, 1e-10, 10)?;
+) -> Result<f64> {
+    factor.refactor(cov, 1e-10, 10)?;
     alpha.clear();
     alpha.extend_from_slice(y_centered);
-    chol.solve_in_place(alpha)?;
+    factor.solve_in_place(alpha)?;
     hyperpower_linalg::debug_assert_finite!("gp fit alpha", alpha);
 
     // log p(y|X) = -½ yᵀα − ½ log|K| − n/2 log 2π
-    let log_marginal_likelihood = -0.5 * vector::dot(y_centered, alpha)
-        - 0.5 * chol.log_det()
-        - 0.5 * y_centered.len() as f64 * (2.0 * std::f64::consts::PI).ln();
-    Ok((chol, log_marginal_likelihood))
+    Ok(-0.5 * vector::dot(y_centered, alpha)
+        - 0.5 * factor.log_det()
+        - 0.5 * y_centered.len() as f64 * (2.0 * std::f64::consts::PI).ln())
 }
 
 impl GpRegressor {
@@ -156,10 +157,9 @@ impl GpRegressor {
 
         let mut cov = kernel.matrix(x_train).scale(signal_variance);
         cov.add_diagonal(noise_variance);
-        let mut factor = CholeskyWorkspace::default();
+        let mut chol = Cholesky::default();
         let mut alpha = Vec::with_capacity(n);
-        let (chol, log_marginal_likelihood) =
-            factor_covariance(&cov, &y_centered, &mut factor, &mut alpha)?;
+        let log_marginal_likelihood = factor_covariance(&cov, &y_centered, &mut chol, &mut alpha)?;
         Ok(GpRegressor::from_factor(
             kernel,
             signal_variance,
@@ -167,7 +167,7 @@ impl GpRegressor {
             x_train.clone(),
             y_mean,
             alpha,
-            chol.clone(),
+            chol,
             log_marginal_likelihood,
         ))
     }
@@ -200,7 +200,8 @@ impl GpRegressor {
         }
     }
 
-    /// Posterior mean and (noise-free) variance at `query`.
+    /// Posterior mean and (noise-free) variance at `query`:
+    /// [`GpRegressor::posterior_batch`] at one query, bit for bit.
     ///
     /// # Errors
     ///
@@ -215,33 +216,31 @@ impl GpRegressor {
                 found: format!("query with {} dimensions", query.len()),
             });
         }
-        let k_star: Vec<f64> = self
-            .kernel
-            .cross(query, &self.x_train)
-            .into_iter()
-            .map(|v| v * self.signal_variance)
-            .collect();
-        let mean = self.y_mean + vector::dot(&k_star, &self.alpha);
-        // v = L⁻¹ k*; var = k(x*,x*) − vᵀv
-        let v = self.chol.solve_lower(&k_star)?;
-        let prior = self.signal_variance * self.kernel.eval(query, query);
-        let variance = (prior - vector::dot(&v, &v)).max(0.0);
-        hyperpower_linalg::debug_assert_finite!("gp posterior (mean, variance)", &[mean, variance]);
-        Ok(Prediction { mean, variance })
+        let queries = Matrix::from_vec(1, query.len(), query.to_vec())?;
+        let (means, variances) = self.posterior_batch(&queries)?;
+        match (means.as_slice(), variances.as_slice()) {
+            (&[mean], &[variance]) => Ok(Prediction { mean, variance }),
+            // `posterior_batch` returns one posterior per query row.
+            _ => Err(Error::DimensionMismatch {
+                expected: "one posterior".to_string(),
+                found: format!("{} posteriors", means.len()),
+            }),
+        }
     }
 
     /// Posterior means and (noise-free, clamped) variances for a whole
-    /// block of query points — the rows of `queries` — in one pass.
+    /// block of query points — the rows of `queries` — in one pass: the
+    /// acquisition functions' one scoring path.
     ///
-    /// Semantically this is `predict` applied to every row, and the results
-    /// are **bit-for-bit identical** to the per-point path (pinned by
-    /// `tests/posterior_batch.rs` and the workspace goldens): each query's
-    /// cross-covariances, mean dot product, triangular solve and variance
-    /// reduction take the exact same floating-point steps. What changes is
-    /// the memory traffic. The cross-covariances `K*` are built one
-    /// training row at a time against every query of the block, through
-    /// one [`Kernel::eval_distances`] call per row, while each query's
-    /// mean accumulates. The `m` forward substitutions run as one multi-RHS
+    /// Each query's cross-covariances, mean dot product, triangular solve
+    /// and variance reduction take the floating-point steps of a per-query
+    /// loop (frozen in `tests/common`, which `tests/bench_ratchet.rs` pins
+    /// this to bit for bit), so a query's posterior does not depend on the
+    /// block it is scored in. What the block changes is the memory
+    /// traffic. The cross-covariances `K*` are built one training row at a
+    /// time against every query of the block, through one
+    /// [`Kernel::eval_distances`] call per row, while each query's mean
+    /// accumulates. The `m` forward substitutions run as one multi-RHS
     /// solve in `K*`'s own storage ([`Cholesky::solve_lower_columns`]), so
     /// each row of the factor is loaded once per block instead of once per
     /// query, and each query's `vᵀv` accumulates from the solution's rows.
@@ -302,8 +301,8 @@ impl GpRegressor {
     ) -> std::result::Result<(Vec<f64>, Matrix), Error> {
         self.check_queries(queries)?;
         let (kstar, mean) = self.cross_covariance(queries);
-        // Solved for all queries in one multi-RHS pass — bit-identical per
-        // column to the per-query `solve_lower`.
+        // Solved for all queries in one multi-RHS pass, as
+        // `posterior_batch` solves them.
         let v = self.chol.solve_lower_columns(kstar)?;
         let vt = v.transpose();
         hyperpower_linalg::debug_assert_finite!("gp joint posterior mean", &mean);
@@ -335,8 +334,8 @@ impl GpRegressor {
     /// [`Kernel::eval_distances`] call, which turns them into covariances,
     /// and each query's dot product with α takes the row's term. Every sum
     /// runs in index order from −0.0, the fold `vector::squared_distance`
-    /// and `vector::dot` run, so each value is the one
-    /// [`GpRegressor::predict`] computes for its query.
+    /// and `vector::dot` run, so each value is the one a per-query loop
+    /// over [`Kernel::cross`] computes for its query.
     fn cross_covariance(&self, queries: &Matrix) -> (Matrix, Vec<f64>) {
         let m = queries.rows();
         let n = self.x_train.rows();

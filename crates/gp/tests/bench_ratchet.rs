@@ -2,9 +2,9 @@
 //! hyper-parameter fit.
 //!
 //! `BENCH_gp.json` at the workspace root commits the facts about the
-//! `benches/gp_batch.rs` workload — the corpus checksums (same seeded
-//! corpus as the bench, so the committed numbers always describe the same
-//! bits), the reference timings, and a *relative* floor: scoring the
+//! batched scoring workload — the corpus checksums (so the committed
+//! numbers always describe the same bits), the reference timings, and a
+//! *relative* floor: scoring the
 //! candidate grid through `posterior_batch` in blocks must stay at least
 //! `batch_speedup_floor`× faster than the per-point `predict` loop it
 //! replaced, measured side by side on whatever machine runs the test. That
@@ -16,7 +16,7 @@
 //!
 //! Its `fit` entry does the same for `fit_gp_hyperparams_laddered`, which
 //! builds every trial's covariance from a per-fit distance table and
-//! factors it into one reused workspace, against the frozen per-trial
+//! re-factors one reused `Cholesky`, against the frozen per-trial
 //! `GpRegressor::fit` objective in `common` — at the
 //! shapes of `paper_sweep` (21 rows, 6 dimensions) and `batch_sweep` (72
 //! rows, 13 dimensions), with the searchers' fit options. Bit-identical

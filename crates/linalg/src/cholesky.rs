@@ -1,8 +1,8 @@
 //! The Cholesky factorization and its solves. Every factorization runs
-//! one jitter ladder over the column-order kernel of `crate::block`,
-//! which reads the upper triangle of its input a row at a time and writes
-//! `Lᵀ`, the one factor a [`Cholesky`] stores; every solve reads `Lᵀ`
-//! through one forward and one backward kernel.
+//! one jitter ladder ([`Cholesky::refactor`]) over the column-order kernel
+//! of `crate::block`, which reads the upper triangle of its input a row at
+//! a time and writes `Lᵀ`, the one factor a [`Cholesky`] stores; every
+//! solve reads `Lᵀ` through one forward and one backward kernel.
 
 use crate::{Error, Matrix, Result};
 
@@ -40,86 +40,11 @@ pub struct Cholesky {
     lt: Matrix,
 }
 
-/// A factorization that a sequence of factorizations reuses.
-///
-/// [`Cholesky::factor_with_jitter`] allocates a fresh factor. A caller
-/// that factors many matrices of one size — the GP hyper-parameter search
-/// factors one covariance per trial — keeps one workspace instead and
-/// borrows each factor from it: once the workspace has the size,
-/// factoring allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct CholeskyWorkspace {
-    chol: Cholesky,
-}
-
-/// The jitter ladder, the one implementation behind every factorization:
-/// checks that every entry of `a` is finite, then factors its upper
-/// triangle into `lt` (resized and zeroed when its shape differs), retrying
-/// `a + jitter·I` with `jitter` growing ×10 from `initial_jitter` up to
-/// `max_tries` times while the matrix is numerically indefinite. Returns
-/// the jitter applied (0.0 when none was).
-///
-/// Each retry first checks, as a factorization of the shifted copy would,
-/// that every shifted diagonal entry is finite.
-fn factor_lt(a: &Matrix, initial_jitter: f64, max_tries: usize, lt: &mut Matrix) -> Result<f64> {
-    if !a.is_square() {
-        return Err(Error::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    if !a.is_finite() {
-        return Err(Error::NonFiniteInput);
-    }
-    let n = a.rows();
-    if lt.shape() != (n, n) {
-        *lt = Matrix::zeros(n, n);
-    }
-    let mut outcome = factor_shifted(a, None, lt).map(|()| 0.0);
-    let mut jitter = initial_jitter;
-    for _ in 0..max_tries {
-        if outcome.is_ok() {
-            break;
-        }
-        let mut diagonal = a.as_slice().iter().step_by(n + 1);
-        outcome = if diagonal.all(|d| (d + jitter).is_finite()) {
-            factor_shifted(a, Some(jitter), lt).map(|()| jitter)
-        } else {
-            Err(Error::NonFiniteInput)
-        };
-        jitter *= 10.0;
-    }
-    let jitter = outcome?;
-    // Inputs were checked above; this catches factor-internal
-    // overflow/underflow before the factor escapes into GP solves.
-    crate::debug_assert_finite!("cholesky factor", lt.as_slice());
-    Ok(jitter)
-}
-
-/// One attempt of the ladder: [`crate::block::cholesky_factor_lt`] with
-/// its failure as the typed error.
+/// One attempt of the jitter ladder: [`crate::block::cholesky_factor_lt`]
+/// with its failure as the typed error.
 fn factor_shifted(a: &Matrix, shift: Option<f64>, lt: &mut Matrix) -> Result<()> {
     crate::block::cholesky_factor_lt(a.rows(), a.as_slice(), shift, lt.buf_mut())
         .map_err(|(pivot, value)| Error::NotPositiveDefinite { pivot, value })
-}
-
-impl CholeskyWorkspace {
-    /// [`Cholesky::factor_with_jitter`] into this workspace: the factor, the
-    /// jitter and any error are the same, bit for bit, and the factor is
-    /// lent out until the next factorization.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cholesky::factor_with_jitter`].
-    pub fn factor_jittered(
-        &mut self,
-        a: &Matrix,
-        initial_jitter: f64,
-        max_tries: usize,
-    ) -> Result<(&Cholesky, f64)> {
-        let jitter = factor_lt(a, initial_jitter, max_tries, &mut self.chol.lt)?;
-        Ok((&self.chol, jitter))
-    }
 }
 
 impl Cholesky {
@@ -163,8 +88,63 @@ impl Cholesky {
         max_tries: usize,
     ) -> Result<(Self, f64)> {
         let mut chol = Cholesky::default();
-        let jitter = factor_lt(a, initial_jitter, max_tries, &mut chol.lt)?;
+        let jitter = chol.refactor(a, initial_jitter, max_tries)?;
         Ok((chol, jitter))
+    }
+
+    /// [`Cholesky::factor_with_jitter`] in place: factors `a + jitter·I`
+    /// into this factorization's storage and returns the jitter applied.
+    /// The factor, the jitter and any error are the same, bit for bit, and
+    /// once the storage has the size, factoring allocates nothing — so a
+    /// caller that factors many matrices of one size, like the GP
+    /// hyper-parameter search with one covariance per trial, keeps one
+    /// `Cholesky` and re-factors it.
+    ///
+    /// This is the one jitter ladder: it checks that every entry of `a` is
+    /// finite, then factors its upper triangle, retrying `a + jitter·I`
+    /// with `jitter` growing ×10 from `initial_jitter` up to `max_tries`
+    /// times while the matrix is numerically indefinite. Each retry first
+    /// checks, as a factorization of the shifted copy would, that every
+    /// shifted diagonal entry is finite. After an error the stored factor
+    /// is unspecified until the next successful factorization.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::factor_with_jitter`].
+    pub fn refactor(&mut self, a: &Matrix, initial_jitter: f64, max_tries: usize) -> Result<f64> {
+        if !a.is_square() {
+            return Err(Error::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        if !a.is_finite() {
+            return Err(Error::NonFiniteInput);
+        }
+        let n = a.rows();
+        let lt = &mut self.lt;
+        if lt.shape() != (n, n) {
+            *lt = Matrix::zeros(n, n);
+        }
+        let mut outcome = factor_shifted(a, None, lt).map(|()| 0.0);
+        let mut jitter = initial_jitter;
+        for _ in 0..max_tries {
+            if outcome.is_ok() {
+                break;
+            }
+            let mut diagonal = a.as_slice().iter().step_by(n + 1);
+            outcome = if diagonal.all(|d| (d + jitter).is_finite()) {
+                factor_shifted(a, Some(jitter), lt).map(|()| jitter)
+            } else {
+                Err(Error::NonFiniteInput)
+            };
+            jitter *= 10.0;
+        }
+        let jitter = outcome?;
+        // Inputs were checked above; this catches factor-internal
+        // overflow/underflow before the factor escapes into GP solves.
+        crate::debug_assert_finite!("cholesky factor", lt.as_slice());
+        Ok(jitter)
     }
 
     /// The lower-triangular factor `L`, built from the stored `Lᵀ` on each
@@ -176,19 +156,6 @@ impl Cholesky {
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.lt.rows()
-    }
-
-    /// The dimension, checked against the length `len` of a right-hand
-    /// side.
-    fn rhs_dim(&self, len: usize) -> Result<usize> {
-        let n = self.dim();
-        if len != n {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("rhs of length {len}"),
-            });
-        }
-        Ok(n)
     }
 
     /// Solves `A·x = b` using the factorization (forward then backward
@@ -210,39 +177,22 @@ impl Cholesky {
     ///
     /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
     pub fn solve_in_place(&self, b: &mut [f64]) -> Result<()> {
-        let n = self.rhs_dim(b.len())?;
+        let n = self.dim();
+        if b.len() != n {
+            return Err(Error::ShapeMismatch {
+                expected: format!("rhs of length {n}"),
+                found: format!("rhs of length {}", b.len()),
+            });
+        }
         crate::block::solve_lower_lt(n, self.lt.as_slice(), 1, b);
-        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, b);
+        crate::block::solve_lower_transpose_lt(n, self.lt.as_slice(), b);
         Ok(())
     }
 
-    /// Solves the lower-triangular system `L·y = b` (forward substitution).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if `b.len() != self.dim()`.
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.rhs_dim(b.len())?;
-        let mut y = b.to_vec();
-        crate::block::solve_lower_lt(n, self.lt.as_slice(), 1, &mut y);
-        Ok(y)
-    }
-
-    /// Solves the upper-triangular system `Lᵀ·x = y` (backward substitution).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if `y.len() != self.dim()`.
-    pub fn solve_lower_transpose(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let n = self.rhs_dim(y.len())?;
-        let mut x = y.to_vec();
-        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), 1, &mut x);
-        Ok(x)
-    }
-
-    /// Solves `L·Y = B` for every column of `B` in one pass, in place:
-    /// takes `B` and returns `Y` in its storage. Column `j` of the result
-    /// is `solve_lower(b.col(j))`, bit-for-bit.
+    /// Solves `L·Y = B` (forward substitution) for every column of `B` in
+    /// one pass, in place: takes `B` and returns `Y` in its storage. Each
+    /// column of the result is bit-for-bit the forward half of
+    /// [`Cholesky::solve`] on that column.
     ///
     /// A row-major matrix with RHS in the columns is exactly the layout the
     /// forward kernel wants (components contiguous across right-hand
@@ -262,19 +212,6 @@ impl Cholesky {
         }
         crate::block::solve_lower_lt(n, self.lt.as_slice(), b.cols(), b.buf_mut());
         Ok(b)
-    }
-
-    /// Solves `A·X = B` for every column of `B` (forward then backward
-    /// substitution, both multi-RHS; no per-column allocation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        let mut out = self.solve_lower_columns(b.clone())?;
-        crate::block::solve_lower_transpose_multi(n, self.lt.as_slice(), out.cols(), out.buf_mut());
-        Ok(out)
     }
 
     /// Natural logarithm of `det(A) = det(L)² = (∏ Lᵢᵢ)²`: the logs of the
@@ -389,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_matches_owned_factor_and_reads_only_the_upper_triangle() {
+    fn refactor_matches_owned_factor_and_reads_only_the_upper_triangle() {
         let a = spd3();
         let (owned, _) = Cholesky::factor_with_jitter(&a, 1e-10, 3).unwrap();
         // A finite lower triangle that disagrees with the upper (a search
@@ -397,15 +334,15 @@ mod tests {
         let mut upper = a.clone();
         upper[(1, 0)] = 0.0;
         upper[(2, 0)] = -1e300;
-        let mut ws = CholeskyWorkspace::default();
+        let mut chol = Cholesky::default();
         // A failed factorization first: the next one must not read its
         // leftovers.
         let indefinite =
             Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[2.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
-        assert!(ws.factor_jittered(&indefinite, 1e-10, 0).is_err());
-        let (chol, jitter) = ws.factor_jittered(&upper, 1e-10, 3).unwrap();
+        assert!(chol.refactor(&indefinite, 1e-10, 0).is_err());
+        let jitter = chol.refactor(&upper, 1e-10, 3).unwrap();
         assert_eq!(jitter, 0.0);
-        assert_eq!(chol, &owned);
+        assert_eq!(chol, owned);
         assert_eq!(Cholesky::factor(&upper).unwrap(), owned);
         let mut x = vec![1.0, -2.0, 0.5];
         chol.solve_in_place(&mut x).unwrap();
@@ -420,7 +357,7 @@ mod tests {
                 Error::NonFiniteInput
             ));
             assert!(matches!(
-                ws.factor_jittered(&bad, 1e-10, 3).unwrap_err(),
+                chol.refactor(&bad, 1e-10, 3).unwrap_err(),
                 Error::NonFiniteInput
             ));
         }
@@ -446,15 +383,6 @@ mod tests {
     fn jitter_zero_for_well_conditioned() {
         let (_, jitter) = Cholesky::factor_with_jitter(&spd3(), 1e-10, 5).unwrap();
         assert_eq!(jitter, 0.0);
-    }
-
-    #[test]
-    fn solve_matrix_identity_inverts() {
-        let a = spd3();
-        let c = a.cholesky().unwrap();
-        let inv = c.solve_matrix(&Matrix::identity(3)).unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Deterministic seeded corpus for the linalg hot-path benchmarks.
+//! Deterministic seeded corpus for the linalg and GP speedup ratchets.
 //!
-//! The criterion benches (`benches/linalg_hotpath.rs`) and the throughput
-//! ratchet (`tests/bench_ratchet.rs`, `BENCH_linalg.json` at the workspace
-//! root) must measure the *same* workload forever — otherwise the committed
-//! throughput numbers silently change meaning. This module generates that
+//! The ratchets (`tests/bench_ratchet.rs` of this crate and of
+//! `hyperpower-gp`, `BENCH_linalg.json` and `BENCH_gp.json` at the
+//! workspace root) must measure the *same* workload forever — otherwise
+//! the committed timings silently change meaning. This module generates that
 //! workload from fixed seeds via the workspace's seeded-`StdRng`-only rand
 //! stand-in (registered as an analyzer R8 RNG root), and exposes a
 //! [`checksum`] so the ratchet can pin the corpus bits alongside the

@@ -4,15 +4,16 @@
 //! workspace needs:
 //!
 //! * [`Matrix`] — a row-major dense matrix of `f64` with the usual
-//!   constructors, element access and BLAS-like operations,
+//!   constructors, element access, transpose and the two products the
+//!   least-squares fit needs (Gram matrix and matrix-vector),
 //! * [`Cholesky`] — factorization of symmetric positive-definite matrices,
-//!   with solves and log-determinants (the workhorse of Gaussian-process
-//!   regression in `hyperpower-gp`),
+//!   re-factorable in place, with solves and log-determinants (the
+//!   workhorse of Gaussian-process regression in `hyperpower-gp`),
 //! * [`ridge_least_squares`] — ℓ₂-regularised linear regression via the
 //!   normal equations (the workhorse of the power/memory predictive models
 //!   in `hyperpower`),
 //! * [`vector`] — free functions on `&[f64]` slices (dot products, norms,
-//!   axpy),
+//!   distances, the ordered sum),
 //! * [`stats`] — descriptive statistics (mean, standard deviation, RMSPE)
 //!   used when reporting experiment tables,
 //! * [`units`] — typed hardware units ([`units::Watts`],
@@ -20,19 +21,17 @@
 //!   constraint pipeline's `P(z) ≤ P_B` / `M(z) ≤ M_B` checks are
 //!   type-safe at the API boundary.
 //!
-//! Everything is implemented from scratch in safe Rust. The hot kernels
-//! live in [`block`] under a strict accumulation-order contract:
-//! `matmul`/`gram`/`matvec` are cache-blocked and register-tiled, and the
-//! Cholesky factorization reads its input's upper triangle row by row and
-//! runs column by column into `Lᵀ`, the one factor a [`Cholesky`] stores,
-//! with one forward and one backward solve kernel that both read `Lᵀ`. They change memory layout and reuse, never the
-//! per-output-element operation sequence, so every result is bit-for-bit
-//! identical to the naive element-at-a-time loops (which live on as frozen
-//! test oracles in `tests/reference_kernels.rs`). See DESIGN.md §2a for the
-//! contract and the legal/illegal transformation catalog. A
-//! [`CholeskyWorkspace`] lets a caller that factors many same-sized
-//! matrices, like the GP hyper-parameter search, reuse one factor's
-//! storage.
+//! Everything is implemented from scratch in safe Rust. The Cholesky
+//! factorization and its solves run in a private `block` module under a
+//! strict accumulation-order contract: the factorization reads its input's
+//! upper triangle row by row and runs column by column into `Lᵀ`, the one
+//! factor a [`Cholesky`] stores, with one forward and one backward solve
+//! kernel that both read `Lᵀ`. They change memory layout and reuse, never
+//! the per-output-element operation sequence, so every result is
+//! bit-for-bit identical to the naive element-at-a-time loops, which live
+//! on as frozen test oracles in `tests/common/mod.rs` together with those
+//! of [`Matrix::gram`] and [`Matrix::matvec`]. See DESIGN.md §2a for the
+//! contract and the legal/illegal transformation catalog.
 //!
 //! # Examples
 //!
@@ -54,7 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
+mod block;
 mod cholesky;
 pub mod corpus;
 mod error;
@@ -65,7 +64,7 @@ pub mod stats;
 pub mod units;
 pub mod vector;
 
-pub use cholesky::{Cholesky, CholeskyWorkspace};
+pub use cholesky::Cholesky;
 pub use error::Error;
 pub use lstsq::{ridge_least_squares, LeastSquaresFit};
 pub use matrix::Matrix;

@@ -8,13 +8,10 @@ use crate::{Cholesky, Error, Result};
 /// The matrix is the basic currency of the numerical code in this workspace:
 /// Gaussian-process kernels, design matrices for the power/memory models and
 /// covariance matrices are all `Matrix` values. Storage is a single `Vec`
-/// in row-major order. The hot products ([`Matrix::matmul`],
-/// [`Matrix::gram`], [`Matrix::matvec`]) are cache-blocked and
-/// register-tiled in `crate::block` under a strict accumulation-order
-/// contract: per output element they execute the exact operation sequence
-/// of the naive element-at-a-time loops, so results are bit-for-bit
-/// identical to the pre-blocking implementation (see DESIGN.md §2a and
-/// `tests/reference_kernels.rs`).
+/// in row-major order. Its two products, [`Matrix::gram`] and
+/// [`Matrix::matvec`], are the plain loops the least-squares fit of the
+/// power and memory models runs; `tests/reference_kernels.rs` pins them
+/// bit for bit to frozen copies (see DESIGN.md §2a).
 ///
 /// # Examples
 ///
@@ -152,8 +149,8 @@ impl Matrix {
 
     /// Copies column `j` into a new vector.
     ///
-    /// Allocates per call; hot loops should use [`Matrix::col_iter`] or
-    /// [`Matrix::copy_col_into`] instead.
+    /// Allocates per call; hot loops should use [`Matrix::col_iter`]
+    /// instead.
     ///
     /// # Panics
     ///
@@ -174,27 +171,14 @@ impl Matrix {
         self.data[j..].iter().step_by(self.cols.max(1)).copied()
     }
 
-    /// Copies column `j` into a caller-provided buffer of length
-    /// `self.rows()` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()` or `out.len() != self.rows()`.
-    pub fn copy_col_into(&self, j: usize, out: &mut [f64]) {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        assert_eq!(out.len(), self.rows, "copy_col_into: buffer length");
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.data[i * self.cols + j];
-        }
-    }
-
     /// Borrows the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutably borrows the underlying row-major buffer (crate-internal:
-    /// the blocked kernels in `crate::block` write through this).
+    /// the factorization and solve kernels in `crate::block` write through
+    /// this).
     pub(crate) fn buf_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -215,7 +199,8 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// Matrix-vector product `self * x`.
+    /// Matrix-vector product `self * x`: one [`crate::vector::dot`] per
+    /// row.
     ///
     /// # Errors
     ///
@@ -227,65 +212,49 @@ impl Matrix {
                 found: format!("vector of length {}", x.len()),
             });
         }
-        let mut out = vec![0.0; self.rows];
-        crate::block::matvec_into(self.rows, self.cols, &self.data, x, &mut out);
-        Ok(out)
-    }
-
-    /// Matrix-matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(Error::ShapeMismatch {
-                expected: format!("rhs with {} rows", self.cols),
-                found: format!("rhs with {} rows", rhs.rows),
-            });
+        if self.cols == 0 {
+            // No entries to split into rows: each is the empty dot product.
+            return Ok(vec![crate::vector::dot(&[], x); self.rows]);
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        crate::block::matmul_into(
-            self.rows,
-            self.cols,
-            rhs.cols,
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-        );
-        Ok(out)
+        Ok(self
+            .data
+            .chunks_exact(self.cols)
+            .map(|row| crate::vector::dot(row, x))
+            .collect())
     }
 
     /// Gram matrix `selfᵀ * self` (always symmetric positive semi-definite).
+    ///
+    /// Each row of `self`, in order, adds its products to the upper
+    /// triangle, skipping a multiplier that is exactly `0.0` (`0.0·∞` would
+    /// be NaN, and adding `±0.0` can flip the sign of a `-0.0` entry); the
+    /// lower triangle then mirrors the upper.
     pub fn gram(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.cols);
-        crate::block::gram_into(self.rows, self.cols, &self.data, &mut out.data);
-        out
-    }
-
-    /// Element-wise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if the shapes differ.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(Error::ShapeMismatch {
-                expected: format!("{}x{}", self.rows, self.cols),
-                found: format!("{}x{}", rhs.rows, rhs.cols),
-            });
+        let cols = self.cols;
+        let mut out = Matrix::zeros(cols, cols);
+        if cols == 0 {
+            return out;
         }
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
+        for row in self.data.chunks_exact(cols) {
+            for (a, (&ra, out_row)) in row.iter().zip(out.data.chunks_exact_mut(cols)).enumerate() {
+                if ra == 0.0 {
+                    continue;
+                }
+                let (_, upper) = out_row.split_at_mut(a);
+                let (_, from_a) = row.split_at(a);
+                for (o, &rb) in upper.iter_mut().zip(from_a) {
+                    *o += ra * rb;
+                }
+            }
+        }
+        for a in 1..cols {
+            // Row a up to the diagonal is column a of the rows above it.
+            let (above, rest) = out.data.split_at_mut(a * cols);
+            for (o, &v) in rest.iter_mut().zip(above.iter().skip(a).step_by(cols)) {
+                *o = v;
+            }
+        }
+        out
     }
 
     /// Returns a copy scaled by `factor`.
@@ -413,9 +382,6 @@ mod tests {
             let owned = m.col(j);
             let via_iter: Vec<f64> = m.col_iter(j).collect();
             assert_eq!(owned, via_iter);
-            let mut buf = vec![0.0; m.rows()];
-            m.copy_col_into(j, &mut buf);
-            assert_eq!(owned, buf);
         }
         // Single-column matrix: the stride degenerates to 1.
         let thin = Matrix::from_rows(&[&[1.5], &[-2.5]]).unwrap();
@@ -454,33 +420,16 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        let expected = Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap();
-        assert_eq!(c, expected);
-    }
-
-    #[test]
-    fn matmul_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 2);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]
-    fn gram_equals_transpose_matmul() {
+    fn gram_matches_hand_computation() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        let g = a.gram();
-        let expected = a.transpose().matmul(&a).unwrap();
-        assert!(g.max_abs_diff(&expected).unwrap() < 1e-12);
+        let expected = Matrix::from_rows(&[&[35.0, 44.0], &[44.0, 56.0]]).unwrap();
+        assert_eq!(a.gram(), expected);
     }
 
     #[test]
@@ -499,10 +448,9 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_add() {
-        let a = Matrix::identity(2);
-        let b = a.scale(3.0).add(&a).unwrap();
-        assert_eq!(b[(0, 0)], 4.0);
+    fn scale_multiplies_every_entry() {
+        let b = Matrix::identity(2).scale(3.0);
+        assert_eq!(b[(0, 0)], 3.0);
         assert_eq!(b[(0, 1)], 0.0);
     }
 }

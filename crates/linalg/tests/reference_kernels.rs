@@ -1,17 +1,17 @@
-//! Bit-exactness proof: blocked kernels vs frozen naive oracles.
+//! Bit-exactness proof: the library's kernels vs frozen naive oracles.
 //!
-//! The blocked, register-tiled kernels behind `Matrix::matmul`/`gram`/
-//! `matvec` and `Cholesky` promise the accumulation-order contract of
-//! DESIGN.md §2a: same per-output-element operation sequence as the naive
-//! loops they replaced, hence bit-for-bit identical results. This suite
-//! holds them to it with property tests against the frozen oracles in
+//! `Matrix::gram`/`matvec` and the column-order `Cholesky` factor and
+//! solves promise the accumulation-order contract of DESIGN.md §2a: the
+//! same per-output-element operation sequence as the naive loops they
+//! replaced, hence bit-for-bit identical results. This suite holds them to
+//! it with property tests against the frozen oracles in
 //! `tests/common/mod.rs`, across adversarial shapes — dimensions of 1,
-//! dimensions straddling the register-tile (4×8) boundaries and 32, and
-//! reaching the GP fit's sizes (up to 77), zero right-hand sides,
-//! matrices salted with exact zeros (the `== 0.0` skip is observable:
-//! `0.0·∞` is NaN and `-0.0 + 0.0` flips sign), ill-conditioned SPD
-//! matrices, and indefinite matrices where even the *failure* must be
-//! bit-identical (same pivot index, same pivot value bits).
+//! dimensions straddling the solves' k-blocks of four and 32, and reaching
+//! the GP fit's sizes (up to 77), zero right-hand sides, matrices salted
+//! with exact zeros (`gram`'s `== 0.0` skip is observable: `0.0·∞` is NaN
+//! and `-0.0 + 0.0` flips sign), ill-conditioned SPD matrices, and
+//! indefinite matrices where even the *failure* must be bit-identical
+//! (same pivot index, same pivot value bits).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
@@ -21,7 +21,7 @@ use common::{
     assert_bits_eq, assert_slice_bits_eq, naive_cholesky, naive_gram, naive_matmul, naive_matvec,
     naive_solve_lower, naive_solve_lower_transpose,
 };
-use hyperpower_linalg::{Cholesky, CholeskyWorkspace, Error, Matrix};
+use hyperpower_linalg::{Cholesky, Error, Matrix};
 use proptest::prelude::*;
 use proptest::sample::select;
 
@@ -38,11 +38,11 @@ fn entry_strategy() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Dimensions chosen to straddle the register tile (MR=4, NR=8)
-/// boundaries — 1, tile-exact, tile±1 — and 32±1 (a power of two, where a
-/// blocked kernel would put a block edge), plus the sizes that carry the
-/// GP fit's factor time: 48, 64, and 77, the largest fit of the
-/// batch-parallel benchmark workload.
+/// Dimensions chosen to straddle the k-blocks of four of the factor and
+/// the forward solve — 1, block-exact, block±1, and 8 and 16 — and 32±1
+/// (a power of two, where a blocked kernel would put a block edge), plus
+/// the sizes that carry the GP fit's factor time: 48, 64, and 77, the
+/// largest fit of the batch-parallel benchmark workload.
 fn dim_strategy() -> impl Strategy<Value = usize> {
     select(vec![
         1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 40, 48, 64, 77,
@@ -72,7 +72,7 @@ fn spd_spectrum_strategy() -> impl Strategy<Value = Matrix> {
         .prop_flat_map(|(n, diag)| {
             proptest::collection::vec(-2.0f64..2.0, n * n).prop_map(move |data| {
                 let b = Matrix::from_vec(n, n, data).expect("sized to shape");
-                let mut a = b.matmul(&b.transpose()).expect("square product");
+                let mut a = naive_matmul(&b, &b.transpose());
                 a.add_diagonal(diag);
                 a
             })
@@ -94,7 +94,7 @@ fn deep_indefinite_strategy() -> impl Strategy<Value = (Matrix, f64)> {
             let r = (n * quarters / 4).clamp(1, n - 1);
             proptest::collection::vec(-2.0f64..2.0, n * r).prop_map(move |data| {
                 let b = Matrix::from_vec(n, r, data).expect("sized to shape");
-                let mut a = b.matmul(&b.transpose()).expect("square product");
+                let mut a = naive_matmul(&b, &b.transpose());
                 a.add_diagonal(shift);
                 (a, shift)
             })
@@ -129,16 +129,6 @@ fn assert_factor_matches_naive(a: &Matrix) {
 }
 
 proptest! {
-    #[test]
-    fn matmul_bit_equals_naive(
-        (a, b) in (dim_strategy(), dim_strategy(), dim_strategy()).prop_flat_map(|(m, k, n)| {
-            (matrix_of(m, k), matrix_of(k, n))
-        })
-    ) {
-        let blocked = a.matmul(&b).expect("shapes agree");
-        assert_bits_eq("matmul", &naive_matmul(&a, &b), &blocked);
-    }
-
     #[test]
     fn gram_bit_equals_naive(
         x in (dim_strategy(), dim_strategy()).prop_flat_map(|(r, c)| matrix_of(r, c))
@@ -181,45 +171,23 @@ proptest! {
         // Indefinite draws are covered by the factorization property.
         if let Ok(chol) = Cholesky::factor(&a) {
             let l = &chol.factor_l();
+            let fwd_ref = naive_solve_lower(l, &rhs);
 
-            let fwd = chol.solve_lower(&rhs).expect("length matches");
-            assert_slice_bits_eq("solve_lower", &naive_solve_lower(l, &rhs), &fwd);
+            // The forward kernel at one right-hand side.
+            let rhs_col = Matrix::from_vec(rhs.len(), 1, rhs.clone()).expect("sized to shape");
+            let fwd = chol.solve_lower_columns(rhs_col).expect("shapes agree");
+            assert_slice_bits_eq("forward solve", &fwd_ref, fwd.as_slice());
 
-            let bwd = chol.solve_lower_transpose(&fwd).expect("length matches");
-            assert_slice_bits_eq(
-                "solve_lower_transpose",
-                &naive_solve_lower_transpose(l, &naive_solve_lower(l, &rhs)),
-                &bwd,
-            );
-
+            let full_ref = naive_solve_lower_transpose(l, &fwd_ref);
             let full = chol.solve(&rhs).expect("length matches");
-            assert_slice_bits_eq("solve", &bwd, &full);
+            assert_slice_bits_eq("solve", &full_ref, &full);
 
-            // A factor borrowed from a workspace solves in place.
-            let mut ws = CholeskyWorkspace::default();
-            let (lent, _) = ws.factor_jittered(&a, 0.0, 0).expect("factored above");
+            // A re-factored Cholesky solves in place.
+            let mut refactored = Cholesky::default();
+            refactored.refactor(&a, 0.0, 0).expect("factored above");
             let mut in_place = rhs.clone();
-            lent.solve_in_place(&mut in_place).expect("length matches");
-            assert_slice_bits_eq("workspace solve", &bwd, &in_place);
-        }
-    }
-
-    #[test]
-    fn solve_matrix_bit_equals_per_column_solves(
-        (a, b) in spd_spectrum_strategy().prop_flat_map(|a| {
-            let n = a.rows();
-            (Just(a), (1usize..=9).prop_flat_map(move |c| matrix_of(n, c)))
-        })
-    ) {
-        if let Ok(chol) = Cholesky::factor(&a) {
-            let l = &chol.factor_l();
-            let solved = chol.solve_matrix(&b).expect("shapes agree");
-            for j in 0..b.cols() {
-                let col_ref =
-                    naive_solve_lower_transpose(l, &naive_solve_lower(l, &b.col(j)));
-                let col_blocked: Vec<f64> = solved.col_iter(j).collect();
-                assert_slice_bits_eq("solve_matrix column", &col_ref, &col_blocked);
-            }
+            refactored.solve_in_place(&mut in_place).expect("length matches");
+            assert_slice_bits_eq("refactored solve", &full_ref, &in_place);
         }
     }
 
@@ -247,16 +215,12 @@ proptest! {
 // zero-sized matrices and the kernels must not panic on them).
 
 #[test]
-fn empty_matmul_is_empty() {
-    let a = Matrix::zeros(0, 3);
-    let b = Matrix::zeros(3, 0);
-    let prod = a.matmul(&b).unwrap();
-    assert_eq!(prod.shape(), (0, 0));
-    // And a k-dimension of zero yields an all-zero (never garbage) result.
-    let a = Matrix::zeros(2, 0);
-    let b = Matrix::zeros(0, 2);
-    let prod = a.matmul(&b).unwrap();
-    assert_eq!(prod, Matrix::zeros(2, 2));
+fn zero_column_gram_and_matvec_match_naive() {
+    for rows in [0, 3] {
+        let x = Matrix::zeros(rows, 0);
+        assert_bits_eq("gram", &naive_gram(&x), &x.gram());
+        assert_slice_bits_eq("matvec", &naive_matvec(&x, &[]), &x.matvec(&[]).unwrap());
+    }
 }
 
 #[test]
@@ -268,18 +232,15 @@ fn empty_cholesky_factors() {
 
 #[test]
 fn zero_right_hand_sides_solve_to_empty() {
-    // A non-empty factor against n×0 right-hand sides: both kernels must
-    // return at once (`chunks_exact(0)` would panic) with an n×0 result.
+    // A non-empty factor against n×0 right-hand sides: the forward kernel
+    // must return at once (`chunks_exact(0)` would panic) with an n×0
+    // result.
     for n in [1, 3, 33] {
         let mut a = Matrix::identity(n);
         a.add_diagonal(1.0);
         let chol = Cholesky::factor(&a).unwrap();
         let empty = Matrix::zeros(n, 0);
-        assert_eq!(
-            chol.solve_lower_columns(empty.clone()).unwrap().shape(),
-            (n, 0)
-        );
-        assert_eq!(chol.solve_matrix(&empty).unwrap().shape(), (n, 0));
+        assert_eq!(chol.solve_lower_columns(empty).unwrap().shape(), (n, 0));
     }
 }
 
@@ -288,22 +249,19 @@ fn one_by_one_matches_naive() {
     let a = Matrix::from_vec(1, 1, vec![4.0]).unwrap();
     let chol = Cholesky::factor(&a).unwrap();
     assert_eq!(chol.factor_l()[(0, 0)].to_bits(), 2.0f64.to_bits());
-    let prod = a.matmul(&a).unwrap();
-    assert_eq!(
-        prod[(0, 0)].to_bits(),
-        naive_matmul(&a, &a)[(0, 0)].to_bits()
-    );
+    assert_bits_eq("gram", &naive_gram(&a), &a.gram());
 }
 
 #[test]
 fn zero_skip_is_semantically_observable_and_preserved() {
-    // a has an exact 0.0 where b holds ∞: the naive kernel skips the
-    // product (0·∞ = NaN would otherwise poison the row). The blocked
-    // kernel must skip identically — this pins the skip, not just speed.
-    let a = Matrix::from_rows(&[&[0.0, 1.0], &[2.0, 3.0]]).unwrap();
-    let b = Matrix::from_rows(&[&[f64::INFINITY, 1.0], &[1.0, 1.0]]).unwrap();
-    let blocked = a.matmul(&b).unwrap();
-    assert_bits_eq("matmul with inf", &naive_matmul(&a, &b), &blocked);
-    assert!(blocked[(0, 0)].is_finite(), "skip must prevent 0·∞ = NaN");
-    assert!(blocked[(1, 0)].is_infinite());
+    // The first row holds an exact 0.0 in column 0 and ∞ in column 1: the
+    // naive gram skips that row's column-0 products (0·∞ = NaN would
+    // otherwise poison entry (0, 1) and its mirror). `gram` must skip
+    // identically; the property test never draws ∞, so this pins the skip.
+    let x = Matrix::from_rows(&[&[0.0, f64::INFINITY], &[2.0, 3.0]]).unwrap();
+    let gram = x.gram();
+    assert_bits_eq("gram with inf", &naive_gram(&x), &gram);
+    assert_eq!(gram[(0, 1)], 6.0, "skip must prevent 0·∞ = NaN");
+    assert_eq!(gram[(1, 0)], 6.0, "the mirror copies the skipped entry");
+    assert!(gram[(1, 1)].is_infinite());
 }
