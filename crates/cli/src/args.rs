@@ -538,6 +538,57 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Fields the fuzzed `--study` values are built from: empty, every
+    /// method name and near misses, integers at and just past the `u32`
+    /// and `u64` limits, signed, spaced and malformed numbers, and
+    /// characters of one to four UTF-8 bytes, NUL among them.
+    const STUDY_FIELDS: &[&str] = &[
+        "",
+        "alpha",
+        "é😀",
+        "\u{0}",
+        "rand",
+        "rand-walk",
+        "hw-cwei",
+        "hw-ieci",
+        "hw-",
+        "RAND",
+        "0",
+        "1",
+        "6",
+        "+7",
+        "-1",
+        " 7",
+        "7é",
+        "1e3",
+        "0x10",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+    ];
+
+    proptest! {
+        #[test]
+        fn study_values_parse_or_fail_typed(
+            fields in collection::vec(sample::select(STUDY_FIELDS.to_vec()), 0usize..7)
+        ) {
+            let value = fields.join(":");
+            match parse_study_arg(&value) {
+                Ok(study) => {
+                    // Only 3 to 5 fields parse, led by a non-empty name.
+                    prop_assert!((3..=5).contains(&fields.len()), "{value:?}");
+                    prop_assert_eq!(study.name.as_str(), fields[0]);
+                    prop_assert!(study.evals > 0, "{value:?}");
+                }
+                Err(ParseError(message)) => prop_assert!(!message.is_empty(), "{value:?}"),
+            }
+            // The `serve` command line reaches the same parser.
+            let _ = parse(&["serve", "--study", &value]);
+        }
+    }
 
     #[test]
     fn help_variants() {
