@@ -200,8 +200,9 @@ impl<'a> Iterator for BatchIter<'a> {
             Split::Test => (&self.dataset.test_images, &self.dataset.test_labels),
         };
         Some(Batch {
-            // `cursor`/`end` are clamped to the split length above; the
-            // grant covers both slice expressions.
+            // `start <= end <= n`: the cursor is checked against the split
+            // length `n` above and `end` is clamped to it, so both slices
+            // are in bounds.
             images: &images[start * px..end * px],
             labels: &labels[start..end],
         })
