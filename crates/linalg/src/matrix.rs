@@ -226,9 +226,9 @@ impl Matrix {
     /// Gram matrix `selfᵀ * self` (always symmetric positive semi-definite).
     ///
     /// Each row of `self`, in order, adds its products to the upper
-    /// triangle, skipping a multiplier that is exactly `0.0` (`0.0·∞` would
-    /// be NaN, and adding `±0.0` can flip the sign of a `-0.0` entry); the
-    /// lower triangle then mirrors the upper.
+    /// triangle, skipping a multiplier that is exactly `0.0` (so a zero
+    /// against an `∞` or NaN in its row adds nothing, where `0.0·∞` would
+    /// add NaN); the lower triangle then mirrors the upper.
     pub fn gram(&self) -> Matrix {
         let cols = self.cols;
         let mut out = Matrix::zeros(cols, cols);

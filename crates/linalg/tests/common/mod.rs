@@ -3,10 +3,13 @@
 //! moment the blocked kernels replaced them.
 //!
 //! These are the oracles of the accumulation-order contract (DESIGN.md
-//! §2a): the blocked kernels in `hyperpower_linalg::block` must reproduce
-//! their outputs *bit-for-bit*, because the 19 golden traces at the
-//! workspace root pin every downstream f64 the GP loop emits. Do not
-//! "improve" these loops — their whole value is that they never change.
+//! §2a): `Matrix::gram`, `Matrix::matvec` and the `Cholesky` factor and
+//! solves must reproduce their outputs *bit-for-bit*, because the 19
+//! golden traces at the workspace root pin every downstream f64 the GP
+//! loop emits. `Matrix::matmul` is gone; the property strategies build
+//! their `B·Bᵀ` inputs with `naive_matmul`, which it matched bit for bit.
+//! Do not "improve" these loops — their whole value is that they never
+//! change.
 
 // Oracle code mirrors the original element-at-a-time kernels, panics and all.
 #![allow(clippy::unwrap_used, clippy::expect_used, dead_code)]
