@@ -365,6 +365,9 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                         let h: f64 = take_value(flag, &mut it)?
                             .parse()
                             .map_err(|_| ParseError("--hours expects a number".into()))?;
+                        if !(h.is_finite() && h > 0.0) {
+                            return Err(ParseError("--hours must be positive and finite".into()));
+                        }
                         budget = Some(Budget::VirtualHours(h));
                     }
                     "--seed" => {
@@ -854,6 +857,28 @@ mod tests {
         };
         assert_eq!(budget, Budget::VirtualHours(1.5));
         assert_eq!(method, Method::RandWalk);
+    }
+
+    #[test]
+    fn hours_must_be_positive_and_finite() {
+        // A non-finite deadline is never reached, and a non-positive one
+        // runs nothing.
+        for bad in ["nan", "inf", "-inf", "0", "-1"] {
+            let err = parse(&[
+                "run",
+                "--pair",
+                "mnist-gtx",
+                "--method",
+                "rand",
+                "--hours",
+                bad,
+            ])
+            .unwrap_err();
+            assert_eq!(
+                err.0, "--hours must be positive and finite",
+                "--hours {bad}"
+            );
+        }
     }
 
     #[test]

@@ -204,6 +204,18 @@ fn run_faults_and_healing() {
         .check();
 }
 
+/// A deadline that is not finite would never be reached, and one that is
+/// not positive would run nothing.
+#[test]
+fn run_hours_rejected() {
+    Case::new("run_hours_rejected")
+        .run("run --pair mnist-gtx --method rand --hours nan")
+        .run("run --pair mnist-gtx --method rand --hours inf")
+        .run("run --pair mnist-gtx --method rand --hours 0")
+        .run("run --pair mnist-gtx --method rand --hours -1")
+        .check();
+}
+
 #[test]
 fn run_unknown_fault_profile() {
     Case::new("run_unknown_fault_profile")
