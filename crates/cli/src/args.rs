@@ -2,30 +2,38 @@
 //!
 //! Deliberately dependency-free: the grammar is tiny (one subcommand, a
 //! handful of `--key value` options), and keeping it in plain Rust makes
-//! the whole workspace buildable from the vendored crate set.
+//! the whole workspace buildable from the vendored crate set. Each
+//! command parses straight into the library's own values, so every
+//! default comes from the library.
 
 use std::fmt;
+use std::path::PathBuf;
+use std::str::FromStr;
 
-use hyperpower::{Budget, Method, Mode};
+use hyperpower::{Budget, CheckpointConfig, ExecutorOptions, Method, Mode, Scenario};
+use hyperpower_gpu_sim::FaultProfile;
+use hyperpower_server::ServerConfig;
 
 /// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+// `Run` holds a whole scenario and executor setup; a command is built
+// once per process, so its size does not matter.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
 pub enum Command {
     /// `hyperpower profile --pair <pair>`: profile the platform and print
     /// the fitted model diagnostics.
     Profile {
-        /// Device–dataset pair.
-        pair: Pair,
-        /// Profiling sample count `L`.
-        samples: usize,
+        /// The pair's scenario, with `--samples` as its profiling sample
+        /// count `L`.
+        scenario: Scenario,
         /// RNG seed.
         seed: u64,
     },
     /// `hyperpower run --pair <pair> --method <m>`: one optimization run,
     /// printing the trace summary (and optionally a CSV dump).
     Run {
-        /// Device–dataset pair.
-        pair: Pair,
+        /// The pair's scenario.
+        scenario: Scenario,
         /// Search method.
         method: Method,
         /// Enhancement mode.
@@ -34,29 +42,12 @@ pub enum Command {
         budget: Budget,
         /// RNG seed.
         seed: u64,
-        /// Worker threads for candidate evaluation (`None` ⇒ the
-        /// `HYPERPOWER_WORKERS` environment variable, then 1). Never
-        /// changes the result, only the wall-clock.
-        workers: Option<usize>,
-        /// Fault-injection profile name (`none`, `flaky-sensor`,
-        /// `oom-heavy`); `None` ⇒ no fault injection.
-        fault_profile: Option<String>,
-        /// Checkpoint the committed trace to this path during the run.
-        checkpoint: Option<String>,
-        /// Write the checkpoint every N committed samples (default 1).
-        checkpoint_every: usize,
-        /// Resume from a checkpoint written by an interrupted run.
-        resume: Option<String>,
+        /// Workers, faults, checkpointing, resume and self-healing.
+        /// Without `--workers` the worker count comes from the
+        /// `HYPERPOWER_WORKERS` environment variable.
+        options: ExecutorOptions,
         /// Write the full per-sample trace as CSV to this path.
         csv: Option<String>,
-        /// Refit the constraint models online when measured drift crosses
-        /// the threshold.
-        recalibrate: bool,
-        /// Drift-detection RMSPE threshold (`None` ⇒ the library default).
-        drift_threshold: Option<f64>,
-        /// Adaptive safety-margin step as a fraction of each budget
-        /// (`None` ⇒ disabled).
-        safety_margin: Option<f64>,
     },
     /// `hyperpower serve --study <SPEC>...`: host several named studies in
     /// one crash-safe ask–tell server and drive them to completion with
@@ -64,23 +55,12 @@ pub enum Command {
     Serve {
         /// The studies to host, in command-line order.
         studies: Vec<StudyArg>,
-        /// Durability root: every study journals and snapshots under here.
-        root: String,
+        /// Durability root, snapshot cadence, hedging and admission rate.
+        config: ServerConfig,
         /// Simulated workers per study per scheduling round.
         workers: usize,
-        /// Snapshot (and journal-rotation) cadence in commits.
-        snapshot_every: usize,
         /// Reattach to existing journals instead of requiring fresh names.
         resume: bool,
-        /// Hedge-deadline base in scheduler-clock seconds: a candidate
-        /// whose single lease is older than this (plus seeded jitter) is
-        /// speculatively re-dispatched. `Some(0.0)` disables hedging;
-        /// `None` keeps the server default.
-        hedge_after: Option<f64>,
-        /// Per-study token-bucket admission rate in requests per
-        /// scheduler-clock second. `Some(0.0)` disables the bucket;
-        /// `None` keeps the server default (disabled).
-        tenant_rate: Option<f64>,
     },
     /// `hyperpower fsck --root DIR [--salvage]`: scan a study store's
     /// journals and snapshots for integrity defects (corrupt frames,
@@ -88,7 +68,7 @@ pub enum Command {
     /// salvaging by truncating to the last valid frame.
     Fsck {
         /// The store directory to scan.
-        root: String,
+        root: PathBuf,
         /// Repair what determinism makes safe to repair.
         salvage: bool,
     },
@@ -151,24 +131,6 @@ fn parse_study_arg(s: &str) -> Result<StudyArg, ParseError> {
     })
 }
 
-/// The paper's device–dataset pairs, as CLI values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pair {
-    /// MNIST on GTX 1070.
-    MnistGtx,
-    /// CIFAR-10 on GTX 1070.
-    CifarGtx,
-    /// MNIST on Tegra TX1.
-    MnistTegra,
-    /// CIFAR-10 on Tegra TX1.
-    CifarTegra,
-}
-
-impl Pair {
-    /// All CLI spellings.
-    pub const NAMES: [&'static str; 4] = ["mnist-gtx", "cifar-gtx", "mnist-tegra", "cifar-tegra"];
-}
-
 /// A parse failure with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError(pub String);
@@ -181,7 +143,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Usage text printed by `help` and on parse errors.
 pub const USAGE: &str = "\
 hyperpower — power- and memory-constrained hyper-parameter optimization
 
@@ -251,15 +212,15 @@ FSCK:     fsck scans every study under --root (default
           committed bytes.
 ";
 
-fn parse_pair(s: &str) -> Result<Pair, ParseError> {
+fn parse_pair(s: &str) -> Result<Scenario, ParseError> {
     match s {
-        "mnist-gtx" => Ok(Pair::MnistGtx),
-        "cifar-gtx" => Ok(Pair::CifarGtx),
-        "mnist-tegra" => Ok(Pair::MnistTegra),
-        "cifar-tegra" => Ok(Pair::CifarTegra),
+        "mnist-gtx" => Ok(Scenario::mnist_gtx1070()),
+        "cifar-gtx" => Ok(Scenario::cifar10_gtx1070()),
+        "mnist-tegra" => Ok(Scenario::mnist_tegra_tx1()),
+        "cifar-tegra" => Ok(Scenario::cifar10_tegra_tx1()),
         other => Err(ParseError(format!(
-            "unknown pair '{other}' (expected one of: {})",
-            Pair::NAMES.join(", ")
+            "unknown pair '{other}' (expected one of: mnist-gtx, cifar-gtx, mnist-tegra, \
+             cifar-tegra)"
         ))),
     }
 }
@@ -286,12 +247,88 @@ fn parse_mode(s: &str) -> Result<Mode, ParseError> {
     }
 }
 
+fn parse_fault_profile(s: &str) -> Result<FaultProfile, ParseError> {
+    FaultProfile::parse(s).ok_or_else(|| {
+        ParseError(format!(
+            "unknown fault profile '{s}' (expected none, flaky-sensor, oom-heavy, drifting-hw, \
+             slow-worker or bit-rot)"
+        ))
+    })
+}
+
 fn take_value<'a>(
     flag: &str,
     it: &mut impl Iterator<Item = &'a str>,
 ) -> Result<&'a str, ParseError> {
     it.next()
         .ok_or_else(|| ParseError(format!("flag {flag} requires a value")))
+}
+
+/// The integer after `flag`.
+fn integer<'a, T: FromStr>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<T, ParseError> {
+    take_value(flag, it)?
+        .parse()
+        .map_err(|_| ParseError(format!("{flag} expects an integer")))
+}
+
+/// `n`, unless it is zero.
+fn positive(flag: &str, n: usize) -> Result<usize, ParseError> {
+    match n {
+        0 => Err(ParseError(format!("{flag} must be positive"))),
+        n => Ok(n),
+    }
+}
+
+/// The positive integer after `flag`.
+fn count<'a>(flag: &str, it: &mut impl Iterator<Item = &'a str>) -> Result<usize, ParseError> {
+    positive(flag, integer(flag, it)?)
+}
+
+/// The number after `flag`, if `valid`; otherwise the error says the
+/// flag must be `domain`.
+fn number<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+    domain: &str,
+    valid: fn(f64) -> bool,
+) -> Result<f64, ParseError> {
+    let x: f64 = take_value(flag, it)?
+        .parse()
+        .map_err(|_| ParseError(format!("{flag} expects a number")))?;
+    if valid(x) {
+        Ok(x)
+    } else {
+        Err(ParseError(format!("{flag} must be {domain}")))
+    }
+}
+
+/// The positive, finite number after `flag`.
+fn positive_number<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<f64, ParseError> {
+    number(flag, it, "positive and finite", |x| {
+        x.is_finite() && x > 0.0
+    })
+}
+
+/// The non-negative, finite number after `flag`, a `quantity` such as
+/// "number of seconds".
+fn non_negative<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a str>,
+    quantity: &str,
+) -> Result<f64, ParseError> {
+    number(flag, it, &format!("a non-negative {quantity}"), |x| {
+        x.is_finite() && x >= 0.0
+    })
+}
+
+fn unknown_flag(flag: &str) -> ParseError {
+    ParseError(format!("unknown flag '{flag}'"))
 }
 
 /// Parses the argument list (without the program name).
@@ -306,202 +343,103 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "profile" => {
-            let mut pair = None;
-            let mut samples = 100usize;
-            let mut seed = 0u64;
+            let mut scenario = None;
+            let mut samples = None;
+            let mut seed = 0;
             while let Some(flag) = it.next() {
                 match flag {
-                    "--pair" => pair = Some(parse_pair(take_value(flag, &mut it)?)?),
-                    "--samples" => {
-                        samples = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--samples expects an integer".into()))?
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--seed expects an integer".into()))?
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    "--pair" => scenario = Some(parse_pair(take_value(flag, &mut it)?)?),
+                    "--samples" => samples = Some(integer(flag, &mut it)?),
+                    "--seed" => seed = integer(flag, &mut it)?,
+                    other => return Err(unknown_flag(other)),
                 }
             }
-            let pair = pair.ok_or_else(|| ParseError("--pair is required".into()))?;
-            if samples == 0 {
-                return Err(ParseError("--samples must be positive".into()));
+            let mut scenario = scenario.ok_or_else(|| ParseError("--pair is required".into()))?;
+            if let Some(n) = samples {
+                scenario.profiling_samples = positive("--samples", n)?;
             }
-            Ok(Command::Profile {
-                pair,
-                samples,
-                seed,
-            })
+            Ok(Command::Profile { scenario, seed })
         }
         "run" => {
-            let mut pair = None;
+            let mut scenario = None;
             let mut method = None;
             let mut mode = Mode::HyperPower;
             let mut budget = None;
-            let mut seed = 0u64;
-            let mut workers = None;
-            let mut fault_profile = None;
+            let mut seed = 0;
+            let mut options = ExecutorOptions::from_env();
             let mut checkpoint = None;
-            let mut checkpoint_every = 1usize;
-            let mut resume = None;
+            let mut checkpoint_every = None;
             let mut csv = None;
-            let mut recalibrate = false;
-            let mut drift_threshold = None;
-            let mut safety_margin = None;
             while let Some(flag) = it.next() {
                 match flag {
-                    "--pair" => pair = Some(parse_pair(take_value(flag, &mut it)?)?),
+                    "--pair" => scenario = Some(parse_pair(take_value(flag, &mut it)?)?),
                     "--method" => method = Some(parse_method(take_value(flag, &mut it)?)?),
                     "--mode" => mode = parse_mode(take_value(flag, &mut it)?)?,
-                    "--evals" => {
-                        let n: usize = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--evals expects an integer".into()))?;
-                        budget = Some(Budget::Evaluations(n));
-                    }
+                    "--evals" => budget = Some(Budget::Evaluations(integer(flag, &mut it)?)),
                     "--hours" => {
-                        let h: f64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--hours expects a number".into()))?;
-                        if !(h.is_finite() && h > 0.0) {
-                            return Err(ParseError("--hours must be positive and finite".into()));
-                        }
-                        budget = Some(Budget::VirtualHours(h));
+                        budget = Some(Budget::VirtualHours(positive_number(flag, &mut it)?))
                     }
-                    "--seed" => {
-                        seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--seed expects an integer".into()))?
-                    }
-                    "--workers" => {
-                        let n: usize = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--workers expects an integer".into()))?;
-                        if n == 0 {
-                            return Err(ParseError("--workers must be positive".into()));
-                        }
-                        workers = Some(n);
-                    }
+                    "--seed" => seed = integer(flag, &mut it)?,
+                    "--workers" => options = options.with_workers(count(flag, &mut it)?),
                     "--fault-profile" => {
-                        fault_profile = Some(take_value(flag, &mut it)?.to_string())
+                        let profile = parse_fault_profile(take_value(flag, &mut it)?)?;
+                        options = options.with_fault_profile(profile);
                     }
-                    "--checkpoint" => checkpoint = Some(take_value(flag, &mut it)?.to_string()),
-                    "--checkpoint-every" => {
-                        let n: usize = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--checkpoint-every expects an integer".into())
-                        })?;
-                        if n == 0 {
-                            return Err(ParseError("--checkpoint-every must be positive".into()));
-                        }
-                        checkpoint_every = n;
-                    }
-                    "--resume" => resume = Some(take_value(flag, &mut it)?.to_string()),
+                    "--checkpoint" => checkpoint = Some(take_value(flag, &mut it)?),
+                    "--checkpoint-every" => checkpoint_every = Some(count(flag, &mut it)?),
+                    "--resume" => options = options.with_resume_from(take_value(flag, &mut it)?),
                     "--csv" => csv = Some(take_value(flag, &mut it)?.to_string()),
-                    "--recalibrate" => recalibrate = true,
+                    "--recalibrate" => options = options.with_recalibrate(true),
                     "--drift-threshold" => {
-                        let t: f64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--drift-threshold expects a number".into()))?;
-                        if !(t.is_finite() && t > 0.0) {
-                            return Err(ParseError(
-                                "--drift-threshold must be positive and finite".into(),
-                            ));
-                        }
-                        drift_threshold = Some(t);
+                        options = options.with_drift_threshold(positive_number(flag, &mut it)?)
                     }
                     "--safety-margin" => {
-                        let f: f64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--safety-margin expects a number".into()))?;
-                        if !(f.is_finite() && f > 0.0 && f < 1.0) {
-                            return Err(ParseError(
-                                "--safety-margin must be a fraction in (0, 1)".into(),
-                            ));
-                        }
-                        safety_margin = Some(f);
+                        let margin = number(flag, &mut it, "a fraction in (0, 1)", |f| {
+                            f > 0.0 && f < 1.0
+                        })?;
+                        options = options.with_safety_margin(margin);
                     }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    other => return Err(unknown_flag(other)),
                 }
             }
-            let pair = pair.ok_or_else(|| ParseError("--pair is required".into()))?;
+            let scenario = scenario.ok_or_else(|| ParseError("--pair is required".into()))?;
             let method = method.ok_or_else(|| ParseError("--method is required".into()))?;
-            let budget = budget.unwrap_or(match pair {
-                Pair::MnistGtx | Pair::MnistTegra => Budget::VirtualHours(2.0),
-                Pair::CifarGtx | Pair::CifarTegra => Budget::VirtualHours(5.0),
-            });
+            if let Some(path) = checkpoint {
+                let mut config = CheckpointConfig::every_commit(path);
+                if let Some(n) = checkpoint_every {
+                    config.every_commits = n;
+                }
+                options = options.with_checkpoint(config);
+            }
             Ok(Command::Run {
-                pair,
+                budget: budget.unwrap_or(Budget::VirtualHours(scenario.time_budget_hours)),
+                scenario,
                 method,
                 mode,
-                budget,
                 seed,
-                workers,
-                fault_profile,
-                checkpoint,
-                checkpoint_every,
-                resume,
+                options,
                 csv,
-                recalibrate,
-                drift_threshold,
-                safety_margin,
             })
         }
         "serve" => {
             let mut studies = Vec::new();
-            let mut root = String::from("target/study-server");
-            let mut workers = 1usize;
-            let mut snapshot_every = 8usize;
+            let mut config = ServerConfig::default();
+            let mut workers = 1;
             let mut resume = false;
-            let mut hedge_after = None;
-            let mut tenant_rate = None;
             while let Some(flag) = it.next() {
                 match flag {
                     "--study" => studies.push(parse_study_arg(take_value(flag, &mut it)?)?),
-                    "--root" => root = take_value(flag, &mut it)?.to_string(),
+                    "--root" => config.root = take_value(flag, &mut it)?.into(),
                     "--hedge-after" => {
-                        let s: f64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--hedge-after expects a number".into()))?;
-                        if !(s.is_finite() && s >= 0.0) {
-                            return Err(ParseError(
-                                "--hedge-after must be a non-negative number of seconds".into(),
-                            ));
-                        }
-                        hedge_after = Some(s);
+                        config.hedge_after_s = non_negative(flag, &mut it, "number of seconds")?
                     }
                     "--tenant-rate" => {
-                        let r: f64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--tenant-rate expects a number".into()))?;
-                        if !(r.is_finite() && r >= 0.0) {
-                            return Err(ParseError(
-                                "--tenant-rate must be a non-negative rate per second".into(),
-                            ));
-                        }
-                        tenant_rate = Some(r);
+                        config.tenant_rate_per_s = non_negative(flag, &mut it, "rate per second")?
                     }
-                    "--workers" => {
-                        let n: usize = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|_| ParseError("--workers expects an integer".into()))?;
-                        if n == 0 {
-                            return Err(ParseError("--workers must be positive".into()));
-                        }
-                        workers = n;
-                    }
-                    "--snapshot-every" => {
-                        let n: usize = take_value(flag, &mut it)?.parse().map_err(|_| {
-                            ParseError("--snapshot-every expects an integer".into())
-                        })?;
-                        if n == 0 {
-                            return Err(ParseError("--snapshot-every must be positive".into()));
-                        }
-                        snapshot_every = n;
-                    }
+                    "--workers" => workers = count(flag, &mut it)?,
+                    "--snapshot-every" => config.snapshot_every_commits = count(flag, &mut it)?,
                     "--resume" => resume = true,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    other => return Err(unknown_flag(other)),
                 }
             }
             if studies.is_empty() {
@@ -509,22 +447,19 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             }
             Ok(Command::Serve {
                 studies,
-                root,
+                config,
                 workers,
-                snapshot_every,
                 resume,
-                hedge_after,
-                tenant_rate,
             })
         }
         "fsck" => {
-            let mut root = String::from("target/study-server");
+            let mut root = ServerConfig::default().root;
             let mut salvage = false;
             while let Some(flag) = it.next() {
                 match flag {
-                    "--root" => root = take_value(flag, &mut it)?.to_string(),
+                    "--root" => root = take_value(flag, &mut it)?.into(),
                     "--salvage" => salvage = true,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    other => return Err(unknown_flag(other)),
                 }
             }
             Ok(Command::Fsck { root, salvage })
@@ -593,25 +528,85 @@ mod tests {
         }
     }
 
+    /// `Scenario` and `ServerConfig` have no `PartialEq`; their `Debug`
+    /// forms print every field, floats in round-trip form.
+    fn debug(value: &impl fmt::Debug) -> String {
+        format!("{value:?}")
+    }
+
+    /// The `run` command `args` parse to, taken apart.
+    fn run(
+        args: &[&str],
+    ) -> (
+        Scenario,
+        Method,
+        Mode,
+        Budget,
+        u64,
+        ExecutorOptions,
+        Option<String>,
+    ) {
+        match parse(args).unwrap() {
+            Command::Run {
+                scenario,
+                method,
+                mode,
+                budget,
+                seed,
+                options,
+                csv,
+            } => (scenario, method, mode, budget, seed, options, csv),
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
+    /// The executor options `run --pair mnist-gtx --method rand` plus
+    /// `flags` parse to.
+    fn run_options(flags: &[&str]) -> ExecutorOptions {
+        run(&[&["run", "--pair", "mnist-gtx", "--method", "rand"], flags].concat()).5
+    }
+
+    /// The message `run --pair mnist-gtx --method rand` plus `flags` fails
+    /// with.
+    fn run_error(flags: &[&str]) -> String {
+        parse(&[&["run", "--pair", "mnist-gtx", "--method", "rand"], flags].concat())
+            .unwrap_err()
+            .0
+    }
+
+    /// The `serve` command `args` parse to, taken apart.
+    fn serve(args: &[&str]) -> (Vec<StudyArg>, ServerConfig, usize, bool) {
+        match parse(args).unwrap() {
+            Command::Serve {
+                studies,
+                config,
+                workers,
+                resume,
+            } => (studies, config, workers, resume),
+            other => panic!("expected serve, got {other:?}"),
+        }
+    }
+
     #[test]
     fn help_variants() {
         for args in [&[][..], &["help"][..], &["--help"][..], &["-h"][..]] {
-            assert_eq!(parse(args).unwrap(), Command::Help);
+            assert!(matches!(parse(args).unwrap(), Command::Help));
         }
     }
 
     #[test]
     fn profile_defaults_and_overrides() {
-        let c = parse(&["profile", "--pair", "mnist-gtx"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Profile {
-                pair: Pair::MnistGtx,
-                samples: 100,
-                seed: 0
-            }
-        );
-        let c = parse(&[
+        // Without --samples, L is the scenario's own (the paper's 100).
+        let Command::Profile { scenario, seed } =
+            parse(&["profile", "--pair", "mnist-gtx"]).unwrap()
+        else {
+            panic!("expected profile");
+        };
+        assert_eq!(debug(&scenario), debug(&Scenario::mnist_gtx1070()));
+        assert_eq!(scenario.profiling_samples, 100);
+        assert_eq!(seed, 0);
+
+        let Command::Profile { scenario, seed } = parse(&[
             "profile",
             "--pair",
             "cifar-tegra",
@@ -620,20 +615,20 @@ mod tests {
             "--seed",
             "7",
         ])
-        .unwrap();
-        assert_eq!(
-            c,
-            Command::Profile {
-                pair: Pair::CifarTegra,
-                samples: 50,
-                seed: 7
-            }
-        );
+        .unwrap() else {
+            panic!("expected profile");
+        };
+        let expected = Scenario {
+            profiling_samples: 50,
+            ..Scenario::cifar10_tegra_tx1()
+        };
+        assert_eq!(debug(&scenario), debug(&expected));
+        assert_eq!(seed, 7);
     }
 
     #[test]
     fn run_full_form() {
-        let c = parse(&[
+        let (scenario, method, mode, budget, seed, options, csv) = run(&[
             "run",
             "--pair",
             "cifar-gtx",
@@ -649,200 +644,122 @@ mod tests {
             "4",
             "--csv",
             "/tmp/t.csv",
-        ])
-        .unwrap();
-        assert_eq!(
-            c,
-            Command::Run {
-                pair: Pair::CifarGtx,
-                method: Method::HwIeci,
-                mode: Mode::Default,
-                budget: Budget::Evaluations(25),
-                seed: 3,
-                workers: Some(4),
-                fault_profile: None,
-                checkpoint: None,
-                checkpoint_every: 1,
-                resume: None,
-                csv: Some("/tmp/t.csv".into()),
-                recalibrate: false,
-                drift_threshold: None,
-                safety_margin: None,
-            }
-        );
+        ]);
+        assert_eq!(debug(&scenario), debug(&Scenario::cifar10_gtx1070()));
+        assert_eq!(method, Method::HwIeci);
+        assert_eq!(mode, Mode::Default);
+        assert_eq!(budget, Budget::Evaluations(25));
+        assert_eq!(seed, 3);
+        assert_eq!(options, ExecutorOptions::default().with_workers(4));
+        assert_eq!(csv.as_deref(), Some("/tmp/t.csv"));
     }
 
     #[test]
     fn self_healing_flags() {
-        let c = parse(&[
-            "run",
-            "--pair",
-            "mnist-gtx",
-            "--method",
-            "hw-ieci",
-            "--recalibrate",
-            "--drift-threshold",
-            "0.2",
-            "--safety-margin",
-            "0.05",
-        ])
-        .unwrap();
-        let Command::Run {
-            recalibrate,
-            drift_threshold,
-            safety_margin,
-            ..
-        } = c
-        else {
-            panic!("expected run");
-        };
-        assert!(recalibrate);
-        assert_eq!(drift_threshold, Some(0.2));
-        assert_eq!(safety_margin, Some(0.05));
+        assert_eq!(
+            run_options(&[
+                "--recalibrate",
+                "--drift-threshold",
+                "0.2",
+                "--safety-margin",
+                "0.05",
+            ]),
+            ExecutorOptions::from_env()
+                .with_recalibrate(true)
+                .with_drift_threshold(0.2)
+                .with_safety_margin(0.05)
+        );
 
         // Defaults: healing fully off.
-        let c = parse(&["run", "--pair", "mnist-gtx", "--method", "rand"]).unwrap();
-        let Command::Run {
-            recalibrate,
-            drift_threshold,
-            safety_margin,
-            ..
-        } = c
-        else {
-            panic!("expected run");
-        };
-        assert!(!recalibrate);
-        assert_eq!(drift_threshold, None);
-        assert_eq!(safety_margin, None);
+        let options = run_options(&[]);
+        assert_eq!(options.drift, ExecutorOptions::default().drift);
+        assert!(!options.drift.recalibrate);
 
         // Out-of-domain values are rejected with specific messages.
-        for (flag, bad) in [
-            ("--drift-threshold", "0"),
-            ("--drift-threshold", "nan"),
-            ("--safety-margin", "1.5"),
-            ("--safety-margin", "-0.1"),
+        for (flag, bad, message) in [
+            ("--drift-threshold", "0", "must be positive and finite"),
+            ("--drift-threshold", "nan", "must be positive and finite"),
+            ("--safety-margin", "1.5", "must be a fraction in (0, 1)"),
+            ("--safety-margin", "-0.1", "must be a fraction in (0, 1)"),
+            ("--safety-margin", "half", "expects a number"),
         ] {
-            let err =
-                parse(&["run", "--pair", "mnist-gtx", "--method", "rand", flag, bad]).unwrap_err();
-            assert!(err.0.contains(flag), "message {:?} names the flag", err.0);
+            assert_eq!(run_error(&[flag, bad]), format!("{flag} {message}"));
         }
     }
 
     #[test]
     fn fault_and_resume_flags() {
-        let c = parse(&[
-            "run",
-            "--pair",
-            "mnist-gtx",
-            "--method",
-            "rand",
-            "--fault-profile",
-            "flaky-sensor",
-            "--checkpoint",
-            "/tmp/run.ckpt",
-            "--checkpoint-every",
-            "5",
-            "--resume",
-            "/tmp/prev.ckpt",
-        ])
-        .unwrap();
-        let Command::Run {
-            fault_profile,
-            checkpoint,
-            checkpoint_every,
-            resume,
-            ..
-        } = c
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(fault_profile.as_deref(), Some("flaky-sensor"));
-        assert_eq!(checkpoint.as_deref(), Some("/tmp/run.ckpt"));
-        assert_eq!(checkpoint_every, 5);
-        assert_eq!(resume.as_deref(), Some("/tmp/prev.ckpt"));
+        assert_eq!(
+            run_options(&[
+                "--fault-profile",
+                "flaky-sensor",
+                "--checkpoint",
+                "/tmp/run.ckpt",
+                "--checkpoint-every",
+                "5",
+                "--resume",
+                "/tmp/prev.ckpt",
+            ]),
+            ExecutorOptions::from_env()
+                .with_fault_profile(FaultProfile::flaky_sensor())
+                .with_checkpoint(CheckpointConfig {
+                    path: "/tmp/run.ckpt".into(),
+                    every_commits: 5,
+                })
+                .with_resume_from("/tmp/prev.ckpt")
+        );
+        // The cadence may come first, and defaults to every commit.
+        assert_eq!(
+            run_options(&["--checkpoint-every", "3", "--checkpoint", "a.ckpt"]).checkpoint,
+            Some(CheckpointConfig {
+                path: "a.ckpt".into(),
+                every_commits: 3,
+            })
+        );
+        assert_eq!(
+            run_options(&["--checkpoint", "a.ckpt"]).checkpoint,
+            Some(CheckpointConfig::every_commit("a.ckpt"))
+        );
 
-        // Defaults: no faults, no checkpointing, write-every-commit.
-        let c = parse(&["run", "--pair", "mnist-gtx", "--method", "rand"]).unwrap();
-        let Command::Run {
-            fault_profile,
-            checkpoint,
-            checkpoint_every,
-            resume,
-            ..
-        } = c
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(fault_profile, None);
-        assert_eq!(checkpoint, None);
-        assert_eq!(checkpoint_every, 1);
-        assert_eq!(resume, None);
+        // Defaults: no faults, no checkpointing, no resume.
+        assert_eq!(run_options(&[]), ExecutorOptions::from_env());
 
-        assert!(parse(&[
-            "run",
-            "--pair",
-            "mnist-gtx",
-            "--method",
-            "rand",
-            "--checkpoint-every",
-            "0"
-        ])
-        .unwrap_err()
-        .0
-        .contains("positive"));
+        assert_eq!(
+            run_error(&["--checkpoint-every", "0"]),
+            "--checkpoint-every must be positive"
+        );
+        assert_eq!(
+            run_error(&["--fault-profile", "bogus"]),
+            "unknown fault profile 'bogus' (expected none, flaky-sensor, oom-heavy, \
+             drifting-hw, slow-worker or bit-rot)"
+        );
     }
 
     #[test]
-    fn workers_defaults_to_none_and_rejects_bad_values() {
-        let c = parse(&["run", "--pair", "mnist-gtx", "--method", "rand"]).unwrap();
-        let Command::Run { workers, .. } = c else {
-            panic!("expected run");
-        };
-        assert_eq!(workers, None);
-        assert!(parse(&[
-            "run",
-            "--pair",
-            "mnist-gtx",
-            "--method",
-            "rand",
-            "--workers",
-            "0"
-        ])
-        .unwrap_err()
-        .0
-        .contains("positive"));
-        assert!(parse(&[
-            "run",
-            "--pair",
-            "mnist-gtx",
-            "--method",
-            "rand",
-            "--workers",
-            "two"
-        ])
-        .unwrap_err()
-        .0
-        .contains("integer"));
+    fn workers_default_to_the_environment_and_reject_bad_values() {
+        assert_eq!(
+            run_options(&[]).workers,
+            ExecutorOptions::from_env().workers
+        );
+        assert_eq!(run_error(&["--workers", "0"]), "--workers must be positive");
+        assert_eq!(
+            run_error(&["--workers", "two"]),
+            "--workers expects an integer"
+        );
     }
 
     #[test]
     fn run_defaults_to_paper_budget_and_hyperpower_mode() {
-        let c = parse(&["run", "--pair", "mnist-tegra", "--method", "rand"]).unwrap();
-        let Command::Run { mode, budget, .. } = c else {
-            panic!("expected run");
-        };
+        let (_, _, mode, budget, ..) = run(&["run", "--pair", "mnist-tegra", "--method", "rand"]);
         assert_eq!(mode, Mode::HyperPower);
         assert_eq!(budget, Budget::VirtualHours(2.0));
-        let c = parse(&["run", "--pair", "cifar-gtx", "--method", "rand"]).unwrap();
-        let Command::Run { budget, .. } = c else {
-            panic!("expected run");
-        };
+        let (_, _, _, budget, ..) = run(&["run", "--pair", "cifar-gtx", "--method", "rand"]);
         assert_eq!(budget, Budget::VirtualHours(5.0));
     }
 
     #[test]
     fn hours_budget() {
-        let c = parse(&[
+        let (_, method, _, budget, ..) = run(&[
             "run",
             "--pair",
             "mnist-gtx",
@@ -850,11 +767,7 @@ mod tests {
             "rand-walk",
             "--hours",
             "1.5",
-        ])
-        .unwrap();
-        let Command::Run { budget, method, .. } = c else {
-            panic!("expected run");
-        };
+        ]);
         assert_eq!(budget, Budget::VirtualHours(1.5));
         assert_eq!(method, Method::RandWalk);
     }
@@ -864,18 +777,9 @@ mod tests {
         // A non-finite deadline is never reached, and a non-positive one
         // runs nothing.
         for bad in ["nan", "inf", "-inf", "0", "-1"] {
-            let err = parse(&[
-                "run",
-                "--pair",
-                "mnist-gtx",
-                "--method",
-                "rand",
-                "--hours",
-                bad,
-            ])
-            .unwrap_err();
             assert_eq!(
-                err.0, "--hours must be positive and finite",
+                run_error(&["--hours", bad]),
+                "--hours must be positive and finite",
                 "--hours {bad}"
             );
         }
@@ -883,40 +787,36 @@ mod tests {
 
     #[test]
     fn error_messages_are_specific() {
-        assert!(parse(&["frobnicate"]).unwrap_err().0.contains("subcommand"));
-        assert!(parse(&["run", "--method", "rand"])
-            .unwrap_err()
-            .0
-            .contains("--pair is required"));
-        assert!(parse(&["run", "--pair", "mnist-gtx"])
-            .unwrap_err()
-            .0
-            .contains("--method is required"));
-        assert!(parse(&["run", "--pair", "venus", "--method", "rand"])
-            .unwrap_err()
-            .0
-            .contains("unknown pair"));
-        assert!(parse(&["run", "--pair", "mnist-gtx", "--method", "sgd"])
-            .unwrap_err()
-            .0
-            .contains("unknown method"));
-        assert!(parse(&["profile", "--pair"])
-            .unwrap_err()
-            .0
-            .contains("requires a value"));
-        assert!(parse(&["profile", "--pair", "mnist-gtx", "--samples", "0"])
-            .unwrap_err()
-            .0
-            .contains("positive"));
-        assert!(parse(&["profile", "--pair", "mnist-gtx", "--samples", "x"])
-            .unwrap_err()
-            .0
-            .contains("integer"));
+        let error = |args: &[&str]| parse(args).unwrap_err().0;
+        assert!(error(&["frobnicate"]).contains("subcommand"));
+        assert_eq!(error(&["run", "--method", "rand"]), "--pair is required");
+        assert_eq!(
+            error(&["run", "--pair", "mnist-gtx"]),
+            "--method is required"
+        );
+        assert!(error(&["run", "--pair", "venus", "--method", "rand"]).contains("unknown pair"));
+        assert!(
+            error(&["run", "--pair", "mnist-gtx", "--method", "sgd"]).contains("unknown method")
+        );
+        assert_eq!(
+            error(&["profile", "--pair"]),
+            "flag --pair requires a value"
+        );
+        assert_eq!(
+            error(&["profile", "--pair", "mnist-gtx", "--samples", "0"]),
+            "--samples must be positive"
+        );
+        assert_eq!(
+            error(&["profile", "--pair", "mnist-gtx", "--samples", "x"]),
+            "--samples expects an integer"
+        );
+        // A missing pair is reported before a zero sample count.
+        assert_eq!(error(&["profile", "--samples", "0"]), "--pair is required");
     }
 
     #[test]
     fn serve_parses_studies_and_defaults() {
-        let c = parse(&[
+        let (studies, config, workers, resume) = serve(&[
             "serve",
             "--study",
             "alpha:rand:6",
@@ -929,60 +829,48 @@ mod tests {
             "--snapshot-every",
             "2",
             "--resume",
-        ])
-        .unwrap();
+        ]);
         assert_eq!(
-            c,
-            Command::Serve {
-                studies: vec![
-                    StudyArg {
-                        name: "alpha".into(),
-                        method: Method::Rand,
-                        evals: 6,
-                        seed: 0,
-                        priority: 1,
-                    },
-                    StudyArg {
-                        name: "beta".into(),
-                        method: Method::RandWalk,
-                        evals: 5,
-                        seed: 42,
-                        priority: 3,
-                    },
-                ],
-                root: "/tmp/srv".into(),
-                workers: 4,
-                snapshot_every: 2,
-                resume: true,
-                hedge_after: None,
-                tenant_rate: None,
-            }
+            studies,
+            vec![
+                StudyArg {
+                    name: "alpha".into(),
+                    method: Method::Rand,
+                    evals: 6,
+                    seed: 0,
+                    priority: 1,
+                },
+                StudyArg {
+                    name: "beta".into(),
+                    method: Method::RandWalk,
+                    evals: 5,
+                    seed: 42,
+                    priority: 3,
+                },
+            ]
         );
-
-        let c = parse(&["serve", "--study", "solo:hw-cwei:4"]).unwrap();
-        let Command::Serve {
-            root,
-            workers,
-            snapshot_every,
-            resume,
-            hedge_after,
-            tenant_rate,
-            ..
-        } = c
-        else {
-            panic!("expected serve");
+        let expected = ServerConfig {
+            root: "/tmp/srv".into(),
+            snapshot_every_commits: 2,
+            ..ServerConfig::default()
         };
-        assert_eq!(root, "target/study-server");
+        assert_eq!(debug(&config), debug(&expected));
+        assert_eq!(workers, 4);
+        assert!(resume);
+
+        // Defaults: the server's own configuration, one worker, fresh
+        // studies.
+        let (_, config, workers, resume) = serve(&["serve", "--study", "solo:hw-cwei:4"]);
+        assert_eq!(debug(&config), debug(&ServerConfig::default()));
+        assert_eq!(config.root, PathBuf::from("target/study-server"));
+        assert_eq!(config.snapshot_every_commits, 8);
         assert_eq!(workers, 1);
-        assert_eq!(snapshot_every, 8);
         assert!(!resume);
-        assert_eq!(hedge_after, None);
-        assert_eq!(tenant_rate, None);
     }
 
     #[test]
     fn serve_supervision_flags() {
-        let c = parse(&[
+        let (_, config, ..) = serve(&[
             "serve",
             "--study",
             "a:rand:6",
@@ -990,56 +878,64 @@ mod tests {
             "300",
             "--tenant-rate",
             "0.5",
-        ])
-        .unwrap();
-        let Command::Serve {
-            hedge_after,
-            tenant_rate,
-            ..
-        } = c
-        else {
-            panic!("expected serve");
+        ]);
+        let expected = ServerConfig {
+            hedge_after_s: 300.0,
+            tenant_rate_per_s: 0.5,
+            ..ServerConfig::default()
         };
-        assert_eq!(hedge_after, Some(300.0));
-        assert_eq!(tenant_rate, Some(0.5));
+        assert_eq!(debug(&config), debug(&expected));
 
         // Zero is the explicit off switch, not an error.
-        let c = parse(&["serve", "--study", "a:rand:6", "--hedge-after", "0"]).unwrap();
-        let Command::Serve { hedge_after, .. } = c else {
-            panic!("expected serve");
-        };
-        assert_eq!(hedge_after, Some(0.0));
+        let (_, config, ..) = serve(&["serve", "--study", "a:rand:6", "--hedge-after", "0"]);
+        assert_eq!(config.hedge_after_s, 0.0);
 
-        for (flag, bad) in [
-            ("--hedge-after", "-1"),
-            ("--hedge-after", "inf"),
-            ("--hedge-after", "soon"),
-            ("--tenant-rate", "-0.5"),
-            ("--tenant-rate", "nan"),
+        for (flag, bad, message) in [
+            (
+                "--hedge-after",
+                "-1",
+                "must be a non-negative number of seconds",
+            ),
+            (
+                "--hedge-after",
+                "inf",
+                "must be a non-negative number of seconds",
+            ),
+            ("--hedge-after", "soon", "expects a number"),
+            (
+                "--tenant-rate",
+                "-0.5",
+                "must be a non-negative rate per second",
+            ),
+            (
+                "--tenant-rate",
+                "nan",
+                "must be a non-negative rate per second",
+            ),
         ] {
-            assert!(
-                parse(&["serve", "--study", "a:rand:6", flag, bad]).is_err(),
-                "{flag} {bad} must be rejected"
+            assert_eq!(
+                parse(&["serve", "--study", "a:rand:6", flag, bad])
+                    .unwrap_err()
+                    .0,
+                format!("{flag} {message}")
             );
         }
     }
 
     #[test]
     fn fsck_parses_root_and_salvage() {
-        assert_eq!(
-            parse(&["fsck"]).unwrap(),
-            Command::Fsck {
-                root: "target/study-server".into(),
-                salvage: false
-            }
-        );
-        assert_eq!(
-            parse(&["fsck", "--root", "/tmp/store", "--salvage"]).unwrap(),
-            Command::Fsck {
-                root: "/tmp/store".into(),
-                salvage: true
-            }
-        );
+        let Command::Fsck { root, salvage } = parse(&["fsck"]).unwrap() else {
+            panic!("expected fsck");
+        };
+        assert_eq!(root, ServerConfig::default().root);
+        assert!(!salvage);
+        let Command::Fsck { root, salvage } =
+            parse(&["fsck", "--root", "/tmp/store", "--salvage"]).unwrap()
+        else {
+            panic!("expected fsck");
+        };
+        assert_eq!(root, PathBuf::from("/tmp/store"));
+        assert!(salvage);
         assert!(parse(&["fsck", "--frobnicate"]).is_err());
         assert!(parse(&["fsck", "--root"]).unwrap_err().0.contains("value"));
     }
@@ -1063,22 +959,24 @@ mod tests {
                 "'{bad}' must be rejected"
             );
         }
-        assert!(parse(&["serve", "--study", "a:rand:6", "--workers", "0"])
-            .unwrap_err()
-            .0
-            .contains("positive"));
-        assert!(
+        assert_eq!(
+            parse(&["serve", "--study", "a:rand:6", "--workers", "0"])
+                .unwrap_err()
+                .0,
+            "--workers must be positive"
+        );
+        assert_eq!(
             parse(&["serve", "--study", "a:rand:6", "--snapshot-every", "0"])
                 .unwrap_err()
-                .0
-                .contains("positive")
+                .0,
+            "--snapshot-every must be positive"
         );
     }
 
     #[test]
     fn usage_mentions_everything() {
-        for name in Pair::NAMES {
-            assert!(USAGE.contains(name));
+        for pair in ["mnist-gtx", "cifar-gtx", "mnist-tegra", "cifar-tegra"] {
+            assert!(USAGE.contains(pair));
         }
         for m in ["rand", "rand-walk", "hw-cwei", "hw-ieci"] {
             assert!(USAGE.contains(m));

@@ -7,60 +7,38 @@
 //!
 //! See `hyperpower help` for the full grammar.
 
-// Experiment binaries are terminal programs: printing results and
-// panicking on setup failures are the point, not a lint violation.
+// A terminal program: printing results is the point, not a lint
+// violation.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 mod args;
 
-use std::path::PathBuf;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::error::Error;
+use std::fs::File;
+use std::io::BufWriter;
 use std::process::ExitCode;
 
-use args::{parse, Command, Pair, StudyArg, USAGE};
-use std::collections::BTreeMap;
+use args::{parse, Command, StudyArg, USAGE};
 
 use hyperpower::{
-    Budget, Budgets, CheckpointConfig, ConstraintOracle, DriftConfig, EarlyTermination,
-    ExecutorOptions, Method, Mode, Objective, RetryPolicy, Scenario, SearchSpace, Session,
-    StudySpec,
+    Budget, Budgets, ConstraintOracle, DriftConfig, EarlyTermination, Method, Mode, Objective,
+    RetryPolicy, Scenario, SearchSpace, Session, StudySpec,
 };
 use hyperpower_gpu_sim::{DeviceProfile, FaultProfile, Gpu, TrainingCostModel};
 use hyperpower_server::{
     fsck_store, ServerConfig, ServerError, StudyServer, StudySetup, SyntheticObjective,
 };
 
-fn scenario_for(pair: Pair) -> Scenario {
-    match pair {
-        Pair::MnistGtx => Scenario::mnist_gtx1070(),
-        Pair::CifarGtx => Scenario::cifar10_gtx1070(),
-        Pair::MnistTegra => Scenario::mnist_tegra_tx1(),
-        Pair::CifarTegra => Scenario::cifar10_tegra_tx1(),
-    }
-}
-
 /// Hosts the requested studies in one crash-safe server and drives them
 /// to completion with `workers` simulated workers per study per round.
 fn serve(
     studies: &[StudyArg],
-    root: &str,
+    config: ServerConfig,
     workers: usize,
-    snapshot_every: usize,
     resume: bool,
-    hedge_after: Option<f64>,
-    tenant_rate: Option<f64>,
 ) -> Result<(), ServerError> {
-    let mut config = ServerConfig {
-        root: PathBuf::from(root),
-        snapshot_every_commits: snapshot_every,
-        ..ServerConfig::default()
-    };
-    if let Some(secs) = hedge_after {
-        config.hedge_after_s = secs;
-    }
-    if let Some(rate) = tenant_rate {
-        config.tenant_rate_per_s = rate;
-    }
     let mut server = StudyServer::new(config)?;
     // The BO methods screen candidates through the paper's constraint
     // oracle; profile and fit it once per distinct seed.
@@ -68,7 +46,7 @@ fn serve(
     for arg in studies {
         let oracle = match arg.method {
             Method::HwCwei | Method::HwIeci => {
-                if let std::collections::btree_map::Entry::Vacant(slot) = oracles.entry(arg.seed) {
+                if let Entry::Vacant(slot) = oracles.entry(arg.seed) {
                     let session = Session::new(Scenario::mnist_gtx1070(), arg.seed)
                         .map_err(ServerError::Core)?;
                     println!(
@@ -191,181 +169,80 @@ fn serve(
             None => println!("  no feasible design found"),
         }
     }
-    println!("journals and snapshots under {root}");
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let refs: Vec<&str> = raw.iter().map(String::as_str).collect();
-    let command = match parse(&refs) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+/// Runs one command. Every failure comes back for `main` to print once;
+/// an unclean `fsck` exits 1 after its report.
+fn execute(command: Command) -> Result<ExitCode, Box<dyn Error>> {
     match command {
-        Command::Help => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
+        Command::Help => print!("{USAGE}"),
         Command::Serve {
             studies,
-            root,
+            config,
             workers,
-            snapshot_every,
             resume,
-            hedge_after,
-            tenant_rate,
-        } => match serve(
-            &studies,
-            &root,
-            workers,
-            snapshot_every,
-            resume,
-            hedge_after,
-            tenant_rate,
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(ServerError::StudyExists(name)) => {
-                eprintln!(
-                    "error: study {name:?} already has a journal under {root} \
-                     (pass --resume to reattach, or pick a fresh --root)"
-                );
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Command::Fsck { root, salvage } => match fsck_store(&PathBuf::from(&root), salvage) {
-            Ok(report) => {
-                println!("{report}");
-                if report.clean() {
-                    ExitCode::SUCCESS
-                } else if salvage && report.recoverable() {
-                    // Defects found but every study was repaired back to
-                    // a replayable prefix: the store is usable again.
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("error: cannot scan {root}: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Command::Profile {
-            pair,
-            samples,
-            seed,
         } => {
-            let mut scenario = scenario_for(pair);
-            scenario.profiling_samples = samples;
+            let root = config.root.display().to_string();
+            serve(&studies, config, workers, resume).map_err(|e| -> Box<dyn Error> {
+                match e {
+                    ServerError::StudyExists(name) => format!(
+                        "study {name:?} already has a journal under {root} \
+                         (pass --resume to reattach, or pick a fresh --root)"
+                    )
+                    .into(),
+                    e => e.into(),
+                }
+            })?;
+            println!("journals and snapshots under {root}");
+        }
+        Command::Fsck { root, salvage } => {
+            let report = fsck_store(&root, salvage)
+                .map_err(|e| format!("cannot scan {}: {e}", root.display()))?;
+            println!("{report}");
+            // A store with defects is usable again when salvage repaired
+            // every study back to a replayable prefix.
+            if !(report.clean() || salvage && report.recoverable()) {
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+        Command::Profile { scenario, seed } => {
             let name = scenario.name.clone();
-            match Session::new(scenario, seed) {
-                Ok(session) => {
-                    println!(
-                        "{name}: profiled {samples} configurations in {:.0} virtual seconds",
-                        session.profiling_secs()
-                    );
-                    let models = session.models();
-                    println!(
-                        "  power model  : RMSPE {:.2}%",
-                        models.power.cv_rmspe() * 100.0
-                    );
-                    match &models.memory {
-                        Some(m) => {
-                            println!("  memory model : RMSPE {:.2}%", m.cv_rmspe() * 100.0)
-                        }
-                        None => println!("  memory model : -- (platform has no memory API)"),
-                    }
-                    if let Some(l) = &models.latency {
-                        println!(
-                            "  latency model: RMSPE {:.2}% (log-linear)",
-                            l.cv_rmspe() * 100.0
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+            let samples = scenario.profiling_samples;
+            let session = Session::new(scenario, seed)?;
+            println!(
+                "{name}: profiled {samples} configurations in {:.0} virtual seconds",
+                session.profiling_secs()
+            );
+            let models = session.models();
+            println!(
+                "  power model  : RMSPE {:.2}%",
+                models.power.cv_rmspe() * 100.0
+            );
+            match &models.memory {
+                Some(m) => println!("  memory model : RMSPE {:.2}%", m.cv_rmspe() * 100.0),
+                None => println!("  memory model : -- (platform has no memory API)"),
+            }
+            if let Some(l) = &models.latency {
+                println!(
+                    "  latency model: RMSPE {:.2}% (log-linear)",
+                    l.cv_rmspe() * 100.0
+                );
             }
         }
         Command::Run {
-            pair,
+            scenario,
             method,
             mode,
             budget,
             seed,
-            workers,
-            fault_profile,
-            checkpoint,
-            checkpoint_every,
-            resume,
+            options,
             csv,
-            recalibrate,
-            drift_threshold,
-            safety_margin,
         } => {
-            let scenario = scenario_for(pair);
             let name = scenario.name.clone();
             let chance = scenario.dataset.chance_error;
-            let mut session = match Session::new(scenario, seed) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // --workers only changes wall-clock: the trace is bit-identical
-            // for every thread count (the flag overrides HYPERPOWER_WORKERS).
-            let mut options = match workers {
-                Some(w) => ExecutorOptions::default().with_workers(w),
-                None => ExecutorOptions::from_env(),
-            };
-            if let Some(name) = fault_profile {
-                match FaultProfile::parse(&name) {
-                    Some(profile) => options = options.with_fault_profile(profile),
-                    None => {
-                        eprintln!(
-                            "error: unknown fault profile '{name}' (expected none, \
-                             flaky-sensor, oom-heavy, drifting-hw, slow-worker or bit-rot)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            if recalibrate {
-                options = options.with_recalibrate(true);
-            }
-            if let Some(t) = drift_threshold {
-                options = options.with_drift_threshold(t);
-            }
-            if let Some(f) = safety_margin {
-                options = options.with_safety_margin(f);
-            }
-            if let Some(path) = checkpoint {
-                let mut config = CheckpointConfig::every_commit(path);
-                config.every_commits = checkpoint_every;
-                options = options.with_checkpoint(config);
-            }
-            if let Some(path) = resume {
-                options = options.with_resume_from(path);
-            }
-            let trace = match session.run_seeded_with(method, mode, budget, seed, &options) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let mut session = Session::new(scenario, seed)?;
+            let trace = session.run_seeded_with(method, mode, budget, seed, &options)?;
             println!(
                 "{name} / {method} / {mode}: {} samples queried, {} evaluated, {:.2} h virtual time",
                 trace.queried(),
@@ -389,37 +266,40 @@ fn main() -> ExitCode {
                 );
             }
             match trace.best_feasible() {
-                Some(best) => {
-                    println!(
-                        "best feasible design: {:.2}% test error at {:.1} W{} (found after {:.2} h)",
-                        best.error * 100.0,
-                        best.power_w,
-                        best.memory_bytes
-                            .map(|m| format!(", {:.3} GiB", m as f64 / (1u64 << 30) as f64))
-                            .unwrap_or_default(),
-                        best.timestamp_s / 3600.0
-                    );
-                }
+                Some(best) => println!(
+                    "best feasible design: {:.2}% test error at {:.1} W{} (found after {:.2} h)",
+                    best.error * 100.0,
+                    best.power_w,
+                    best.memory_bytes
+                        .map(|m| format!(", {:.3} GiB", m as f64 / (1u64 << 30) as f64))
+                        .unwrap_or_default(),
+                    best.timestamp_s / 3600.0
+                ),
                 None => println!(
                     "no feasible design found (chance error level is {:.0}%)",
                     chance * 100.0
                 ),
             }
             if let Some(path) = csv {
-                let file = match std::fs::File::create(&path) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        eprintln!("error: cannot create {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if let Err(e) = trace.write_csv(std::io::BufWriter::new(file)) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                let file = File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
+                trace
+                    .write_csv(BufWriter::new(file))
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
                 println!("trace written to {path}");
             }
-            ExitCode::SUCCESS
         }
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let result = parse(&args)
+        .map_err(|e| format!("{e}\n\n{USAGE}").into())
+        .and_then(execute);
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
