@@ -66,13 +66,22 @@ fn committed(key: &str, text: &str) -> f64 {
         .find(&pat)
         .unwrap_or_else(|| panic!("{BENCH_FILE} missing key {key}"))
         + pat.len();
-    let digits: String = text[start..]
+    // The whole number token: sign, digits, point and exponent.
+    let token: String = text[start..]
         .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
         .collect();
-    digits
+    token
         .parse()
         .unwrap_or_else(|_| panic!("{BENCH_FILE}: key {key} is not a number"))
+}
+
+#[test]
+fn committed_values_are_read_whole() {
+    // A sign and an exponent are part of the value, not a suffix after it.
+    let text = "\"a\": -1.25e-6,\n\"b\": 4E+2\n";
+    assert_eq!(committed("a", text).to_bits(), (-1.25e-6f64).to_bits());
+    assert_eq!(committed("b", text).to_bits(), 400.0f64.to_bits());
 }
 
 /// Each block's posterior means and variances.

@@ -40,13 +40,23 @@ fn committed(key: &str, text: &str) -> f64 {
         .find(&pat)
         .unwrap_or_else(|| panic!("{BENCH_FILE} missing key {key}"))
         + pat.len();
-    let digits: String = text[start..]
+    // The whole number token: sign, digits, point and exponent.
+    let token: String = text[start..]
         .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
         .collect();
-    digits
+    token
         .parse()
         .unwrap_or_else(|_| panic!("{BENCH_FILE}: key {key} is not a number"))
+}
+
+#[test]
+fn committed_values_are_read_whole() {
+    // An exponent is part of the value, not a suffix after it.
+    assert_eq!(
+        committed("factor_reference_small_naive_secs", &bench_text()),
+        5.53e-6
+    );
 }
 
 #[test]
