@@ -12,13 +12,12 @@
 //!   `hyperpower-analyze --write-baseline`) so the ratchet only ever
 //!   tightens.
 //!
-//! **Schema v2** adds per-entry metadata: `severity` (the rule's level,
-//! mirrored into SARIF) and `since` (provenance: which analyzer
-//! generation accepted the bucket, or `"migrated-v1"` for entries read
-//! from a v1 file). Both are informational — the ratchet still keys on
-//! `(rule, file, count)` only, so v1 and v2 baselines enforce
-//! identically. v1 files (no `schema` line, no `severity`/`since`) load
-//! transparently; `--write-baseline` always emits v2.
+//! The file is **schema v2**: a `schema` line, then entries that carry
+//! per-entry metadata besides `(rule, file, count)`: `severity` (the
+//! rule's level, mirrored into SARIF) and `since` (provenance: which
+//! analyzer generation accepted the bucket). Both are informational —
+//! the ratchet keys on `(rule, file, count)` only. The legacy v1 shape
+//! (no `schema` line, no `severity`/`since`) is refused with an error.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -33,9 +32,6 @@ pub const SCHEMA_V2: &str = "hyperpower-analyze-baseline/v2";
 
 /// Provenance stamped on buckets accepted by this analyzer generation.
 pub const PROVENANCE: &str = "analyzer-v4";
-
-/// Provenance stamped on buckets migrated from a v1 baseline file.
-pub const PROVENANCE_MIGRATED: &str = "migrated-v1";
 
 /// One accepted (grandfathered) findings bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,14 +148,13 @@ impl Baseline {
         out
     }
 
-    /// Parses the JSON produced by [`Baseline::to_json`] — either schema
-    /// v2 or the legacy v1 shape (no `schema` line, entries carry only
-    /// rule/file/count). v1 entries migrate transparently: severity comes
-    /// from the rule's current default and `since` is stamped
-    /// [`PROVENANCE_MIGRATED`]. The parser is line-oriented and only
-    /// accepts those exact shapes — good enough for a file the tool
-    /// itself writes, without a JSON dependency.
+    /// Parses the JSON produced by [`Baseline::to_json`]: the schema v2
+    /// line, then entries that each carry rule, file, count, severity
+    /// and since. The parser is line-oriented and only accepts that
+    /// exact shape — good enough for a file the tool itself writes,
+    /// without a JSON dependency.
     pub fn parse(text: &str) -> Result<Self, String> {
+        let mut schema_seen = false;
         let mut entries = Vec::new();
         for (n, line) in text.lines().enumerate() {
             let line = line.trim().trim_end_matches(',');
@@ -172,10 +167,17 @@ impl Baseline {
                         n + 1
                     ));
                 }
+                schema_seen = true;
                 continue;
             }
             if !line.contains("\"rule\"") {
                 continue;
+            }
+            if !schema_seen {
+                return Err(format!(
+                    "baseline line {}: entry before the \"schema\" line (expected {SCHEMA_V2:?})",
+                    n + 1
+                ));
             }
             let rule = extract_str(line, "rule")
                 .ok_or_else(|| format!("baseline line {}: missing \"rule\"", n + 1))?;
@@ -186,17 +188,16 @@ impl Baseline {
             if !Rule::ALL.iter().any(|r| r.id() == rule) {
                 return Err(format!("baseline line {}: unknown rule {rule}", n + 1));
             }
-            let severity = match extract_str(line, "severity") {
-                Some(s) => {
-                    if crate::Severity::parse(&s).is_none() {
-                        return Err(format!("baseline line {}: unknown severity {s:?}", n + 1));
-                    }
-                    s
-                }
-                None => default_severity(&rule),
-            };
-            let since =
-                extract_str(line, "since").unwrap_or_else(|| PROVENANCE_MIGRATED.to_string());
+            let severity = extract_str(line, "severity")
+                .ok_or_else(|| format!("baseline line {}: missing \"severity\"", n + 1))?;
+            if crate::Severity::parse(&severity).is_none() {
+                return Err(format!(
+                    "baseline line {}: unknown severity {severity:?}",
+                    n + 1
+                ));
+            }
+            let since = extract_str(line, "since")
+                .ok_or_else(|| format!("baseline line {}: missing \"since\"", n + 1))?;
             entries.push(Entry {
                 rule,
                 file,
@@ -204,6 +205,11 @@ impl Baseline {
                 severity,
                 since,
             });
+        }
+        if !schema_seen {
+            return Err(format!(
+                "baseline has no \"schema\" line (expected {SCHEMA_V2:?})"
+            ));
         }
         entries.sort_by(|a, b| (&a.file, &a.rule).cmp(&(&b.file, &b.rule)));
         Ok(Baseline { entries })
@@ -372,11 +378,19 @@ mod tests {
         assert!(b.entries.is_empty());
     }
 
+    /// A v2 file holding the one entry line `entry`.
+    fn v2_with(entry: &str) -> String {
+        format!("{{\n  \"schema\": \"{SCHEMA_V2}\",\n  \"entries\": [\n    {entry}\n  ]\n}}\n")
+    }
+
     #[test]
     fn unknown_rule_rejected() {
-        let bad =
-            "{\n  \"entries\": [\n    {\"rule\": \"R99\", \"file\": \"x\", \"count\": 1}\n  ]\n}\n";
-        assert!(Baseline::parse(bad).is_err());
+        let bad = v2_with(
+            "{\"rule\": \"R99\", \"file\": \"x\", \"count\": 1, \"severity\": \"error\", \"since\": \"analyzer-v4\"}",
+        );
+        assert!(Baseline::parse(&bad)
+            .unwrap_err()
+            .contains("unknown rule R99"));
     }
 
     #[test]
@@ -393,32 +407,32 @@ mod tests {
     }
 
     #[test]
-    fn v1_baseline_migrates_transparently() {
+    fn v1_baseline_is_rejected() {
         // The pre-v3 on-disk shape: no schema line, bare rule/file/count.
         let v1 = "{\n  \"entries\": [\n    {\"rule\": \"R6\", \"file\": \"crates/a/src/lib.rs\", \"count\": 2}\n  ]\n}\n";
-        let parsed = Baseline::parse(v1).unwrap();
-        assert_eq!(parsed.entries.len(), 1);
-        assert_eq!(parsed.entries[0].severity, "error");
-        assert_eq!(parsed.entries[0].since, PROVENANCE_MIGRATED);
+        let err = Baseline::parse(v1).unwrap_err();
+        assert!(err.contains("entry before the \"schema\" line"), "{err}");
+        assert!(Baseline::parse("{\n  \"entries\": [\n  ]\n}\n")
+            .unwrap_err()
+            .contains("no \"schema\" line"));
 
-        // Ratchet semantics are unchanged by migration: two findings
-        // match, three drift.
-        let two = report(vec![
-            finding(Rule::R6UnitDiscipline, "crates/a/src/lib.rs", 3),
-            finding(Rule::R6UnitDiscipline, "crates/a/src/lib.rs", 9),
-        ]);
-        assert!(parsed.diff(&two).is_empty());
-        let mut three = two.clone();
-        three
-            .findings
-            .push(finding(Rule::R6UnitDiscipline, "crates/a/src/lib.rs", 12));
-        assert_eq!(parsed.diff(&three).new.len(), 1);
+        // Under a schema line, a v1 entry still lacks its v2 members.
+        let bare = "{\"rule\": \"R6\", \"file\": \"crates/a/src/lib.rs\", \"count\": 2";
+        let err = Baseline::parse(&v2_with(&format!("{bare}}}"))).unwrap_err();
+        assert!(err.contains("missing \"severity\""), "{err}");
+        let err =
+            Baseline::parse(&v2_with(&format!("{bare}, \"severity\": \"error\"}}"))).unwrap_err();
+        assert!(err.contains("missing \"since\""), "{err}");
     }
 
     #[test]
     fn bad_severity_and_schema_rejected() {
-        let bad_sev = "{\n  \"entries\": [\n    {\"rule\": \"R6\", \"file\": \"x\", \"count\": 1, \"severity\": \"fatal\", \"since\": \"analyzer-v3\"}\n  ]\n}\n";
-        assert!(Baseline::parse(bad_sev).is_err());
+        let bad_sev = v2_with(
+            "{\"rule\": \"R6\", \"file\": \"x\", \"count\": 1, \"severity\": \"fatal\", \"since\": \"analyzer-v3\"}",
+        );
+        assert!(Baseline::parse(&bad_sev)
+            .unwrap_err()
+            .contains("unknown severity \"fatal\""));
         let bad_schema =
             "{\n  \"schema\": \"hyperpower-analyze-baseline/v9\",\n  \"entries\": [\n  ]\n}\n";
         assert!(Baseline::parse(bad_schema).is_err());

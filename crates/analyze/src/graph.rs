@@ -71,14 +71,6 @@ impl CallGraph {
         CallGraph { edges }
     }
 
-    /// Call edges into `callee`, as `(caller, line)` pairs.
-    pub fn callers_of(&self, callee: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.edges
-            .iter()
-            .filter(move |e| e.callee == callee)
-            .map(|e| (e.caller, e.line))
-    }
-
     /// Propagates a seed predicate backwards: returns, for every function,
     /// whether it is a seed or (transitively) calls one. Used to taint
     /// wall-clock readers through helper chains.
