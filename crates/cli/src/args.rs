@@ -596,14 +596,13 @@ mod tests {
 
     #[test]
     fn profile_defaults_and_overrides() {
-        // Without --samples, L is the scenario's own (the paper's 100).
+        // Without --samples, L is the scenario's own.
         let Command::Profile { scenario, seed } =
             parse(&["profile", "--pair", "mnist-gtx"]).unwrap()
         else {
             panic!("expected profile");
         };
         assert_eq!(debug(&scenario), debug(&Scenario::mnist_gtx1070()));
-        assert_eq!(scenario.profiling_samples, 100);
         assert_eq!(seed, 0);
 
         let Command::Profile { scenario, seed } = parse(&[
@@ -750,11 +749,17 @@ mod tests {
 
     #[test]
     fn run_defaults_to_paper_budget_and_hyperpower_mode() {
-        let (_, _, mode, budget, ..) = run(&["run", "--pair", "mnist-tegra", "--method", "rand"]);
-        assert_eq!(mode, Mode::HyperPower);
-        assert_eq!(budget, Budget::VirtualHours(2.0));
-        let (_, _, _, budget, ..) = run(&["run", "--pair", "cifar-gtx", "--method", "rand"]);
-        assert_eq!(budget, Budget::VirtualHours(5.0));
+        for (pair, scenario) in [
+            ("mnist-gtx", Scenario::mnist_gtx1070()),
+            ("cifar-gtx", Scenario::cifar10_gtx1070()),
+            ("mnist-tegra", Scenario::mnist_tegra_tx1()),
+            ("cifar-tegra", Scenario::cifar10_tegra_tx1()),
+        ] {
+            let (parsed, _, mode, budget, ..) = run(&["run", "--pair", pair, "--method", "rand"]);
+            assert_eq!(debug(&parsed), debug(&scenario), "{pair}");
+            assert_eq!(mode, Mode::HyperPower);
+            assert_eq!(budget, Budget::VirtualHours(scenario.time_budget_hours));
+        }
     }
 
     #[test]
@@ -862,8 +867,6 @@ mod tests {
         // studies.
         let (_, config, workers, resume) = serve(&["serve", "--study", "solo:hw-cwei:4"]);
         assert_eq!(debug(&config), debug(&ServerConfig::default()));
-        assert_eq!(config.root, PathBuf::from("target/study-server"));
-        assert_eq!(config.snapshot_every_commits, 8);
         assert_eq!(workers, 1);
         assert!(!resume);
     }
