@@ -293,9 +293,9 @@ fn execute(command: Command) -> Result<ExitCode, Box<dyn Error>> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let result = parse(&args)
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let refs: Vec<&str> = raw.iter().map(String::as_str).collect();
+    let result = parse(&refs)
         .map_err(|e| format!("{e}\n\n{USAGE}").into())
         .and_then(execute);
     result.unwrap_or_else(|e| {
