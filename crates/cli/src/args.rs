@@ -445,6 +445,14 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             if studies.is_empty() {
                 return Err(ParseError("at least one --study is required".into()));
             }
+            // Refused here, before any study is admitted: the server would
+            // write the first study's journal and then refuse the second.
+            for (i, study) in studies.iter().enumerate() {
+                if studies[..i].iter().any(|s| s.name == study.name) {
+                    let name = &study.name;
+                    return Err(ParseError(format!("study name \"{name}\" is given twice")));
+                }
+            }
             Ok(Command::Serve {
                 studies,
                 config,
@@ -974,6 +982,23 @@ mod tests {
                 .0,
             "--snapshot-every must be positive"
         );
+    }
+
+    #[test]
+    fn serve_rejects_a_repeated_study_name() {
+        let err = parse(&[
+            "serve",
+            "--study",
+            "a:rand:3",
+            "--study",
+            "b:rand:3",
+            "--study",
+            "a:rand-walk:4",
+        ])
+        .unwrap_err();
+        assert_eq!(err.0, "study name \"a\" is given twice");
+        // Distinct names that share a prefix or settings are fine.
+        assert!(parse(&["serve", "--study", "a:rand:3", "--study", "ab:rand:3"]).is_ok());
     }
 
     #[test]

@@ -174,6 +174,7 @@ fn run_csv() {
     Case::new("run_csv")
         .run("run --pair cifar-gtx --method hw-ieci --mode default --evals 8 --seed 3 --csv trace.csv")
         .run("run --pair mnist-gtx --method rand --evals 3 --csv missing/trace.csv")
+        .run("run --pair mnist-gtx --method rand --evals 3 --csv /dev/full")
         .check();
 }
 
@@ -245,6 +246,16 @@ fn serve_and_resume() {
         .run("serve --root store --study alpha:rand:6:7")
         .run(&format!("serve --root store --resume {studies}"))
         .run("serve --root store --resume --study alpha:rand:6:8")
+        .check();
+}
+
+/// A study name given twice is refused before anything is written, so the
+/// corrected command then runs.
+#[test]
+fn serve_repeated_study_name() {
+    Case::new("serve_repeated_study_name")
+        .run("serve --study a:rand:3 --study a:rand:3 --root store")
+        .run("serve --study a:rand:3 --root store")
         .check();
 }
 

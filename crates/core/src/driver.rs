@@ -276,8 +276,8 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the writer. Pass `&mut writer` to keep
-    /// using the writer afterwards.
+    /// Propagates I/O errors from the writer, the final flush's included.
+    /// Pass `&mut writer` to keep using the writer afterwards.
     pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
         let dim = self.samples.first().map(|s| s.config.dim()).unwrap_or(0);
         let has_drift = self.samples.iter().any(|s| {
@@ -339,7 +339,9 @@ impl Trace {
             }
             writeln!(w)?;
         }
-        Ok(())
+        // A buffered writer would otherwise report its last write's error
+        // nowhere: dropping it flushes and discards the result.
+        w.flush()
     }
 }
 
@@ -537,6 +539,29 @@ mod tests {
         assert!(lines[4].contains("early_terminated"));
         // Rejected samples have an empty error field.
         assert!(lines[1].contains(",,"));
+    }
+
+    #[test]
+    fn csv_export_reports_a_failed_flush() {
+        /// Takes every write, then fails to flush, as a buffered file on a
+        /// full disk does.
+        struct FullDisk(usize);
+        impl std::io::Write for FullDisk {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::StorageFull,
+                    "disk full",
+                ))
+            }
+        }
+        let mut w = FullDisk(0);
+        let err = toy_trace().write_csv(&mut w).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+        assert!(w.0 > 0, "every row was written before the flush");
     }
 
     #[test]

@@ -31,6 +31,16 @@ use crate::{Config, ConstraintOracle, Error, Result, SearchSpace};
 /// Rand-Walk step (rungs `0..=MAX_JITTER_RUNGS`, noise floor ×100 each).
 pub const MAX_JITTER_RUNGS: u32 = 2;
 
+/// The surrogate-fit options [`BoSearcher`] and [`ThompsonSearcher`]
+/// start with: a cold first fit of two restarts, 30 Nelder–Mead
+/// evaluations per restart, and a noise floor of `1e-6` at the ladder's
+/// first rung.
+const SURROGATE_FIT: FitOptions = FitOptions {
+    restarts: 2,
+    max_evals_per_restart: 30,
+    min_noise_variance: 1e-6,
+};
+
 /// The search method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
@@ -625,11 +635,7 @@ impl BoSearcher {
             base_acquisition: BaseAcquisition::default(),
             candidates: 500,
             min_observations: 3,
-            fit_options: FitOptions {
-                restarts: 2,
-                max_evals_per_restart: 80,
-                min_noise_variance: 1e-6,
-            },
+            fit_options: SURROGATE_FIT,
             warm_start: None,
             degradations: Vec::new(),
         }
@@ -875,11 +881,7 @@ impl ThompsonSearcher {
             oracle,
             candidates: 120,
             min_observations: 3,
-            fit_options: FitOptions {
-                restarts: 2,
-                max_evals_per_restart: 80,
-                min_noise_variance: 1e-6,
-            },
+            fit_options: SURROGATE_FIT,
             warm_start: None,
             degradations: Vec::new(),
         }

@@ -1,23 +1,36 @@
-//! The GP hyper-parameter fit: Nelder–Mead over the log marginal
+//! The GP hyper-parameter fit: Nelder–Mead over the profiled log marginal
 //! likelihood, one covariance factorization per trial.
+//!
+//! For a length scale ℓ and a noise ratio `r = σ_n²/σ_f²` the covariance
+//! is `σ_f²·(C_ℓ + r·I)`, and the likelihood's optimum over the signal
+//! variance σ_f² has a closed form from one factor of `C_ℓ + r·I`. So the
+//! search runs over `p = (ln ℓ, ln r)` alone, and every trial sets σ_f² to
+//! that optimum ([`FitTable::profiled`]).
 //!
 //! A fit computes what every trial shares once ([`FitTable`]): its rows'
 //! pairwise distances in the factor's row order and the centred targets.
 //! Each trial fills the upper triangle of one reused covariance a row at a
 //! time through the kernel's row hook, factors it and solves for α in one
 //! reused workspace ([`TrialWorkspace`]), through the function
-//! [`GpRegressor::fit`] scores with, so a trial is that regressor's refit
-//! bit for bit. The fit's result is one more trial at the optimum: its
-//! regressor keeps that trial's factor, α and likelihood.
-//! [`GpRegressor::fit`] itself runs only to report a typed error or on the
-//! fallback to the heuristic start.
+//! [`GpRegressor::fit`] scores with. The search keeps its best trial, and
+//! the fit's result is one more trial there in the three-parameter form
+//! `(ℓ, σ_f², r·σ_f²)`: its regressor keeps that trial's factor, α and
+//! likelihood, so it is [`GpRegressor::fit`]'s at the chosen
+//! hyper-parameters, bit for bit. [`GpRegressor::fit`] itself runs only to
+//! report a typed error or on the fallback to the heuristic start.
+//!
+//! A cold fit runs `restarts` Nelder–Mead restarts from the heuristic seed
+//! and offsets from it. A warm fit runs two: one from the previous
+//! optimum and one from the heuristic seed. The second is needed because
+//! the profiled likelihood is flat on the white-noise plateaus `ℓ → 0` and
+//! `r → ∞`, where a lone warm restart that lands there stays.
 
 use std::sync::Arc;
 
 use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 use crate::optimize::{nelder_mead, NelderMeadOptions};
-use crate::regressor::factor_covariance;
+use crate::regressor::{factor_covariance, Evidence};
 use crate::{Error, GpRegressor, Kernel, Result};
 
 /// Options for [`fit_gp_hyperparams`].
@@ -25,8 +38,8 @@ use crate::{Error, GpRegressor, Kernel, Result};
 pub struct FitOptions {
     /// Number of Nelder–Mead restarts of a cold search, from different
     /// initial points. A warm-started fit (see
-    /// [`fit_gp_hyperparams_laddered_from`]) runs one restart instead, and
-    /// these only if that restart finds no finite likelihood.
+    /// [`fit_gp_hyperparams_laddered_from`]) runs two instead: one from
+    /// its start and one from the cold search's first point.
     pub restarts: usize,
     /// Objective-evaluation budget per restart.
     pub max_evals_per_restart: usize,
@@ -69,20 +82,22 @@ pub struct FittedGp {
 ///
 /// This is a cold search: it is seeded at data-driven heuristics (median
 /// pairwise distance for the length scale, target variance for the signal
-/// variance) plus perturbed restarts, so it is deterministic for a given
-/// dataset. [`fit_gp_hyperparams_laddered_from`] can instead start the
-/// search at a previous fit's optimum.
+/// variance, a hundredth of it for the noise) plus perturbed restarts, so
+/// it is deterministic for a given dataset.
+/// [`fit_gp_hyperparams_laddered_from`] can instead start the search at a
+/// previous fit's optimum.
 ///
-/// The rows' pairwise distances are computed once per fit, square roots
-/// included. Each trial fills its covariance's upper triangle a row at a
-/// time, one [`Kernel::eval_distances`] call per row of that table, and
-/// scales the row by the signal variance. Every covariance entry, the
-/// factorization and the likelihood take the floating-point steps of
-/// [`GpRegressor::fit`], so the result is bit-identical to refitting the
-/// regressor at every trial. Every trial writes its covariance, factor and
-/// solve into one workspace the fit allocates once. The returned regressor
-/// is the one of a last trial at the optimum, so it too is
-/// [`GpRegressor::fit`]'s at the chosen hyper-parameters, bit for bit.
+/// The search runs over the length scale ℓ and the noise ratio
+/// `r = σ_n²/σ_f²`. Each trial fills `C_ℓ + r·I` from a per-fit table of
+/// pairwise distances, a row at a time through
+/// [`Kernel::eval_distances`], factors it into one workspace the fit
+/// allocates once, and sets the signal variance to the likelihood's
+/// optimum at (ℓ, r) in closed form, under the noise floor
+/// `σ_n² ≥ min_noise_variance`. The returned regressor is that of one more
+/// trial at the best (ℓ, σ_f², σ_n²), whose every covariance entry,
+/// factorization and likelihood take the floating-point steps of
+/// [`GpRegressor::fit`]: it is [`GpRegressor::fit`]'s at the chosen
+/// hyper-parameters, bit for bit.
 ///
 /// # Errors
 ///
@@ -118,7 +133,8 @@ struct FitTable<'a> {
     y_centered: Option<Vec<f64>>,
 }
 
-/// The hyper-parameters of one trial, from a log-space point.
+/// Three-parameter hyper-parameters: those of the fit's result, or of a
+/// refit on the typed-error and fallback paths.
 struct Hyper {
     length_scale: f64,
     signal_variance: f64,
@@ -126,23 +142,44 @@ struct Hyper {
 }
 
 impl Hyper {
-    /// The hyper-parameters at `p = [ln ℓ, ln σ_f², ln σ_n²]`, the noise
-    /// variance floored at `min_noise_variance`, or `None` where a trial
-    /// fails at once: a non-finite value, or a signal variance that
-    /// underflowed to zero, which [`GpRegressor::fit`] also rejects (the
-    /// noise floor keeps the noise variance positive).
-    fn at(p: &[f64], min_noise_variance: f64) -> Option<Self> {
-        let hyper = Hyper {
+    /// The hyper-parameters at the log-space point
+    /// `p = [ln ℓ, ln σ_f², ln σ_n²]`, the noise variance floored at
+    /// `floor`. [`GpRegressor::fit`] checks them.
+    fn at(p: [f64; 3], floor: f64) -> Self {
+        Hyper {
             length_scale: p[0].exp(),
             signal_variance: p[1].exp(),
-            noise_variance: p[2].exp().max(min_noise_variance),
-        };
-        (hyper.length_scale.is_finite()
-            && hyper.signal_variance.is_finite()
-            && hyper.signal_variance > 0.0
-            && hyper.noise_variance.is_finite())
-        .then_some(hyper)
+            noise_variance: p[2].exp().max(floor),
+        }
     }
+
+    /// The hyper-parameters of a profiled trial: its ℓ and σ̂², and
+    /// `σ_n² = r·σ̂²`, floored at `floor` against rounding (σ̂² ≥ floor/r).
+    fn of(trial: &Trial, floor: f64) -> Self {
+        Hyper {
+            length_scale: trial.p[0].exp(),
+            signal_variance: trial.signal_variance,
+            noise_variance: (trial.p[1].exp() * trial.signal_variance).max(floor),
+        }
+    }
+}
+
+/// One trial of the profiled search.
+#[derive(Debug, Clone, Copy)]
+struct Trial {
+    /// `(ln ℓ, ln r)`.
+    p: [f64; 2],
+    /// The negative log marginal likelihood at `p` and `signal_variance`.
+    nll: f64,
+    /// σ̂², the signal variance that minimises the negative log likelihood
+    /// at `p` under the noise floor.
+    signal_variance: f64,
+}
+
+/// A log-space point `[ln ℓ, ln σ_f², ln σ_n²]` in the profiled search's
+/// coordinates `(ln ℓ, ln r)`, with `ln r = ln σ_n² − ln σ_f²`.
+fn profile(p: [f64; 3]) -> [f64; 2] {
+    [p[0], p[2] - p[1]]
 }
 
 /// The buffers every trial of one fit reuses, so a trial allocates
@@ -200,6 +237,8 @@ impl<'a> FitTable<'a> {
         })
     }
 
+    /// The median of the pairwise distances: the element a full sort
+    /// would put at the middle, found without sorting.
     fn median_pairwise_distance(&self) -> f64 {
         let n = self.x.rows();
         if n < 2 {
@@ -209,15 +248,14 @@ impl<'a> FitTable<'a> {
         for row in self.upper_rows() {
             dists.extend_from_slice(&row[1..]);
         }
-        dists.sort_by(f64::total_cmp);
-        dists[dists.len() / 2]
+        let mid = dists.len() / 2;
+        *dists.select_nth_unstable_by(mid, f64::total_cmp).1
     }
 
-    /// The cold search's heuristic seed: the logs of the median pairwise
-    /// distance (at least `1e-3`), of the target variance (at least
-    /// `1e-6`) and of a hundredth of it (at least the noise floor). It
-    /// sorts every pairwise distance, so a fit computes it only when it
-    /// runs the cold search, reports a typed error or falls back.
+    /// The heuristic seed, `[ln ℓ, ln σ_f², ln σ_n²]`: the logs of the
+    /// median pairwise distance (at least `1e-3`), of the target variance
+    /// (at least `1e-6`) and of a hundredth of it (at least the noise
+    /// floor).
     fn heuristic_start(&self, min_noise_variance: f64) -> [f64; 3] {
         let median_dist = self.median_pairwise_distance().max(1e-3);
         let y_var = variance(self.y).max(1e-6);
@@ -228,82 +266,101 @@ impl<'a> FitTable<'a> {
         ]
     }
 
-    /// Writes a trial's covariance `σ_f²·K + σ_n²·I` at `p` into the upper
-    /// triangle of `cov`, and returns its hyper-parameters, or `None`
-    /// (writing nothing) where [`Hyper::at`] rejects `p`. Row j is the
-    /// kernel at row j of the distance table, through
-    /// [`Kernel::eval_distances`], times the signal variance: each entry is
-    /// the one `kernel.matrix(x).scale(signal_variance)` holds at (j, i)
-    /// and, mirrored, at (i, j). Then the diagonal gets the noise.
+    /// Writes `s·K + σ²·I` into the upper triangle of `cov`, where `K` is
+    /// `kernel`'s matrix over the table's rows, `s` is `signal_variance`
+    /// (1 when `None`, and then no row is scaled) and σ² is
+    /// `noise_variance`. Row j is the kernel at row j of the distance
+    /// table, through [`Kernel::eval_distances`], times `s`: each entry is
+    /// the one `kernel.matrix(x).scale(s)` holds at (j, i) and, mirrored,
+    /// at (i, j). Then the diagonal gets the noise.
     fn fill(
         &self,
         cov: &mut Matrix,
-        base_kernel: &dyn Kernel,
-        min_noise_variance: f64,
-        p: &[f64],
-    ) -> Option<Hyper> {
-        let hyper = Hyper::at(p, min_noise_variance)?;
-        let kernel = base_kernel.with_length_scale(hyper.length_scale);
+        kernel: &dyn Kernel,
+        signal_variance: Option<f64>,
+        noise_variance: f64,
+    ) {
         for (j, r) in self.upper_rows().enumerate() {
             let row = &mut cov.row_mut(j)[j..];
             kernel.eval_distances(r, row);
-            for k in row.iter_mut() {
-                *k *= hyper.signal_variance;
+            if let Some(s) = signal_variance {
+                for k in row.iter_mut() {
+                    *k *= s;
+                }
             }
         }
-        cov.add_diagonal(hyper.noise_variance);
-        Some(hyper)
+        cov.add_diagonal(noise_variance);
     }
 
-    /// The search's objective at log-space hyper-parameters `p`: the
-    /// negative log marginal likelihood of one trial, or `+∞` wherever
-    /// [`GpRegressor::fit`] would fail.
-    fn objective(
+    /// The profiled trial at `p = (ln ℓ, ln r)`, or `None` where it fails:
+    /// a non-finite ℓ or r, a zero r, a covariance that does not factor,
+    /// or a non-finite likelihood.
+    ///
+    /// It fills `C_ℓ + r·I`, factors it and solves it against the centred
+    /// targets through [`factor_covariance`]. With `q = ỹᵀ(C_ℓ + r·I)⁻¹ỹ`,
+    /// the negative log likelihood at signal variance σ_f² is
+    /// `q/(2σ_f²) + (n/2)·ln σ_f² + ½·ln|C_ℓ + r·I| + (n/2)·ln 2π`. It is
+    /// convex in ln σ_f², with its minimum at `q/n`, so under the noise
+    /// floor `σ_n² = r·σ_f² ≥ min_noise_variance` its minimum is at
+    /// `σ̂² = max(q/n, min_noise_variance/r)`, exactly.
+    fn profiled(
         &self,
         ws: &mut TrialWorkspace,
         base_kernel: &dyn Kernel,
         y_centered: &[f64],
         min_noise_variance: f64,
         p: &[f64],
-    ) -> f64 {
-        if self
-            .fill(&mut ws.cov, base_kernel, min_noise_variance, p)
-            .is_none()
-        {
-            return f64::INFINITY;
+    ) -> Option<Trial> {
+        let (length_scale, ratio) = (p[0].exp(), p[1].exp());
+        if !(length_scale.is_finite() && ratio.is_finite() && ratio > 0.0) {
+            return None;
         }
-        match factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha) {
-            Ok(log_marginal_likelihood) => -log_marginal_likelihood,
-            Err(_) => f64::INFINITY,
-        }
+        let kernel = base_kernel.with_length_scale(length_scale);
+        self.fill(&mut ws.cov, &*kernel, None, ratio);
+        let evidence =
+            factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha).ok()?;
+        let n = y_centered.len();
+        let signal_variance = (evidence.quad / n as f64).max(min_noise_variance / ratio);
+        let nll = evidence.quad / (2.0 * signal_variance)
+            + 0.5 * n as f64 * signal_variance.ln()
+            + 0.5 * evidence.log_det
+            + Evidence::half_n_ln_2pi(n);
+        nll.is_finite().then_some(Trial {
+            p: [p[0], p[1]],
+            nll,
+            signal_variance,
+        })
     }
 
-    /// The fitted GP at the search's optimum `p`: one more trial there,
-    /// whose factor, α and likelihood the regressor keeps (the search's
-    /// last trial is rarely at its optimum). That is
-    /// [`GpRegressor::fit`]'s regressor at the same hyper-parameters, bit
-    /// for bit. `None` if the trial fails, which the finite objective the
-    /// search found at `p` rules out.
+    /// The fitted GP at `hyper`: one more trial there, in the
+    /// three-parameter form, whose factor, α and likelihood the regressor
+    /// keeps. That is [`GpRegressor::fit`]'s regressor at the same
+    /// hyper-parameters, bit for bit. `None` if the trial fails.
     fn fitted(
         &self,
         ws: &mut TrialWorkspace,
         base_kernel: &dyn Kernel,
         y_centered: &[f64],
-        min_noise_variance: f64,
-        p: &[f64],
+        hyper: Hyper,
     ) -> Option<FittedGp> {
-        let hyper = self.fill(&mut ws.cov, base_kernel, min_noise_variance, p)?;
-        let log_marginal_likelihood =
+        let kernel = base_kernel.with_length_scale(hyper.length_scale);
+        self.fill(
+            &mut ws.cov,
+            &*kernel,
+            Some(hyper.signal_variance),
+            hyper.noise_variance,
+        );
+        let evidence =
             factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha).ok()?;
         let gp = GpRegressor::from_factor(
-            base_kernel.with_length_scale(hyper.length_scale),
+            kernel,
             hyper.signal_variance,
             hyper.noise_variance,
             self.x.clone(),
             self.y_mean,
             ws.alpha.clone(),
             ws.factor.clone(),
-            log_marginal_likelihood,
+            evidence.log_marginal_likelihood(y_centered.len()),
         );
         Some(FittedGp {
             gp,
@@ -315,8 +372,9 @@ impl<'a> FitTable<'a> {
 }
 
 /// One rung's fit. With a log-space `start`, the search is one restart
-/// from it, and the cold search runs only if that restart finds no finite
-/// likelihood; without one, the search is the cold search.
+/// from it and one from the heuristic seed; without one, it is the cold
+/// search. The best trial wins: the lowest negative log likelihood, and
+/// the earliest trial on ties, so a warm fit's own restart wins ties.
 fn fit_with_table(
     base_kernel: &Arc<dyn Kernel>,
     table: &FitTable<'_>,
@@ -336,92 +394,76 @@ fn fit_with_table(
     let floor = options.min_noise_variance;
     // The typed-error and fallback paths: the regressor refitted from the
     // rows reports why the data or these hyper-parameters fail.
-    let refit = |params: &[f64]| -> Result<FittedGp> {
-        let length_scale = params[0].exp();
-        let signal_variance = params[1].exp();
-        let noise_variance = params[2].exp().max(floor);
+    let refit = |hyper: Hyper| -> Result<FittedGp> {
         let gp = GpRegressor::fit(
-            base_kernel.with_length_scale(length_scale),
-            signal_variance,
-            noise_variance,
+            base_kernel.with_length_scale(hyper.length_scale),
+            hyper.signal_variance,
+            hyper.noise_variance,
             table.x,
             table.y,
         )?;
         Ok(FittedGp {
             gp,
-            length_scale,
-            signal_variance,
-            noise_variance,
+            length_scale: hyper.length_scale,
+            signal_variance: hyper.signal_variance,
+            noise_variance: hyper.noise_variance,
         })
     };
-    // Data no trial can fit makes every objective value +∞, so the search
-    // would end at the heuristic seed: refit there for the typed error.
+    let init = table.heuristic_start(floor);
+    // Data no trial can fit makes every trial fail, so the search would
+    // find nothing: refit at the heuristic seed for the typed error.
     let Some(y_centered) = table.y_centered.as_deref() else {
-        return refit(&table.heuristic_start(floor));
+        return refit(Hyper::at(init, floor));
     };
 
-    let mut objective = |p: &[f64]| table.objective(ws, &**base_kernel, y_centered, floor, p);
     let search = NelderMeadOptions {
         max_evals: options.max_evals_per_restart,
         ..Default::default()
     };
-    let warm = start.and_then(|start| best_restart(&mut objective, [start], search));
-    let best = match warm {
-        Some(best) => best,
-        None => {
-            let init = table.heuristic_start(floor);
-            match best_restart(&mut objective, cold_starts(init, options.restarts), search) {
-                Some(best) => best,
-                // Every cold restart diverged too: fall back to the
-                // heuristic seed.
-                None => return refit(&init),
+    let warm = start.map(profile);
+    let seeds = cold_starts(
+        profile(init),
+        if warm.is_some() { 1 } else { options.restarts },
+    );
+    let mut best: Option<Trial> = None;
+    for from in warm.into_iter().chain(seeds) {
+        let objective = |p: &[f64]| match table.profiled(ws, &**base_kernel, y_centered, floor, p) {
+            Some(trial) => {
+                if best.is_none_or(|b| trial.nll < b.nll) {
+                    best = Some(trial);
+                }
+                trial.nll
             }
-        }
+            None => f64::INFINITY,
+        };
+        nelder_mead(objective, &from, search);
+    }
+    // Every restart diverged: fall back to the heuristic seed.
+    let Some(best) = best else {
+        return refit(Hyper::at(init, floor));
     };
-    match table.fitted(ws, &**base_kernel, y_centered, floor, &best) {
+    match table.fitted(ws, &**base_kernel, y_centered, Hyper::of(&best, floor)) {
         Some(fitted) => Ok(fitted),
-        None => refit(&best),
+        None => refit(Hyper::of(&best, floor)),
     }
 }
 
-/// The cold search's restart points, at least one: restart 0 is the
-/// heuristic seed `init`, later restarts are deterministic offsets from it
-/// in alternating directions.
-fn cold_starts(init: [f64; 3], restarts: usize) -> impl Iterator<Item = [f64; 3]> {
+/// The cold search's restart points in `(ln ℓ, ln r)`, at least one:
+/// restart 0 is the heuristic seed `init`, later restarts are
+/// deterministic offsets from it in alternating directions.
+fn cold_starts(init: [f64; 2], restarts: usize) -> impl Iterator<Item = [f64; 2]> {
     (0..restarts.max(1)).map(move |restart| {
         let offset = match restart {
-            0 => [0.0, 0.0, 0.0],
-            1 => [1.0, 0.5, 1.5],
-            2 => [-1.0, -0.5, -1.5],
+            0 => [0.0, 0.0],
+            1 => [1.0, 1.0],
+            2 => [-1.0, -1.0],
             r => {
                 let s = r as f64;
-                [s * 0.7, -s * 0.3, s * 0.9]
+                [s * 0.7, s * 1.2]
             }
         };
-        [
-            init[0] + offset[0],
-            init[1] + offset[1],
-            init[2] + offset[2],
-        ]
+        [init[0] + offset[0], init[1] + offset[1]]
     })
-}
-
-/// Runs one Nelder–Mead restart from each of `starts` in turn and returns
-/// the point with the lowest objective (the earliest restart's on ties),
-/// or `None` if no restart found a finite one.
-fn best_restart(
-    objective: &mut impl FnMut(&[f64]) -> f64,
-    starts: impl IntoIterator<Item = [f64; 3]>,
-    search: NelderMeadOptions,
-) -> Option<Vec<f64>> {
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for start in starts {
-        let result = nelder_mead(&mut *objective, &start, search);
-        if best.as_ref().is_none_or(|(_, f)| result.f < *f) {
-            best = Some((result.x, result.f));
-        }
-    }
-    best.filter(|(_, f)| f.is_finite()).map(|(x, _)| x)
 }
 
 /// A fit that may have climbed the noise-floor ladder before succeeding.
@@ -467,10 +509,12 @@ pub fn fit_gp_hyperparams_laddered(
 /// log-space hyper-parameters `start = [ln ℓ, ln σ_f², ln σ_n²]`, such as
 /// a previous fit's optimum on a shorter history.
 ///
-/// With a start, each rung runs one Nelder–Mead restart from it, under the
-/// same `max_evals_per_restart`. If that restart finds no finite
-/// likelihood, the rung runs the cold search's `restarts` restarts, so a
-/// warm start never fails a rung the cold search would fit. Without a
+/// With a start, each rung runs two Nelder–Mead restarts under the same
+/// `max_evals_per_restart`: one from the start, which enters the search
+/// as `(ln ℓ, ln σ_n² − ln σ_f²)`, and one from the heuristic seed, the
+/// cold search's first. The better one wins, and the start's on ties. The
+/// second restart frees a start that sits on a white-noise plateau
+/// (`ℓ → 0` or `r → ∞`), where the profiled likelihood is flat. Without a
 /// start, every rung runs the cold search.
 ///
 /// # Errors
@@ -520,6 +564,7 @@ fn variance(y: &[f64]) -> f64 {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::optimize::NelderMeadResult;
     use crate::Matern52;
 
     fn sine_data(n: usize) -> (Matrix, Vec<f64>) {
@@ -636,94 +681,164 @@ mod tests {
         assert_eq!(a.noise_variance, b.noise_variance);
     }
 
-    #[test]
-    fn warm_start_runs_one_restart_from_the_start() {
-        let (x, y) = sine_data(12);
+    /// Checks the fit that `start` warm-starts on `(x, y)` against the
+    /// search it must run: a restart from the start and one from the
+    /// heuristic seed under the same cap, the lower negative log likelihood
+    /// winning and the start's on ties, then one trial at the winner for
+    /// σ̂². Returns both restarts' results, the start's first.
+    fn check_warm_fit(
+        x: &Matrix,
+        y: &[f64],
+        start: [f64; 3],
+    ) -> (NelderMeadResult, NelderMeadResult) {
         let kernel = Matern52::new(1.0).into_kernel();
         let options = FitOptions {
             restarts: 2,
-            max_evals_per_restart: 80,
+            max_evals_per_restart: 30,
             min_noise_variance: 1e-6,
         };
-        let start = [0.4, -0.8, -5.0];
-        let warm =
-            fit_gp_hyperparams_laddered_from(kernel.clone(), &x, &y, options, 2, Some(start))
-                .unwrap();
-        // The expected search: one restart from `start` under the same cap.
-        let table = FitTable::new(&x, &y);
+        let floor = options.min_noise_variance;
+        let warm = fit_gp_hyperparams_laddered_from(kernel.clone(), x, y, options, 2, Some(start))
+            .unwrap();
+        let table = FitTable::new(x, y);
         let y_centered = table.y_centered.as_deref().unwrap();
         let mut ws = TrialWorkspace::new(&table);
-        let floor = options.min_noise_variance;
-        let one = nelder_mead(
-            |p: &[f64]| table.objective(&mut ws, &*kernel, y_centered, floor, p),
-            &start,
-            NelderMeadOptions {
-                max_evals: options.max_evals_per_restart,
-                ..Default::default()
-            },
-        );
-        assert!(one.f.is_finite());
+        let mut restart = |from: [f64; 2]| {
+            nelder_mead(
+                |p: &[f64]| {
+                    table
+                        .profiled(&mut ws, &*kernel, y_centered, floor, p)
+                        .map_or(f64::INFINITY, |trial| trial.nll)
+                },
+                &from,
+                NelderMeadOptions {
+                    max_evals: options.max_evals_per_restart,
+                    ..Default::default()
+                },
+            )
+        };
+        let own = restart([start[0], start[2] - start[1]]);
+        let seed = restart(profile(table.heuristic_start(floor)));
+        let best = if seed.f < own.f { &seed } else { &own };
+        let trial = table
+            .profiled(&mut ws, &*kernel, y_centered, floor, &best.x)
+            .unwrap();
+        assert_eq!(trial.nll.to_bits(), best.f.to_bits());
         let f = &warm.fitted;
         assert_eq!(warm.rungs, 0);
         assert_eq!(
             [f.length_scale, f.signal_variance, f.noise_variance].map(f64::to_bits),
-            [one.x[0].exp(), one.x[1].exp(), one.x[2].exp().max(floor)].map(f64::to_bits)
+            [
+                best.x[0].exp(),
+                trial.signal_variance,
+                (best.x[1].exp() * trial.signal_variance).max(floor)
+            ]
+            .map(f64::to_bits)
         );
-        assert_eq!((-f.gp.log_marginal_likelihood()).to_bits(), one.f.to_bits());
+        let nll = -f.gp.log_marginal_likelihood();
+        assert!(
+            (nll - best.f).abs() <= 1e-9 * (1.0 + best.f.abs()),
+            "{nll} vs {}",
+            best.f
+        );
+        (own, seed)
+    }
+
+    #[test]
+    fn a_warm_fit_is_the_better_of_its_two_restarts() {
+        let (x, y) = sine_data(12);
+        let (own, _) = check_warm_fit(&x, &y, [0.4, -0.8, -5.0]);
+        assert!(own.f.is_finite());
+
+        // A start on the white-noise plateau: at ℓ = 1e-3 every kernel
+        // entry off the diagonal underflows to zero, so the likelihood is
+        // flat there and the start's restart stops at once. The heuristic
+        // seed's restart finds the smooth fit.
+        let (own, seed) = check_warm_fit(&x, &y, [1e-3f64.ln(), 0.0, 0.0]);
+        assert!(own.evals < 10, "{} evaluations on the plateau", own.evals);
+        assert!(seed.f < own.f - 1.0, "{} vs {}", seed.f, own.f);
+
+        // One row: the covariance is 1 at every length scale, so two
+        // restarts that share ln r walk the same path in it and tie to
+        // the bit at different length scales. The heuristic seed is
+        // (ln 1, ln 0.01 − ln 1); the start shares its ln r.
+        let x = Matrix::from_vec(1, 1, vec![0.5]).unwrap();
+        let (own, seed) = check_warm_fit(&x, &[0.3], [2.0, 0.0, 0.01f64.ln()]);
+        assert_eq!(own.f.to_bits(), seed.f.to_bits());
+        assert_ne!(own.x[0].to_bits(), seed.x[0].to_bits());
     }
 
     #[test]
     fn every_trial_scores_like_a_regressor_refit() {
-        // Rows in 3 dimensions, the last a near-duplicate of the first, so
-        // large signal-to-noise trials fail to factor; targets of mixed
-        // magnitude, so the order of their sum shows.
+        // Rows in 3 dimensions and targets of mixed magnitude. A noise
+        // floor of 1e-2 binds wherever r·q/n is below it, and then changes
+        // the likelihood a lot.
         let n = 9;
-        let mut rows: Vec<f64> = (0..(n - 1) * 3).map(|k| (k as f64 * 0.37).sin()).collect();
-        rows.extend([rows[0] + 1e-9, rows[1], rows[2]]);
+        let rows: Vec<f64> = (0..n * 3).map(|k| (k as f64 * 0.37).sin()).collect();
         let x = Matrix::from_vec(n, 3, rows).unwrap();
         let y: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 0.8).cos() * 10f64.powi(i as i32 % 4))
+            .map(|i| (i as f64 * 0.8).cos() * 10f64.powi(i as i32 % 3))
             .collect();
         let table = FitTable::new(&x, &y);
         let y_centered = table.y_centered.as_deref().unwrap();
-        let floor = 1e-6;
+        let floor = 1e-2;
         let base = Matern52::new(1.0).into_kernel();
-        // One workspace for every trial, as in a fit: failed trials leave
-        // partial factors behind that later trials must not read.
+        // One workspace for every trial, as in a fit.
         let mut ws = TrialWorkspace::new(&table);
-        let mut failed = 0;
-        // ln ℓ = −800 and ln σ_f² = −800 underflow to zero. At
-        // ln σ_f² = ln σ_n² = 709.5 both variances are finite but the
-        // covariance diagonal overflows to +∞: the trial's finiteness check
-        // must fail it like the regressor's.
-        for log_l in [-800.0f64, -6.9, -1.6, 0.0, 3.4] {
-            for log_sv in [-800.0f64, -6.9, 0.0, 41.4, 709.5] {
-                for log_nv in [-20.7f64, -6.9, -0.7, 709.5] {
-                    let p = [log_l, log_sv, log_nv];
-                    // The per-trial objective as it was before the distance
-                    // table: refit a whole regressor.
-                    let (l, sv, nv) = (p[0].exp(), p[1].exp(), p[2].exp().max(floor));
-                    let expected = if l.is_finite() && sv.is_finite() && nv.is_finite() {
-                        let kernel = base.with_length_scale(l);
-                        match GpRegressor::fit(kernel, sv, nv, &x, &y) {
-                            Ok(gp) => -gp.log_marginal_likelihood(),
-                            Err(_) => f64::INFINITY,
-                        }
-                    } else {
-                        f64::INFINITY
+        let nll_at = |hyper: &Hyper| {
+            let kernel = base.with_length_scale(hyper.length_scale);
+            let gp = GpRegressor::fit(kernel, hyper.signal_variance, hyper.noise_variance, &x, &y);
+            -gp.unwrap().log_marginal_likelihood()
+        };
+        let (mut floored, mut interior) = (0, 0);
+        for log_l in [-1.6f64, -0.5, 0.0, 1.0] {
+            for log_r in [-13.8f64, -6.9, -2.3, 0.0, 2.3] {
+                let p = [log_l, log_r];
+                let trial = table
+                    .profiled(&mut ws, &*base, y_centered, floor, &p)
+                    .unwrap_or_else(|| panic!("trial at {p:?} failed"));
+                let hyper = Hyper::of(&trial, floor);
+                // The profiled likelihood is the refitted regressor's.
+                let refit = nll_at(&hyper);
+                let tol = 1e-9 * (1.0 + refit.abs());
+                assert!(
+                    (trial.nll - refit).abs() <= tol,
+                    "at {p:?}: {} vs {refit}",
+                    trial.nll
+                );
+                if trial.signal_variance == floor / log_r.exp() {
+                    floored += 1;
+                    continue;
+                }
+                interior += 1;
+                // Off the floor, σ̂² minimises the likelihood at (ℓ, r).
+                for step in [-0.05f64, 0.05] {
+                    let scaled = Hyper {
+                        signal_variance: hyper.signal_variance * step.exp(),
+                        noise_variance: hyper.noise_variance * step.exp(),
+                        ..hyper
                     };
-                    failed += usize::from(expected == f64::INFINITY);
-                    let got = table.objective(&mut ws, &*base, y_centered, floor, &p);
-                    assert_eq!(got.to_bits(), expected.to_bits(), "at {p:?}");
+                    assert!(nll_at(&scaled) > trial.nll, "σ̂² is not optimal at {p:?}");
                 }
             }
         }
-        assert!(failed > 0, "some trials must fail");
-        // The regressor's error at the overflowing diagonal is the
-        // finiteness check's, not a failed pivot.
-        let huge = 709.5f64.exp();
+        assert!(
+            floored > 0 && interior > 0,
+            "{floored} floored, {interior} interior"
+        );
+        // Where ℓ underflows to zero, the kernel is NaN at distance zero, so
+        // the trial fails like the regressor's refit; where r is zero or
+        // infinite, no σ̂² exists.
+        for p in [[-800.0, 0.0], [0.0, -800.0], [0.0, 800.0]] {
+            assert!(
+                table
+                    .profiled(&mut ws, &*base, y_centered, floor, &p)
+                    .is_none(),
+                "at {p:?}"
+            );
+        }
         assert!(matches!(
-            GpRegressor::fit(base, huge, huge, &x, &y),
+            GpRegressor::fit(base.with_length_scale(0.0), 1.0, floor, &x, &y),
             Err(Error::Numerical(hyperpower_linalg::Error::NonFiniteInput))
         ));
     }

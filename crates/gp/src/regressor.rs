@@ -73,16 +73,38 @@ pub struct GpRegressor {
     log_marginal_likelihood: f64,
 }
 
+/// What one factored covariance `A` says about the centred targets `ỹ`:
+/// the two data terms of the Gaussian log likelihood.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Evidence {
+    /// `ỹᵀA⁻¹ỹ = ỹᵀα`.
+    pub(crate) quad: f64,
+    /// `ln|A|`, jitter included.
+    pub(crate) log_det: f64,
+}
+
+impl Evidence {
+    /// `½·n·ln 2π` for `n` targets: the constant of the log likelihood.
+    pub(crate) fn half_n_ln_2pi(n: usize) -> f64 {
+        0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
+    }
+
+    /// `log p(y|X) = −½·ỹᵀα − ½·ln|A| − ½·n·ln 2π`, for `n` targets.
+    pub(crate) fn log_marginal_likelihood(&self, n: usize) -> f64 {
+        -0.5 * self.quad - 0.5 * self.log_det - Self::half_n_ln_2pi(n)
+    }
+}
+
 /// Factors the noisy covariance `cov` (with jitter escalation) into
 /// `factor` and solves it against the centred targets into `alpha`,
-/// returning the log marginal likelihood. Only the upper triangle of `cov`
+/// returning the likelihood's data terms. Only the upper triangle of `cov`
 /// is factored; every entry must be finite.
 ///
 /// [`GpRegressor::fit`] and every trial of the hyper-parameter search
-/// score their covariance through this one function, so a trial and the
-/// regressor refitted at its hyper-parameters agree to the bit, and the
-/// fit hands out the regressor of its trial at the optimum
-/// ([`GpRegressor::from_factor`]). A search passes the same `factor` and
+/// score their covariance through this one function, and the fit hands
+/// out the regressor of a last trial at its optimum
+/// ([`GpRegressor::from_factor`]), which is therefore the regressor
+/// refitted there, to the bit. A search passes the same `factor` and
 /// `alpha` to every trial ([`Cholesky::refactor`]), so trials allocate
 /// nothing once the first has sized them.
 pub(crate) fn factor_covariance(
@@ -90,17 +112,16 @@ pub(crate) fn factor_covariance(
     y_centered: &[f64],
     factor: &mut Cholesky,
     alpha: &mut Vec<f64>,
-) -> Result<f64> {
+) -> Result<Evidence> {
     factor.refactor(cov, 1e-10, 10)?;
     alpha.clear();
     alpha.extend_from_slice(y_centered);
     factor.solve_in_place(alpha)?;
     hyperpower_linalg::debug_assert_finite!("gp fit alpha", alpha);
-
-    // log p(y|X) = -½ yᵀα − ½ log|K| − n/2 log 2π
-    Ok(-0.5 * vector::dot(y_centered, alpha)
-        - 0.5 * factor.log_det()
-        - 0.5 * y_centered.len() as f64 * (2.0 * std::f64::consts::PI).ln())
+    Ok(Evidence {
+        quad: vector::dot(y_centered, alpha),
+        log_det: factor.log_det(),
+    })
 }
 
 impl GpRegressor {
@@ -159,7 +180,8 @@ impl GpRegressor {
         cov.add_diagonal(noise_variance);
         let mut chol = Cholesky::default();
         let mut alpha = Vec::with_capacity(n);
-        let log_marginal_likelihood = factor_covariance(&cov, &y_centered, &mut chol, &mut alpha)?;
+        let log_marginal_likelihood =
+            factor_covariance(&cov, &y_centered, &mut chol, &mut alpha)?.log_marginal_likelihood(n);
         Ok(GpRegressor::from_factor(
             kernel,
             signal_variance,

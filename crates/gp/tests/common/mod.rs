@@ -350,9 +350,19 @@ fn solve_lower_rows(n: usize, l: &[f64], nrhs: usize, y: &mut [f64]) {
 /// `BoSearcher`'s and `ThompsonSearcher`'s fit options.
 pub const BO_FIT: FitOptions = FitOptions {
     restarts: 2,
-    max_evals_per_restart: 80,
+    max_evals_per_restart: 30,
     min_noise_variance: 1e-6,
 };
+
+/// `options` as the searchers ran the three-parameter fit: 80
+/// Nelder–Mead evaluations per restart. The frozen fit runs at these when
+/// it is the bar the library's fit must clear.
+pub fn frozen_options(options: FitOptions) -> FitOptions {
+    FitOptions {
+        max_evals_per_restart: 80,
+        ..options
+    }
+}
 
 /// `hyperpower::methods::MAX_JITTER_RUNGS`.
 pub const MAX_RUNGS: u32 = 2;

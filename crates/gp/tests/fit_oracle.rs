@@ -1,16 +1,19 @@
 //! The hyper-parameter fit against the frozen fit it replaced.
 //!
-//! `fit_gp_hyperparams` builds every Nelder–Mead trial's covariance from a
-//! per-fit pairwise-distance table; the frozen copy in `common` refits a
-//! whole `GpRegressor` from the rows in every trial. The two must agree to
-//! the bit — hyper-parameters, likelihood, ladder rung and typed error —
-//! because the golden traces pin every f64 the BO loop derives from them.
-//! A fit without a warm start is that same cold search, and a warm start
-//! whose restart finds no finite likelihood falls back to it bit for bit.
-//! The fitted regressor itself must be the one `GpRegressor::fit` builds
-//! at the fitted hyper-parameters: the bits above cover only the
-//! hyper-parameters and the likelihood, so a stale factor or α would pass
-//! them, but not the scores compared here.
+//! `fit_gp_hyperparams` searches the length scale and the noise ratio
+//! `σ_n²/σ_f²` and sets the signal variance in closed form in every trial;
+//! the frozen copy in `common` searched all three hyper-parameters, refit
+//! a whole `GpRegressor` from the rows in every trial, and ran the
+//! searchers' 80 evaluations per restart. Where the data fits, the
+//! library's fit must climb the frozen fit's ladder rung and land no more
+//! than [`COLD_GAP`] nats of log marginal likelihood below it; where it
+//! does not, it must fail with the frozen fit's typed error. A fit without
+//! a warm start is the cold search, bit for bit, and a warm start whose
+//! restart finds no finite likelihood leaves the heuristic seed's restart,
+//! bit for bit. The fitted regressor itself must be the one
+//! `GpRegressor::fit` builds at the fitted hyper-parameters: the
+//! likelihood alone would pass a stale factor or α, but not the scores
+//! compared here.
 
 // Test-support code: panicking on a broken invariant is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
@@ -20,13 +23,18 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    fit_bits, frozen_fit_gp_hyperparams, frozen_fit_gp_hyperparams_laddered, BO_FIT, MAX_RUNGS,
+    fit_bits, frozen_fit_gp_hyperparams, frozen_fit_gp_hyperparams_laddered, frozen_options,
+    BO_FIT, MAX_RUNGS,
 };
 use hyperpower_gp::{
     fit_gp_hyperparams, fit_gp_hyperparams_laddered, fit_gp_hyperparams_laddered_from, FitOptions,
     FittedGp, GpRegressor, Kernel, LadderedFit, Matern52, Result,
 };
 use hyperpower_linalg::{corpus, Matrix};
+
+/// How many nats of log marginal likelihood a cold fit may land below the
+/// frozen fit. Over the shapes below, the worst sits 6.7e-6 nats below it.
+const COLD_GAP: f64 = 0.001;
 
 /// `n` seeded points in the unit cube `[0, 1)ᵈ`, where the searchers'
 /// configurations live.
@@ -54,31 +62,58 @@ fn assert_same_ladder(new: &Result<LadderedFit>, old: &Result<LadderedFit>, what
         (Ok(a), Ok(b)) => assert_eq!(fit_bits(a), fit_bits(b), "{what}: fit diverged"),
         // Debug text, not `==`: a NaN payload must compare equal too.
         (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: error"),
-        _ => panic!("{what}: outcome differs: {new:?} vs frozen {old:?}"),
+        _ => panic!("{what}: outcome differs: {new:?} vs {old:?}"),
     }
 }
 
-fn check(kernel: &Arc<dyn Kernel>, x: &Matrix, y: &[f64], options: FitOptions, what: &str) {
+/// Asserts that `new` climbed `frozen`'s rung and lands at most
+/// [`COLD_GAP`] nats below it, or fails with its error. Returns the gap.
+fn assert_no_worse(new: &Result<LadderedFit>, frozen: &Result<LadderedFit>, what: &str) -> f64 {
+    match (new, frozen) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.rungs, b.rungs, "{what}: ladder rung");
+            let gap = a.fitted.gp.log_marginal_likelihood() - b.fitted.gp.log_marginal_likelihood();
+            assert!(gap >= -COLD_GAP, "{what}: {gap} nats below the frozen fit");
+            gap
+        }
+        // Debug text, not `==`: a NaN payload must compare equal too.
+        (Err(a), Err(b)) => {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: error");
+            0.0
+        }
+        _ => panic!("{what}: outcome differs: {new:?} vs frozen {frozen:?}"),
+    }
+}
+
+/// Checks the laddered and the direct fit against the frozen fit, and the
+/// laddered fit without a start against the laddered fit. Returns the
+/// laddered fit's gap.
+fn check(kernel: &Arc<dyn Kernel>, x: &Matrix, y: &[f64], options: FitOptions, what: &str) -> f64 {
+    let frozen = frozen_options(options);
     let new = fit_gp_hyperparams_laddered(kernel.clone(), x, y, options, MAX_RUNGS);
-    let old = frozen_fit_gp_hyperparams_laddered(kernel.clone(), x, y, options, MAX_RUNGS);
-    assert_same_ladder(&new, &old, what);
+    let old = frozen_fit_gp_hyperparams_laddered(kernel.clone(), x, y, frozen, MAX_RUNGS);
+    let gap = assert_no_worse(&new, &old, what);
     let no_start = fit_gp_hyperparams_laddered_from(kernel.clone(), x, y, options, MAX_RUNGS, None);
-    assert_same_ladder(&no_start, &old, &format!("{what}, no start"));
-    let new = fit_gp_hyperparams(kernel.clone(), x, y, options);
-    let old = frozen_fit_gp_hyperparams(kernel.clone(), x, y, options);
+    assert_same_ladder(&no_start, &new, &format!("{what}, no start"));
     let wrap = |r: Result<FittedGp>| r.map(|fitted| LadderedFit { fitted, rungs: 0 });
-    assert_same_ladder(&wrap(new), &wrap(old), what);
+    let direct = fit_gp_hyperparams(kernel.clone(), x, y, options);
+    let old = frozen_fit_gp_hyperparams(kernel.clone(), x, y, frozen);
+    assert_no_worse(&wrap(direct), &wrap(old), &format!("{what}, direct"));
+    gap
 }
 
 #[test]
-fn matern_fit_matches_frozen_fit_on_every_shape() {
+fn matern_fit_is_no_worse_than_the_frozen_fit_on_every_shape() {
     let kernel = Matern52::new(0.5).into_kernel();
+    let mut worst = f64::INFINITY;
     for n in [1, 2, 21, 72] {
         for d in [1, 6, 13] {
             let (x, y) = corpus_data(n, d);
-            check(&kernel, &x, &y, BO_FIT, &format!("matern n={n} d={d}"));
+            let gap = check(&kernel, &x, &y, BO_FIT, &format!("matern n={n} d={d}"));
+            worst = worst.min(gap);
         }
     }
+    eprintln!("worst cold fit: {worst:+.2e} nats from the frozen fit");
 }
 
 /// A stationary kernel that is indefinite on near-duplicate rows: two rows
@@ -86,9 +121,9 @@ fn matern_fit_matches_frozen_fit_on_every_shape() {
 /// diagonal.
 ///
 /// Near-duplicate rows alone never make the Matérn fit climb the ladder.
-/// Each rung's first trial, the heuristic seed, puts 1% of the target
-/// variance on the diagonal, and the Cholesky jitter adds up to 0.1 more,
-/// so rung 0 always factors. This kernel stands in for a surrogate that
+/// Each rung's first trial, the heuristic seed, puts a noise ratio of at
+/// least 1% on the kernel's unit diagonal, and the Cholesky jitter adds up
+/// to 0.1 more, so rung 0 always factors. This kernel stands in for a surrogate that
 /// the lowest noise floor cannot factor.
 #[derive(Debug)]
 struct Spiked(Matern52);
@@ -130,17 +165,40 @@ fn near_duplicate_rows() -> (Matrix, [f64; 2]) {
     (Matrix::from_vec(2, 6, rows).unwrap(), [0.25, 0.25])
 }
 
+/// Both fits climb exactly one rung. The library's fit cannot search
+/// there: a profiled trial factors `C_ℓ + r·I` at unit signal variance,
+/// where the jitter's 0.1 cannot make up for the spike until r nears
+/// `SPIKE`, and the seed's r is 100 (the floor over the seeded signal
+/// variance `1e-6`), so no trial factors on any rung. Rung 1 keeps the
+/// fallback, the heuristic seed's refit, which factors at
+/// `σ_f² = 1e-6, σ_n² = 1e-4` because the jitter is added at that scale.
+/// The frozen fit searched on from there, 4.35 nats higher.
 #[test]
 fn near_duplicate_rows_climb_a_rung_like_the_frozen_fit() {
     let (x, y) = near_duplicate_rows();
     let kernel: Arc<dyn Kernel> = Arc::new(Spiked(Matern52::new(0.5)));
-    let new = fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS);
-    let old = frozen_fit_gp_hyperparams_laddered(kernel, &x, &y, BO_FIT, MAX_RUNGS);
-    assert_same_ladder(&new, &old, "near-duplicate rows");
+    let new = fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS).unwrap();
+    let old = frozen_fit_gp_hyperparams_laddered(
+        kernel.clone(),
+        &x,
+        &y,
+        frozen_options(BO_FIT),
+        MAX_RUNGS,
+    )
+    .unwrap();
     assert_eq!(
-        new.unwrap().rungs,
-        1,
+        (new.rungs, old.rungs),
+        (1, 1),
         "the ladder must climb exactly one rung"
+    );
+    let f = &new.fitted;
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b;
+    assert!(close(f.signal_variance, 1e-6), "{}", f.signal_variance);
+    assert!(close(f.noise_variance, 1e-4), "{}", f.noise_variance);
+    let gap = f.gp.log_marginal_likelihood() - old.fitted.gp.log_marginal_likelihood();
+    assert!(
+        (-4.4..-4.3).contains(&gap),
+        "{gap} nats from the frozen fit"
     );
 }
 
@@ -169,16 +227,21 @@ fn invalid_inputs_fail_with_the_frozen_fit_error() {
     }
 }
 
-/// A warm start at ln σ_f² = −800 underflows the signal variance to zero in
-/// every trial of its restart, so no trial finds a finite likelihood and
-/// each rung must run the cold search: the fit is the frozen fit's, bit
-/// for bit.
+/// A warm start at ln σ_f² = −800 enters the search at ln r = 795, where
+/// r overflows in every trial of its restart, so the fit is that of the
+/// restart from the heuristic seed: the cold search of one restart, bit
+/// for bit, on every rung.
 #[test]
-fn a_start_where_every_trial_fails_returns_the_cold_fit() {
+fn a_start_where_every_trial_fails_returns_the_heuristic_restart() {
     let kernel = Matern52::new(0.5).into_kernel();
     let start = [0.0, -800.0, -5.0];
+    let one_restart = FitOptions {
+        restarts: 1,
+        ..BO_FIT
+    };
     for (n, d) in [(2, 6), (21, 6), (72, 13)] {
         let (x, y) = corpus_data(n, d);
+        let what = format!("failing start n={n} d={d}");
         let warm = fit_gp_hyperparams_laddered_from(
             kernel.clone(),
             &x,
@@ -187,8 +250,16 @@ fn a_start_where_every_trial_fails_returns_the_cold_fit() {
             MAX_RUNGS,
             Some(start),
         );
-        let cold = frozen_fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, BO_FIT, MAX_RUNGS);
-        assert_same_ladder(&warm, &cold, &format!("failing start n={n} d={d}"));
+        let seed = fit_gp_hyperparams_laddered(kernel.clone(), &x, &y, one_restart, MAX_RUNGS);
+        assert_same_ladder(&warm, &seed, &what);
+        let frozen = frozen_fit_gp_hyperparams_laddered(
+            kernel.clone(),
+            &x,
+            &y,
+            frozen_options(BO_FIT),
+            MAX_RUNGS,
+        );
+        assert_no_worse(&warm, &frozen, &what);
     }
 }
 

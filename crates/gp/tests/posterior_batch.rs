@@ -81,7 +81,7 @@ fn batch_and_joint_equal_pointwise_at_the_sweeps_fit_shapes() {
     // scored in blocks of 64, the last block of a grid shorter.
     let options = FitOptions {
         restarts: 2,
-        max_evals_per_restart: 80,
+        max_evals_per_restart: 30,
         min_noise_variance: 1e-6,
     };
     for n in [1usize, 3, 21, 76] {
