@@ -135,6 +135,7 @@ struct FitTable<'a> {
 
 /// Three-parameter hyper-parameters: those of the fit's result, or of a
 /// refit on the typed-error and fallback paths.
+#[derive(Clone, Copy)]
 struct Hyper {
     length_scale: f64,
     signal_variance: f64,
@@ -343,19 +344,19 @@ impl<'a> FitTable<'a> {
         y_centered: &[f64],
         hyper: Hyper,
     ) -> Option<FittedGp> {
-        let kernel = base_kernel.with_length_scale(hyper.length_scale);
-        self.fill(
-            &mut ws.cov,
-            &*kernel,
-            Some(hyper.signal_variance),
-            hyper.noise_variance,
-        );
+        let Hyper {
+            length_scale,
+            signal_variance,
+            noise_variance,
+        } = hyper;
+        let kernel = base_kernel.with_length_scale(length_scale);
+        self.fill(&mut ws.cov, &*kernel, Some(signal_variance), noise_variance);
         let evidence =
             factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha).ok()?;
         let gp = GpRegressor::from_factor(
             kernel,
-            hyper.signal_variance,
-            hyper.noise_variance,
+            signal_variance,
+            noise_variance,
             self.x.clone(),
             self.y_mean,
             ws.alpha.clone(),
@@ -364,9 +365,9 @@ impl<'a> FitTable<'a> {
         );
         Some(FittedGp {
             gp,
-            length_scale: hyper.length_scale,
-            signal_variance: hyper.signal_variance,
-            noise_variance: hyper.noise_variance,
+            length_scale,
+            signal_variance,
+            noise_variance,
         })
     }
 }
@@ -421,10 +422,8 @@ fn fit_with_table(
         ..Default::default()
     };
     let warm = start.map(profile);
-    let seeds = cold_starts(
-        profile(init),
-        if warm.is_some() { 1 } else { options.restarts },
-    );
+    let restarts = if warm.is_some() { 1 } else { options.restarts };
+    let seeds = cold_starts(profile(init), restarts);
     let mut best: Option<Trial> = None;
     for from in warm.into_iter().chain(seeds) {
         let objective = |p: &[f64]| match table.profiled(ws, &**base_kernel, y_centered, floor, p) {
@@ -442,9 +441,10 @@ fn fit_with_table(
     let Some(best) = best else {
         return refit(Hyper::at(init, floor));
     };
-    match table.fitted(ws, &**base_kernel, y_centered, Hyper::of(&best, floor)) {
+    let hyper = Hyper::of(&best, floor);
+    match table.fitted(ws, &**base_kernel, y_centered, hyper) {
         Some(fitted) => Ok(fitted),
-        None => refit(Hyper::of(&best, floor)),
+        None => refit(hyper),
     }
 }
 

@@ -11,7 +11,9 @@
 //! * [`GpRegressor`] — exact GP regression with Cholesky solves, jitter
 //!   escalation and target normalisation,
 //! * [`fit_gp_hyperparams`] — multi-start Nelder–Mead maximisation of the
-//!   log marginal likelihood, or one restart from a previous optimum
+//!   log marginal likelihood over the length scale and the noise ratio,
+//!   with the signal variance in closed form, or a restart from a previous
+//!   optimum beside one from the heuristic seed
 //!   ([`fit_gp_hyperparams_laddered_from`]),
 //! * [`acquisition`] — Expected Improvement (for minimisation) plus the
 //!   probabilistic machinery (`normal_cdf`) the constrained variants need,

@@ -1,8 +1,9 @@
 //! How close warm-started GP hyper-parameter fits stay to cold ones.
 //!
 //! A BO searcher starts each round's hyper-parameter search at the
-//! previous round's optimum and runs one Nelder–Mead restart, where a cold
-//! search runs two from data-driven seeds. This replays one fixed growing
+//! previous round's optimum and runs two Nelder–Mead restarts, one from
+//! there and one from the data-driven seed, where a cold search runs two
+//! from that seed and an offset from it. This replays one fixed growing
 //! chain: the first 40 observations of a seeded HW-CWEI run, fitted at
 //! n = 3..=40 rows, each warm fit started from the one before. Each warm
 //! fit's log marginal likelihood is compared with the cold fit's on the
