@@ -1497,7 +1497,7 @@ mod tests {
         let mut s = BoSearcher::new(ConstraintWeighting::None, None);
         let mut t = ThompsonSearcher::new(None);
         // The first fit has no start: the cold search, which
-        // crates/gp/tests/fit_oracle.rs pins to the frozen fit.
+        // crates/gp/tests/fit_oracle.rs holds near the frozen fit.
         let mut previous = None;
         for n in 4..=points.len() {
             let h = history_from(&points[..n]);

@@ -69,19 +69,16 @@ fn gaps(chain: &[(Vec<f64>, f64)], options: FitOptions, frozen: FitOptions) -> V
         )
         .unwrap();
         let y: Vec<f64> = chain[..n].iter().map(|(_, e)| *e).collect();
-        let fit = |options, start| {
-            fit_gp_hyperparams_laddered_from(
-                kernel.clone(),
-                &x,
-                &y,
-                options,
-                MAX_JITTER_RUNGS,
-                start,
-            )
-            .expect("fit")
-            .fitted
-        };
-        let new = fit(options, start);
+        let new = fit_gp_hyperparams_laddered_from(
+            kernel.clone(),
+            &x,
+            &y,
+            options,
+            MAX_JITTER_RUNGS,
+            start,
+        )
+        .expect("fit")
+        .fitted;
         let old = frozen_fit_gp_hyperparams_laddered_from(
             kernel.clone(),
             &x,

@@ -66,13 +66,13 @@ fn warm_fits_track_cold_fits_along_a_growing_history() {
     }
     // The first fit has no start: it is the cold fit.
     assert_eq!(gaps[0].to_bits(), 0f64.to_bits());
-    // On this chain the worst warm fit sits 0.0997 nats below its cold
-    // fit, and 32 of the 38 fits match or beat it.
+    // On this chain the worst warm fit sits 1.8e-15 nats below its cold
+    // fit, a rounding difference, and 36 of the 38 fits match or beat it.
     let worst = gaps.iter().copied().fold(f64::INFINITY, f64::min);
-    assert!(worst >= -0.11, "worst warm fit {worst} nats below cold");
+    assert!(worst >= -0.001, "worst warm fit {worst} nats below cold");
     let at_least_cold = gaps.iter().filter(|g| **g >= 0.0).count();
     assert!(
-        at_least_cold >= 32,
+        at_least_cold >= 36,
         "only {at_least_cold} of {} warm fits match or beat the cold fit",
         gaps.len()
     );
