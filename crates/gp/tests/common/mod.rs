@@ -7,13 +7,14 @@
 //! the forward solve it ran, at the moment an owned factor stopped solving
 //! row by row against `L`.
 //!
-//! The fit is the oracle of the first change: every Nelder–Mead trial
-//! here refits a whole [`GpRegressor`] from the rows, and the library's
-//! fit must choose bit-identical hyper-parameters, because the golden
-//! traces at the workspace root pin every f64 the BO loop derives from
-//! them. The scorer is the oracle of the second: one k* vector per
-//! candidate, then a transpose of the solution, and the library's scores
-//! must be bit-identical. The per-point loop is the baseline that batched
+//! The fit was the oracle of the first change, which had to choose
+//! bit-identical hyper-parameters: every Nelder–Mead trial here refits a
+//! whole [`GpRegressor`] from the rows, over all three hyper-parameters.
+//! Since the library's fit profiles out the signal variance, the frozen
+//! fit is the bar it must clear: the same ladder rung, and a log marginal
+//! likelihood at most a bound below this fit's. The scorer is the oracle
+//! of the second: one k* vector per candidate, then a transpose of the
+//! solution, and the library's scores must be bit-identical. The per-point loop is the baseline that batched
 //! scoring is timed against, and both scoring paths must match its bits.
 //! The bench ratchet times the library against these copies. Do not
 //! "improve" this code — its whole value is that it never changes. The
