@@ -5,7 +5,12 @@
 //! is `σ_f²·(C_ℓ + r·I)`, and the likelihood's optimum over the signal
 //! variance σ_f² has a closed form from one factor of `C_ℓ + r·I`. So the
 //! search runs over `p = (ln ℓ, ln r)` alone, and every trial sets σ_f² to
-//! that optimum ([`FitTable::profiled`]).
+//! that optimum ([`FitTable::profiled`]). Where `C_ℓ + r·I` does not
+//! factor without jitter, the factorization's jitter, which is absolute,
+//! has to act at the data's scale, as it does on a regressor's covariance:
+//! the trial then factors `C_ℓ + r·I` times the heuristic seed's signal
+//! variance, and scores the regressor at its hyper-parameters with one
+//! more factorization.
 //!
 //! A fit computes what every trial shares once ([`FitTable`]): its rows'
 //! pairwise distances in the factor's row order and the centred targets.
@@ -30,7 +35,7 @@ use std::sync::Arc;
 use hyperpower_linalg::{vector, Cholesky, Matrix};
 
 use crate::optimize::{nelder_mead, NelderMeadOptions};
-use crate::regressor::{factor_covariance, Evidence};
+use crate::regressor::{factor_covariance, Evidence, JITTER_TRIES};
 use crate::{Error, GpRegressor, Kernel, Result};
 
 /// Options for [`fit_gp_hyperparams`].
@@ -93,11 +98,14 @@ pub struct FittedGp {
 /// [`Kernel::eval_distances`], factors it into one workspace the fit
 /// allocates once, and sets the signal variance to the likelihood's
 /// optimum at (ℓ, r) in closed form, under the noise floor
-/// `σ_n² ≥ min_noise_variance`. The returned regressor is that of one more
-/// trial at the best (ℓ, σ_f², σ_n²), whose every covariance entry,
-/// factorization and likelihood take the floating-point steps of
-/// [`GpRegressor::fit`]: it is [`GpRegressor::fit`]'s at the chosen
-/// hyper-parameters, bit for bit.
+/// `σ_n² ≥ min_noise_variance`. Where `C_ℓ + r·I` needs jitter to factor,
+/// the trial factors it at the data's scale instead, and its likelihood is
+/// that of the regressor at its (ℓ, σ_f², σ_n²), bit for bit; elsewhere it
+/// is the same likelihood in exact arithmetic. The returned regressor is
+/// that of one more trial at the best (ℓ, σ_f², σ_n²), whose every
+/// covariance entry, factorization and likelihood take the floating-point
+/// steps of [`GpRegressor::fit`]: it is [`GpRegressor::fit`]'s at the
+/// chosen hyper-parameters, bit for bit.
 ///
 /// # Errors
 ///
@@ -153,28 +161,16 @@ impl Hyper {
             noise_variance: p[2].exp().max(floor),
         }
     }
-
-    /// The hyper-parameters of a profiled trial: its ℓ and σ̂², and
-    /// `σ_n² = r·σ̂²`, floored at `floor` against rounding (σ̂² ≥ floor/r).
-    fn of(trial: &Trial, floor: f64) -> Self {
-        Hyper {
-            length_scale: trial.p[0].exp(),
-            signal_variance: trial.signal_variance,
-            noise_variance: (trial.p[1].exp() * trial.signal_variance).max(floor),
-        }
-    }
 }
 
 /// One trial of the profiled search.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct Trial {
-    /// `(ln ℓ, ln r)`.
-    p: [f64; 2],
-    /// The negative log marginal likelihood at `p` and `signal_variance`.
+    /// The trial's ℓ, its σ̂² and `σ_n² = r·σ̂²`, floored at the noise
+    /// floor against rounding (σ̂² ≥ floor/r).
+    hyper: Hyper,
+    /// The negative log marginal likelihood at `hyper`.
     nll: f64,
-    /// σ̂², the signal variance that minimises the negative log likelihood
-    /// at `p` under the noise floor.
-    signal_variance: f64,
 }
 
 /// A log-space point `[ln ℓ, ln σ_f², ln σ_n²]` in the profiled search's
@@ -253,13 +249,19 @@ impl<'a> FitTable<'a> {
         *dists.select_nth_unstable_by(mid, f64::total_cmp).1
     }
 
+    /// The heuristic seed's signal variance: the target variance, at
+    /// least `1e-6`.
+    fn seed_signal_variance(&self) -> f64 {
+        variance(self.y).max(1e-6)
+    }
+
     /// The heuristic seed, `[ln ℓ, ln σ_f², ln σ_n²]`: the logs of the
-    /// median pairwise distance (at least `1e-3`), of the target variance
-    /// (at least `1e-6`) and of a hundredth of it (at least the noise
-    /// floor).
+    /// median pairwise distance (at least `1e-3`), of
+    /// [`Self::seed_signal_variance`] and of a hundredth of it (at least
+    /// the noise floor).
     fn heuristic_start(&self, min_noise_variance: f64) -> [f64; 3] {
         let median_dist = self.median_pairwise_distance().max(1e-3);
-        let y_var = variance(self.y).max(1e-6);
+        let y_var = self.seed_signal_variance();
         [
             median_dist.ln(),
             y_var.ln(),
@@ -269,46 +271,75 @@ impl<'a> FitTable<'a> {
 
     /// Writes `s·K + σ²·I` into the upper triangle of `cov`, where `K` is
     /// `kernel`'s matrix over the table's rows, `s` is `signal_variance`
-    /// (1 when `None`, and then no row is scaled) and σ² is
-    /// `noise_variance`. Row j is the kernel at row j of the distance
-    /// table, through [`Kernel::eval_distances`], times `s`: each entry is
-    /// the one `kernel.matrix(x).scale(s)` holds at (j, i) and, mirrored,
-    /// at (i, j). Then the diagonal gets the noise.
+    /// and σ² is `noise_variance`. Row j is the kernel at row j of the
+    /// distance table, through [`Kernel::eval_distances`], times `s`: each
+    /// entry is the one `kernel.matrix(x).scale(s)` holds at (j, i) and,
+    /// mirrored, at (i, j). Then the diagonal gets the noise.
     fn fill(
         &self,
         cov: &mut Matrix,
         kernel: &dyn Kernel,
-        signal_variance: Option<f64>,
+        signal_variance: f64,
         noise_variance: f64,
     ) {
         for (j, r) in self.upper_rows().enumerate() {
             let row = &mut cov.row_mut(j)[j..];
             kernel.eval_distances(r, row);
-            if let Some(s) = signal_variance {
-                for k in row.iter_mut() {
-                    *k *= s;
-                }
+            for k in row.iter_mut() {
+                *k *= signal_variance;
             }
         }
         cov.add_diagonal(noise_variance);
+    }
+
+    /// Fills the covariance at `hyper`, factors it with up to
+    /// `jitter_tries` jitter retries and solves it against the centred
+    /// targets through [`factor_covariance`]: with [`JITTER_TRIES`], as
+    /// [`GpRegressor::fit`] does at `hyper`. `kernel` is the base kernel at
+    /// `hyper`'s length scale. `None` if the covariance does not factor.
+    fn factor_at(
+        &self,
+        ws: &mut TrialWorkspace,
+        kernel: &dyn Kernel,
+        y_centered: &[f64],
+        hyper: Hyper,
+        jitter_tries: usize,
+    ) -> Option<Evidence> {
+        self.fill(
+            &mut ws.cov,
+            kernel,
+            hyper.signal_variance,
+            hyper.noise_variance,
+        );
+        let (factor, alpha) = (&mut ws.factor, &mut ws.alpha);
+        factor_covariance(&ws.cov, y_centered, jitter_tries, factor, alpha).ok()
     }
 
     /// The profiled trial at `p = (ln ℓ, ln r)`, or `None` where it fails:
     /// a non-finite ℓ or r, a zero r, a covariance that does not factor,
     /// or a non-finite likelihood.
     ///
-    /// It fills `C_ℓ + r·I`, factors it and solves it against the centred
-    /// targets through [`factor_covariance`]. With `q = ỹᵀ(C_ℓ + r·I)⁻¹ỹ`,
-    /// the negative log likelihood at signal variance σ_f² is
+    /// It fills `C_ℓ + r·I`, factors it without jitter and solves it
+    /// against the centred targets through [`factor_covariance`]. With
+    /// `q = ỹᵀ(C_ℓ + r·I)⁻¹ỹ`, the negative log likelihood at signal
+    /// variance σ_f² is
     /// `q/(2σ_f²) + (n/2)·ln σ_f² + ½·ln|C_ℓ + r·I| + (n/2)·ln 2π`. It is
     /// convex in ln σ_f², with its minimum at `q/n`, so under the noise
     /// floor `σ_n² = r·σ_f² ≥ min_noise_variance` its minimum is at
     /// `σ̂² = max(q/n, min_noise_variance/r)`, exactly.
+    ///
+    /// Where `C_ℓ + r·I` needs jitter, the jitter must act at the data's
+    /// scale, where the regressor's own factorization adds it: the trial
+    /// factors `s₀·(C_ℓ + r·I)` with jitter instead, `s₀` being the heuristic
+    /// seed's signal variance `seed_variance`, takes σ̂² from that factor
+    /// (there q is `s₀` times its `ỹᵀA⁻¹ỹ`), and scores the regressor at
+    /// `(ℓ, σ̂², r·σ̂²)`: its likelihood, jitter and all, bit for bit.
     fn profiled(
         &self,
         ws: &mut TrialWorkspace,
         base_kernel: &dyn Kernel,
         y_centered: &[f64],
+        seed_variance: f64,
         min_noise_variance: f64,
         p: &[f64],
     ) -> Option<Trial> {
@@ -317,20 +348,45 @@ impl<'a> FitTable<'a> {
             return None;
         }
         let kernel = base_kernel.with_length_scale(length_scale);
-        self.fill(&mut ws.cov, &*kernel, None, ratio);
-        let evidence =
-            factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha).ok()?;
         let n = y_centered.len();
-        let signal_variance = (evidence.quad / n as f64).max(min_noise_variance / ratio);
-        let nll = evidence.quad / (2.0 * signal_variance)
-            + 0.5 * n as f64 * signal_variance.ln()
-            + 0.5 * evidence.log_det
-            + Evidence::half_n_ln_2pi(n);
-        nll.is_finite().then_some(Trial {
-            p: [p[0], p[1]],
-            nll,
-            signal_variance,
-        })
+        // The hyper-parameters of σ̂² for a given q.
+        let profile = |quad: f64| {
+            let signal_variance = (quad / n as f64).max(min_noise_variance / ratio);
+            Hyper {
+                length_scale,
+                signal_variance,
+                noise_variance: (ratio * signal_variance).max(min_noise_variance),
+            }
+        };
+        let unit = Hyper {
+            length_scale,
+            signal_variance: 1.0,
+            noise_variance: ratio,
+        };
+        let unjittered = self.factor_at(ws, &*kernel, y_centered, unit, 0);
+        let (hyper, nll) = match unjittered {
+            Some(evidence) => {
+                let hyper = profile(evidence.quad);
+                let signal_variance = hyper.signal_variance;
+                let nll = evidence.quad / (2.0 * signal_variance)
+                    + 0.5 * n as f64 * signal_variance.ln()
+                    + 0.5 * evidence.log_det
+                    + Evidence::half_n_ln_2pi(n);
+                (hyper, nll)
+            }
+            None => {
+                let scaled = Hyper {
+                    length_scale,
+                    signal_variance: seed_variance,
+                    noise_variance: seed_variance * ratio,
+                };
+                let evidence = self.factor_at(ws, &*kernel, y_centered, scaled, JITTER_TRIES)?;
+                let hyper = profile(seed_variance * evidence.quad);
+                let regressor = self.factor_at(ws, &*kernel, y_centered, hyper, JITTER_TRIES)?;
+                (hyper, -regressor.log_marginal_likelihood(n))
+            }
+        };
+        nll.is_finite().then_some(Trial { hyper, nll })
     }
 
     /// The fitted GP at `hyper`: one more trial there, in the
@@ -344,19 +400,12 @@ impl<'a> FitTable<'a> {
         y_centered: &[f64],
         hyper: Hyper,
     ) -> Option<FittedGp> {
-        let Hyper {
-            length_scale,
-            signal_variance,
-            noise_variance,
-        } = hyper;
-        let kernel = base_kernel.with_length_scale(length_scale);
-        self.fill(&mut ws.cov, &*kernel, Some(signal_variance), noise_variance);
-        let evidence =
-            factor_covariance(&ws.cov, y_centered, &mut ws.factor, &mut ws.alpha).ok()?;
+        let kernel = base_kernel.with_length_scale(hyper.length_scale);
+        let evidence = self.factor_at(ws, &*kernel, y_centered, hyper, JITTER_TRIES)?;
         let gp = GpRegressor::from_factor(
             kernel,
-            signal_variance,
-            noise_variance,
+            hyper.signal_variance,
+            hyper.noise_variance,
             self.x.clone(),
             self.y_mean,
             ws.alpha.clone(),
@@ -365,9 +414,9 @@ impl<'a> FitTable<'a> {
         );
         Some(FittedGp {
             gp,
-            length_scale,
-            signal_variance,
-            noise_variance,
+            length_scale: hyper.length_scale,
+            signal_variance: hyper.signal_variance,
+            noise_variance: hyper.noise_variance,
         })
     }
 }
@@ -421,12 +470,20 @@ fn fit_with_table(
         max_evals: options.max_evals_per_restart,
         ..Default::default()
     };
+    let seed_variance = table.seed_signal_variance();
     let warm = start.map(profile);
     let restarts = if warm.is_some() { 1 } else { options.restarts };
     let seeds = cold_starts(profile(init), restarts);
     let mut best: Option<Trial> = None;
     for from in warm.into_iter().chain(seeds) {
-        let objective = |p: &[f64]| match table.profiled(ws, &**base_kernel, y_centered, floor, p) {
+        let objective = |p: &[f64]| match table.profiled(
+            ws,
+            &**base_kernel,
+            y_centered,
+            seed_variance,
+            floor,
+            p,
+        ) {
             Some(trial) => {
                 if best.is_none_or(|b| trial.nll < b.nll) {
                     best = Some(trial);
@@ -441,10 +498,9 @@ fn fit_with_table(
     let Some(best) = best else {
         return refit(Hyper::at(init, floor));
     };
-    let hyper = Hyper::of(&best, floor);
-    match table.fitted(ws, &**base_kernel, y_centered, hyper) {
+    match table.fitted(ws, &**base_kernel, y_centered, best.hyper) {
         Some(fitted) => Ok(fitted),
-        None => refit(hyper),
+        None => refit(best.hyper),
     }
 }
 
@@ -480,9 +536,12 @@ pub struct LadderedFit {
 /// deterministic jitter ladder instead of failing outright.
 ///
 /// Rung `r` retries the fit with `min_noise_variance × 100^r`, for
-/// `r = 0..=max_rungs`. A larger noise floor inflates the diagonal of the
-/// kernel matrix, which rescues Cholesky factorizations that fail on
-/// near-duplicate inputs at the cost of a less confident surrogate. The
+/// `r = 0..=max_rungs`. A larger noise floor puts more noise on the
+/// covariance's diagonal: in the heuristic seed, where each rung's search
+/// starts, and in every regressor the fit scores or returns, whose noise
+/// variance is at least the floor. That rescues Cholesky factorizations
+/// that fail on near-duplicate inputs at the cost of a less confident
+/// surrogate. The
 /// ladder is a pure function of the data and options — no randomness, no
 /// retry loops with side effects — so callers can log each escalation as a
 /// typed event and stay reproducible. Every rung and every restart shares
@@ -702,12 +761,13 @@ mod tests {
             .unwrap();
         let table = FitTable::new(x, y);
         let y_centered = table.y_centered.as_deref().unwrap();
+        let s0 = table.seed_signal_variance();
         let mut ws = TrialWorkspace::new(&table);
         let mut restart = |from: [f64; 2]| {
             nelder_mead(
                 |p: &[f64]| {
                     table
-                        .profiled(&mut ws, &*kernel, y_centered, floor, p)
+                        .profiled(&mut ws, &*kernel, y_centered, s0, floor, p)
                         .map_or(f64::INFINITY, |trial| trial.nll)
                 },
                 &from,
@@ -721,17 +781,18 @@ mod tests {
         let seed = restart(profile(table.heuristic_start(floor)));
         let best = if seed.f < own.f { &seed } else { &own };
         let trial = table
-            .profiled(&mut ws, &*kernel, y_centered, floor, &best.x)
+            .profiled(&mut ws, &*kernel, y_centered, s0, floor, &best.x)
             .unwrap();
         assert_eq!(trial.nll.to_bits(), best.f.to_bits());
         let f = &warm.fitted;
         assert_eq!(warm.rungs, 0);
+        let signal_variance = trial.hyper.signal_variance;
         assert_eq!(
             [f.length_scale, f.signal_variance, f.noise_variance].map(f64::to_bits),
             [
                 best.x[0].exp(),
-                trial.signal_variance,
-                (best.x[1].exp() * trial.signal_variance).max(floor)
+                signal_variance,
+                (best.x[1].exp() * signal_variance).max(floor)
             ]
             .map(f64::to_bits)
         );
@@ -770,43 +831,77 @@ mod tests {
 
     #[test]
     fn every_trial_scores_like_a_regressor_refit() {
-        // Rows in 3 dimensions and targets of mixed magnitude. A noise
-        // floor of 1e-2 binds wherever r·q/n is below it, and then changes
-        // the likelihood a lot.
-        let n = 9;
-        let rows: Vec<f64> = (0..n * 3).map(|k| (k as f64 * 0.37).sin()).collect();
+        // Rows in 3 dimensions, the last a near-duplicate of the first, and
+        // targets of mixed magnitude. A noise floor of 1e-2 binds wherever
+        // r·q/n is below it, and then changes the likelihood a lot. Beside
+        // the near-duplicate pair, `C_ℓ + r·I` is singular to working
+        // precision at r ≤ e^-39: there it factors only with jitter at the
+        // longer length scales, or not even then.
+        let n = 10;
+        let mut rows: Vec<f64> = (0..(n - 1) * 3).map(|k| (k as f64 * 0.37).sin()).collect();
+        rows.extend([rows[0] + 1e-9, rows[1], rows[2]]);
         let x = Matrix::from_vec(n, 3, rows).unwrap();
         let y: Vec<f64> = (0..n)
             .map(|i| (i as f64 * 0.8).cos() * 10f64.powi(i as i32 % 3))
             .collect();
         let table = FitTable::new(&x, &y);
         let y_centered = table.y_centered.as_deref().unwrap();
+        let s0 = table.seed_signal_variance();
         let floor = 1e-2;
         let base = Matern52::new(1.0).into_kernel();
-        // One workspace for every trial, as in a fit.
+        // One workspace for every trial, as in a fit: failed trials leave
+        // partial factors behind that later trials must not read.
         let mut ws = TrialWorkspace::new(&table);
         let nll_at = |hyper: &Hyper| {
             let kernel = base.with_length_scale(hyper.length_scale);
             let gp = GpRegressor::fit(kernel, hyper.signal_variance, hyper.noise_variance, &x, &y);
             -gp.unwrap().log_marginal_likelihood()
         };
-        let (mut floored, mut interior) = (0, 0);
+        let (mut floored, mut interior, mut jittered, mut failed) = (0, 0, 0, 0);
+        let mut singular_gap = 0f64;
         for log_l in [-1.6f64, -0.5, 0.0, 1.0] {
-            for log_r in [-13.8f64, -6.9, -2.3, 0.0, 2.3] {
+            for log_r in [-46.0f64, -39.0, -13.8, -6.9, -2.3, 0.0, 2.3] {
                 let p = [log_l, log_r];
-                let trial = table
-                    .profiled(&mut ws, &*base, y_centered, floor, &p)
-                    .unwrap_or_else(|| panic!("trial at {p:?} failed"));
-                let hyper = Hyper::of(&trial, floor);
-                // The profiled likelihood is the refitted regressor's.
+                let trial = table.profiled(&mut ws, &*base, y_centered, s0, floor, &p);
+                // Whether C_ℓ + r·I needs jitter to factor.
+                let kernel = base.with_length_scale(log_l.exp());
+                let unit = Hyper {
+                    length_scale: log_l.exp(),
+                    signal_variance: 1.0,
+                    noise_variance: log_r.exp(),
+                };
+                let jitter = table
+                    .factor_at(&mut ws, &*kernel, y_centered, unit, 0)
+                    .is_none();
+                let Some(trial) = trial else {
+                    // The regressor at the σ̂² of s₀·(C_ℓ + r·I), factored
+                    // with jitter, does not factor.
+                    assert!(jitter, "trial at {p:?} failed");
+                    failed += 1;
+                    continue;
+                };
+                let hyper = trial.hyper;
                 let refit = nll_at(&hyper);
+                if jitter {
+                    // The trial scored the regressor's covariance.
+                    jittered += 1;
+                    assert_eq!(trial.nll.to_bits(), refit.to_bits(), "at {p:?}");
+                    continue;
+                }
+                if log_r < -30.0 {
+                    // Singular to working precision but factored without
+                    // jitter: both likelihoods are mostly rounding.
+                    singular_gap = singular_gap.max((trial.nll - refit).abs());
+                    continue;
+                }
+                // The profiled likelihood is the refitted regressor's.
                 let tol = 1e-9 * (1.0 + refit.abs());
                 assert!(
                     (trial.nll - refit).abs() <= tol,
                     "at {p:?}: {} vs {refit}",
                     trial.nll
                 );
-                if trial.signal_variance == floor / log_r.exp() {
+                if hyper.signal_variance == floor / log_r.exp() {
                     floored += 1;
                     continue;
                 }
@@ -822,9 +917,17 @@ mod tests {
                 }
             }
         }
+        eprintln!(
+            "{floored} floored, {interior} interior, {jittered} jittered, {failed} failed, \
+             singular gap {singular_gap:e}"
+        );
         assert!(
-            floored > 0 && interior > 0,
-            "{floored} floored, {interior} interior"
+            floored > 0 && interior > 0 && jittered > 0 && failed > 0,
+            "{floored} floored, {interior} interior, {jittered} jittered, {failed} failed"
+        );
+        assert!(
+            singular_gap < 0.5,
+            "{singular_gap} nats where C_ℓ + r·I is singular"
         );
         // Where ℓ underflows to zero, the kernel is NaN at distance zero, so
         // the trial fails like the regressor's refit; where r is zero or
@@ -832,7 +935,7 @@ mod tests {
         for p in [[-800.0, 0.0], [0.0, -800.0], [0.0, 800.0]] {
             assert!(
                 table
-                    .profiled(&mut ws, &*base, y_centered, floor, &p)
+                    .profiled(&mut ws, &*base, y_centered, s0, floor, &p)
                     .is_none(),
                 "at {p:?}"
             );

@@ -95,10 +95,15 @@ impl Evidence {
     }
 }
 
-/// Factors the noisy covariance `cov` (with jitter escalation) into
-/// `factor` and solves it against the centred targets into `alpha`,
-/// returning the likelihood's data terms. Only the upper triangle of `cov`
-/// is factored; every entry must be finite.
+/// How many times [`GpRegressor::fit`] retries a covariance that does not
+/// factor, with jitter growing ×10 from `1e-10` to at most `0.1`.
+pub(crate) const JITTER_TRIES: usize = 10;
+
+/// Factors the noisy covariance `cov`, retrying it with jitter up to
+/// `jitter_tries` times ([`Cholesky::refactor`]), into `factor` and solves
+/// it against the centred targets into `alpha`, returning the likelihood's
+/// data terms. Only the upper triangle of `cov` is factored; every entry
+/// must be finite.
 ///
 /// [`GpRegressor::fit`] and every trial of the hyper-parameter search
 /// score their covariance through this one function, and the fit hands
@@ -110,10 +115,11 @@ impl Evidence {
 pub(crate) fn factor_covariance(
     cov: &Matrix,
     y_centered: &[f64],
+    jitter_tries: usize,
     factor: &mut Cholesky,
     alpha: &mut Vec<f64>,
 ) -> Result<Evidence> {
-    factor.refactor(cov, 1e-10, 10)?;
+    factor.refactor(cov, 1e-10, jitter_tries)?;
     alpha.clear();
     alpha.extend_from_slice(y_centered);
     factor.solve_in_place(alpha)?;
@@ -181,7 +187,8 @@ impl GpRegressor {
         let mut chol = Cholesky::default();
         let mut alpha = Vec::with_capacity(n);
         let log_marginal_likelihood =
-            factor_covariance(&cov, &y_centered, &mut chol, &mut alpha)?.log_marginal_likelihood(n);
+            factor_covariance(&cov, &y_centered, JITTER_TRIES, &mut chol, &mut alpha)?
+                .log_marginal_likelihood(n);
         Ok(GpRegressor::from_factor(
             kernel,
             signal_variance,

@@ -12,10 +12,15 @@
 //! whole [`GpRegressor`] from the rows, over all three hyper-parameters.
 //! Since the library's fit profiles out the signal variance, the frozen
 //! fit is the bar it must clear: the same ladder rung, and a log marginal
-//! likelihood at most a bound below this fit's. The scorer is the oracle
-//! of the second: one k* vector per candidate, then a transpose of the
-//! solution, and the library's scores must be bit-identical. The per-point loop is the baseline that batched
-//! scoring is timed against, and both scoring paths must match its bits.
+//! likelihood at most a bound below this fit's. For that it also takes
+//! the warm start the three-parameter fit gained later
+//! ([`frozen_fit_gp_hyperparams_from`]), and the workspace root's
+//! `tests/profiled_fit_quality.rs` includes this file to replay BO
+//! histories against it. The scorer is the oracle of the second: one k*
+//! vector per candidate, then a transpose of the solution, and the
+//! library's scores must be bit-identical. The per-point loop is the
+//! baseline that batched scoring is timed against, and both scoring paths
+//! must match its bits.
 //! The bench ratchet times the library against these copies. Do not
 //! "improve" this code — its whole value is that it never changes. The
 //! shared test inputs at the end of the file are not part of any copy.
@@ -37,6 +42,19 @@ pub fn frozen_fit_gp_hyperparams(
     x: &Matrix,
     y: &[f64],
     options: FitOptions,
+) -> Result<FittedGp> {
+    frozen_fit_gp_hyperparams_from(base_kernel, x, y, options, None)
+}
+
+/// The fit above with the warm start the three-parameter fit later
+/// gained: one Nelder–Mead restart from the log-space point `start`, and
+/// the cold restarts only if that restart finds no finite likelihood.
+pub fn frozen_fit_gp_hyperparams_from(
+    base_kernel: Arc<dyn Kernel>,
+    x: &Matrix,
+    y: &[f64],
+    options: FitOptions,
+    start: Option<[f64; 3]>,
 ) -> Result<FittedGp> {
     // A non-finite noise floor would otherwise be silently ignored by
     // `f64::max` (NaN loses); reject it up front so callers poking the
@@ -71,8 +89,22 @@ pub fn frozen_fit_gp_hyperparams(
         }
     };
 
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for restart in 0..options.restarts.max(1) {
+    let warm = start.map(|start| {
+        let search = NelderMeadOptions {
+            max_evals: options.max_evals_per_restart,
+            ..Default::default()
+        };
+        nelder_mead(objective, &start, search)
+    });
+    let mut best: Option<(Vec<f64>, f64)> = warm
+        .filter(|result| result.f.is_finite())
+        .map(|result| (result.x, result.f));
+    let restarts = if best.is_some() {
+        0
+    } else {
+        options.restarts.max(1)
+    };
+    for restart in 0..restarts {
         // Deterministic perturbations: restart 0 is the heuristic seed,
         // later restarts are offset in alternating directions.
         let offset = match restart {
@@ -129,6 +161,18 @@ pub fn frozen_fit_gp_hyperparams_laddered(
     options: FitOptions,
     max_rungs: u32,
 ) -> Result<LadderedFit> {
+    frozen_fit_gp_hyperparams_laddered_from(base_kernel, x, y, options, max_rungs, None)
+}
+
+/// The ladder above over [`frozen_fit_gp_hyperparams_from`].
+pub fn frozen_fit_gp_hyperparams_laddered_from(
+    base_kernel: Arc<dyn Kernel>,
+    x: &Matrix,
+    y: &[f64],
+    options: FitOptions,
+    max_rungs: u32,
+    start: Option<[f64; 3]>,
+) -> Result<LadderedFit> {
     let mut last: Result<LadderedFit> = Err(Error::NoObservations);
     for rung in 0..=max_rungs {
         let floor = options.min_noise_variance * 100f64.powi(rung as i32);
@@ -136,7 +180,7 @@ pub fn frozen_fit_gp_hyperparams_laddered(
             min_noise_variance: floor,
             ..options
         };
-        match frozen_fit_gp_hyperparams(base_kernel.clone(), x, y, rung_options) {
+        match frozen_fit_gp_hyperparams_from(base_kernel.clone(), x, y, rung_options, start) {
             Ok(fitted) => {
                 return Ok(LadderedFit {
                     fitted,

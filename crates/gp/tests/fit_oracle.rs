@@ -6,11 +6,11 @@
 //! a whole `GpRegressor` from the rows in every trial, and ran the
 //! searchers' 80 evaluations per restart. Where the data fits, the
 //! library's fit must climb the frozen fit's ladder rung and land no more
-//! than [`COLD_GAP`] nats of log marginal likelihood below it; where it
-//! does not, it must fail with the frozen fit's typed error. A fit without
-//! a warm start is the cold search, bit for bit, and a warm start whose
-//! restart finds no finite likelihood leaves the heuristic seed's restart,
-//! bit for bit. The fitted regressor itself must be the one
+//! than [`COLD_GAP`] nats of log marginal likelihood below it, unless the
+//! likelihood is unbounded there (the `Spiked` kernel's rung); where it
+//! does not, it must fail with the frozen fit's typed error. A warm start
+//! whose restart finds no finite likelihood leaves the heuristic seed's
+//! restart, bit for bit. The fitted regressor itself must be the one
 //! `GpRegressor::fit` builds at the fitted hyper-parameters: the
 //! likelihood alone would pass a stale factor or α, but not the scores
 //! compared here.
@@ -85,16 +85,13 @@ fn assert_no_worse(new: &Result<LadderedFit>, frozen: &Result<LadderedFit>, what
     }
 }
 
-/// Checks the laddered and the direct fit against the frozen fit, and the
-/// laddered fit without a start against the laddered fit. Returns the
-/// laddered fit's gap.
+/// Checks the laddered and the direct fit against the frozen fit. Returns
+/// the laddered fit's gap.
 fn check(kernel: &Arc<dyn Kernel>, x: &Matrix, y: &[f64], options: FitOptions, what: &str) -> f64 {
     let frozen = frozen_options(options);
     let new = fit_gp_hyperparams_laddered(kernel.clone(), x, y, options, MAX_RUNGS);
     let old = frozen_fit_gp_hyperparams_laddered(kernel.clone(), x, y, frozen, MAX_RUNGS);
     let gap = assert_no_worse(&new, &old, what);
-    let no_start = fit_gp_hyperparams_laddered_from(kernel.clone(), x, y, options, MAX_RUNGS, None);
-    assert_same_ladder(&no_start, &new, &format!("{what}, no start"));
     let wrap = |r: Result<FittedGp>| r.map(|fitted| LadderedFit { fitted, rungs: 0 });
     let direct = fit_gp_hyperparams(kernel.clone(), x, y, options);
     let old = frozen_fit_gp_hyperparams(kernel.clone(), x, y, frozen);
@@ -121,9 +118,9 @@ fn matern_fit_is_no_worse_than_the_frozen_fit_on_every_shape() {
 /// diagonal.
 ///
 /// Near-duplicate rows alone never make the Matérn fit climb the ladder.
-/// Each rung's first trial, the heuristic seed, puts a noise ratio of at
-/// least 1% on the kernel's unit diagonal, and the Cholesky jitter adds up
-/// to 0.1 more, so rung 0 always factors. This kernel stands in for a surrogate that
+/// Each rung's first trial, the heuristic seed, puts 1% of the target
+/// variance on the diagonal, and the Cholesky jitter adds up to 0.1 more,
+/// so rung 0 always factors. This kernel stands in for a surrogate that
 /// the lowest noise floor cannot factor.
 #[derive(Debug)]
 struct Spiked(Matern52);
@@ -165,14 +162,16 @@ fn near_duplicate_rows() -> (Matrix, [f64; 2]) {
     (Matrix::from_vec(2, 6, rows).unwrap(), [0.25, 0.25])
 }
 
-/// Both fits climb exactly one rung. The library's fit cannot search
-/// there: a profiled trial factors `C_ℓ + r·I` at unit signal variance,
-/// where the jitter's 0.1 cannot make up for the spike until r nears
-/// `SPIKE`, and the seed's r is 100 (the floor over the seeded signal
-/// variance `1e-6`), so no trial factors on any rung. Rung 1 keeps the
-/// fallback, the heuristic seed's refit, which factors at
-/// `σ_f² = 1e-6, σ_n² = 1e-4` because the jitter is added at that scale.
-/// The frozen fit searched on from there, 4.35 nats higher.
+/// Both fits climb exactly one rung and search there. With constant
+/// targets the log likelihood on rung 1 is −½·ln of the jittered
+/// covariance's determinant, which vanishes wherever `σ_f²·(SPIKE − 1)`
+/// rises to `σ_n² + j` for a step `j` of the jitter ladder: near each such
+/// edge the likelihood grows without bound. Neither fit has an optimum to
+/// reach, so how far one lands above the other says how close its last
+/// steps came to an edge, and is printed, not bounded. Both must leave the
+/// heuristic seed's refit (`σ_f² = 1e-6`, `σ_n² = 1e-4`) for the edge of
+/// the last step, `j = 0.1`: a signal variance less than 1e-4 below it,
+/// relatively, at the noise floor.
 #[test]
 fn near_duplicate_rows_climb_a_rung_like_the_frozen_fit() {
     let (x, y) = near_duplicate_rows();
@@ -191,15 +190,24 @@ fn near_duplicate_rows_climb_a_rung_like_the_frozen_fit() {
         (1, 1),
         "the ladder must climb exactly one rung"
     );
-    let f = &new.fitted;
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b;
-    assert!(close(f.signal_variance, 1e-6), "{}", f.signal_variance);
-    assert!(close(f.noise_variance, 1e-4), "{}", f.noise_variance);
-    let gap = f.gp.log_marginal_likelihood() - old.fitted.gp.log_marginal_likelihood();
-    assert!(
-        (-4.4..-4.3).contains(&gap),
-        "{gap} nats from the frozen fit"
-    );
+    let floor = BO_FIT.min_noise_variance * 100.0;
+    let seed = GpRegressor::fit(kernel.with_length_scale(0.5), 1e-6, floor, &x, &y).unwrap();
+    let edge = (floor + 0.1) / (Spiked::SPIKE - 1.0);
+    for (what, fit) in [("library", &new.fitted), ("frozen", &old.fitted)] {
+        let lml = fit.gp.log_marginal_likelihood();
+        assert!(
+            lml > seed.log_marginal_likelihood(),
+            "{what}: {lml} is no better than the seed's refit"
+        );
+        assert!(
+            fit.signal_variance < edge && fit.signal_variance > edge * (1.0 - 1e-4),
+            "{what}: signal variance {} is not just below {edge}",
+            fit.signal_variance
+        );
+        assert_eq!(fit.noise_variance, floor, "{what}: noise variance");
+    }
+    let gap = new.fitted.gp.log_marginal_likelihood() - old.fitted.gp.log_marginal_likelihood();
+    eprintln!("near-duplicate rows: {gap:+.2} nats from the frozen fit");
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //!
 //! The library's fit searches (ln ℓ, ln r), with r = σ_n²/σ_f², and sets
 //! σ_f² in closed form in every trial; a warm fit runs one restart from
-//! the previous optimum and one from the heuristic seed. `frozen_fit`
-//! holds the fit it replaced, which searched all three hyper-parameters
-//! and ran one restart from a warm start. This replays four fixed growing
+//! the previous optimum and one from the heuristic seed. The gp crate's
+//! test support holds the fit it replaced, frozen, which searched all
+//! three hyper-parameters and ran one restart from a warm start. This
+//! replays four fixed growing
 //! chains of BO observations, each fitted at n = 3, 4, … rows, and each
 //! side warm-starts every fit after the first at its own previous optimum.
 //! Every fit's log marginal likelihood is compared with the frozen fit's
@@ -14,9 +15,10 @@
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-mod frozen_fit;
+#[path = "../crates/gp/tests/common/mod.rs"]
+mod common;
 
-use frozen_fit::frozen_fit_gp_hyperparams_laddered_from;
+use common::frozen_fit_gp_hyperparams_laddered_from;
 use hyperpower::methods::{BoSearcher, ConstraintWeighting, MAX_JITTER_RUNGS};
 use hyperpower::{Budget, Method, Mode, Scenario, Session};
 use hyperpower_gp::{fit_gp_hyperparams_laddered_from, FitOptions, FittedGp, Matern52};
