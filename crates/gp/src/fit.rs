@@ -1,5 +1,6 @@
 //! The GP hyper-parameter fit: Nelder–Mead over the profiled log marginal
-//! likelihood, one covariance factorization per trial.
+//! likelihood, one covariance factorization per trial that needs no
+//! jitter.
 //!
 //! For a length scale ℓ and a noise ratio `r = σ_n²/σ_f²` the covariance
 //! is `σ_f²·(C_ℓ + r·I)`, and the likelihood's optimum over the signal
