@@ -72,14 +72,14 @@ pub const DEFAULT_SPEC: Spec = Spec {
 };
 
 /// The serving layer's contract: every `ServerConfig` knob is
-/// execution-only (leases, bounds, priorities and snapshot cadence may
-/// never change a committed byte), and the journal's run identity is the
-/// study name plus the embedded checkpoint header.
+/// execution-only (leases, bounds, admission rate and snapshot cadence
+/// may never change a committed byte), and a study journal's run identity
+/// is the checkpoint header it records under the study's name.
 pub const SERVER_SPEC: Spec = Spec {
     options_file: "crates/server/src/server.rs",
     options_struct: "ServerConfig",
-    header_file: "crates/server/src/journal.rs",
-    header_struct: "JournalHeader",
+    header_file: "crates/core/src/checkpoint.rs",
+    header_struct: "CheckpointHeader",
     execution_only: &[
         "root",
         "max_studies",
@@ -89,13 +89,8 @@ pub const SERVER_SPEC: Spec = Spec {
         "snapshot_every_commits",
         "hedge_after_s",
         "tenant_rate_per_s",
-        "tenant_burst",
-        "breaker_threshold",
-        "breaker_cooldown_s",
-        "supervision_seed",
-        "health",
     ],
-    identity_map: &[("__run", &["name", "run"])],
+    identity_map: &[("__run", &["seed", "method", "mode", "budget"])],
 };
 
 /// R13 against the workspace's real contracts.
@@ -366,25 +361,33 @@ mod tests {
 
     #[test]
     fn real_contract_spec_is_self_consistent() {
-        // Every execution-only + mapped knob name is distinct, and the
-        // pseudo-knob is present exactly once.
-        let spec = DEFAULT_SPEC;
-        let mut knobs: Vec<&str> = spec
-            .identity_map
-            .iter()
-            .map(|(k, _)| *k)
-            .chain(spec.execution_only.iter().copied())
-            .collect();
-        knobs.sort_unstable();
-        let n = knobs.len();
-        knobs.dedup();
-        assert_eq!(n, knobs.len(), "duplicate knob declarations");
-        assert_eq!(
-            spec.identity_map
+        // In each real contract every execution-only + mapped knob name is
+        // distinct, and the pseudo-knob is present exactly once.
+        for spec in [DEFAULT_SPEC, SERVER_SPEC] {
+            let mut knobs: Vec<&str> = spec
+                .identity_map
                 .iter()
-                .filter(|(k, _)| *k == "__run")
-                .count(),
-            1
-        );
+                .map(|(k, _)| *k)
+                .chain(spec.execution_only.iter().copied())
+                .collect();
+            knobs.sort_unstable();
+            let n = knobs.len();
+            knobs.dedup();
+            assert_eq!(
+                n,
+                knobs.len(),
+                "duplicate knob declarations in {}",
+                spec.options_struct
+            );
+            assert_eq!(
+                spec.identity_map
+                    .iter()
+                    .filter(|(k, _)| *k == "__run")
+                    .count(),
+                1,
+                "{}",
+                spec.options_struct
+            );
+        }
     }
 }

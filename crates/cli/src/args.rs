@@ -198,9 +198,9 @@ SERVER:   serve hosts several named MNIST studies in one crash-safe
           any candidate whose lease has been silent that long (plus
           seeded jitter) as a speculative duplicate on a healthy worker —
           trace-neutral, first fulfilment wins (0 disables).
-          --tenant-rate R admits at most R requests per virtual second
-          per study through a token bucket (refused with a typed
-          backpressure error, never a stall; 0 disables).
+          --tenant-rate R admits at most R asks per virtual second per
+          study through a token bucket (a refused ask waits for a later
+          round, never a stall; tells are never refused; 0 disables).
 FSCK:     fsck scans every study under --root (default
           target/study-server): journal records and snapshots are
           CRC32-framed, so bit-rot, truncated tails, stale temp files

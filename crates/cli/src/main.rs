@@ -105,13 +105,7 @@ fn serve(
         // lands first commits, the other resolves as a duplicate.
         for (study, candidate) in report.hedged {
             let result = objective.evaluate(&candidate.decoded, None, candidate.eval_seed)?;
-            match server.tell(&study, candidate.lease_id, &result) {
-                Ok(_) => {}
-                Err(ServerError::Overloaded { .. })
-                | Err(ServerError::Backpressure { .. })
-                | Err(ServerError::CircuitOpen { .. }) => {}
-                Err(e) => return Err(e),
-            }
+            server.tell(&study, candidate.lease_id, &result)?;
         }
         for arg in studies {
             if server.is_finished(&arg.name)? {

@@ -273,6 +273,24 @@ fn serve_supervision_flags() {
         .check();
 }
 
+/// `--tenant-rate` throttles asks only: a serve that must wait out its
+/// eight-ask burst (twelve asks at 0.06 tokens a round) still finishes,
+/// and writes the store bytes of the same serve without the flag.
+#[test]
+fn serve_tenant_rate() {
+    let case = Case::new("serve_tenant_rate")
+        .run("serve --study a:rand:12:1 --root store --workers 1")
+        .run("serve --study a:rand:12:1 --root throttled --workers 1 --tenant-rate 0.001");
+    for file in ["a.journal", "a.snapshot"] {
+        assert_eq!(
+            fs::read(case.dir.join("store").join(file)).unwrap(),
+            fs::read(case.dir.join("throttled").join(file)).unwrap(),
+            "{file} differs between the unthrottled and the throttled serve"
+        );
+    }
+    case.check();
+}
+
 /// `serve` and `fsck` share the default root `target/study-server`.
 #[test]
 fn default_root() {

@@ -672,7 +672,7 @@ pub fn run_chaos_with(
         report.hedged_leases += issued;
         report.superseded_leases += superseded;
     }
-    let (_, _, quarantined, retired) = server.workers().census();
+    let (_, quarantined, retired) = server.workers().census();
     report.unhealthy_workers = quarantined + retired;
 
     // The verdict: every study's bytes against the uninterrupted reference.

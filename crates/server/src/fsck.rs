@@ -48,7 +48,7 @@ use hyperpower::golden::{self, Value};
 use hyperpower::integrity::unframe;
 use hyperpower::{Error, Result, StoreDefect};
 
-use crate::journal::{io_err, study_paths, JournalHeader};
+use crate::journal::{decode_header_line, io_err, study_paths};
 
 /// One study's integrity findings.
 #[derive(Debug)]
@@ -335,13 +335,13 @@ impl StudyScan {
         name: &str,
         snapshot_path: &Path,
     ) -> std::result::Result<(), String> {
-        let header =
-            JournalHeader::decode(payload).map_err(|e| format!("undecodable header: {e}"))?;
-        if header.name != name {
-            return Err(format!("the header names study {:?}", header.name));
+        let (header_name, run) =
+            decode_header_line(payload).map_err(|e| format!("undecodable header: {e}"))?;
+        if header_name != name {
+            return Err(format!("the header names study {header_name:?}"));
         }
         let mut state = RunCheckpoint {
-            header: header.run,
+            header: run,
             evals: BTreeMap::new(),
             samples: Vec::new(),
         };

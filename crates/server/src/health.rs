@@ -2,14 +2,12 @@
 //!
 //! A [`Fleet`] watches a set of named members — simulated workers pulling
 //! leases, or studies acting as tenants — and walks each one through a
-//! four-state machine:
+//! three-state machine:
 //!
 //! ```text
-//! Healthy ──missed heartbeat──▶ Suspect ──sign of life──▶ Healthy
-//!    │                            │
-//!    └──── failure streak ────────┴──▶ Quarantined ──parole──▶ Healthy
-//!                                          │
-//!                                          └─ too many quarantines ─▶ Retired
+//! Healthy ──failure streak──▶ Quarantined ──parole──▶ Healthy
+//!                                  │
+//!                                  └─ too many quarantines ─▶ Retired
 //! ```
 //!
 //! Every transition is a pure function of `(fleet seed, member name,
@@ -34,11 +32,8 @@ const SALT_PAROLE: u64 = 0x4EA7_0002;
 /// Where a member stands in the supervision state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HealthState {
-    /// Answering heartbeats and completing work: eligible for leases.
+    /// Completing work, or not yet failed enough: eligible for leases.
     Healthy,
-    /// Missed its heartbeat window. Still eligible (work in flight may
-    /// just be slow), but one failure streak away from quarantine.
-    Suspect,
     /// Tripped its seeded failure threshold: no fresh leases until its
     /// parole instant passes on the scheduler clock.
     Quarantined,
@@ -51,7 +46,6 @@ impl HealthState {
     pub fn wire_name(self) -> &'static str {
         match self {
             HealthState::Healthy => "healthy",
-            HealthState::Suspect => "suspect",
             HealthState::Quarantined => "quarantined",
             HealthState::Retired => "retired",
         }
@@ -64,46 +58,29 @@ impl std::fmt::Display for HealthState {
     }
 }
 
-/// Knobs of the supervision state machine. Execution-only: none of these
-/// participate in trace identity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthPolicy {
-    /// Scheduler-clock seconds without a sign of life before a `Healthy`
-    /// member is marked `Suspect` by [`Fleet::sweep`].
-    pub heartbeat_timeout_s: f64,
+/// Constants of the supervision state machine. Execution-only: none of
+/// these participate in trace identity.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HealthPolicy {
     /// Base consecutive-failure count that trips a quarantine.
-    pub probation_failures: u32,
+    pub(crate) probation_failures: u32,
     /// Seeded extra failures tolerated on top of the base: the effective
     /// threshold is `probation_failures + draw(0..=probation_jitter)`,
     /// re-drawn per member per quarantine so thundering herds stagger.
-    pub probation_jitter: u32,
+    pub(crate) probation_jitter: u32,
     /// Base quarantine (parole) duration in scheduler-clock seconds.
-    pub parole_s: f64,
+    pub(crate) parole_s: f64,
     /// Seeded multiplicative jitter on the parole duration: the effective
     /// duration is `parole_s * (1 + parole_jitter_frac * unit)`.
-    pub parole_jitter_frac: f64,
-    /// Quarantine count at which a member is retired for good.
-    pub retire_after: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            heartbeat_timeout_s: 900.0,
-            probation_failures: 3,
-            probation_jitter: 2,
-            parole_s: 1800.0,
-            parole_jitter_frac: 0.5,
-            retire_after: 3,
-        }
-    }
+    pub(crate) parole_jitter_frac: f64,
+    /// Quarantine count past which a member is retired for good.
+    pub(crate) retire_after: u32,
 }
 
 /// Per-member supervision record.
 #[derive(Debug, Clone)]
 struct MemberRecord {
     state: HealthState,
-    last_seen_s: f64,
     consecutive_failures: u32,
     quarantines: u32,
     parole_until_s: f64,
@@ -123,7 +100,7 @@ pub struct Fleet {
 
 impl Fleet {
     /// A fleet with no members yet; they register on first contact.
-    pub fn new(seed: u64, policy: HealthPolicy) -> Self {
+    pub(crate) fn new(seed: u64, policy: HealthPolicy) -> Self {
         Fleet {
             seed,
             policy,
@@ -131,20 +108,14 @@ impl Fleet {
         }
     }
 
-    /// The policy this fleet enforces.
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
-    }
-
     /// The member's record, registered on first contact; only then is the
     /// key copied, since every ask and tell reaches here.
-    fn record(&mut self, key: &str, now_s: f64) -> &mut MemberRecord {
+    fn record(&mut self, key: &str) -> &mut MemberRecord {
         if !self.members.contains_key(key) {
             self.members.insert(
                 key.to_string(),
                 MemberRecord {
                     state: HealthState::Healthy,
-                    last_seen_s: now_s,
                     consecutive_failures: 0,
                     quarantines: 0,
                     parole_until_s: 0.0,
@@ -158,37 +129,24 @@ impl Fleet {
     }
 
     /// Register a member (idempotent); new members start `Healthy`.
-    pub fn register(&mut self, key: &str, now_s: f64) {
-        self.record(key, now_s);
+    pub(crate) fn register(&mut self, key: &str) {
+        self.record(key);
     }
 
-    /// A sign of life: refreshes the heartbeat window and clears
-    /// suspicion. Quarantined and retired members stay put — only parole
-    /// (or nothing) brings them back.
-    pub fn heartbeat(&mut self, key: &str, now_s: f64) {
-        let member = self.record(key, now_s);
-        member.last_seen_s = now_s;
-        if member.state == HealthState::Suspect {
-            member.state = HealthState::Healthy;
-        }
-    }
-
-    /// A completed unit of work: heartbeat plus a reset failure streak.
-    pub fn observe_success(&mut self, key: &str, now_s: f64) {
-        self.heartbeat(key, now_s);
-        let member = self.record(key, now_s);
-        member.consecutive_failures = 0;
+    /// A completed unit of work: the failure streak resets. Quarantined
+    /// and retired members stay put — only parole (or nothing) brings
+    /// them back.
+    pub(crate) fn observe_success(&mut self, key: &str) {
+        self.record(key).consecutive_failures = 0;
     }
 
     /// A failed unit of work. Extends the streak and, once the seeded
     /// probation threshold is crossed, quarantines the member (or retires
     /// it if it has been quarantined `retire_after` times already).
     /// Returns the member's state after the observation.
-    pub fn observe_failure(&mut self, key: &str, now_s: f64) -> HealthState {
-        let seed = self.seed;
-        let policy = self.policy.clone();
-        let member = self.record(key, now_s);
-        member.last_seen_s = now_s;
+    pub(crate) fn observe_failure(&mut self, key: &str, now_s: f64) -> HealthState {
+        let (seed, policy) = (self.seed, self.policy);
+        let member = self.record(key);
         if matches!(
             member.state,
             HealthState::Quarantined | HealthState::Retired
@@ -207,7 +165,7 @@ impl Fleet {
         let threshold = policy
             .probation_failures
             .saturating_add(slack.min(policy.probation_jitter));
-        if member.consecutive_failures >= threshold.max(1) {
+        if member.consecutive_failures >= threshold {
             member.quarantines = member.quarantines.saturating_add(1);
             member.consecutive_failures = 0;
             if member.quarantines > policy.retire_after {
@@ -222,29 +180,15 @@ impl Fleet {
         member.state
     }
 
-    /// Advance the scheduler clock: `Healthy` members past their
-    /// heartbeat window become `Suspect`, and quarantined members whose
-    /// parole instant has passed return to `Healthy` with a clean streak.
-    /// Returns the number of state transitions applied.
-    pub fn sweep(&mut self, now_s: f64) -> usize {
-        let timeout = self.policy.heartbeat_timeout_s;
-        let mut transitions = 0;
+    /// Advance the scheduler clock: quarantined members whose parole
+    /// instant has passed return to `Healthy` with a clean streak.
+    pub(crate) fn sweep(&mut self, now_s: f64) {
         for member in self.members.values_mut() {
-            match member.state {
-                HealthState::Healthy if now_s - member.last_seen_s > timeout => {
-                    member.state = HealthState::Suspect;
-                    transitions += 1;
-                }
-                HealthState::Quarantined if now_s >= member.parole_until_s => {
-                    member.state = HealthState::Healthy;
-                    member.consecutive_failures = 0;
-                    member.last_seen_s = now_s;
-                    transitions += 1;
-                }
-                _ => {}
+            if member.state == HealthState::Quarantined && now_s >= member.parole_until_s {
+                member.state = HealthState::Healthy;
+                member.consecutive_failures = 0;
             }
         }
-        transitions
     }
 
     /// The member's current state, if it has ever been seen.
@@ -262,13 +206,10 @@ impl Fleet {
     }
 
     /// Whether this member may receive fresh work. Unknown members are
-    /// trusted (they register on first contact); `Healthy` and `Suspect`
-    /// are eligible; `Quarantined` and `Retired` never are.
+    /// trusted (they register on first contact); only `Healthy` members
+    /// are eligible.
     pub fn eligible(&self, key: &str) -> bool {
-        match self.state(key) {
-            None | Some(HealthState::Healthy) | Some(HealthState::Suspect) => true,
-            Some(HealthState::Quarantined) | Some(HealthState::Retired) => false,
-        }
+        matches!(self.state(key), None | Some(HealthState::Healthy))
     }
 
     /// Whether *any* registered member is eligible — or no member has
@@ -277,15 +218,14 @@ impl Fleet {
         self.members.is_empty() || self.members.keys().any(|k| self.eligible(k))
     }
 
-    /// `(healthy, suspect, quarantined, retired)` counts for summaries.
-    pub fn census(&self) -> (usize, usize, usize, usize) {
-        let mut counts = (0, 0, 0, 0);
+    /// `(healthy, quarantined, retired)` counts for summaries.
+    pub fn census(&self) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
         for member in self.members.values() {
             match member.state {
                 HealthState::Healthy => counts.0 += 1,
-                HealthState::Suspect => counts.1 += 1,
-                HealthState::Quarantined => counts.2 += 1,
-                HealthState::Retired => counts.3 += 1,
+                HealthState::Quarantined => counts.1 += 1,
+                HealthState::Retired => counts.2 += 1,
             }
         }
         counts
@@ -306,42 +246,27 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    fn policy() -> HealthPolicy {
-        HealthPolicy {
-            heartbeat_timeout_s: 100.0,
-            probation_failures: 2,
-            probation_jitter: 1,
-            parole_s: 50.0,
-            parole_jitter_frac: 0.5,
-            retire_after: 2,
-        }
-    }
+    const POLICY: HealthPolicy = HealthPolicy {
+        probation_failures: 2,
+        probation_jitter: 1,
+        parole_s: 50.0,
+        parole_jitter_frac: 0.5,
+        retire_after: 2,
+    };
 
     #[test]
     fn unknown_members_are_trusted_and_register_healthy() {
-        let mut fleet = Fleet::new(7, policy());
+        let mut fleet = Fleet::new(7, POLICY);
         assert!(fleet.eligible("w0"));
         assert_eq!(fleet.state("w0"), None);
-        fleet.heartbeat("w0", 0.0);
-        assert_eq!(fleet.state("w0"), Some(HealthState::Healthy));
-    }
-
-    #[test]
-    fn missed_heartbeats_suspect_and_signs_of_life_clear() {
-        let mut fleet = Fleet::new(7, policy());
-        fleet.heartbeat("w0", 0.0);
-        assert_eq!(fleet.sweep(50.0), 0);
-        assert_eq!(fleet.sweep(200.0), 1);
-        assert_eq!(fleet.state("w0"), Some(HealthState::Suspect));
-        assert!(fleet.eligible("w0"), "suspects stay eligible");
-        fleet.heartbeat("w0", 210.0);
+        fleet.register("w0");
         assert_eq!(fleet.state("w0"), Some(HealthState::Healthy));
     }
 
     #[test]
     fn failure_streaks_quarantine_and_parole_releases() {
-        let mut fleet = Fleet::new(7, policy());
-        fleet.register("w0", 0.0);
+        let mut fleet = Fleet::new(7, POLICY);
+        fleet.register("w0");
         let mut state = HealthState::Healthy;
         let mut failures = 0;
         while state != HealthState::Quarantined {
@@ -353,16 +278,17 @@ mod tests {
         assert!(!fleet.eligible("w0"));
         let until = fleet.parole_until("w0").expect("quarantined");
         assert!(until > 10.0 + 50.0 - 1e-9 && until <= 10.0 + 75.0 + 1e-9);
-        assert_eq!(fleet.sweep(until - 1.0), 0);
-        assert_eq!(fleet.sweep(until), 1);
+        fleet.sweep(until - 1.0);
+        assert_eq!(fleet.state("w0"), Some(HealthState::Quarantined));
+        fleet.sweep(until);
         assert_eq!(fleet.state("w0"), Some(HealthState::Healthy));
         assert!(fleet.eligible("w0"));
     }
 
     #[test]
     fn repeat_offenders_are_retired() {
-        let mut fleet = Fleet::new(7, policy());
-        fleet.register("w0", 0.0);
+        let mut fleet = Fleet::new(7, POLICY);
+        fleet.register("w0");
         let mut now = 0.0;
         let mut quarantines = 0;
         // retire_after = 2: the third quarantine-worthy streak retires.
@@ -379,27 +305,27 @@ mod tests {
         }
         assert_eq!(quarantines, 2);
         assert!(!fleet.eligible("w0"));
-        // Retirement is permanent: no sweep or heartbeat resurrects it.
+        // Retirement is permanent: no sweep or success resurrects it.
         fleet.sweep(now + 1e5);
-        fleet.heartbeat("w0", now + 1e5);
+        fleet.observe_success("w0");
         assert_eq!(fleet.state("w0"), Some(HealthState::Retired));
     }
 
     #[test]
     fn successes_reset_the_streak() {
-        let mut fleet = Fleet::new(7, policy());
-        fleet.register("w0", 0.0);
+        let mut fleet = Fleet::new(7, POLICY);
+        fleet.register("w0");
         for round in 0..20 {
             let state = fleet.observe_failure("w0", f64::from(round));
             assert_eq!(state, HealthState::Healthy, "streak never completes");
-            fleet.observe_success("w0", f64::from(round) + 0.5);
+            fleet.observe_success("w0");
         }
     }
 
     #[test]
     fn transitions_are_a_pure_function_of_seed_and_observations() {
         let run = |seed: u64| {
-            let mut fleet = Fleet::new(seed, policy());
+            let mut fleet = Fleet::new(seed, POLICY);
             let mut log = Vec::new();
             for step in 0..40u32 {
                 let key = format!("w{}", step % 3);
@@ -421,11 +347,17 @@ mod tests {
 
     #[test]
     fn census_counts_every_state() {
-        let mut fleet = Fleet::new(7, policy());
-        fleet.register("a", 0.0);
-        fleet.register("b", 0.0);
-        assert_eq!(fleet.census(), (2, 0, 0, 0));
-        fleet.sweep(1000.0);
-        assert_eq!(fleet.census(), (0, 2, 0, 0));
+        let mut fleet = Fleet::new(7, POLICY);
+        fleet.register("a");
+        fleet.register("b");
+        fleet.register("c");
+        assert_eq!(fleet.census(), (3, 0, 0));
+        while fleet.state("c") != Some(HealthState::Retired) {
+            if fleet.observe_failure("c", 0.0) == HealthState::Quarantined {
+                fleet.sweep(fleet.parole_until("c").expect("quarantined"));
+            }
+        }
+        while fleet.observe_failure("b", 0.0) != HealthState::Quarantined {}
+        assert_eq!(fleet.census(), (1, 1, 1));
     }
 }

@@ -89,39 +89,24 @@ use hyperpower::{Error, EvaluationResult, ObservationSink, Result, Sample};
 /// Wire schema marker of the journal header line.
 const JOURNAL_SCHEMA: &str = "hyperpower-study-journal-v2";
 
-/// The identity a study journal is bound to: the study's name plus the
-/// full run identity of the PR 4 checkpoint codec. Every trace-affecting
-/// knob lives in `run`; server-level knobs (queue bounds, lease TTLs,
-/// snapshot cadence) are execution-only and deliberately absent — they can
-/// change across a restart without invalidating the journal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalHeader {
-    /// The study's server-unique name.
-    pub name: String,
-    /// Run identity (seed, method, mode, budget, fault/retry/drift knobs).
-    pub run: CheckpointHeader,
-}
-
-/// Encodes the header as a single journal line (sans the `H ` tag): the
-/// study's name, then the run identity in its one encoding
-/// ([`CheckpointHeader::encode_members`]).
-pub fn encode_header_line(header: &JournalHeader) -> String {
+/// Encodes a journal's header as a single line (sans the `H ` tag): the
+/// study's name, then its run identity in that identity's one encoding
+/// ([`CheckpointHeader::encode_members`]). Every trace-affecting knob
+/// lives in `run`; server-level knobs (queue bounds, lease TTLs, snapshot
+/// cadence) are execution-only and deliberately absent — they can change
+/// across a restart without invalidating the journal.
+pub fn encode_header_line(name: &str, run: &CheckpointHeader) -> String {
     format!(
-        "{{\"schema\": \"{JOURNAL_SCHEMA}\", \"name\": \"{}\", {}}}",
-        header.name,
-        header.run.encode_members()
+        "{{\"schema\": \"{JOURNAL_SCHEMA}\", \"name\": \"{name}\", {}}}",
+        run.encode_members()
     )
 }
 
-impl JournalHeader {
-    /// Decodes a header record's payload, the [`encode_header_line`] form.
-    pub(crate) fn decode(payload: &str) -> Result<Self> {
-        let (run, members) = CheckpointHeader::decode(payload, JOURNAL_SCHEMA)?;
-        Ok(JournalHeader {
-            name: get_str(&members, "name")?,
-            run,
-        })
-    }
+/// Decodes a header record's payload, the [`encode_header_line`] form,
+/// into the study's name and its run identity.
+pub(crate) fn decode_header_line(payload: &str) -> Result<(String, CheckpointHeader)> {
+    let (run, members) = CheckpointHeader::decode(payload, JOURNAL_SCHEMA)?;
+    Ok((get_str(&members, "name")?, run))
 }
 
 /// The write-ahead journal and snapshot writer of one hosted study.
@@ -156,28 +141,34 @@ pub(crate) fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Checkpoint(format!("{what} {}: {e}", path.display()))
 }
 
-/// Where and how often study `header.name`'s snapshot is written: every
+/// Where and how often study `name`'s snapshot is written: every
 /// `snapshot_every` commits, or only when flushed for `0`.
-fn snapshot_config(root: &Path, header: &JournalHeader, snapshot_every: usize) -> CheckpointConfig {
+fn snapshot_config(root: &Path, name: &str, snapshot_every: usize) -> CheckpointConfig {
     CheckpointConfig {
-        path: study_paths(root, &header.name).1,
+        path: study_paths(root, name).1,
         every_commits: snapshot_every,
     }
 }
 
 impl StudyJournal {
-    /// Creates durable state for a fresh study, one with no journal yet:
-    /// the journal starts as its header line, and the snapshot sink starts
-    /// empty. Orphaned temp files from crashed predecessors (both the
-    /// snapshot's `*.tmp` and the rotation's `*.journal-tmp`) are swept.
+    /// Creates durable state for a fresh study `name` of run identity
+    /// `run`, one with no journal yet: the journal starts as its header
+    /// line, and the snapshot sink starts empty. Orphaned temp files from
+    /// crashed predecessors (both the snapshot's `*.tmp` and the
+    /// rotation's `*.journal-tmp`) are swept.
     ///
     /// # Errors
     ///
     /// [`Error::Checkpoint`] on I/O failures.
-    pub fn create(root: &Path, header: &JournalHeader, snapshot_every: usize) -> Result<Self> {
+    pub fn create(
+        root: &Path,
+        name: &str,
+        run: &CheckpointHeader,
+        snapshot_every: usize,
+    ) -> Result<Self> {
         std::fs::create_dir_all(root).map_err(|e| io_err("creating", root, e))?;
-        let sink = CheckpointSink::new(snapshot_config(root, header, snapshot_every), &header.run);
-        let mut journal = Self::open(root, header, sink)?;
+        let sink = CheckpointSink::new(snapshot_config(root, name, snapshot_every), run);
+        let mut journal = Self::open(root, name, run, sink)?;
         journal
             .file
             .write_all(journal.header_record.as_bytes())
@@ -195,22 +186,23 @@ impl StudyJournal {
     /// Whatever `replay` returns, and [`Error::Checkpoint`] on I/O failures.
     pub(crate) fn reopen(
         root: &Path,
-        header: &JournalHeader,
+        name: &str,
+        run: &CheckpointHeader,
         snapshot_every: usize,
         replay: impl FnOnce(&mut CheckpointSink) -> Result<()>,
     ) -> Result<Self> {
-        let config = snapshot_config(root, header, snapshot_every);
-        let mut snapshot = CheckpointSink::held(config, &header.run);
+        let config = snapshot_config(root, name, snapshot_every);
+        let mut snapshot = CheckpointSink::held(config, run);
         replay(&mut snapshot)?;
-        let mut journal = Self::open(root, header, snapshot)?;
+        let mut journal = Self::open(root, name, run, snapshot)?;
         journal.flush()?;
         Ok(journal)
     }
 
     /// Opens the journal for appending, creating it if absent, and sweeps
     /// a stranded rotation temp.
-    fn open(root: &Path, header: &JournalHeader, sink: CheckpointSink) -> Result<Self> {
-        let (journal_path, _) = study_paths(root, &header.name);
+    fn open(root: &Path, name: &str, run: &CheckpointHeader, sink: CheckpointSink) -> Result<Self> {
+        let (journal_path, _) = study_paths(root, name);
         std::fs::remove_file(journal_path.with_extension("journal-tmp")).ok();
         let file = std::fs::OpenOptions::new()
             .append(true)
@@ -218,7 +210,7 @@ impl StudyJournal {
             .open(&journal_path)
             .map_err(|e| io_err("opening", &journal_path, e))?;
         let mut header_record = String::new();
-        push_record(&mut header_record, 'H', &encode_header_line(header));
+        push_record(&mut header_record, 'H', &encode_header_line(name, run));
         Ok(StudyJournal {
             journal_path,
             file,
@@ -332,26 +324,26 @@ mod tests {
 
     #[test]
     fn the_header_record_is_byte_identical_to_earlier_releases() {
-        let header = JournalHeader {
-            name: "pinned".into(),
-            run: CheckpointHeader {
-                seed: 1_592_591_846,
-                method: "Rand".into(),
-                mode: "HyperPower".into(),
-                budget: Budget::Evaluations(4),
-                simulated_gpus: 1,
-                fault_profile: "none".into(),
-                max_retries: 2,
-                recalibrate: false,
-                drift_threshold: 0.15,
-                safety_margin: 0.0,
-            },
+        let run = CheckpointHeader {
+            seed: 1_592_591_846,
+            method: "Rand".into(),
+            mode: "HyperPower".into(),
+            budget: Budget::Evaluations(4),
+            simulated_gpus: 1,
+            fault_profile: "none".into(),
+            max_retries: 2,
+            recalibrate: false,
+            drift_threshold: 0.15,
+            safety_margin: 0.0,
         };
         let mut record = String::new();
-        push_record(&mut record, 'H', &encode_header_line(&header));
+        push_record(&mut record, 'H', &encode_header_line("pinned", &run));
         let record = record.strip_suffix('\n').unwrap();
         assert_eq!(record, EARLIER_HEADER_RECORD);
         let payload = record.split_once(' ').unwrap().1.split_once(' ').unwrap().1;
-        assert_eq!(JournalHeader::decode(payload).unwrap(), header);
+        assert_eq!(
+            decode_header_line(payload).unwrap(),
+            ("pinned".to_string(), run)
+        );
     }
 }

@@ -18,11 +18,11 @@
 //!   uninterrupted run;
 //! * graceful degradation — bounded per-study and server-wide outstanding
 //!   work, shed-lowest-priority backpressure, per-tenant token-bucket
-//!   admission and circuit breakers, and typed [`ServerError`] refusals
-//!   instead of silent stalls;
+//!   admission of asks and circuit breakers, and typed [`ServerError`]
+//!   refusals instead of silent stalls;
 //! * [`health`] — a deterministic worker/tenant supervision state machine
-//!   (`Healthy → Suspect → Quarantined → Retired`) gating lease dispatch
-//!   and driving hedged re-dispatch of overdue candidates;
+//!   (`Healthy → Quarantined → Retired`) gating lease dispatch and
+//!   driving hedged re-dispatch of overdue candidates;
 //! * [`fsck`] — an offline integrity scanner over a store directory and
 //!   the journal's only reader: every journal record and snapshot is
 //!   CRC32-framed, and [`fsck_store`] reports (and optionally salvages, by
@@ -31,8 +31,9 @@
 //!
 //! Nothing the server does can change a committed trace byte: run
 //! identity lives entirely in each study's [`hyperpower::StudySpec`]
-//! (journaled in its header); leases, queue bounds, priorities, snapshot
-//! cadence and crash/recovery cycles are all execution-only.
+//! (journaled in its header, under the study's name); leases, queue
+//! bounds, priorities, snapshot cadence, supervision and crash/recovery
+//! cycles are all execution-only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +51,6 @@ pub use chaos::{
 };
 pub use error::ServerError;
 pub use fsck::{fsck_store, FsckReport, StudyFsck};
-pub use health::{Fleet, HealthPolicy, HealthState};
-pub use journal::{JournalHeader, StudyJournal};
+pub use health::{Fleet, HealthState};
+pub use journal::StudyJournal;
 pub use server::{ServerConfig, StudyServer, StudySetup, TickReport};

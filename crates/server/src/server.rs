@@ -27,8 +27,8 @@
 //!   byte-verifies the recomputed prefix against the recorded samples
 //!   before it writes anything;
 //! * **fleet supervision** — a deterministic [`Fleet`] health machine per
-//!   worker and per study-as-tenant (`Healthy → Suspect → Quarantined →
-//!   Retired`); quarantined workers never receive a fresh lease
+//!   worker and per study-as-tenant (`Healthy → Quarantined → Retired`);
+//!   quarantined workers never receive a fresh lease
 //!   ([`StudyServer::ask_worker`] returns an empty batch);
 //! * **hedged re-dispatch** — [`StudyServer::tick_hedge`] re-issues any
 //!   candidate whose sole lease has outlived its seeded hedge deadline as
@@ -37,11 +37,12 @@
 //!   as [`TellOutcome::Duplicate`]. Hedging is trace-neutral by
 //!   construction: the candidate's `eval_seed` was fixed at planning
 //!   time, so *who* evaluates it cannot change the committed bytes;
-//! * **tenant backpressure** — a per-study token bucket charged against
-//!   the scheduler clock ([`ServerError::Backpressure`]) and a per-study
-//!   circuit breaker that opens after a seeded run of consecutive
-//!   journal/tell failures ([`ServerError::CircuitOpen`]). Both are typed
-//!   refusals; neither ever panics or touches study state.
+//! * **tenant backpressure** — a per-study token bucket that each ask
+//!   draws on against the scheduler clock ([`ServerError::Backpressure`])
+//!   and a per-study circuit breaker that opens after a seeded run of
+//!   consecutive journal failures ([`ServerError::CircuitOpen`]). Both
+//!   refuse asks only: a tell finishes work an ask already admitted. Both
+//!   are typed refusals; neither ever panics or touches study state.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -54,8 +55,35 @@ use hyperpower::{
 use hyperpower_gpu_sim::Gpu;
 
 use crate::health::{Fleet, HealthPolicy, HealthState};
-use crate::journal::{JournalHeader, StudyJournal};
+use crate::journal::StudyJournal;
 use crate::ServerError;
+
+/// Token-bucket capacity per tenant: the asks a study may make in a burst
+/// when [`ServerConfig::tenant_rate_per_s`] is set.
+const TENANT_BURST: f64 = 8.0;
+
+/// Seed of the supervision streams (probation thresholds, parole
+/// durations). Execution-only, like everything else here.
+const SUPERVISION_SEED: u64 = 0;
+
+/// Workers: quarantined after 3 + (0–2 seeded) consecutive failures,
+/// paroled after 1800 s × (1 + 0.5·u), retired on the fourth quarantine.
+const WORKER_HEALTH: HealthPolicy = HealthPolicy {
+    probation_failures: 3,
+    probation_jitter: 2,
+    parole_s: 1800.0,
+    parole_jitter_frac: 0.5,
+    retire_after: 3,
+};
+
+/// Tenants: the circuit breaker opens after 8 + (0–2 seeded) consecutive
+/// journal failures and closes on the same parole. Tenants are never
+/// retired — a study must always be able to come back.
+const TENANT_HEALTH: HealthPolicy = HealthPolicy {
+    probation_failures: 8,
+    retire_after: u32::MAX,
+    ..WORKER_HEALTH
+};
 
 /// Execution-level serving knobs. None of these can change a committed
 /// trace byte — run identity lives entirely in each study's [`StudySpec`]
@@ -87,24 +115,9 @@ pub struct ServerConfig {
     /// from [`StudyServer::tick_hedge`]. `0` disables hedging.
     pub hedge_after_s: f64,
     /// Tokens per scheduler-clock second each study (tenant) accrues for
-    /// `ask`/`tell` admission; `0` disables the bucket (unlimited).
+    /// `ask` admission, up to a burst of eight; `0` disables the bucket
+    /// (unlimited). Tells are never charged.
     pub tenant_rate_per_s: f64,
-    /// Token-bucket capacity per tenant (burst allowance).
-    pub tenant_burst: f64,
-    /// Base run of consecutive journal/tell failures that opens a study's
-    /// circuit breaker (the seeded jitter on top comes from `health`);
-    /// `0` disables the breaker. Lease-lifecycle rejections
-    /// ([`hyperpower::Error::LeaseExpired`], `UnknownLease`) are caller
-    /// faults and never count.
-    pub breaker_threshold: u32,
-    /// Base scheduler-clock seconds an open breaker stays open before its
-    /// seeded parole instant.
-    pub breaker_cooldown_s: f64,
-    /// Seed of the supervision streams (probation thresholds, parole
-    /// durations). Execution-only, like everything else here.
-    pub supervision_seed: u64,
-    /// The worker/tenant health state machine's knobs.
-    pub health: HealthPolicy,
 }
 
 impl Default for ServerConfig {
@@ -123,11 +136,6 @@ impl Default for ServerConfig {
             snapshot_every_commits: 8,
             hedge_after_s: 900.0,
             tenant_rate_per_s: 0.0,
-            tenant_burst: 8.0,
-            breaker_threshold: 8,
-            breaker_cooldown_s: 1800.0,
-            supervision_seed: 0,
-            health: HealthPolicy::default(),
         }
     }
 }
@@ -162,15 +170,13 @@ struct StudyEntry {
 }
 
 /// What one [`StudyServer::tick_hedge`] pass did: expired-lease
-/// reclamations, fleet state transitions, and the speculative duplicate
-/// leases it issued — `(study name, candidate)` pairs the caller must
-/// dispatch to an eligible worker.
+/// reclamations and the speculative duplicate leases it issued —
+/// `(study name, candidate)` pairs the caller must dispatch to an
+/// eligible worker.
 #[derive(Debug, Default)]
 pub struct TickReport {
     /// Leases whose deadline passed and were reclaimed.
     pub reclaimed: usize,
-    /// Worker/tenant health-state transitions applied by the sweep.
-    pub fleet_transitions: usize,
     /// Speculative duplicate leases issued for overdue candidates.
     pub hedged: Vec<(String, LeasedCandidate)>,
 }
@@ -187,7 +193,8 @@ pub struct StudyServer {
     /// study's open circuit breaker.
     tenants: Fleet,
     /// High-water mark of every scheduler-clock instant the server has
-    /// seen; `tell` (which carries no clock) charges admission here.
+    /// seen; a failed `tell` (which carries no clock) starts its breaker
+    /// parole here.
     clock_s: f64,
 }
 
@@ -213,32 +220,13 @@ impl StudyServer {
                 config.root.display()
             )))
         })?;
-        // Tenant supervision reuses the health machine with the breaker's
-        // knobs: probation = consecutive journal/tell failures, parole =
-        // breaker cooldown. Tenants are never timed out or retired — a
-        // study must always be able to come back.
-        let tenant_policy = HealthPolicy {
-            heartbeat_timeout_s: f64::INFINITY,
-            probation_failures: config.breaker_threshold.max(1),
-            probation_jitter: config.health.probation_jitter,
-            parole_s: config.breaker_cooldown_s,
-            parole_jitter_frac: config.health.parole_jitter_frac,
-            retire_after: u32::MAX,
-        };
-        let workers = Fleet::new(config.supervision_seed, config.health.clone());
-        let tenants = Fleet::new(config.supervision_seed, tenant_policy);
         Ok(StudyServer {
             config,
             studies: BTreeMap::new(),
-            workers,
-            tenants,
+            workers: Fleet::new(SUPERVISION_SEED, WORKER_HEALTH),
+            tenants: Fleet::new(SUPERVISION_SEED, TENANT_HEALTH),
             clock_s: 0.0,
         })
-    }
-
-    /// The serving configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
     }
 
     /// Outstanding leases across all hosted studies.
@@ -327,18 +315,13 @@ impl StudyServer {
         } = setup;
         let mut study =
             Study::new(spec, oracle.as_ref(), None).with_lease_policy(self.config.lease_policy);
-        let header = JournalHeader {
-            name: name.to_string(),
-            run: study.identity(),
-        };
+        let run = study.identity();
         let (root, every) = (&self.config.root, self.config.snapshot_every_commits);
         let journal = match recovered {
-            None => StudyJournal::create(root, &header, every)?,
+            None => StudyJournal::create(root, name, &run, every)?,
             Some(recovered) => {
-                header
-                    .run
-                    .verify(&format!("journal for study {name:?}"), &recovered.header)?;
-                StudyJournal::reopen(root, &header, every, |snapshot| {
+                run.verify(&format!("journal for study {name:?}"), &recovered.header)?;
+                StudyJournal::reopen(root, name, &run, every, |snapshot| {
                     // The journal records every evaluation before the
                     // commit that consumes it, so a miss means it lost
                     // non-tail records.
@@ -352,7 +335,7 @@ impl StudyServer {
                 })?
             }
         };
-        self.tenants.register(name, self.clock_s);
+        self.tenants.register(name);
         self.studies.insert(
             name.to_string(),
             StudyEntry {
@@ -361,7 +344,7 @@ impl StudyServer {
                 gpu,
                 journal,
                 priority,
-                tokens: self.config.tenant_burst,
+                tokens: TENANT_BURST,
                 refill_s: self.clock_s,
             },
         );
@@ -380,33 +363,28 @@ impl StudyServer {
             .ok_or_else(|| ServerError::StudyNotFound(name.to_string()))
     }
 
-    /// Tenant admission shared by `ask` and `tell`: the circuit breaker
-    /// first (an open breaker refuses outright until its parole instant),
-    /// then the token bucket. Pure flow control — refusals change no
-    /// study state (the token, once granted, is spent even if the request
-    /// later fails: failures are the breaker's concern, not the bucket's).
+    /// Tenant admission of an ask: the circuit breaker first (an open
+    /// breaker refuses outright until its parole instant), then the token
+    /// bucket. Pure flow control — refusals change no study state (the
+    /// token, once granted, is spent even if the ask later fails:
+    /// failures are the breaker's concern, not the bucket's).
     fn charge_admission(&mut self, name: &str, now_s: f64) -> Result<(), ServerError> {
         self.clock_s = self.clock_s.max(now_s);
-        if !self.tenants.eligible(name) {
-            match self.tenants.parole_until(name) {
-                Some(until_s) if now_s >= until_s => {
-                    // Parole instant passed: release before admitting.
-                    self.tenants.sweep(now_s);
-                }
-                Some(until_s) => {
-                    return Err(ServerError::CircuitOpen {
-                        study: name.to_string(),
-                        until_s,
-                    })
-                }
-                None => {}
+        if let Some(until_s) = self.tenants.parole_until(name) {
+            if now_s < until_s {
+                return Err(ServerError::CircuitOpen {
+                    study: name.to_string(),
+                    until_s,
+                });
             }
+            // Parole instant passed: release before admitting.
+            self.tenants.sweep(now_s);
         }
         let rate = self.config.tenant_rate_per_s;
         if rate > 0.0 {
-            let burst = self.config.tenant_burst.max(1.0);
             let entry = self.entry_mut(name)?;
-            entry.tokens = burst.min(entry.tokens + rate * (now_s - entry.refill_s).max(0.0));
+            entry.tokens =
+                TENANT_BURST.min(entry.tokens + rate * (now_s - entry.refill_s).max(0.0));
             entry.refill_s = entry.refill_s.max(now_s);
             if entry.tokens < 1.0 {
                 return Err(ServerError::Backpressure {
@@ -419,21 +397,19 @@ impl StudyServer {
         Ok(())
     }
 
-    /// Feeds the circuit breaker from a `tell`/`ask` outcome: server-side
+    /// Feeds the circuit breaker a failed `ask` or `tell`: server-side
     /// failures (journal I/O, replay mismatches) extend the tenant's
     /// streak and eventually open the breaker; lease-lifecycle rejections
-    /// are the *caller's* fault and reset nothing either way.
-    fn note_tenant_outcome(&mut self, name: &str, error: Option<&ServerError>) {
-        if self.config.breaker_threshold == 0 {
-            return;
-        }
+    /// are the *caller's* fault and count for nothing. Only a tell's
+    /// success resets the streak: most asks write nothing, so an ask's
+    /// success says nothing about the store.
+    fn note_tenant_failure(&mut self, name: &str, error: &ServerError) {
         match error {
-            None => self.tenants.observe_success(name, self.clock_s),
-            Some(ServerError::Core(Error::LeaseExpired { .. } | Error::UnknownLease { .. })) => {}
-            Some(ServerError::Core(_)) => {
+            ServerError::Core(Error::LeaseExpired { .. } | Error::UnknownLease { .. }) => {}
+            ServerError::Core(_) => {
                 self.tenants.observe_failure(name, self.clock_s);
             }
-            Some(_) => {}
+            _ => {}
         }
     }
 
@@ -515,12 +491,14 @@ impl StudyServer {
             }
             Ok(batch)
         })();
-        self.note_tenant_outcome(name, result.as_ref().err());
+        if let Err(e) = &result {
+            self.note_tenant_failure(name, e);
+        }
         result
     }
 
-    /// [`StudyServer::ask`] on behalf of a named worker: the worker's
-    /// heartbeat is refreshed, and if supervision has quarantined or
+    /// [`StudyServer::ask`] on behalf of a named worker: the worker is
+    /// registered on first contact, and if supervision has quarantined or
     /// retired it the batch is empty — **a quarantined worker never
     /// receives a fresh lease**. An empty batch is not an error: the
     /// scheduler just moves on to the next worker.
@@ -536,7 +514,7 @@ impl StudyServer {
         now_s: f64,
     ) -> Result<Vec<LeasedCandidate>, ServerError> {
         self.clock_s = self.clock_s.max(now_s);
-        self.workers.heartbeat(worker, now_s);
+        self.workers.register(worker);
         if !self.workers.eligible(worker) {
             return Ok(Vec::new());
         }
@@ -549,16 +527,15 @@ impl StudyServer {
     /// reclaimed leases are rejected with the typed
     /// [`hyperpower::Error::LeaseExpired`], state untouched.
     ///
-    /// Admission runs first (the breaker and, when enabled, the token
-    /// bucket, charged at the server's clock high-water mark since a tell
-    /// carries no clock); a journal/tell failure extends the tenant's
-    /// breaker streak, while the lease-lifecycle rejections above are
+    /// A tell finishes work its ask already admitted, so neither the
+    /// breaker nor the token bucket refuses it. Its outcome feeds the
+    /// breaker: a journal failure extends the tenant's streak and a
+    /// success resets it, while the lease-lifecycle rejections above are
     /// caller faults and never count.
     ///
     /// # Errors
     ///
-    /// [`ServerError::StudyNotFound`], [`ServerError::CircuitOpen`],
-    /// [`ServerError::Backpressure`], or study/journal errors (including
+    /// [`ServerError::StudyNotFound`], or study/journal errors (including
     /// the lease-lifecycle rejections above).
     pub fn tell(
         &mut self,
@@ -566,8 +543,6 @@ impl StudyServer {
         lease_id: u64,
         result: &hyperpower::EvaluationResult,
     ) -> Result<TellOutcome, ServerError> {
-        self.entry(name)?;
-        self.charge_admission(name, self.clock_s)?;
         let outcome: Result<TellOutcome, ServerError> = (|| {
             let entry = self.entry_mut(name)?;
             let outcome =
@@ -579,7 +554,10 @@ impl StudyServer {
             }
             Ok(outcome)
         })();
-        self.note_tenant_outcome(name, outcome.as_ref().err());
+        match &outcome {
+            Ok(_) => self.tenants.observe_success(name),
+            Err(e) => self.note_tenant_failure(name, e),
+        }
         outcome
     }
 
@@ -595,10 +573,9 @@ impl StudyServer {
     /// depend on which copy wins.
     pub fn tick_hedge(&mut self, now_s: f64) -> TickReport {
         self.clock_s = self.clock_s.max(now_s);
-        let mut report = TickReport {
-            fleet_transitions: self.workers.sweep(now_s) + self.tenants.sweep(now_s),
-            ..TickReport::default()
-        };
+        self.workers.sweep(now_s);
+        self.tenants.sweep(now_s);
+        let mut report = TickReport::default();
         let hedge_after_s = self.config.hedge_after_s;
         let hedging = hedge_after_s > 0.0 && self.workers.any_eligible();
         for (name, entry) in &mut self.studies {
@@ -612,16 +589,10 @@ impl StudyServer {
         report
     }
 
-    /// Refreshes a worker's heartbeat (registering it on first contact).
-    pub fn worker_heartbeat(&mut self, worker: &str, now_s: f64) {
-        self.clock_s = self.clock_s.max(now_s);
-        self.workers.heartbeat(worker, now_s);
-    }
-
     /// Records a unit of work a worker completed successfully.
     pub fn note_worker_success(&mut self, worker: &str, now_s: f64) {
         self.clock_s = self.clock_s.max(now_s);
-        self.workers.observe_success(worker, now_s);
+        self.workers.observe_success(worker);
     }
 
     /// Records a worker failure (crash, stall, lost result). Returns the

@@ -1074,7 +1074,6 @@ fn a_quarantined_worker_never_receives_a_fresh_lease() {
     let root = scratch_root("quarantine");
     let mut server = StudyServer::new(ServerConfig {
         root,
-        supervision_seed: 7,
         ..ServerConfig::default()
     })
     .expect("server");
@@ -1091,7 +1090,6 @@ fn a_quarantined_worker_never_receives_a_fresh_lease() {
 
     // Fail w1 until supervision quarantines it (probation threshold plus
     // a bounded seeded slack).
-    server.worker_heartbeat("w1", 60.0);
     let mut state = HealthState::Healthy;
     for _ in 0..16 {
         state = server.note_worker_failure("w1", 60.0);
@@ -1294,56 +1292,38 @@ proptest! {
 
 #[test]
 fn sustained_overload_returns_only_typed_refusals() {
-    let expected = encode_trace(&reference(SEED, Budget::Evaluations(6)));
+    let expected = encode_trace(&reference(SEED, Budget::Evaluations(24)));
     let root = scratch_root("soak");
     let mut server = StudyServer::new(ServerConfig {
         root,
         max_outstanding_per_study: 2,
         tenant_rate_per_s: 0.05,
-        tenant_burst: 2.0,
         ..ServerConfig::default()
     })
     .expect("server");
     server
-        .create_study("soak", setup(SEED, Budget::Evaluations(6), 1))
+        .create_study("soak", setup(SEED, Budget::Evaluations(24), 1))
         .expect("create");
 
-    // Hammer the tenant at 0.2 admissions/s against a 0.05/s refill:
-    // most calls must be refused, every refusal must be typed, and the
-    // study must still finish with the reference bytes.
+    // Hammer the tenant at 0.2 asks/s against a 0.05/s refill: once the
+    // burst is spent most asks must be refused, every refusal must be
+    // typed, no tell may be refused, and the study must still finish with
+    // the reference bytes.
     let mut now = 0.0;
     let mut refusals = 0usize;
     let mut pending: Vec<(u64, EvaluationResult)> = Vec::new();
     for _ in 0..4_000 {
         now += 5.0;
-        // Advance the scheduler clock (tells are charged at its
-        // high-water mark) and let overdue leases reclaim, as any real
-        // serving loop would.
+        // Let overdue leases reclaim, as any real serving loop would.
         server.tick_hedge(now);
-        pending.retain(
-            |(lease_id, result)| match server.tell("soak", *lease_id, result) {
-                Ok(_) => false,
-                Err(ServerError::Backpressure { retry_after_s, .. }) => {
-                    assert!(retry_after_s.is_finite() && retry_after_s > 0.0);
-                    refusals += 1;
-                    true
-                }
-                // A starved tell can outlive its lease; the candidate goes
-                // back to the queue and a later ask re-issues it.
-                Err(ServerError::Core(Error::LeaseExpired { .. })) => false,
-                Err(e) => panic!("tell refused untypedly: {e}"),
-            },
-        );
-        if server.is_finished("soak").expect("is_finished") {
-            if pending.is_empty() {
-                break;
+        // Results land one round after their ask.
+        for (lease_id, result) in pending.drain(..) {
+            if let Err(e) = server.tell("soak", lease_id, &result) {
+                panic!("a tell was refused: {e}");
             }
-            continue;
         }
-        if !pending.is_empty() {
-            // Don't let fresh asks burn the trickle of tokens the
-            // stalled tells are waiting on.
-            continue;
+        if server.is_finished("soak").expect("is_finished") {
+            break;
         }
         match server.ask("soak", 4, now) {
             Ok(batch) => {
@@ -1361,11 +1341,39 @@ fn sustained_overload_returns_only_typed_refusals() {
     }
     assert!(refusals > 0, "the soak never saw backpressure");
     assert!(server.is_finished("soak").expect("is_finished"));
-    assert!(pending.is_empty(), "every result was eventually ingested");
+    assert!(pending.is_empty(), "every result was ingested");
     assert_eq!(
         expected,
         encode_trace(&server.trace("soak").expect("trace"))
     );
+}
+
+/// A tell finishes work its ask already admitted, so it spends no token:
+/// a bucket that never refills still takes all sixteen results of one
+/// ask, twice the burst.
+#[test]
+fn tells_never_spend_admission_tokens() {
+    let expected = encode_trace(&reference(SEED, Budget::Evaluations(16)));
+    let root = scratch_root("dry-bucket");
+    let mut server = StudyServer::new(ServerConfig {
+        root,
+        tenant_rate_per_s: 1e-9,
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    server
+        .create_study("dry", setup(SEED, Budget::Evaluations(16), 1))
+        .expect("create");
+    let batch = server.ask("dry", 16, 60.0).expect("ask");
+    assert_eq!(batch.len(), 16);
+    for c in &batch {
+        match server.tell("dry", c.lease_id, &eval(c)) {
+            Ok(TellOutcome::Accepted { .. }) => {}
+            other => panic!("the tell of lease {} returned {other:?}", c.lease_id),
+        }
+    }
+    assert!(server.is_finished("dry").expect("is_finished"));
+    assert_eq!(expected, encode_trace(&server.trace("dry").expect("trace")));
 }
 
 #[test]
@@ -1375,7 +1383,6 @@ fn breaker_opens_after_sustained_journal_failures() {
         root: root.clone(),
         // Snapshot on every commit so tells hit the filesystem each time.
         snapshot_every_commits: 1,
-        breaker_threshold: 3,
         ..ServerConfig::default()
     })
     .expect("server");
@@ -1417,6 +1424,61 @@ fn breaker_opens_after_sustained_journal_failures() {
     }
     assert!(saw_open, "the breaker never opened");
     assert_eq!(server.tenant_state("br"), Some(HealthState::Quarantined));
+}
+
+/// Failed tells open the breaker while the study still has work left:
+/// the successful asks between them do not reset the streak. The ask
+/// that reaches the parole instant closes the breaker itself, with no
+/// maintenance tick in between.
+#[test]
+fn the_breaker_opens_mid_run_and_closes_on_the_ask_at_parole() {
+    let root = scratch_root("breaker-mid-run");
+    let mut server = StudyServer::new(ServerConfig {
+        root: root.clone(),
+        snapshot_every_commits: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server");
+    server
+        .create_study("mid", setup(SEED, Budget::Evaluations(40), 1))
+        .expect("create");
+
+    // Every tell now fails its snapshot write.
+    std::fs::remove_dir_all(&root).expect("yank store");
+    let mut open = None;
+    for i in 1..=30u32 {
+        let now = 60.0 * f64::from(i);
+        match server.ask("mid", 1, now) {
+            Ok(batch) => {
+                for c in batch {
+                    match server.tell("mid", c.lease_id, &eval(&c)) {
+                        Err(ServerError::Core(_)) => {}
+                        other => panic!("a tell into the yanked store returned {other:?}"),
+                    }
+                }
+            }
+            Err(ServerError::CircuitOpen { study, until_s }) => {
+                assert_eq!(study, "mid");
+                assert!(until_s > now, "parole must be in the future");
+                open = Some(until_s);
+                break;
+            }
+            Err(e) => panic!("unexpected ask error: {e}"),
+        }
+    }
+    let until_s = open.expect("the breaker never opened");
+    assert!(!server.is_finished("mid").expect("is_finished"));
+    assert_eq!(server.tenant_state("mid"), Some(HealthState::Quarantined));
+
+    match server.ask("mid", 1, until_s - 1.0) {
+        Err(ServerError::CircuitOpen { until_s: still, .. }) => {
+            assert_eq!(still.to_bits(), until_s.to_bits(), "the parole moved");
+        }
+        other => panic!("an ask before parole returned {other:?}"),
+    }
+    let batch = server.ask("mid", 1, until_s).expect("the ask at parole");
+    assert_eq!(batch.len(), 1);
+    assert_eq!(server.tenant_state("mid"), Some(HealthState::Healthy));
 }
 
 // ---------------------------------------------------------------------------
