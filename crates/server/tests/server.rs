@@ -1341,7 +1341,7 @@ fn sustained_overload_returns_only_typed_refusals() {
     }
     assert!(refusals > 0, "the soak never saw backpressure");
     assert!(server.is_finished("soak").expect("is_finished"));
-    assert!(pending.is_empty(), "every result was ingested");
+    assert!(pending.is_empty(), "every result was eventually ingested");
     assert_eq!(
         expected,
         encode_trace(&server.trace("soak").expect("trace"))
